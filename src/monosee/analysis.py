@@ -10,16 +10,20 @@ Osgood condition (int_0+ dx/rho(x) = +infinity), g0 = 0 forces g == 0, which is
 the quantitative mechanism behind pathwise uniqueness and fixed-point
 convergence.  This module evaluates the moduli, the bound, its zero-limit
 diagnostic, and the discrete weighted norms used by every error study.
+
+G and G^{-1} are exact (Bihari 1956): G = log(x/g0)/slope (linear),
+(x^(1-a) - g0^(1-a))/(c0 (1-a)) (power), and for rho_k [P(g0) - P(x)]/c0
+below eta, P(x) = log l_k(log 1/x), plus a log1p term on the affine tail
+above eta.  Quadrature survives only as a test oracle.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, quad
-from scipy.optimize import brentq
+from scipy.integrate import cumulative_trapezoid
 
 from .errors import ConfigError
 
@@ -31,11 +35,11 @@ RHO_K = "rho_k"
 POWER = "power"
 
 
-def _iterated_logs(w: float, k: int) -> list[float]:
-    """[l_1(w), ..., l_k(w)] with l_1 = w and l_{j+1} = log l_j."""
-    vals = [float(w)]
+def _iterated_logs(w, k: int) -> list:
+    """[l_1(w), ..., l_k(w)] with l_1 = w and l_{j+1} = log l_j (elementwise)."""
+    vals = [w]
     for _ in range(k - 1):
-        vals.append(math.log(vals[-1]))
+        vals.append(np.log(vals[-1]))
     return vals
 
 
@@ -47,6 +51,7 @@ class ModulusSpec:
     kind = "rho_k":   rho(x) = c0 * x * prod_{j=1}^k log^j(1/x) for x <= eta,
                       extended affinely above eta with the left derivative
                       (C1 match), where log^j is the j-times iterated log.
+                      Needs log^j(1/x) > 0 and rho increasing on (0, eta].
     kind = "power":   rho(x) = c0 * x**alpha, alpha in (0, 1).  Not Osgood;
                       exists so the zero-limit diagnostic has a negative case.
     """
@@ -67,13 +72,11 @@ class ModulusSpec:
                 raise ConfigError("rho_k modulus needs integer k >= 1")
             if self.c0 <= 0:
                 raise ConfigError("rho_k modulus needs c0 > 0")
-            if not (0.0 < self.eta <= math.exp(-self.k) * (1.0 + 1e-12)):
-                raise ConfigError(
-                    f"rho_k modulus needs eta in (0, e^-k]; got eta={self.eta}, k={self.k}"
-                )
-            w_eta = math.log(1.0 / self.eta)
-            logs = _iterated_logs(w_eta, self.k)
-            if min(logs) <= 0.0:
+            if not 0.0 < self.eta < 1.0:
+                raise ConfigError(f"rho_k modulus needs eta in (0, 1); got eta={self.eta}")
+            with np.errstate(invalid="ignore", divide="ignore"):
+                logs = _iterated_logs(math.log(1.0 / self.eta), self.k)
+            if not all(lj > 0.0 for lj in logs):
                 raise ConfigError(
                     "rho_k modulus: iterated logs must stay positive on (0, eta]"
                 )
@@ -100,8 +103,13 @@ def linear_modulus(slope: float = 1.0) -> ModulusSpec:
 
 
 def rho_k_modulus(k: int = 1, c0: float = 1.0, eta: float | None = None) -> ModulusSpec:
+    """eta defaults to 1/exp^(k)(1) = e^-1, e^-e, e^-e^e, where l_k(log 1/eta)
+    = 1 and rho_k is still nondecreasing (k >= 4 underflows to eta = 0)."""
     if eta is None:
-        eta = math.exp(-float(k))
+        w = 1.0
+        for _ in range(k - 1):
+            w = math.exp(w)
+        eta = math.exp(-w)
     return ModulusSpec(kind=RHO_K, k=k, c0=c0, eta=eta)
 
 
@@ -109,28 +117,21 @@ def power_modulus(alpha: float = 0.5, c0: float = 1.0) -> ModulusSpec:
     return ModulusSpec(kind=POWER, alpha=alpha, c0=c0)
 
 
-def _rho_k_inner(x: float, k: int, c0: float) -> float:
+def _rho_k_inner(x, k: int, c0: float):
     # c0 * x * prod_j log^j(1/x), valid for 0 < x <= eta
-    w = math.log(1.0 / x)
     prod = 1.0
-    for lj in _iterated_logs(w, k):
-        prod *= lj
+    for lj in _iterated_logs(np.log(1.0 / x), k):
+        prod = prod * lj
     return c0 * x * prod
+
 
 def _rho_k_prime_inner(x: float, k: int, c0: float) -> float:
     # d/dx [c0 x prod_j l_j(log 1/x)] = c0 (prod_j l_j - sum_j prod_{i>j} l_i)
-    w = math.log(1.0 / x)
-    logs = _iterated_logs(w, k)
-    prod = 1.0
-    for lj in logs:
-        prod *= lj
-    total = prod
+    logs = _iterated_logs(math.log(1.0 / x), k)
+    total = math.prod(logs)
     for j in range(k):
-        tail = 1.0
-        for lj in logs[j + 1:]:
-            tail *= lj
-        total -= tail
-    return c0 * total
+        total -= math.prod(logs[j + 1:])
+    return c0 * float(total)
 
 
 def rho_eval(x, spec: ModulusSpec):
@@ -138,27 +139,17 @@ def rho_eval(x, spec: ModulusSpec):
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0):
         raise ValueError("modulus domain is x >= 0")
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
     if spec.kind == LINEAR:
         out = spec.slope * arr
     elif spec.kind == POWER:
         out = spec.c0 * np.power(arr, spec.alpha)
     else:
-        flat = arr.reshape(-1)
-        out = np.empty_like(flat)
-        rho_eta = _rho_k_inner(spec.eta, spec.k, spec.c0)
-        slope_eta = max(_rho_k_prime_inner(spec.eta, spec.k, spec.c0), 0.0)
-        for i, xi in enumerate(flat):
-            xi = float(xi)
-            if xi == 0.0:
-                out[i] = 0.0
-            elif xi <= spec.eta:
-                out[i] = _rho_k_inner(xi, spec.k, spec.c0)
-            else:
-                out[i] = rho_eta + slope_eta * (xi - spec.eta)
-        out = out.reshape(arr.shape)
-    return float(out[0]) if scalar else out
+        out = np.zeros_like(arr)
+        inner = (arr > 0.0) & (arr <= spec.eta)
+        out[inner] = _rho_k_inner(arr[inner], spec.k, spec.c0)
+        tail = arr > spec.eta
+        out[tail] = _rho_k_tail(arr[tail], spec)[0]
+    return float(out) if out.ndim == 0 else out
 
 
 def rho_extension_slope(spec: ModulusSpec) -> float:
@@ -168,40 +159,67 @@ def rho_extension_slope(spec: ModulusSpec) -> float:
     return max(_rho_k_prime_inner(spec.eta, spec.k, spec.c0), 0.0)
 
 
-def _G(x: float, g0: float, spec: ModulusSpec) -> float:
-    """G(x) = int_{g0}^x dy / rho(y), by adaptive quadrature in u = log y.
+def _rho_k_tail(y, spec: ModulusSpec):
+    """(rho_k(y), slope) on the affine extension y >= eta."""
+    b = rho_extension_slope(spec)
+    return _rho_k_inner(spec.eta, spec.k, spec.c0) + b * (y - spec.eta), b
 
-    The substitution removes the integrable singularity of 1/rho near 0
-    (1/(y log 1/y) is smooth in u = log y).
+
+def _rho_k_potential(x, k: int):
+    """P(x) = log l_k(log 1/x) on (0, eta]; dP/dx = -1/(x l_1 ... l_k)."""
+    return _iterated_logs(np.log(1.0 / x), k + 1)[-1]
+
+
+def _G(x, g0: float, spec: ModulusSpec):
+    """G(x) = int_{g0}^x dy / rho(y) in closed form, elementwise in x > 0 (g0 > 0).
+
+    For rho_k, [lo, hi] between g0 and x splits at eta into [P(lo) - P(hi)]/c0
+    below eta and log1p(b (hi - lo)/rho(lo))/b on the affine tail above it
+    (its limit (hi - lo)/rho(lo) when the tail slope b is 0).
     """
-    if x == g0:
-        return 0.0
-    lo, hi = math.log(g0), math.log(x)
-    def integrand(u):
-        return math.exp(u) / rho_eval(math.exp(u), spec)
-    pts = None
-    if spec.kind == RHO_K:
-        cut = math.log(spec.eta)
-        if lo < cut < hi:
-            pts = [cut]
-    val, _err = quad(integrand, lo, hi, epsabs=1e-12, epsrel=1e-11,
-                     limit=400, points=pts)
-    return val
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore"):
+        if spec.kind == LINEAR:
+            return np.log(x / g0) / spec.slope
+        if spec.kind == POWER:
+            e = 1.0 - spec.alpha
+            return (x ** e - g0 ** e) / (spec.c0 * e)
+        lo, hi = np.minimum(x, g0), np.maximum(x, g0)
+        inner = (_rho_k_potential(np.minimum(lo, spec.eta), spec.k)
+                 - _rho_k_potential(np.minimum(hi, spec.eta), spec.k)) / spec.c0
+        y = np.maximum(lo, spec.eta)
+        rho_y, b = _rho_k_tail(y, spec)
+        z = (np.maximum(hi, spec.eta) - y) / rho_y
+        tail = np.log1p(b * z) / b if b > 0.0 else z
+        return np.sign(x - g0) * (inner + tail)
 
 
-def _G_inverse(target: float, g0: float, spec: ModulusSpec) -> float:
-    """Solve G(x) = target for x >= g0 by bracketed monotone root-finding."""
-    if target <= 0.0:
-        return g0
-    hi = max(g0 * 2.0, g0 + 1e-12)
-    g_hi = _G(hi, g0, spec)
-    while g_hi < target:
-        hi *= 8.0
-        if hi > BOUND_CAP:
-            return math.inf
-        g_hi = _G(hi, g0, spec)
-    return brentq(lambda x: _G(x, g0, spec) - target, g0, hi,
-                  xtol=1e-300, rtol=8.9e-16, maxiter=200)
+def _G_inverse(target, g0: float, spec: ModulusSpec):
+    """x >= g0 with G(x) = target, elementwise (target <= 0 gives g0 > 0).
+
+    Inverts each closed form of _G for log x (iterated exp on the rho_k inner
+    branch, expm1 on its tail); x is inf where log x > log(BOUND_CAP).
+    """
+    t = np.maximum(np.asarray(target, dtype=float), 0.0)
+    with np.errstate(over="ignore"):
+        if spec.kind == LINEAR:
+            log_x = math.log(g0) + spec.slope * t
+        elif spec.kind == POWER:
+            e = 1.0 - spec.alpha
+            log_x = np.log(g0 ** e + spec.c0 * e * t) / e
+        else:
+            t_eta = max(float(_G(spec.eta, g0, spec)), 0.0)
+            # P(x) on the inner branch, unwound to log 1/x
+            w = _rho_k_potential(min(g0, spec.eta), spec.k) - spec.c0 * t
+            for _ in range(spec.k):
+                w = np.exp(w)
+            y = max(g0, spec.eta)
+            rho_y, b = _rho_k_tail(y, spec)
+            rest = np.maximum(t - t_eta, 0.0)
+            growth = np.expm1(b * rest) / b if b > 0.0 else rest
+            log_x = np.where(t > t_eta, math.log(y) + np.log1p(rho_y * growth / y), -w)
+        x = np.where(log_x > math.log(BOUND_CAP), np.inf, np.exp(log_x))
+    return np.where(t > 0.0, x, g0)
 
 
 @dataclass
@@ -219,17 +237,11 @@ class BihariBound:
         return float(self.bound_curve[-1])
 
 
-def _lambda_integral(lambda_profile, t_grid: np.ndarray) -> np.ndarray:
-    t_grid = np.asarray(t_grid, dtype=float)
+def _lambda_values(lambda_profile, t_grid: np.ndarray) -> np.ndarray:
+    """lambda on t_grid, from a callable or an array tabulated there."""
     if callable(lambda_profile):
-        lam = np.array([float(lambda_profile(t)) for t in t_grid])
-    else:
-        lam = np.asarray(lambda_profile, dtype=float)
-        if lam.shape != t_grid.shape:
-            raise ValueError("tabulated lambda profile must match t_grid")
-    if np.any(lam < 0):
-        raise ValueError("lambda profile must be nonnegative")
-    return np.concatenate([[0.0], cumulative_trapezoid(lam, t_grid)])
+        return np.array([float(lambda_profile(t)) for t in t_grid])
+    return np.asarray(lambda_profile, dtype=float)
 
 
 def bihari_bound(g0: float, lambda_profile, spec: ModulusSpec, t_grid) -> BihariBound:
@@ -237,48 +249,27 @@ def bihari_bound(g0: float, lambda_profile, spec: ModulusSpec, t_grid) -> Bihari
 
     lambda_profile may be a callable t -> lambda(t) >= 0 or an array tabulated
     on t_grid.  The base point of G is fixed at g0 itself, so the bound is
-    directly G^{-1}(Lambda(t)).  The linear kind short-circuits to the closed
-    Gronwall form g0 * exp(slope * Lambda).  Values that would exceed the cap
-    are reported through blowup_time and set to inf.
+    directly G^{-1}(Lambda(t)) in closed form (for the linear kind the
+    Gronwall form g0 * exp(slope * Lambda)).  Values that would exceed the
+    cap are set to inf and the first one's time is reported as blowup_time.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if g0 < 0:
         raise ValueError("g0 must be nonnegative")
-    if spec.kind != LINEAR and g0 == 0.0:
-        if spec.is_osgood:
-            lam_int = _lambda_integral(lambda_profile, t_grid)
-            return BihariBound(0.0, t_grid, lam_int, spec, np.zeros_like(t_grid))
+    if g0 == 0.0 and not spec.is_osgood:
         raise ValueError("g0 > 0 required for a non-Osgood modulus base point")
+    lam = _lambda_values(lambda_profile, t_grid)
+    if lam.shape != t_grid.shape:
+        raise ValueError("tabulated lambda profile must match t_grid")
+    if np.any(lam < 0):
+        raise ValueError("lambda profile must be nonnegative")
+    lam_int = np.concatenate([[0.0], cumulative_trapezoid(lam, t_grid)])
+    if g0 == 0.0:
+        return BihariBound(0.0, t_grid, lam_int, spec, np.zeros_like(t_grid))
 
-    lam_int = _lambda_integral(lambda_profile, t_grid)
-    bound = np.empty_like(lam_int)
-    blowup: float | None = None
-
-    if spec.kind == LINEAR:
-        log_cap = math.log(BOUND_CAP)
-        for i, lam in enumerate(lam_int):
-            if g0 == 0.0:
-                bound[i] = 0.0
-                continue
-            log_val = math.log(g0) + spec.slope * lam
-            if log_val > log_cap:
-                bound[i] = math.inf
-                if blowup is None:
-                    blowup = float(t_grid[i])
-            else:
-                bound[i] = math.exp(log_val)
-    else:
-        for i, lam in enumerate(lam_int):
-            if blowup is not None:
-                bound[i] = math.inf
-                continue
-            val = g0 if lam == 0.0 else _G_inverse(lam, g0, spec)
-            if not math.isfinite(val) or val > BOUND_CAP:
-                bound[i] = math.inf
-                blowup = float(t_grid[i])
-            else:
-                bound[i] = val
-
+    bound = _G_inverse(lam_int, g0, spec)
+    blown = np.isinf(bound)
+    blowup = float(t_grid[np.argmax(blown)]) if blown.any() else None
     return BihariBound(g0, t_grid, lam_int, spec, bound, blowup)
 
 
@@ -296,6 +287,16 @@ class ZeroLimitReport:
     @property
     def flagged(self) -> bool:
         return not self.vanishes
+
+    @property
+    def ok(self) -> bool:
+        return self.vanishes
+
+    def summary(self) -> str:
+        return (f"end bound {self.end_bounds[-1]:.3g} at g0 = "
+                f"{self.g0_sequence[-1]:.3g}, threshold {self.threshold:g}: "
+                f"{'vanishes' if self.vanishes else 'does NOT vanish'} "
+                f"({'' if self.osgood else 'non-'}Osgood modulus)")
 
 
 def zero_limit_check(lambda_profile, spec: ModulusSpec, t_grid,
@@ -323,7 +324,7 @@ def osgood_partial_integral(spec: ModulusSpec, floor: float, eps: float = 0.1) -
     """Partial integral int_floor^eps dx/rho(x); diverges as floor -> 0 iff Osgood."""
     if not (0.0 < floor < eps):
         raise ValueError("need 0 < floor < eps")
-    return _G(eps, floor, spec)
+    return float(_G(eps, floor, spec))
 
 
 def picard_comparison_curve(prev_curve, lambda_profile, spec: ModulusSpec,
@@ -335,10 +336,7 @@ def picard_comparison_curve(prev_curve, lambda_profile, spec: ModulusSpec,
     """
     t_grid = np.asarray(t_grid, dtype=float)
     prev = np.asarray(prev_curve, dtype=float)
-    if callable(lambda_profile):
-        lam = np.array([float(lambda_profile(t)) for t in t_grid])
-    else:
-        lam = np.asarray(lambda_profile, dtype=float)
+    lam = _lambda_values(lambda_profile, t_grid)
     integrand = lam * rho_eval(np.maximum(prev, 0.0), spec)
     return c0 * np.concatenate([[0.0], cumulative_trapezoid(integrand, t_grid)])
 
@@ -358,10 +356,7 @@ def k_norm(path, which: int, lambda_profile) -> float:
     times = np.asarray(path.times, dtype=float)
     vals = np.asarray(path.x1_norm if which == 1 else path.x2_norm, dtype=float)
     q = float(path.q1 if which == 1 else path.q2)
-    if callable(lambda_profile):
-        lam = np.array([float(lambda_profile(t)) for t in times])
-    else:
-        lam = np.asarray(lambda_profile, dtype=float)
+    lam = _lambda_values(lambda_profile, times)
     dt = np.diff(times)
     integral = float(np.sum(lam[:-1] * vals[:-1] ** q * dt))
     return integral ** (1.0 / q)

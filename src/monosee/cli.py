@@ -7,8 +7,8 @@ Subcommands:
   validate <config-file>                            check a config, no run
 
 Exit codes: 0 when the run completed and every recorded assertion passed,
-1 when the run completed but an assertion failed, 2 on configuration or
-numeric errors.
+1 when the run completed but an assertion failed, 2 on any error
+(configuration, numeric, or unexpected; a run records it in its manifest).
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import sys
 from typing import List, Optional
 
 from .config import apply_overrides, load_config
-from .errors import MonoseeError
 from .experiments import list_experiments, run_experiment, validate_experiment
 
 __all__ = ["main", "build_parser"]
@@ -97,11 +96,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "list":
             return _cmd_list()
         return _cmd_validate(args)
-    except MonoseeError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
+    except Exception as err:
+        print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 2
 
 

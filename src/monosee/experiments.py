@@ -28,7 +28,7 @@ from .bsde import (BsdeDriver, BsdeProblem, picard_in_x, picard_in_z,
                    polynomial_basis, solution_csv, solve_bsde_autonomous_C,
                    zero_driver)
 from .config import ExperimentConfig
-from .errors import ConfigError, MonoseeError, NonconvergenceError
+from .errors import ConfigError, NonconvergenceError
 from .forward import SolverConfig, apriori_norms, solve_forward, trajectory_csv
 from .functional import (FunctionalCoefficients, VolterraCoefficients,
                          bihari_domination_report, functional_trajectory_csv,
@@ -47,6 +47,9 @@ __all__ = ["EXPERIMENTS", "Assertion", "ExperimentOutcome", "RunResult",
            "resolve_output_dir", "write_csv", "svg_series"]
 
 OUTPUT_ROOT_ENV = "MONOSEE_OUTPUT_ROOT"
+
+# galerkin_convergence's fixed refinement ladder; n_grid must hold its top
+GALERKIN_MODE_COUNTS = (8, 16, 32, 64)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +287,7 @@ def _run_galerkin_convergence(config, out_dir):
     noise = sample_path(seed=seed, t_final=t_final, n_steps=n_steps,
                         n_modes=1)
     u0 = ops.triple.basis_function(1)
-    mode_counts = (8, 16, 32, 64)
+    mode_counts = GALERKIN_MODE_COUNTS
     paths = {}
     for n in mode_counts:
         cfg = SolverConfig(n_modes_galerkin=n)
@@ -688,6 +691,12 @@ def _run_volterra_consistency(config, out_dir):
     return outcome
 
 
+def _rho_k_spec(config):
+    return rho_k_modulus(k=_prob(config, "rho_k", 1),
+                         c0=_prob(config, "rho_c0", 1.0),
+                         eta=_prob(config, "rho_eta", None))
+
+
 def _run_bihari_table(config, out_dir):
     kind = _prob(config, "rho_kind", "linear")
     t_final = _num(config, "t_final", 1.0)
@@ -698,9 +707,7 @@ def _run_bihari_table(config, out_dir):
     if kind == "linear":
         spec = linear_modulus(1.0)
     elif kind == "rho_k":
-        spec = rho_k_modulus(k=_prob(config, "rho_k", 1),
-                             c0=_prob(config, "rho_c0", 1.0),
-                             eta=_prob(config, "rho_eta", None))
+        spec = _rho_k_spec(config)
     else:
         raise ConfigError(f"problem.rho_kind must be linear or rho_k, "
                           f"got {kind!r}")
@@ -765,6 +772,16 @@ def _validate_simple(config: ExperimentConfig) -> List[str]:
     return problems
 
 
+def _validate_galerkin(config: ExperimentConfig) -> List[str]:
+    problems = _validate_simple(config)
+    n_grid = _prob(config, "n_grid", 64)
+    if n_grid < GALERKIN_MODE_COUNTS[-1]:
+        problems.append(f"problem.n_grid must be >= "
+                        f"{GALERKIN_MODE_COUNTS[-1]} (the largest mode count "
+                        f"of the refinement ladder), got {n_grid}")
+    return problems
+
+
 def _validate_delay(config: ExperimentConfig) -> List[str]:
     problems = _validate_simple(config)
     lag = _prob(config, "lag_steps", 4)
@@ -786,12 +803,10 @@ def _validate_bihari(config: ExperimentConfig) -> List[str]:
         problems.append(f"problem.rho_kind must be linear or rho_k, "
                         f"got {kind!r}")
     if kind == "rho_k":
-        k = _prob(config, "rho_k", 1)
-        if k < 1:
-            problems.append(f"problem.rho_k must be >= 1, got {k}")
-        c0 = _prob(config, "rho_c0", 1.0)
-        if c0 <= 0:
-            problems.append(f"problem.rho_c0 must be positive, got {c0}")
+        try:
+            _rho_k_spec(config)
+        except ConfigError as err:
+            problems.append(f"problem.rho_*: {err}")
     _require_positive(problems, "numerics.t_final",
                       _num(config, "t_final", 1.0))
     return problems
@@ -823,7 +838,7 @@ EXPERIMENTS = {
         "quasilinear reaction-diffusion with random coefficients: replica "
         "ensemble, norm ledgers, invariant spot checks"),
     "galerkin_convergence": ExperimentEntry(
-        _run_galerkin_convergence, _validate_simple,
+        _run_galerkin_convergence, _validate_galerkin,
         "mode-count refinement on fixed noise: sup-H distance to the "
         "projected refined solution, expected to decrease"),
     "timestep_convergence": ExperimentEntry(
@@ -885,8 +900,8 @@ def resolve_output_dir(config: ExperimentConfig) -> Path:
 def run_experiment(config: ExperimentConfig) -> RunResult:
     """Validate, run, and persist one experiment with its manifest.
 
-    The manifest is written even when the experiment raises; the error is
-    recorded and the exception re-raised for the caller's exit handling.
+    The manifest is written even when the experiment raises; any exception
+    is recorded and re-raised for the caller's exit handling.
     """
     problems = validate_experiment(config)
     if problems:
@@ -900,7 +915,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     error: Optional[str] = None
     try:
         outcome = EXPERIMENTS[config.experiment].run(config, out_dir)
-    except MonoseeError as err:
+    except Exception as err:
         error = f"{type(err).__name__}: {err}"
         raise
     finally:

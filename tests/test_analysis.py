@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad, solve_ivp
 
 from monosee.analysis import (
     BOUND_CAP,
     ModulusSpec,
+    _G,
+    _G_inverse,
     bihari_bound,
     convergence_order,
     k_norm,
@@ -90,6 +94,52 @@ def test_rho_monotone_and_concave_sampled():
         assert np.all(mid >= avg - 1e-12)
 
 
+def _rho_eval_scalar_reference(x, spec):
+    # the per-element formula rho_eval evaluated before it was vectorised
+    if x == 0.0:
+        return 0.0
+
+    def inner(y):
+        logs = [math.log(1.0 / y)]
+        for _ in range(spec.k - 1):
+            logs.append(math.log(logs[-1]))
+        return spec.c0 * y * math.prod(logs)
+
+    if x <= spec.eta:
+        return inner(x)
+    return inner(spec.eta) + rho_extension_slope(spec) * (x - spec.eta)
+
+
+@pytest.mark.parametrize("spec", [rho_k_modulus(1), rho_k_modulus(1, 2.0, 0.2),
+                                  rho_k_modulus(2), rho_k_modulus(2, 0.7, 0.05),
+                                  rho_k_modulus(3)])
+def test_rho_k_vectorised_matches_scalar_formula(spec):
+    rng = np.random.default_rng(5)
+    eta = spec.eta
+    edges = [0.0, eta, np.nextafter(eta, 0.0), np.nextafter(eta, 1.0)]
+    xs = np.concatenate([edges, rng.uniform(0.0, 2.0 * eta, 500),
+                         10.0 ** rng.uniform(-300.0, 3.0, 500)])
+    got = rho_eval(xs, spec)
+    want = np.array([_rho_eval_scalar_reference(float(x), spec) for x in xs])
+    assert np.allclose(got, want, rtol=4 * np.finfo(float).eps, atol=0.0)
+    assert got[0] == 0.0
+    for x in edges:
+        assert rho_eval(x, spec) == pytest.approx(
+            _rho_eval_scalar_reference(x, spec), rel=4 * np.finfo(float).eps)
+
+
+def test_rho_k_default_eta():
+    # eta = 1/exp^(k)(1): e^-1, e^-e, e^-e^e; k = 1 keeps the old default
+    expected = [math.exp(-1.0), math.exp(-math.e), math.exp(-math.exp(math.e))]
+    for k, eta in enumerate(expected, start=1):
+        spec = rho_k_modulus(k)
+        assert spec.eta == eta
+        assert rho_extension_slope(spec) >= 0.0
+    assert rho_k_modulus(1).eta == ModulusSpec(kind="rho_k").eta
+    with pytest.raises(ConfigError, match=r"eta in \(0, 1\)"):
+        rho_k_modulus(4)  # exp(-e^e^e) underflows to 0
+
+
 def test_modulus_validation():
     with pytest.raises(ConfigError):
         ModulusSpec(kind="rho_k", k=0)
@@ -125,6 +175,61 @@ def test_osgood_criterion_and_partial_integrals():
     limit = 2.0 * math.sqrt(0.1)
     assert abs(v1 - limit) < 1e-3
     assert abs(v2 - v1) == pytest.approx(2.0 * (1e-4 - 1e-8), rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# closed-form G and its inverse, against quadrature
+
+
+def _G_quadrature(x, g0, spec):
+    # oracle: int_{g0}^x dy / rho(y) by adaptive quadrature in u = log y,
+    # which makes 1/rho smooth near 0; split at eta where rho has a kink
+    lo, hi = math.log(g0), math.log(x)
+    cuts = [math.log(spec.eta)] if spec.kind == "rho_k" else []
+    pts = sorted([lo, hi] + [c for c in cuts if min(lo, hi) < c < max(lo, hi)])
+    total = sum(quad(lambda u: math.exp(u) / rho_eval(math.exp(u), spec), a, b,
+                     epsabs=0.0, epsrel=1e-13, limit=400)[0]
+                for a, b in zip(pts[:-1], pts[1:]))
+    return total if hi >= lo else -total
+
+
+CLOSED_FORM_SPECS = [
+    linear_modulus(2.0), power_modulus(0.5), power_modulus(0.3, 2.0),
+    rho_k_modulus(1, 1.0, 0.3), rho_k_modulus(1), rho_k_modulus(2),
+    rho_k_modulus(2, 0.7, 0.05), rho_k_modulus(3)]
+
+
+@pytest.mark.parametrize("spec", CLOSED_FORM_SPECS,
+                         ids=lambda s: f"{s.kind}-k{s.k}-eta{s.eta:.3g}")
+@pytest.mark.parametrize("g0_scale", [1e-3, 1.0, 3.0])   # below, at, above eta
+def test_G_closed_form_matches_quadrature(spec, g0_scale):
+    eta = spec.eta if spec.kind == "rho_k" else 0.3
+    g0 = g0_scale * eta
+    for x in [1e-6 * eta, 0.5 * eta, eta, 2.0 * eta, 50.0 * eta]:
+        if x == g0:
+            continue
+        want = _G_quadrature(x, g0, spec)
+        assert float(_G(x, g0, spec)) == pytest.approx(want, rel=1e-10)
+    # elementwise on an array that crosses eta both ways
+    xs = np.array([1e-6, 0.5, 2.0, 50.0]) * eta
+    want = [_G_quadrature(x, g0, spec) for x in xs]
+    assert np.allclose(_G(xs, g0, spec), want, rtol=1e-10, atol=0.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(spec=st.sampled_from(CLOSED_FORM_SPECS),
+       log_g0=st.floats(-30.0, 1.0), log_ratio=st.floats(0.0, 30.0),
+       log_ratio2=st.floats(0.0, 30.0))
+def test_G_inverse_roundtrip_and_monotone(spec, log_g0, log_ratio, log_ratio2):
+    g0 = 10.0 ** log_g0
+    x = g0 * 10.0 ** log_ratio
+    g = float(_G(x, g0, spec))
+    assert g >= 0.0
+    assert float(_G_inverse(g, g0, spec)) == pytest.approx(x, rel=1e-12)
+    # G is increasing in x on both sides of g0
+    y = x * 10.0 ** log_ratio2
+    assert float(_G(y, g0, spec)) >= g
+    assert float(_G(g0 / (1.0 + log_ratio), g0, spec)) <= 0.0
 
 
 # ---------------------------------------------------------------------------

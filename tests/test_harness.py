@@ -10,9 +10,10 @@ from monosee import ConfigError, NonconvergenceError
 from monosee.cli import main
 from monosee.config import (ExperimentConfig, apply_overrides, load_config,
                             parse_config)
-from monosee.experiments import (EXPERIMENTS, resolve_output_dir,
-                                 run_experiment, svg_series,
-                                 validate_experiment, write_csv)
+from monosee.analysis import rho_k_modulus, zero_limit_check
+from monosee.experiments import (EXPERIMENTS, ExperimentEntry,
+                                 resolve_output_dir, run_experiment,
+                                 svg_series, validate_experiment, write_csv)
 
 GOOD = """
 [experiment]
@@ -186,6 +187,31 @@ def test_validate_reports_every_problem_at_once():
     assert len(problems) >= 3
 
 
+def test_validate_galerkin_needs_the_top_of_the_mode_ladder():
+    for n_grid in (1, 63):
+        cfg = ExperimentConfig(experiment="galerkin_convergence",
+                               problem={"n_grid": n_grid})
+        assert any("n_grid must be >= 64" in p
+                   for p in validate_experiment(cfg))
+    cfg = ExperimentConfig(experiment="galerkin_convergence",
+                           problem={"n_grid": 64})
+    assert validate_experiment(cfg) == []
+
+
+@pytest.mark.parametrize("problem, fragment", [
+    ({"rho_k": 0}, "integer k >= 1"),
+    ({"rho_c0": -1.0}, "c0 > 0"),
+    ({"rho_eta": 0.5}, "rho would decrease"),
+    ({"rho_k": 2, "rho_eta": 0.13}, "rho would decrease"),
+    ({"rho_k": 4}, "eta in (0, 1)"),
+])
+def test_validate_bihari_builds_the_modulus(problem, fragment):
+    cfg = ExperimentConfig(experiment="bihari_table",
+                           problem={"rho_kind": "rho_k", **problem})
+    problems = validate_experiment(cfg)
+    assert len(problems) == 1 and fragment in problems[0]
+
+
 def test_run_refuses_invalid_config(tmp_path):
     cfg = ExperimentConfig(experiment="porous_medium_demo",
                            problem={"p": 1.5},
@@ -219,6 +245,28 @@ def test_bihari_table_linear_closed_form(tmp_path):
     assert all(a["passed"] for a in manifest["assertions"])
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_bihari_table_rho_k_default_eta(tmp_path, capsys, k):
+    path = _write(tmp_path, GOOD)
+    code = main(["run", path, "--set", "problem.rho_kind=rho_k",
+                 "--set", f"problem.rho_k={k}",
+                 "--set", f"output.directory={tmp_path / 'out'}"])
+    capsys.readouterr()
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["error"] is None
+    verdicts = {a["name"]: a["passed"] for a in manifest["assertions"]}
+    assert verdicts["bound_nondecreasing"]
+    t = np.linspace(0.0, 1.0, 101)
+    report = zero_limit_check(np.ones_like(t), rho_k_modulus(k), t)
+    assert verdicts["vanishing_initial_gap_forces_zero"] is report.vanishes
+    assert code == (0 if report.vanishes else 1)
+    # the check samples g0 down to 1e-12 only: rho_2 and rho_3 vanish so
+    # slowly (iterated logs) that their end bounds there stay above the
+    # 1e-3 threshold, so at t_final = 1 only k = 1 passes it
+    if k == 1:
+        assert report.vanishes
+
+
 def test_experiment_rerun_is_byte_identical(tmp_path):
     cfg_a = _config("volterra_consistency", tmp_path / "a")
     cfg_b = _config("volterra_consistency", tmp_path / "b")
@@ -240,6 +288,23 @@ def test_manifest_written_on_failure(tmp_path):
     assert manifest["error"].startswith("NonconvergenceError")
     assert manifest["assertions"] == []
     assert manifest["config"]["numerics"]["max_iter"] == 2
+
+
+def test_manifest_records_any_exception(tmp_path, monkeypatch, capsys):
+    def crash(config, out_dir):
+        raise ValueError("planted failure")
+
+    monkeypatch.setitem(EXPERIMENTS, "bihari_table", ExperimentEntry(
+        crash, EXPERIMENTS["bihari_table"].validate, "crashes"))
+    with pytest.raises(ValueError, match="planted failure"):
+        run_experiment(_config("bihari_table", tmp_path / "direct"))
+    path = _write(tmp_path, GOOD)
+    out = tmp_path / "cli"
+    assert main(["run", path, "--set", f"output.directory={out}"]) == 2
+    assert "ValueError: planted failure" in capsys.readouterr().err
+    for directory in (tmp_path / "direct" / "bihari_table", out):
+        manifest = json.loads((directory / "manifest.json").read_text())
+        assert manifest["error"] == "ValueError: planted failure"
 
 
 def test_timestep_convergence_assertions(tmp_path):
