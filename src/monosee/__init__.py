@@ -10,7 +10,6 @@ bounds that certify uniqueness and convergence.
 __version__ = "0.1.0"
 
 from .errors import (
-    BlowupError,
     ConfigError,
     MonoseeError,
     NonconvergenceError,
@@ -18,7 +17,6 @@ from .errors import (
 )
 
 __all__ = [
-    "BlowupError",
     "ConfigError",
     "MonoseeError",
     "NonconvergenceError",

@@ -16,21 +16,21 @@ class ConfigError(MonoseeError):
 class NonconvergenceError(MonoseeError):
     """An iterative solve ran out of iterations.
 
-    Carries the residual history so callers can report or post-mortem it.
+    Carries the residual history so callers can report or post-mortem it;
+    a batched solve also records which ``replica`` failed (None otherwise),
+    and the message then starts with it.
     """
 
-    def __init__(self, message, residuals=None):
+    def __init__(self, message, residuals=None, replica=None):
         super().__init__(message)
         self.residuals = list(residuals) if residuals is not None else []
+        self.replica = replica
+
+    def __str__(self):
+        text = super().__str__()
+        return text if self.replica is None else \
+            f"replica {self.replica}: {text}"
 
 
 class RegressionError(MonoseeError):
     """Least-squares conditional-expectation fit is unusable (degenerate design)."""
-
-
-class BlowupError(MonoseeError):
-    """A comparison bound escaped its quadrature table before the requested time."""
-
-    def __init__(self, message, blowup_time):
-        super().__init__(message)
-        self.blowup_time = blowup_time

@@ -4,9 +4,11 @@ manifest.
 
 Every experiment is deterministic in (config, seed): numeric output
 bytes depend on nothing else.  Replicas use indexed substreams of the
-base seed and are reduced order-independently, so a sequential loop
-reproduces what any worker pool would.  The manifest is written even
-when a run fails, with the error recorded.
+base seed, stacked into one NoiseBatch and stepped together by one
+batched forward solve; each replica follows the iterates it would follow
+alone, and the ensemble is reduced in replica order.  The manifest is
+written even when a run fails, with the error recorded; the replica
+demos also record their solver counters in it (``solver_stats``).
 """
 
 from __future__ import annotations
@@ -34,11 +36,12 @@ from .functional import (FunctionalCoefficients, VolterraCoefficients,
                          bihari_domination_report, functional_trajectory_csv,
                          initial_segment, lambda8_profile,
                          picard_solve_functional, volterra_consistency)
-from .noise import NoiseContext, refine_path, sample_path, zero_path
+from .noise import (NoiseContext, refine_path, sample_batch, sample_path,
+                    zero_path)
 from .operators import (PhiDrift, build_operator_set, check_boundedness,
                         check_coercivity, check_hemicontinuity,
                         check_monotonicity, pair_sampler, state_sampler)
-from .resolvent import MonotoneMap
+from .resolvent import MonotoneMap, NewtonCounts
 from .triple import DiscreteTriple
 from .functional import SegmentPath  # noqa: F401  (re-export convenience)
 
@@ -150,6 +153,8 @@ class Assertion:
 class ExperimentOutcome:
     summary: dict = field(default_factory=dict)
     assertions: List[Assertion] = field(default_factory=list)
+    # deterministic work counters; kept out of ``summary`` and every CSV
+    solver_stats: dict = field(default_factory=dict)
 
     def check(self, name: str, passed: bool, detail: str) -> None:
         self.assertions.append(Assertion(name, bool(passed), detail))
@@ -203,6 +208,13 @@ def _require_positive(problems: List[str], label: str, value) -> None:
 # experiments
 
 
+def _demo_solver_config(config: ExperimentConfig) -> SolverConfig:
+    return SolverConfig(n_modes_galerkin=_num(config, "n_modes", 8),
+                        resolvent_tol=_num(config, "resolvent_tol", 1e-10),
+                        resolvent_max_iter=_num(config, "resolvent_max_iter",
+                                                50))
+
+
 def _demo_common(config: ExperimentConfig, out_dir: Path, set_name: str,
                  label: str) -> ExperimentOutcome:
     p = _prob(config, "p", 3.0)
@@ -214,28 +226,24 @@ def _demo_common(config: ExperimentConfig, out_dir: Path, set_name: str,
     seed = _mc(config, "seed", 2026)
 
     ops = build_operator_set(set_name, n_grid, p=p, n_modes=1)
-    cfg = SolverConfig(n_modes_galerkin=n_modes,
-                       resolvent_tol=_num(config, "resolvent_tol", 1e-10),
-                       resolvent_max_iter=_num(config, "resolvent_max_iter",
-                                               50))
+    cfg = _demo_solver_config(config)
     u0 = (_prob(config, "u0_scale", 1.0)
           * ops.triple.basis_function(_prob(config, "u0_mode", 1)))
 
     outcome = ExperimentOutcome()
-    h_sq = np.zeros((replicas, n_steps + 1))
-    energy_sup = 0.0
-    first = None
-    noise0 = None
-    for r in range(replicas):
-        noise = sample_path(seed=seed, t_final=t_final, n_steps=n_steps,
-                            n_modes=1, replica=r)
-        path = solve_forward(cfg, ops.drift, ops.diffusion, noise, u0,
-                             bundle=ops.bundle)
-        h_sq[r] = path.h_norm_sq
-        energy_sup = max(energy_sup, float(np.max(np.abs(
-            np.cumsum(path.energy_residual)))))
-        if r == 0:
-            first, noise0 = path, noise
+    batch = sample_batch(seed=seed, t_final=t_final, n_steps=n_steps,
+                         n_modes=1, replicas=replicas)
+    counts = NewtonCounts(replicas)
+    paths = solve_forward(cfg, ops.drift, ops.diffusion, batch, u0,
+                          bundle=ops.bundle, counts=counts)
+    h_sq = np.stack([path.h_norm_sq for path in paths])
+    energy_sup = max(float(np.max(np.abs(np.cumsum(path.energy_residual))))
+                     for path in paths)
+    first, noise0 = paths[0], batch.path(0)
+    outcome.solver_stats = {
+        "forward_steps": replicas * n_steps,
+        "newton_iterations": int(counts.iterations.sum()),
+        "line_search_halvings": int(counts.halvings.sum())}
 
     times = first.times
     mean_h = h_sq.mean(axis=0)
@@ -758,6 +766,11 @@ def _validate_demo(config: ExperimentConfig) -> List[str]:
     if not 1 <= u0_mode <= n_grid:
         problems.append(f"problem.u0_mode must lie in 1..n_grid "
                         f"({n_grid}), got {u0_mode}")
+    if n_modes >= 1:  # else reported above, and SolverConfig stops at it
+        try:
+            _demo_solver_config(config)
+        except ConfigError as err:
+            problems.append(f"numerics: {err}")
     return problems
 
 
@@ -926,6 +939,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
             "seed": _mc(config, "seed", None),
             "wall_clock_seconds": time.perf_counter() - started,
             "summary": outcome.summary if outcome else {},
+            "solver_stats": outcome.solver_stats if outcome else {},
             "assertions": [
                 {"name": a.name, "passed": a.passed, "detail": a.detail}
                 for a in (outcome.assertions if outcome else [])],

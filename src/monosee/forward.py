@@ -11,10 +11,14 @@ explicitly, the drift implicitly, and each step is one resolvent solve of
 the (dissipative) projected drift.  Random coefficients are frozen at the
 left endpoint of every step so the scheme stays adapted.
 
-The module also houses the coefficient rescaling that removes lambda0 from
-the hypothesis bundle (solve the transformed equation, multiply back by
-gamma), the dissipation clock theta, the per-step energy-identity ledger,
-and the a-priori norm budget check.
+A replica ensemble is one (R, n) stack of coefficient vectors, one row per
+noise replica, and each step is one damped-Newton solve over the stack
+with per-replica targets, convergence masks and line searches; a single
+noise path is the batch of one.  The module also houses the coefficient
+rescaling that removes lambda0 from the hypothesis bundle (solve the
+transformed equation, multiply back by gamma), the dissipation clock
+theta, the per-step energy-identity ledger, and the a-priori norm budget
+check.
 
 Coordinate facts used throughout: the basis is H-orthonormal, so the
 squared H-norm of a state is the Euclidean square of its coefficient
@@ -34,27 +38,17 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import ConfigError, MonoseeError, NonconvergenceError
-from .noise import EMPTY_CONTEXT, NoiseContext, NoisePath
+from .noise import (EMPTY_CONTEXT, BatchContext, NoiseBatch, NoiseContext,
+                    NoisePath)
 from .operators import HypothesisBundle, constant_profile
-from .resolvent import MonotoneMap, resolvent
+from .resolvent import MonotoneMap, NewtonCounts, resolvent
 from .triple import POROUS_MEDIUM, DiscreteTriple
 
 __all__ = [
-    "SolverConfig",
-    "SolutionPath",
-    "GalerkinSystem",
-    "galerkin_coefficients",
-    "step_implicit",
-    "step_semilinearized",
-    "solve_forward",
-    "solve_diagonal_batch",
-    "RescaledProblem",
-    "rescale_problem",
-    "clock_theta",
-    "energy_residual",
-    "AprioriReport",
-    "apriori_norms",
-    "trajectory_csv",
+    "SolverConfig", "SolutionPath", "GalerkinSystem", "step_implicit",
+    "step_semilinearized", "solve_forward", "solve_diagonal_batch",
+    "RescaledProblem", "rescale_problem", "clock_theta", "energy_residual",
+    "AprioriReport", "apriori_norms", "trajectory_csv",
 ]
 
 SCHEMES = ("drift_implicit", "semi_implicit")
@@ -139,9 +133,10 @@ class GalerkinSystem:
     """Finite-dimensional drift/diffusion obtained by mode projection.
 
     ``b(t, ctx, x)`` and ``sigma(t, ctx, x)`` act on coefficient vectors
-    x of length n; sigma is truncated to min(n, diffusion modes) noise
-    columns (the noise-side projection).  ``b_jacobian`` is available
-    whenever the drift exposes an analytic Jacobian.
+    x of length n, or on stacks (..., n) of them; sigma is truncated to
+    min(n, diffusion modes) noise columns (the noise-side projection).
+    ``b_jacobian`` is available whenever the drift exposes an analytic
+    Jacobian.
     """
 
     def __init__(self, drift, diffusion, n: int, triple: DiscreteTriple):
@@ -172,48 +167,59 @@ class GalerkinSystem:
         return self._has_jacobian
 
     def lift(self, x) -> np.ndarray:
-        """Grid values of the state with coefficient vector x."""
-        return self.modes @ np.asarray(x, dtype=float)
+        """Grid values of the state(s) with coefficient vector(s) x."""
+        return np.asarray(x, dtype=float) @ self.modes.T
 
     def b(self, t: float, ctx, x) -> np.ndarray:
-        return self.projector @ self.drift.eval(t, ctx, self.lift(x))
+        return self.drift.eval(t, ctx, self.lift(x)) @ self.projector.T
 
     def sigma(self, t: float, ctx, x) -> np.ndarray:
         cols = self.projector @ self.diffusion.eval(t, ctx, self.lift(x))
-        return cols[:, :self.n_noise]
+        return cols[..., :self.n_noise]
 
     def b_jacobian(self, t: float, ctx, x) -> np.ndarray:
         full = self.drift.jacobian(t, ctx, self.lift(x))
         return self.projector @ full @ self.modes
 
-
-def galerkin_coefficients(drift, diffusion, n: int, triple: DiscreteTriple):
-    """The projected SDE functions (b, sigma), each taking (t, ctx, x)."""
-    system = GalerkinSystem(drift, diffusion, n, triple)
-    return system.b, system.sigma
+    def bind(self, ctx):
+        """(drift, sigma) reading random coefficients from ``ctx``: the
+        projected drift as a MonotoneMap and sigma as a callable of (t, x)."""
+        jac = (lambda t, x: self.b_jacobian(t, ctx, x)) \
+            if self.has_jacobian else None
+        drift = MonotoneMap(eval=lambda t, x: self.b(t, ctx, x), jacobian=jac,
+                            name="projected drift")
+        return drift, lambda t, x: self.sigma(t, ctx, x)
 
 
 # ---------------------------------------------------------------------------
 # one step
 
 
+def _noise_term(sig, dW) -> np.ndarray:
+    """sigma @ dW over the noise columns both sides carry, per replica."""
+    sig = np.atleast_2d(np.asarray(sig, dtype=float))
+    dW = np.atleast_1d(np.asarray(dW, dtype=float))
+    m = min(sig.shape[-1], dW.shape[-1])
+    return (sig[..., :m] @ dW[..., :m, None])[..., 0]
+
+
 def step_implicit(x, t: float, dt: float, dW, b, sigma, cfg: SolverConfig,
-                  b_jacobian=None, guess=None) -> np.ndarray:
-    """One drift-implicit Euler step.
+                  b_jacobian=None, guess=None, counts=None) -> np.ndarray:
+    """One drift-implicit Euler step of one state or an (R, n) stack.
 
     Solves y - dt * b(t + dt, y) = x + sigma(t, x) @ dW to the configured
-    resolvent tolerance.  ``b`` and ``sigma`` are plain callables of
-    (t, state); any context freezing has already been bound by the caller.
+    resolvent tolerance, row by row for a stack (``dW`` then has a row per
+    replica).  ``b`` is a MonotoneMap or a callable of (t, state) with
+    optional ``b_jacobian``, ``sigma`` a callable of (t, state), both bound
+    to any frozen context; ``counts`` accumulates the Newton work.
     """
     x = np.asarray(x, dtype=float)
-    dW = np.atleast_1d(np.asarray(dW, dtype=float))
-    sig = np.atleast_2d(np.asarray(sigma(t, x), dtype=float))
-    m = min(sig.shape[1], dW.size)
-    r = x + sig[:, :m] @ dW[:m]
-    drift_map = MonotoneMap(eval=b, jacobian=b_jacobian, diagonal=False,
-                            name="projected drift")
+    r = x + _noise_term(sigma(t, x), dW)
+    drift_map = b if isinstance(b, MonotoneMap) else MonotoneMap(
+        eval=b, jacobian=b_jacobian, name="projected drift")
     return resolvent(drift_map, t + dt, dt, r, tol=cfg.resolvent_tol,
-                     max_iter=cfg.resolvent_max_iter, guess=guess)
+                     max_iter=cfg.resolvent_max_iter, guess=guess,
+                     counts=counts)
 
 
 def step_semilinearized(x, t: float, dt: float, dW, b, sigma,
@@ -222,53 +228,68 @@ def step_semilinearized(x, t: float, dt: float, dW, b, sigma,
 
     Solves (I - dt * Jb(t+dt, x)) y = x + sigma dW + dt (b(t+dt, x)
     - Jb(t+dt, x) x), which agrees with the fully implicit step exactly
-    when b is affine.
+    when b is affine.  Acts row by row on an (R, n) stack.
     """
     x = np.asarray(x, dtype=float)
-    dW = np.atleast_1d(np.asarray(dW, dtype=float))
-    sig = np.atleast_2d(np.asarray(sigma(t, x), dtype=float))
-    m = min(sig.shape[1], dW.size)
-    r = x + sig[:, :m] @ dW[:m]
+    r = x + _noise_term(sigma(t, x), dW)
     jac = np.asarray(b_jacobian(t + dt, x), dtype=float)
-    lhs = np.eye(x.size) - dt * jac
-    rhs = r + dt * (np.asarray(b(t + dt, x), dtype=float) - jac @ x)
-    return np.linalg.solve(lhs, rhs)
+    lhs = np.eye(x.shape[-1]) - dt * jac
+    rhs = r + dt * (np.asarray(b(t + dt, x), dtype=float)
+                    - (jac @ x[..., None])[..., 0])
+    return np.linalg.solve(lhs, rhs[..., None])[..., 0]
 
 
-def _energy_defect(x, y, b_at_y, noise_term, dt: float) -> float:
-    """Defect of the discrete energy identity over one step.
+def _energy_defect(system, ctx: BatchContext, x, y) -> np.ndarray:
+    """Per-replica energy-identity defect of the step from ``ctx.index``.
 
-    |y|^2 - |x|^2 - 2 dt [y, A(y)] - 2 <x, B dW> - |B dW|^2 in coefficient
-    coordinates; algebraically equal to -dt^2 |b(y)|^2 for an exact
-    resolvent solve, and 0 for zero drift.
+    |y|^2 - |x|^2 - 2 dt [y, A(y)] - 2 <x, B dW> - |B dW|^2, evaluated as
+    <y - r, y + r> - 2 dt [y, A(y)] with r = x + B dW; -dt^2 |b(y)|^2 for
+    an exact resolvent solve, 0 for zero drift.
     """
-    return float(y @ y - x @ x - 2.0 * dt * (y @ b_at_y)
-                 - 2.0 * (x @ noise_term) - noise_term @ noise_term)
+    batch, k = ctx.batch, ctx.index
+    t0, t1 = float(batch.times[k]), float(batch.times[k + 1])
+    r = x + _noise_term(system.sigma(t0, ctx, x), batch.increments[:, k])
+    b_at_y = system.b(t1, ctx, y)
+    return np.add.reduce((y - r) * (y + r) - (2.0 * batch.dt) * y * b_at_y,
+                         axis=-1)
 
 
 # ---------------------------------------------------------------------------
 # full trajectory
 
 
-def solve_forward(cfg: SolverConfig, drift, diffusion, noise: NoisePath,
-                  x0, bundle: Optional[HypothesisBundle] = None) -> SolutionPath:
-    """Integrate the projected equation along one noise path.
+def solve_forward(cfg: SolverConfig, drift, diffusion, noise, x0,
+                  bundle: Optional[HypothesisBundle] = None,
+                  counts: Optional[NewtonCounts] = None):
+    """Integrate the projected equation along a NoisePath or a NoiseBatch.
+
+    A NoiseBatch of R replicas gives R SolutionPaths, stepped together:
+    each step is one damped-Newton solve over the (R, n) stack with a
+    per-replica target, convergence mask and line search, so a replica
+    follows the iterates it would follow alone (up to the rounding of the
+    stacked matrix products).  A NoisePath is the batch of one and gives
+    one SolutionPath.  A failed step raises NonconvergenceError naming the
+    step and, in a batch, the replica, with that replica's history.
+    ``counts`` (one entry per replica) accumulates the Newton work.
 
     ``x0`` may be grid values or a GridFunction; it is projected onto the
-    first n modes.  With ``cfg.rescale_lambda0`` set (which requires the
-    hypothesis ``bundle`` for its lambda0 rate), the transformed equation
-    is solved and the result is multiplied back by gamma, so the returned
-    trajectory approximates the original equation; its energy residual
-    then refers to the transformed dynamics that were actually stepped.
+    first n modes and starts every replica.  With ``cfg.rescale_lambda0``
+    set (which requires the hypothesis ``bundle`` for its lambda0 rate,
+    and a single path), the transformed equation is solved and the result
+    is multiplied back by gamma, so the returned trajectory approximates
+    the original equation; its energy residual then refers to the
+    transformed dynamics that were actually stepped.
 
     Deterministic for fixed (noise, config): no RNG is consulted.
     """
+    single = noise if isinstance(noise, NoisePath) else None
+    batch = NoiseBatch.from_path(noise) if single is not None else noise
     triple = drift.triple
     n = cfg.n_modes_galerkin
     if n > triple.n_grid:
         raise ConfigError(f"n_modes_galerkin={n} exceeds grid size "
                           f"{triple.n_grid}")
-    dt = noise.dt
+    dt = batch.dt
     if cfg.dt is not None and abs(cfg.dt - dt) > 1e-12 * max(1.0, dt):
         raise ConfigError(f"config dt={cfg.dt} does not match the noise "
                           f"grid step {dt}")
@@ -277,80 +298,68 @@ def solve_forward(cfg: SolverConfig, drift, diffusion, noise: NoisePath,
         if bundle is None:
             raise ConfigError("rescale_lambda0 needs the hypothesis bundle "
                               "(its lambda0 rate defines gamma)")
+        if batch.n_replicas > 1:
+            raise ConfigError(f"rescale_lambda0 solves one path at a time, "
+                              f"got a batch of {batch.n_replicas}")
+        path = single if single is not None else batch.path(0)
         scaled = rescale_problem(drift, diffusion, bundle)
         inner = replace(cfg, rescale_lambda0=False)
-        tilde = solve_forward(inner, scaled.drift, scaled.diffusion, noise, x0)
-        base_ctx = NoiseContext(noise)
-        gam = np.array([scaled.gamma(t, base_ctx) for t in noise.times])
-        coeffs = tilde.coeffs * gam[:, None]
-        states = tilde.states * gam[:, None]
-        x1 = np.array([triple.x_norm(s, 1) for s in states])
-        x2 = np.array([triple.x_norm(s, 2) for s in states])
-        return SolutionPath(
-            times=tilde.times.copy(), coeffs=coeffs, states=states,
-            h_norm_sq=np.sum(coeffs * coeffs, axis=1),
-            x1_norm=x1, x2_norm=x2,
-            energy_residual=tilde.energy_residual, q1=triple.q1,
-            q2=triple.q2, n_modes=n, triple=triple)
+        tilde = solve_forward(inner, scaled.drift, scaled.diffusion, path, x0,
+                              counts=counts)
+        base_ctx = NoiseContext(path)
+        gam = np.array([[scaled.gamma(t, base_ctx)] for t in path.times])
+        coeffs, states = tilde.coeffs * gam, tilde.states * gam
+        out = replace(tilde, coeffs=coeffs, states=states,
+                      h_norm_sq=np.sum(coeffs * coeffs, axis=1),
+                      x1_norm=triple.x_norm(states, 1),
+                      x2_norm=triple.x_norm(states, 2))
+        return out if single is not None else [out]
 
     system = GalerkinSystem(drift, diffusion, n, triple)
     if cfg.scheme == "semi_implicit" and not system.has_jacobian:
         raise ConfigError("semi_implicit scheme needs a drift Jacobian")
-    times = noise.times
-    n_steps = noise.n_steps
+    times, n_steps = batch.times, batch.n_steps
     x0v = np.asarray(x0.values if hasattr(x0, "values") else x0, dtype=float)
     if x0v.shape != (triple.n_grid,):
         raise ConfigError(f"initial state has shape {x0v.shape}, expected "
                           f"({triple.n_grid},)")
 
-    coeffs = np.empty((n_steps + 1, n))
-    coeffs[0] = triple.coefficients(x0v, n)
-    residual = np.empty(n_steps)
-    base_ctx = NoiseContext(noise)
-
+    n_rep = batch.n_replicas
+    coeffs = np.empty((n_rep, n_steps + 1, n))
+    coeffs[:, 0] = triple.coefficients(x0v, n)
+    residual = np.empty((n_rep, n_steps))
+    ctx = BatchContext(batch, path=single)
+    drift_map, sigma = system.bind(ctx)
     for k in range(n_steps):
+        ctx.index = k
         t0 = float(times[k])
-        t1 = float(times[k + 1])
-        ctx = base_ctx.frozen(t0)
-        xk = coeffs[k]
-
-        def b_fn(t, y, _ctx=ctx):
-            return system.b(t, _ctx, y)
-
-        def sigma_fn(t, y, _ctx=ctx):
-            return system.sigma(t, _ctx, y)
-
-        jac_fn = None
-        if system.has_jacobian:
-            def jac_fn(t, y, _ctx=ctx):
-                return system.b_jacobian(t, _ctx, y)
-
-        dw = noise.increments[k]
+        xk = coeffs[:, k]
+        dw = batch.increments[:, k]
         try:
             if cfg.scheme == "semi_implicit":
-                y = step_semilinearized(xk, t0, dt, dw, b_fn, sigma_fn, jac_fn)
+                y = step_semilinearized(xk, t0, dt, dw, drift_map.eval, sigma,
+                                        drift_map.jacobian)
             else:
-                y = step_implicit(xk, t0, dt, dw, b_fn, sigma_fn, cfg,
-                                  b_jacobian=jac_fn, guess=xk)
+                y = step_implicit(xk, t0, dt, dw, drift_map, sigma, cfg,
+                                  guess=xk, counts=counts)
         except NonconvergenceError as err:
+            replica = None if single is not None \
+                else batch.replica0 + err.replica
             raise NonconvergenceError(
-                f"forward solve failed at step {k} (t = {t0:g}): {err}",
-                residuals=err.residuals) from err
-
-        sig = sigma_fn(t0, xk)
-        m = min(sig.shape[1], dw.size)
-        noise_term = sig[:, :m] @ dw[:m]
-        residual[k] = _energy_defect(xk, y, b_fn(t1, y), noise_term, dt)
-        coeffs[k + 1] = y
+                f"forward solve failed at step {k} (t = {t0:g}): "
+                f"{err.args[0]}", err.residuals, replica) from err
+        residual[:, k] = _energy_defect(system, ctx, xk, y)
+        coeffs[:, k + 1] = y
 
     states = coeffs @ system.modes.T
-    x1 = np.array([triple.x_norm(s, 1) for s in states])
-    x2 = np.array([triple.x_norm(s, 2) for s in states])
-    return SolutionPath(
-        times=times.copy(), coeffs=coeffs, states=states,
-        h_norm_sq=np.sum(coeffs * coeffs, axis=1),
-        x1_norm=x1, x2_norm=x2, energy_residual=residual,
-        q1=triple.q1, q2=triple.q2, n_modes=n, triple=triple)
+    h_sq = np.sum(coeffs * coeffs, axis=-1)
+    x1, x2 = triple.x_norm(states, 1), triple.x_norm(states, 2)
+    paths = [SolutionPath(
+        times=times.copy(), coeffs=coeffs[r], states=states[r],
+        h_norm_sq=h_sq[r], x1_norm=x1[r], x2_norm=x2[r],
+        energy_residual=residual[r], q1=triple.q1, q2=triple.q2, n_modes=n,
+        triple=triple) for r in range(n_rep)]
+    return paths[0] if single is not None else paths
 
 
 def solve_diagonal_batch(f, g, noise: NoisePath, y0, f_prime=None,
@@ -441,26 +450,25 @@ class _RescaledDrift:
         self.gamma = gamma
         self.triple = base.triple
 
+    def _frame(self, t, ctx, u):
+        """(u, gamma, lambda0) at (t, ctx); lambda0 may be a column."""
+        return (np.asarray(u, dtype=float), self.gamma(t, ctx),
+                np.asarray(self.lambda0(t, ctx), dtype=float))
+
     def eval(self, t, ctx, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        g = self.gamma(t, ctx)
-        lam0 = float(self.lambda0(t, ctx))
+        u, g, lam0 = self._frame(t, ctx, u)
         return self.base.eval(t, ctx, g * u) / g - 0.5 * lam0 * u
 
     def parts(self, t, ctx, u):
-        u = np.asarray(u, dtype=float)
-        g = self.gamma(t, ctx)
-        lam0 = float(self.lambda0(t, ctx))
+        u, g, lam0 = self._frame(t, ctx, u)
         base_parts = self.base.parts(t, ctx, g * u)
         share = 0.5 * lam0 / len(base_parts)
         return [(idx, f / g - share * u) for idx, f in base_parts]
 
     def jacobian(self, t, ctx, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        g = self.gamma(t, ctx)
-        lam0 = float(self.lambda0(t, ctx))
+        u, g, lam0 = self._frame(t, ctx, u)
         return (self.base.jacobian(t, ctx, g * u)
-                - 0.5 * lam0 * np.eye(u.size))
+                - 0.5 * lam0[..., None] * np.eye(u.shape[-1]))
 
 
 class _RescaledDiffusion:
@@ -595,24 +603,16 @@ def energy_residual(path: SolutionPath, drift, diffusion,
     """Recompute the per-step energy-identity defect from a stored path.
 
     Expects the operators the trajectory was actually stepped with; for a
-    rescaled solve that means the transformed ones.  Agrees with the
-    ledger filled in by solve_forward.
+    rescaled solve that means the transformed ones.  Evaluates the same
+    ledger as solve_forward, so it agrees with the stored one.
     """
     system = GalerkinSystem(drift, diffusion, path.n_modes, path.triple)
-    times = path.times
-    dt = noise.dt
-    base_ctx = NoiseContext(noise)
+    ctx = BatchContext(NoiseBatch.from_path(noise), path=noise)
     out = np.empty(path.n_steps)
     for k in range(path.n_steps):
-        ctx = base_ctx.frozen(float(times[k]))
-        x = path.coeffs[k]
-        y = path.coeffs[k + 1]
-        sig = system.sigma(float(times[k]), ctx, x)
-        dw = noise.increments[k]
-        m = min(sig.shape[1], dw.size)
-        noise_term = sig[:, :m] @ dw[:m]
-        b_at_y = system.b(float(times[k + 1]), ctx, y)
-        out[k] = _energy_defect(x, y, b_at_y, noise_term, dt)
+        ctx.index = k
+        [out[k]] = _energy_defect(system, ctx, path.coeffs[None, k],
+                                  path.coeffs[None, k + 1])
     return out
 
 

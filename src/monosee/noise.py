@@ -2,8 +2,10 @@
 
 Streams are derived from a counter-based generator (Philox) keyed by
 (seed, replica, purpose, level), so replica ensembles and refinement levels
-are reproducible regardless of execution order.  The first mode doubles as
-the scalar driving Brownian motion w_t used by random coefficients.
+are reproducible regardless of execution order.  A NoiseBatch stacks the
+replica substreams of one seed for the batched forward solver.  The first
+mode doubles as the scalar driving Brownian motion w_t used by random
+coefficients.
 """
 
 from __future__ import annotations
@@ -64,7 +66,65 @@ class NoisePath:
 
 
 def _scalar_from_increments(increments: np.ndarray) -> np.ndarray:
-    return np.concatenate([[0.0], np.cumsum(increments[:, 0])])
+    """Cumulative mode-1 paths, w(0) = 0, along the step axis."""
+    lead = increments.shape[:-2]
+    return np.concatenate([np.zeros(lead + (1,)),
+                           np.cumsum(increments[..., 0], axis=-1)], axis=-1)
+
+
+@dataclass
+class NoiseBatch:
+    """Replicas ``replica0 .. replica0 + R - 1`` of one seed, stacked.
+
+    Row r of ``increments`` (R x N x n_modes) and ``scalar_paths``
+    (R x (N+1)) holds what ``path(r)`` holds as a NoisePath; all rows
+    share the grid ``times``.  The forward solver steps every row at once.
+    """
+
+    seed: int
+    replica0: int
+    level: int
+    times: np.ndarray          # length N+1, t_0 = 0
+    increments: np.ndarray     # R x N x n_modes
+    scalar_paths: np.ndarray   # R x (N+1)
+
+    @classmethod
+    def from_path(cls, path: NoisePath) -> "NoiseBatch":
+        """The batch of one holding ``path``."""
+        return cls(path.seed, path.replica, path.level, path.times,
+                   path.increments[None], path.scalar_path[None])
+
+    @property
+    def n_replicas(self) -> int:
+        return self.increments.shape[0]
+
+    @property
+    def n_steps(self) -> int:
+        return self.increments.shape[1]
+
+    @property
+    def dt(self) -> float:
+        return float(self.times[1] - self.times[0])
+
+    def path(self, r: int) -> NoisePath:
+        """Row r as a NoisePath (views, not copies)."""
+        return NoisePath(self.seed, self.replica0 + r, self.level, self.times,
+                         self.increments[r], self.scalar_paths[r])
+
+
+def _grid(t_final: float, n_steps: int, n_modes: int) -> np.ndarray:
+    if t_final <= 0:
+        raise ConfigError("t_final must be positive")
+    if n_steps < 1 or n_modes < 1:
+        raise ConfigError("n_steps and n_modes must be at least 1")
+    return np.linspace(0.0, float(t_final), int(n_steps) + 1)
+
+
+def _base_increments(seed: int, replica: int, times: np.ndarray,
+                     n_modes: int) -> np.ndarray:
+    gen = _generator(seed, replica, _PURPOSE_BASE, 0)
+    return (gen.standard_normal((len(times) - 1, int(n_modes)))
+            * np.sqrt(times[1] - times[0]))
 
 
 def sample_path(seed: int, t_final: float, n_steps: int, n_modes: int,
@@ -74,16 +134,26 @@ def sample_path(seed: int, t_final: float, n_steps: int, n_modes: int,
     Deterministic in (seed, replica); distinct replicas use disjoint
     substreams of the same seed.
     """
-    if t_final <= 0:
-        raise ConfigError("t_final must be positive")
-    if n_steps < 1 or n_modes < 1:
-        raise ConfigError("n_steps and n_modes must be at least 1")
-    times = np.linspace(0.0, float(t_final), int(n_steps) + 1)
-    dt = times[1] - times[0]
-    gen = _generator(seed, replica, _PURPOSE_BASE, 0)
-    increments = gen.standard_normal((int(n_steps), int(n_modes))) * np.sqrt(dt)
+    times = _grid(t_final, n_steps, n_modes)
+    increments = _base_increments(seed, replica, times, n_modes)
     return NoisePath(int(seed), int(replica), 0, times, increments,
                      _scalar_from_increments(increments))
+
+
+def sample_batch(seed: int, t_final: float, n_steps: int, n_modes: int,
+                 replicas: int) -> NoiseBatch:
+    """Replicas 0 .. replicas-1 of ``seed`` on one grid, as a NoiseBatch.
+
+    Row r is bit-identical to ``sample_path(..., replica=r)``: the rows
+    are the same (seed, replica) substreams, stacked.
+    """
+    if replicas < 1:
+        raise ConfigError("replicas must be at least 1")
+    times = _grid(t_final, n_steps, n_modes)
+    increments = np.stack([_base_increments(seed, r, times, n_modes)
+                           for r in range(int(replicas))])
+    return NoiseBatch(int(seed), 0, 0, times, increments,
+                      _scalar_from_increments(increments))
 
 
 def zero_path(t_final: float, n_steps: int, n_modes: int = 1) -> NoisePath:
@@ -168,6 +238,26 @@ class NoiseContext:
 
     def frozen(self, t0: float) -> "NoiseContext":
         return NoiseContext(self.path, frozen_time=float(t0))
+
+
+class BatchContext:
+    """The stepper's frozen view of a NoiseBatch.
+
+    ``scalar(t)`` returns w at grid index ``index`` for every replica as
+    an (R, 1) column, read by index with no time search, so random
+    coefficients broadcast over an (R, n) stack of states.  The stepper
+    sets ``index`` to the left endpoint of each step, which keeps the
+    coefficients adapted.  ``path`` is the NoisePath of a single-path
+    solve (None for a batch), for coefficients that integrate along it.
+    """
+
+    def __init__(self, batch: NoiseBatch, path: NoisePath | None = None):
+        self.batch = batch
+        self.path = path
+        self.index = 0
+
+    def scalar(self, t: float) -> np.ndarray:
+        return self.batch.scalar_paths[:, self.index, None]
 
 
 EMPTY_CONTEXT = NoiseContext(None)

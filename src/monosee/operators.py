@@ -8,6 +8,12 @@ to -h * sum(v * phi(u)).  The reaction-diffusion family returns the
 discrete divergence of the flux plus the (negated) reaction term, paired
 against L^2 directly.
 
+Drift and diffusion ``eval``/``jacobian`` act on one state of shape
+(n_grid,) or on a stack (..., n_grid) of replica states; a random
+coefficient read from a batch context is an (R, 1) column that broadcasts
+over the stack.  A stack of Jacobians has shape (..., n_grid, n_grid) and
+a stack of diffusion matrices (..., n_grid, n_modes).
+
 Checkers sample random states (amplitudes log-uniform over a wide range to
 probe both small- and large-field regimes) and report every inequality
 violation as data; nothing raises on a failed hypothesis.
@@ -148,9 +154,11 @@ class HypothesisBundle:
 
 def _require_finite(u: np.ndarray, who: str) -> np.ndarray:
     u = np.asarray(u, dtype=float)
-    if not np.all(np.isfinite(u)):
-        bad = int(np.flatnonzero(~np.isfinite(u))[0])
-        raise MonoseeError(f"{who}: non-finite state entry at index {bad}")
+    if not np.isfinite(u).all():
+        *replica, bad = np.argwhere(~np.isfinite(u))[0]
+        where = f" of replica {', '.join(map(str, replica))}" if replica else ""
+        raise MonoseeError(f"{who}: non-finite state entry at index "
+                           f"{bad}{where}")
     return u
 
 
@@ -189,7 +197,7 @@ class PorousMediumDrift:
 
     def jacobian(self, t, ctx, u) -> np.ndarray:
         u = _values(u)
-        return self.triple.laplacian * self.phi_prime(t, ctx, u)[np.newaxis, :]
+        return self.triple.laplacian * self.phi_prime(t, ctx, u)[..., np.newaxis, :]
 
 
 class PhiDrift:
@@ -222,7 +230,7 @@ class PhiDrift:
             raise ConfigError("analytic jacobian needs phi_prime")
         u = _values(u)
         pp = np.asarray(self._phi_prime(t, ctx, u), dtype=float)
-        return self.triple.laplacian * pp[np.newaxis, :]
+        return self.triple.laplacian * pp[..., np.newaxis, :]
 
 
 class ReactionDiffusionDrift:
@@ -248,7 +256,7 @@ class ReactionDiffusionDrift:
         u = _require_finite(_values(u), "reaction-diffusion drift")
         faces = self.triple.grad(u)
         flux = np.asarray(self.a(t, ctx, faces), dtype=float)
-        return np.diff(flux) / self.triple.h
+        return np.diff(flux, axis=-1) / self.triple.h
 
     def reaction_part(self, t, ctx, u) -> np.ndarray:
         u = _require_finite(_values(u), "reaction-diffusion drift")
@@ -270,13 +278,14 @@ class ReactionDiffusionDrift:
         ap = np.asarray(self.a_prime(t, ctx, tr.grad(u)), dtype=float)
         bp = np.asarray(self.b_prime(t, ctx, u), dtype=float)
         # J1[i, k] = (ap[i+1]*(G u)[i+1] - ap[i]*(G u)[i]) derivative pattern:
-        # tridiagonal with face conductivities ap / h^2
-        J = np.zeros((n, n))
-        main = -(ap[:-1] + ap[1:]) / tr.h ** 2
-        J[np.arange(n), np.arange(n)] = main - bp
-        off = ap[1:-1] / tr.h ** 2
-        J[np.arange(n - 1), np.arange(1, n)] = off
-        J[np.arange(1, n), np.arange(n - 1)] = off
+        # tridiagonal with face conductivities ap / h^2, one per state
+        J = np.zeros(u.shape[:-1] + (n, n))
+        main = -(ap[..., :-1] + ap[..., 1:]) / tr.h ** 2
+        idx = np.arange(n)
+        J[..., idx, idx] = main - bp
+        off = ap[..., 1:-1] / tr.h ** 2
+        J[..., idx[:-1], idx[1:]] = off
+        J[..., idx[1:], idx[:-1]] = off
         return J
 
 
@@ -319,9 +328,9 @@ class MultiplicativeDiffusion:
 
     def eval(self, t, ctx, u) -> np.ndarray:
         u = _require_finite(_values(u), "multiplicative diffusion")
-        return np.column_stack([np.broadcast_to(
+        return np.stack([np.broadcast_to(
             np.asarray(s(t, ctx, u), dtype=float), u.shape)
-            for s in self.sigmas])
+            for s in self.sigmas], axis=-1)
 
     def hs_norm_sq(self, t, ctx, u) -> float:
         cols = self.eval(t, ctx, u)

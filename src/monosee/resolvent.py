@@ -14,7 +14,8 @@ The resolvent J_eps(x) solves y - eps*F(t, y) = x; the Yosida regularization
 is A_eps(x) = (J_eps(x) - x) / eps, which coincides with F(J_eps(x)) at the
 exact root.  Scalar and diagonal maps get a vectorized safeguarded
 Newton-bisection solver; general maps get damped Newton with an analytic or
-finite-difference Jacobian.
+finite-difference Jacobian, over one vector or a stack of independent
+replicas (each with its own target, convergence mask and line search).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .reporting import Violation, ViolationReport
 
 __all__ = [
     "MonotoneMap",
+    "NewtonCounts",
     "resolvent",
     "yosida",
     "check_dissipativity",
@@ -44,7 +46,10 @@ class MonotoneMap:
     is optional: for ``diagonal`` maps it must return the elementwise
     derivative (same shape as x); otherwise the full (n, n) matrix.  Maps
     flagged ``diagonal`` act componentwise, which lets the resolvent solver
-    run vectorized over arbitrarily-shaped batches of scalars.
+    run vectorized over arbitrarily-shaped batches of scalars.  A general
+    map handed a stack x of shape (..., n) (independent replicas, one per
+    row) must act row by row: ``eval`` returns (..., n) and ``jacobian``
+    (..., n, n).  Maps only ever called on single vectors may ignore this.
 
     ``growth_exponent`` / ``growth_constant`` are declarative diagnostics
     (|F(t,x)| <= const * (1 + |x|**(q-1)) intent); nothing enforces them.
@@ -69,14 +74,15 @@ def _diag_fprime(F: MonotoneMap, t: float, y: np.ndarray) -> np.ndarray:
 def _full_jacobian(F: MonotoneMap, t: float, y: np.ndarray) -> np.ndarray:
     if F.jacobian is not None:
         return np.asarray(F.jacobian(t, y), dtype=float)
-    n = y.size
-    J = np.empty((n, n))
+    n = y.shape[-1]
+    J = np.empty(y.shape + (n,))
     f0 = np.asarray(F.eval(t, y), dtype=float)
     for j in range(n):
-        h = 1e-7 * (1.0 + abs(y[j]))
+        h = 1e-7 * (1.0 + np.abs(y[..., j]))
         yp = y.copy()
-        yp[j] += h
-        J[:, j] = (np.asarray(F.eval(t, yp), dtype=float) - f0) / h
+        yp[..., j] += h
+        J[..., :, j] = (np.asarray(F.eval(t, yp), dtype=float) - f0) \
+            / h[..., None]
     return J
 
 
@@ -128,62 +134,136 @@ def _resolvent_diagonal(F, t, eps, x, tol, max_iter):
     )
 
 
-def _resolvent_general(F, t, eps, x, tol, max_iter, guess=None):
+class NewtonCounts:
+    """Work of damped-Newton resolvent solves, accumulated per replica.
+
+    ``iterations`` counts Newton steps (one linear solve each) and
+    ``halvings`` line-search step halvings; both have the shape of the
+    stack's leading axes (0-d for a single vector).  Pass one to
+    :func:`resolvent` as ``counts`` to have a solve add its work.
+    """
+
+    def __init__(self, shape=()):
+        self.iterations = np.zeros(shape, dtype=np.int64)
+        self.halvings = np.zeros(shape, dtype=np.int64)
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every row (last axis)."""
+    return np.sqrt(np.add.reduce(v * v, axis=-1))
+
+
+def _newton_steps(M: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Solve M s = g row by row; a singular row falls back to s = g."""
+    try:
+        return np.linalg.solve(M, g[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if g.ndim == 1:
+            return g
+        return np.stack([_newton_steps(m, r) for m, r in zip(M, g)])
+
+
+def _replica_error(message: str, lead: tuple, history: list, flat: int):
+    """NonconvergenceError for the replica at flat row ``flat`` of a stack
+    with leading shape ``lead``, carrying that replica's history."""
+    rows = [float(np.reshape(h, -1)[flat]) for h in history]
+    replica = None
+    if lead:
+        replica = np.unravel_index(flat, lead)
+        replica = int(replica[0]) if len(lead) == 1 \
+            else tuple(map(int, replica))
+    return NonconvergenceError(message, residuals=rows, replica=replica)
+
+
+def _resolvent_general(F, t, eps, x, tol, max_iter, guess=None, counts=None):
+    """Damped Newton on y - eps*F(t, y) = x for x of shape (..., n).
+
+    Every row is an independent replica with its own target
+    tol*(1 + |x_row|), convergence mask and line-search step length.  The
+    whole stack is evaluated together; a converged row gets a zero step
+    and a row that has accepted its line-search trial a zero step length,
+    so it stays frozen and each row follows the iterates it would follow
+    alone.  The first row that fails raises, with its own history.
+    """
     x = np.asarray(x, dtype=float)
     y = x.copy() if guess is None else np.array(guess, dtype=float).reshape(x.shape)
-    target = tol * (1.0 + float(np.linalg.norm(x)))
+    lead = x.shape[:-1]
+    eye = np.eye(x.shape[-1])
+    target = tol * (1.0 + _norms(x))
+    iterations = np.zeros(lead, dtype=np.int64)
+    halvings = np.zeros(lead, dtype=np.int64)
     history = []
     g = y - eps * np.asarray(F.eval(t, y), dtype=float) - x
-    ng = float(np.linalg.norm(g))
+    ng = _norms(g)
     for _ in range(max_iter):
         history.append(ng)
-        if ng <= target:
-            return y
-        M = np.eye(x.size) - eps * _full_jacobian(F, t, y)
-        try:
-            step = np.linalg.solve(M, g)
-        except np.linalg.LinAlgError:
-            step = g
+        active = ~(ng <= target)
+        n_active = np.count_nonzero(active)
+        if not n_active:
+            break
+        iterations += active
+        step = _newton_steps(eye - eps * _full_jacobian(F, t, y), g)
+        if n_active < active.size:
+            step = np.where(active[..., None], step, 0.0)
         lam = 1.0
+        pending = active
         for _ in range(40):
-            y_new = y - lam * step
-            g_new = y_new - eps * np.asarray(F.eval(t, y_new), dtype=float) - x
-            ng_new = float(np.linalg.norm(g_new))
-            if ng_new < ng:
+            y_try = y - lam * step
+            g_try = y_try - eps * np.asarray(F.eval(t, y_try), dtype=float) - x
+            ng_try = _norms(g_try)
+            pending = pending & ~(ng_try < ng)
+            if not np.count_nonzero(pending):
+                y, g, ng = y_try, g_try, ng_try
                 break
-            lam *= 0.5
+            # keep the rows that descended (step length 0 from now on)
+            # and halve the others' step length
+            y = np.where(pending[..., None], y, y_try)
+            g = np.where(pending[..., None], g, g_try)
+            ng = np.where(pending, ng, ng_try)
+            halvings += pending
+            lam = lam * np.where(pending, 0.5, 0.0)[..., None]
         else:
-            raise NonconvergenceError(
+            flat = int(np.flatnonzero(pending)[0])
+            stalled = float(np.reshape(history[-1], -1)[flat])
+            raise _replica_error(
                 f"resolvent of {F.name}: damped Newton stalled at residual "
-                f"{ng:.3e}; is the map actually dissipative?",
-                residuals=history,
-            )
-        y, g, ng = y_new, g_new, ng_new
-    if ng <= target:
-        return y
-    raise NonconvergenceError(
-        f"resolvent of {F.name} did not converge in {max_iter} iterations "
-        f"(residual {ng:.3e})",
-        residuals=history,
-    )
+                f"{stalled:.3e}; is the map actually dissipative?",
+                lead, history, flat)
+    else:
+        failed = ~(ng <= target)
+        if np.count_nonzero(failed):
+            flat = int(np.flatnonzero(failed)[0])
+            raise _replica_error(
+                f"resolvent of {F.name} did not converge in {max_iter} "
+                f"iterations (residual {float(np.reshape(ng, -1)[flat]):.3e})",
+                lead, history, flat)
+    if counts is not None:
+        counts.iterations += iterations
+        counts.halvings += halvings
+    return y
 
 
 def resolvent(F: MonotoneMap, t: float, eps: float, x, tol: float = 1e-12,
-              max_iter: int = 200, guess=None) -> np.ndarray:
+              max_iter: int = 200, guess=None, counts=None) -> np.ndarray:
     """Solve y - eps*F(t, y) = x; unique for dissipative F.
 
     The returned y satisfies |y - eps*F(t,y) - x| <= tol*(1 + |x|)
-    componentwise (diagonal maps) or in the Euclidean norm.  ``guess`` warm
-    starts the Newton iteration for non-diagonal maps (the answer does not
-    depend on it beyond the tolerance); diagonal maps bracket from x and
-    ignore it.
+    componentwise (diagonal maps) or in the Euclidean norm.  A general
+    map accepts a stack x of shape (..., n): each row is solved as an
+    independent replica in one batched Newton iteration, and a failure
+    names the first failing replica and carries its residual history.
+    ``guess`` warm starts the Newton iteration for non-diagonal maps (the
+    answer does not depend on it beyond the tolerance); diagonal maps
+    bracket from x and ignore it.  ``counts`` (a :class:`NewtonCounts`
+    shaped like the stack's leading axes) accumulates Newton iterations
+    and line-search halvings of a general solve.
     """
     if eps <= 0:
         raise ConfigError(f"resolvent needs eps > 0, got {eps!r}")
     if F.diagonal:
         return _resolvent_diagonal(F, t, eps, x, tol, max_iter)
     return _resolvent_general(F, t, eps, np.atleast_1d(x), tol, max_iter,
-                              guess=guess)
+                              guess=guess, counts=counts)
 
 
 def yosida(F: MonotoneMap, t: float, eps: float, x, tol: float = 1e-12,

@@ -52,6 +52,11 @@ def _values(u) -> np.ndarray:
     return u.values if isinstance(u, GridFunction) else np.asarray(u, dtype=float)
 
 
+def _norm_value(norms: np.ndarray):
+    """A 0-d norm as a float; a stack of norms stays an array."""
+    return float(norms) if norms.ndim == 0 else norms
+
+
 class DiscreteTriple:
     """Grid, Laplacian, eigenbasis, pairings and norms for one flavor."""
 
@@ -103,7 +108,8 @@ class DiscreteTriple:
     # -- linear algebra helpers ---------------------------------------------
 
     def apply_laplacian(self, u) -> np.ndarray:
-        return self.laplacian @ _values(u)
+        """L u along the last axis (L is symmetric), for states or stacks."""
+        return _values(u) @ self.laplacian
 
     def neg_lap_inv(self, f) -> np.ndarray:
         """(-L)^{-1} f through the eigen-decomposition."""
@@ -111,14 +117,19 @@ class DiscreteTriple:
         return self._vecs @ ((self._vecs.T @ f) / self.mu)
 
     def grad(self, u) -> np.ndarray:
-        """Forward differences with zero boundary padding; n_grid+1 face values."""
+        """Forward differences with zero boundary padding; n_grid+1 face
+        values along the last axis."""
         u = _values(u)
-        padded = np.concatenate([[0.0], u, [0.0]])
-        return np.diff(padded) / self.h
+        wall = np.zeros(u.shape[:-1] + (1,))
+        padded = np.concatenate([wall, u, wall], axis=-1)
+        return np.diff(padded, axis=-1) / self.h
 
-    def _check(self, u) -> np.ndarray:
+    def _check(self, u, stacked: bool = False) -> np.ndarray:
+        """Grid values of one state, or of a stack of states along the
+        last axis when ``stacked``."""
         v = _values(u)
-        if v.shape != (self.n_grid,):
+        shape = v.shape[-1:] if stacked else v.shape
+        if shape != (self.n_grid,):
             raise ValueError(
                 f"vector of length {v.shape} does not match grid size {self.n_grid}"
             )
@@ -140,11 +151,15 @@ class DiscreteTriple:
         """[x, f] for f in X*-grid coordinates; same formula as h_inner."""
         return self.h_inner(x, f)
 
-    def lq_norm(self, u, q: float) -> float:
-        u = self._check(u)
-        return float((self.h * np.sum(np.abs(u) ** q)) ** (1.0 / q))
+    def lq_norm(self, u, q: float):
+        """Discrete L^q norm: a float for one state, an array (one norm per
+        state) for a stack along the last axis."""
+        u = self._check(u, stacked=True)
+        return _norm_value((self.h * np.sum(np.abs(u) ** q, axis=-1))
+                           ** (1.0 / q))
 
-    def x_norm(self, u, which: int) -> float:
+    def x_norm(self, u, which: int):
+        """X_i norm of one state (a float) or of a stack of states."""
         if which not in (1, 2):
             raise ValueError("which must be 1 or 2")
         q = self.q1 if which == 1 else self.q2
@@ -152,8 +167,9 @@ class DiscreteTriple:
             return self.lq_norm(u, q)
         if which == 2:
             return self.lq_norm(u, q)
-        d = self.grad(self._check(u))
-        return float((self.h * np.sum(np.abs(d) ** q)) ** (1.0 / q))
+        d = self.grad(self._check(u, stacked=True))
+        return _norm_value((self.h * np.sum(np.abs(d) ** q, axis=-1))
+                           ** (1.0 / q))
 
     def dual_norm(self, f, which: int) -> float:
         """Discrete X_i* norm of f (f in the pairing coordinates above).
@@ -199,7 +215,3 @@ class DiscreteTriple:
         if self.flavor == REACTION_DIFFUSION:
             return self.h * (self.basis[:, :n].T @ u)
         return self.h * (self.basis[:, :n].T @ self.neg_lap_inv(u))
-
-    def from_coefficients(self, coeffs) -> np.ndarray:
-        coeffs = np.asarray(coeffs, dtype=float)
-        return self.basis[:, :coeffs.size] @ coeffs

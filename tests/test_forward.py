@@ -16,17 +16,18 @@ from monosee.analysis import convergence_order, sup_h_distance
 from monosee.errors import ConfigError, MonoseeError, NonconvergenceError
 from monosee.forward import (AprioriReport, GalerkinSystem, SolverConfig,
                              apriori_norms, clock_theta, energy_residual,
-                             galerkin_coefficients, rescale_problem,
+                             rescale_problem,
                              solve_diagonal_batch, solve_forward,
                              step_implicit, step_semilinearized,
                              trajectory_csv)
-from monosee.noise import EMPTY_CONTEXT, NoiseContext, refine_path, \
-    sample_path, zero_path
+from monosee.noise import EMPTY_CONTEXT, NoiseBatch, NoiseContext, \
+    refine_path, sample_batch, sample_path, zero_path
 from monosee.operators import (ConstantDiffusion, PhiDrift,
                                ReactionDiffusionDrift, build_operator_set,
                                check_coercivity, check_monotonicity,
                                constant_profile, pair_sampler, state_sampler,
                                tabulated_profile)
+from monosee.resolvent import NewtonCounts
 from monosee.triple import DiscreteTriple, REACTION_DIFFUSION
 
 
@@ -42,12 +43,12 @@ def _zero_phi_drift(triple):
 def test_galerkin_heat_is_diagonal_eigenvalue_oracle():
     ops = build_operator_set("heat", 24)
     n = 6
-    b, sigma = galerkin_coefficients(ops.drift, ops.diffusion, n, ops.triple)
+    sys = GalerkinSystem(ops.drift, ops.diffusion, n, ops.triple)
     rng = np.random.default_rng(0)
     for _ in range(5):
         x = rng.normal(size=n)
-        assert np.allclose(b(0.0, EMPTY_CONTEXT, x), -ops.triple.mu[:n] * x,
-                           rtol=1e-10, atol=1e-12)
+        assert np.allclose(sys.b(0.0, EMPTY_CONTEXT, x),
+                           -ops.triple.mu[:n] * x, rtol=1e-10, atol=1e-12)
 
 
 def test_galerkin_rd_linear_flux_same_eigenvalues():
@@ -260,6 +261,83 @@ def test_solve_forward_propagates_nonconvergence_with_step_index():
     with pytest.raises(NonconvergenceError, match="step 0") as err:
         solve_forward(cfg, ops.drift, ops.diffusion, zero_path(1.0, 10), x0)
     assert len(err.value.residuals) >= 1
+
+    # in a batch from rest, replicas 0 and 1 see no noise and are solved
+    # before any Newton step; replicas 2 and 3 need more than the one
+    # allowed, and the error names the first of them with its own history
+    times = np.linspace(0.0, 1.0, 11)
+    increments = np.zeros((4, 10, 1))
+    increments[2:] = 0.1
+    scalar = np.zeros((4, 11))
+    batch = NoiseBatch(0, 0, 0, times, increments, scalar)
+    zero = np.zeros(12)
+    with pytest.raises(NonconvergenceError,
+                       match=r"^replica 2: forward solve failed at step 0 ") \
+            as err:
+        solve_forward(cfg, ops.drift, ops.diffusion, batch, zero)
+    assert err.value.replica == 2
+    with pytest.raises(NonconvergenceError) as alone:
+        solve_forward(cfg, ops.drift, ops.diffusion, batch.path(2), zero)
+    assert alone.value.replica is None
+    assert len(err.value.residuals) == len(alone.value.residuals) >= 1
+    assert np.allclose(err.value.residuals, alone.value.residuals,
+                       rtol=1e-12, atol=0)
+    calm = NoiseBatch(0, 0, 0, times, increments[:2], scalar[:2])
+    assert len(solve_forward(cfg, ops.drift, ops.diffusion, calm, zero)) == 2
+
+
+# ---------------------------------------------------------------------------
+# replica batches
+
+
+@pytest.mark.parametrize("name", ["eq_1_1", "eq_1_2"])
+def test_batch_agrees_with_batches_of_one(name):
+    ops = build_operator_set(name, 16, p=3.0)
+    cfg = SolverConfig(n_modes_galerkin=8)
+    u0 = ops.triple.basis_function(1)
+    batch = sample_batch(seed=41, t_final=0.25, n_steps=50, n_modes=1,
+                         replicas=8)
+    counts = NewtonCounts(8)
+    paths = solve_forward(cfg, ops.drift, ops.diffusion, batch, u0,
+                          counts=counts)
+    assert len(paths) == 8
+    for r, path in enumerate(paths):
+        one = NewtonCounts(1)
+        [alone] = solve_forward(cfg, ops.drift, ops.diffusion,
+                                NoiseBatch.from_path(batch.path(r)), u0,
+                                counts=one)
+        for name in ("coeffs", "energy_residual", "h_norm_sq", "x1_norm",
+                     "x2_norm"):
+            assert np.allclose(getattr(path, name), getattr(alone, name),
+                               rtol=0, atol=1e-12), name
+        assert counts.iterations[r] == one.iterations[0] >= 50
+        assert counts.halvings[r] == one.halvings[0]
+
+
+def test_semi_implicit_batch_agrees_with_batches_of_one():
+    ops = build_operator_set("heat", 12)
+    diff = ConstantDiffusion(ops.triple, 0.4 * np.ones((12, 1)))
+    cfg = SolverConfig(n_modes_galerkin=6, scheme="semi_implicit")
+    x0 = ops.triple.basis_function(2)
+    batch = sample_batch(seed=3, t_final=0.5, n_steps=50, n_modes=1,
+                         replicas=3)
+    counts = NewtonCounts(3)
+    paths = solve_forward(cfg, ops.drift, diff, batch, x0, counts=counts)
+    for r, path in enumerate(paths):
+        alone = solve_forward(cfg, ops.drift, diff, batch.path(r), x0)
+        assert np.allclose(path.coeffs, alone.coeffs, rtol=0, atol=1e-12)
+    assert not counts.iterations.any()  # one linear solve, no Newton
+
+
+def test_non_finite_state_in_one_replica_raises():
+    ops = build_operator_set("eq_1_1", 12, p=3.0)
+    batch = sample_batch(seed=3, t_final=0.25, n_steps=10, n_modes=1,
+                         replicas=4)
+    batch.increments[1, 3, 0] = np.nan
+    with pytest.raises(MonoseeError, match="non-finite.*replica 1"):
+        solve_forward(SolverConfig(n_modes_galerkin=6), ops.drift,
+                      ops.diffusion, batch,
+                      0.5 * np.sin(np.pi * ops.triple.nodes))
 
 
 def test_solve_forward_dt_mismatch_rejected():
@@ -476,6 +554,24 @@ def test_rescale_solve_and_untransform_consistent_first_order():
         noise = refine_path(noise)
     assert errors[1] < errors[0] and errors[2] < errors[1]
     assert convergence_order(errors, steps) > 0.75
+
+
+def test_rescale_solves_one_path_at_a_time():
+    ops = build_operator_set("porous_medium", 8, p=3.0)
+    bundle = dataclasses.replace(ops.bundle, lambda0=constant_profile(0.5))
+    cfg = SolverConfig(n_modes_galerkin=4, rescale_lambda0=True)
+    x0 = np.sin(np.pi * ops.triple.nodes)
+    batch = sample_batch(seed=8, t_final=0.2, n_steps=10, n_modes=1,
+                         replicas=2)
+    with pytest.raises(ConfigError, match="one path at a time"):
+        solve_forward(cfg, ops.drift, ops.diffusion, batch, x0,
+                      bundle=bundle)
+    single = solve_forward(cfg, ops.drift, ops.diffusion, batch.path(0), x0,
+                           bundle=bundle)
+    [one] = solve_forward(cfg, ops.drift, ops.diffusion,
+                          NoiseBatch.from_path(batch.path(0)), x0,
+                          bundle=bundle)
+    assert np.array_equal(one.coeffs, single.coeffs)
 
 
 def test_rescale_needs_bundle():

@@ -212,6 +212,26 @@ def test_validate_bihari_builds_the_modulus(problem, fragment):
     assert len(problems) == 1 and fragment in problems[0]
 
 
+@pytest.mark.parametrize("demo", ["porous_medium_demo",
+                                  "reaction_diffusion_demo"])
+@pytest.mark.parametrize("key, value, fragment", [
+    ("resolvent_tol", 0.0, "resolvent_tol must be positive"),
+    ("resolvent_max_iter", 0, "resolvent_max_iter must be >= 1"),
+])
+def test_validate_demo_builds_the_solver_config(tmp_path, capsys, demo, key,
+                                                value, fragment):
+    cfg = ExperimentConfig(experiment=demo, numerics={key: value})
+    problems = validate_experiment(cfg)
+    assert len(problems) == 1 and fragment in problems[0]
+    # validate and run agree: both reject it, with exit code 2
+    path = _write(tmp_path, f"[experiment]\nname = {demo}\n")
+    setting = f"numerics.{key}={value}"
+    assert main(["validate", path, "--set", setting]) == 2
+    assert main(["run", path, "--set", setting, "--set",
+                 f"output.directory={tmp_path / 'out'}"]) == 2
+    assert fragment in capsys.readouterr().err
+
+
 def test_run_refuses_invalid_config(tmp_path):
     cfg = ExperimentConfig(experiment="porous_medium_demo",
                            problem={"p": 1.5},
@@ -276,6 +296,25 @@ def test_experiment_rerun_is_byte_identical(tmp_path):
     name = "volterra_consistency.csv"
     assert (res_a.out_dir / name).read_bytes() \
         == (res_b.out_dir / name).read_bytes()
+
+
+def _demo_manifest(tmp_path, name):
+    cfg = _config("porous_medium_demo", tmp_path / name,
+                  numerics={"n_steps": 40}, monte_carlo={"replicas": 3})
+    result = run_experiment(cfg)
+    assert result.passed
+    return json.loads((result.out_dir / "manifest.json").read_text())
+
+
+def test_demo_solver_stats_repeat_and_stay_out_of_summary(tmp_path):
+    first = _demo_manifest(tmp_path, "a")
+    second = _demo_manifest(tmp_path, "b")
+    stats = first["solver_stats"]
+    assert stats == second["solver_stats"]
+    assert stats["forward_steps"] == 3 * 40
+    assert stats["newton_iterations"] >= stats["forward_steps"] // 2 > 0
+    assert stats["line_search_halvings"] >= 0
+    assert not set(stats) & set(first["summary"])
 
 
 def test_manifest_written_on_failure(tmp_path):

@@ -5,9 +5,12 @@ import pytest
 
 from monosee.errors import ConfigError
 from monosee.noise import (
+    BatchContext,
+    NoiseBatch,
     NoiseContext,
     load_increments,
     refine_path,
+    sample_batch,
     sample_path,
     save_increments,
 )
@@ -137,3 +140,37 @@ def test_noise_context_frozen_lookup():
     assert frozen.scalar(0.75) == pytest.approx(p.scalar_path[1])
     with pytest.raises(ValueError):
         ctx.scalar(0.33)  # off-grid
+
+
+def test_sample_batch_rows_bit_identical_to_sample_path():
+    batch = sample_batch(seed=77, t_final=0.5, n_steps=20, n_modes=2,
+                         replicas=5)
+    assert batch.increments.shape == (5, 20, 2)
+    assert batch.scalar_paths.shape == (5, 21)
+    assert (batch.n_replicas, batch.n_steps) == (5, 20)
+    for r in range(5):
+        single = sample_path(77, 0.5, 20, 2, replica=r)
+        assert np.array_equal(batch.times, single.times)
+        assert np.array_equal(batch.increments[r], single.increments)
+        assert np.array_equal(batch.scalar_paths[r], single.scalar_path)
+        row = batch.path(r)
+        assert (row.seed, row.replica, row.level) == (77, r, 0)
+        assert np.array_equal(row.increments, single.increments)
+    with pytest.raises(ConfigError):
+        sample_batch(77, 0.5, 20, 2, replicas=0)
+
+
+def test_batch_of_one_and_batch_context():
+    p = refine_path(sample_path(11, 1.0, 4, 1, replica=3))
+    batch = NoiseBatch.from_path(p)
+    assert batch.n_replicas == 1 and batch.dt == p.dt
+    back = batch.path(0)
+    assert (back.seed, back.replica, back.level) == (11, 3, 1)
+    assert np.array_equal(back.increments, p.increments)
+
+    many = sample_batch(11, 1.0, 4, 1, replicas=3)
+    ctx = BatchContext(many)
+    ctx.index = 2
+    column = ctx.scalar(0.9)  # frozen: the time argument is not consulted
+    assert column.shape == (3, 1)
+    assert np.array_equal(column[:, 0], many.scalar_paths[:, 2])

@@ -6,9 +6,11 @@ implemented here, independent of the package's Newton machinery.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monosee.errors import ConfigError, NonconvergenceError
-from monosee.resolvent import (MonotoneMap, check_dissipativity,
+from monosee.resolvent import (MonotoneMap, NewtonCounts, check_dissipativity,
                                check_yosida_properties, resolvent, yosida)
 
 
@@ -178,3 +180,84 @@ def test_antimonotone_map_raises_nonconvergence():
     with pytest.raises(NonconvergenceError) as exc:
         resolvent(bad, 0.0, 1.0, np.array(1.0))
     assert exc.value.residuals
+
+
+# ---------------------------------------------------------------------------
+# general (full-Jacobian) resolvent: properties over random dissipative maps
+
+
+def full_dissipative_map(seed: int, n: int, cubic: float,
+                         analytic: bool = True) -> MonotoneMap:
+    """F(x) = -S x - K x - cubic * Q^T (Q x)^3 with S positive semidefinite,
+    K skew and Q square: <x - y, F(x) - F(y)> <= 0 for all x, y.  Acts row
+    by row on stacks (..., n)."""
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((n, n))
+    S = B @ B.T / n
+    C = rng.standard_normal((n, n))
+    K = C - C.T
+    Q = rng.standard_normal((n, n)) / np.sqrt(n)
+    lin = S + K
+
+    def eval_(t, x):
+        return -(x @ lin.T) - cubic * ((x @ Q.T) ** 3 @ Q)
+
+    def jac(t, x):
+        d = 3.0 * cubic * (x @ Q.T) ** 2
+        return -lin - (Q.T * d[..., None, :]) @ Q
+
+    return MonotoneMap(eval=eval_, jacobian=jac if analytic else None,
+                       name="random full map")
+
+
+TOL = 1e-11
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(map_seed=st.integers(0, 2 ** 16), n=st.integers(1, 6),
+       cubic=st.sampled_from([0.0, 0.3, 2.0]), analytic=st.booleans(),
+       seed=st.integers(0, 2 ** 16), log_eps=st.floats(-3.0, 0.5),
+       log_scale=st.floats(-2.0, 1.0))
+def test_general_resolvent_properties(map_seed, n, cubic, analytic, seed,
+                                      log_eps, log_scale):
+    F = full_dissipative_map(map_seed, n, cubic, analytic)
+    eps = 10.0 ** log_eps
+    rows = 10.0 ** log_scale * np.random.default_rng(seed).standard_normal(
+        (4, n))
+    x, y = rows[0], rows[1]
+    jx = resolvent(F, 0.0, eps, x, tol=TOL)
+    jy = resolvent(F, 0.0, eps, y, tol=TOL)
+    # residual within the documented target
+    res = np.linalg.norm(jx - eps * F.eval(0.0, jx) - x)
+    assert res <= TOL * (1.0 + np.linalg.norm(x))
+    # nonexpansive, up to the two solves' residuals
+    slack = 2.0 * TOL * (1.0 + np.linalg.norm(x) + np.linalg.norm(y))
+    assert np.linalg.norm(jx - jy) <= np.linalg.norm(x - y) + slack
+    # Yosida identity: (J - x)/eps = F(J)
+    a = yosida(F, 0.0, eps, x, tol=TOL)
+    assert np.linalg.norm(a - F.eval(0.0, jx)) \
+        <= 10.0 * TOL * (1.0 + np.linalg.norm(x)) / eps
+    # a stacked call equals looping over its rows: both solve each row to
+    # its target, and J is 1-Lipschitz in the residual
+    stacked = resolvent(F, 0.0, eps, rows, tol=TOL)
+    assert stacked.shape == rows.shape
+    for r, row in enumerate(rows):
+        alone = resolvent(F, 0.0, eps, row, tol=TOL)
+        assert np.linalg.norm(stacked[r] - alone) \
+            <= 2.0 * TOL * (1.0 + np.linalg.norm(row))
+
+
+def test_general_resolvent_stack_failure_names_the_replica():
+    F = full_dissipative_map(seed=4, n=3, cubic=2.0)
+    rows = np.array([[0.0, 0.0, 0.0], [3.0, -2.0, 1.0], [4.0, 1.0, -3.0]])
+    with pytest.raises(NonconvergenceError, match="^replica 1: ") as err:
+        resolvent(F, 0.0, 0.5, rows, tol=1e-14, max_iter=1)
+    assert err.value.replica == 1
+    with pytest.raises(NonconvergenceError) as alone:
+        resolvent(F, 0.0, 0.5, rows[1], tol=1e-14, max_iter=1)
+    assert alone.value.replica is None
+    assert np.allclose(err.value.residuals, alone.value.residuals,
+                       rtol=1e-12, atol=0)
+    counts = NewtonCounts(3)
+    resolvent(F, 0.0, 0.5, rows, tol=1e-12, counts=counts)
+    assert counts.iterations[0] == 0 and np.all(counts.iterations[1:] > 0)
