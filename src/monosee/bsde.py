@@ -13,6 +13,14 @@ from a spatially extended problem), the noise has finitely many modes,
 and conditional expectations are global least-squares projections onto a
 polynomial basis of the Markovian state, Longstaff-Schwartz style.
 
+The path ensemble is one :class:`~monosee.noise.NoiseBatch`: R replicas
+on one grid.  The regression state is the vector of cumulative noise
+values W(t_k), one row per replica, and every step of the recursion acts
+on the whole (R, d) stack at once: the terminal condition maps the batch
+to X_T of shape (R, d), drivers take stacked x (R, d) and z (R, d, m),
+and the implicit drift step is one resolvent solve over the stack (a
+non-diagonal drift must therefore act row by row).
+
 The drift enters each backward step implicitly through its regularization
 with parameter tied to the step size.  Writing J_eps for the resolvent
 (y - eps*A(t,y) = x) and A_eps(x) = (J_eps(x) - x)/eps for the regularized
@@ -34,13 +42,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from .analysis import ModulusSpec, linear_modulus, rho_eval
 from .errors import ConfigError, NonconvergenceError, RegressionError
-from .noise import NoisePath
+from .noise import NoiseBatch
 from .reporting import Violation, ViolationReport
 from .resolvent import MonotoneMap, resolvent
 
@@ -75,11 +83,11 @@ __all__ = [
 class BsdeDriver:
     """The forcing C(t, x, z) of the backward equation.
 
-    ``eval`` takes (t, x, z) with x of shape (d,) and z of shape (d, m)
-    (one H-valued column per noise mode) and returns shape (d,).  With
-    ``vectorized`` set, eval must also accept stacked samples x (R, d) and
-    z (R, d, m) and return (R, d); the solvers then evaluate whole path
-    batches in one call.
+    ``eval`` takes (t, x, z) with x of shape (..., d) and z of shape
+    (..., d, m) (one H-valued column per noise mode) and returns x's
+    shape (..., d).  The solvers hand it a whole replica stack, x (R, d)
+    and z (R, d, m), in one call; the sampled checkers a single (d,),
+    (d, m) pair.
 
     The declared continuity data mirror the structural hypotheses the
     checkers sample:
@@ -99,7 +107,6 @@ class BsdeDriver:
     zeta: Optional[Callable[[float], float]] = None
     x_dependent: bool = True
     z_dependent: bool = True
-    vectorized: bool = False
     name: str = "driver"
 
     def __post_init__(self):
@@ -111,10 +118,10 @@ class BsdeDriver:
 
 
 def zero_driver() -> BsdeDriver:
-    """The C = 0 driver (vectorized, independent of both arguments)."""
+    """The C = 0 driver (independent of both arguments)."""
     return BsdeDriver(eval=lambda t, x, z: np.zeros_like(np.asarray(x, dtype=float)),
                       c1=0.0, c2=0.0, x_dependent=False, z_dependent=False,
-                      vectorized=True, name="zero driver")
+                      name="zero driver")
 
 
 @dataclass
@@ -124,23 +131,22 @@ class BsdeProblem:
     ``drift`` is the map A(t, x) on R^d, dissipative up to the declared
     ``lambda0`` shift (2<x-y, A(x)-A(y)> <= lambda0 |x-y|^2); a positive
     shift is removed by :func:`reduce_lambda0` before any solver runs.
-    ``terminal`` maps a driving :class:`NoisePath` to the terminal state
-    X_T of shape (dim,).  ``eta`` optionally declares the forcing
-    intercept profile t -> |A(t, 0)| used by the a-priori budget; when
-    omitted the budget evaluates |A(t, 0)| directly.  ``state_fn``
-    optionally overrides the Markovian regression state (path, grid index)
-    -> vector; the default state is the vector of current noise values.
+    The solvers evaluate it on the (R, dim) stack of all replicas, so a
+    non-diagonal drift must act row by row (see :class:`MonotoneMap`).
+    ``terminal`` maps the driving :class:`NoiseBatch` to the terminal
+    states X_T, one row per replica: shape (R, dim).  ``eta`` optionally
+    declares the forcing intercept profile t -> |A(t, 0)| used by the
+    a-priori budget; when omitted the budget evaluates |A(t, 0)| directly.
     """
 
     drift: MonotoneMap
     driver: BsdeDriver
-    terminal: Callable[[NoisePath], np.ndarray]
+    terminal: Callable[[NoiseBatch], np.ndarray]
     t_final: float
     n_modes: int
     dim: int = 1
     lambda0: float = 0.0
     eta: Optional[Callable[[float], float]] = None
-    state_fn: Optional[Callable[[NoisePath, int], np.ndarray]] = None
 
     def __post_init__(self):
         if self.t_final <= 0:
@@ -169,11 +175,6 @@ def driver_state_sampler(dim: int, n_modes: int, t_final: float = 1.0,
     return sample
 
 
-def _driver_value(driver: BsdeDriver, t: float, x: np.ndarray,
-                  z: np.ndarray) -> np.ndarray:
-    return np.asarray(driver.eval(t, x, z), dtype=float)
-
-
 def check_driver_modulus(driver: BsdeDriver, sampler, n_samples: int = 500,
                          seed: int = 0, tol: float = 1e-10) -> ViolationReport:
     """Sampled two-point continuity check of the driver.
@@ -190,7 +191,8 @@ def check_driver_modulus(driver: BsdeDriver, sampler, n_samples: int = 500,
         _, x2, z2 = sampler(rng)
         if rng.uniform() < 0.1:
             x2, z2 = x.copy(), z.copy()  # exercise the coincident edge
-        dc = _driver_value(driver, t, x, z) - _driver_value(driver, t, x2, z2)
+        dc = np.asarray(driver.eval(t, x, z), dtype=float) \
+            - np.asarray(driver.eval(t, x2, z2), dtype=float)
         lhs = float(np.sum(dc * dc))
         dx2 = float(np.sum((x - x2) ** 2))
         dz2 = float(np.sum((z - z2) ** 2))
@@ -216,7 +218,7 @@ def check_driver_growth(driver: BsdeDriver, sampler, n_samples: int = 500,
                              n_samples=n_samples, tol=tol)
     for i in range(n_samples):
         t, x, z = sampler(rng)
-        lhs = float(np.linalg.norm(_driver_value(driver, t, x, z)))
+        lhs = float(np.linalg.norm(driver.eval(t, x, z)))
         rhs = driver.zeta_at(t) + driver.c2 * (
             float(np.linalg.norm(x)) + float(np.linalg.norm(z)))
         excess = lhs - rhs
@@ -361,7 +363,9 @@ def regularized_implicit_step(drift: MonotoneMap, t: float, dt: float, rhs,
     y = (rhs + J_{2dt}(rhs))/2 (see the module docstring); ``direct``
     solves the equivalent fixed-point equation y = (rhs + J_dt(y))/2,
     whose map is a 1/2-contraction because resolvents of dissipative maps
-    are nonexpansive.  Both accept batched rhs for diagonal drifts.
+    are nonexpansive.  Both accept a stacked rhs: a diagonal drift acts
+    elementwise, a general one row by row on (..., d), solved as one
+    batched Newton iteration.
     """
     if dt <= 0:
         raise ConfigError(f"step size must be positive, got {dt!r}")
@@ -523,7 +527,7 @@ def reduce_lambda0(problem: BsdeProblem):
                 x = np.asarray(x, dtype=float)
                 jac = np.asarray(base_drift.jacobian(t, x / gamma(t)),
                                  dtype=float)
-                return jac - 0.5 * lam * np.eye(x.size)
+                return jac - 0.5 * lam * np.eye(x.shape[-1])
 
     drift = MonotoneMap(eval=drift_eval, jacobian=drift_jac,
                         diagonal=base_drift.diagonal,
@@ -544,8 +548,8 @@ def reduce_lambda0(problem: BsdeProblem):
                      name=f"{base_driver.name} (shift-reduced)")
 
     g_final = gamma(problem.t_final)
-    terminal = lambda path: g_final * np.asarray(base_terminal(path),
-                                                 dtype=float)
+    terminal = lambda batch: g_final * np.asarray(base_terminal(batch),
+                                                  dtype=float)
     eta = None if base_eta is None else (lambda t: gamma(t) * float(base_eta(t)))
     reduced = replace(problem, drift=drift, driver=driver, terminal=terminal,
                       lambda0=0.0, eta=eta)
@@ -576,85 +580,51 @@ def _unscale_solution(sol: BsdeSolution, gamma) -> BsdeSolution:
 # the backward sweep
 
 
-def _noise_values(path: NoisePath) -> np.ndarray:
-    """Cumulative per-mode noise values on the grid, shape (N+1, modes)."""
-    return np.vstack([np.zeros((1, path.n_modes)),
-                      np.cumsum(path.increments, axis=0)])
-
-
-def _shared_grid(problem: BsdeProblem, paths: Sequence[NoisePath]) -> np.ndarray:
-    if len(paths) < 1:
-        raise ConfigError("need at least one driving path")
-    times = paths[0].times
-    for p in paths[1:]:
-        if not np.array_equal(p.times, times):
-            raise ConfigError("all driving paths must share one time grid")
-    for p in paths:
-        if p.n_modes != problem.n_modes:
-            raise ConfigError(
-                f"paths carry {p.n_modes} noise modes but the problem "
-                f"declares {problem.n_modes}")
-    if abs(times[-1] - problem.t_final) > 1e-12 * max(1.0, problem.t_final):
+def _check_batch(problem: BsdeProblem, batch: NoiseBatch) -> None:
+    if batch.n_modes != problem.n_modes:
         raise ConfigError(
-            f"paths end at t = {times[-1]:g} but the problem horizon is "
-            f"{problem.t_final:g}")
-    return times
+            f"the batch carries {batch.n_modes} noise modes but the problem "
+            f"declares {problem.n_modes}")
+    if abs(batch.t_final - problem.t_final) > 1e-12 * max(1.0, problem.t_final):
+        raise ConfigError(
+            f"the batch ends at t = {batch.t_final:g} but the problem "
+            f"horizon is {problem.t_final:g}")
 
 
-def _state_values(problem: BsdeProblem, paths: Sequence[NoisePath]) -> np.ndarray:
-    """Markovian regression states, shape (paths, N+1, state dim)."""
-    if problem.state_fn is None:
-        return np.stack([_noise_values(p) for p in paths])
-    rows = []
-    n_grid = len(paths[0].times)
-    for p in paths:
-        rows.append(np.stack([
-            np.atleast_1d(np.asarray(problem.state_fn(p, k), dtype=float))
-            for k in range(n_grid)]))
-    return np.stack(rows)
-
-
-def _default_basis(problem: BsdeProblem, states: np.ndarray) -> PolynomialBasis:
-    prefix = "w" if problem.state_fn is None else "s"
-    return polynomial_basis(states.shape[2], degree=2, prefix=prefix)
-
-
-def _driver_row(driver: BsdeDriver, t: float, xs: np.ndarray,
-                zs: np.ndarray) -> np.ndarray:
-    """Driver values for one grid time over all paths: (R, d)."""
-    if driver.vectorized:
-        out = np.asarray(driver.eval(t, xs, zs), dtype=float)
-        if out.shape != xs.shape:
-            raise ConfigError(
-                f"vectorized driver {driver.name} returned shape {out.shape} "
-                f"for stacked input {xs.shape}")
-        return out
-    return np.stack([np.asarray(driver.eval(t, xs[r], zs[r]), dtype=float)
-                     for r in range(xs.shape[0])])
+def _state_values(batch: NoiseBatch) -> np.ndarray:
+    """Markovian regression states W(t_k), shape (R, N+1, modes)."""
+    lead = (batch.n_replicas, 1, batch.n_modes)
+    return np.concatenate([np.zeros(lead),
+                           np.cumsum(batch.increments, axis=1)], axis=1)
 
 
 def _driver_matrix(driver: BsdeDriver, times: np.ndarray, x_frozen: np.ndarray,
                    z_frozen: np.ndarray) -> np.ndarray:
-    """Driver values on the left grid points: (R, N, d)."""
-    n = z_frozen.shape[1]
-    return np.stack([_driver_row(driver, float(times[k]), x_frozen[:, k],
-                                 z_frozen[:, k]) for k in range(n)], axis=1)
-
-
-def _terminal_values(problem: BsdeProblem,
-                     paths: Sequence[NoisePath]) -> np.ndarray:
+    """Driver values on the left grid points over all paths: (R, N, d),
+    one stacked call per grid time."""
     rows = []
-    for p in paths:
-        v = np.asarray(problem.terminal(p), dtype=float).reshape(-1)
-        if v.size != problem.dim:
-            raise ConfigError(
-                f"terminal returned {v.size} components, expected "
-                f"{problem.dim}")
-        rows.append(v)
-    return np.stack(rows)
+    for k in range(z_frozen.shape[1]):
+        xs = x_frozen[:, k]
+        out = np.asarray(driver.eval(float(times[k]), xs, z_frozen[:, k]),
+                         dtype=float)
+        if out.shape != xs.shape:
+            raise ConfigError(f"driver {driver.name} returned shape "
+                              f"{out.shape} for stacked input {xs.shape}")
+        rows.append(out)
+    return np.stack(rows, axis=1)
 
 
-def _backward_sweep(problem: BsdeProblem, paths: Sequence[NoisePath],
+def _terminal_values(problem: BsdeProblem, batch: NoiseBatch) -> np.ndarray:
+    values = np.asarray(problem.terminal(batch), dtype=float)
+    expected = (batch.n_replicas, problem.dim)
+    if values.shape != expected:
+        raise ConfigError(
+            f"terminal returned shape {values.shape}, expected {expected} "
+            f"(replicas, dim)")
+    return values
+
+
+def _backward_sweep(problem: BsdeProblem, batch: NoiseBatch,
                     basis: PolynomialBasis, states: np.ndarray,
                     c_values: np.ndarray, resolvent_tol: float,
                     resolvent_max_iter: int) -> BsdeSolution:
@@ -665,14 +635,13 @@ def _backward_sweep(problem: BsdeProblem, paths: Sequence[NoisePath],
     then Z(t_k) = fit of X(t_{k+1}) * dW_k / dt, both fits over the basis
     evaluated at the t_k states.
     """
-    times = paths[0].times
-    n = len(times) - 1
-    dt = float(times[1] - times[0])
-    r_count = len(paths)
+    times = batch.times
+    n = batch.n_steps
+    dt = batch.dt
+    r_count = batch.n_replicas
     d = problem.dim
     m = problem.n_modes
-    drift = problem.drift
-    incs = np.stack([p.increments for p in paths])  # (R, N, m)
+    incs = batch.increments
 
     x_paths = np.empty((r_count, n + 1, d))
     z_paths = np.empty((r_count, n, d, m))
@@ -682,7 +651,7 @@ def _backward_sweep(problem: BsdeProblem, paths: Sequence[NoisePath],
     x_stderr = np.empty(n + 1)
     z_stderr = np.empty(n)
 
-    x_paths[:, n] = _terminal_values(problem, paths)
+    x_paths[:, n] = _terminal_values(problem, batch)
     design = basis.design(states[:, n])
     x_coeffs[n], fitted, x_stderr[n] = _fit(design, basis.names, x_paths[:, n])
     terminal_residual = float(np.sqrt(np.mean((x_paths[:, n] - fitted) ** 2)))
@@ -692,17 +661,10 @@ def _backward_sweep(problem: BsdeProblem, paths: Sequence[NoisePath],
         _, fit_cond, se_cond = _fit(design, basis.names, x_paths[:, k + 1])
         cond[:, k] = fit_cond
         x_stderr[k] = se_cond
-        rhs = fit_cond + dt * c_values[:, k]
-        t_right = float(times[k + 1])
-        if drift.diagonal:
-            x_paths[:, k] = regularized_implicit_step(
-                drift, t_right, dt, rhs, tol=resolvent_tol,
-                max_iter=resolvent_max_iter)
-        else:
-            for r in range(r_count):
-                x_paths[r, k] = regularized_implicit_step(
-                    drift, t_right, dt, rhs[r], tol=resolvent_tol,
-                    max_iter=resolvent_max_iter)
+        x_paths[:, k] = regularized_implicit_step(
+            problem.drift, float(times[k + 1]), dt,
+            fit_cond + dt * c_values[:, k], tol=resolvent_tol,
+            max_iter=resolvent_max_iter)
         x_coeffs[k], _, _ = _fit(design, basis.names, x_paths[:, k])
         z_targets = (x_paths[:, k + 1][:, :, None]
                      * incs[:, k][:, None, :] / dt).reshape(r_count, d * m)
@@ -718,13 +680,13 @@ def _backward_sweep(problem: BsdeProblem, paths: Sequence[NoisePath],
                         terminal_residual=terminal_residual)
 
 
-def _prepare(problem: BsdeProblem, paths: Sequence[NoisePath], basis):
+def _prepare(problem: BsdeProblem, batch: NoiseBatch, basis):
     """Shared validation: reduce the shift, build states and the basis."""
     reduced, gamma = reduce_lambda0(problem)
-    _shared_grid(reduced, paths)
-    states = _state_values(reduced, paths)
+    _check_batch(reduced, batch)
+    states = _state_values(batch)
     if basis is None:
-        basis = _default_basis(reduced, states)
+        basis = polynomial_basis(states.shape[2], degree=2)
     if not basis.has_intercept:
         raise ConfigError("the regression basis must span constants "
                           "(no intercept term found)")
@@ -735,7 +697,7 @@ def _prepare(problem: BsdeProblem, paths: Sequence[NoisePath], basis):
 # solvers
 
 
-def solve_bsde_autonomous_C(problem: BsdeProblem, paths: Sequence[NoisePath],
+def solve_bsde_autonomous_C(problem: BsdeProblem, batch: NoiseBatch,
                             basis: Optional[PolynomialBasis] = None,
                             resolvent_tol: float = 1e-10,
                             resolvent_max_iter: int = 100) -> BsdeSolution:
@@ -752,24 +714,16 @@ def solve_bsde_autonomous_C(problem: BsdeProblem, paths: Sequence[NoisePath],
             f"{problem.driver.name} declares x_dependent="
             f"{problem.driver.x_dependent}, z_dependent="
             f"{problem.driver.z_dependent}")
-    reduced, gamma, states, basis = _prepare(problem, paths, basis)
-    times = paths[0].times
-    n = len(times) - 1
-    r_count = len(paths)
-    d = reduced.dim
-    zeros_x = np.zeros(d)
-    zeros_z = np.zeros((d, reduced.n_modes))
-    c_values = np.empty((r_count, n, d))
-    for k in range(n):
-        c_values[:, k] = np.asarray(
-            reduced.driver.eval(float(times[k]), zeros_x, zeros_z),
-            dtype=float).reshape(d)
-    sol = _backward_sweep(reduced, paths, basis, states, c_values,
+    reduced, gamma, states, basis = _prepare(problem, batch, basis)
+    lead = (batch.n_replicas, batch.n_steps, reduced.dim)
+    c_values = _driver_matrix(reduced.driver, batch.times, np.zeros(lead),
+                              np.zeros(lead + (reduced.n_modes,)))
+    sol = _backward_sweep(reduced, batch, basis, states, c_values,
                           resolvent_tol, resolvent_max_iter)
     return _unscale_solution(sol, gamma)
 
 
-def _picard_z_core(reduced: BsdeProblem, paths, basis, states,
+def _picard_z_core(reduced: BsdeProblem, batch: NoiseBatch, basis, states,
                    x_frozen: np.ndarray, max_iter: int, tol: float,
                    resolvent_tol: float, resolvent_max_iter: int):
     """Iterate on the z argument with the x argument held at x_frozen.
@@ -779,22 +733,17 @@ def _picard_z_core(reduced: BsdeProblem, paths, basis, states,
     the first sweep), the fixed point is exact: a zero residual is
     recorded without paying another sweep.
     """
-    times = paths[0].times
-    n = len(times) - 1
-    dt = float(times[1] - times[0])
-    r_count = len(paths)
-    z_prev = np.zeros((r_count, n, reduced.dim, reduced.n_modes))
-    c_cur = _driver_matrix(reduced.driver, times, x_frozen, z_prev)
+    z_prev = np.zeros(x_frozen.shape + (reduced.n_modes,))
+    c_cur = _driver_matrix(reduced.driver, batch.times, x_frozen, z_prev)
     history = []
-    sol = None
     for _ in range(max_iter):
-        sol = _backward_sweep(reduced, paths, basis, states, c_cur,
+        sol = _backward_sweep(reduced, batch, basis, states, c_cur,
                               resolvent_tol, resolvent_max_iter)
-        history.append(z_path_distance(sol.z_paths, z_prev, dt))
+        history.append(z_path_distance(sol.z_paths, z_prev, batch.dt))
         z_prev = sol.z_paths
         if history[-1] < tol:
             return sol, history
-        c_next = _driver_matrix(reduced.driver, times, x_frozen, z_prev)
+        c_next = _driver_matrix(reduced.driver, batch.times, x_frozen, z_prev)
         if np.array_equal(c_next, c_cur):
             history.append(0.0)
             return sol, history
@@ -804,7 +753,7 @@ def _picard_z_core(reduced: BsdeProblem, paths, basis, states,
         f"(last residual {history[-1]:.3e})", residuals=history)
 
 
-def picard_in_z(problem: BsdeProblem, paths: Sequence[NoisePath],
+def picard_in_z(problem: BsdeProblem, batch: NoiseBatch,
                 basis: Optional[PolynomialBasis] = None, max_iter: int = 25,
                 tol: float = 1e-8, resolvent_tol: float = 1e-10,
                 resolvent_max_iter: int = 100) -> BsdeSolution:
@@ -822,16 +771,18 @@ def picard_in_z(problem: BsdeProblem, paths: Sequence[NoisePath],
             f"picard_in_z needs a driver C(t, z) with no x dependence; "
             f"{problem.driver.name} declares x_dependent=True "
             f"(use picard_in_x)")
-    reduced, gamma, states, basis = _prepare(problem, paths, basis)
-    x_frozen = np.zeros((len(paths), len(paths[0].times) - 1, reduced.dim))
-    sol, history = _picard_z_core(reduced, paths, basis, states, x_frozen,
+    if max_iter < 1:
+        raise ConfigError(f"max_iter must be >= 1, got {max_iter!r}")
+    reduced, gamma, states, basis = _prepare(problem, batch, basis)
+    x_frozen = np.zeros((batch.n_replicas, batch.n_steps, reduced.dim))
+    sol, history = _picard_z_core(reduced, batch, basis, states, x_frozen,
                                   max_iter, tol, resolvent_tol,
                                   resolvent_max_iter)
     sol = replace(sol, picard_residuals=tuple(history))
     return _unscale_solution(sol, gamma)
 
 
-def picard_in_x(problem: BsdeProblem, paths: Sequence[NoisePath],
+def picard_in_x(problem: BsdeProblem, batch: NoiseBatch,
                 basis: Optional[PolynomialBasis] = None, max_iter: int = 30,
                 tol: float = 1e-8, inner_max_iter: int = 25,
                 inner_tol: Optional[float] = None,
@@ -849,15 +800,17 @@ def picard_in_x(problem: BsdeProblem, paths: Sequence[NoisePath],
     the zero initialization.
     """
     inner_tol = tol if inner_tol is None else inner_tol
-    reduced, gamma, states, basis = _prepare(problem, paths, basis)
-    times = paths[0].times
-    n = len(times) - 1
-    x_prev = np.zeros((len(paths), n + 1, reduced.dim))
+    for name, limit in (("max_iter", max_iter),
+                        ("inner_max_iter", inner_max_iter)):
+        if limit < 1:
+            raise ConfigError(f"{name} must be >= 1, got {limit!r}")
+    reduced, gamma, states, basis = _prepare(problem, batch, basis)
+    n = batch.n_steps
+    x_prev = np.zeros((batch.n_replicas, n + 1, reduced.dim))
     outer_history = []
     inner_histories = []
-    sol = None
     for _ in range(max_iter):
-        sol, inner = _picard_z_core(reduced, paths, basis, states,
+        sol, inner = _picard_z_core(reduced, batch, basis, states,
                                     x_prev[:, :n], inner_max_iter, inner_tol,
                                     resolvent_tol, resolvent_max_iter)
         gap = float(np.max(np.mean(
@@ -880,7 +833,7 @@ def picard_in_x(problem: BsdeProblem, paths: Sequence[NoisePath],
 
 
 def martingale_residuals(solution: BsdeSolution, problem: BsdeProblem,
-                         paths: Sequence[NoisePath]) -> np.ndarray:
+                         batch: NoiseBatch) -> np.ndarray:
     """Per-step conditional-mean residual of the compensated process.
 
     Within the scheme, dt*A_eps(X(t_k)) equals X(t_k) - (conditional fit
@@ -897,8 +850,9 @@ def martingale_residuals(solution: BsdeSolution, problem: BsdeProblem,
     identity holds in reduced coordinates and the unscaled record makes
     this an O(dt)-accurate diagnostic rather than an exact one.
     """
-    states = _state_values(problem, paths)
-    incs = np.stack([p.increments for p in paths])
+    _check_batch(problem, batch)
+    states = _state_values(batch)
+    incs = batch.increments
     out = np.empty(solution.n_steps)
     for k in range(solution.n_steps):
         design = solution.basis.design(states[:, k])

@@ -4,9 +4,10 @@ manifest.
 
 Every experiment is deterministic in (config, seed): numeric output
 bytes depend on nothing else.  Replicas use indexed substreams of the
-base seed, stacked into one NoiseBatch and stepped together by one
-batched forward solve; each replica follows the iterates it would follow
-alone, and the ensemble is reduced in replica order.  The manifest is
+base seed, stacked into one NoiseBatch: the forward demos step it with
+one batched forward solve (each replica follows the iterates it would
+follow alone), the backward experiments regress across it, and the
+ensemble is reduced in replica order.  The manifest is
 written even when a run fails, with the error recorded; the replica
 demos also record their solver counters in it (``solver_stats``).
 """
@@ -25,7 +26,8 @@ import numpy as np
 
 from . import __version__
 from .analysis import (bihari_bound, convergence_order, linear_modulus,
-                       rho_k_modulus, sup_h_distance, zero_limit_check)
+                       rho_eval, rho_k_modulus, sup_h_distance,
+                       zero_limit_check)
 from .bsde import (BsdeDriver, BsdeProblem, picard_in_x, picard_in_z,
                    polynomial_basis, solution_csv, solve_bsde_autonomous_C,
                    zero_driver)
@@ -53,6 +55,10 @@ OUTPUT_ROOT_ENV = "MONOSEE_OUTPUT_ROOT"
 
 # galerkin_convergence's fixed refinement ladder; n_grid must hold its top
 GALERKIN_MODE_COUNTS = (8, 16, 32, 64)
+
+# bsde_linear_validation's closed-form probe times; each must fall on a
+# grid index before the horizon, where Z is defined
+BSDE_PROBE_TIMES = (0.25, 0.5, 0.75)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +206,7 @@ def _require_p_ge_2(config: ExperimentConfig, problems: List[str]) -> None:
 
 
 def _require_positive(problems: List[str], label: str, value) -> None:
-    if value <= 0:
+    if not value > 0:
         problems.append(f"{label} must be positive, got {value!r}")
 
 
@@ -451,6 +457,20 @@ def _run_hypothesis_report(config, out_dir):
     return outcome
 
 
+# the backward experiments' drift A(x) = -x and terminal X_T = W(T)
+_RESTORING_DRIFT = MonotoneMap(eval=lambda t, x: -x,
+                              jacobian=lambda t, x: -np.ones_like(x),
+                              diagonal=True, name="linear restoring drift")
+
+
+def _wiener_terminal(batch):
+    return batch.scalar_paths[:, -1:]
+
+
+def _bsde_basis(config):
+    return polynomial_basis(1, degree=_num(config, "basis_degree", 2))
+
+
 def _run_bsde_linear_validation(config, out_dir):
     t_final = _num(config, "t_final", 1.0)
     n_steps = _num(config, "n_steps", 64)
@@ -458,19 +478,13 @@ def _run_bsde_linear_validation(config, out_dir):
     seed = _mc(config, "seed", 31)
     dt = t_final / n_steps
 
-    drift = MonotoneMap(eval=lambda t, x: -x,
-                        jacobian=lambda t, x: -np.ones_like(x),
-                        diagonal=True, name="linear restoring drift")
-    problem = BsdeProblem(drift=drift,
-                          driver=zero_driver(),
-                          terminal=lambda path: np.array(
-                              [path.scalar_path[-1]]),
-                          t_final=t_final, n_modes=1, dim=1)
-    paths = [sample_path(seed=seed, t_final=t_final, n_steps=n_steps,
-                         n_modes=1, replica=r) for r in range(replicas)]
-    basis = polynomial_basis(1, degree=_num(config, "basis_degree", 2))
+    problem = BsdeProblem(drift=_RESTORING_DRIFT, driver=zero_driver(),
+                          terminal=_wiener_terminal, t_final=t_final,
+                          n_modes=1, dim=1)
+    batch = sample_batch(seed=seed, t_final=t_final, n_steps=n_steps,
+                         n_modes=1, replicas=replicas)
     solution = solve_bsde_autonomous_C(
-        problem, paths, basis=basis,
+        problem, batch, basis=_bsde_basis(config),
         resolvent_tol=_num(config, "resolvent_tol", 1e-10),
         resolvent_max_iter=_num(config, "resolvent_max_iter", 100))
     (out_dir / "bsde_solution.csv").write_bytes(
@@ -479,9 +493,9 @@ def _run_bsde_linear_validation(config, out_dir):
     outcome = ExperimentOutcome()
     rows = []
     worst = 0.0
-    for t_probe in (0.25, 0.5, 0.75):
+    for t_probe in BSDE_PROBE_TIMES:
         k = int(round(t_probe / dt))
-        w = np.array([p.scalar_path[k] for p in paths])
+        w = batch.scalar_paths[:, k]
         decay = math.exp(-(t_final - t_probe))
         x_num = solution.x_paths[:, k, 0]
         z_num = solution.z_paths[:, k, 0, 0]
@@ -512,23 +526,19 @@ def _run_bsde_picard_demo(config, out_dir):
     max_iter = _num(config, "max_iter", 25)
     tol = _num(config, "tol", 1e-8)
 
-    drift = MonotoneMap(eval=lambda t, x: -x,
-                        jacobian=lambda t, x: -np.ones_like(x),
-                        diagonal=True, name="linear restoring drift")
-    paths = [sample_path(seed=seed, t_final=t_final, n_steps=n_steps,
-                         n_modes=1, replica=r) for r in range(replicas)]
+    batch = sample_batch(seed=seed, t_final=t_final, n_steps=n_steps,
+                         n_modes=1, replicas=replicas)
     outcome = ExperimentOutcome()
 
     z_driver = BsdeDriver(
         eval=lambda t, x, z: kappa * z[..., 0],
-        c1=kappa ** 2, c2=abs(kappa), x_dependent=False, vectorized=True,
+        c1=kappa ** 2, c2=abs(kappa), x_dependent=False,
         name="linear coupling in z")
-    z_problem = BsdeProblem(drift=drift, driver=z_driver,
-                            terminal=lambda p: np.array(
-                                [p.scalar_path[-1]]),
-                            t_final=t_final, n_modes=1, dim=1)
+    z_problem = BsdeProblem(drift=_RESTORING_DRIFT, driver=z_driver,
+                            terminal=_wiener_terminal, t_final=t_final,
+                            n_modes=1, dim=1)
     try:
-        z_sol = picard_in_z(z_problem, paths, max_iter=max_iter, tol=tol)
+        z_sol = picard_in_z(z_problem, batch, max_iter=max_iter, tol=tol)
         residuals = list(z_sol.picard_residuals)
         drops = sum(1 for i in range(1, len(residuals))
                     if residuals[i] > residuals[i - 1])
@@ -544,19 +554,17 @@ def _run_bsde_picard_demo(config, out_dir):
               [[i + 1, r] for i, r in enumerate(residuals)])
 
     rho = rho_k_modulus(k=1)
-    from .analysis import rho_eval
     x_driver = BsdeDriver(
         eval=lambda t, x, z: (np.sqrt(rho_eval(np.asarray(x, float) ** 2,
                                                rho))
                               * np.sign(np.asarray(x, float))),
-        rho=rho, c1=4.0, c2=2.0, z_dependent=False, vectorized=True,
+        rho=rho, c1=4.0, c2=2.0, z_dependent=False,
         name="concave-modulus coupling in x")
-    x_problem = BsdeProblem(drift=drift, driver=x_driver,
-                            terminal=lambda p: np.array(
-                                [p.scalar_path[-1]]),
-                            t_final=t_final, n_modes=1, dim=1)
+    x_problem = BsdeProblem(drift=_RESTORING_DRIFT, driver=x_driver,
+                            terminal=_wiener_terminal, t_final=t_final,
+                            n_modes=1, dim=1)
     try:
-        x_sol = picard_in_x(x_problem, paths, max_iter=20, tol=1e-7)
+        x_sol = picard_in_x(x_problem, batch, max_iter=20, tol=1e-7)
         outer = list(x_sol.picard_residuals)
         outcome.check("x_iteration_converges_within_20",
                       len(outer) <= 20 and outer[-1] <= 1e-7,
@@ -785,6 +793,45 @@ def _validate_simple(config: ExperimentConfig) -> List[str]:
     return problems
 
 
+def _require_basis_rows(problems: List[str], config: ExperimentConfig,
+                        basis) -> None:
+    # one replica per basis term at least; the runs' default replica
+    # counts (4,000 and 400) clear it
+    replicas = _mc(config, "replicas", basis.n_terms)
+    if replicas < basis.n_terms:
+        problems.append(f"monte_carlo.replicas must be at least the "
+                        f"{basis.n_terms} regression basis terms, got "
+                        f"{replicas}")
+
+
+def _validate_bsde_linear(config: ExperimentConfig) -> List[str]:
+    problems = _validate_simple(config)
+    try:
+        _require_basis_rows(problems, config, _bsde_basis(config))
+    except ConfigError as err:
+        problems.append(f"numerics.basis_degree: {err}")
+    for key, default in (("resolvent_tol", 1e-10),
+                         ("resolvent_max_iter", 100)):
+        _require_positive(problems, f"numerics.{key}",
+                          _num(config, key, default))
+    t_final = _num(config, "t_final", 1.0)
+    n_steps = _num(config, "n_steps", 64)
+    if t_final > 0 and n_steps >= 1 and int(
+            round(max(BSDE_PROBE_TIMES) / (t_final / n_steps))) >= n_steps:
+        problems.append(f"the closed-form probe times {BSDE_PROBE_TIMES} "
+                        f"must fall on grid points before t_final = "
+                        f"{t_final:g} with n_steps = {n_steps}")
+    return problems
+
+
+def _validate_bsde_picard(config: ExperimentConfig) -> List[str]:
+    problems = _validate_simple(config)
+    _require_basis_rows(problems, config, polynomial_basis(1))
+    _require_positive(problems, "numerics.max_iter",
+                      _num(config, "max_iter", 25))
+    return problems
+
+
 def _validate_galerkin(config: ExperimentConfig) -> List[str]:
     problems = _validate_simple(config)
     n_grid = _prob(config, "n_grid", 64)
@@ -867,11 +914,11 @@ EXPERIMENTS = {
         "sampled structural-inequality checks for the built-in operator "
         "families plus a planted non-monotone counterexample"),
     "bsde_linear_validation": ExperimentEntry(
-        _run_bsde_linear_validation, _validate_simple,
+        _run_bsde_linear_validation, _validate_bsde_linear,
         "backward equation with linear restoring drift and Wiener terminal "
         "value: regression solution against the closed form"),
     "bsde_picard_demo": ExperimentEntry(
-        _run_bsde_picard_demo, _validate_simple,
+        _run_bsde_picard_demo, _validate_bsde_picard,
         "driver-coupling iterations: residual histories for the z-linear "
         "and concave-modulus x couplings"),
     "functional_delay_demo": ExperimentEntry(
@@ -913,12 +960,10 @@ def resolve_output_dir(config: ExperimentConfig) -> Path:
 def run_experiment(config: ExperimentConfig) -> RunResult:
     """Validate, run, and persist one experiment with its manifest.
 
-    The manifest is written even when the experiment raises; any exception
-    is recorded and re-raised for the caller's exit handling.
+    The manifest is written even when validation fails or the experiment
+    raises; any exception is recorded and re-raised for the caller's exit
+    handling.
     """
-    problems = validate_experiment(config)
-    if problems:
-        raise ConfigError("; ".join(problems))
     out_dir = resolve_output_dir(config)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = out_dir / "manifest.json"
@@ -927,6 +972,9 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     outcome: Optional[ExperimentOutcome] = None
     error: Optional[str] = None
     try:
+        problems = validate_experiment(config)
+        if problems:
+            raise ConfigError("; ".join(problems))
         outcome = EXPERIMENTS[config.experiment].run(config, out_dir)
     except Exception as err:
         error = f"{type(err).__name__}: {err}"

@@ -364,7 +364,7 @@ def solve_forward(cfg: SolverConfig, drift, diffusion, noise, x0,
 
 def solve_diagonal_batch(f, g, noise: NoisePath, y0, f_prime=None,
                          tol: float = 1e-12, max_iter: int = 200):
-    """Drift-implicit solve of independent scalar equations, vectorized.
+    """Drift-implicit solve of independent scalar equations, all at once.
 
     Each noise column drives one replica of du = f(t, u) dt + g(t, u) dw;
     f and g act elementwise on the replica vector.  Returns (times,

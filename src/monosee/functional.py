@@ -251,22 +251,14 @@ def segment(path: SegmentPath, t: float) -> Segment:
 # coefficient bundles
 
 
-def _one_time(profile):
+def _profile_value(profile, *args) -> float:
+    """A declared bound profile at ``args``: None is identically zero, a
+    callable is called, anything else is a constant."""
     if profile is None:
-        return lambda t: 0.0
+        return 0.0
     if callable(profile):
-        return lambda t: float(profile(t))
-    value = float(profile)
-    return lambda t: value
-
-
-def _two_time(profile):
-    if profile is None:
-        return lambda t, s: 0.0
-    if callable(profile):
-        return lambda t, s: float(profile(t, s))
-    value = float(profile)
-    return lambda t, s: value
+        return float(profile(*args))
+    return float(profile)
 
 
 @dataclass
@@ -301,19 +293,19 @@ class FunctionalCoefficients:
             raise ConfigError("growth_c0 must be positive")
 
     def lambda3_at(self, t: float) -> float:
-        return _one_time(self.lambda3)(t)
+        return _profile_value(self.lambda3, t)
 
     def lambda5_at(self, t: float, s: float) -> float:
-        return _two_time(self.lambda5)(t, s)
+        return _profile_value(self.lambda5, t, s)
 
     def lambda6_at(self, t: float, s: float) -> float:
-        return _two_time(self.lambda6)(t, s)
+        return _profile_value(self.lambda6, t, s)
 
     def lambda7_at(self, t: float, s: float) -> float:
-        return _two_time(self.lambda7)(t, s)
+        return _profile_value(self.lambda7, t, s)
 
     def zeta_at(self, t: float) -> float:
-        return _one_time(self.zeta)(t)
+        return _profile_value(self.zeta, t)
 
 
 @dataclass
@@ -345,16 +337,6 @@ class VolterraCoefficients:
     def __post_init__(self):
         if self.growth_c0 <= 0:
             raise ConfigError("growth_c0 must be positive")
-
-    def diagonal_drift(self, s: float, seg: Segment):
-        if self.drift_kernel is None:
-            return None
-        return self.drift_kernel(s, s, seg)
-
-    def diagonal_diffusion(self, s: float, seg: Segment):
-        if self.diffusion_kernel is None:
-            return None
-        return self.diffusion_kernel(s, s, seg)
 
 
 def volterra_to_functional(v: VolterraCoefficients) -> FunctionalCoefficients:

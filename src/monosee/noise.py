@@ -3,7 +3,8 @@
 Streams are derived from a counter-based generator (Philox) keyed by
 (seed, replica, purpose, level), so replica ensembles and refinement levels
 are reproducible regardless of execution order.  A NoiseBatch stacks the
-replica substreams of one seed for the batched forward solver.  The first
+replica substreams of one seed; it is how a replica ensemble reaches the
+batched forward solver and the backward regression solvers.  The first
 mode doubles as the scalar driving Brownian motion w_t used by random
 coefficients.
 """
@@ -78,7 +79,8 @@ class NoiseBatch:
 
     Row r of ``increments`` (R x N x n_modes) and ``scalar_paths``
     (R x (N+1)) holds what ``path(r)`` holds as a NoisePath; all rows
-    share the grid ``times``.  The forward solver steps every row at once.
+    share the grid ``times``.  The forward solver steps every row at once;
+    the backward solvers regress across the rows.
     """
 
     seed: int
@@ -101,6 +103,14 @@ class NoiseBatch:
     @property
     def n_steps(self) -> int:
         return self.increments.shape[1]
+
+    @property
+    def n_modes(self) -> int:
+        return self.increments.shape[2]
+
+    @property
+    def t_final(self) -> float:
+        return float(self.times[-1])
 
     @property
     def dt(self) -> float:

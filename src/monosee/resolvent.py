@@ -12,7 +12,7 @@ negate it before wrapping it in a :class:`MonotoneMap`.
 
 The resolvent J_eps(x) solves y - eps*F(t, y) = x; the Yosida regularization
 is A_eps(x) = (J_eps(x) - x) / eps, which coincides with F(J_eps(x)) at the
-exact root.  Scalar and diagonal maps get a vectorized safeguarded
+exact root.  Scalar and diagonal maps get an elementwise safeguarded
 Newton-bisection solver; general maps get damped Newton with an analytic or
 finite-difference Jacobian, over one vector or a stack of independent
 replicas (each with its own target, convergence mask and line search).
@@ -46,7 +46,7 @@ class MonotoneMap:
     is optional: for ``diagonal`` maps it must return the elementwise
     derivative (same shape as x); otherwise the full (n, n) matrix.  Maps
     flagged ``diagonal`` act componentwise, which lets the resolvent solver
-    run vectorized over arbitrarily-shaped batches of scalars.  A general
+    run elementwise over arbitrarily-shaped batches of scalars.  A general
     map handed a stack x of shape (..., n) (independent replicas, one per
     row) must act row by row: ``eval`` returns (..., n) and ``jacobian``
     (..., n, n).  Maps only ever called on single vectors may ignore this.
@@ -260,6 +260,10 @@ def resolvent(F: MonotoneMap, t: float, eps: float, x, tol: float = 1e-12,
     """
     if eps <= 0:
         raise ConfigError(f"resolvent needs eps > 0, got {eps!r}")
+    if not tol > 0:
+        raise ConfigError(f"resolvent needs tol > 0, got {tol!r}")
+    if max_iter < 1:
+        raise ConfigError(f"resolvent needs max_iter >= 1, got {max_iter!r}")
     if F.diagonal:
         return _resolvent_diagonal(F, t, eps, x, tol, max_iter)
     return _resolvent_general(F, t, eps, np.atleast_1d(x), tol, max_iter,

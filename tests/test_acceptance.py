@@ -28,7 +28,8 @@ from monosee.functional import (FunctionalCoefficients, VolterraCoefficients,
                                 SegmentPath, bihari_domination_report,
                                 initial_segment, lambda8_profile,
                                 picard_solve_functional, volterra_consistency)
-from monosee.noise import NoiseContext, refine_path, sample_path, zero_path
+from monosee.noise import (NoiseContext, refine_path, sample_batch,
+                           sample_path, zero_path)
 from monosee.operators import (ConstantDiffusion, PhiDrift,
                                ReactionDiffusionDrift, build_operator_set,
                                check_boundedness, check_coercivity,
@@ -245,17 +246,17 @@ def test_criterion_07_bsde_closed_form(capsys):
     t_final, n_steps, n_paths = 1.0, 64, 10_000
     dt = t_final / n_steps
     problem = BsdeProblem(drift=_linear_drift(), driver=zero_driver(),
-                          terminal=lambda p: np.array([p.scalar_path[-1]]),
+                          terminal=lambda b: b.scalar_paths[:, -1:],
                           t_final=t_final, n_modes=1, dim=1)
-    paths = [sample_path(seed=31, t_final=t_final, n_steps=n_steps,
-                         n_modes=1, replica=r) for r in range(n_paths)]
-    sol = solve_bsde_autonomous_C(problem, paths,
+    batch = sample_batch(seed=31, t_final=t_final, n_steps=n_steps,
+                         n_modes=1, replicas=n_paths)
+    sol = solve_bsde_autonomous_C(problem, batch,
                                   basis=polynomial_basis(1, degree=2))
     worst = 0.0
     details = []
     for t in (0.25, 0.5, 0.75):
         k = round(t / dt)
-        w = np.array([p.scalar_path[k] for p in paths])
+        w = batch.scalar_paths[:, k]
         decay = math.exp(-(t_final - t))
         rms_x = float(np.sqrt(np.mean(
             (sol.x_paths[:, k, 0] - decay * w) ** 2)))
@@ -282,16 +283,15 @@ def test_criterion_08_picard_contraction_diagnostics(capsys):
     convergence within 20 outer sweeps."""
     budget, t0 = 60.0, time.perf_counter()
     kappa = 0.4
-    paths = [sample_path(seed=13, t_final=1.0, n_steps=32, n_modes=1,
-                         replica=r) for r in range(400)]
+    batch = sample_batch(seed=13, t_final=1.0, n_steps=32, n_modes=1,
+                         replicas=400)
     z_driver = BsdeDriver(eval=lambda t, x, z: kappa * z[..., 0],
                           c1=kappa ** 2, c2=abs(kappa), x_dependent=False,
-                          vectorized=True, name="linear coupling in z")
+                          name="linear coupling in z")
     z_problem = BsdeProblem(drift=_linear_drift(), driver=z_driver,
-                            terminal=lambda p: np.array(
-                                [p.scalar_path[-1]]),
+                            terminal=lambda b: b.scalar_paths[:, -1:],
                             t_final=1.0, n_modes=1, dim=1)
-    z_sol = picard_in_z(z_problem, paths, max_iter=25, tol=1e-8)
+    z_sol = picard_in_z(z_problem, batch, max_iter=25, tol=1e-8)
     res = list(z_sol.picard_residuals)
     non_monotone = sum(1 for i in range(1, len(res))
                        if res[i] > res[i - 1])
@@ -301,13 +301,15 @@ def test_criterion_08_picard_contraction_diagnostics(capsys):
         eval=lambda t, x, z: (np.sqrt(rho_eval(np.asarray(x, float) ** 2,
                                                rho))
                               * np.sign(np.asarray(x, float))),
-        rho=rho, c1=4.0, c2=2.0, z_dependent=False, vectorized=True,
+        rho=rho, c1=4.0, c2=2.0, z_dependent=False,
         name="concave-modulus coupling in x")
     x_problem = BsdeProblem(drift=_linear_drift(), driver=x_driver,
-                            terminal=lambda p: np.array(
-                                [p.scalar_path[-1]]),
+                            terminal=lambda b: b.scalar_paths[:, -1:],
                             t_final=1.0, n_modes=1, dim=1)
-    x_sol = picard_in_x(x_problem, paths[:200], max_iter=20, tol=1e-9)
+    # the first 200 replicas of the same seed
+    first_200 = sample_batch(seed=13, t_final=1.0, n_steps=32, n_modes=1,
+                             replicas=200)
+    x_sol = picard_in_x(x_problem, first_200, max_iter=20, tol=1e-9)
     outer = list(x_sol.picard_residuals)
     elapsed = time.perf_counter() - t0
     ok = (non_monotone <= 1 and len(outer) <= 20 and outer[-1] < 1e-9

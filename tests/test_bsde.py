@@ -15,8 +15,9 @@ import pytest
 
 from monosee.analysis import rho_eval, rho_k_modulus
 from monosee.bsde import (BsdeAprioriReport, BsdeDriver, BsdeProblem,
-                          PolynomialBasis, _fit, apriori_bound_check,
-                          check_driver_growth, check_driver_modulus,
+                          PolynomialBasis, _fit, _state_values,
+                          apriori_bound_check, check_driver_growth,
+                          check_driver_modulus,
                           driver_state_sampler, martingale_residuals,
                           picard_in_x, picard_in_z, polynomial_basis,
                           reduce_lambda0, regularized_implicit_step,
@@ -24,7 +25,7 @@ from monosee.bsde import (BsdeAprioriReport, BsdeDriver, BsdeProblem,
                           z_path_distance, zero_driver)
 from monosee.errors import (ConfigError, NonconvergenceError,
                             RegressionError)
-from monosee.noise import sample_path, zero_path
+from monosee.noise import NoiseBatch, sample_batch, sample_path
 from monosee.resolvent import MonotoneMap, resolvent, yosida
 
 
@@ -49,13 +50,16 @@ def _cubic_drift(scale: float = 1.0) -> MonotoneMap:
         diagonal=True, name="cubic drift")
 
 
-def _paths(seed, t_final, n_steps, n_paths, n_modes=1, first_replica=0):
-    return [sample_path(seed, t_final, n_steps, n_modes,
-                        replica=first_replica + r) for r in range(n_paths)]
+def _batch(seed, t_final, n_steps, n_paths, n_modes=1):
+    return sample_batch(seed, t_final, n_steps, n_modes, n_paths)
 
 
-def _wiener_terminal(path):
-    return np.array([path.scalar_path[-1]])
+def _wiener_terminal(batch):
+    return batch.scalar_paths[:, -1:]
+
+
+def _constant_terminal(c):
+    return lambda batch: np.full((batch.n_replicas, 1), c)
 
 
 def _problem(drift, driver, terminal, t_final=1.0, **kw):
@@ -66,7 +70,7 @@ def _problem(drift, driver, terminal, t_final=1.0, **kw):
 def _linear_z_driver(kappa: float) -> BsdeDriver:
     return BsdeDriver(eval=lambda t, x, z: kappa * np.asarray(z)[..., 0],
                       c1=kappa ** 2, c2=abs(kappa), x_dependent=False,
-                      vectorized=True, name="linear z driver")
+                      name="linear z driver")
 
 
 # ---------------------------------------------------------------------------
@@ -186,13 +190,13 @@ def test_regularized_step_rejects_bad_inputs():
 
 def test_constant_terminal_zero_operators():
     """A = 0, C = 0, deterministic X_T: X is constant and Z vanishes."""
-    problem = _problem(_zero_drift(), zero_driver(),
-                       lambda p: np.array([3.0]))
-    noisy = _paths(21, 1.0, 8, 300)
+    problem = _problem(_zero_drift(), zero_driver(), _constant_terminal(3.0))
+    noisy = _batch(21, 1.0, 8, 300)
     sol = solve_bsde_autonomous_C(problem, noisy)
     assert np.allclose(sol.x_paths, 3.0, atol=1e-10)
     # zero driving paths: every fit is a plain mean and Z is exactly zero
-    frozen = [zero_path(1.0, 8) for _ in range(40)]
+    frozen = NoiseBatch(0, 0, 0, np.linspace(0.0, 1.0, 9),
+                        np.zeros((40, 8, 1)), np.zeros((40, 9)))
     sol0 = solve_bsde_autonomous_C(problem, frozen)
     assert np.allclose(sol0.x_paths, 3.0, rtol=1e-12, atol=0)
     assert np.all(sol0.z_paths == 0.0)
@@ -209,8 +213,8 @@ def test_linear_drift_deterministic_terminal_recurrence():
     c = 2.0
     n_steps = 16
     problem = _problem(_linear_drift(-1.0), zero_driver(),
-                       lambda p: np.array([c]))
-    sol = solve_bsde_autonomous_C(problem, _paths(4, 1.0, n_steps, 200))
+                       _constant_terminal(c))
+    sol = solve_bsde_autonomous_C(problem, _batch(4, 1.0, n_steps, 200))
     dt = sol.dt
     factor = (1.0 + dt) / (1.0 + 2.0 * dt)
     for k in range(n_steps + 1):
@@ -245,10 +249,10 @@ def test_closed_form_wiener_terminal():
     """X(t) = e^{-(T-t)} W(t) and Z(t) = e^{-(T-t)} for terminal W(T)."""
     t_final, n_steps, n_paths = 1.0, 32, 4000
     problem = _problem(_linear_drift(-1.0), zero_driver(), _wiener_terminal)
-    paths = _paths(9, t_final, n_steps, n_paths)
-    sol = solve_bsde_autonomous_C(problem, paths)
+    batch = _batch(9, t_final, n_steps, n_paths)
+    sol = solve_bsde_autonomous_C(problem, batch)
     dt = sol.dt
-    w = np.stack([p.scalar_path for p in paths])
+    w = batch.scalar_paths
     for t in (0.25, 0.5, 0.75):
         k = round(t / dt)
         decay = math.exp(-(t_final - t))
@@ -263,11 +267,11 @@ def test_closed_form_wiener_terminal():
 def test_terminal_fit_out_of_sample():
     """Out-of-sample terminal residual within twice the in-sample one."""
     problem = _problem(_linear_drift(-1.0), zero_driver(),
-                       lambda p: np.array([math.cos(p.scalar_path[-1])]))
-    train = _paths(14, 1.0, 8, 2000)
+                       lambda batch: np.cos(batch.scalar_paths[:, -1:]))
+    train = _batch(14, 1.0, 8, 2000)
     sol = solve_bsde_autonomous_C(problem, train)
     assert sol.terminal_residual > 1e-3  # cos is genuinely outside the span
-    fresh = _paths(14, 1.0, 8, 2000, first_replica=5000)
+    fresh = [sample_path(14, 1.0, 8, 1, replica=5000 + r) for r in range(2000)]
     w_end = np.array([[p.scalar_path[-1]] for p in fresh])
     predicted = sol.x_at(sol.n_steps, w_end)[:, 0]
     actual = np.cos(w_end[:, 0])
@@ -284,9 +288,9 @@ def test_martingale_residuals_are_sampling_noise():
     sqrt(dt) ~ 0.25.  A factor-six cushion keeps the seeded check stable.
     """
     problem = _problem(_linear_drift(-1.0), zero_driver(), _wiener_terminal)
-    paths = _paths(31, 1.0, 16, 3000)
-    sol = solve_bsde_autonomous_C(problem, paths)
-    res = martingale_residuals(sol, problem, paths)
+    batch = _batch(31, 1.0, 16, 3000)
+    sol = solve_bsde_autonomous_C(problem, batch)
+    res = martingale_residuals(sol, problem, batch)
     assert res.shape == (16,)
     assert float(np.max(res)) <= 0.05
     assert float(np.max(res)) <= 0.2 * math.sqrt(sol.dt)
@@ -294,9 +298,9 @@ def test_martingale_residuals_are_sampling_noise():
 
 def test_representation_matches_paths_for_linear_problem():
     problem = _problem(_linear_drift(-1.0), zero_driver(), _wiener_terminal)
-    paths = _paths(6, 1.0, 8, 500)
-    sol = solve_bsde_autonomous_C(problem, paths)
-    w = np.stack([p.scalar_path for p in paths])
+    batch = _batch(6, 1.0, 8, 500)
+    sol = solve_bsde_autonomous_C(problem, batch)
+    w = batch.scalar_paths
     for k in (0, 3, 7):
         rebuilt = sol.x_at(k, w[:, k][:, None])[:, 0]
         assert np.allclose(rebuilt, sol.x_paths[:, k, 0], atol=1e-8)
@@ -304,22 +308,32 @@ def test_representation_matches_paths_for_linear_problem():
         assert np.allclose(z_rebuilt, sol.z_paths[:, k, 0, 0], atol=1e-8)
 
 
+def test_regression_states_equal_per_path_cumulative_noise():
+    """The batched state W(t_k) is each path's own running sum, bit for
+    bit: the reference is the per-path loop the batch replaced."""
+    batch = _batch(3, 1.0, 16, 25, n_modes=3)
+    states = _state_values(batch)
+    for r in range(batch.n_replicas):
+        path = batch.path(r)
+        alone = np.vstack([np.zeros((1, path.n_modes)),
+                           np.cumsum(path.increments, axis=0)])
+        assert np.array_equal(states[r], alone)
+
+
 def test_solve_validates_inputs():
     problem = _problem(_linear_drift(-1.0), zero_driver(), _wiener_terminal)
-    paths = _paths(2, 1.0, 8, 20)
-    with pytest.raises(ConfigError, match="share"):
-        solve_bsde_autonomous_C(problem, paths + _paths(2, 1.0, 16, 1))
+    batch = _batch(2, 1.0, 8, 20)
     with pytest.raises(ConfigError, match="modes"):
-        solve_bsde_autonomous_C(problem, [sample_path(2, 1.0, 8, 2)])
+        solve_bsde_autonomous_C(problem, _batch(2, 1.0, 8, 1, n_modes=2))
     with pytest.raises(ConfigError, match="horizon"):
-        solve_bsde_autonomous_C(problem, _paths(2, 2.0, 8, 20))
+        solve_bsde_autonomous_C(problem, _batch(2, 2.0, 8, 20))
     with pytest.raises(ConfigError, match="independent"):
         solve_bsde_autonomous_C(
             _problem(_linear_drift(), _linear_z_driver(0.5),
-                     _wiener_terminal), paths)
+                     _wiener_terminal), batch)
     with pytest.raises(ConfigError, match="constants"):
         solve_bsde_autonomous_C(
-            problem, paths,
+            problem, batch,
             basis=PolynomialBasis(exponents=((1,),), names=("w1",)))
 
 
@@ -330,19 +344,18 @@ def test_solve_validates_inputs():
 def test_picard_z_driver_ignoring_z_converges_in_one_sweep():
     driver = BsdeDriver(eval=lambda t, x, z: np.full(np.shape(x), 1.0),
                         c2=0.0, zeta=lambda t: 1.0, x_dependent=False,
-                        z_dependent=False, vectorized=True,
-                        name="constant driver")
+                        z_dependent=False, name="constant driver")
     problem = _problem(_linear_drift(-1.0), driver, _wiener_terminal)
-    paths = _paths(8, 1.0, 8, 200)
-    sol = picard_in_z(problem, paths, tol=1e-9)
+    batch = _batch(8, 1.0, 8, 200)
+    sol = picard_in_z(problem, batch, tol=1e-9)
     assert len(sol.picard_residuals) == 2
     assert sol.picard_residuals[-1] == 0.0
     autonomous = _problem(_linear_drift(-1.0),
                           BsdeDriver(eval=driver.eval, c2=0.0,
                                      zeta=driver.zeta, x_dependent=False,
-                                     z_dependent=False, vectorized=True),
+                                     z_dependent=False),
                           _wiener_terminal)
-    direct = solve_bsde_autonomous_C(autonomous, paths)
+    direct = solve_bsde_autonomous_C(autonomous, batch)
     assert np.array_equal(sol.x_paths, direct.x_paths)
     assert np.array_equal(sol.z_paths, direct.z_paths)
 
@@ -357,10 +370,10 @@ def test_picard_z_linear_driver_matches_closed_form():
     kappa, t_final, n_steps, n_paths = 0.4, 1.0, 32, 3000
     problem = _problem(_linear_drift(-1.0), _linear_z_driver(kappa),
                        _wiener_terminal)
-    paths = _paths(17, t_final, n_steps, n_paths)
-    sol = picard_in_z(problem, paths, tol=1e-6, max_iter=30)
+    batch = _batch(17, t_final, n_steps, n_paths)
+    sol = picard_in_z(problem, batch, tol=1e-6, max_iter=30)
     dt = sol.dt
-    w = np.stack([p.scalar_path for p in paths])
+    w = batch.scalar_paths
     for t in (0.25, 0.5, 0.75):
         k = round(t / dt)
         decay = math.exp(-(t_final - t))
@@ -380,14 +393,14 @@ def test_picard_z_rejects_x_dependent_driver():
                         name="x driver")
     problem = _problem(_linear_drift(-1.0), driver, _wiener_terminal)
     with pytest.raises(ConfigError, match="picard_in_x"):
-        picard_in_z(problem, _paths(3, 1.0, 8, 50))
+        picard_in_z(problem, _batch(3, 1.0, 8, 50))
 
 
 def test_picard_z_nonconvergence_reports_history():
     problem = _problem(_linear_drift(-1.0), _linear_z_driver(8.0),
                        _wiener_terminal)
     with pytest.raises(NonconvergenceError) as info:
-        picard_in_z(problem, _paths(13, 1.0, 16, 300), max_iter=4, tol=1e-12)
+        picard_in_z(problem, _batch(13, 1.0, 16, 300), max_iter=4, tol=1e-12)
     assert len(info.value.residuals) == 4
 
 
@@ -398,11 +411,11 @@ def test_picard_z_nonconvergence_reports_history():
 def test_picard_x_x_independent_driver_single_outer_pass():
     problem = _problem(_linear_drift(-1.0), _linear_z_driver(0.4),
                        _wiener_terminal)
-    paths = _paths(17, 1.0, 16, 400)
-    sol = picard_in_x(problem, paths, tol=1e-9, inner_tol=1e-6)
+    batch = _batch(17, 1.0, 16, 400)
+    sol = picard_in_x(problem, batch, tol=1e-9, inner_tol=1e-6)
     assert len(sol.picard_residuals) == 1
     assert len(sol.inner_picard_residuals) == 1
-    via_z = picard_in_z(problem, paths, tol=1e-6)
+    via_z = picard_in_z(problem, batch, tol=1e-6)
     assert np.array_equal(sol.x_paths, via_z.x_paths)
 
 
@@ -416,12 +429,12 @@ def test_picard_x_linear_x_driver_matches_closed_form():
     kappa, t_final, n_steps, n_paths = 0.3, 1.0, 32, 3000
     driver = BsdeDriver(eval=lambda t, x, z: kappa * np.asarray(x, float),
                         c1=kappa ** 2, c2=kappa, z_dependent=False,
-                        vectorized=True, name="linear x driver")
+                        name="linear x driver")
     problem = _problem(_linear_drift(-1.0), driver, _wiener_terminal)
-    paths = _paths(23, t_final, n_steps, n_paths)
-    sol = picard_in_x(problem, paths, tol=1e-8, max_iter=25)
+    batch = _batch(23, t_final, n_steps, n_paths)
+    sol = picard_in_x(problem, batch, tol=1e-8, max_iter=25)
     dt = sol.dt
-    w = np.stack([p.scalar_path for p in paths])
+    w = batch.scalar_paths
     for t in (0.5,):
         k = round(t / dt)
         decay = math.exp(-(1.0 - kappa) * (t_final - t))
@@ -440,10 +453,10 @@ def test_picard_x_rho_modulus_toy_converges_quickly():
     driver = BsdeDriver(
         eval=lambda t, x, z: (np.sqrt(rho_eval(np.asarray(x, float) ** 2, rho))
                               * np.sign(np.asarray(x, float))),
-        rho=rho, c1=4.0, c2=2.0, z_dependent=False, vectorized=True,
+        rho=rho, c1=4.0, c2=2.0, z_dependent=False,
         name="modulus driver")
     problem = _problem(_linear_drift(-1.0), driver, _wiener_terminal)
-    sol = picard_in_x(problem, _paths(29, 1.0, 32, 200), tol=1e-9,
+    sol = picard_in_x(problem, _batch(29, 1.0, 32, 200), tol=1e-9,
                       max_iter=20)
     assert len(sol.picard_residuals) <= 20
     assert sol.picard_residuals[-1] < 1e-9
@@ -454,11 +467,10 @@ def test_picard_x_rho_modulus_toy_converges_quickly():
 
 def test_picard_x_nonconvergence_reports_history():
     driver = BsdeDriver(eval=lambda t, x, z: 5.0 * np.asarray(x, float),
-                        z_dependent=False, vectorized=True,
-                        name="strong x driver")
+                        z_dependent=False, name="strong x driver")
     problem = _problem(_linear_drift(-1.0), driver, _wiener_terminal)
     with pytest.raises(NonconvergenceError) as info:
-        picard_in_x(problem, _paths(3, 1.0, 16, 200), max_iter=3, tol=1e-12)
+        picard_in_x(problem, _batch(3, 1.0, 16, 200), max_iter=3, tol=1e-12)
     assert len(info.value.residuals) == 3
 
 
@@ -485,17 +497,94 @@ def test_reduce_lambda0_solves_expansive_drift_exactly():
                         jacobian=lambda t, x: np.ones_like(
                             np.asarray(x, dtype=float)),
                         diagonal=True, name="expansive drift")
-    problem = _problem(drift, zero_driver(), lambda p: np.array([c]),
+    problem = _problem(drift, zero_driver(), _constant_terminal(c),
                        lambda0=2.0)
     reduced, gamma = reduce_lambda0(problem)
     assert gamma(1.0) == pytest.approx(math.e, rel=1e-12)
     assert reduced.lambda0 == 0.0
     zero = reduced.drift.eval(0.6, np.array([2.0, -3.0]))
     assert np.max(np.abs(zero)) <= 1e-12
-    sol = solve_bsde_autonomous_C(problem, _paths(10, 1.0, 16, 150))
+    sol = solve_bsde_autonomous_C(problem, _batch(10, 1.0, 16, 150))
     for k in range(sol.n_steps + 1):
         expected = c * math.exp(1.0 - sol.times[k])
         assert np.allclose(sol.x_paths[:, k, 0], expected, rtol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# non-diagonal drift over the replica stack
+
+
+def _coupled_drift() -> MonotoneMap:
+    """A(x) = M x - x^3 on R^2 with M = [[0.5, 1], [-1, 0.2]]: the skew
+    part couples the components, and 2<x-y, A(x)-A(y)> <= |x-y|^2, so the
+    drift is dissipative up to lambda0 = 1.  Acts row by row on (..., 2)."""
+    mat = np.array([[0.5, 1.0], [-1.0, 0.2]])
+    return MonotoneMap(
+        eval=lambda t, x: x @ mat.T - x ** 3,
+        jacobian=lambda t, x: mat - (3.0 * x ** 2)[..., None] * np.eye(2),
+        name="coupled cubic drift")
+
+
+def test_non_diagonal_drift_solves_each_replica_row():
+    """One stacked implicit step per grid time equals the per-row step.
+
+    Each row of X(t_k), taken back to the shift-reduced coordinates the
+    sweep works in, must match regularized_implicit_step applied to that
+    row's own right-hand side (conditional fit plus dt times the driver)
+    within the two solves' tolerances.
+    """
+    tol = 1e-10
+    driver = BsdeDriver(eval=lambda t, x, z: np.full(np.shape(x), 0.3),
+                        c2=0.0, zeta=lambda t: 0.3 * math.sqrt(2.0),
+                        x_dependent=False, z_dependent=False,
+                        name="constant forcing")
+    problem = BsdeProblem(
+        drift=_coupled_drift(), driver=driver,
+        terminal=lambda batch: np.sin(batch.increments.sum(axis=1)),
+        t_final=1.0, n_modes=2, dim=2, lambda0=1.0)
+    sol = solve_bsde_autonomous_C(problem, _batch(41, 1.0, 8, 300, n_modes=2),
+                                  resolvent_tol=tol)
+    assert sol.x_paths.shape == (300, 9, 2)
+    reduced, gamma = reduce_lambda0(problem)
+    # the reduced Jacobian acts on a stack, one (2, 2) block per row
+    rows = sol.x_paths[:3, 0]
+    stacked = reduced.drift.jacobian(0.5, rows)
+    assert stacked.shape == (3, 2, 2)
+    for r in range(3):
+        assert np.array_equal(stacked[r], reduced.drift.jacobian(0.5, rows[r]))
+    g = np.array([gamma(t) for t in sol.times])
+    dt = sol.dt
+    for k in (0, 4, 7):
+        rhs = (sol.conditional_fit[:, k] * g[k + 1]
+               + dt * sol.driver_values[:, k] * g[k])
+        x_reduced = sol.x_paths[:, k] * g[k]
+        for r in range(0, 300, 37):
+            alone = regularized_implicit_step(reduced.drift, sol.times[k + 1],
+                                              dt, rhs[r], tol=tol)
+            assert np.linalg.norm(x_reduced[r] - alone) \
+                <= 2.0 * tol * (1.0 + np.linalg.norm(rhs[r]))
+
+
+def test_solvers_check_stacked_shapes_and_sweep_limits():
+    batch = _batch(5, 1.0, 8, 30)
+    flat = _problem(_linear_drift(), zero_driver(),
+                    lambda b: b.scalar_paths[:, -1])
+    with pytest.raises(ConfigError, match=r"terminal returned shape \(30,\)"):
+        solve_bsde_autonomous_C(flat, batch)
+    scalar_driver = BsdeDriver(eval=lambda t, x, z: np.ones(1),
+                               x_dependent=False, z_dependent=False,
+                               name="unstacked driver")
+    with pytest.raises(ConfigError, match="unstacked driver returned shape"):
+        solve_bsde_autonomous_C(
+            _problem(_linear_drift(), scalar_driver, _wiener_terminal), batch)
+    problem = _problem(_linear_drift(), _linear_z_driver(0.4),
+                       _wiener_terminal)
+    with pytest.raises(ConfigError, match="max_iter must be >= 1"):
+        picard_in_z(problem, batch, max_iter=0)
+    with pytest.raises(ConfigError, match="max_iter must be >= 1"):
+        picard_in_x(problem, batch, max_iter=0)
+    with pytest.raises(ConfigError, match="inner_max_iter must be >= 1"):
+        picard_in_x(problem, batch, inner_max_iter=0)
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +602,7 @@ def test_driver_checkers_flag_planted_violations():
     rooty = BsdeDriver(
         eval=lambda t, x, z: np.sign(np.asarray(z)[..., 0])
         * np.sqrt(np.abs(np.asarray(z)[..., 0])),
-        c1=1.0, c2=1.0, x_dependent=False, vectorized=True,
+        c1=1.0, c2=1.0, x_dependent=False,
         name="square-root driver")
     sampler = driver_state_sampler(1, 1, amp_range=(1e-3, 1e0))
     report = check_driver_modulus(rooty, sampler, n_samples=400)
@@ -521,7 +610,7 @@ def test_driver_checkers_flag_planted_violations():
 
     quadratic = BsdeDriver(
         eval=lambda t, x, z: np.asarray(x, dtype=float) ** 2,
-        c2=1.0, zeta=lambda t: 1.0, z_dependent=False, vectorized=True,
+        c2=1.0, zeta=lambda t: 1.0, z_dependent=False,
         name="quadratic driver")
     growth = check_driver_growth(quadratic,
                                  driver_state_sampler(1, 1,
@@ -535,9 +624,8 @@ def test_driver_checkers_flag_planted_violations():
 
 
 def test_apriori_zero_problem_reports_zero():
-    problem = _problem(_zero_drift(), zero_driver(),
-                       lambda p: np.zeros(1))
-    sol = solve_bsde_autonomous_C(problem, _paths(5, 1.0, 8, 100))
+    problem = _problem(_zero_drift(), zero_driver(), _constant_terminal(0.0))
+    sol = solve_bsde_autonomous_C(problem, _batch(5, 1.0, 8, 100))
     report = apriori_bound_check(sol, problem)
     assert report.sup_moment == 0.0 and report.z_moment == 0.0
     assert report.fitted_c0 == 0.0 and report.ok
@@ -546,7 +634,7 @@ def test_apriori_zero_problem_reports_zero():
 
 def test_apriori_linear_budget_and_jensen_consistency():
     problem = _problem(_linear_drift(-1.0), zero_driver(), _wiener_terminal)
-    sol = solve_bsde_autonomous_C(problem, _paths(12, 1.0, 16, 2000))
+    sol = solve_bsde_autonomous_C(problem, _batch(12, 1.0, 16, 2000))
     rep2 = apriori_bound_check(sol, problem, q=2)
     assert rep2.ok and 0.0 < rep2.fitted_c0 <= 100.0
     assert rep2.terminal_moment == pytest.approx(
@@ -562,9 +650,9 @@ def test_apriori_flags_undeclared_forcing():
     """A constant driver with zeta left at zero busts the declared budget."""
     driver = BsdeDriver(eval=lambda t, x, z: np.full(np.shape(x), 5.0),
                         c2=0.0, x_dependent=False, z_dependent=False,
-                        vectorized=True, name="undeclared forcing")
-    problem = _problem(_zero_drift(), driver, lambda p: np.zeros(1))
-    sol = solve_bsde_autonomous_C(problem, _paths(7, 1.0, 8, 100))
+                        name="undeclared forcing")
+    problem = _problem(_zero_drift(), driver, _constant_terminal(0.0))
+    sol = solve_bsde_autonomous_C(problem, _batch(7, 1.0, 8, 100))
     report = apriori_bound_check(sol, problem)
     assert report.lhs_total > 0.0 and report.base == 0.0
     assert math.isinf(report.fitted_c0) and not report.ok
@@ -577,7 +665,7 @@ def test_apriori_flags_undeclared_forcing():
 
 def test_solution_csv_layout_and_reproducibility():
     problem = _problem(_linear_drift(-1.0), zero_driver(), _wiener_terminal)
-    sol = solve_bsde_autonomous_C(problem, _paths(19, 1.0, 4, 50))
+    sol = solve_bsde_autonomous_C(problem, _batch(19, 1.0, 4, 50))
     text = solution_csv(sol)
     lines = text.split("\r\n")
     assert lines[0] == ("t,x1:1,x1:w1,x1:w1^2,"
@@ -588,14 +676,14 @@ def test_solution_csv_layout_and_reproducibility():
     assert [float(v) for v in first[1:4]] == list(sol.x_coeffs[0][:, 0])
     terminal = lines[-2].split(",")
     assert terminal[4:7] == ["", "", ""] and terminal[7] == ""
-    rerun = solve_bsde_autonomous_C(problem, _paths(19, 1.0, 4, 50))
+    rerun = solve_bsde_autonomous_C(problem, _batch(19, 1.0, 4, 50))
     assert solution_csv(rerun) == text
 
 
 def test_solution_csv_records_iteration_residuals():
     problem = _problem(_linear_drift(-1.0), _linear_z_driver(0.4),
                        _wiener_terminal)
-    sol = picard_in_z(problem, _paths(3, 1.0, 8, 200), tol=1e-5)
+    sol = picard_in_z(problem, _batch(3, 1.0, 8, 200), tol=1e-5)
     text = solution_csv(sol)
     lines = text.split("\r\n")
     for i, res in enumerate(sol.picard_residuals):

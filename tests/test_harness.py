@@ -232,6 +232,71 @@ def test_validate_demo_builds_the_solver_config(tmp_path, capsys, demo, key,
     assert fragment in capsys.readouterr().err
 
 
+REJECTED = [
+    # settings that used to pass validate and then crash the run
+    ("bsde_linear_validation", "monte_carlo.replicas=2"),
+    ("bsde_linear_validation", "monte_carlo.replicas=0"),
+    ("bsde_linear_validation", "numerics.basis_degree=-1"),
+    ("bsde_linear_validation", "numerics.resolvent_tol=0"),
+    ("bsde_linear_validation", "numerics.resolvent_max_iter=0"),
+    ("bsde_linear_validation", "numerics.n_steps=2"),
+    ("bsde_linear_validation", "numerics.t_final=0.5"),
+    ("bsde_picard_demo", "monte_carlo.replicas=2"),
+    ("bsde_picard_demo", "monte_carlo.replicas=0"),
+    ("bsde_picard_demo", "numerics.max_iter=0"),
+    # unknown enum values
+    ("bihari_table", "problem.rho_kind=cubic"),
+    ("volterra_consistency", "problem.kernel=gaussian"),
+]
+
+ACCEPTED = [
+    # every documented enum value
+    ("bihari_table", ("problem.rho_kind=linear",)),
+    ("bihari_table", ("problem.rho_kind=rho_k", "problem.rho_k=1")),
+    ("bihari_table", ("problem.rho_kind=rho_k", "problem.rho_k=2")),
+    ("bihari_table", ("problem.rho_kind=rho_k", "problem.rho_k=3")),
+    ("volterra_consistency", ("problem.kernel=exponential",)),
+    # the smallest backward runs validate lets through
+    ("bsde_linear_validation", ("monte_carlo.replicas=3",
+                                "numerics.n_steps=3")),
+    ("bsde_linear_validation", ("numerics.basis_degree=0",
+                                "monte_carlo.replicas=1")),
+    ("bsde_picard_demo", ("monte_carlo.replicas=3", "numerics.n_steps=1",
+                          "numerics.max_iter=1")),
+]
+
+
+def _validate_then_run(tmp_path, capsys, experiment, settings):
+    path = _write(tmp_path, f"[experiment]\nname = {experiment}\n")
+    overrides = [arg for item in settings for arg in ("--set", item)]
+    validated = main(["validate", path, *overrides])
+    out = tmp_path / "out"
+    ran = main(["run", path, *overrides, "--set", f"output.directory={out}"])
+    capsys.readouterr()
+    manifest = json.loads((out / "manifest.json").read_text())
+    return validated, ran, manifest
+
+
+@pytest.mark.parametrize("experiment, setting", REJECTED)
+def test_validate_rejects_what_run_cannot_complete(tmp_path, capsys,
+                                                   experiment, setting):
+    validated, ran, manifest = _validate_then_run(tmp_path, capsys,
+                                                  experiment, [setting])
+    assert validated == 2
+    assert ran == 2
+    assert manifest["error"].startswith("ConfigError: ")
+
+
+@pytest.mark.parametrize("experiment, settings", ACCEPTED)
+def test_validated_configs_run_to_a_verdict(tmp_path, capsys, experiment,
+                                            settings):
+    validated, ran, manifest = _validate_then_run(tmp_path, capsys,
+                                                  experiment, settings)
+    assert validated == 0
+    assert ran in (0, 1)
+    assert manifest["error"] is None
+
+
 def test_run_refuses_invalid_config(tmp_path):
     cfg = ExperimentConfig(experiment="porous_medium_demo",
                            problem={"p": 1.5},

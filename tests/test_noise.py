@@ -1,5 +1,7 @@
 """Tests for seeded noise paths, bridge refinement, and the binary dump."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -121,7 +123,7 @@ def test_dump_round_trip(tmp_path):
     seed, inc = load_increments(fname)
     assert seed == 42
     assert np.array_equal(inc, p.increments)
-    raw = open(fname, "rb").read()
+    raw = Path(fname).read_bytes()
     assert raw[:8] == b"MSNOISE1"
     assert len(raw) == 8 + 24 + 10 * 3 * 8
 

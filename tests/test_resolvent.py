@@ -261,3 +261,61 @@ def test_general_resolvent_stack_failure_names_the_replica():
     counts = NewtonCounts(3)
     resolvent(F, 0.0, 0.5, rows, tol=1e-12, counts=counts)
     assert counts.iterations[0] == 0 and np.all(counts.iterations[1:] > 0)
+
+
+# ---------------------------------------------------------------------------
+# diagonal resolvent: properties over random dissipative componentwise maps
+
+
+def diagonal_dissipative_map(a, b, c, analytic: bool = True) -> MonotoneMap:
+    """F(x) = -a x - b x^3 - c tanh(x) componentwise, a, b, c >= 0: every
+    component is nonincreasing, so F is dissipative."""
+    def eval_(t, x):
+        return -a * x - b * x ** 3 - c * np.tanh(x)
+
+    def jac(t, x):
+        return -a - 3.0 * b * x ** 2 - c * (1.0 - np.tanh(x) ** 2)
+
+    return MonotoneMap(eval=eval_, jacobian=jac if analytic else None,
+                       diagonal=True, name="random diagonal map")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(1, 8), analytic=st.booleans(),
+       seed=st.integers(0, 2 ** 16), log_eps=st.floats(-3.0, 0.5),
+       log_scale=st.floats(-2.0, 1.0))
+def test_diagonal_resolvent_properties(n, analytic, seed, log_eps,
+                                       log_scale):
+    rng = np.random.default_rng(seed)
+    # each coefficient is zero about a third of the time
+    a, b, c = (rng.uniform(0.0, 3.0, n) * (rng.uniform(size=n) > 0.3)
+               for _ in range(3))
+    F = diagonal_dissipative_map(a, b, c, analytic)
+    eps = 10.0 ** log_eps
+    x, y = 10.0 ** log_scale * rng.standard_normal((2, n))
+    jx = resolvent(F, 0.0, eps, x, tol=TOL)
+    jy = resolvent(F, 0.0, eps, y, tol=TOL)
+    # componentwise residual within the documented target
+    rx = jx - eps * F.eval(0.0, jx) - x
+    ry = jy - eps * F.eval(0.0, jy) - y
+    assert np.all(np.abs(rx) <= TOL * (1.0 + np.abs(x)))
+    assert np.all(np.abs(ry) <= TOL * (1.0 + np.abs(y)))
+    # componentwise nonexpansive: y - eps*F(y) has slope >= 1, so the two
+    # solves' residuals are the only slack
+    assert np.all(np.abs(jx - jy) <= np.abs(x - y) + np.abs(rx) + np.abs(ry))
+    # Yosida identity: (J - x)/eps = F(J)
+    ax = yosida(F, 0.0, eps, x, tol=TOL)
+    assert np.max(np.abs(ax - F.eval(0.0, jx))) \
+        <= 10.0 * TOL * (1.0 + np.max(np.abs(x))) / eps
+
+
+@pytest.mark.parametrize("kwargs, fragment", [
+    ({"tol": 0.0}, "tol > 0"),
+    ({"tol": -1e-8}, "tol > 0"),
+    ({"max_iter": 0}, "max_iter >= 1"),
+])
+@pytest.mark.parametrize("diagonal", [True, False])
+def test_resolvent_rejects_unusable_tolerances(kwargs, fragment, diagonal):
+    F = linear_map() if diagonal else full_dissipative_map(1, 2, 0.3)
+    with pytest.raises(ConfigError, match=fragment):
+        resolvent(F, 0.0, 0.5, np.ones(2), **kwargs)
