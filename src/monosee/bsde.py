@@ -63,6 +63,7 @@ __all__ = [
     "polynomial_basis",
     "regularized_implicit_step",
     "BsdeSolution",
+    "BackwardCounts",
     "reduce_lambda0",
     "solve_bsde_autonomous_C",
     "picard_in_z",
@@ -307,47 +308,101 @@ def polynomial_basis(n_vars: int, degree: int = 2,
     return PolynomialBasis(exponents=tuple(idx), names=tuple(names))
 
 
-def _fit(design: np.ndarray, names, targets: np.ndarray):
-    """Least-squares projection of targets onto the design columns.
+@dataclass(frozen=True)
+class _Projection:
+    """Least-squares projection onto one regression design, factored once.
 
     Columns that are exactly constant across the sample are absorbed by
     the first non-zero constant column (the intercept when the basis has
     one), with zero reported for the absorbed coefficients: conditioning
     on a degenerate state (all paths share the same value, as the noise
-    does at time zero) is a plain mean, not an error.  Any remaining rank
-    deficiency is genuine collinearity and raises.  Returns (coeffs,
-    fitted, stderr) where stderr = rms(residual) * sqrt(columns/samples),
-    the usual scale of the projection's own Monte-Carlo error.
+    does at time zero) is a plain mean, not an error.  The remaining
+    ``active`` columns A (samples, a), the carrier first, factor as the
+    thin SVD A = U S V^T, and ``factor`` keeps V S^-1 (a x a).  Only the
+    non-constant columns are stored (``varying``): the carrier's term of
+    U = A V S^-1 is the same row on every sample, kept as ``offset``.
+    ``orthonormal()`` rebuilds U with one small product; a caller fitting
+    several targets against one design builds U once and hands it to
+    each :meth:`fit`, which is then matrix products only.
     """
-    targets = np.asarray(targets, dtype=float)
-    squeeze = targets.ndim == 1
-    if squeeze:
-        targets = targets[:, None]
+
+    varying: np.ndarray
+    factor: np.ndarray
+    offset: np.ndarray
+    active: np.ndarray
+    n_terms: int
+
+    def orthonormal(self) -> np.ndarray:
+        n_carrier = len(self.active) - self.varying.shape[1]
+        return self.varying @ self.factor[n_carrier:] + self.offset
+
+    def fit(self, targets: np.ndarray, u: Optional[np.ndarray] = None):
+        """Project targets (samples,) or (samples, t) onto the design.
+
+        ``u`` is this projection's :meth:`orthonormal` block, built here
+        when omitted.  Returns (coeffs, fitted, stderr): coeffs V S^-1 U^T y
+        (zero on absorbed columns), fitted values U U^T y, and stderr =
+        rms(residual) * sqrt(active columns/samples), the usual scale of
+        the projection's own Monte-Carlo error.
+        """
+        targets = np.asarray(targets, dtype=float)
+        squeeze = targets.ndim == 1
+        if squeeze:
+            targets = targets[:, None]
+        if u is None:
+            u = self.orthonormal()
+        weights = u.T @ targets
+        fitted = u @ weights
+        coeffs = np.zeros((self.n_terms, targets.shape[1]))
+        coeffs[self.active] = self.factor @ weights
+        resid = targets - fitted
+        stderr = float(np.sqrt(np.mean(resid ** 2) * len(self.active)
+                               / len(targets)))
+        if squeeze:
+            return coeffs[:, 0], fitted[:, 0], stderr
+        return coeffs, fitted, stderr
+
+
+def _projection(design: np.ndarray, names,
+                t: Optional[float] = None) -> _Projection:
+    """Factor one design for least-squares fits (see :class:`_Projection`).
+
+    The rank test is ``lstsq``'s: singular values above
+    eps * max(samples, active columns) * s_max count.  A rank deficiency
+    left after absorbing the constant columns is genuine collinearity and
+    raises :class:`RegressionError`, naming the grid time t when given.
+    """
     n_rows, n_cols = design.shape
-    spans = design.max(axis=0) - design.min(axis=0)
-    constant = [j for j in range(n_cols) if spans[j] == 0.0]
-    carrier = next((j for j in constant if design[0, j] != 0.0), None)
-    active = [j for j in range(n_cols)
-              if spans[j] != 0.0 or j == carrier]
+    where = "" if t is None else f" at t = {t:.6g}"
+    spans = np.ptp(design, axis=0)
+    varying = [j for j in range(n_cols) if spans[j] != 0.0]
+    carrier = [j for j in range(n_cols)
+               if spans[j] == 0.0 and design[0, j] != 0.0][:1]
+    active = carrier + varying
     if not active:
         raise RegressionError(
             f"regression design is identically zero for basis "
-            f"[{', '.join(names)}]")
-    sub = design[:, active]
-    coeffs_sub, _, rank, _ = np.linalg.lstsq(sub, targets, rcond=None)
+            f"[{', '.join(names)}]{where}")
+    _, s, vt = np.linalg.svd(design[:, active], full_matrices=False)
+    cutoff = np.finfo(float).eps * max(n_rows, len(active)) * s[0]
+    rank = int(np.count_nonzero(s > cutoff))
     if rank < len(active):
         raise RegressionError(
             f"regression design is rank-deficient (rank {rank} < "
             f"{len(active)} independent columns over {n_rows} samples) for "
-            f"basis [{', '.join(names)}]")
-    fitted = sub @ coeffs_sub
-    coeffs = np.zeros((n_cols, targets.shape[1]))
-    coeffs[active] = coeffs_sub
-    resid = targets - fitted
-    stderr = float(np.sqrt(np.mean(resid ** 2) * len(active) / n_rows))
-    if squeeze:
-        return coeffs[:, 0], fitted[:, 0], stderr
-    return coeffs, fitted, stderr
+            f"basis [{', '.join(names)}]{where}")
+    factor = vt.T / s
+    offset = (design[0, carrier[0]] * factor[0] if carrier
+              else np.zeros(len(active)))
+    return _Projection(varying=design[:, varying], factor=factor,
+                       offset=offset, active=np.array(active),
+                       n_terms=n_cols)
+
+
+def _fit(design: np.ndarray, names, targets: np.ndarray,
+         t: Optional[float] = None):
+    """One-shot least-squares fit: factor the design, project targets."""
+    return _projection(design, names, t).fit(targets)
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +524,22 @@ class BsdeSolution:
         """Evaluate the regression representation of Z(t_k) at new states."""
         return np.tensordot(self.basis.design(states), self.z_coeffs[k],
                             axes=(1, 0))
+
+
+@dataclass
+class BackwardCounts:
+    """Work of the backward regression solvers, accumulated over solves.
+
+    ``sweeps`` counts backward recursion passes, ``factorizations`` the
+    regression designs factored (one per grid time per solve) and
+    ``fits`` the least-squares fits made with them (the terminal fit plus
+    three per step, per sweep).  Pass one to a solver as ``counts`` to
+    have it add its work.
+    """
+
+    sweeps: int = 0
+    factorizations: int = 0
+    fits: int = 0
 
 
 def z_path_distance(z_a: np.ndarray, z_b: np.ndarray, dt: float) -> float:
@@ -602,7 +673,7 @@ def _driver_matrix(driver: BsdeDriver, times: np.ndarray, x_frozen: np.ndarray,
                    z_frozen: np.ndarray) -> np.ndarray:
     """Driver values on the left grid points over all paths: (R, N, d),
     one stacked call per grid time."""
-    rows = []
+    values = np.empty(x_frozen.shape)
     for k in range(z_frozen.shape[1]):
         xs = x_frozen[:, k]
         out = np.asarray(driver.eval(float(times[k]), xs, z_frozen[:, k]),
@@ -610,8 +681,8 @@ def _driver_matrix(driver: BsdeDriver, times: np.ndarray, x_frozen: np.ndarray,
         if out.shape != xs.shape:
             raise ConfigError(f"driver {driver.name} returned shape "
                               f"{out.shape} for stacked input {xs.shape}")
-        rows.append(out)
-    return np.stack(rows, axis=1)
+        values[:, k] = out
+    return values
 
 
 def _terminal_values(problem: BsdeProblem, batch: NoiseBatch) -> np.ndarray:
@@ -625,15 +696,19 @@ def _terminal_values(problem: BsdeProblem, batch: NoiseBatch) -> np.ndarray:
 
 
 def _backward_sweep(problem: BsdeProblem, batch: NoiseBatch,
-                    basis: PolynomialBasis, states: np.ndarray,
+                    basis: PolynomialBasis, projections: list,
                     c_values: np.ndarray, resolvent_tol: float,
-                    resolvent_max_iter: int) -> BsdeSolution:
+                    resolvent_max_iter: int,
+                    counts: BackwardCounts) -> BsdeSolution:
     """One backward recursion pass for fixed (pathwise) driver values.
 
     X(t_k) = fit of X(t_{k+1}) + dt*A_eps(t_{k+1}, X(t_k)) + dt*C(t_k)
     with the implicit regularized drift solved by the resolvent identity,
     then Z(t_k) = fit of X(t_{k+1}) * dW_k / dt, both fits over the basis
-    evaluated at the t_k states.
+    evaluated at the t_k states.  ``projections[k]`` is the design at t_k,
+    factored once per solve by :func:`_prepare`; each step builds its
+    orthonormal block once and makes its three fits (the conditional
+    expectation, the X coefficients, the Z regression) as products with it.
     """
     times = batch.times
     n = batch.n_steps
@@ -651,37 +726,44 @@ def _backward_sweep(problem: BsdeProblem, batch: NoiseBatch,
     x_stderr = np.empty(n + 1)
     z_stderr = np.empty(n)
 
+    def fit(k, targets, u):
+        counts.fits += 1
+        return projections[k].fit(targets, u)
+
+    counts.sweeps += 1
     x_paths[:, n] = _terminal_values(problem, batch)
-    design = basis.design(states[:, n])
-    x_coeffs[n], fitted, x_stderr[n] = _fit(design, basis.names, x_paths[:, n])
+    x_coeffs[n], fitted, x_stderr[n] = fit(n, x_paths[:, n],
+                                          projections[n].orthonormal())
     terminal_residual = float(np.sqrt(np.mean((x_paths[:, n] - fitted) ** 2)))
 
     for k in range(n - 1, -1, -1):
-        design = basis.design(states[:, k])
-        _, fit_cond, se_cond = _fit(design, basis.names, x_paths[:, k + 1])
+        u = projections[k].orthonormal()
+        _, fit_cond, se_cond = fit(k, x_paths[:, k + 1], u)
         cond[:, k] = fit_cond
         x_stderr[k] = se_cond
         x_paths[:, k] = regularized_implicit_step(
             problem.drift, float(times[k + 1]), dt,
             fit_cond + dt * c_values[:, k], tol=resolvent_tol,
             max_iter=resolvent_max_iter)
-        x_coeffs[k], _, _ = _fit(design, basis.names, x_paths[:, k])
+        x_coeffs[k], _, _ = fit(k, x_paths[:, k], u)
         z_targets = (x_paths[:, k + 1][:, :, None]
                      * incs[:, k][:, None, :] / dt).reshape(r_count, d * m)
-        zc, z_fit, z_stderr[k] = _fit(design, basis.names, z_targets)
+        zc, z_fit, z_stderr[k] = fit(k, z_targets, u)
         z_coeffs[k] = zc.reshape(basis.n_terms, d, m)
         z_paths[:, k] = z_fit.reshape(r_count, d, m)
 
     return BsdeSolution(times=times.copy(), x_coeffs=x_coeffs,
                         z_coeffs=z_coeffs, x_paths=x_paths, z_paths=z_paths,
-                        conditional_fit=cond, driver_values=np.array(c_values),
+                        conditional_fit=cond, driver_values=c_values,
                         basis=basis, x_fit_stderr=x_stderr,
                         z_fit_stderr=z_stderr,
                         terminal_residual=terminal_residual)
 
 
-def _prepare(problem: BsdeProblem, batch: NoiseBatch, basis):
-    """Shared validation: reduce the shift, build states and the basis."""
+def _prepare(problem: BsdeProblem, batch: NoiseBatch, basis,
+             counts: BackwardCounts):
+    """Shared validation: reduce the shift, build the basis and factor the
+    regression design of every grid time, once for the whole solve."""
     reduced, gamma = reduce_lambda0(problem)
     _check_batch(reduced, batch)
     states = _state_values(batch)
@@ -690,7 +772,11 @@ def _prepare(problem: BsdeProblem, batch: NoiseBatch, basis):
     if not basis.has_intercept:
         raise ConfigError("the regression basis must span constants "
                           "(no intercept term found)")
-    return reduced, gamma, states, basis
+    projections = [_projection(basis.design(states[:, k]), basis.names,
+                               float(t))
+                   for k, t in enumerate(batch.times)]
+    counts.factorizations += len(projections)
+    return reduced, gamma, basis, projections
 
 
 # ---------------------------------------------------------------------------
@@ -700,13 +786,16 @@ def _prepare(problem: BsdeProblem, batch: NoiseBatch, basis):
 def solve_bsde_autonomous_C(problem: BsdeProblem, batch: NoiseBatch,
                             basis: Optional[PolynomialBasis] = None,
                             resolvent_tol: float = 1e-10,
-                            resolvent_max_iter: int = 100) -> BsdeSolution:
+                            resolvent_max_iter: int = 100,
+                            counts: Optional[BackwardCounts] = None
+                            ) -> BsdeSolution:
     """Backward solve for a driver independent of both x and z.
 
     The recursion conditions each X(t_{k+1}) on the t_k state by a
     least-squares fit, adds dt times the (deterministic-in-state) forcing,
     and applies the implicit regularized drift step; Z(t_k) comes from the
-    martingale-increment regression fit of X(t_{k+1})*dW_k/dt.
+    martingale-increment regression fit of X(t_{k+1})*dW_k/dt.  ``counts``
+    (a :class:`BackwardCounts`) accumulates the solve's work.
     """
     if problem.driver.x_dependent or problem.driver.z_dependent:
         raise ConfigError(
@@ -714,18 +803,21 @@ def solve_bsde_autonomous_C(problem: BsdeProblem, batch: NoiseBatch,
             f"{problem.driver.name} declares x_dependent="
             f"{problem.driver.x_dependent}, z_dependent="
             f"{problem.driver.z_dependent}")
-    reduced, gamma, states, basis = _prepare(problem, batch, basis)
+    counts = BackwardCounts() if counts is None else counts
+    reduced, gamma, basis, projections = _prepare(problem, batch, basis,
+                                                  counts)
     lead = (batch.n_replicas, batch.n_steps, reduced.dim)
     c_values = _driver_matrix(reduced.driver, batch.times, np.zeros(lead),
                               np.zeros(lead + (reduced.n_modes,)))
-    sol = _backward_sweep(reduced, batch, basis, states, c_values,
-                          resolvent_tol, resolvent_max_iter)
+    sol = _backward_sweep(reduced, batch, basis, projections, c_values,
+                          resolvent_tol, resolvent_max_iter, counts)
     return _unscale_solution(sol, gamma)
 
 
-def _picard_z_core(reduced: BsdeProblem, batch: NoiseBatch, basis, states,
-                   x_frozen: np.ndarray, max_iter: int, tol: float,
-                   resolvent_tol: float, resolvent_max_iter: int):
+def _picard_z_core(reduced: BsdeProblem, batch: NoiseBatch, basis,
+                   projections: list, x_frozen: np.ndarray, max_iter: int,
+                   tol: float, resolvent_tol: float, resolvent_max_iter: int,
+                   counts: BackwardCounts):
     """Iterate on the z argument with the x argument held at x_frozen.
 
     Starts from the zero Z process.  When refreshed driver values match
@@ -737,8 +829,8 @@ def _picard_z_core(reduced: BsdeProblem, batch: NoiseBatch, basis, states,
     c_cur = _driver_matrix(reduced.driver, batch.times, x_frozen, z_prev)
     history = []
     for _ in range(max_iter):
-        sol = _backward_sweep(reduced, batch, basis, states, c_cur,
-                              resolvent_tol, resolvent_max_iter)
+        sol = _backward_sweep(reduced, batch, basis, projections, c_cur,
+                              resolvent_tol, resolvent_max_iter, counts)
         history.append(z_path_distance(sol.z_paths, z_prev, batch.dt))
         z_prev = sol.z_paths
         if history[-1] < tol:
@@ -756,7 +848,8 @@ def _picard_z_core(reduced: BsdeProblem, batch: NoiseBatch, basis, states,
 def picard_in_z(problem: BsdeProblem, batch: NoiseBatch,
                 basis: Optional[PolynomialBasis] = None, max_iter: int = 25,
                 tol: float = 1e-8, resolvent_tol: float = 1e-10,
-                resolvent_max_iter: int = 100) -> BsdeSolution:
+                resolvent_max_iter: int = 100,
+                counts: Optional[BackwardCounts] = None) -> BsdeSolution:
     """Fixed point in z for a driver C(t, z) with no x dependence.
 
     Each sweep re-solves the backward recursion with the driver frozen at
@@ -765,6 +858,8 @@ def picard_in_z(problem: BsdeProblem, batch: NoiseBatch,
     :func:`z_path_distance`.  The residual history (one entry per sweep)
     is recorded on the solution; its successive ratios are the geometric
     -decay diagnostic, with factor about 1/2 expected at desk scale.
+    Every sweep reuses the regression designs factored once up front;
+    ``counts`` (a :class:`BackwardCounts`) accumulates the solve's work.
     """
     if problem.driver.x_dependent:
         raise ConfigError(
@@ -773,11 +868,13 @@ def picard_in_z(problem: BsdeProblem, batch: NoiseBatch,
             f"(use picard_in_x)")
     if max_iter < 1:
         raise ConfigError(f"max_iter must be >= 1, got {max_iter!r}")
-    reduced, gamma, states, basis = _prepare(problem, batch, basis)
+    counts = BackwardCounts() if counts is None else counts
+    reduced, gamma, basis, projections = _prepare(problem, batch, basis,
+                                                  counts)
     x_frozen = np.zeros((batch.n_replicas, batch.n_steps, reduced.dim))
-    sol, history = _picard_z_core(reduced, batch, basis, states, x_frozen,
-                                  max_iter, tol, resolvent_tol,
-                                  resolvent_max_iter)
+    sol, history = _picard_z_core(reduced, batch, basis, projections,
+                                  x_frozen, max_iter, tol, resolvent_tol,
+                                  resolvent_max_iter, counts)
     sol = replace(sol, picard_residuals=tuple(history))
     return _unscale_solution(sol, gamma)
 
@@ -787,7 +884,8 @@ def picard_in_x(problem: BsdeProblem, batch: NoiseBatch,
                 tol: float = 1e-8, inner_max_iter: int = 25,
                 inner_tol: Optional[float] = None,
                 resolvent_tol: float = 1e-10,
-                resolvent_max_iter: int = 100) -> BsdeSolution:
+                resolvent_max_iter: int = 100,
+                counts: Optional[BackwardCounts] = None) -> BsdeSolution:
     """Outer fixed point in x, inner fixed point in z.
 
     The x argument of the driver is frozen at the previous outer iterate
@@ -797,22 +895,26 @@ def picard_in_x(problem: BsdeProblem, batch: NoiseBatch,
     (a squared quantity; tol compares against it directly).  A driver
     declared independent of x converges after the single outer pass by
     construction; the recorded outer residual is then the distance from
-    the zero initialization.
+    the zero initialization.  All sweeps, inner and outer, reuse the
+    regression designs factored once up front; ``counts`` (a
+    :class:`BackwardCounts`) accumulates the solve's work.
     """
     inner_tol = tol if inner_tol is None else inner_tol
     for name, limit in (("max_iter", max_iter),
                         ("inner_max_iter", inner_max_iter)):
         if limit < 1:
             raise ConfigError(f"{name} must be >= 1, got {limit!r}")
-    reduced, gamma, states, basis = _prepare(problem, batch, basis)
+    counts = BackwardCounts() if counts is None else counts
+    reduced, gamma, basis, projections = _prepare(problem, batch, basis,
+                                                  counts)
     n = batch.n_steps
     x_prev = np.zeros((batch.n_replicas, n + 1, reduced.dim))
     outer_history = []
     inner_histories = []
     for _ in range(max_iter):
-        sol, inner = _picard_z_core(reduced, batch, basis, states,
+        sol, inner = _picard_z_core(reduced, batch, basis, projections,
                                     x_prev[:, :n], inner_max_iter, inner_tol,
-                                    resolvent_tol, resolvent_max_iter)
+                                    resolvent_tol, resolvent_max_iter, counts)
         gap = float(np.max(np.mean(
             np.sum((sol.x_paths - x_prev) ** 2, axis=2), axis=0)))
         outer_history.append(gap)
@@ -860,7 +962,8 @@ def martingale_residuals(solution: BsdeSolution, problem: BsdeProblem,
                                incs[:, k])
         target = (solution.x_paths[:, k + 1] - solution.conditional_fit[:, k]
                   - noise_term)
-        _, fitted, _ = _fit(design, solution.basis.names, target)
+        _, fitted, _ = _fit(design, solution.basis.names, target,
+                            float(batch.times[k]))
         out[k] = float(np.sqrt(np.mean(np.sum(fitted ** 2, axis=1))))
     return out
 

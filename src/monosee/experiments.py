@@ -9,7 +9,8 @@ one batched forward solve (each replica follows the iterates it would
 follow alone), the backward experiments regress across it, and the
 ensemble is reduced in replica order.  The manifest is
 written even when a run fails, with the error recorded; the replica
-demos also record their solver counters in it (``solver_stats``).
+demos and the backward experiments also record their solver counters in
+it (``solver_stats``).
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from . import __version__
 from .analysis import (bihari_bound, convergence_order, linear_modulus,
                        rho_eval, rho_k_modulus, sup_h_distance,
                        zero_limit_check)
-from .bsde import (BsdeDriver, BsdeProblem, picard_in_x, picard_in_z,
-                   polynomial_basis, solution_csv, solve_bsde_autonomous_C,
-                   zero_driver)
+from .bsde import (BackwardCounts, BsdeDriver, BsdeProblem, picard_in_x,
+                   picard_in_z, polynomial_basis, solution_csv,
+                   solve_bsde_autonomous_C, zero_driver)
 from .config import ExperimentConfig
 from .errors import ConfigError, NonconvergenceError
 from .forward import SolverConfig, apriori_norms, solve_forward, trajectory_csv
@@ -471,6 +472,12 @@ def _bsde_basis(config):
     return polynomial_basis(1, degree=_num(config, "basis_degree", 2))
 
 
+def _backward_stats(counts: BackwardCounts) -> dict:
+    return {"backward_sweeps": counts.sweeps,
+            "regression_factorizations": counts.factorizations,
+            "regression_fits": counts.fits}
+
+
 def _run_bsde_linear_validation(config, out_dir):
     t_final = _num(config, "t_final", 1.0)
     n_steps = _num(config, "n_steps", 64)
@@ -483,14 +490,17 @@ def _run_bsde_linear_validation(config, out_dir):
                           n_modes=1, dim=1)
     batch = sample_batch(seed=seed, t_final=t_final, n_steps=n_steps,
                          n_modes=1, replicas=replicas)
+    counts = BackwardCounts()
     solution = solve_bsde_autonomous_C(
         problem, batch, basis=_bsde_basis(config),
         resolvent_tol=_num(config, "resolvent_tol", 1e-10),
-        resolvent_max_iter=_num(config, "resolvent_max_iter", 100))
+        resolvent_max_iter=_num(config, "resolvent_max_iter", 100),
+        counts=counts)
     (out_dir / "bsde_solution.csv").write_bytes(
         solution_csv(solution).encode("utf-8"))
 
     outcome = ExperimentOutcome()
+    outcome.solver_stats = _backward_stats(counts)
     rows = []
     worst = 0.0
     for t_probe in BSDE_PROBE_TIMES:
@@ -529,6 +539,7 @@ def _run_bsde_picard_demo(config, out_dir):
     batch = sample_batch(seed=seed, t_final=t_final, n_steps=n_steps,
                          n_modes=1, replicas=replicas)
     outcome = ExperimentOutcome()
+    counts = BackwardCounts()
 
     z_driver = BsdeDriver(
         eval=lambda t, x, z: kappa * z[..., 0],
@@ -538,7 +549,8 @@ def _run_bsde_picard_demo(config, out_dir):
                             terminal=_wiener_terminal, t_final=t_final,
                             n_modes=1, dim=1)
     try:
-        z_sol = picard_in_z(z_problem, batch, max_iter=max_iter, tol=tol)
+        z_sol = picard_in_z(z_problem, batch, max_iter=max_iter, tol=tol,
+                            counts=counts)
         residuals = list(z_sol.picard_residuals)
         drops = sum(1 for i in range(1, len(residuals))
                     if residuals[i] > residuals[i - 1])
@@ -564,7 +576,8 @@ def _run_bsde_picard_demo(config, out_dir):
                             terminal=_wiener_terminal, t_final=t_final,
                             n_modes=1, dim=1)
     try:
-        x_sol = picard_in_x(x_problem, batch, max_iter=20, tol=1e-7)
+        x_sol = picard_in_x(x_problem, batch, max_iter=20, tol=1e-7,
+                            counts=counts)
         outer = list(x_sol.picard_residuals)
         outcome.check("x_iteration_converges_within_20",
                       len(outer) <= 20 and outer[-1] <= 1e-7,
@@ -579,6 +592,7 @@ def _run_bsde_picard_demo(config, out_dir):
               [[i + 1, r] for i, r in enumerate(outer)])
     outcome.summary.update({"kappa": kappa, "z_iterations": len(residuals),
                             "x_outer_iterations": len(outer)})
+    outcome.solver_stats = _backward_stats(counts)
     return outcome
 
 

@@ -24,10 +24,15 @@ _PURPOSE_BRIDGE = 1
 MAGIC = b"MSNOISE1"
 
 
+def _seed_sequence(seed: int, replica: int, purpose: int,
+                   level: int) -> np.random.SeedSequence:
+    return np.random.SeedSequence(
+        entropy=int(seed), spawn_key=(int(replica), int(purpose), int(level)))
+
+
 def _generator(seed: int, replica: int, purpose: int, level: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=int(seed),
-                                spawn_key=(int(replica), int(purpose), int(level)))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.Philox(
+        _seed_sequence(seed, replica, purpose, level)))
 
 
 @dataclass
@@ -130,11 +135,26 @@ def _grid(t_final: float, n_steps: int, n_modes: int) -> np.ndarray:
     return np.linspace(0.0, float(t_final), int(n_steps) + 1)
 
 
-def _base_increments(seed: int, replica: int, times: np.ndarray,
+def _base_increments(seed: int, replicas: range, times: np.ndarray,
                      n_modes: int) -> np.ndarray:
-    gen = _generator(seed, replica, _PURPOSE_BASE, 0)
-    return (gen.standard_normal((len(times) - 1, int(n_modes)))
-            * np.sqrt(times[1] - times[0]))
+    """Base increments of every replica in ``replicas``, (R, N, n_modes).
+
+    One Philox generator serves all rows: before each row it is re-keyed
+    to the key the row's (seed, replica) SeedSequence gives a fresh
+    Philox, at counter 0, so row r draws exactly the stream of
+    ``_generator(seed, r, _PURPOSE_BASE, 0)``.
+    """
+    bit_generator = np.random.Philox(key=0)
+    gen = np.random.Generator(bit_generator)
+    state = bit_generator.state  # counter 0, empty buffer: a fresh start
+    out = np.empty((len(replicas), len(times) - 1, int(n_modes)))
+    for row, replica in zip(out, replicas):
+        state["state"]["key"] = _seed_sequence(
+            seed, replica, _PURPOSE_BASE, 0).generate_state(2, np.uint64)
+        bit_generator.state = state
+        gen.standard_normal(out=row)
+    out *= np.sqrt(times[1] - times[0])
+    return out
 
 
 def sample_path(seed: int, t_final: float, n_steps: int, n_modes: int,
@@ -145,7 +165,8 @@ def sample_path(seed: int, t_final: float, n_steps: int, n_modes: int,
     substreams of the same seed.
     """
     times = _grid(t_final, n_steps, n_modes)
-    increments = _base_increments(seed, replica, times, n_modes)
+    increments = _base_increments(seed, range(int(replica), int(replica) + 1),
+                                  times, n_modes)[0]
     return NoisePath(int(seed), int(replica), 0, times, increments,
                      _scalar_from_increments(increments))
 
@@ -160,8 +181,7 @@ def sample_batch(seed: int, t_final: float, n_steps: int, n_modes: int,
     if replicas < 1:
         raise ConfigError("replicas must be at least 1")
     times = _grid(t_final, n_steps, n_modes)
-    increments = np.stack([_base_increments(seed, r, times, n_modes)
-                           for r in range(int(replicas))])
+    increments = _base_increments(seed, range(int(replicas)), times, n_modes)
     return NoiseBatch(int(seed), 0, 0, times, increments,
                       _scalar_from_increments(increments))
 

@@ -12,11 +12,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monosee.analysis import rho_eval, rho_k_modulus
-from monosee.bsde import (BsdeAprioriReport, BsdeDriver, BsdeProblem,
-                          PolynomialBasis, _fit, _state_values,
-                          apriori_bound_check, check_driver_growth,
+from monosee.bsde import (BackwardCounts, BsdeAprioriReport, BsdeDriver,
+                          BsdeProblem, PolynomialBasis, _fit, _projection,
+                          _state_values, apriori_bound_check,
+                          check_driver_growth,
                           check_driver_modulus,
                           driver_state_sampler, martingale_residuals,
                           picard_in_x, picard_in_z, polynomial_basis,
@@ -134,6 +137,67 @@ def test_fit_raises_on_collinear_columns():
     s = rng.standard_normal((50, 1))
     with pytest.raises(RegressionError, match=r"rank-deficient.*w1_again"):
         _fit(basis.design(s), basis.names, s[:, 0])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 16), n_rows=st.integers(8, 300),
+       n_free=st.integers(1, 6), n_zero=st.integers(0, 2),
+       n_const=st.integers(0, 2), n_targets=st.integers(1, 3),
+       scale=st.floats(1e-3, 1e3))
+def test_projection_matches_lstsq(seed, n_rows, n_free, n_zero, n_const,
+                                  n_targets, scale):
+    """The factored projection agrees with lstsq on full-rank designs with
+    planted all-zero and constant columns (the first constant column
+    carries the intercept, the others are absorbed with zero coefficient)."""
+    rng = np.random.default_rng(seed)
+    free = scale * rng.standard_normal((n_rows, n_free))
+    consts = [np.full((n_rows, 1), rng.uniform(0.5, 2.0))
+              for _ in range(n_const)]
+    blocks = [free] + [np.zeros((n_rows, 1))] * n_zero + consts
+    design = np.hstack(blocks)[:, rng.permutation(n_free + n_zero + n_const)]
+    names = [f"c{j}" for j in range(design.shape[1])]
+    targets = rng.standard_normal((n_rows, n_targets)) * scale \
+        + design @ rng.standard_normal((design.shape[1], n_targets))
+
+    spans = np.ptp(design, axis=0)
+    const_cols = [j for j in range(design.shape[1]) if spans[j] == 0.0]
+    carrier = next((j for j in const_cols if design[0, j] != 0.0), None)
+    active = [j for j in range(design.shape[1])
+              if spans[j] != 0.0 or j == carrier]
+    ref_sub, *_ = np.linalg.lstsq(design[:, active], targets, rcond=None)
+    ref_coeffs = np.zeros((design.shape[1], n_targets))
+    ref_coeffs[active] = ref_sub
+    ref_fitted = design[:, active] @ ref_sub
+    ref_stderr = float(np.sqrt(np.mean((targets - ref_fitted) ** 2)
+                               * len(active) / n_rows))
+
+    coeffs, fitted, stderr = _projection(design, names).fit(targets)
+    tol = 1e-10 * (1.0 + float(np.max(np.abs(targets))))
+    assert np.max(np.abs(fitted - ref_fitted)) <= tol
+    assert abs(stderr - ref_stderr) <= tol
+    coeff_scale = 1.0 + float(np.max(np.abs(ref_coeffs)))
+    assert np.max(np.abs(coeffs - ref_coeffs)) <= 1e-10 * coeff_scale
+    assert np.all(coeffs[[j for j in range(design.shape[1])
+                          if j not in active]] == 0.0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 16), n_rows=st.integers(10, 200),
+       n_free=st.integers(1, 5), mix=st.integers(1, 3))
+def test_projection_rejects_exactly_collinear_designs(seed, n_rows, n_free,
+                                                      mix):
+    """A column that is an integer combination of the others (exact in
+    float64 for small integer data) is collinearity, not a constant, so
+    the projection raises and names the grid time."""
+    rng = np.random.default_rng(seed)
+    free = rng.integers(-8, 9, size=(n_rows, n_free)).astype(float)
+    free[0, :] += 20.0  # no free column is constant
+    weights = rng.integers(1, mix + 1, size=n_free).astype(float)
+    design = np.column_stack([np.ones(n_rows), free, free @ weights])
+    names = ["1"] + [f"w{j}" for j in range(n_free)] + ["combo"]
+    with pytest.raises(RegressionError,
+                       match=r"rank-deficient.*combo\] at t = 0\.25"):
+        _projection(design, names, 0.25)
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +450,26 @@ def test_picard_z_linear_driver_matches_closed_form():
     non_monotone = sum(res[i + 1] > res[i] for i in range(len(res) - 1))
     assert non_monotone <= 1
     assert sol.contraction_ratios[-1] <= 0.75
+
+
+def test_picard_z_factors_each_design_once_per_solve():
+    """Work counts, not timings: the n_steps + 1 designs are factored once
+    for the whole solve, and every sweep makes the terminal fit plus three
+    fits per step with them."""
+    n_steps = 12
+    problem = _problem(_linear_drift(-1.0), _linear_z_driver(0.4),
+                       _wiener_terminal)
+    batch = _batch(17, 1.0, n_steps, 300)
+    counts = BackwardCounts()
+    sol = picard_in_z(problem, batch, tol=1e-8, max_iter=30, counts=counts)
+    sweeps = len(sol.picard_residuals)
+    assert sweeps >= 4 and sol.picard_residuals[-1] > 0.0  # no shortcut
+    assert counts == BackwardCounts(sweeps=sweeps,
+                                    factorizations=n_steps + 1,
+                                    fits=sweeps * (3 * n_steps + 1))
+    again = BackwardCounts()
+    picard_in_z(problem, batch, tol=1e-8, max_iter=30, counts=again)
+    assert again == counts
 
 
 def test_picard_z_rejects_x_dependent_driver():

@@ -363,23 +363,48 @@ def test_experiment_rerun_is_byte_identical(tmp_path):
         == (res_b.out_dir / name).read_bytes()
 
 
-def _demo_manifest(tmp_path, name):
-    cfg = _config("porous_medium_demo", tmp_path / name,
-                  numerics={"n_steps": 40}, monte_carlo={"replicas": 3})
+# small configs of the experiments that record solver counters
+STATS_CONFIGS = {
+    "porous_medium_demo": ({"n_steps": 40}, {"replicas": 3}),
+    "bsde_linear_validation": ({"n_steps": 16}, {"replicas": 400}),
+    "bsde_picard_demo": ({"n_steps": 8}, {"replicas": 200}),
+}
+
+
+def _stats_run(tmp_path, experiment, name):
+    numerics, monte_carlo = STATS_CONFIGS[experiment]
+    cfg = _config(experiment, tmp_path / name, numerics=numerics,
+                  monte_carlo=monte_carlo)
     result = run_experiment(cfg)
     assert result.passed
-    return json.loads((result.out_dir / "manifest.json").read_text())
+    manifest = json.loads((result.out_dir / "manifest.json").read_text())
+    csv_text = "".join(f.read_text() for f in result.out_dir.glob("*.csv"))
+    return manifest, csv_text
 
 
 def test_demo_solver_stats_repeat_and_stay_out_of_summary(tmp_path):
-    first = _demo_manifest(tmp_path, "a")
-    second = _demo_manifest(tmp_path, "b")
-    stats = first["solver_stats"]
-    assert stats == second["solver_stats"]
-    assert stats["forward_steps"] == 3 * 40
-    assert stats["newton_iterations"] >= stats["forward_steps"] // 2 > 0
-    assert stats["line_search_halvings"] >= 0
-    assert not set(stats) & set(first["summary"])
+    stats = {}
+    for experiment in STATS_CONFIGS:
+        first, csv_text = _stats_run(tmp_path, experiment, "a")
+        second, _ = _stats_run(tmp_path, experiment, "b")
+        stats[experiment] = first["solver_stats"]
+        assert stats[experiment] == second["solver_stats"]
+        assert not set(stats[experiment]) & set(first["summary"])
+        assert not any(key in csv_text for key in stats[experiment])
+
+    forward = stats["porous_medium_demo"]
+    assert forward["forward_steps"] == 3 * 40
+    assert forward["newton_iterations"] >= forward["forward_steps"] // 2 > 0
+    assert forward["line_search_halvings"] >= 0
+    # one solve: one sweep over 16 steps, every design factored once
+    assert stats["bsde_linear_validation"] == {
+        "backward_sweeps": 1, "regression_factorizations": 17,
+        "regression_fits": 3 * 16 + 1}
+    # two solves (Picard in z, Picard in x) over 8 steps, many sweeps
+    picard = stats["bsde_picard_demo"]
+    assert picard["regression_factorizations"] == 2 * 9
+    assert picard["backward_sweeps"] > 2
+    assert picard["regression_fits"] == picard["backward_sweeps"] * (3 * 8 + 1)
 
 
 def test_manifest_written_on_failure(tmp_path):

@@ -162,6 +162,19 @@ def test_sample_batch_rows_bit_identical_to_sample_path():
         sample_batch(77, 0.5, 20, 2, replicas=0)
 
 
+def test_sample_batch_rows_are_fresh_philox_substreams():
+    """Reference: each row is what a fresh SeedSequence -> Philox ->
+    Generator keyed by (seed, replica, purpose 0, level 0) draws."""
+    batch = sample_batch(seed=5, t_final=2.0, n_steps=16, n_modes=3,
+                         replicas=6)
+    dt = batch.dt
+    for r in range(6):
+        ss = np.random.SeedSequence(entropy=5, spawn_key=(r, 0, 0))
+        gen = np.random.Generator(np.random.Philox(ss))
+        assert np.array_equal(batch.increments[r],
+                              gen.standard_normal((16, 3)) * np.sqrt(dt))
+
+
 def test_batch_of_one_and_batch_context():
     p = refine_path(sample_path(11, 1.0, 4, 1, replica=3))
     batch = NoiseBatch.from_path(p)
