@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import ConfigError
 
@@ -237,6 +236,11 @@ class BihariBound:
         return float(self.bound_curve[-1])
 
 
+def running_integral(y, x) -> np.ndarray:
+    """int_{x_0}^{x_k} y for every k by the trapezoid rule, starting at 0."""
+    return np.concatenate([[0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)])
+
+
 def _lambda_values(lambda_profile, t_grid: np.ndarray) -> np.ndarray:
     """lambda on t_grid, from a callable or an array tabulated there."""
     if callable(lambda_profile):
@@ -263,7 +267,7 @@ def bihari_bound(g0: float, lambda_profile, spec: ModulusSpec, t_grid) -> Bihari
         raise ValueError("tabulated lambda profile must match t_grid")
     if np.any(lam < 0):
         raise ValueError("lambda profile must be nonnegative")
-    lam_int = np.concatenate([[0.0], cumulative_trapezoid(lam, t_grid)])
+    lam_int = running_integral(lam, t_grid)
     if g0 == 0.0:
         return BihariBound(0.0, t_grid, lam_int, spec, np.zeros_like(t_grid))
 
@@ -338,7 +342,7 @@ def picard_comparison_curve(prev_curve, lambda_profile, spec: ModulusSpec,
     prev = np.asarray(prev_curve, dtype=float)
     lam = _lambda_values(lambda_profile, t_grid)
     integrand = lam * rho_eval(np.maximum(prev, 0.0), spec)
-    return c0 * np.concatenate([[0.0], cumulative_trapezoid(integrand, t_grid)])
+    return c0 * running_integral(integrand, t_grid)
 
 
 # ---------------------------------------------------------------------------

@@ -820,9 +820,9 @@ def _picard_z_core(reduced: BsdeProblem, batch: NoiseBatch, basis,
                    counts: BackwardCounts):
     """Iterate on the z argument with the x argument held at x_frozen.
 
-    Starts from the zero Z process.  When refreshed driver values match
-    the ones just used bit for bit (a driver ignoring z does this after
-    the first sweep), the fixed point is exact: a zero residual is
+    Starts from the zero Z process.  After a sweep with a driver that
+    declares ``z_dependent=False``, or whose refreshed values match the ones
+    just used bit for bit, the fixed point is exact: a zero residual is
     recorded without paying another sweep.
     """
     z_prev = np.zeros(x_frozen.shape + (reduced.n_modes,))
@@ -835,8 +835,8 @@ def _picard_z_core(reduced: BsdeProblem, batch: NoiseBatch, basis,
         z_prev = sol.z_paths
         if history[-1] < tol:
             return sol, history
-        c_next = _driver_matrix(reduced.driver, batch.times, x_frozen, z_prev)
-        if np.array_equal(c_next, c_cur):
+        if not reduced.driver.z_dependent or np.array_equal(c_cur, c_next := (
+                _driver_matrix(reduced.driver, batch.times, x_frozen, z_prev))):
             history.append(0.0)
             return sol, history
         c_cur = c_next

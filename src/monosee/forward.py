@@ -40,9 +40,9 @@ import numpy as np
 from .errors import ConfigError, MonoseeError, NonconvergenceError
 from .noise import (EMPTY_CONTEXT, BatchContext, NoiseBatch, NoiseContext,
                     NoisePath)
-from .operators import HypothesisBundle, constant_profile
+from .operators import HypothesisBundle, constant_profile, profile_on_grid
 from .resolvent import MonotoneMap, NewtonCounts, resolvent
-from .triple import POROUS_MEDIUM, DiscreteTriple
+from .triple import POROUS_MEDIUM, DiscreteTriple, _float_or_array
 
 __all__ = [
     "SolverConfig", "SolutionPath", "GalerkinSystem", "step_implicit",
@@ -307,7 +307,7 @@ def solve_forward(cfg: SolverConfig, drift, diffusion, noise, x0,
         tilde = solve_forward(inner, scaled.drift, scaled.diffusion, path, x0,
                               counts=counts)
         base_ctx = NoiseContext(path)
-        gam = np.array([[scaled.gamma(t, base_ctx)] for t in path.times])
+        gam = scaled.gamma(path.times, base_ctx)[:, None]
         coeffs, states = tilde.coeffs * gam, tilde.states * gam
         out = replace(tilde, coeffs=coeffs, states=states,
                       h_norm_sq=np.sum(coeffs * coeffs, axis=1),
@@ -397,7 +397,8 @@ def solve_diagonal_batch(f, g, noise: NoisePath, y0, f_prime=None,
 
 
 def _gamma_factory(lambda0) -> Callable:
-    """gamma(t, ctx) = exp(0.5 * integral of lambda0 over [0, t]).
+    """gamma(t, ctx) = exp(0.5 * integral of lambda0 over [0, t]), a float
+    for one time and an array for an array of times.
 
     With a noise path in the context the integral uses the left-endpoint
     rule on the path grid (lambda0 may read the scalar path, which is only
@@ -407,31 +408,25 @@ def _gamma_factory(lambda0) -> Callable:
     """
     cache: dict = {}
 
-    def gamma(t, ctx) -> float:
-        t = float(t)
-        if t <= 0.0:
-            return 1.0
+    def gamma(t, ctx):
+        t = np.asarray(t, dtype=float)
         path = getattr(ctx, "path", None)
         if path is None:
-            grid = np.linspace(0.0, t, 257)
-            vals = np.array([float(lambda0(s, ctx)) for s in grid])
-            return math.exp(0.5 * float(np.trapezoid(vals, grid)))
-        key = id(path)
-        hit = cache.get(key)
-        if hit is None or hit[0] is not path:
-            base = NoiseContext(path)
-            vals = np.array([float(lambda0(float(s), base))
-                             for s in path.times])
-            cum = np.concatenate(
-                [[0.0], np.cumsum(vals[:-1] * np.diff(path.times))])
-            cache[key] = (path, vals, cum)
-            hit = cache[key]
-        _, vals, cum = hit
-        if t >= path.t_final:
-            return math.exp(0.5 * float(cum[-1]))
-        j = int(np.searchsorted(path.times, t, side="right")) - 1
-        partial = cum[j] + vals[j] * (t - float(path.times[j]))
-        return math.exp(0.5 * partial)
+            grid = np.linspace(0.0, np.maximum(t, 0.0), 257, axis=-1)
+            integral = np.trapezoid(profile_on_grid(lambda0, grid, ctx), grid, axis=-1)
+        else:
+            hit = cache.get(id(path))
+            if hit is None or hit[0] is not path:
+                vals = profile_on_grid(lambda0, path.times, NoiseContext(path))
+                cum = np.concatenate(
+                    [[0.0], np.cumsum(vals[:-1] * np.diff(path.times))])
+                hit = cache[id(path)] = (path, vals, cum)
+            _, vals, cum = hit
+            j = np.clip(np.searchsorted(path.times, t, side="right") - 1,
+                        0, path.n_steps)
+            integral = np.where(t >= path.t_final, cum[-1],
+                                cum[j] + vals[j] * (t - path.times[j]))
+        return _float_or_array(np.exp(0.5 * np.where(t > 0.0, integral, 0.0)))
 
     return gamma
 
@@ -484,14 +479,12 @@ class _RescaledDiffusion:
         return self.base.n_modes
 
     def eval(self, t, ctx, u) -> np.ndarray:
-        g = self.gamma(t, ctx)
-        return self.base.eval(t, ctx, g * np.asarray(u, dtype=float)) / g
+        g = np.asarray(self.gamma(t, ctx))  # shaped like t: (..., 1) over a stack
+        scaled = None if u is None else g * np.asarray(u, dtype=float)
+        return self.base.eval(t, ctx, scaled) / g[..., None]
 
-    def hs_norm_sq(self, t, ctx, u) -> float:
-        g = self.gamma(t, ctx)
-        if u is None:
-            return self.base.hs_norm_sq(t, ctx, None) / g ** 2
-        return self.base.hs_norm_sq(t, ctx, g * np.asarray(u, dtype=float)) / g ** 2
+    def hs_norm_sq(self, t, ctx, u):
+        return self.triple.hs_norm_sq(self.eval(t, ctx, u))
 
 
 class RescaledProblem(NamedTuple):
@@ -577,7 +570,7 @@ def clock_theta(lambda3, m: float, t_final: float, ctx=EMPTY_CONTEXT,
             raise ConfigError("noise grid does not cover [0, t_final]")
     else:
         grid = np.linspace(0.0, float(t_final), n_quad + 1)
-    vals = np.array([float(lambda3(float(s), ctx)) for s in grid])
+    vals = profile_on_grid(lambda3, grid, ctx)
     if np.any(vals < 0):
         raise ConfigError("lambda3 must be nonnegative for the clock")
     accumulated = np.concatenate(
@@ -665,12 +658,12 @@ def apriori_norms(path: SolutionPath, bundle: HypothesisBundle,
     """
     times = np.asarray(path.times, dtype=float)
     dts = np.diff(times)
-    lam1 = np.array([float(bundle.lambda1(t, ctx)) for t in times])
-    lam2 = np.array([float(bundle.lambda2(t, ctx)) for t in times])
-    lam3 = np.array([float(bundle.lambda3(t, ctx)) for t in times])
-    xi = np.array([float(bundle.xi(t, ctx)) for t in times])
-    eta1 = np.array([float(bundle.eta1(t, ctx)) for t in times])
-    eta2 = np.array([float(bundle.eta2(t, ctx)) for t in times])
+    lam1 = profile_on_grid(bundle.lambda1, times, ctx)
+    lam2 = profile_on_grid(bundle.lambda2, times, ctx)
+    lam3 = profile_on_grid(bundle.lambda3, times, ctx)
+    xi = profile_on_grid(bundle.xi, times, ctx)
+    eta1 = profile_on_grid(bundle.eta1, times, ctx)
+    eta2 = profile_on_grid(bundle.eta2, times, ctx)
 
     if m is None:
         m_val = float(np.sum(lam3[:-1] * dts))

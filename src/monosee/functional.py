@@ -18,9 +18,9 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
-from .analysis import ModulusSpec, bihari_bound, linear_modulus, rho_eval
+from .analysis import (ModulusSpec, bihari_bound, linear_modulus, rho_eval,
+                       running_integral)
 from .errors import ConfigError, MonoseeError, NonconvergenceError
 from .forward import SolverConfig, SolutionPath, solve_forward, trajectory_csv
 from .noise import EMPTY_CONTEXT, NoisePath
@@ -704,8 +704,7 @@ def bihari_domination_report(residual_profiles: Sequence[np.ndarray],
 
     def predicted(prev: np.ndarray) -> np.ndarray:
         integrand = lam * rho_eval(np.maximum(prev, 0.0), rho)
-        return np.concatenate([[0.0],
-                               cumulative_trapezoid(integrand, times)])
+        return running_integral(integrand, times)
 
     def ratio(nxt: np.ndarray, pred: np.ndarray) -> float:
         worst = 0.0

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .triple import _float_or_array
 
 _PURPOSE_BASE = 0
 _PURPOSE_BRIDGE = 1
@@ -62,13 +63,14 @@ class NoisePath:
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
 
-    def scalar_at(self, t: float) -> float:
-        """w_t at a grid time (nearest-index lookup with tolerance)."""
-        idx = int(round(t / self.dt))
-        idx = min(max(idx, 0), self.n_steps)
-        if abs(self.times[idx] - t) > 1e-9 * max(1.0, abs(t)) + 1e-12:
-            raise ValueError(f"time {t} is not on the noise grid")
-        return float(self.scalar_path[idx])
+    def scalar_at(self, t):
+        """w_t at grid times (nearest index, with tolerance), shaped like t."""
+        t = np.asarray(t, dtype=float)
+        idx = np.clip(np.rint(t / self.dt).astype(int), 0, self.n_steps)
+        off = np.abs(self.times[idx] - t) > 1e-9 * np.maximum(1.0, np.abs(t)) + 1e-12
+        if off.any():
+            raise ValueError(f"time {t[off][0]} is not on the noise grid")
+        return _float_or_array(self.scalar_path[idx])
 
 
 def _scalar_from_increments(increments: np.ndarray) -> np.ndarray:
@@ -260,7 +262,8 @@ class NoiseContext:
         self.path = path
         self.frozen_time = frozen_time
 
-    def scalar(self, t: float) -> float:
+    def scalar(self, t):
+        """w at t or at an array of grid times (frozen or empty: one float)."""
         if self.path is None:
             return 0.0
         when = self.frozen_time if self.frozen_time is not None else t

@@ -14,8 +14,13 @@ coefficient read from a batch context is an (R, 1) column that broadcasts
 over the stack.  A stack of Jacobians has shape (..., n_grid, n_grid) and
 a stack of diffusion matrices (..., n_grid, n_modes).
 
+Time profiles and random coefficients, built-in or user-supplied, must
+accept an array of times: a stack of states taken at S different times
+evaluates in one call with the times as an (S, 1) column.
+
 Checkers sample random states (amplitudes log-uniform over a wide range to
-probe both small- and large-field regimes) and report every inequality
+probe both small- and large-field regimes), draw every sample first and
+then evaluate the inequality on the whole stack at once, and report every
 violation as data; nothing raises on a failed hypothesis.
 """
 
@@ -29,12 +34,14 @@ import numpy as np
 from .errors import ConfigError, MonoseeError
 from .noise import EMPTY_CONTEXT
 from .reporting import Violation, ViolationReport
-from .triple import POROUS_MEDIUM, REACTION_DIFFUSION, DiscreteTriple, _values
+from .triple import (POROUS_MEDIUM, REACTION_DIFFUSION, DiscreteTriple,
+                     _float_or_array, _values)
 
 __all__ = [
     "constant_profile",
     "abs_scalar_profile",
     "tabulated_profile",
+    "profile_on_grid",
     "HypothesisBundle",
     "PorousMediumDrift",
     "PhiDrift",
@@ -55,7 +62,9 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # time profiles: every hypothesis constant may be a process evaluated from
-# the driving noise, so profiles are callables (t, ctx) -> float
+# the driving noise, so profiles are callables (t, ctx) -> value.  t may be
+# an array of times; the value is then an array of that shape, or a float
+# that broadcasts over it (a constant, or a frozen or empty context)
 
 def constant_profile(value: float):
     value = float(value)
@@ -70,7 +79,7 @@ def abs_scalar_profile(scale: float = 1.0):
     """t -> scale * |w_t| with w the context's scalar driving path."""
 
     def profile(t, ctx):
-        return scale * abs(ctx.scalar(t))
+        return scale * np.abs(ctx.scalar(t))
 
     return profile
 
@@ -82,9 +91,16 @@ def tabulated_profile(times, values):
         raise ConfigError("tabulated profile needs matching 1-d times/values")
 
     def profile(t, ctx):
-        return float(np.interp(t, times, values))
+        return _float_or_array(np.interp(t, times, values))
 
     return profile
+
+
+def profile_on_grid(profile, times, ctx) -> np.ndarray:
+    """A profile's values at every entry of ``times`` (one call), in that shape."""
+    times = np.asarray(times, dtype=float)
+    return np.broadcast_to(np.asarray(profile(times, ctx), dtype=float),
+                           times.shape)
 
 
 @dataclass
@@ -96,6 +112,11 @@ class HypothesisBundle:
     a quadratic term and an additive process.  eta1/eta2 and c_a1/c_a2
     bound the drift parts in the dual norms.  c1 is the margin by which
     the coercivity rates must dominate lambda0.
+
+    Every rate is a profile (t, ctx) that must accept an array of times:
+    the checkers and the profile readers pass a whole stack or grid.  A
+    profile written for one float time (``1.0 if t < 0.5 else 2.0``,
+    ``math.exp(t)``) raises ValueError or TypeError; use ``np.where``.
     """
 
     lambda0: Callable = field(default_factory=lambda: constant_profile(0.0))
@@ -124,27 +145,19 @@ class HypothesisBundle:
         sample t in (0, T] since the condition is almost-everywhere and
         degenerate coefficients may vanish at isolated times.
         """
-        t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
-        report = ViolationReport(name="rate domination", n_samples=t_values.size, tol=tol)
-        for i, t in enumerate(t_values):
-            l0 = self.lambda0(t, ctx)
-            cap = self.c1 * min(self.lambda1(t, ctx), self.lambda2(t, ctx))
-            if l0 < 0 or not l0 < cap - tol:
-                report.violations.append(Violation(
-                    index=i, t=float(t), excess=float(l0 - cap),
-                    detail={"lambda0": l0, "cap": cap}))
-        return report
+        t = np.atleast_1d(np.asarray(t_values, dtype=float))
+        l0 = profile_on_grid(self.lambda0, t, ctx)
+        cap = self.c1 * np.minimum(profile_on_grid(self.lambda1, t, ctx),
+                                   profile_on_grid(self.lambda2, t, ctx))
+        return _record(ViolationReport("rate domination", t.size, tol), t, [
+            (l0 - cap, (l0 < 0) | ~(l0 < cap - tol), {"lambda0": l0, "cap": cap})])
 
     def integrability_report(self, ctx, t_final: float, n: int = 512) -> ViolationReport:
         """Trapezoid quadrature of each rate over [0, T]; flags non-finite mass."""
         ts = np.linspace(0.0, t_final, n + 1)
         report = ViolationReport(name="rate integrability", n_samples=5, tol=0.0)
-        for idx, (label, prof) in enumerate([
-                ("lambda0", self.lambda0), ("lambda1", self.lambda1),
-                ("lambda2", self.lambda2), ("lambda3", self.lambda3),
-                ("xi", self.xi)]):
-            vals = np.array([prof(t, ctx) for t in ts])
-            mass = float(np.trapezoid(vals, ts))
+        for idx, label in enumerate(("lambda0", "lambda1", "lambda2", "lambda3", "xi")):
+            mass = float(np.trapezoid(profile_on_grid(getattr(self, label), ts, ctx), ts))
             report.notes.append(f"int {label} = {mass:.6g}")
             if not np.isfinite(mass):
                 report.violations.append(Violation(
@@ -166,7 +179,8 @@ class PorousMediumDrift:
     """Nonlinear diffusion u -> L phi(u) with phi(t, r) = c(t) |r|**(p-2) r.
 
     Output is in dual grid coordinates (pre-multiplied by L), so
-    dual_pairing(v, eval(u)) = -h * sum(v * phi(u)).
+    dual_pairing(v, eval(u)) = -h * sum(v * phi(u)).  The profile c must
+    accept arrays of times, as the bundle's rates must (HypothesisBundle).
     """
 
     def __init__(self, triple: DiscreteTriple, p: float, coeff=None):
@@ -205,7 +219,7 @@ class PhiDrift:
 
     Same dual-coordinate convention as PorousMediumDrift; exists so planted
     counterexamples (non-monotone or discontinuous phi) can run through the
-    hypothesis checkers.
+    hypothesis checkers.  phi(t, ctx, r) must accept arrays of t and r.
     """
 
     def __init__(self, triple: DiscreteTriple, phi, phi_prime=None):
@@ -240,7 +254,8 @@ class ReactionDiffusionDrift:
     to face gradients and nodal values respectively; both must be
     nondecreasing in r for the hypothesis checks to pass.  Output pairs
     against L^2 directly, split into a divergence part (gradient space dual)
-    and a reaction part (Lebesgue dual).
+    and a reaction part (Lebesgue dual).  The maps must accept arrays of
+    t and r, as the checkers pass an (S, 1) column of times with a stack.
     """
 
     def __init__(self, triple: DiscreteTriple, a, b, a_prime=None, b_prime=None):
@@ -307,14 +322,12 @@ class ConstantDiffusion:
     def eval(self, t, ctx, u) -> np.ndarray:
         return self.matrix
 
-    def hs_norm_sq(self, t, ctx, u) -> float:
-        cols = self.eval(t, ctx, u)
-        return float(sum(self.triple.h_inner(cols[:, j], cols[:, j])
-                         for j in range(cols.shape[1])))
+    def hs_norm_sq(self, t, ctx, u):
+        return self.triple.hs_norm_sq(self.eval(t, ctx, u))
 
 
 class MultiplicativeDiffusion:
-    """Pointwise (Nemytskii) diffusion: column j is sigma_j(t, u(.))."""
+    """Nemytskii diffusion: column j is sigma_j(t, u(.)); t may be an array."""
 
     def __init__(self, triple: DiscreteTriple, sigmas):
         if not sigmas:
@@ -332,10 +345,8 @@ class MultiplicativeDiffusion:
             np.asarray(s(t, ctx, u), dtype=float), u.shape)
             for s in self.sigmas], axis=-1)
 
-    def hs_norm_sq(self, t, ctx, u) -> float:
-        cols = self.eval(t, ctx, u)
-        return float(sum(self.triple.h_inner(cols[:, j], cols[:, j])
-                         for j in range(cols.shape[1])))
+    def hs_norm_sq(self, t, ctx, u):
+        return self.triple.hs_norm_sq(self.eval(t, ctx, u))
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +392,38 @@ def pair_sampler(triple: DiscreteTriple, t_final: float = 1.0,
 # ---------------------------------------------------------------------------
 # hypothesis checkers
 
+def _record(report: ViolationReport, t, groups) -> ViolationReport:
+    """Append the flagged rows of (excess, flagged, detail) groups, by row."""
+    for i, g in sorted((i, g) for g, group in enumerate(groups)
+                       for i in np.flatnonzero(group[1])):
+        excess, _, detail = groups[g]
+        report.violations.append(Violation(
+            index=int(i), t=float(t[i]), excess=float(excess[i]),
+            detail={key: float(np.broadcast_to(value, t.shape)[i])
+                    for key, value in detail.items()}))
+    return report
+
+
+def _sampled_check(name: str, n_samples: int, tol: float, sampler, seed: int,
+                   evaluate, draws: int = 1) -> ViolationReport:
+    """One sampled inequality check, evaluated on the stack of all samples.
+
+    Every sample is drawn first, ``draws`` sampler calls each in the order
+    of a per-sample loop, so the data are exactly that loop's.
+    ``evaluate(t, *states)`` gets the times (S,) and one (S, n_grid) stack
+    per state of a sample's draws (later draws lose their time) and
+    returns the groups for :func:`_record`, one per inequality.
+    """
+    rng = np.random.default_rng(seed)
+    report = ViolationReport(name=name, n_samples=n_samples, tol=tol)
+    samples = [sum((tuple(sampler(rng))[min(k, 1):] for k in range(draws)), ())
+               for _ in range(n_samples)]
+    if not samples:
+        return report
+    t, *states = (np.array(column, dtype=float) for column in zip(*samples))
+    return _record(report, t, evaluate(t, *states))
+
+
 def check_monotonicity(drift, diff, bundle: HypothesisBundle, sampler,
                        n_samples: int = 500, seed: int = 0, tol: float = 1e-10,
                        ctx=EMPTY_CONTEXT) -> ViolationReport:
@@ -389,24 +432,20 @@ def check_monotonicity(drift, diff, bundle: HypothesisBundle, sampler,
     excess = 2[u-v, A(u)-A(v)] + |B(u)-B(v)|_HS^2 - lambda0 |u-v|_H^2
     must be <= 0 up to a relative tolerance.
     """
-    rng = np.random.default_rng(seed)
     tr = drift.triple
-    report = ViolationReport(name="monotonicity", n_samples=n_samples, tol=tol)
-    for i in range(n_samples):
-        t, u, v = sampler(rng)
+
+    def evaluate(t, u, v):
+        tc = t[:, None]
         du = u - v
-        pairing = 2.0 * tr.dual_pairing(du, drift.eval(t, ctx, u) - drift.eval(t, ctx, v))
-        cols = diff.eval(t, ctx, u) - diff.eval(t, ctx, v)
-        hs2 = float(sum(tr.h_inner(cols[:, j], cols[:, j])
-                        for j in range(cols.shape[1])))
+        pairing = 2.0 * tr.dual_pairing(du, drift.eval(tc, ctx, u) - drift.eval(tc, ctx, v))
+        hs2 = tr.hs_norm_sq(diff.eval(tc, ctx, u) - diff.eval(tc, ctx, v))
         damp = bundle.lambda0(t, ctx) * tr.h_norm(du) ** 2
         excess = pairing + hs2 - damp
-        scale = 1.0 + abs(pairing) + hs2 + abs(damp)
-        if excess > tol * scale:
-            report.violations.append(Violation(
-                index=i, t=t, excess=excess,
-                detail={"pairing": pairing, "hs2": hs2, "damp": damp}))
-    return report
+        scale = 1.0 + np.abs(pairing) + hs2 + np.abs(damp)
+        return [(excess, excess > tol * scale,
+                 {"pairing": pairing, "hs2": hs2, "damp": damp})]
+
+    return _sampled_check("monotonicity", n_samples, tol, sampler, seed, evaluate)
 
 
 def check_coercivity(drift, diff, bundle: HypothesisBundle, sampler,
@@ -418,26 +457,22 @@ def check_coercivity(drift, diff, bundle: HypothesisBundle, sampler,
              - lambda3 |u|_H^2 - xi
     must be <= 0 up to a relative tolerance.
     """
-    rng = np.random.default_rng(seed)
     tr = drift.triple
-    report = ViolationReport(name="coercivity", n_samples=n_samples, tol=tol)
-    for i in range(n_samples):
-        sampled = sampler(rng)
-        t, u = sampled[0], sampled[1]
-        pairing = 2.0 * tr.dual_pairing(u, drift.eval(t, ctx, u))
-        hs2 = diff.hs_norm_sq(t, ctx, u)
+
+    def evaluate(t, u, *_):
+        tc = t[:, None]
+        pairing = 2.0 * tr.dual_pairing(u, drift.eval(tc, ctx, u))
+        hs2 = diff.hs_norm_sq(tc, ctx, u)
         lam1 = bundle.lambda1(t, ctx) * tr.x_norm(u, 1) ** bundle.q1
         lam2 = bundle.lambda2(t, ctx) * tr.x_norm(u, 2) ** bundle.q2
         lam3 = bundle.lambda3(t, ctx) * tr.h_norm(u) ** 2
         xi = bundle.xi(t, ctx)
         excess = pairing + hs2 + lam1 + lam2 - lam3 - xi
-        scale = 1.0 + abs(pairing) + hs2 + lam1 + lam2 + lam3 + xi
-        if excess > tol * scale:
-            report.violations.append(Violation(
-                index=i, t=t, excess=excess,
-                detail={"pairing": pairing, "hs2": hs2,
-                        "lam1": lam1, "lam2": lam2}))
-    return report
+        scale = 1.0 + np.abs(pairing) + hs2 + lam1 + lam2 + lam3 + xi
+        return [(excess, excess > tol * scale,
+                 {"pairing": pairing, "hs2": hs2, "lam1": lam1, "lam2": lam2})]
+
+    return _sampled_check("coercivity", n_samples, tol, sampler, seed, evaluate)
 
 
 def check_boundedness(drift, bundle: HypothesisBundle, sampler,
@@ -447,24 +482,22 @@ def check_boundedness(drift, bundle: HypothesisBundle, sampler,
 
     |A_i(u)|_{Xi*} <= eta_i lambda_i^{1/q_i} + c_{A_i} lambda_i |u|_{X_i}^{q_i - 1}
     """
-    rng = np.random.default_rng(seed)
     tr = drift.triple
-    report = ViolationReport(name="boundedness", n_samples=n_samples, tol=tol)
-    for i in range(n_samples):
-        sampled = sampler(rng)
-        t, u = sampled[0], sampled[1]
-        for which, part in drift.parts(t, ctx, u):
+
+    def evaluate(t, u, *_):
+        groups = []
+        for which, part in drift.parts(t[:, None], ctx, u):
             lam = (bundle.lambda1 if which == 1 else bundle.lambda2)(t, ctx)
             eta = (bundle.eta1 if which == 1 else bundle.eta2)(t, ctx)
             q = bundle.q1 if which == 1 else bundle.q2
             c = bundle.c_a1 if which == 1 else bundle.c_a2
             lhs = tr.dual_norm(part, which)
             rhs = eta * lam ** (1.0 / q) + c * lam * tr.x_norm(u, which) ** (q - 1.0)
-            if lhs > rhs * (1.0 + tol) + tol:
-                report.violations.append(Violation(
-                    index=i, t=t, excess=lhs - rhs,
-                    detail={"part": which, "lhs": lhs, "rhs": rhs}))
-    return report
+            groups.append((lhs - rhs, lhs > rhs * (1.0 + tol) + tol,
+                           {"part": which, "lhs": lhs, "rhs": rhs}))
+        return groups
+
+    return _sampled_check("boundedness", n_samples, tol, sampler, seed, evaluate)
 
 
 def check_hemicontinuity(drift, sampler, n_samples: int = 100, seed: int = 0,
@@ -475,27 +508,24 @@ def check_hemicontinuity(drift, sampler, n_samples: int = 100, seed: int = 0,
     Evaluates the pairing on the grid e in {0, 1/32, ..., 1} and flags any
     single-step jump exceeding jump_fraction of the profile's total range
     (an affine or smooth profile spreads its variation over many steps; a
-    step discontinuity concentrates it in one).
+    step discontinuity concentrates it in one).  A sample draws (t, x), y, z.
     """
-    rng = np.random.default_rng(seed)
     tr = drift.triple
     eps_grid = np.linspace(0.0, 1.0, 33)
-    report = ViolationReport(name="hemicontinuity", n_samples=n_samples,
-                             tol=jump_fraction)
-    for i in range(n_samples):
-        t, x = sampler(rng)
-        _, y = sampler(rng)
-        _, z = sampler(rng)
-        vals = np.array([tr.dual_pairing(x, drift.eval(t, ctx, y + e * z))
-                         for e in eps_grid])
-        total = float(np.max(vals) - np.min(vals))
-        jumps = np.abs(np.diff(vals))
-        worst = float(np.max(jumps))
-        if total > 0 and worst > jump_fraction * total:
-            report.violations.append(Violation(
-                index=i, t=t, excess=worst / total - jump_fraction,
-                detail={"worst_jump": worst, "range": total}))
-    return report
+
+    def evaluate(t, x, y, z):
+        segments = y[:, None, :] + eps_grid[:, None] * z[:, None, :]
+        vals = tr.dual_pairing(x[:, None, :],
+                               drift.eval(t[:, None, None], ctx, segments))
+        total = np.max(vals, axis=-1) - np.min(vals, axis=-1)
+        worst = np.max(np.abs(np.diff(vals, axis=-1)), axis=-1)
+        flagged = (total > 0) & (worst > jump_fraction * total)
+        ratio = worst / np.where(total > 0, total, 1.0)
+        return [(ratio - jump_fraction, flagged,
+                 {"worst_jump": worst, "range": total})]
+
+    return _sampled_check("hemicontinuity", n_samples, jump_fraction, sampler,
+                          seed, evaluate, draws=3)
 
 
 # ---------------------------------------------------------------------------
@@ -512,10 +542,6 @@ class OperatorSet:
     triple: DiscreteTriple
 
 
-def _ones_matrix(triple: DiscreteTriple, n_modes: int) -> np.ndarray:
-    return np.ones((triple.n_grid, n_modes))
-
-
 def build_operator_set(name: str, n_grid: int, p: float = 3.0,
                        n_modes: int = 1) -> OperatorSet:
     """Construct one of the named built-in operator families.
@@ -529,69 +555,49 @@ def build_operator_set(name: str, n_grid: int, p: float = 3.0,
     if name in ("heat", "porous_medium", "eq_1_1"):
         p_eff = 2.0 if name == "heat" else p
         tr = DiscreteTriple(n_grid, POROUS_MEDIUM, q1=p_eff, q2=p_eff)
-        if name == "eq_1_1":
-            coeff = abs_scalar_profile()
-            lam = abs_scalar_profile()
-        else:
-            coeff = constant_profile(1.0)
-            lam = constant_profile(1.0)
+        # eq_1_1 scales the nonlinearity and both rates by |w_t|
+        coeff = abs_scalar_profile() if name == "eq_1_1" else constant_profile(1.0)
         drift = PorousMediumDrift(tr, p_eff, coeff=coeff)
-        if name == "heat":
-            diffusion = ConstantDiffusion(tr, np.zeros((n_grid, n_modes)))
-            xi_val = 0.0
-        else:
-            B = _ones_matrix(tr, n_modes)
-            diffusion = ConstantDiffusion(tr, B)
-            xi_val = diffusion.hs_norm_sq(0.0, EMPTY_CONTEXT, None)
+        diffusion = ConstantDiffusion(tr, np.full(
+            (n_grid, n_modes), 0.0 if name == "heat" else 1.0))
         bundle = HypothesisBundle(
             lambda0=constant_profile(0.0),
-            lambda1=lam, lambda2=lam,
+            lambda1=coeff, lambda2=coeff,
             lambda3=constant_profile(1e-6),
-            xi=constant_profile(xi_val),
+            xi=constant_profile(diffusion.hs_norm_sq(0.0, EMPTY_CONTEXT, None)),
             q1=p_eff, q2=p_eff, c_a1=1.0, c_a2=1.0, c1=1.0)
         return OperatorSet(name, drift, diffusion, bundle, tr)
 
     if name in ("reaction_diffusion", "eq_1_2"):
         tr = DiscreteTriple(n_grid, REACTION_DIFFUSION, q1=2.0, q2=p)
+        # eq_1_2 scales flux, reaction and rates by |w_t|; the deterministic
+        # family's factor 1.0 multiplies exactly
+        coef = abs_scalar_profile() if name == "eq_1_2" else constant_profile(1.0)
+
+        def a(t, ctx, r):
+            return coef(t, ctx) * np.asarray(r, dtype=float)
+
+        def a_prime(t, ctx, r):
+            return coef(t, ctx) * np.ones_like(np.asarray(r, dtype=float))
+
+        def b(t, ctx, r):
+            r = np.asarray(r, dtype=float)
+            return coef(t, ctx) * np.abs(r) ** (p - 2.0) * r
+
+        def b_prime(t, ctx, r):
+            r = np.asarray(r, dtype=float)
+            return coef(t, ctx) * (p - 1.0) * np.abs(r) ** (p - 2.0)
+
+        drift = ReactionDiffusionDrift(tr, a, b, a_prime, b_prime)
         if name == "eq_1_2":
-            def a(t, ctx, r):
-                return abs(ctx.scalar(t)) * np.asarray(r, dtype=float)
-
-            def a_prime(t, ctx, r):
-                return abs(ctx.scalar(t)) * np.ones_like(np.asarray(r, dtype=float))
-
-            def b(t, ctx, r):
-                r = np.asarray(r, dtype=float)
-                return abs(ctx.scalar(t)) * np.abs(r) ** (p - 2.0) * r
-
-            def b_prime(t, ctx, r):
-                r = np.asarray(r, dtype=float)
-                return abs(ctx.scalar(t)) * (p - 1.0) * np.abs(r) ** (p - 2.0)
-
             def sigma1(t, ctx, r):
-                return np.sqrt(abs(ctx.scalar(t))) * np.asarray(r, dtype=float)
+                return np.sqrt(coef(t, ctx)) * np.asarray(r, dtype=float)
 
-            drift = ReactionDiffusionDrift(tr, a, b, a_prime, b_prime)
             diffusion = MultiplicativeDiffusion(tr, [sigma1])
-            lam0 = abs_scalar_profile()
+            lam0 = coef
             lam12 = abs_scalar_profile(2.0)
-            lam3 = abs_scalar_profile()
+            lam3 = coef
         else:
-            def a(t, ctx, r):
-                return np.asarray(r, dtype=float)
-
-            def a_prime(t, ctx, r):
-                return np.ones_like(np.asarray(r, dtype=float))
-
-            def b(t, ctx, r):
-                r = np.asarray(r, dtype=float)
-                return np.abs(r) ** (p - 2.0) * r
-
-            def b_prime(t, ctx, r):
-                r = np.asarray(r, dtype=float)
-                return (p - 1.0) * np.abs(r) ** (p - 2.0)
-
-            drift = ReactionDiffusionDrift(tr, a, b, a_prime, b_prime)
             diffusion = ConstantDiffusion(tr, np.zeros((n_grid, n_modes)))
             lam0 = constant_profile(0.0)
             lam12 = constant_profile(2.0)

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 POROUS_MEDIUM = "porous_medium"
 REACTION_DIFFUSION = "reaction_diffusion"
@@ -52,9 +51,9 @@ def _values(u) -> np.ndarray:
     return u.values if isinstance(u, GridFunction) else np.asarray(u, dtype=float)
 
 
-def _norm_value(norms: np.ndarray):
-    """A 0-d norm as a float; a stack of norms stays an array."""
-    return float(norms) if norms.ndim == 0 else norms
+def _float_or_array(values):
+    """A 0-d result as a float; a stack of results stays an array."""
+    return float(values) if values.ndim == 0 else values
 
 
 class DiscreteTriple:
@@ -112,9 +111,8 @@ class DiscreteTriple:
         return _values(u) @ self.laplacian
 
     def neg_lap_inv(self, f) -> np.ndarray:
-        """(-L)^{-1} f through the eigen-decomposition."""
-        f = _values(f)
-        return self._vecs @ ((self._vecs.T @ f) / self.mu)
+        """(-L)^{-1} f along the last axis, through the eigen-decomposition."""
+        return ((_values(f) @ self._vecs) / self.mu) @ self._vecs.T
 
     def grad(self, u) -> np.ndarray:
         """Forward differences with zero boundary padding; n_grid+1 face
@@ -137,25 +135,36 @@ class DiscreteTriple:
 
     # -- pairings and norms ---------------------------------------------------
 
-    def h_inner(self, u, v) -> float:
-        u = self._check(u)
-        v = self._check(v)
-        if self.flavor == REACTION_DIFFUSION:
+    def h_inner(self, u, v):
+        """<u, v>_H along the last axis (stacks broadcast); a float for two states."""
+        u = self._check(u, stacked=True)
+        v = self._check(v, stacked=True)
+        if self.flavor == POROUS_MEDIUM:
+            v = self.neg_lap_inv(v)
+        if u.ndim == 1 and v.ndim == 1:
             return float(self.h * (u @ v))
-        return float(self.h * (u @ self.neg_lap_inv(v)))
+        return self.h * np.einsum("...i,...i->...", u, v)
 
-    def h_norm(self, u) -> float:
-        return float(np.sqrt(max(self.h_inner(u, u), 0.0)))
+    def h_norm(self, u):
+        return _float_or_array(np.sqrt(np.maximum(self.h_inner(u, u), 0.0)))
 
-    def dual_pairing(self, x, f) -> float:
+    def dual_pairing(self, x, f):
         """[x, f] for f in X*-grid coordinates; same formula as h_inner."""
         return self.h_inner(x, f)
+
+    def hs_norm_sq(self, cols):
+        """sum_j |B e_j|_H^2 over the columns (..., n_grid, n_modes) of B."""
+        c = np.swapaxes(_values(cols), -1, -2)
+        return _float_or_array(np.sum(self.h_inner(c, c), axis=-1))
 
     def lq_norm(self, u, q: float):
         """Discrete L^q norm: a float for one state, an array (one norm per
         state) for a stack along the last axis."""
-        u = self._check(u, stacked=True)
-        return _norm_value((self.h * np.sum(np.abs(u) ** q, axis=-1))
+        return self._riemann_norm(self._check(u, stacked=True), q)
+
+    def _riemann_norm(self, values, q: float):
+        """(h sum |values|^q)^(1/q) along the last axis."""
+        return _float_or_array((self.h * np.sum(np.abs(values) ** q, axis=-1))
                            ** (1.0 / q))
 
     def x_norm(self, u, which: int):
@@ -163,26 +172,25 @@ class DiscreteTriple:
         if which not in (1, 2):
             raise ValueError("which must be 1 or 2")
         q = self.q1 if which == 1 else self.q2
-        if self.flavor == POROUS_MEDIUM:
+        if self.flavor == POROUS_MEDIUM or which == 2:
             return self.lq_norm(u, q)
-        if which == 2:
-            return self.lq_norm(u, q)
-        d = self.grad(self._check(u, stacked=True))
-        return _norm_value((self.h * np.sum(np.abs(d) ** q, axis=-1))
-                           ** (1.0 / q))
+        return self._riemann_norm(self.grad(self._check(u, stacked=True)), q)
 
-    def dual_norm(self, f, which: int) -> float:
-        """Discrete X_i* norm of f (f in the pairing coordinates above).
+    def dual_norm(self, f, which: int):
+        """Discrete X_i* norm of f (f in the pairing coordinates above),
+        along the last axis: a float for one f, an array for a stack.
 
         porous medium: exact by Holder duality, ||(-L)^{-1} f||_{L^{q'}}.
         reaction diffusion, X2: exact, ||f||_{L^{q2'}}.
         reaction diffusion, X1: exact via the 1-D primitive: the supremum of
         h x^T f over ||grad x||_{q1} <= 1 equals the L^{q1'} distance of the
-        reverse cumulative sum of f to the constants.
+        reverse cumulative sum F of f to the constants; the nearest c solves
+        sum sign(F - c) |F - c|^{q1'-1} = 0, decreasing in c: the mean of F
+        for q1' = 2, else a bisection on [min F, max F].
         """
         if which not in (1, 2):
             raise ValueError("which must be 1 or 2")
-        f = self._check(f)
+        f = self._check(f, stacked=True)
         q = self.q1 if which == 1 else self.q2
         qp = q / (q - 1.0)
         if self.flavor == POROUS_MEDIUM:
@@ -190,14 +198,19 @@ class DiscreteTriple:
         if which == 2:
             return self.lq_norm(f, qp)
         # F_j = h * sum_{i > j} f_i on faces j = 0..n_grid; x^T f = sum d_j F_j
-        rev = np.concatenate([np.cumsum((self.h * f)[::-1])[::-1], [0.0]])
-
-        def dist(c):
-            return (self.h * np.sum(np.abs(rev - c) ** qp)) ** (1.0 / qp)
-
-        res = minimize_scalar(dist, bounds=(float(np.min(rev)), float(np.max(rev))),
-                              method="bounded", options={"xatol": 1e-13})
-        return float(dist(res.x))
+        tail = np.cumsum((self.h * f)[..., ::-1], axis=-1)[..., ::-1]
+        rev = np.concatenate([tail, np.zeros(f.shape[:-1] + (1,))], axis=-1)
+        if qp == 2.0:
+            c = np.mean(rev, axis=-1, keepdims=True)
+        else:
+            lo, hi = np.min(rev, -1, keepdims=True), np.max(rev, -1, keepdims=True)
+            for _ in range(64):  # halvings: past float64 resolution
+                c = 0.5 * (lo + hi)
+                up = np.sum(np.sign(rev - c) * np.abs(rev - c) ** (qp - 1.0),
+                            axis=-1, keepdims=True) > 0
+                lo, hi = np.where(up, c, lo), np.where(up, hi, c)
+            c = 0.5 * (lo + hi)
+        return self._riemann_norm(rev - c, qp)
 
     # -- projection ------------------------------------------------------------
 

@@ -518,6 +518,24 @@ def test_rescale_gamma_closed_form_constant_rate():
     assert scaled.bundle.lambda0(1.0, EMPTY_CONTEXT) == 0.0
 
 
+def test_rescaled_hs_norm_one_formula_for_states_and_stacks():
+    # B / gamma for a state-independent B: the same value with or without
+    # u, and an (S,) result for an (S, 1) column of times either way
+    ops = build_operator_set("porous_medium", 8, p=3.0)
+    bundle = dataclasses.replace(ops.bundle, lambda0=constant_profile(0.8))
+    scaled = rescale_problem(ops.drift, ops.diffusion, bundle)
+    t = np.array([[0.25], [0.5], [1.0]])
+    u = np.random.default_rng(5).normal(size=(3, 8))
+    expect = [ops.diffusion.hs_norm_sq(s, EMPTY_CONTEXT, None)
+              / scaled.gamma(s, EMPTY_CONTEXT) ** 2 for s in t[:, 0]]
+    for state in (None, u):
+        got = scaled.diffusion.hs_norm_sq(t, EMPTY_CONTEXT, state)
+        assert got.shape == (3,)
+        assert np.allclose(got, expect, rtol=1e-13, atol=0)
+    assert scaled.diffusion.hs_norm_sq(1.0, EMPTY_CONTEXT, None) == pytest.approx(
+        expect[-1], rel=1e-13)
+
+
 def test_rescale_transformed_operators_pass_checks_with_zero_lambda0():
     """The whole point of the transform: hypotheses hold with lambda0 = 0."""
     ops = build_operator_set("eq_1_2", 20, p=3.0)

@@ -2,10 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import monosee.bsde
 from monosee import ConfigError, NonconvergenceError
 from monosee.cli import main
 from monosee.config import (ExperimentConfig, apply_overrides, load_config,
@@ -405,6 +411,35 @@ def test_demo_solver_stats_repeat_and_stay_out_of_summary(tmp_path):
     assert picard["regression_factorizations"] == 2 * 9
     assert picard["backward_sweeps"] > 2
     assert picard["regression_fits"] == picard["backward_sweeps"] * (3 * 8 + 1)
+
+
+def test_picard_demo_skips_refreshing_a_z_independent_driver(tmp_path,
+                                                           monkeypatch):
+    # the x driver declares z_dependent=False: one driver matrix per outer
+    # sweep (6 sweeps), none spent re-checking the exact inner fixed point
+    calls = Counter()
+    original = monosee.bsde._driver_matrix
+
+    def counting(driver, *args, **kwargs):
+        calls[driver.name] += 1
+        return original(driver, *args, **kwargs)
+
+    monkeypatch.setattr(monosee.bsde, "_driver_matrix", counting)
+    result = run_experiment(_config("bsde_picard_demo", tmp_path))
+    assert result.passed
+    assert result.outcome.summary["x_outer_iterations"] == 6
+    assert calls["concave-modulus coupling in x"] == 6
+
+
+def test_experiments_import_loads_no_scipy():
+    code = ("import sys, monosee.experiments; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(monosee.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"
 
 
 def test_manifest_written_on_failure(tmp_path):

@@ -53,10 +53,8 @@ def test_single_increment_variance_statistic():
     # sample variance of R iid normals: sd(s^2) ~ T sqrt(2/(R-1))
     T = 0.7
     R = 100_000
-    draws = np.array([
-        sample_path(2024, T, 1, 1, replica=r).increments[0, 0]
-        for r in range(R)
-    ])
+    # row r of the batch is sample_path(2024, T, 1, 1, replica=r)
+    draws = sample_batch(2024, T, 1, 1, replicas=R).increments[:, 0, 0]
     s2 = np.var(draws, ddof=1)
     se = T * np.sqrt(2.0 / (R - 1))
     assert abs(s2 - T) < 3 * se
@@ -142,6 +140,22 @@ def test_noise_context_frozen_lookup():
     assert frozen.scalar(0.75) == pytest.approx(p.scalar_path[1])
     with pytest.raises(ValueError):
         ctx.scalar(0.33)  # off-grid
+
+
+def test_noise_context_array_lookup():
+    p = sample_path(11, 1.0, 8, 1)
+    ctx = NoiseContext(p)
+    times = p.times[[3, 0, 8, 3]].reshape(2, 2)
+    values = ctx.scalar(times)
+    assert values.shape == (2, 2)
+    assert np.array_equal(values, p.scalar_path[[3, 0, 8, 3]].reshape(2, 2))
+    assert np.array_equal(ctx.scalar(p.times),
+                          [ctx.scalar(float(t)) for t in p.times])
+    with pytest.raises(ValueError, match="0.33"):
+        ctx.scalar(np.array([0.25, 0.33, 0.5]))  # one entry off the grid
+    # a frozen view and the empty context answer with one broadcastable float
+    assert ctx.frozen(0.25).scalar(times) == p.scalar_path[2]
+    assert NoiseContext(None).scalar(times) == 0.0
 
 
 def test_sample_batch_rows_bit_identical_to_sample_path():

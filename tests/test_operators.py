@@ -16,6 +16,7 @@ from monosee.operators import (ConstantDiffusion, HypothesisBundle,
                                check_boundedness, check_coercivity,
                                check_hemicontinuity, check_monotonicity,
                                constant_profile, pair_sampler, state_sampler)
+from monosee.reporting import Violation
 from monosee.triple import POROUS_MEDIUM, REACTION_DIFFUSION, DiscreteTriple
 
 
@@ -345,3 +346,196 @@ def test_bundle_validation():
         HypothesisBundle(q1=1.5)
     with pytest.raises(ConfigError):
         HypothesisBundle(c1=0.0)
+
+
+# ---------------------------------------------------------------------------
+# per-sample reference checkers: one sample drawn and evaluated at a time,
+# on single states only, as an oracle for the stacked checkers
+
+
+def _hs2_one(tr, cols):
+    return sum(tr.h_inner(cols[:, j], cols[:, j]) for j in range(cols.shape[1]))
+
+
+def _reference_monotonicity(drift, diff, bundle, sampler, n_samples, seed,
+                            tol=1e-10, ctx=EMPTY_CONTEXT):
+    rng = np.random.default_rng(seed)
+    tr, found = drift.triple, []
+    for i in range(n_samples):
+        t, u, v = sampler(rng)
+        du = u - v
+        pairing = 2.0 * tr.dual_pairing(du, drift.eval(t, ctx, u) - drift.eval(t, ctx, v))
+        hs2 = _hs2_one(tr, diff.eval(t, ctx, u) - diff.eval(t, ctx, v))
+        damp = bundle.lambda0(t, ctx) * tr.h_norm(du) ** 2
+        excess = pairing + hs2 - damp
+        if excess > tol * (1.0 + abs(pairing) + hs2 + abs(damp)):
+            found.append(Violation(i, t, excess, {"pairing": pairing,
+                                                  "hs2": hs2, "damp": damp}))
+    return found
+
+
+def _reference_coercivity(drift, diff, bundle, sampler, n_samples, seed,
+                          tol=1e-10, ctx=EMPTY_CONTEXT):
+    rng = np.random.default_rng(seed)
+    tr, found = drift.triple, []
+    for i in range(n_samples):
+        t, u = sampler(rng)[:2]
+        pairing = 2.0 * tr.dual_pairing(u, drift.eval(t, ctx, u))
+        hs2 = _hs2_one(tr, diff.eval(t, ctx, u))
+        lam1 = bundle.lambda1(t, ctx) * tr.x_norm(u, 1) ** bundle.q1
+        lam2 = bundle.lambda2(t, ctx) * tr.x_norm(u, 2) ** bundle.q2
+        lam3 = bundle.lambda3(t, ctx) * tr.h_norm(u) ** 2
+        xi = bundle.xi(t, ctx)
+        excess = pairing + hs2 + lam1 + lam2 - lam3 - xi
+        if excess > tol * (1.0 + abs(pairing) + hs2 + lam1 + lam2 + lam3 + xi):
+            found.append(Violation(i, t, excess, {"pairing": pairing, "hs2": hs2,
+                                                  "lam1": lam1, "lam2": lam2}))
+    return found
+
+
+def _reference_boundedness(drift, bundle, sampler, n_samples, seed,
+                           tol=1e-10, ctx=EMPTY_CONTEXT):
+    rng = np.random.default_rng(seed)
+    tr, found = drift.triple, []
+    for i in range(n_samples):
+        t, u = sampler(rng)[:2]
+        for which, part in drift.parts(t, ctx, u):
+            lam = (bundle.lambda1 if which == 1 else bundle.lambda2)(t, ctx)
+            eta = (bundle.eta1 if which == 1 else bundle.eta2)(t, ctx)
+            q = bundle.q1 if which == 1 else bundle.q2
+            c = bundle.c_a1 if which == 1 else bundle.c_a2
+            lhs = tr.dual_norm(part, which)
+            rhs = eta * lam ** (1.0 / q) + c * lam * tr.x_norm(u, which) ** (q - 1.0)
+            if lhs > rhs * (1.0 + tol) + tol:
+                found.append(Violation(i, t, lhs - rhs, {"part": which,
+                                                         "lhs": lhs, "rhs": rhs}))
+    return found
+
+
+def _reference_hemicontinuity(drift, sampler, n_samples, seed,
+                              jump_fraction=0.5, ctx=EMPTY_CONTEXT):
+    rng = np.random.default_rng(seed)
+    tr, found = drift.triple, []
+    for i in range(n_samples):
+        t, x = sampler(rng)
+        y = sampler(rng)[1]
+        z = sampler(rng)[1]
+        vals = np.array([tr.dual_pairing(x, drift.eval(t, ctx, y + e * z))
+                         for e in np.linspace(0.0, 1.0, 33)])
+        total = float(np.max(vals) - np.min(vals))
+        worst = float(np.max(np.abs(np.diff(vals))))
+        if total > 0 and worst > jump_fraction * total:
+            found.append(Violation(i, t, worst / total - jump_fraction,
+                                   {"worst_jump": worst, "range": total}))
+    return found
+
+
+def _assert_same_violations(stacked, reference, rel=1e-9):
+    """Same indices, times and detail keys; excess within ``rel``
+    relative, or within 1e-12 of the terms' magnitude where they cancel."""
+    assert [v.index for v in stacked.violations] == [v.index for v in reference]
+    for got, want in zip(stacked.violations, reference):
+        assert got.t == want.t
+        assert got.detail.keys() == want.detail.keys()
+        assert all(isinstance(value, float) for value in got.detail.values())
+        terms = 1.0 + sum(abs(value) for value in want.detail.values())
+        assert got.excess == pytest.approx(want.excess, rel=rel,
+                                           abs=1e-12 * terms)
+
+
+def _planted(kind):
+    tr = DiscreteTriple(10, POROUS_MEDIUM, q1=3, q2=3)
+    phi = np.sin if kind == "planted_sin" else np.sign
+    drift = PhiDrift(tr, lambda t, ctx, r: phi(r))
+    diff = ConstantDiffusion(tr, np.ones((10, 1)))
+    return drift, diff, HypothesisBundle(q1=3, q2=3, xi=constant_profile(
+        diff.hs_norm_sq(0.0, EMPTY_CONTEXT, None)))
+
+
+@pytest.mark.parametrize("flag_all", [False, True])
+@pytest.mark.parametrize("name", ["eq_1_1", "eq_1_2", "porous_medium",
+                                  "reaction_diffusion", "planted_sin",
+                                  "planted_sign"])
+def test_stacked_checkers_match_per_sample_reference(name, flag_all):
+    """Same violations as the per-sample loops; with ``flag_all`` the
+    tolerances are set so that every sample is a violation, which compares
+    every sample's excess."""
+    path = sample_path(17, 1.0, 32, 1)
+    ctx = NoiseContext(path)
+    if name.startswith("planted"):
+        drift, diff, bundle = _planted(name)
+        amp = (1e-1, 1e2) if name == "planted_sin" else (0.5, 2.0)
+        tr = drift.triple
+    else:
+        ops = build_operator_set(name, 10, p=3.0)
+        drift, diff, bundle, tr = ops.drift, ops.diffusion, ops.bundle, ops.triple
+        amp = (1e-3, 1e3)
+    pairs = pair_sampler(tr, amp_range=amp, times=path.times)
+    singles = state_sampler(tr, amp_range=amp, times=path.times)
+    n, seed = 120, 29
+    tol, jump = (-1e3, 0.0) if flag_all else (1e-10, 0.5)
+    _assert_same_violations(
+        check_monotonicity(drift, diff, bundle, pairs, n, seed, tol, ctx=ctx),
+        _reference_monotonicity(drift, diff, bundle, pairs, n, seed, tol, ctx))
+    _assert_same_violations(
+        check_coercivity(drift, diff, bundle, singles, n, seed, tol, ctx=ctx),
+        _reference_coercivity(drift, diff, bundle, singles, n, seed, tol, ctx))
+    bounded = check_boundedness(drift, bundle, singles, n, seed, tol, ctx=ctx)
+    _assert_same_violations(
+        bounded, _reference_boundedness(drift, bundle, singles, n, seed, tol, ctx))
+    hemi = check_hemicontinuity(drift, singles, n, seed, jump, ctx=ctx)
+    # every jump of a smooth profile is a difference of two nearby
+    # pairings, so the jumps carry the rounding of the pairings themselves
+    _assert_same_violations(
+        hemi, _reference_hemicontinuity(drift, singles, n, seed, jump, ctx),
+        rel=1e-6 if flag_all else 1e-9)
+    if flag_all:
+        assert bounded.n_violations == n * len(drift.parts(0.0, ctx, np.ones(tr.n_grid)))
+
+
+def test_planted_references_find_violations():
+    """The planted drifts exercise the violation path of the comparison."""
+    path = sample_path(17, 1.0, 32, 1)
+    sin_drift, sin_diff, sin_bundle = _planted("planted_sin")
+    sign_drift, _, _ = _planted("planted_sign")
+    tr = sin_drift.triple
+    assert _reference_monotonicity(
+        sin_drift, sin_diff, sin_bundle,
+        pair_sampler(tr, amp_range=(1e-1, 1e2), times=path.times), 120, 29)
+    assert _reference_hemicontinuity(
+        sign_drift, state_sampler(tr, amp_range=(0.5, 2.0), times=path.times),
+        120, 29)
+
+
+def test_stacked_boundedness_orders_parts_within_a_sample():
+    # both parts of the reaction-diffusion drift violate a starved bound;
+    # violations come sample by sample, part 1 before part 2
+    ops = build_operator_set("reaction_diffusion", 8, p=3.0)
+    starved = HypothesisBundle(lambda1=constant_profile(1e-9),
+                               lambda2=constant_profile(1e-9), q1=2.0, q2=3.0)
+    report = check_boundedness(ops.drift, starved, state_sampler(ops.triple),
+                               n_samples=5, seed=2)
+    keys = [(v.index, v.detail["part"]) for v in report.violations]
+    assert keys == sorted(keys) and {p for _, p in keys} == {1.0, 2.0}
+    assert keys == [(v.index, v.detail["part"]) for v in _reference_boundedness(
+        ops.drift, starved, state_sampler(ops.triple), 5, 2)]
+
+
+def test_profiles_must_accept_arrays_of_times():
+    # the checkers and profile readers pass arrays of times; a profile
+    # written for one float time raises, its np.where form runs
+    ops = build_operator_set("porous_medium", 8, p=3.0)
+    scalar_only = HypothesisBundle(
+        lambda1=lambda t, ctx: 1.0 if t < 0.5 else 2.0, q1=3.0, q2=3.0)
+    vectorised = HypothesisBundle(
+        lambda1=lambda t, ctx: np.where(t < 0.5, 1.0, 2.0), q1=3.0, q2=3.0)
+    sampler = state_sampler(ops.triple)
+    with pytest.raises(ValueError, match="ambiguous"):
+        check_coercivity(ops.drift, ops.diffusion, scalar_only, sampler,
+                         n_samples=4)
+    with pytest.raises(ValueError, match="ambiguous"):
+        scalar_only.integrability_report(EMPTY_CONTEXT, 1.0, n=8)
+    report = check_coercivity(ops.drift, ops.diffusion, vectorised, sampler,
+                              n_samples=4)
+    assert report.n_samples == 4
+    assert vectorised.integrability_report(EMPTY_CONTEXT, 1.0, n=8).ok

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
 from monosee.triple import (
     POROUS_MEDIUM,
@@ -219,3 +222,67 @@ def test_dual_norm_rd_x1_q2_closed_form():
     assert np.allclose(tr.grad(x_opt), d_opt, atol=1e-12)
     pairing = tr.h * (x_opt @ f)
     assert abs(pairing) == pytest.approx(tr.dual_norm(f, 1) * tr.x_norm(x_opt, 1), rel=1e-8)
+
+
+def _x1_dual_norm_oracle(tr, f):
+    # the pre-closed-form route: bounded scalar minimisation over the
+    # constant shift of the reverse primitive
+    qp = tr.q1 / (tr.q1 - 1.0)
+    rev = np.concatenate([np.cumsum((tr.h * f)[::-1])[::-1], [0.0]])
+
+    def dist(c):
+        return (tr.h * np.sum(np.abs(rev - c) ** qp)) ** (1.0 / qp)
+
+    res = minimize_scalar(dist, bounds=(float(np.min(rev)), float(np.max(rev))),
+                          method="bounded", options={"xatol": 1e-13})
+    return float(dist(res.x))
+
+
+@pytest.mark.parametrize("q1", [2.0, 2.5, 3.0, 4.0])
+def test_dual_norm_rd_x1_matches_scalar_minimisation(q1):
+    tr = DiscreteTriple(11, REACTION_DIFFUSION, q1=q1, q2=3.0)
+    rng = np.random.default_rng(int(10 * q1))
+    fs = rng.standard_normal((20, 11)) * np.exp(rng.uniform(-3, 3, (20, 1)))
+    stacked = tr.dual_norm(fs, 1)
+    assert stacked.shape == (20,)
+    for f, norm in zip(fs, stacked):
+        oracle = _x1_dual_norm_oracle(tr, f)
+        assert tr.dual_norm(f, 1) == pytest.approx(oracle, rel=1e-10)
+        assert norm == pytest.approx(oracle, rel=1e-10)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(flavor=st.sampled_from([POROUS_MEDIUM, REACTION_DIFFUSION]),
+       n_grid=st.integers(2, 14), q1=st.sampled_from([2.0, 2.5, 4.0]),
+       rows=st.integers(1, 5), seed=st.integers(0, 2 ** 31))
+def test_stacked_pairings_and_norms_match_rows(flavor, n_grid, q1, rows, seed):
+    tr = DiscreteTriple(n_grid, flavor, q1=q1, q2=3.0)
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal((rows, 2, n_grid))
+    f = rng.standard_normal((rows, 2, n_grid)) * 10.0
+    inner = tr.h_inner(u, f)
+    pairing = tr.dual_pairing(u[:, :1], f)  # one x broadcast over two f
+    norms = {which: tr.dual_norm(f, which) for which in (1, 2)}
+    assert inner.shape == pairing.shape == norms[1].shape == (rows, 2)
+    for i in range(rows):
+        for k in range(2):
+            assert inner[i, k] == pytest.approx(tr.h_inner(u[i, k], f[i, k]),
+                                                rel=1e-9, abs=1e-12)
+            assert pairing[i, k] == pytest.approx(
+                tr.dual_pairing(u[i, 0], f[i, k]), rel=1e-9, abs=1e-12)
+            assert tr.h_norm(u)[i, k] == pytest.approx(tr.h_norm(u[i, k]),
+                                                       rel=1e-12)
+            for which in (1, 2):
+                assert norms[which][i, k] == pytest.approx(
+                    tr.dual_norm(f[i, k], which), rel=1e-9)
+    assert isinstance(tr.h_inner(u[0, 0], f[0, 0]), float)
+    assert isinstance(tr.dual_norm(f[0, 0], 1), float)
+
+
+def test_hs_norm_sq_of_columns_and_stacks():
+    tr = DiscreteTriple(6, POROUS_MEDIUM)
+    rng = np.random.default_rng(4)
+    cols = rng.standard_normal((3, 6, 2))
+    direct = [sum(tr.h_inner(c[:, j], c[:, j]) for j in range(2)) for c in cols]
+    assert np.allclose(tr.hs_norm_sq(cols), direct, rtol=1e-12, atol=0)
+    assert tr.hs_norm_sq(cols[0]) == pytest.approx(direct[0], rel=1e-12)
