@@ -190,9 +190,7 @@ def sample_batch(seed: int, t_final: float, n_steps: int, n_modes: int,
 
 def zero_path(t_final: float, n_steps: int, n_modes: int = 1) -> NoisePath:
     """All-zero increments on a uniform grid: the deterministic driver."""
-    if n_steps < 1 or n_modes < 1 or t_final <= 0:
-        raise ValueError("need t_final > 0, n_steps >= 1, n_modes >= 1")
-    times = np.linspace(0.0, float(t_final), n_steps + 1)
+    times = _grid(t_final, n_steps, n_modes)
     return NoisePath(seed=0, replica=0, level=0, times=times,
                      increments=np.zeros((n_steps, n_modes)),
                      scalar_path=np.zeros(n_steps + 1))

@@ -50,16 +50,11 @@ class MonotoneMap:
     map handed a stack x of shape (..., n) (independent replicas, one per
     row) must act row by row: ``eval`` returns (..., n) and ``jacobian``
     (..., n, n).  Maps only ever called on single vectors may ignore this.
-
-    ``growth_exponent`` / ``growth_constant`` are declarative diagnostics
-    (|F(t,x)| <= const * (1 + |x|**(q-1)) intent); nothing enforces them.
     """
 
     eval: Callable[[float, np.ndarray], np.ndarray]
     jacobian: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
     diagonal: bool = False
-    growth_exponent: Optional[float] = None
-    growth_constant: Optional[float] = None
     name: str = "monotone map"
 
 

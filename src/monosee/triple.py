@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
+
 POROUS_MEDIUM = "porous_medium"
 REACTION_DIFFUSION = "reaction_diffusion"
 
@@ -61,11 +63,11 @@ class DiscreteTriple:
 
     def __init__(self, n_grid: int, flavor: str, q1: float = 2.0, q2: float = 2.0):
         if n_grid < 2:
-            raise ValueError("n_grid must be at least 2")
+            raise ConfigError(f"n_grid must be at least 2, got {n_grid}")
         if flavor not in (POROUS_MEDIUM, REACTION_DIFFUSION):
-            raise ValueError(f"unknown flavor {flavor!r}")
+            raise ConfigError(f"unknown flavor {flavor!r}")
         if q1 < 2.0 or q2 < 2.0:
-            raise ValueError("exponents q1, q2 must be >= 2")
+            raise ConfigError("exponents q1, q2 must be >= 2")
         self.n_grid = int(n_grid)
         self.flavor = flavor
         self.q1 = float(q1)

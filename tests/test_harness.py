@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import monosee.bsde
 from monosee import ConfigError, NonconvergenceError
@@ -250,6 +252,20 @@ REJECTED = [
     ("bsde_picard_demo", "monte_carlo.replicas=2"),
     ("bsde_picard_demo", "monte_carlo.replicas=0"),
     ("bsde_picard_demo", "numerics.max_iter=0"),
+    ("pathwise_uniqueness", "numerics.n_modes=100"),
+    ("pathwise_uniqueness", "problem.n_grid=1"),
+    ("timestep_convergence", "problem.n_grid=1"),
+    ("hypothesis_report", "problem.n_grid=1"),
+    ("timestep_convergence", "numerics.t_final=0.001"),
+    ("volterra_consistency", "numerics.n_steps=1"),
+    ("volterra_consistency", "numerics.n_steps=2"),
+    ("functional_delay_demo", "numerics.max_iter=0"),
+    ("functional_delay_demo", "numerics.tol=0"),
+    ("hypothesis_report", "monte_carlo.replicas=-3"),
+    # a time step that underflows to 0
+    ("porous_medium_demo", "numerics.t_final=5e-324"),
+    ("bsde_picard_demo", "numerics.t_final=5e-324"),
+    ("functional_delay_demo", "numerics.t_final=5e-324"),
     # unknown enum values
     ("bihari_table", "problem.rho_kind=cubic"),
     ("volterra_consistency", "problem.kernel=gaussian"),
@@ -269,6 +285,9 @@ ACCEPTED = [
                                 "monte_carlo.replicas=1")),
     ("bsde_picard_demo", ("monte_carlo.replicas=3", "numerics.n_steps=1",
                           "numerics.max_iter=1")),
+    # keys the experiment never reads
+    ("timestep_convergence", ("numerics.n_steps=0",)),
+    ("timestep_convergence", ("problem.p=1.5",)),
 ]
 
 
@@ -301,6 +320,38 @@ def test_validated_configs_run_to_a_verdict(tmp_path, capsys, experiment,
     assert validated == 0
     assert ran in (0, 1)
     assert manifest["error"] is None
+
+
+SMALL_INT = st.integers(-3, 70)
+SMALL_FLOAT = st.floats(-1.0, 2.0)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(problem=st.fixed_dictionaries(
+           {}, optional={"n_grid": SMALL_INT, "lag_steps": SMALL_INT}),
+       numerics=st.fixed_dictionaries(
+           {}, optional={"n_steps": SMALL_INT, "n_modes": SMALL_INT,
+                         "basis_degree": SMALL_INT, "max_iter": SMALL_INT,
+                         "t_final": SMALL_FLOAT, "tol": SMALL_FLOAT}),
+       monte_carlo=st.fixed_dictionaries({}, optional={"replicas": SMALL_INT}))
+# steps that underflow to 0 or overflow their reciprocal
+@example(problem={}, numerics={"t_final": 5e-324}, monte_carlo={})
+@example(problem={}, numerics={"t_final": 1e-310}, monte_carlo={})
+def test_validate_never_raises(problem, numerics, monte_carlo):
+    for name in EXPECTED_EXPERIMENTS:
+        problems = validate_experiment(ExperimentConfig(
+            experiment=name, problem=problem, numerics=numerics,
+            monte_carlo=monte_carlo))
+        assert isinstance(problems, list)
+        assert all(isinstance(p, str) for p in problems)
+
+
+CONFIG_FILES = sorted((Path(__file__).parents[1] / "configs").glob("*.ini"))
+
+
+@pytest.mark.parametrize("path", CONFIG_FILES, ids=lambda p: p.name)
+def test_shipped_configs_validate(path):
+    assert validate_experiment(load_config(path)) == []
 
 
 def test_run_refuses_invalid_config(tmp_path):
@@ -455,11 +506,17 @@ def test_manifest_written_on_failure(tmp_path):
 
 
 def test_manifest_records_any_exception(tmp_path, monkeypatch, capsys):
-    def crash(config, out_dir):
-        raise ValueError("planted failure")
+    bihari_setup = EXPERIMENTS["bihari_table"].setup
+
+    def crashing_setup(s):
+        bihari_setup(s)
+
+        def crash(out_dir):
+            raise ValueError("planted failure")
+        return crash
 
     monkeypatch.setitem(EXPERIMENTS, "bihari_table", ExperimentEntry(
-        crash, EXPERIMENTS["bihari_table"].validate, "crashes"))
+        crashing_setup, "crashes"))
     with pytest.raises(ValueError, match="planted failure"):
         run_experiment(_config("bihari_table", tmp_path / "direct"))
     path = _write(tmp_path, GOOD)
