@@ -64,12 +64,12 @@ class ModulusSpec:
 
     def __post_init__(self):
         if self.kind == LINEAR:
-            if self.slope < 0:
+            if not self.slope >= 0:
                 raise ConfigError("linear modulus needs slope >= 0")
         elif self.kind == RHO_K:
             if self.k < 1 or int(self.k) != self.k:
                 raise ConfigError("rho_k modulus needs integer k >= 1")
-            if self.c0 <= 0:
+            if not self.c0 > 0:
                 raise ConfigError("rho_k modulus needs c0 > 0")
             if not 0.0 < self.eta < 1.0:
                 raise ConfigError(f"rho_k modulus needs eta in (0, 1); got eta={self.eta}")
@@ -86,7 +86,7 @@ class ModulusSpec:
         elif self.kind == POWER:
             if not (0.0 < self.alpha < 1.0):
                 raise ConfigError("power modulus needs alpha in (0, 1)")
-            if self.c0 <= 0:
+            if not self.c0 > 0:
                 raise ConfigError("power modulus needs c0 > 0")
         else:
             raise ConfigError(f"unknown modulus kind {self.kind!r}")

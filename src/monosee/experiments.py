@@ -204,7 +204,8 @@ class Settings:
     An experiment's setup reads every key it uses through ``get`` (or
     ``positive``), checks the values with ``check``, and builds its
     config-dependent objects with ``build``; each records a problem
-    instead of raising, so one pass reports all of them.
+    instead of raising, so one pass reports all of them.  No float
+    setting may be NaN or infinite.
     """
 
     def __init__(self, config: ExperimentConfig):
@@ -212,7 +213,11 @@ class Settings:
         self.problems: List[str] = []
 
     def get(self, section: str, key: str, default):
-        return self.config.get(section, key, default)
+        value = self.config.get(section, key, default)
+        if isinstance(value, float):
+            self.check(math.isfinite(value),
+                       f"{section}.{key} must be finite, got {value!r}")
+        return value
 
     def check(self, ok: bool, problem: str) -> bool:
         if not ok and problem not in self.problems:
@@ -220,7 +225,7 @@ class Settings:
         return bool(ok)
 
     def positive(self, section: str, key: str, default):
-        value = self.get(section, key, default)
+        value = self.config.get(section, key, default)
         self.check(0 < value < math.inf,
                    f"{section}.{key} must be positive and finite, "
                    f"got {value!r}")
@@ -296,7 +301,7 @@ def _demo(s: Settings, set_name: str, label: str):
                              n_modes=1, replicas=replicas)
         counts = NewtonCounts(replicas)
         paths = solve_forward(cfg, ops.drift, ops.diffusion, batch, u0,
-                              bundle=ops.bundle, counts=counts)
+                              counts=counts)
         h_sq = np.stack([path.h_norm_sq for path in paths])
         energy_sup = max(float(np.max(np.abs(np.cumsum(path.energy_residual))))
                          for path in paths)
@@ -617,7 +622,7 @@ def _bsde_picard_demo(s):
     seed = s.get("monte_carlo", "seed", 13)
     kappa = s.get("problem", "kappa", 0.4)
     max_iter = s.positive("numerics", "max_iter", 25)
-    tol = s.get("numerics", "tol", 1e-8)
+    tol = s.positive("numerics", "tol", 1e-8)
     # both Picard solves regress on the default degree-2 basis
     _require_basis_rows(s, replicas, polynomial_basis(1))
 

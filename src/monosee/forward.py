@@ -6,19 +6,19 @@ it into an n-dimensional Ito equation for the mode coefficients,
 
     dy_i = b_i(t, y) dt + (sigma(t, y) dW)_i,   b_i = [e_i, A(t, y . e)],
 
-which is integrated by a drift-implicit Euler scheme: the noise enters
-explicitly, the drift implicitly, and each step is one resolvent solve of
-the (dissipative) projected drift.  Random coefficients are frozen at the
-left endpoint of every step so the scheme stays adapted.
+which is integrated by a drift-implicit Euler scheme, the only scheme:
+the noise enters explicitly, the drift implicitly, and each step is one
+resolvent solve of the (dissipative) projected drift on the noise grid's
+step.  Random coefficients are frozen at the left endpoint of every step
+so the scheme stays adapted.
 
 A replica ensemble is one (R, n) stack of coefficient vectors, one row per
 noise replica, and each step is one damped-Newton solve over the stack
 with per-replica targets, convergence masks and line searches; a single
-noise path is the batch of one.  The module also houses the coefficient
-rescaling that removes lambda0 from the hypothesis bundle (solve the
-transformed equation, multiply back by gamma), the dissipation clock
-theta, the per-step energy-identity ledger, and the a-priori norm budget
-check.
+noise path is the batch of one.  The module also houses the lambda0
+gauge ``rescale_problem`` (solve its transformed operators, multiply back
+by its gamma), the dissipation clock theta, the per-step energy-identity
+ledger, and the a-priori norm budget check.
 
 Coordinate facts used throughout: the basis is H-orthonormal, so the
 squared H-norm of a state is the Euclidean square of its coefficient
@@ -32,7 +32,7 @@ rows h * ((-L)^{-1} e_i)^T (porous-medium flavor) or h * e_i^T
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -46,35 +46,26 @@ from .triple import POROUS_MEDIUM, DiscreteTriple, _float_or_array
 
 __all__ = [
     "SolverConfig", "SolutionPath", "GalerkinSystem", "step_implicit",
-    "step_semilinearized", "solve_forward", "solve_diagonal_batch",
+    "solve_forward", "solve_diagonal_batch",
     "RescaledProblem", "rescale_problem", "clock_theta", "energy_residual",
     "AprioriReport", "apriori_norms", "trajectory_csv",
 ]
 
-SCHEMES = ("drift_implicit", "semi_implicit")
-
 
 @dataclass
 class SolverConfig:
-    """Numerical parameters of one forward solve."""
+    """Numerical parameters of one forward solve; the step is always the
+    noise grid's."""
 
     n_modes_galerkin: int
-    dt: Optional[float] = None          # None: take the noise grid's step
-    scheme: str = "drift_implicit"
     resolvent_tol: float = 1e-10
     resolvent_max_iter: int = 50
-    rescale_lambda0: bool = False
 
     def __post_init__(self):
         if self.n_modes_galerkin < 1:
             raise ConfigError(f"n_modes_galerkin must be >= 1, got "
                               f"{self.n_modes_galerkin}")
-        if self.dt is not None and self.dt <= 0:
-            raise ConfigError(f"dt must be positive, got {self.dt}")
-        if self.scheme not in SCHEMES:
-            raise ConfigError(f"unknown scheme {self.scheme!r}; "
-                              f"known: {list(SCHEMES)}")
-        if self.resolvent_tol <= 0:
+        if not self.resolvent_tol > 0:
             raise ConfigError("resolvent_tol must be positive")
         if self.resolvent_max_iter < 1:
             raise ConfigError("resolvent_max_iter must be >= 1")
@@ -222,23 +213,6 @@ def step_implicit(x, t: float, dt: float, dW, b, sigma, cfg: SolverConfig,
                      counts=counts)
 
 
-def step_semilinearized(x, t: float, dt: float, dW, b, sigma,
-                        b_jacobian) -> np.ndarray:
-    """One linearized (semi-implicit) step: a single Newton iterate.
-
-    Solves (I - dt * Jb(t+dt, x)) y = x + sigma dW + dt (b(t+dt, x)
-    - Jb(t+dt, x) x), which agrees with the fully implicit step exactly
-    when b is affine.  Acts row by row on an (R, n) stack.
-    """
-    x = np.asarray(x, dtype=float)
-    r = x + _noise_term(sigma(t, x), dW)
-    jac = np.asarray(b_jacobian(t + dt, x), dtype=float)
-    lhs = np.eye(x.shape[-1]) - dt * jac
-    rhs = r + dt * (np.asarray(b(t + dt, x), dtype=float)
-                    - (jac @ x[..., None])[..., 0])
-    return np.linalg.solve(lhs, rhs[..., None])[..., 0]
-
-
 def _energy_defect(system, ctx: BatchContext, x, y) -> np.ndarray:
     """Per-replica energy-identity defect of the step from ``ctx.index``.
 
@@ -259,7 +233,6 @@ def _energy_defect(system, ctx: BatchContext, x, y) -> np.ndarray:
 
 
 def solve_forward(cfg: SolverConfig, drift, diffusion, noise, x0,
-                  bundle: Optional[HypothesisBundle] = None,
                   counts: Optional[NewtonCounts] = None):
     """Integrate the projected equation along a NoisePath or a NoiseBatch.
 
@@ -273,12 +246,11 @@ def solve_forward(cfg: SolverConfig, drift, diffusion, noise, x0,
     ``counts`` (one entry per replica) accumulates the Newton work.
 
     ``x0`` may be grid values or a GridFunction; it is projected onto the
-    first n modes and starts every replica.  With ``cfg.rescale_lambda0``
-    set (which requires the hypothesis ``bundle`` for its lambda0 rate,
-    and a single path), the transformed equation is solved and the result
-    is multiplied back by gamma, so the returned trajectory approximates
-    the original equation; its energy residual then refers to the
-    transformed dynamics that were actually stepped.
+    first n modes and starts every replica.  Every step is one
+    drift-implicit Euler step (``step_implicit``) of the grid's step size.
+    The operators are stepped as given: to remove lambda0 from the
+    hypothesis bundle, solve ``rescale_problem``'s transformed operators
+    and multiply the trajectory by its ``gamma``.
 
     Deterministic for fixed (noise, config): no RNG is consulted.
     """
@@ -290,34 +262,7 @@ def solve_forward(cfg: SolverConfig, drift, diffusion, noise, x0,
         raise ConfigError(f"n_modes_galerkin={n} exceeds grid size "
                           f"{triple.n_grid}")
     dt = batch.dt
-    if cfg.dt is not None and abs(cfg.dt - dt) > 1e-12 * max(1.0, dt):
-        raise ConfigError(f"config dt={cfg.dt} does not match the noise "
-                          f"grid step {dt}")
-
-    if cfg.rescale_lambda0:
-        if bundle is None:
-            raise ConfigError("rescale_lambda0 needs the hypothesis bundle "
-                              "(its lambda0 rate defines gamma)")
-        if batch.n_replicas > 1:
-            raise ConfigError(f"rescale_lambda0 solves one path at a time, "
-                              f"got a batch of {batch.n_replicas}")
-        path = single if single is not None else batch.path(0)
-        scaled = rescale_problem(drift, diffusion, bundle)
-        inner = replace(cfg, rescale_lambda0=False)
-        tilde = solve_forward(inner, scaled.drift, scaled.diffusion, path, x0,
-                              counts=counts)
-        base_ctx = NoiseContext(path)
-        gam = scaled.gamma(path.times, base_ctx)[:, None]
-        coeffs, states = tilde.coeffs * gam, tilde.states * gam
-        out = replace(tilde, coeffs=coeffs, states=states,
-                      h_norm_sq=np.sum(coeffs * coeffs, axis=1),
-                      x1_norm=triple.x_norm(states, 1),
-                      x2_norm=triple.x_norm(states, 2))
-        return out if single is not None else [out]
-
     system = GalerkinSystem(drift, diffusion, n, triple)
-    if cfg.scheme == "semi_implicit" and not system.has_jacobian:
-        raise ConfigError("semi_implicit scheme needs a drift Jacobian")
     times, n_steps = batch.times, batch.n_steps
     x0v = np.asarray(x0.values if hasattr(x0, "values") else x0, dtype=float)
     if x0v.shape != (triple.n_grid,):
@@ -336,12 +281,8 @@ def solve_forward(cfg: SolverConfig, drift, diffusion, noise, x0,
         xk = coeffs[:, k]
         dw = batch.increments[:, k]
         try:
-            if cfg.scheme == "semi_implicit":
-                y = step_semilinearized(xk, t0, dt, dw, drift_map.eval, sigma,
-                                        drift_map.jacobian)
-            else:
-                y = step_implicit(xk, t0, dt, dw, drift_map, sigma, cfg,
-                                  guess=xk, counts=counts)
+            y = step_implicit(xk, t0, dt, dw, drift_map, sigma, cfg,
+                              guess=xk, counts=counts)
         except NonconvergenceError as err:
             replica = None if single is not None \
                 else batch.replica0 + err.replica

@@ -380,18 +380,20 @@ def _coeff_matrix(fn, args, width: int, who: str) -> np.ndarray:
     return out
 
 
+def _check_noise_columns(mat: np.ndarray, n_modes: int, who: str) -> None:
+    """A (width, m) noise factor with m <= n_modes embeds into the leading
+    noise coordinates; more columns than the noise provides is a
+    configuration error."""
+    if mat.shape[1] > n_modes:
+        raise ConfigError(f"{who} returned {mat.shape[1]} noise columns but "
+                          f"the noise path carries only {n_modes} modes")
+
+
 def _against_increments(mat: np.ndarray, inc_row: np.ndarray,
                         who: str) -> np.ndarray:
-    """Apply a (width, m) factor to the first m recorded increments.
-
-    Fewer columns than noise modes embeds into the leading coordinates;
-    more columns than the noise provides is a configuration error.
-    """
-    m = mat.shape[1]
-    if m > len(inc_row):
-        raise ConfigError(f"{who} returned {m} noise columns but the noise "
-                          f"path carries only {len(inc_row)} modes")
-    return mat[:, :m] @ inc_row[:m]
+    """Apply a (width, m) factor to the first m recorded increments."""
+    _check_noise_columns(mat, len(inc_row), who)
+    return mat @ inc_row[:mat.shape[1]]
 
 
 def _frozen_terms(coeffs: FunctionalCoefficients, path: SegmentPath,
@@ -436,6 +438,7 @@ def _frozen_terms(coeffs: FunctionalCoefficients, path: SegmentPath,
     if coeffs.d1 is not None:
         first = _coeff_matrix(coeffs.d1, (float(times[0]), segs[0]), width,
                               "d1")
+        _check_noise_columns(first, noise.n_modes, "d1")
         d_rows = np.empty((n_pts, width, first.shape[1]))
         d_rows[0] = first
         for k in range(1, n_pts):
@@ -938,42 +941,20 @@ def check_volterra_partials(v: VolterraCoefficients, sampler,
 # direct two-time evaluation and the reduction consistency
 
 
-def _grid_index(times: np.ndarray, t: float) -> int:
-    idx = int(np.searchsorted(times, t))
-    for cand in (idx, idx - 1):
-        if 0 <= cand < len(times) \
-                and abs(float(times[cand]) - t) <= 1e-9 * max(1.0, abs(t)):
-            return cand
-    raise ConfigError(f"time {t:g} does not lie on the stored grid")
-
-
 def volterra_direct_eval(v: VolterraCoefficients, path: SegmentPath,
-                         noise: NoisePath, t: float) -> np.ndarray:
-    """Left-point discrete sums of the two-time terms up to time t:
-    sum_j kernel(t, s_j, segment_j) dt + sum_j diffusion(t, s_j,
-    segment_j) dW_j over grid points s_j < t."""
+                         noise: NoisePath) -> np.ndarray:
+    """The direct two-time sums at every grid time t_k of ``path``, an
+    (n_pts, width) table: row k is sum_j drift_kernel(t_k, s_j,
+    segment_j) dt + sum_j diffusion_kernel(t_k, s_j, segment_j) dW_j over
+    grid points s_j < t_k (left-point rule).  These are the frozen
+    two-time terms of the kernels taken as the pair (c2, d2)."""
     times = path.times
     if len(times) > len(noise.times) \
             or not np.allclose(times, noise.times[:len(times)],
                                rtol=0, atol=1e-12):
         raise ConfigError("path and noise must share one time grid")
-    t = float(t)
-    k = _grid_index(times, t)
-    width = path.width
-    dt = noise.dt
-    out = np.zeros(width)
-    for j in range(k):
-        s = float(times[j])
-        seg = segment(path, s)
-        if v.drift_kernel is not None:
-            out += dt * _coeff_row(v.drift_kernel, (t, s, seg), width,
-                                   "drift_kernel")
-        if v.diffusion_kernel is not None:
-            mat = _coeff_matrix(v.diffusion_kernel, (t, s, seg), width,
-                                "diffusion_kernel")
-            out += _against_increments(mat, noise.increments[j],
-                                       "diffusion_kernel")
-    return out
+    direct = FunctionalCoefficients(c2=v.drift_kernel, d2=v.diffusion_kernel)
+    return _frozen_terms(direct, path, noise)[0]
 
 
 def volterra_consistency(v: VolterraCoefficients, path: SegmentPath,
@@ -982,57 +963,21 @@ def volterra_consistency(v: VolterraCoefficients, path: SegmentPath,
     sums and their diagonal-plus-partial rewriting, both under the
     left-point rule on the same fixed path and noise.
 
-    The continuum forms are identical; the discrepancy measures the
-    quadrature mismatch and vanishes at first order in the step for
-    smooth kernels (exactly, for kernels independent of the first
-    argument).
+    The rewriting at t_k is the running left sum over s_j < t_k of the
+    frozen forcing of ``volterra_to_functional(v)`` times dt plus its
+    frozen diffusion against dW_j.  The continuum forms are identical;
+    the discrepancy measures the quadrature mismatch and vanishes at
+    first order in the step for smooth kernels (exactly, for kernels
+    independent of the first argument).
     """
-    times = path.times
-    n_pts = len(times)
-    width = path.width
-    dt = noise.dt
-    func = volterra_to_functional(v)
-    segs = [segment(path, float(s)) for s in times]
-
-    # diagonal-plus-partial form, accumulated with the left-point rule:
-    # acc integrates (diagonal drift + inner partial sums) ds, stoch sums
-    # the diagonal diffusion against the recorded increments
-    worst = 0.0
-    acc = np.zeros(width)
-    stoch = np.zeros(width)
-    for k in range(n_pts):
-        if k > 0:
-            j = k - 1          # left endpoint of the arriving step
-            s = float(times[j])
-            term = np.zeros(width)
-            if func.c1 is not None:
-                term += _coeff_row(func.c1, (s, segs[j]), width,
-                                   "diagonal drift")
-            if func.c2 is not None:
-                inner = np.zeros(width)
-                for i in range(j):
-                    inner += _coeff_row(func.c2,
-                                        (s, float(times[i]), segs[i]),
-                                        width, "drift partial")
-                term += dt * inner
-            if func.d2 is not None:
-                inner = np.zeros(width)
-                for i in range(j):
-                    mat = _coeff_matrix(func.d2,
-                                        (s, float(times[i]), segs[i]),
-                                        width, "diffusion partial")
-                    inner += _against_increments(mat, noise.increments[i],
-                                                 "diffusion partial")
-                term += inner
-            acc = acc + dt * term
-            if func.d1 is not None:
-                mat = _coeff_matrix(func.d1, (s, segs[j]), width,
-                                    "diagonal diffusion")
-                stoch = stoch + _against_increments(
-                    mat, noise.increments[j], "diagonal diffusion")
-        direct = volterra_direct_eval(v, path, noise, float(times[k]))
-        worst = max(worst, path.h_norm_of(direct - (acc + stoch)))
-    return worst
+    direct = volterra_direct_eval(v, path, noise)
+    g_rows, d_rows = _frozen_terms(volterra_to_functional(v), path, noise)
+    inc = noise.increments[:len(d_rows) - 1, :d_rows.shape[2], None]
+    zero = np.zeros((1, path.width))
+    acc = np.cumsum(np.concatenate([zero, noise.dt * g_rows[:-1]]), axis=0)
+    stoch = np.cumsum(np.concatenate([zero, (d_rows[:-1] @ inc)[..., 0]]),
+                      axis=0)
+    return max(path.h_norm_of(row) for row in direct - (acc + stoch))
 
 
 # ---------------------------------------------------------------------------

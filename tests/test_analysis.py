@@ -155,6 +155,16 @@ def test_modulus_validation():
         ModulusSpec(kind="wibble")
 
 
+@pytest.mark.parametrize("params", [
+    {"kind": "linear", "slope": math.nan},
+    {"kind": "rho_k", "c0": math.nan},
+    {"kind": "power", "c0": math.nan},
+])
+def test_modulus_rejects_nan_parameters(params):
+    with pytest.raises(ConfigError):
+        ModulusSpec(**params)
+
+
 def test_osgood_criterion_and_partial_integrals():
     assert rho_k_modulus(1).is_osgood
     assert rho_k_modulus(2, c0=0.5, eta=0.05).is_osgood

@@ -18,8 +18,7 @@ from monosee.forward import (AprioriReport, GalerkinSystem, SolverConfig,
                              apriori_norms, clock_theta, energy_residual,
                              rescale_problem,
                              solve_diagonal_batch, solve_forward,
-                             step_implicit, step_semilinearized,
-                             trajectory_csv)
+                             step_implicit, trajectory_csv)
 from monosee.noise import EMPTY_CONTEXT, NoiseBatch, NoiseContext, \
     refine_path, sample_batch, sample_path, zero_path
 from monosee.operators import (ConstantDiffusion, PhiDrift,
@@ -156,21 +155,6 @@ def test_step_cubic_against_bisection_oracle():
         else:
             lo = mid
     assert abs(float(y[0]) - lo) < 1e-10
-
-
-def test_step_semilinearized_matches_implicit_for_affine():
-    cfg = SolverConfig(n_modes_galerkin=2, resolvent_tol=1e-13)
-    mu = np.array([2.0, 5.0])
-    jac = np.diag(-mu)
-    x = np.array([1.0, -1.0])
-    dW = np.array([0.3])
-    sig_mat = np.array([[1.0], [0.5]])
-    b = lambda t, v: -mu * v
-    sigma = lambda t, v: sig_mat
-    y_imp = step_implicit(x, 0.0, 0.02, dW, b, sigma, cfg)
-    y_semi = step_semilinearized(x, 0.0, 0.02, dW, b, sigma,
-                                 lambda t, v: jac)
-    assert np.allclose(y_imp, y_semi, rtol=1e-12, atol=1e-14)
 
 
 def test_monotone_step_is_nonexpansive_with_shared_noise():
@@ -314,21 +298,6 @@ def test_batch_agrees_with_batches_of_one(name):
         assert counts.halvings[r] == one.halvings[0]
 
 
-def test_semi_implicit_batch_agrees_with_batches_of_one():
-    ops = build_operator_set("heat", 12)
-    diff = ConstantDiffusion(ops.triple, 0.4 * np.ones((12, 1)))
-    cfg = SolverConfig(n_modes_galerkin=6, scheme="semi_implicit")
-    x0 = ops.triple.basis_function(2)
-    batch = sample_batch(seed=3, t_final=0.5, n_steps=50, n_modes=1,
-                         replicas=3)
-    counts = NewtonCounts(3)
-    paths = solve_forward(cfg, ops.drift, diff, batch, x0, counts=counts)
-    for r, path in enumerate(paths):
-        alone = solve_forward(cfg, ops.drift, diff, batch.path(r), x0)
-        assert np.allclose(path.coeffs, alone.coeffs, rtol=0, atol=1e-12)
-    assert not counts.iterations.any()  # one linear solve, no Newton
-
-
 def test_non_finite_state_in_one_replica_raises():
     ops = build_operator_set("eq_1_1", 12, p=3.0)
     batch = sample_batch(seed=3, t_final=0.25, n_steps=10, n_modes=1,
@@ -338,36 +307,6 @@ def test_non_finite_state_in_one_replica_raises():
         solve_forward(SolverConfig(n_modes_galerkin=6), ops.drift,
                       ops.diffusion, batch,
                       0.5 * np.sin(np.pi * ops.triple.nodes))
-
-
-def test_solve_forward_dt_mismatch_rejected():
-    ops = build_operator_set("heat", 8)
-    cfg = SolverConfig(n_modes_galerkin=4, dt=0.01)
-    with pytest.raises(ConfigError, match="does not match"):
-        solve_forward(cfg, ops.drift, ops.diffusion, zero_path(1.0, 50),
-                      np.zeros(8))
-
-
-def test_semi_implicit_matches_implicit_on_heat():
-    ops = build_operator_set("heat", 12)
-    noise = sample_path(seed=3, t_final=0.5, n_steps=50, n_modes=1)
-    diff = ConstantDiffusion(ops.triple, 0.4 * np.ones((12, 1)))
-    x0 = ops.triple.basis_function(2)
-    p_imp = solve_forward(SolverConfig(n_modes_galerkin=6), ops.drift, diff,
-                          noise, x0)
-    p_semi = solve_forward(SolverConfig(n_modes_galerkin=6,
-                                        scheme="semi_implicit"),
-                           ops.drift, diff, noise, x0)
-    assert sup_h_distance(p_imp, p_semi) < 1e-8
-
-
-def test_semi_implicit_needs_jacobian():
-    tr = DiscreteTriple(8, "porous_medium", q1=3.0, q2=3.0)
-    drift = PhiDrift(tr, lambda t, ctx, r: np.abs(r) * r)  # no phi_prime
-    diff = ConstantDiffusion(tr, np.zeros((8, 1)))
-    cfg = SolverConfig(n_modes_galerkin=4, scheme="semi_implicit")
-    with pytest.raises(ConfigError, match="Jacobian"):
-        solve_forward(cfg, drift, diff, zero_path(1.0, 10), np.zeros(8))
 
 
 def test_galerkin_nesting_discrepancy_decreases():
@@ -560,44 +499,18 @@ def test_rescale_solve_and_untransform_consistent_first_order():
     diff = ConstantDiffusion(ops.triple, 0.4 * np.ones((16, 1)))
     x0 = np.sin(np.pi * ops.triple.nodes)
     noise = sample_path(seed=31, t_final=0.4, n_steps=40, n_modes=1)
+    scaled = rescale_problem(ops.drift, diff, bundle)
+    cfg = SolverConfig(n_modes_galerkin=8)
     errors, steps = [], []
     for _ in range(3):
-        direct = solve_forward(SolverConfig(n_modes_galerkin=8), ops.drift,
-                               diff, noise, x0)
-        gauged = solve_forward(SolverConfig(n_modes_galerkin=8,
-                                            rescale_lambda0=True),
-                               ops.drift, diff, noise, x0, bundle=bundle)
-        errors.append(sup_h_distance(direct, gauged))
+        direct = solve_forward(cfg, ops.drift, diff, noise, x0)
+        tilde = solve_forward(cfg, scaled.drift, scaled.diffusion, noise, x0)
+        gam = scaled.gamma(noise.times, NoiseContext(noise))[:, None]
+        errors.append(sup_h_distance(direct.coeffs, tilde.coeffs * gam))
         steps.append(noise.dt)
         noise = refine_path(noise)
     assert errors[1] < errors[0] and errors[2] < errors[1]
     assert convergence_order(errors, steps) > 0.75
-
-
-def test_rescale_solves_one_path_at_a_time():
-    ops = build_operator_set("porous_medium", 8, p=3.0)
-    bundle = dataclasses.replace(ops.bundle, lambda0=constant_profile(0.5))
-    cfg = SolverConfig(n_modes_galerkin=4, rescale_lambda0=True)
-    x0 = np.sin(np.pi * ops.triple.nodes)
-    batch = sample_batch(seed=8, t_final=0.2, n_steps=10, n_modes=1,
-                         replicas=2)
-    with pytest.raises(ConfigError, match="one path at a time"):
-        solve_forward(cfg, ops.drift, ops.diffusion, batch, x0,
-                      bundle=bundle)
-    single = solve_forward(cfg, ops.drift, ops.diffusion, batch.path(0), x0,
-                           bundle=bundle)
-    [one] = solve_forward(cfg, ops.drift, ops.diffusion,
-                          NoiseBatch.from_path(batch.path(0)), x0,
-                          bundle=bundle)
-    assert np.array_equal(one.coeffs, single.coeffs)
-
-
-def test_rescale_needs_bundle():
-    ops = build_operator_set("heat", 8)
-    cfg = SolverConfig(n_modes_galerkin=4, rescale_lambda0=True)
-    with pytest.raises(ConfigError, match="bundle"):
-        solve_forward(cfg, ops.drift, ops.diffusion, zero_path(1.0, 10),
-                      np.zeros(8))
 
 
 # ---------------------------------------------------------------------------
@@ -709,11 +622,9 @@ def test_solver_config_validation():
     with pytest.raises(ConfigError):
         SolverConfig(n_modes_galerkin=0)
     with pytest.raises(ConfigError):
-        SolverConfig(n_modes_galerkin=4, dt=-0.1)
-    with pytest.raises(ConfigError):
-        SolverConfig(n_modes_galerkin=4, scheme="explicit")
-    with pytest.raises(ConfigError):
         SolverConfig(n_modes_galerkin=4, resolvent_tol=0.0)
+    with pytest.raises(ConfigError):
+        SolverConfig(n_modes_galerkin=4, resolvent_tol=math.nan)
     ops = build_operator_set("heat", 8)
     with pytest.raises(ConfigError, match="exceeds grid"):
         solve_forward(SolverConfig(n_modes_galerkin=9), ops.drift,

@@ -201,6 +201,19 @@ def test_memory_independent_terms_converge_in_one_solve():
     assert np.array_equal(res.path.values[1:], direct.states[1:])
 
 
+@pytest.mark.parametrize("part", ["d1", "d2"])
+def test_noise_factor_wider_than_the_noise_is_rejected(part):
+    # a (2, 2) factor on a 1-mode path: its second column has no noise to
+    # act on, so the sweep refuses it instead of dropping it
+    _, drift, noise, x0seg, _, cfg, _ = _delay_setup(n_steps=8)
+    wide = np.array([[0.25, 0.1], [0.4, -0.2]])
+    factor = (lambda t, seg: wide) if part == "d1" \
+        else (lambda t, s, seg: wide)
+    coeffs = FunctionalCoefficients(**{part: factor})
+    with pytest.raises(ConfigError, match=f"{part} returned 2 noise columns"):
+        picard_solve_functional(drift, coeffs, noise, x0seg, cfg)
+
+
 def test_delay_equation_matches_direct_stepping_oracle():
     # modes diagonalize the flux part, so the converged path obeys, per
     # mode, y[k+1] (1 + mu dt) = y[k] + dt kappa lag(t[k+1]) + (P d1) dW
@@ -481,8 +494,8 @@ def test_direct_eval_of_empty_kernels_is_zero():
     tr = _rd_triple()
     path = _analytic_path(8, tr)
     noise = sample_path(seed=4, t_final=1.0, n_steps=8, n_modes=1)
-    out = volterra_direct_eval(VolterraCoefficients(), path, noise, 0.5)
-    assert np.array_equal(out, np.zeros(2))
+    out = volterra_direct_eval(VolterraCoefficients(), path, noise)
+    assert np.array_equal(out, np.zeros((9, 2)))
 
 
 def test_direct_eval_left_rule_error_is_first_order():
@@ -495,9 +508,10 @@ def test_direct_eval_left_rule_error_is_first_order():
     exact = (1.0 - np.exp(-1.0)) * row
     errs = []
     for n in (32, 64):
-        out = volterra_direct_eval(v, _analytic_path(n, tr),
-                                   zero_path(1.0, n, 1), 1.0)
-        err = float(np.max(np.abs(out - exact)))
+        table = volterra_direct_eval(v, _analytic_path(n, tr),
+                                     zero_path(1.0, n, 1))
+        assert table.shape == (n + 1, 2)
+        err = float(np.max(np.abs(table[-1] - exact)))
         assert err <= (1.0 / n) * float(np.max(row))
         errs.append(err)
     assert 1.8 <= errs[0] / errs[1] <= 2.2
@@ -507,11 +521,9 @@ def test_direct_eval_grid_validation():
     tr = _rd_triple()
     path = _analytic_path(8, tr)
     noise = sample_path(seed=4, t_final=1.0, n_steps=8, n_modes=1)
-    with pytest.raises(ConfigError, match="stored grid"):
-        volterra_direct_eval(VolterraCoefficients(), path, noise, 0.3)
     other = sample_path(seed=4, t_final=1.0, n_steps=12, n_modes=1)
     with pytest.raises(ConfigError, match="time grid"):
-        volterra_direct_eval(VolterraCoefficients(), path, other, 0.5)
+        volterra_direct_eval(VolterraCoefficients(), path, other)
 
 
 def test_consistency_vanishes_for_time_independent_kernels():
