@@ -202,7 +202,7 @@ class Settings:
     """One experiment's settings, read once each, and the problems found.
 
     An experiment's setup reads every key it uses through ``get`` (or
-    ``positive``), checks the values with ``check``, and builds its
+    ``positive``, ``seed``), checks the values with ``check``, and builds its
     config-dependent objects with ``build``; each records a problem
     instead of raising, so one pass reports all of them.  No float
     setting may be NaN or infinite.
@@ -230,6 +230,15 @@ class Settings:
                    f"{section}.{key} must be positive and finite, "
                    f"got {value!r}")
         return value
+
+    def seed(self, default: int) -> int:
+        """monte_carlo.seed: a non-negative integer, the entropy of every
+        noise substream key."""
+        seed = self.config.get("monte_carlo", "seed", default)
+        self.check(isinstance(seed, int) and seed >= 0,
+                   f"monte_carlo.seed must be a non-negative integer, "
+                   f"got {seed!r}")
+        return seed
 
     def time_grid(self, t_final: float, n_steps: int):
         """numerics.t_final and numerics.n_steps: both positive, with a
@@ -283,7 +292,7 @@ def _demo(s: Settings, set_name: str, label: str):
     n_modes = s.get("numerics", "n_modes", 8)
     t_final, n_steps = s.time_grid(0.25, 250)
     replicas = s.positive("monte_carlo", "replicas", 64)
-    seed = s.get("monte_carlo", "seed", 2026)
+    seed = s.seed(2026)
     u0_scale = s.get("problem", "u0_scale", 1.0)
     u0_mode = s.get("problem", "u0_mode", 1)
     s.check(1 <= u0_mode <= n_grid, f"problem.u0_mode must lie in 1..n_grid "
@@ -352,7 +361,7 @@ def _reaction_diffusion_demo(s):
 def _galerkin_convergence(s):
     n_grid = s.get("problem", "n_grid", 64)
     t_final, n_steps = s.time_grid(0.1, 100)
-    seed = s.get("monte_carlo", "seed", 7)
+    seed = s.seed(7)
     mode_counts = GALERKIN_MODE_COUNTS
     s.check(n_grid >= mode_counts[-1],
             f"problem.n_grid must be >= {mode_counts[-1]} (the largest mode "
@@ -440,7 +449,7 @@ def _pathwise_uniqueness(s):
     n_grid = s.get("problem", "n_grid", 16)
     n_modes = s.get("numerics", "n_modes", 8)
     t_final, n_steps = s.time_grid(0.25, 100)
-    seed = s.get("monte_carlo", "seed", 11)
+    seed = s.seed(11)
     _, (ops,) = _operator_sets(s, n_grid, "porous_medium")
     cfg = _solver_config(s, n_grid, n_modes)
 
@@ -480,7 +489,7 @@ def _pathwise_uniqueness(s):
 def _hypothesis_report(s):
     n_grid = s.get("problem", "n_grid", 12)
     n_samples = s.positive("monte_carlo", "replicas", 500)
-    seed = s.get("monte_carlo", "seed", 5)
+    seed = s.seed(5)
     _, families = _operator_sets(s, n_grid, "eq_1_1", "eq_1_2",
                                  "porous_medium")
 
@@ -562,7 +571,7 @@ def _backward_stats(counts: BackwardCounts) -> dict:
 def _bsde_linear_validation(s):
     t_final, n_steps = s.time_grid(1.0, 64)
     replicas = s.get("monte_carlo", "replicas", 4000)
-    seed = s.get("monte_carlo", "seed", 31)
+    seed = s.seed(31)
     resolvent_tol = s.positive("numerics", "resolvent_tol", 1e-10)
     resolvent_max_iter = s.positive("numerics", "resolvent_max_iter", 100)
     basis = s.build("numerics.basis_degree", polynomial_basis, 1,
@@ -619,7 +628,7 @@ def _bsde_linear_validation(s):
 def _bsde_picard_demo(s):
     t_final, n_steps = s.time_grid(1.0, 32)
     replicas = s.get("monte_carlo", "replicas", 400)
-    seed = s.get("monte_carlo", "seed", 13)
+    seed = s.seed(13)
     kappa = s.get("problem", "kappa", 0.4)
     max_iter = s.positive("numerics", "max_iter", 25)
     tol = s.positive("numerics", "tol", 1e-8)
@@ -688,7 +697,7 @@ def _functional_delay_demo(s):
     t_final, n_steps = s.time_grid(1.0, 32)
     tol = s.positive("numerics", "tol", 1e-10)
     max_iter = s.positive("numerics", "max_iter", 40)
-    seed = s.get("monte_carlo", "seed", 77)
+    seed = s.seed(77)
     s.check(1 <= lag_steps <= n_steps, f"problem.lag_steps must lie in "
                                        f"1..n_steps ({n_steps}), got "
                                        f"{lag_steps}")
@@ -759,7 +768,7 @@ def _functional_delay_demo(s):
 
 def _volterra_consistency(s):
     t_final, n_steps = s.time_grid(1.0, 16)
-    seed = s.get("monte_carlo", "seed", 9)
+    seed = s.seed(9)
     kernel = s.get("problem", "kernel", "exponential")
     s.check(kernel == "exponential",
             f"problem.kernel must be exponential, got {kernel!r}")

@@ -2,15 +2,19 @@
 
 Streams are derived from a counter-based generator (Philox) keyed by
 (seed, replica, purpose, level), so replica ensembles and refinement levels
-are reproducible regardless of execution order.  A NoiseBatch stacks the
-replica substreams of one seed; it is how a replica ensemble reaches the
-batched forward solver and the backward regression solvers.  The first
-mode doubles as the scalar driving Brownian motion w_t used by random
-coefficients.
+are reproducible regardless of execution order.  The Philox key of a
+substream is the key ``np.random.SeedSequence(entropy=seed,
+spawn_key=(replica, purpose, level))`` gives a fresh Philox; the keys of a
+whole replica range are computed at once, by the same 32-bit hash run
+over arrays.  A NoiseBatch stacks the replica substreams of one seed; it
+is how a replica ensemble reaches the batched forward solver and the
+backward regression solvers.  The first mode doubles as the scalar
+driving Brownian motion w_t used by random coefficients.
 """
 
 from __future__ import annotations
 
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -24,16 +28,117 @@ _PURPOSE_BRIDGE = 1
 
 MAGIC = b"MSNOISE1"
 
+# NumPy's SeedSequence: O'Neill's seed_seq_fe hash with a 4-word pool
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
 
-def _seed_sequence(seed: int, replica: int, purpose: int,
-                   level: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(
-        entropy=int(seed), spawn_key=(int(replica), int(purpose), int(level)))
+
+def _natural(value, name: str) -> int:
+    """``value`` as a non-negative Python int, else ConfigError."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        n = -1
+    if n < 0:
+        raise ConfigError(f"{name} must be a non-negative integer, "
+                          f"got {value!r}")
+    return n
 
 
-def _generator(seed: int, replica: int, purpose: int, level: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(
-        _seed_sequence(seed, replica, purpose, level)))
+def _words(n: int) -> list:
+    """SeedSequence's coercion of an int: 32-bit words, least significant
+    first, one word for 0."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _chain(const: int, mult: int, n_calls: int) -> np.ndarray:
+    """The hash constants of n_calls consecutive hash steps: step k salts
+    with entry k and multiplies by entry k + 1.  They advance by the same
+    multiplier whatever the data."""
+    chain = [const]
+    for _ in range(n_calls):
+        chain.append(chain[-1] * mult & _MASK32)
+    return np.array(chain, dtype=np.uint32)
+
+
+def _hash(value, salt, mult):
+    """seed_seq_fe's hashmix step (and generate_state's), on Python ints or
+    on uint32 arrays."""
+    value = (value ^ salt) * mult & _MASK32
+    return value ^ (value >> _XSHIFT)
+
+
+def _mix(x, y):
+    """seed_seq_fe's mix of two words, on Python ints or uint32 arrays."""
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ (result >> _XSHIFT)
+
+
+# generate_state's four steps, one per pool word
+_READOUT = _chain(_INIT_B, _MULT_B, _POOL_SIZE)[:, None]
+
+
+def _substream_keys(seed, replica0, n_rows: int, purpose: int,
+                    level: int) -> np.ndarray:
+    """(n_rows, 2) uint64 Philox keys of replicas ``replica0`` onward.
+
+    Row i equals ``np.random.SeedSequence(entropy=seed, spawn_key=
+    (replica0 + i, purpose, level)).generate_state(2, np.uint64)``.  The
+    seed's words fill the pool (zero-padded to its size, since a spawn key
+    follows) and are mixed once, as Python ints.  Each spawn word then
+    mixes into every pool word independently, so the pool becomes a
+    (4, rows) uint32 array and each word costs a few array operations.  A
+    replica of two words takes one more spawn word than a replica of one,
+    so the range is split at 2**32 and each part hashed alike.
+    """
+    seed = _natural(seed, "seed")
+    replica0 = _natural(replica0, "replica")
+    stop = replica0 + n_rows
+    if stop > 2**64:
+        raise ConfigError(f"replica {stop - 1} exceeds 2**64 - 1")
+    entropy = _words(seed)
+    entropy += [0] * (_POOL_SIZE - len(entropy))
+    constant_words = _words(purpose) + _words(level)
+    n_seed_calls = _POOL_SIZE**2 + _POOL_SIZE * (len(entropy) - _POOL_SIZE)
+    # a replica below 2**64 is at most two words
+    chain = _chain(_INIT_A, _MULT_A, n_seed_calls
+                   + _POOL_SIZE * (2 + len(constant_words)))
+    calls = iter(zip(chain.tolist(), chain[1:].tolist()))
+    pool = [_hash(word, *next(calls)) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], *next(calls)))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hash(word, *next(calls)))
+    seed_pool = np.array(pool, dtype=np.uint32)[:, None]
+
+    keys = np.empty((n_rows, 2), dtype=np.uint64)
+    bounds = sorted({replica0, min(max(replica0, 2**32), stop), stop})
+    for lo, hi in zip(bounds, bounds[1:]):
+        replicas = np.arange(hi - lo, dtype=np.uint64) + np.uint64(lo)
+        words = [(replicas & np.uint64(_MASK32)).astype(np.uint32)]
+        if lo >= 2**32:
+            words.append((replicas >> np.uint64(32)).astype(np.uint32))
+        pool, k = seed_pool, n_seed_calls
+        for word in words + constant_words:
+            steps = chain[k:k + _POOL_SIZE + 1, None]
+            pool = _mix(pool, _hash(word, steps[:-1], steps[1:]))
+            k += _POOL_SIZE
+        # four uint32 words per row, read little-endian as two uint64
+        state = _hash(pool, _READOUT[:-1], _READOUT[1:])
+        keys[lo - replica0:hi - replica0] = np.ascontiguousarray(
+            state.T, dtype="<u4").view("<u8")
+    return keys
 
 
 @dataclass
@@ -137,22 +242,23 @@ def _grid(t_final: float, n_steps: int, n_modes: int) -> np.ndarray:
     return np.linspace(0.0, float(t_final), int(n_steps) + 1)
 
 
-def _base_increments(seed: int, replicas: range, times: np.ndarray,
-                     n_modes: int) -> np.ndarray:
-    """Base increments of every replica in ``replicas``, (R, N, n_modes).
+def _base_increments(seed: int, replica0: int, n_rows: int,
+                     times: np.ndarray, n_modes: int) -> np.ndarray:
+    """Base increments of replicas ``replica0 .. replica0 + n_rows - 1``,
+    (n_rows, N, n_modes).
 
-    One Philox generator serves all rows: before each row it is re-keyed
-    to the key the row's (seed, replica) SeedSequence gives a fresh
-    Philox, at counter 0, so row r draws exactly the stream of
-    ``_generator(seed, r, _PURPOSE_BASE, 0)``.
+    The Philox keys of the whole range are computed at once and equal the
+    keys the rows' (seed, replica) SeedSequences give a fresh Philox.  One
+    Philox generator serves all rows: before each row it is re-keyed, at
+    counter 0, so every row draws exactly its substream's fresh stream.
     """
+    keys = _substream_keys(seed, replica0, n_rows, _PURPOSE_BASE, 0)
     bit_generator = np.random.Philox(key=0)
     gen = np.random.Generator(bit_generator)
     state = bit_generator.state  # counter 0, empty buffer: a fresh start
-    out = np.empty((len(replicas), len(times) - 1, int(n_modes)))
-    for row, replica in zip(out, replicas):
-        state["state"]["key"] = _seed_sequence(
-            seed, replica, _PURPOSE_BASE, 0).generate_state(2, np.uint64)
+    out = np.empty((n_rows, len(times) - 1, int(n_modes)))
+    for row, key in zip(out, keys):
+        state["state"]["key"] = key
         bit_generator.state = state
         gen.standard_normal(out=row)
     out *= np.sqrt(times[1] - times[0])
@@ -164,12 +270,12 @@ def sample_path(seed: int, t_final: float, n_steps: int, n_modes: int,
     """Sample a fresh path on the uniform grid {0, dt, ..., T}.
 
     Deterministic in (seed, replica); distinct replicas use disjoint
-    substreams of the same seed.
+    substreams of the same seed.  Both must be non-negative integers.
     """
     times = _grid(t_final, n_steps, n_modes)
-    increments = _base_increments(seed, range(int(replica), int(replica) + 1),
-                                  times, n_modes)[0]
-    return NoisePath(int(seed), int(replica), 0, times, increments,
+    seed, replica = _natural(seed, "seed"), _natural(replica, "replica")
+    increments = _base_increments(seed, replica, 1, times, n_modes)[0]
+    return NoisePath(seed, replica, 0, times, increments,
                      _scalar_from_increments(increments))
 
 
@@ -180,11 +286,13 @@ def sample_batch(seed: int, t_final: float, n_steps: int, n_modes: int,
     Row r is bit-identical to ``sample_path(..., replica=r)``: the rows
     are the same (seed, replica) substreams, stacked.
     """
+    replicas = _natural(replicas, "replicas")
     if replicas < 1:
         raise ConfigError("replicas must be at least 1")
     times = _grid(t_final, n_steps, n_modes)
-    increments = _base_increments(seed, range(int(replicas)), times, n_modes)
-    return NoiseBatch(int(seed), 0, 0, times, increments,
+    seed = _natural(seed, "seed")
+    increments = _base_increments(seed, 0, replicas, times, n_modes)
+    return NoiseBatch(seed, 0, 0, times, increments,
                       _scalar_from_increments(increments))
 
 
@@ -207,7 +315,9 @@ def refine_path(path: NoisePath) -> NoisePath:
     """
     n, m = path.increments.shape
     dt = path.dt
-    gen = _generator(path.seed, path.replica, _PURPOSE_BRIDGE, path.level + 1)
+    key = _substream_keys(path.seed, path.replica, 1, _PURPOSE_BRIDGE,
+                          path.level + 1)[0]
+    gen = np.random.Generator(np.random.Philox(key=key))
     z = gen.standard_normal((n, m))
     target = path.increments
     first = target / 2.0 + 0.5 * np.sqrt(dt) * z
@@ -230,10 +340,13 @@ def refine_path(path: NoisePath) -> NoisePath:
 
 def save_increments(path: NoisePath, filename: str) -> None:
     """Binary dump: 8-byte magic, then little-endian uint64 N, n_modes, seed,
-    then N*n_modes little-endian float64 increments, row-major."""
+    then N*n_modes little-endian float64 increments, row-major.  A seed
+    outside [0, 2**64) does not fit and raises ConfigError."""
+    if not 0 <= path.seed < 2**64:
+        raise ConfigError(f"seed {path.seed} does not fit the dump's uint64")
     with open(filename, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(struct.pack("<QQQ", path.n_steps, path.n_modes, path.seed & (2**64 - 1)))
+        fh.write(struct.pack("<QQQ", path.n_steps, path.n_modes, path.seed))
         fh.write(np.ascontiguousarray(path.increments, dtype="<f8").tobytes())
 
 

@@ -276,6 +276,16 @@ REJECTED = [
     # unknown enum values
     ("bihari_table", "problem.rho_kind=cubic"),
     ("volterra_consistency", "problem.kernel=gaussian"),
+    # a negative seed keys no noise substream (every seeded experiment)
+    ("porous_medium_demo", "monte_carlo.seed=-4"),
+    ("reaction_diffusion_demo", "monte_carlo.seed=-4"),
+    ("galerkin_convergence", "monte_carlo.seed=-1"),
+    ("pathwise_uniqueness", "monte_carlo.seed=-1"),
+    ("hypothesis_report", "monte_carlo.seed=-1"),
+    ("bsde_linear_validation", "monte_carlo.seed=-1"),
+    ("bsde_picard_demo", "monte_carlo.seed=-1"),
+    ("functional_delay_demo", "monte_carlo.seed=-1"),
+    ("volterra_consistency", "monte_carlo.seed=-1"),
 ]
 
 ACCEPTED = [

@@ -4,12 +4,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from monosee.errors import ConfigError
 from monosee.noise import (
     BatchContext,
     NoiseBatch,
     NoiseContext,
+    NoisePath,
+    _substream_keys,
     load_increments,
     refine_path,
     sample_batch,
@@ -203,3 +207,97 @@ def test_batch_of_one_and_batch_context():
     column = ctx.scalar(0.9)  # frozen: the time argument is not consulted
     assert column.shape == (3, 1)
     assert np.array_equal(column[:, 0], many.scalar_paths[:, 2])
+
+
+def _fresh_philox_rows(seed, replicas, n_steps, n_modes, dt,
+                       purpose=0, level=0):
+    """Reference: what a fresh SeedSequence -> Philox -> Generator keyed
+    by (seed, replica, purpose, level) draws, one replica at a time."""
+    rows = []
+    for r in replicas:
+        ss = np.random.SeedSequence(entropy=seed,
+                                    spawn_key=(r, purpose, level))
+        gen = np.random.Generator(np.random.Philox(ss))
+        rows.append(gen.standard_normal((n_steps, n_modes)) * np.sqrt(dt))
+    return np.array(rows)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**200 - 1),
+       replica0=st.one_of(st.integers(0, 2**40 - 1),
+                          st.integers(2**32 - 6, 2**32 + 2)),
+       n_rows=st.integers(1, 8),
+       purpose=st.sampled_from([0, 1]),
+       level=st.integers(0, 2**33 - 1))
+@example(seed=0, replica0=0, n_rows=3, purpose=0, level=0)
+@example(seed=2**32 + 5, replica0=2**32 - 3, n_rows=6, purpose=1,
+         level=2**32)
+@example(seed=2**128 - 1, replica0=2**40 - 1, n_rows=1, purpose=1, level=3)
+def test_substream_keys_equal_seed_sequence(seed, replica0, n_rows, purpose,
+                                            level):
+    # if a NumPy release changes SeedSequence's mix, this fails loudly
+    keys = _substream_keys(seed, replica0, n_rows, purpose, level)
+    assert keys.dtype == np.uint64 and keys.shape == (n_rows, 2)
+    for key, r in zip(keys, range(replica0, replica0 + n_rows)):
+        ss = np.random.SeedSequence(entropy=seed,
+                                    spawn_key=(r, purpose, level))
+        assert np.array_equal(key, ss.generate_state(2, np.uint64))
+
+
+@pytest.mark.parametrize("seed", [0, 31, 2**32 + 5, 2**70 + 3])
+def test_sample_batch_4000_rows_bit_identical_to_fresh_philox(seed):
+    batch = sample_batch(seed, t_final=1.0, n_steps=2, n_modes=1,
+                         replicas=4000)
+    assert np.array_equal(
+        batch.increments,
+        _fresh_philox_rows(seed, range(4000), 2, 1, batch.dt))
+
+
+def test_two_word_replica_is_a_fresh_philox_substream():
+    p = sample_path(5, 1.0, 16, 3, replica=2**32 + 7)
+    assert p.replica == 2**32 + 7
+    assert np.array_equal(
+        p.increments[None],
+        _fresh_philox_rows(5, [2**32 + 7], 16, 3, p.dt))
+
+
+def test_bridge_draws_its_fresh_philox_substream():
+    # refine_path's bridge normals z are the (seed, replica, 1, level + 1)
+    # substream; its first half-steps are target - (target - first)
+    coarse = refine_path(sample_path(2**70 + 3, 1.0, 4, 2, replica=6))
+    fine = refine_path(coarse)
+    z = _fresh_philox_rows(2**70 + 3, [6], 8, 2, 1.0, purpose=1, level=2)[0]
+    target = coarse.increments
+    first = target / 2.0 + 0.5 * np.sqrt(coarse.dt) * z
+    assert np.array_equal(fine.increments[0::2], target - (target - first))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: sample_path(3.5, 1.0, 4, 1),
+    lambda: sample_path(-1, 1.0, 4, 1),
+    lambda: sample_path(1, 1.0, 4, 1, replica=-1),
+    lambda: sample_path(1, 1.0, 4, 1, replica=2.0),
+    lambda: sample_path(1, 1.0, 4, 1, replica=2**64),
+    lambda: sample_batch(-4, 1.0, 4, 1, replicas=3),
+    lambda: sample_batch(2.5, 1.0, 4, 1, replicas=3),
+    lambda: sample_batch(1, 1.0, 4, 1, replicas=2.5),
+    lambda: sample_batch(1, 1.0, 4, 1, replicas=-1),
+    lambda: refine_path(NoisePath(-3, 0, 0, np.linspace(0.0, 1.0, 3),
+                                  np.zeros((2, 1)), np.zeros(3))),
+    lambda: refine_path(NoisePath(3, -1, 0, np.linspace(0.0, 1.0, 3),
+                                  np.zeros((2, 1)), np.zeros(3))),
+])
+def test_keys_need_non_negative_integer_seed_and_replica(call):
+    with pytest.raises(ConfigError, match="non-negative integer|2\\*\\*64"):
+        call()
+
+
+def test_dump_refuses_a_seed_it_cannot_hold(tmp_path):
+    fname = str(tmp_path / "noise.bin")
+    with pytest.raises(ConfigError, match="uint64"):
+        save_increments(sample_path(2**70 + 3, 1.0, 4, 1), fname)
+    widest = sample_path(2**64 - 1, 1.0, 4, 1)
+    save_increments(widest, fname)
+    seed, inc = load_increments(fname)
+    assert seed == 2**64 - 1
+    assert np.array_equal(inc, widest.increments)
