@@ -29,8 +29,7 @@ map, the implicit step collapses to a single resolvent call:
     y - s*A_eps(y) = x    <=>    y = x + s/(s+eps) * (J_{s+eps}(x) - x),
 
 because j := J_eps(y) then solves j - (eps+s)*A(t,j) = x.  With s = eps =
-dt the step is the average of the identity and J_{2dt}.  A direct
-fixed-point solve of the same equation is kept as a cross-check.
+dt the step is the average of the identity and J_{2dt}.
 
 Drivers that depend on z (or on x) are handled by freezing that argument
 at the previous iterate and re-solving: ``picard_in_z`` iterates on the
@@ -50,7 +49,7 @@ from .analysis import ModulusSpec, linear_modulus, rho_eval
 from .errors import ConfigError, NonconvergenceError, RegressionError
 from .noise import NoiseBatch
 from .reporting import Violation, ViolationReport
-from .resolvent import MonotoneMap, resolvent
+from .resolvent import MonotoneMap, NewtonCounts, resolvent
 
 __all__ = [
     "BsdeDriver",
@@ -411,41 +410,23 @@ def _fit(design: np.ndarray, names, targets: np.ndarray,
 
 def regularized_implicit_step(drift: MonotoneMap, t: float, dt: float, rhs,
                               tol: float = 1e-12, max_iter: int = 200,
-                              method: str = "resolvent_identity") -> np.ndarray:
+                              counts: Optional[NewtonCounts] = None
+                              ) -> np.ndarray:
     """Solve y - dt*A_eps(t, y) = rhs with regularization scale eps = dt.
 
-    ``resolvent_identity`` evaluates the exact closed form
-    y = (rhs + J_{2dt}(rhs))/2 (see the module docstring); ``direct``
-    solves the equivalent fixed-point equation y = (rhs + J_dt(y))/2,
-    whose map is a 1/2-contraction because resolvents of dissipative maps
-    are nonexpansive.  Both accept a stacked rhs: a diagonal drift acts
-    elementwise, a general one row by row on (..., d), solved as one
-    batched Newton iteration.
+    Evaluates the exact closed form y = (rhs + J_{2dt}(rhs))/2 (see the
+    module docstring) with one resolvent solve over a stacked rhs: a
+    diagonal drift acts elementwise, a general one row by row on
+    (..., d).  ``counts`` (a :class:`~monosee.resolvent.NewtonCounts`
+    shaped like the resolvent's stack) accumulates the Newton work.
+    ``dt`` must lie in (0, inf).
     """
-    if dt <= 0:
-        raise ConfigError(f"step size must be positive, got {dt!r}")
+    if not 0 < dt < math.inf:
+        raise ConfigError(f"step size must lie in (0, inf), got {dt!r}")
     rhs = np.asarray(rhs, dtype=float)
-    if method == "resolvent_identity":
-        j = resolvent(drift, t, 2.0 * dt, rhs, tol=tol, max_iter=max_iter)
-        return 0.5 * (rhs + j)
-    if method == "direct":
-        y = rhs.copy()
-        scale = 1.0 + float(np.max(np.abs(rhs)))
-        history = []
-        for _ in range(max_iter):
-            y_new = 0.5 * (rhs + resolvent(drift, t, dt, y, tol=tol,
-                                           max_iter=max_iter))
-            gap = float(np.max(np.abs(y_new - y)))
-            history.append(gap)
-            y = y_new
-            if gap <= tol * scale:
-                return y
-        raise NonconvergenceError(
-            f"direct fixed-point solve of the regularized implicit step for "
-            f"{drift.name} stalled at gap {history[-1]:.3e} after "
-            f"{max_iter} iterations", residuals=history)
-    raise ConfigError(f"unknown step method {method!r}; use "
-                      f"'resolvent_identity' or 'direct'")
+    j = resolvent(drift, t, 2.0 * dt, rhs, tol=tol, max_iter=max_iter,
+                  counts=counts)
+    return 0.5 * (rhs + j)
 
 
 # ---------------------------------------------------------------------------
@@ -533,13 +514,17 @@ class BackwardCounts:
     ``sweeps`` counts backward recursion passes, ``factorizations`` the
     regression designs factored (one per grid time per solve) and
     ``fits`` the least-squares fits made with them (the terminal fit plus
-    three per step, per sweep).  Pass one to a solver as ``counts`` to
+    three per step, per sweep).  ``newton_iterations`` and
+    ``line_search_halvings`` total the damped-Newton work of the implicit
+    drift steps over all replicas.  Pass one to a solver as ``counts`` to
     have it add its work.
     """
 
     sweeps: int = 0
     factorizations: int = 0
     fits: int = 0
+    newton_iterations: int = 0
+    line_search_halvings: int = 0
 
 
 def z_path_distance(z_a: np.ndarray, z_b: np.ndarray, dt: float) -> float:
@@ -731,6 +716,7 @@ def _backward_sweep(problem: BsdeProblem, batch: NoiseBatch,
         return projections[k].fit(targets, u)
 
     counts.sweeps += 1
+    newton = NewtonCounts((r_count, d) if problem.drift.diagonal else r_count)
     x_paths[:, n] = _terminal_values(problem, batch)
     x_coeffs[n], fitted, x_stderr[n] = fit(n, x_paths[:, n],
                                           projections[n].orthonormal())
@@ -744,13 +730,15 @@ def _backward_sweep(problem: BsdeProblem, batch: NoiseBatch,
         x_paths[:, k] = regularized_implicit_step(
             problem.drift, float(times[k + 1]), dt,
             fit_cond + dt * c_values[:, k], tol=resolvent_tol,
-            max_iter=resolvent_max_iter)
+            max_iter=resolvent_max_iter, counts=newton)
         x_coeffs[k], _, _ = fit(k, x_paths[:, k], u)
         z_targets = (x_paths[:, k + 1][:, :, None]
                      * incs[:, k][:, None, :] / dt).reshape(r_count, d * m)
         zc, z_fit, z_stderr[k] = fit(k, z_targets, u)
         z_coeffs[k] = zc.reshape(basis.n_terms, d, m)
         z_paths[:, k] = z_fit.reshape(r_count, d, m)
+    counts.newton_iterations += int(newton.iterations.sum())
+    counts.line_search_halvings += int(newton.halvings.sum())
 
     return BsdeSolution(times=times.copy(), x_coeffs=x_coeffs,
                         z_coeffs=z_coeffs, x_paths=x_paths, z_paths=z_paths,

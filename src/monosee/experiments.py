@@ -565,7 +565,9 @@ def _require_basis_rows(s: Settings, replicas: int, basis) -> None:
 def _backward_stats(counts: BackwardCounts) -> dict:
     return {"backward_sweeps": counts.sweeps,
             "regression_factorizations": counts.factorizations,
-            "regression_fits": counts.fits}
+            "regression_fits": counts.fits,
+            "newton_iterations": counts.newton_iterations,
+            "line_search_halvings": counts.line_search_halvings}
 
 
 def _bsde_linear_validation(s):

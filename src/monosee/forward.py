@@ -126,8 +126,8 @@ class GalerkinSystem:
     ``b(t, ctx, x)`` and ``sigma(t, ctx, x)`` act on coefficient vectors
     x of length n, or on stacks (..., n) of them; sigma is truncated to
     min(n, diffusion modes) noise columns (the noise-side projection).
-    ``b_jacobian`` is available whenever the drift exposes an analytic
-    Jacobian.
+    ``bind`` gives the projected drift an analytic Jacobian whenever the
+    drift exposes one.
     """
 
     def __init__(self, drift, diffusion, n: int, triple: DiscreteTriple):
@@ -168,14 +168,11 @@ class GalerkinSystem:
         cols = self.projector @ self.diffusion.eval(t, ctx, self.lift(x))
         return cols[..., :self.n_noise]
 
-    def b_jacobian(self, t: float, ctx, x) -> np.ndarray:
-        full = self.drift.jacobian(t, ctx, self.lift(x))
-        return self.projector @ full @ self.modes
-
     def bind(self, ctx):
         """(drift, sigma) reading random coefficients from ``ctx``: the
         projected drift as a MonotoneMap and sigma as a callable of (t, x)."""
-        jac = (lambda t, x: self.b_jacobian(t, ctx, x)) \
+        jac = (lambda t, x: self.projector
+               @ self.drift.jacobian(t, ctx, self.lift(x)) @ self.modes) \
             if self.has_jacobian else None
         drift = MonotoneMap(eval=lambda t, x: self.b(t, ctx, x), jacobian=jac,
                             name="projected drift")
@@ -194,21 +191,19 @@ def _noise_term(sig, dW) -> np.ndarray:
     return (sig[..., :m] @ dW[..., :m, None])[..., 0]
 
 
-def step_implicit(x, t: float, dt: float, dW, b, sigma, cfg: SolverConfig,
-                  b_jacobian=None, guess=None, counts=None) -> np.ndarray:
+def step_implicit(x, t: float, dt: float, dW, b: MonotoneMap, sigma,
+                  cfg: SolverConfig, guess=None, counts=None) -> np.ndarray:
     """One drift-implicit Euler step of one state or an (R, n) stack.
 
     Solves y - dt * b(t + dt, y) = x + sigma(t, x) @ dW to the configured
     resolvent tolerance, row by row for a stack (``dW`` then has a row per
-    replica).  ``b`` is a MonotoneMap or a callable of (t, state) with
-    optional ``b_jacobian``, ``sigma`` a callable of (t, state), both bound
-    to any frozen context; ``counts`` accumulates the Newton work.
+    replica).  ``b`` is the drift as a MonotoneMap and ``sigma`` a callable
+    of (t, state), both bound to any frozen context (see
+    ``GalerkinSystem.bind``); ``counts`` accumulates the Newton work.
     """
     x = np.asarray(x, dtype=float)
     r = x + _noise_term(sigma(t, x), dW)
-    drift_map = b if isinstance(b, MonotoneMap) else MonotoneMap(
-        eval=b, jacobian=b_jacobian, name="projected drift")
-    return resolvent(drift_map, t + dt, dt, r, tol=cfg.resolvent_tol,
+    return resolvent(b, t + dt, dt, r, tol=cfg.resolvent_tol,
                      max_iter=cfg.resolvent_max_iter, guess=guess,
                      counts=counts)
 

@@ -235,8 +235,9 @@ class NoiseBatch:
 
 
 def _grid(t_final: float, n_steps: int, n_modes: int) -> np.ndarray:
-    if t_final <= 0:
-        raise ConfigError("t_final must be positive")
+    if not 0 < t_final < np.inf:
+        raise ConfigError(f"t_final must be positive and finite, got "
+                          f"{t_final!r}")
     if n_steps < 1 or n_modes < 1:
         raise ConfigError("n_steps and n_modes must be at least 1")
     return np.linspace(0.0, float(t_final), int(n_steps) + 1)

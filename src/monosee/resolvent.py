@@ -12,10 +12,10 @@ negate it before wrapping it in a :class:`MonotoneMap`.
 
 The resolvent J_eps(x) solves y - eps*F(t, y) = x; the Yosida regularization
 is A_eps(x) = (J_eps(x) - x) / eps, which coincides with F(J_eps(x)) at the
-exact root.  Scalar and diagonal maps get an elementwise safeguarded
-Newton-bisection solver; general maps get damped Newton with an analytic or
-finite-difference Jacobian, over one vector or a stack of independent
-replicas (each with its own target, convergence mask and line search).
+exact root.  Every map is solved by one damped Newton kernel with an
+analytic or finite-difference Jacobian, over one vector or a stack of
+independent replicas (each with its own target, convergence mask and line
+search); a diagonal map is a stack of width-1 rows, one per component.
 """
 
 from __future__ import annotations
@@ -45,25 +45,18 @@ class MonotoneMap:
     ``eval`` takes (t, x) and returns an array of x's shape.  ``jacobian``
     is optional: for ``diagonal`` maps it must return the elementwise
     derivative (same shape as x); otherwise the full (n, n) matrix.  Maps
-    flagged ``diagonal`` act componentwise, which lets the resolvent solver
-    run elementwise over arbitrarily-shaped batches of scalars.  A general
-    map handed a stack x of shape (..., n) (independent replicas, one per
-    row) must act row by row: ``eval`` returns (..., n) and ``jacobian``
-    (..., n, n).  Maps only ever called on single vectors may ignore this.
+    flagged ``diagonal`` act componentwise, so the resolvent solves an
+    arbitrarily-shaped array of scalars as a stack of width-1 rows, one
+    independent replica per element.  A general map handed a stack x of
+    shape (..., n) (independent replicas, one per row) must act row by
+    row: ``eval`` returns (..., n) and ``jacobian`` (..., n, n).  Maps
+    only ever called on single vectors may ignore this.
     """
 
     eval: Callable[[float, np.ndarray], np.ndarray]
     jacobian: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
     diagonal: bool = False
     name: str = "monotone map"
-
-
-def _diag_fprime(F: MonotoneMap, t: float, y: np.ndarray) -> np.ndarray:
-    if F.jacobian is not None:
-        return np.asarray(F.jacobian(t, y), dtype=float)
-    h = 1e-7 * (1.0 + np.abs(y))
-    return (np.asarray(F.eval(t, y + h), dtype=float)
-            - np.asarray(F.eval(t, y - h), dtype=float)) / (2.0 * h)
 
 
 def _full_jacobian(F: MonotoneMap, t: float, y: np.ndarray) -> np.ndarray:
@@ -81,61 +74,14 @@ def _full_jacobian(F: MonotoneMap, t: float, y: np.ndarray) -> np.ndarray:
     return J
 
 
-def _resolvent_diagonal(F, t, eps, x, tol, max_iter):
-    x = np.asarray(x, dtype=float)
-    f0 = np.asarray(F.eval(t, x), dtype=float)
-    shift = eps * f0
-    # |root - x| <= eps*|F(x)| because g(y) = y - eps*F(y) - x has slope >= 1
-    # for dissipative F; verify by sign and expand geometrically so that maps
-    # with slopes slightly below 1 still get bracketed instead of jamming
-    lo = np.minimum(x, x + shift)
-    hi = np.maximum(x, x + shift)
-    pad = np.maximum(hi - lo, 1.0 + np.abs(x))
-    for _ in range(60):
-        g_lo = lo - eps * np.asarray(F.eval(t, lo), dtype=float) - x
-        g_hi = hi - eps * np.asarray(F.eval(t, hi), dtype=float) - x
-        need_lo = g_lo > 0.0
-        need_hi = g_hi < 0.0
-        if not (np.any(need_lo) or np.any(need_hi)):
-            break
-        lo = np.where(need_lo, lo - pad, lo)
-        hi = np.where(need_hi, hi + pad, hi)
-        pad = pad * 2.0
-    else:
-        raise NonconvergenceError(
-            f"resolvent of {F.name}: no sign change found while bracketing "
-            f"(eps={eps:g}); the equation y - eps*F(t,y) = x appears to have "
-            "no solution, so the map is not dissipative",
-            residuals=[float(np.max(np.abs(shift)))],
-        )
-    y = np.clip(x + 0.5 * shift, lo, hi)
-    target = tol * (1.0 + np.abs(x))
-    residual = None
-    for _ in range(max_iter):
-        g = y - eps * np.asarray(F.eval(t, y), dtype=float) - x
-        residual = np.max(np.abs(g))
-        if np.all(np.abs(g) <= target):
-            return y
-        lo = np.where(g < 0.0, y, lo)
-        hi = np.where(g > 0.0, y, hi)
-        gp = 1.0 - eps * _diag_fprime(F, t, y)
-        cand = y - g / np.maximum(gp, 1e-12)
-        inside = (cand > lo) & (cand < hi)
-        y = np.where(inside, cand, 0.5 * (lo + hi))
-    raise NonconvergenceError(
-        f"resolvent of {F.name} did not converge (eps={eps:g}, "
-        f"max residual {residual:.3e}); is the map actually dissipative?",
-        residuals=[residual],
-    )
-
-
 class NewtonCounts:
     """Work of damped-Newton resolvent solves, accumulated per replica.
 
     ``iterations`` counts Newton steps (one linear solve each) and
     ``halvings`` line-search step halvings; both have the shape of the
-    stack's leading axes (0-d for a single vector).  Pass one to
-    :func:`resolvent` as ``counts`` to have a solve add its work.
+    stack's leading axes (0-d for a single vector, x's own shape for a
+    diagonal map).  Pass one to :func:`resolvent` as ``counts`` to have a
+    solve add its work.
     """
 
     def __init__(self, shape=()):
@@ -150,6 +96,8 @@ def _norms(v: np.ndarray) -> np.ndarray:
 
 def _newton_steps(M: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Solve M s = g row by row; a singular row falls back to s = g."""
+    if g.shape[-1] == 1:
+        return np.divide(g, M[..., 0], out=g.copy(), where=M[..., 0] != 0)
     try:
         return np.linalg.solve(M, g[..., None])[..., 0]
     except np.linalg.LinAlgError:
@@ -244,25 +192,36 @@ def resolvent(F: MonotoneMap, t: float, eps: float, x, tol: float = 1e-12,
 
     The returned y satisfies |y - eps*F(t,y) - x| <= tol*(1 + |x|)
     componentwise (diagonal maps) or in the Euclidean norm.  A general
-    map accepts a stack x of shape (..., n): each row is solved as an
-    independent replica in one batched Newton iteration, and a failure
-    names the first failing replica and carries its residual history.
-    ``guess`` warm starts the Newton iteration for non-diagonal maps (the
-    answer does not depend on it beyond the tolerance); diagonal maps
-    bracket from x and ignore it.  ``counts`` (a :class:`NewtonCounts`
-    shaped like the stack's leading axes) accumulates Newton iterations
-    and line-search halvings of a general solve.
+    map accepts a stack x of shape (..., n) and a diagonal map an array
+    of any shape, solved as the stack x[..., None] of width-1 rows: each
+    row is solved as an independent replica in one batched Newton
+    iteration, and a failure names the first failing replica (an index
+    into x for a diagonal map) and carries its residual history.
+    ``guess`` (shaped like x) warm starts the Newton iteration; the
+    answer does not depend on it beyond the tolerance.  ``counts`` (a
+    :class:`NewtonCounts` shaped like the stack's leading axes, for a
+    diagonal map like x) accumulates Newton iterations and line-search
+    halvings.  ``eps`` must lie in (0, inf).
     """
-    if eps <= 0:
-        raise ConfigError(f"resolvent needs eps > 0, got {eps!r}")
+    if not 0 < eps < np.inf:
+        raise ConfigError(f"resolvent needs 0 < eps < inf, got {eps!r}")
     if not tol > 0:
         raise ConfigError(f"resolvent needs tol > 0, got {tol!r}")
     if max_iter < 1:
         raise ConfigError(f"resolvent needs max_iter >= 1, got {max_iter!r}")
-    if F.diagonal:
-        return _resolvent_diagonal(F, t, eps, x, tol, max_iter)
-    return _resolvent_general(F, t, eps, np.atleast_1d(x), tol, max_iter,
-                              guess=guess, counts=counts)
+    if not F.diagonal:
+        return _resolvent_general(F, t, eps, np.atleast_1d(x), tol, max_iter,
+                                  guess=guess, counts=counts)
+    jacobian = None if F.jacobian is None else (
+        lambda t, y: np.asarray(F.jacobian(t, y[..., 0]),
+                                dtype=float)[..., None, None])
+    rows = MonotoneMap(
+        eval=lambda t, y: np.asarray(F.eval(t, y[..., 0]),
+                                     dtype=float)[..., None],
+        jacobian=jacobian, name=F.name)
+    y = _resolvent_general(rows, t, eps, np.asarray(x, dtype=float)[..., None],
+                           tol, max_iter, guess=guess, counts=counts)
+    return y[..., 0]
 
 
 def yosida(F: MonotoneMap, t: float, eps: float, x, tol: float = 1e-12,

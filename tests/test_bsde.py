@@ -29,7 +29,7 @@ from monosee.bsde import (BackwardCounts, BsdeAprioriReport, BsdeDriver,
 from monosee.errors import (ConfigError, NonconvergenceError,
                             RegressionError)
 from monosee.noise import NoiseBatch, sample_batch, sample_path
-from monosee.resolvent import MonotoneMap, resolvent, yosida
+from monosee.resolvent import MonotoneMap, NewtonCounts, resolvent, yosida
 
 
 def _linear_drift(rate: float = -1.0) -> MonotoneMap:
@@ -215,19 +215,8 @@ def test_regularized_step_linear_closed_form():
     dt = 0.05
     rhs = np.array([1.5, -0.25, 4.0])
     expected = rhs * (1.0 + dt) / (1.0 + 2.0 * dt)
-    for method in ("resolvent_identity", "direct"):
-        y = regularized_implicit_step(drift, 0.3, dt, rhs, method=method)
-        assert np.allclose(y, expected, rtol=1e-10, atol=0)
-
-
-def test_regularized_step_methods_agree_nonlinear():
-    drift = _cubic_drift(2.0)
-    rng = np.random.default_rng(2)
-    rhs = 2.0 * rng.standard_normal(7)
-    a = regularized_implicit_step(drift, 0.0, 0.05, rhs,
-                                  method="resolvent_identity")
-    b = regularized_implicit_step(drift, 0.0, 0.05, rhs, method="direct")
-    assert np.max(np.abs(a - b)) <= 1e-8
+    y = regularized_implicit_step(drift, 0.3, dt, rhs)
+    assert np.allclose(y, expected, rtol=1e-10, atol=0)
 
 
 def test_regularized_step_satisfies_defining_equation():
@@ -243,9 +232,24 @@ def test_regularized_step_satisfies_defining_equation():
 def test_regularized_step_rejects_bad_inputs():
     with pytest.raises(ConfigError):
         regularized_implicit_step(_linear_drift(), 0.0, -0.1, np.ones(2))
-    with pytest.raises(ConfigError):
-        regularized_implicit_step(_linear_drift(), 0.0, 0.1, np.ones(2),
-                                  method="magic")
+
+
+@pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -1.0])
+def test_regularized_step_rejects_non_positive_or_non_finite_dt(dt):
+    """A NaN or infinite step is a configuration error, not a solver
+    failure or a warning from inside the solve."""
+    with pytest.raises(ConfigError, match="step size"):
+        regularized_implicit_step(_cubic_drift(), 0.0, dt, np.ones(2))
+
+
+def test_regularized_step_counts_newton_work():
+    """``counts`` shaped like a diagonal drift's rhs gets each element's
+    Newton iterations; a linear drift converges in one step per element."""
+    counts = NewtonCounts((4, 2))
+    regularized_implicit_step(_linear_drift(), 0.0, 0.05,
+                              np.arange(1.0, 9.0).reshape(4, 2), counts=counts)
+    assert np.array_equal(counts.iterations, np.ones((4, 2)))
+    assert not counts.halvings.any()
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +459,8 @@ def test_picard_z_linear_driver_matches_closed_form():
 def test_picard_z_factors_each_design_once_per_solve():
     """Work counts, not timings: the n_steps + 1 designs are factored once
     for the whole solve, and every sweep makes the terminal fit plus three
-    fits per step with them."""
+    fits per step with them.  The linear drift's implicit step takes one
+    Newton iteration per path and step, with no line-search halving."""
     n_steps = 12
     problem = _problem(_linear_drift(-1.0), _linear_z_driver(0.4),
                        _wiener_terminal)
@@ -466,7 +471,9 @@ def test_picard_z_factors_each_design_once_per_solve():
     assert sweeps >= 4 and sol.picard_residuals[-1] > 0.0  # no shortcut
     assert counts == BackwardCounts(sweeps=sweeps,
                                     factorizations=n_steps + 1,
-                                    fits=sweeps * (3 * n_steps + 1))
+                                    fits=sweeps * (3 * n_steps + 1),
+                                    newton_iterations=sweeps * n_steps * 300,
+                                    line_search_halvings=0)
     again = BackwardCounts()
     picard_in_z(problem, batch, tol=1e-8, max_iter=30, counts=again)
     assert again == counts

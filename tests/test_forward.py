@@ -26,7 +26,7 @@ from monosee.operators import (ConstantDiffusion, PhiDrift,
                                check_coercivity, check_monotonicity,
                                constant_profile, pair_sampler, state_sampler,
                                tabulated_profile)
-from monosee.resolvent import NewtonCounts
+from monosee.resolvent import MonotoneMap, NewtonCounts
 from monosee.triple import DiscreteTriple, REACTION_DIFFUSION
 
 
@@ -119,7 +119,7 @@ def test_step_zero_drift_is_explicit_increment():
     sig = np.diag([0.1, 0.2, 0.3, 0.4])
     dW = np.array([1.0, -1.0, 2.0, 0.5])
     y = step_implicit(x, 0.0, 0.01, dW,
-                      b=lambda t, v: np.zeros_like(v),
+                      b=MonotoneMap(eval=lambda t, v: np.zeros_like(v)),
                       sigma=lambda t, v: sig, cfg=cfg)
     assert np.array_equal(y, x + sig @ dW)
 
@@ -132,7 +132,7 @@ def test_step_linear_closed_form():
     sig_mat = np.array([[0.5], [0.1], [-0.2]])
     dt = 0.05
     y = step_implicit(x, 0.0, dt, dW,
-                      b=lambda t, v: -mu * v,
+                      b=MonotoneMap(eval=lambda t, v: -mu * v),
                       sigma=lambda t, v: sig_mat, cfg=cfg)
     r = x + sig_mat[:, 0] * dW[0]
     assert np.allclose(y, r / (1.0 + mu * dt), rtol=1e-12, atol=1e-14)
@@ -144,7 +144,7 @@ def test_step_cubic_against_bisection_oracle():
                        resolvent_max_iter=100)
     k, dt, r = 2.5, 0.2, 3.7
     y = step_implicit(np.array([r]), 0.0, dt, np.array([0.0]),
-                      b=lambda t, v: -k * v ** 3,
+                      b=MonotoneMap(eval=lambda t, v: -k * v ** 3),
                       sigma=lambda t, v: np.zeros((1, 1)), cfg=cfg)
 
     lo, hi = 0.0, r
@@ -161,16 +161,14 @@ def test_monotone_step_is_nonexpansive_with_shared_noise():
     ops = build_operator_set("porous_medium", 16, p=3.0)
     sys = GalerkinSystem(ops.drift, ops.diffusion, 8, ops.triple)
     cfg = SolverConfig(n_modes_galerkin=8, resolvent_tol=1e-12)
-    b = lambda t, v: sys.b(t, EMPTY_CONTEXT, v)
-    sigma = lambda t, v: sys.sigma(t, EMPTY_CONTEXT, v)
-    jac = lambda t, v: sys.b_jacobian(t, EMPTY_CONTEXT, v)
+    b, sigma = sys.bind(EMPTY_CONTEXT)
     rng = np.random.default_rng(4)
     for _ in range(20):
         x1 = rng.normal(size=8) * 2.0
         x2 = rng.normal(size=8) * 2.0
         dW = rng.normal(size=1) * 0.1
-        y1 = step_implicit(x1, 0.0, 0.01, dW, b, sigma, cfg, b_jacobian=jac)
-        y2 = step_implicit(x2, 0.0, 0.01, dW, b, sigma, cfg, b_jacobian=jac)
+        y1 = step_implicit(x1, 0.0, 0.01, dW, b, sigma, cfg)
+        y2 = step_implicit(x2, 0.0, 0.01, dW, b, sigma, cfg)
         before = np.linalg.norm(x1 - x2)
         after = np.linalg.norm(y1 - y2)
         assert after <= before * (1.0 + 1e-9) + 1e-11
@@ -332,9 +330,7 @@ def test_pathwise_uniqueness_insensitive_to_resolvent_guess():
     noise = sample_path(seed=23, t_final=0.25, n_steps=50, n_modes=1)
     sys = GalerkinSystem(ops.drift, diff, 8, ops.triple)
     cfg = SolverConfig(n_modes_galerkin=8)  # default resolvent_tol
-    b = lambda t, v: sys.b(t, EMPTY_CONTEXT, v)
-    sigma = lambda t, v: sys.sigma(t, EMPTY_CONTEXT, v)
-    jac = lambda t, v: sys.b_jacobian(t, EMPTY_CONTEXT, v)
+    b, sigma = sys.bind(EMPTY_CONTEXT)
     rng = np.random.default_rng(8)
     x_a = ops.triple.coefficients(np.sin(np.pi * ops.triple.nodes), 8)
     x_b = x_a.copy()
@@ -342,10 +338,8 @@ def test_pathwise_uniqueness_insensitive_to_resolvent_guess():
     for k in range(noise.n_steps):
         t = float(noise.times[k])
         dW = noise.increments[k]
-        x_a = step_implicit(x_a, t, noise.dt, dW, b, sigma, cfg,
-                            b_jacobian=jac, guess=x_a)
+        x_a = step_implicit(x_a, t, noise.dt, dW, b, sigma, cfg, guess=x_a)
         x_b = step_implicit(x_b, t, noise.dt, dW, b, sigma, cfg,
-                            b_jacobian=jac,
                             guess=x_b + rng.normal(size=8) * 0.5)
         worst = max(worst, float(np.linalg.norm(x_a - x_b)))
     assert worst <= 10.0 * cfg.resolvent_tol

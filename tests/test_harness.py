@@ -470,15 +470,19 @@ def test_demo_solver_stats_repeat_and_stay_out_of_summary(tmp_path):
     assert forward["forward_steps"] == 3 * 40
     assert forward["newton_iterations"] >= forward["forward_steps"] // 2 > 0
     assert forward["line_search_halvings"] >= 0
-    # one solve: one sweep over 16 steps, every design factored once
+    # one solve: one sweep over 16 steps, every design factored once; the
+    # linear drift's implicit step is one Newton iteration per path and step
     assert stats["bsde_linear_validation"] == {
         "backward_sweeps": 1, "regression_factorizations": 17,
-        "regression_fits": 3 * 16 + 1}
+        "regression_fits": 3 * 16 + 1, "newton_iterations": 400 * 16,
+        "line_search_halvings": 0}
     # two solves (Picard in z, Picard in x) over 8 steps, many sweeps
     picard = stats["bsde_picard_demo"]
     assert picard["regression_factorizations"] == 2 * 9
     assert picard["backward_sweeps"] > 2
     assert picard["regression_fits"] == picard["backward_sweeps"] * (3 * 8 + 1)
+    assert picard["newton_iterations"] == picard["backward_sweeps"] * 8 * 200
+    assert picard["line_search_halvings"] == 0
 
 
 def test_picard_demo_skips_refreshing_a_z_independent_driver(tmp_path,

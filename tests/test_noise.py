@@ -19,6 +19,7 @@ from monosee.noise import (
     sample_batch,
     sample_path,
     save_increments,
+    zero_path,
 )
 
 
@@ -49,6 +50,19 @@ def test_config_errors():
         sample_path(1, 1.0, 0, 1)
     with pytest.raises(ConfigError):
         sample_path(1, 1.0, 4, 0)
+
+
+@pytest.mark.parametrize("t_final", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("make", [
+    lambda t_final: sample_path(1, t_final, 4, 1),
+    lambda t_final: sample_batch(1, t_final, 4, 1, 2),
+    lambda t_final: zero_path(t_final, 4),
+], ids=["sample_path", "sample_batch", "zero_path"])
+def test_grid_rejects_non_positive_or_non_finite_t_final(make, t_final):
+    """No grid with NaN times or increments is ever built."""
+    with pytest.raises(ConfigError, match="t_final must be positive and "
+                                          "finite"):
+        make(t_final)
 
 
 def test_single_increment_variance_statistic():

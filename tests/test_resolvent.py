@@ -68,6 +68,16 @@ def test_resolvent_rejects_bad_eps():
         resolvent(linear_map(), 0.0, -0.5, np.array([1.0]))
 
 
+@pytest.mark.parametrize("eps", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("diagonal", [True, False])
+def test_resolvent_rejects_eps_outside_open_half_line(eps, diagonal):
+    """A NaN or infinite eps is a configuration error, not a map that
+    fails to be dissipative or a warning from inside the solve."""
+    F = cubic_map() if diagonal else full_dissipative_map(1, 2, 0.3)
+    with pytest.raises(ConfigError, match="0 < eps < inf"):
+        resolvent(F, 0.0, eps, np.ones(2))
+
+
 def test_yosida_linear():
     x = np.array([2.0, -4.0])
     a = yosida(linear_map(), 0.0, 1.0, x)
@@ -132,14 +142,50 @@ def test_resolvent_displacement_shrinks_with_eps():
 
 
 def test_diagonal_solver_vectorizes():
+    """A diagonal map is a stack of width-1 rows: every element follows
+    the iterates it would follow alone, so the stacked answer and the Newton
+    work per element are exactly those of the element's own solve, and
+    ``counts`` shaped like x accumulates over solves."""
     F = cubic_map()
     rng = np.random.default_rng(9)
     x = rng.uniform(-2, 2, size=(3, 5))
-    batch = resolvent(F, 0.0, 0.3, x, tol=1e-13)
-    singles = np.array([[float(resolvent(F, 0.0, 0.3, np.array(v), tol=1e-13))
-                         for v in row] for row in x])
+    counts = NewtonCounts(x.shape)
+    batch = resolvent(F, 0.0, 0.3, x, tol=1e-13, counts=counts)
     assert batch.shape == x.shape
-    assert np.allclose(batch, singles, rtol=0, atol=1e-11)
+    assert counts.iterations.min() > 0
+    for index, v in np.ndenumerate(x):
+        alone = NewtonCounts()
+        assert np.array_equal(batch[index], resolvent(F, 0.0, 0.3, v,
+                                                      tol=1e-13, counts=alone))
+        assert counts.iterations[index] == alone.iterations
+        assert counts.halvings[index] == alone.halvings
+    first = counts.iterations.copy()
+    resolvent(F, 0.0, 0.3, x, tol=1e-13, counts=counts)
+    assert np.array_equal(counts.iterations, 2 * first)
+
+
+def test_diagonal_guess_gives_the_same_root_within_tol():
+    F = cubic_map()
+    x = np.array([[3.0, -0.5], [0.25, -6.0]])
+    plain = resolvent(F, 0.0, 0.5, x, tol=1e-13)
+    warm = resolvent(F, 0.0, 0.5, x, tol=1e-13, guess=-2.0 * x + 1.0)
+    assert np.allclose(warm, plain, rtol=0, atol=1e-12)
+    near = NewtonCounts(x.shape)
+    resolvent(F, 0.0, 0.5, x, tol=1e-13, guess=plain, counts=near)
+    assert not near.iterations.any()
+
+
+def test_diagonal_failure_names_the_element():
+    F = cubic_map()
+    x = np.array([[0.0, 0.0, 0.0], [0.0, 5.0, -5.0]])
+    with pytest.raises(NonconvergenceError, match=r"^replica \(1, 1\): ") \
+            as err:
+        resolvent(F, 0.0, 0.5, x, tol=1e-14, max_iter=1)
+    assert err.value.replica == (1, 1)
+    with pytest.raises(NonconvergenceError) as alone:
+        resolvent(F, 0.0, 0.5, x[1, 1], tol=1e-14, max_iter=1)
+    assert alone.value.replica is None
+    assert err.value.residuals == alone.value.residuals
 
 
 def sampler4(rng):
