@@ -48,7 +48,7 @@ import numpy as np
 from .analysis import ModulusSpec, linear_modulus, rho_eval
 from .errors import ConfigError, NonconvergenceError, RegressionError
 from .noise import NoiseBatch
-from .reporting import Violation, ViolationReport
+from .reporting import ViolationReport, _sample_sum, _sampled_check
 from .resolvent import MonotoneMap, NewtonCounts, resolvent
 
 __all__ = [
@@ -86,8 +86,9 @@ class BsdeDriver:
     ``eval`` takes (t, x, z) with x of shape (..., d) and z of shape
     (..., d, m) (one H-valued column per noise mode) and returns x's
     shape (..., d).  The solvers hand it a whole replica stack, x (R, d)
-    and z (R, d, m), in one call; the sampled checkers a single (d,),
-    (d, m) pair.
+    and z (R, d, m), at one float time; the sampled checkers a stack of
+    samples with their times as an (S, 1) column, which ``eval`` and the
+    profile ``zeta`` must accept (``np.exp(t)``, not ``math.exp(t)``).
 
     The declared continuity data mirror the structural hypotheses the
     checkers sample:
@@ -104,7 +105,7 @@ class BsdeDriver:
     rho: ModulusSpec = field(default_factory=linear_modulus)
     c1: float = 1.0
     c2: float = 1.0
-    zeta: Optional[Callable[[float], float]] = None
+    zeta: Optional[Callable] = None
     x_dependent: bool = True
     z_dependent: bool = True
     name: str = "driver"
@@ -113,8 +114,11 @@ class BsdeDriver:
         if self.c1 < 0 or self.c2 < 0:
             raise ConfigError("driver constants c1, c2 must be >= 0")
 
-    def zeta_at(self, t: float) -> float:
-        return 0.0 if self.zeta is None else float(self.zeta(t))
+    def zeta_at(self, t):
+        """zeta at t (a float or an array of times), in t's shape."""
+        t = np.asarray(t, dtype=float)
+        value = 0.0 if self.zeta is None else self.zeta(t)
+        return np.broadcast_to(np.asarray(value, dtype=float), t.shape)
 
 
 def zero_driver() -> BsdeDriver:
@@ -149,12 +153,12 @@ class BsdeProblem:
     eta: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
-        if self.t_final <= 0:
-            raise ConfigError(f"t_final must be positive, got {self.t_final!r}")
+        if not 0 < self.t_final < math.inf:
+            raise ConfigError(f"t_final must lie in (0, inf), got {self.t_final!r}")
         if self.n_modes < 1 or self.dim < 1:
             raise ConfigError("n_modes and dim must be at least 1")
-        if self.lambda0 < 0:
-            raise ConfigError(f"lambda0 must be >= 0, got {self.lambda0!r}")
+        if not 0 <= self.lambda0 < math.inf:
+            raise ConfigError(f"lambda0 must lie in [0, inf), got {self.lambda0!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -183,27 +187,26 @@ def check_driver_modulus(driver: BsdeDriver, sampler, n_samples: int = 500,
              - c1*(rho(|x-x'|^2) + |z-z'|_F^2)
     must be <= 0 up to a relative tolerance.
     """
-    rng = np.random.default_rng(seed)
-    report = ViolationReport(name=f"driver modulus[{driver.name}]",
-                             n_samples=n_samples, tol=tol)
-    for i in range(n_samples):
+
+    def draw(rng):
         t, x, z = sampler(rng)
         _, x2, z2 = sampler(rng)
         if rng.uniform() < 0.1:
             x2, z2 = x.copy(), z.copy()  # exercise the coincident edge
-        dc = np.asarray(driver.eval(t, x, z), dtype=float) \
-            - np.asarray(driver.eval(t, x2, z2), dtype=float)
-        lhs = float(np.sum(dc * dc))
-        dx2 = float(np.sum((x - x2) ** 2))
-        dz2 = float(np.sum((z - z2) ** 2))
-        rhs = driver.c1 * (float(rho_eval(dx2, driver.rho)) + dz2)
+        return t, x, z, x2, z2
+
+    def evaluate(t, x, z, x2, z2):
+        dc = np.asarray(driver.eval(t[:, None], x, z), dtype=float) \
+            - np.asarray(driver.eval(t[:, None], x2, z2), dtype=float)
+        lhs = _sample_sum(dc * dc)
+        dx2, dz2 = _sample_sum((x - x2) ** 2), _sample_sum((z - z2) ** 2)
+        rhs = driver.c1 * (rho_eval(dx2, driver.rho) + dz2)
         excess = lhs - rhs
-        scale = 1.0 + lhs + rhs
-        if excess > tol * scale:
-            report.violations.append(Violation(
-                index=i, t=t, excess=excess,
-                detail={"lhs": lhs, "rhs": rhs, "dx2": dx2, "dz2": dz2}))
-    return report
+        return [(excess, excess > tol * (1.0 + lhs + rhs),
+                 {"lhs": lhs, "rhs": rhs, "dx2": dx2, "dz2": dz2})]
+
+    return _sampled_check(f"driver modulus[{driver.name}]", n_samples, tol,
+                          seed, draw, evaluate)
 
 
 def check_driver_growth(driver: BsdeDriver, sampler, n_samples: int = 500,
@@ -213,20 +216,18 @@ def check_driver_growth(driver: BsdeDriver, sampler, n_samples: int = 500,
     excess = |C(t,x,z)| - zeta(t) - c2*(|x| + |z|_F) must be <= 0 up to a
     relative tolerance.
     """
-    rng = np.random.default_rng(seed)
-    report = ViolationReport(name=f"driver growth[{driver.name}]",
-                             n_samples=n_samples, tol=tol)
-    for i in range(n_samples):
-        t, x, z = sampler(rng)
-        lhs = float(np.linalg.norm(driver.eval(t, x, z)))
-        rhs = driver.zeta_at(t) + driver.c2 * (
-            float(np.linalg.norm(x)) + float(np.linalg.norm(z)))
+
+    def evaluate(t, x, z):
+        c = np.asarray(driver.eval(t[:, None], x, z), dtype=float)
+        lhs = np.sqrt(_sample_sum(c * c))
+        rhs = driver.zeta_at(t[:, None])[:, 0] + driver.c2 * (
+            np.sqrt(_sample_sum(x * x)) + np.sqrt(_sample_sum(z * z)))
         excess = lhs - rhs
-        scale = 1.0 + lhs + rhs
-        if excess > tol * scale:
-            report.violations.append(Violation(
-                index=i, t=t, excess=excess, detail={"lhs": lhs, "rhs": rhs}))
-    return report
+        return [(excess, excess > tol * (1.0 + lhs + rhs),
+                 {"lhs": lhs, "rhs": rhs})]
+
+    return _sampled_check(f"driver growth[{driver.name}]", n_samples, tol,
+                          seed, sampler, evaluate)
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +599,8 @@ def reduce_lambda0(problem: BsdeProblem):
     zeta = None
     if base_driver.zeta is not None:
         base_zeta = base_driver.zeta
-        zeta = lambda t: gamma(t) * float(base_zeta(t))
+        zeta = lambda t: np.exp(0.5 * lam * np.asarray(t, dtype=float)) \
+            * np.asarray(base_zeta(t), dtype=float)
     driver = replace(base_driver, eval=driver_eval, zeta=zeta,
                      c1=base_driver.c1 * math.exp(lam * problem.t_final),
                      name=f"{base_driver.name} (shift-reduced)")
@@ -641,7 +643,7 @@ def _check_batch(problem: BsdeProblem, batch: NoiseBatch) -> None:
         raise ConfigError(
             f"the batch carries {batch.n_modes} noise modes but the problem "
             f"declares {problem.n_modes}")
-    if abs(batch.t_final - problem.t_final) > 1e-12 * max(1.0, problem.t_final):
+    if not abs(batch.t_final - problem.t_final) <= 1e-12 * max(1.0, problem.t_final):
         raise ConfigError(
             f"the batch ends at t = {batch.t_final:g} but the problem "
             f"horizon is {problem.t_final:g}")
@@ -1022,7 +1024,7 @@ def apriori_bound_check(solution: BsdeSolution, problem: BsdeProblem,
         drift_part = np.array([
             float(np.linalg.norm(np.asarray(problem.drift.eval(t, zero),
                                             dtype=float))) for t in ts])
-    zeta_part = np.array([problem.driver.zeta_at(t) for t in ts])
+    zeta_part = problem.driver.zeta_at(ts)
     eta_sq_integral = float(np.trapezoid((drift_part + zeta_part) ** 2, ts))
     eta_moment = eta_sq_integral ** (q / 2.0)
 

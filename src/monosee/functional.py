@@ -14,17 +14,19 @@ turns the two-time problem into the functional form above.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .analysis import (ModulusSpec, bihari_bound, linear_modulus, rho_eval,
-                       running_integral)
+from .analysis import (ModulusSpec, _lambda_values, bihari_bound,
+                       linear_modulus, picard_comparison_curve, rho_eval)
 from .errors import ConfigError, MonoseeError, NonconvergenceError
 from .forward import SolverConfig, SolutionPath, solve_forward, trajectory_csv
 from .noise import EMPTY_CONTEXT, NoisePath
-from .reporting import Violation, ViolationReport
+from .operators import profile_on_grid
+from .reporting import ViolationReport, _record, _sampled_check
 
 __all__ = [
     "Segment", "SegmentPath", "segment", "segment_distance",
@@ -251,18 +253,36 @@ def segment(path: SegmentPath, t: float) -> Segment:
 # coefficient bundles
 
 
-def _profile_value(profile, *args) -> float:
-    """A declared bound profile at ``args``: None is identically zero, a
-    callable is called, anything else is a constant."""
-    if profile is None:
-        return 0.0
-    if callable(profile):
-        return float(profile(*args))
-    return float(profile)
+def _rate(profile, *times) -> np.ndarray:
+    """A declared rate profile at ``times`` (floats or arrays, broadcast
+    together), in their broadcast shape: None is identically zero, a
+    callable is called once on the arrays, anything else is a constant."""
+    times = [np.asarray(t, dtype=float) for t in times]
+    value = profile(*times) if callable(profile) else \
+        0.0 if profile is None else profile
+    return np.broadcast_to(np.asarray(value, dtype=float),
+                           np.broadcast_shapes(*(t.shape for t in times)))
 
 
 @dataclass
-class FunctionalCoefficients:
+class _DeclaredRates:
+    """The declared bounds of both coefficient bundles."""
+
+    rho: ModulusSpec = field(default_factory=linear_modulus)
+    lambda3: object = 1.0
+    lambda5: object = 1.0
+    lambda6: object = 0.0
+    lambda7: object = 0.0
+    zeta: object = 0.0
+    growth_c0: float = 1.0
+
+    def __post_init__(self):
+        if self.growth_c0 <= 0:
+            raise ConfigError("growth_c0 must be positive")
+
+
+@dataclass
+class FunctionalCoefficients(_DeclaredRates):
     """Memory-reading coefficient functions and their declared bounds.
 
     ``c1(t, segment)`` and ``d1(t, segment)`` feed the dynamics directly;
@@ -272,44 +292,20 @@ class FunctionalCoefficients:
     the modulus bound of the one-time pair, ``lambda5`` of the two-time
     pair; ``lambda6``/``lambda7``/``zeta`` enter the growth bounds with
     overall factor ``growth_c0``.  Profiles may be constants or callables
-    of t (one-time) / (t, s) (two-time).
+    of t (one-time) / (t, s) (two-time) that accept arrays of times
+    (``np.exp``, not ``math.exp``): the checkers and
+    :func:`lambda8_profile` pass whole stacks and grids in one call.
     """
 
     c1: Optional[Callable] = None
     c2: Optional[Callable] = None
     d1: Optional[Callable] = None
     d2: Optional[Callable] = None
-    rho: ModulusSpec = field(default_factory=linear_modulus)
-    lambda3: object = 1.0
-    lambda5: object = 1.0
-    lambda6: object = 0.0
-    lambda7: object = 0.0
-    zeta: object = 0.0
-    growth_c0: float = 1.0
     name: str = "functional coefficients"
-
-    def __post_init__(self):
-        if self.growth_c0 <= 0:
-            raise ConfigError("growth_c0 must be positive")
-
-    def lambda3_at(self, t: float) -> float:
-        return _profile_value(self.lambda3, t)
-
-    def lambda5_at(self, t: float, s: float) -> float:
-        return _profile_value(self.lambda5, t, s)
-
-    def lambda6_at(self, t: float, s: float) -> float:
-        return _profile_value(self.lambda6, t, s)
-
-    def lambda7_at(self, t: float, s: float) -> float:
-        return _profile_value(self.lambda7, t, s)
-
-    def zeta_at(self, t: float) -> float:
-        return _profile_value(self.zeta, t)
 
 
 @dataclass
-class VolterraCoefficients:
+class VolterraCoefficients(_DeclaredRates):
     """Two-time kernels evaluated at (t, s) with analytic t-partials.
 
     ``drift_kernel(t, s, segment)`` returns a state row, and
@@ -325,18 +321,7 @@ class VolterraCoefficients:
     diffusion_kernel: Optional[Callable] = None
     drift_kernel_dt: Optional[Callable] = None
     diffusion_kernel_dt: Optional[Callable] = None
-    rho: ModulusSpec = field(default_factory=linear_modulus)
-    lambda3: object = 1.0
-    lambda5: object = 1.0
-    lambda6: object = 0.0
-    lambda7: object = 0.0
-    zeta: object = 0.0
-    growth_c0: float = 1.0
     name: str = "volterra coefficients"
-
-    def __post_init__(self):
-        if self.growth_c0 <= 0:
-            raise ConfigError("growth_c0 must be positive")
 
 
 def volterra_to_functional(v: VolterraCoefficients) -> FunctionalCoefficients:
@@ -355,29 +340,29 @@ def volterra_to_functional(v: VolterraCoefficients) -> FunctionalCoefficients:
         d1 = lambda t, seg: v.diffusion_kernel(t, t, seg)
     return FunctionalCoefficients(
         c1=c1, c2=v.drift_kernel_dt, d1=d1, d2=v.diffusion_kernel_dt,
-        rho=v.rho, lambda3=v.lambda3, lambda5=v.lambda5, lambda6=v.lambda6,
-        lambda7=v.lambda7, zeta=v.zeta, growth_c0=v.growth_c0,
-        name=f"{v.name} (diagonal + partial form)")
+        name=f"{v.name} (diagonal + partial form)",
+        **{f.name: getattr(v, f.name) for f in fields(_DeclaredRates)})
 
 
 # ---------------------------------------------------------------------------
 # frozen-forcing Picard iteration
 
 
-def _coeff_row(fn, args, width: int, who: str) -> np.ndarray:
-    out = np.asarray(fn(*args), dtype=float)
-    if out.shape != (width,):
-        raise ConfigError(f"{who} returned shape {out.shape}, expected "
-                          f"({width},)")
-    return out
-
-
-def _coeff_matrix(fn, args, width: int, who: str) -> np.ndarray:
-    out = np.atleast_2d(np.asarray(fn(*args), dtype=float))
-    if out.shape[0] != width:
-        raise ConfigError(f"{who} returned shape {out.shape}, expected "
-                          f"({width}, noise modes)")
-    return out
+def _per_sample(fn, times, segs, who: str, factor: bool = False):
+    """A one-segment coefficient called once per sample, at the sample's
+    times and segment, stacked: state rows (S, width), or with ``factor``
+    noise factors (S, width, m) of one shape along the stack."""
+    out = [(np.atleast_2d if factor else np.asarray)(
+        np.asarray(fn(*args, seg), dtype=float))
+        for *args, seg in zip(*(np.asarray(t).tolist() for t in times), segs)]
+    width, shapes = segs[0].width, {o.shape for o in out}
+    for shape in shapes:
+        if shape[0] != width or not (factor or len(shape) == 1):
+            raise ConfigError(f"{who} returned shape {shape}, expected "
+                              f"({width},{' noise modes' * factor})")
+    if len(shapes) > 1:
+        raise ConfigError(f"{who} must return a fixed shape along the grid")
+    return np.array(out)
 
 
 def _check_noise_columns(mat: np.ndarray, n_modes: int, who: str) -> None:
@@ -414,42 +399,23 @@ def _frozen_terms(coeffs: FunctionalCoefficients, path: SegmentPath,
 
     g_rows = np.zeros((n_pts, width))
     if coeffs.c1 is not None:
-        for k, t in enumerate(times):
-            g_rows[k] += _coeff_row(coeffs.c1, (float(t), segs[k]), width,
-                                    "c1")
-    if coeffs.c2 is not None:
-        for k in range(1, n_pts):
-            t = float(times[k])
-            acc = np.zeros(width)
-            for j in range(k):
-                acc += _coeff_row(coeffs.c2, (t, float(times[j]), segs[j]),
-                                  width, "c2")
-            g_rows[k] += dt * acc
-    if coeffs.d2 is not None:
-        for k in range(1, n_pts):
-            t = float(times[k])
-            acc = np.zeros(width)
-            for j in range(k):
-                mat = _coeff_matrix(coeffs.d2, (t, float(times[j]), segs[j]),
-                                    width, "d2")
-                acc += _against_increments(mat, noise.increments[j], "d2")
-            g_rows[k] += acc
-
-    if coeffs.d1 is not None:
-        first = _coeff_matrix(coeffs.d1, (float(times[0]), segs[0]), width,
-                              "d1")
-        _check_noise_columns(first, noise.n_modes, "d1")
-        d_rows = np.empty((n_pts, width, first.shape[1]))
-        d_rows[0] = first
-        for k in range(1, n_pts):
-            mat = _coeff_matrix(coeffs.d1, (float(times[k]), segs[k]), width,
-                                "d1")
-            if mat.shape != first.shape:
-                raise ConfigError("d1 must return a fixed shape along the "
-                                  "grid")
-            d_rows[k] = mat
-    else:
-        d_rows = np.zeros((n_pts, width, 1))
+        g_rows += _per_sample(coeffs.c1, (times,), segs, "c1")
+    for k in range(1, n_pts):
+        # the sources s_j < t_k, added in order of j (the order fixes the bits)
+        past = (np.full(k, times[k]), times[:k])
+        if coeffs.c2 is not None:
+            g_rows[k] += dt * sum(_per_sample(coeffs.c2, past, segs[:k], "c2"),
+                                  np.zeros(width))
+        if coeffs.d2 is not None:
+            g_rows[k] += sum(
+                (_against_increments(mat, noise.increments[j], "d2")
+                 for j, mat in enumerate(_per_sample(
+                     coeffs.d2, past, segs[:k], "d2", factor=True))),
+                np.zeros(width))
+    if coeffs.d1 is None:
+        return g_rows, np.zeros((n_pts, width, 1))
+    d_rows = _per_sample(coeffs.d1, (times,), segs, "d1", factor=True)
+    _check_noise_columns(d_rows[0], noise.n_modes, "d1")
     return g_rows, d_rows
 
 
@@ -630,17 +596,13 @@ def picard_solve_functional(drift, coeffs: FunctionalCoefficients,
 def lambda8_profile(coeffs, times, n_quad: int = 129) -> np.ndarray:
     """The combined modulus rate: one-time profile plus the integrated
     two-time profile, lambda3(t) + int_0^t lambda5(t, s) ds, tabulated on
-    ``times``."""
+    ``times`` (one rate call each, the two-time one on the whole
+    (times x n_quad) quadrature grid)."""
     times = np.asarray(times, dtype=float)
-    out = np.empty(len(times))
-    for i, t in enumerate(times):
-        t = float(t)
-        out[i] = coeffs.lambda3_at(t)
-        if t > 0:
-            grid = np.linspace(0.0, t, n_quad)
-            vals = np.array([coeffs.lambda5_at(t, float(s)) for s in grid])
-            out[i] += float(np.trapezoid(vals, grid))
-    return out
+    grid = np.linspace(0.0, times, n_quad, axis=-1)
+    mass = np.trapezoid(_rate(coeffs.lambda5, times[:, None], grid), grid,
+                        axis=-1)
+    return _rate(coeffs.lambda3, times) + mass
 
 
 @dataclass
@@ -687,8 +649,7 @@ def bihari_domination_report(residual_profiles: Sequence[np.ndarray],
     difference by more than ``slack``.
     """
     times = np.asarray(times, dtype=float)
-    lam = np.array([float(lambda8(t)) for t in times]) if callable(lambda8) \
-        else np.asarray(lambda8, dtype=float)
+    lam = _lambda_values(lambda8, times)
     if lam.shape != times.shape:
         raise ConfigError("lambda8 profile must match the time grid")
     profiles = [np.asarray(p, dtype=float) for p in residual_profiles]
@@ -697,60 +658,53 @@ def bihari_domination_report(residual_profiles: Sequence[np.ndarray],
 
     notes: list = []
     n_trans = max(len(profiles) - 1, 0)
+    report = partial(ContractionReport, n_transitions=n_trans, slack=slack,
+                     c0_cap=c0_cap, notes=notes)
     if n_trans == 0 or float(np.max(profiles[0])) == 0.0:
         notes.append("fewer than two nonzero profiles; domination check "
                      "is vacuous")
-        return ContractionReport(fitted_c0=0.0, transition_ratios=(),
-                                 max_envelope_ratio=0.0,
-                                 n_transitions=n_trans, slack=slack,
-                                 c0_cap=c0_cap, ok=True, notes=notes)
-
-    def predicted(prev: np.ndarray) -> np.ndarray:
-        integrand = lam * rho_eval(np.maximum(prev, 0.0), rho)
-        return running_integral(integrand, times)
+        return report(fitted_c0=0.0, transition_ratios=(),
+                      max_envelope_ratio=0.0, ok=True)
 
     def ratio(nxt: np.ndarray, pred: np.ndarray) -> float:
-        worst = 0.0
-        scale = 1e-14 * max(float(np.max(nxt)), 1.0)
-        for a, b in zip(nxt, pred):
-            if b > 0:
-                worst = max(worst, a / b)
-            elif a > scale:
-                return math.inf
-        return worst
+        # the largest finite-or-inf a/b over b > 0; a NaN quotient is
+        # skipped, and mass where the integral vanishes has no constant
+        covered = pred > 0
+        if np.any(~covered & (nxt > 1e-14 * max(float(np.max(nxt)), 1.0))):
+            return math.inf
+        quotient = nxt[covered] / pred[covered]
+        return float(np.max(quotient[~np.isnan(quotient)], initial=0.0))
 
-    ratios = tuple(ratio(profiles[i + 1], predicted(profiles[i]))
-                   for i in range(n_trans))
+    ratios = tuple(
+        ratio(profiles[i + 1],
+              picard_comparison_curve(profiles[i], lam, rho, times, c0=1.0))
+        for i in range(n_trans))
     fitted_c0 = max(ratios)
     if not math.isfinite(fitted_c0):
         notes.append("a transition carries mass where the recursion "
                      "integral vanishes; no constant fits")
-        return ContractionReport(fitted_c0=fitted_c0,
-                                 transition_ratios=ratios,
-                                 max_envelope_ratio=math.inf,
-                                 n_transitions=n_trans, slack=slack,
-                                 c0_cap=c0_cap, ok=False, notes=notes)
+        return report(fitted_c0=fitted_c0, transition_ratios=ratios,
+                      max_envelope_ratio=math.inf, ok=False)
 
     g0 = float(np.max(profiles[0]))
     envelope = bihari_bound(g0, max(fitted_c0, 1e-300) * lam, rho,
                             times).bound_curve
-    max_env = 0.0
-    for prof in profiles:
-        with np.errstate(invalid="ignore"):
-            r = np.max(np.where(envelope > 0, prof / envelope, 0.0))
-        max_env = max(max_env, float(r))
-    ok = fitted_c0 <= c0_cap and max_env <= slack
+    with np.errstate(invalid="ignore"):
+        per_profile = np.max(np.where(envelope > 0, np.stack(profiles)
+                                      / envelope, 0.0), axis=-1)
+    max_env = float(np.max(per_profile[~np.isnan(per_profile)],
+                           initial=0.0))
     if n_trans == 1:
         notes.append("single transition: the fitted constant is exact and "
                      "only the envelope check is informative")
-    return ContractionReport(fitted_c0=fitted_c0, transition_ratios=ratios,
-                             max_envelope_ratio=max_env,
-                             n_transitions=n_trans, slack=slack,
-                             c0_cap=c0_cap, ok=ok, notes=notes)
+    return report(fitted_c0=fitted_c0, transition_ratios=ratios,
+                  max_envelope_ratio=max_env,
+                  ok=fitted_c0 <= c0_cap and max_env <= slack)
 
 
 # ---------------------------------------------------------------------------
-# sampled hypothesis checkers
+# sampled hypothesis checkers: each draws every sample first, calls the
+# one-segment coefficients once per sample and compares on the stack
 
 
 def segment_sampler(width: int, memory: float, t_final: float = 1.0,
@@ -784,9 +738,19 @@ def segment_sampler(width: int, memory: float, t_final: float = 1.0,
     return sample
 
 
-def _hs_norm_sq(mat, norm) -> float:
-    mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    return float(sum(norm(mat[:, j]) ** 2 for j in range(mat.shape[1])))
+def _sq_norms(label: str, fn, times, segs, others=None) -> np.ndarray:
+    """Squared norm of a coefficient at every sample (or of its difference
+    from its value at ``others``), Hilbert-Schmidt for a d1/d2 factor, in
+    the segments' row norm: Euclidean, one stacked reduction, if none."""
+    factor = label[0] == "d"
+    values = _per_sample(fn, times, segs, label, factor)
+    if others is not None:
+        values = values - _per_sample(fn, times, others, label, factor)
+    rows = np.swapaxes(values, -1, -2) if factor else values[:, None]
+    if all(seg.norm is None for seg in segs):
+        return np.sum(rows * rows, axis=(-2, -1))
+    return np.array([sum(seg.row_norm(r) ** 2 for r in row)
+                     for seg, row in zip(segs, rows)])
 
 
 def check_functional_lipschitz(coeffs: FunctionalCoefficients, sampler,
@@ -794,41 +758,28 @@ def check_functional_lipschitz(coeffs: FunctionalCoefficients, sampler,
                                tol: float = 1e-10) -> ViolationReport:
     """Sampled modulus bounds: squared coefficient differences against the
     declared rate times rho of the squared segment distance."""
-    rng = np.random.default_rng(seed)
-    report = ViolationReport(name=f"functional modulus[{coeffs.name}]",
-                             n_samples=n_samples, tol=tol)
-    for i in range(n_samples):
-        t, s, seg_a, seg_b = sampler(rng)
-        norm = seg_a.row_norm
-        dist_sq = segment_distance(seg_a, seg_b) ** 2
-        checks = []
-        if coeffs.c1 is not None:
-            lhs = norm(np.asarray(coeffs.c1(t, seg_a), dtype=float)
-                       - np.asarray(coeffs.c1(t, seg_b), dtype=float)) ** 2
-            checks.append(("c1", lhs, coeffs.lambda3_at(t)))
-        if coeffs.d1 is not None:
-            diff = (np.atleast_2d(np.asarray(coeffs.d1(t, seg_a), float))
-                    - np.atleast_2d(np.asarray(coeffs.d1(t, seg_b), float)))
-            checks.append(("d1", _hs_norm_sq(diff, norm),
-                           coeffs.lambda3_at(t)))
-        if coeffs.c2 is not None:
-            lhs = norm(np.asarray(coeffs.c2(t, s, seg_a), dtype=float)
-                       - np.asarray(coeffs.c2(t, s, seg_b), dtype=float)) ** 2
-            checks.append(("c2", lhs, coeffs.lambda5_at(t, s)))
-        if coeffs.d2 is not None:
-            diff = (np.atleast_2d(np.asarray(coeffs.d2(t, s, seg_a), float))
-                    - np.atleast_2d(np.asarray(coeffs.d2(t, s, seg_b), float)))
-            checks.append(("d2", _hs_norm_sq(diff, norm),
-                           coeffs.lambda5_at(t, s)))
-        for label, lhs, rate in checks:
-            rhs = rate * rho_eval(dist_sq, coeffs.rho)
+
+    def evaluate(t, s, seg_a, seg_b):
+        dist_sq = np.array([segment_distance(a, b) ** 2
+                            for a, b in zip(seg_a, seg_b)])
+        groups = []
+        for label, fn, times, rate in (
+                ("c1", coeffs.c1, (t,), coeffs.lambda3),
+                ("d1", coeffs.d1, (t,), coeffs.lambda3),
+                ("c2", coeffs.c2, (t, s), coeffs.lambda5),
+                ("d2", coeffs.d2, (t, s), coeffs.lambda5)):
+            if fn is None:
+                continue
+            lhs = _sq_norms(label, fn, times, seg_a, seg_b)
+            rhs = _rate(rate, *times) * rho_eval(dist_sq, coeffs.rho)
             excess = (lhs - rhs) / (1.0 + lhs + rhs)
-            if excess > tol:
-                report.violations.append(Violation(
-                    index=i, t=t, excess=float(excess),
-                    detail={"part": label, "lhs": lhs, "rhs": rhs,
+            groups.append((excess, excess > tol,
+                           {"part": label, "lhs": lhs, "rhs": rhs,
                             "distance_sq": dist_sq}))
-    return report
+        return groups
+
+    return _sampled_check(f"functional modulus[{coeffs.name}]", n_samples,
+                          tol, seed, sampler, evaluate)
 
 
 def check_functional_growth(coeffs: FunctionalCoefficients, bundle, sampler,
@@ -842,64 +793,53 @@ def check_functional_growth(coeffs: FunctionalCoefficients, bundle, sampler,
     disagree on which coercivity rate anchors this scale, so the check
     takes the minimum and records the ambiguity as a note.  The two-time
     pair is checked against lambda6 + lambda7 * sup^2, and the integral
-    of those rates over s is checked against the same one-time scale.
+    of those rates over s is checked against the same one-time scale at
+    8 times, each rate called once on the (8 x n_quad) quadrature grid.
     """
-    rng = np.random.default_rng(seed)
-    report = ViolationReport(name=f"functional growth[{coeffs.name}]",
-                             n_samples=n_samples, tol=tol)
+
+    def scale_one(t: np.ndarray) -> np.ndarray:
+        rate = np.minimum(profile_on_grid(bundle.lambda1, t, EMPTY_CONTEXT),
+                          profile_on_grid(bundle.lambda2, t, EMPTY_CONTEXT))
+        return coeffs.growth_c0 * rate ** (2.0 / bundle.q1)
+
+    def evaluate(t, s, seg_a, _):
+        sup_sq = np.array([seg.sup_norm() ** 2 for seg in seg_a])
+        groups = []
+        if coeffs.c1 is not None or coeffs.d1 is not None:
+            lhs = sum(_sq_norms(label, fn, (t,), seg_a) for label, fn in
+                      (("c1", coeffs.c1), ("d1", coeffs.d1)) if fn is not None)
+            rhs = scale_one(t) * (_rate(coeffs.zeta, t) + sup_sq)
+            excess = (lhs - rhs) / (1.0 + lhs + rhs)
+            groups.append((excess, excess > tol,
+                           {"part": "one-time", "lhs": lhs, "rhs": rhs}))
+        if coeffs.c2 is not None or coeffs.d2 is not None:
+            lhs = sum(_sq_norms(label, fn, (t, s), seg_a) for label, fn in
+                      (("c2", coeffs.c2), ("d2", coeffs.d2)) if fn is not None)
+            rhs = _rate(coeffs.lambda6, t, s) \
+                + _rate(coeffs.lambda7, t, s) * sup_sq
+            excess = (lhs - rhs) / (1.0 + lhs + rhs)
+            groups.append((excess, excess > tol,
+                           {"part": "two-time", "s": s, "lhs": lhs,
+                            "rhs": rhs}))
+        return groups
+
+    report = _sampled_check(f"functional growth[{coeffs.name}]", n_samples,
+                            tol, seed, sampler, evaluate)
     report.notes.append(
         "one-time growth scale uses min(lambda1, lambda2)^(2/q1): the "
         "declared bounds disagree on which coercivity rate anchors it")
 
-    def scale_one(t: float) -> float:
-        l1 = float(bundle.lambda1(t, EMPTY_CONTEXT))
-        l2 = float(bundle.lambda2(t, EMPTY_CONTEXT))
-        return coeffs.growth_c0 * min(l1, l2) ** (2.0 / bundle.q1)
-
-    for i in range(n_samples):
-        t, s, seg_a, _ = sampler(rng)
-        norm = seg_a.row_norm
-        sup_sq = seg_a.sup_norm() ** 2
-        if coeffs.c1 is not None or coeffs.d1 is not None:
-            lhs = 0.0
-            if coeffs.c1 is not None:
-                lhs += norm(np.asarray(coeffs.c1(t, seg_a), float)) ** 2
-            if coeffs.d1 is not None:
-                lhs += _hs_norm_sq(coeffs.d1(t, seg_a), norm)
-            rhs = scale_one(t) * (coeffs.zeta_at(t) + sup_sq)
-            excess = (lhs - rhs) / (1.0 + lhs + rhs)
-            if excess > tol:
-                report.violations.append(Violation(
-                    index=i, t=t, excess=float(excess),
-                    detail={"part": "one-time", "lhs": lhs, "rhs": rhs}))
-        if coeffs.c2 is not None or coeffs.d2 is not None:
-            lhs = 0.0
-            if coeffs.c2 is not None:
-                lhs += norm(np.asarray(coeffs.c2(t, s, seg_a), float)) ** 2
-            if coeffs.d2 is not None:
-                lhs += _hs_norm_sq(coeffs.d2(t, s, seg_a), norm)
-            rhs = coeffs.lambda6_at(t, s) + coeffs.lambda7_at(t, s) * sup_sq
-            excess = (lhs - rhs) / (1.0 + lhs + rhs)
-            if excess > tol:
-                report.violations.append(Violation(
-                    index=i, t=t, excess=float(excess),
-                    detail={"part": "two-time", "s": s, "lhs": lhs,
-                            "rhs": rhs}))
-
-    for t in np.linspace(t_final / 8.0, t_final, 8):
-        grid = np.linspace(0.0, float(t), n_quad)
-        vals = np.array([coeffs.lambda6_at(float(t), float(s))
-                         + coeffs.lambda7_at(float(t), float(s))
-                         for s in grid])
-        mass = float(np.trapezoid(vals, grid))
-        cap = scale_one(float(t))
-        excess = (mass - cap) / (1.0 + mass + cap)
-        if excess > tol:
-            report.violations.append(Violation(
-                index=-1, t=float(t), excess=float(excess),
-                detail={"part": "two-time rate budget", "mass": mass,
-                        "cap": cap}))
-    return report
+    budget_t = np.linspace(t_final / 8.0, t_final, 8)
+    grid = np.linspace(0.0, budget_t, n_quad, axis=-1)
+    mass = np.trapezoid(_rate(coeffs.lambda6, budget_t[:, None], grid)
+                        + _rate(coeffs.lambda7, budget_t[:, None], grid),
+                        grid, axis=-1)
+    cap = scale_one(budget_t)
+    excess = (mass - cap) / (1.0 + mass + cap)
+    return _record(report, budget_t, [
+        (excess, excess > tol,
+         {"part": "two-time rate budget", "mass": mass, "cap": cap})],
+        index=np.full(len(budget_t), -1))
 
 
 def check_volterra_partials(v: VolterraCoefficients, sampler,
@@ -909,32 +849,34 @@ def check_volterra_partials(v: VolterraCoefficients, sampler,
                             t_final: float = 1.0) -> ViolationReport:
     """Centered finite differences in the first argument against the
     supplied analytic partials, within rel_tol relative error."""
-    rng = np.random.default_rng(seed)
-    report = ViolationReport(name=f"volterra partials[{v.name}]",
-                             n_samples=n_samples, tol=rel_tol)
-    pairs = []
-    if v.drift_kernel is not None:
-        pairs.append(("drift_kernel", v.drift_kernel, v.drift_kernel_dt))
-    if v.diffusion_kernel is not None:
-        pairs.append(("diffusion_kernel", v.diffusion_kernel,
-                      v.diffusion_kernel_dt))
-    for i in range(n_samples):
+    pairs = [pair for pair in (
+        ("drift_kernel", v.drift_kernel, v.drift_kernel_dt),
+        ("diffusion_kernel", v.diffusion_kernel, v.diffusion_kernel_dt))
+        if pair[1] is not None]
+
+    def draw(rng):
         t, s, seg, _ = sampler(rng)
-        t = min(max(t, fd_step), t_final - fd_step)
+        return min(max(t, fd_step), t_final - fd_step), s, seg
+
+    def evaluate(t, s, seg):
+        groups = []
         for label, kernel, partial in pairs:
-            hi = np.asarray(kernel(t + fd_step, s, seg), dtype=float)
-            lo = np.asarray(kernel(t - fd_step, s, seg), dtype=float)
-            fd = (hi - lo) / (2.0 * fd_step)
+            factor = label == "diffusion_kernel"
+            fd = (_per_sample(kernel, (t + fd_step, s), seg, label, factor)
+                  - _per_sample(kernel, (t - fd_step, s), seg, label, factor)
+                  ) / (2.0 * fd_step)
             ref = np.zeros_like(fd) if partial is None \
-                else np.asarray(partial(t, s, seg), dtype=float)
-            err = float(np.max(np.abs(fd - ref)))
-            scale = 1.0 + float(np.max(np.abs(ref))) \
-                + float(np.max(np.abs(fd)))
-            if err / scale > rel_tol:
-                report.violations.append(Violation(
-                    index=i, t=t, excess=float(err / scale - rel_tol),
-                    detail={"part": label, "s": s, "fd_error": err}))
-    return report
+                else _per_sample(partial, (t, s), seg, label, factor)
+            axes = tuple(range(1, fd.ndim))
+            err = np.max(np.abs(fd - ref), axis=axes)
+            rel = err / (1.0 + np.max(np.abs(ref), axis=axes)
+                         + np.max(np.abs(fd), axis=axes))
+            groups.append((rel - rel_tol, rel > rel_tol,
+                           {"part": label, "s": s, "fd_error": err}))
+        return groups
+
+    return _sampled_check(f"volterra partials[{v.name}]", n_samples, rel_tol,
+                          seed, draw, evaluate)
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,10 @@ accept an array of times: a stack of states taken at S different times
 evaluates in one call with the times as an (S, 1) column.
 
 Checkers sample random states (amplitudes log-uniform over a wide range to
-probe both small- and large-field regimes), draw every sample first and
-then evaluate the inequality on the whole stack at once, and report every
-violation as data; nothing raises on a failed hypothesis.
+probe both small- and large-field regimes) and run on the sampled-check
+engine of :mod:`monosee.reporting`: every sample is drawn first, the
+inequality is evaluated once on the whole stack, and every violation is
+reported as data; nothing raises on a failed hypothesis.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 
 from .errors import ConfigError, MonoseeError
 from .noise import EMPTY_CONTEXT
-from .reporting import Violation, ViolationReport
+from .reporting import ViolationReport, _record, _sampled_check
 from .triple import (POROUS_MEDIUM, REACTION_DIFFUSION, DiscreteTriple,
                      _float_or_array, _values)
 
@@ -155,14 +156,14 @@ class HypothesisBundle:
     def integrability_report(self, ctx, t_final: float, n: int = 512) -> ViolationReport:
         """Trapezoid quadrature of each rate over [0, T]; flags non-finite mass."""
         ts = np.linspace(0.0, t_final, n + 1)
-        report = ViolationReport(name="rate integrability", n_samples=5, tol=0.0)
-        for idx, label in enumerate(("lambda0", "lambda1", "lambda2", "lambda3", "xi")):
-            mass = float(np.trapezoid(profile_on_grid(getattr(self, label), ts, ctx), ts))
-            report.notes.append(f"int {label} = {mass:.6g}")
-            if not np.isfinite(mass):
-                report.violations.append(Violation(
-                    index=idx, t=t_final, excess=np.inf, detail={"rate": label}))
-        return report
+        labels = ("lambda0", "lambda1", "lambda2", "lambda3", "xi")
+        mass = np.array([np.trapezoid(profile_on_grid(getattr(self, label), ts,
+                                                      ctx), ts)
+                         for label in labels])
+        report = ViolationReport("rate integrability", 5, 0.0, notes=[
+            f"int {label} = {m:.6g}" for label, m in zip(labels, mass)])
+        return _record(report, np.full(5, t_final), [
+            (np.inf, ~np.isfinite(mass), {"rate": np.array(labels)})])
 
 
 def _require_finite(u: np.ndarray, who: str) -> np.ndarray:
@@ -392,38 +393,6 @@ def pair_sampler(triple: DiscreteTriple, t_final: float = 1.0,
 # ---------------------------------------------------------------------------
 # hypothesis checkers
 
-def _record(report: ViolationReport, t, groups) -> ViolationReport:
-    """Append the flagged rows of (excess, flagged, detail) groups, by row."""
-    for i, g in sorted((i, g) for g, group in enumerate(groups)
-                       for i in np.flatnonzero(group[1])):
-        excess, _, detail = groups[g]
-        report.violations.append(Violation(
-            index=int(i), t=float(t[i]), excess=float(excess[i]),
-            detail={key: float(np.broadcast_to(value, t.shape)[i])
-                    for key, value in detail.items()}))
-    return report
-
-
-def _sampled_check(name: str, n_samples: int, tol: float, sampler, seed: int,
-                   evaluate, draws: int = 1) -> ViolationReport:
-    """One sampled inequality check, evaluated on the stack of all samples.
-
-    Every sample is drawn first, ``draws`` sampler calls each in the order
-    of a per-sample loop, so the data are exactly that loop's.
-    ``evaluate(t, *states)`` gets the times (S,) and one (S, n_grid) stack
-    per state of a sample's draws (later draws lose their time) and
-    returns the groups for :func:`_record`, one per inequality.
-    """
-    rng = np.random.default_rng(seed)
-    report = ViolationReport(name=name, n_samples=n_samples, tol=tol)
-    samples = [sum((tuple(sampler(rng))[min(k, 1):] for k in range(draws)), ())
-               for _ in range(n_samples)]
-    if not samples:
-        return report
-    t, *states = (np.array(column, dtype=float) for column in zip(*samples))
-    return _record(report, t, evaluate(t, *states))
-
-
 def check_monotonicity(drift, diff, bundle: HypothesisBundle, sampler,
                        n_samples: int = 500, seed: int = 0, tol: float = 1e-10,
                        ctx=EMPTY_CONTEXT) -> ViolationReport:
@@ -445,7 +414,7 @@ def check_monotonicity(drift, diff, bundle: HypothesisBundle, sampler,
         return [(excess, excess > tol * scale,
                  {"pairing": pairing, "hs2": hs2, "damp": damp})]
 
-    return _sampled_check("monotonicity", n_samples, tol, sampler, seed, evaluate)
+    return _sampled_check("monotonicity", n_samples, tol, seed, sampler, evaluate)
 
 
 def check_coercivity(drift, diff, bundle: HypothesisBundle, sampler,
@@ -472,7 +441,7 @@ def check_coercivity(drift, diff, bundle: HypothesisBundle, sampler,
         return [(excess, excess > tol * scale,
                  {"pairing": pairing, "hs2": hs2, "lam1": lam1, "lam2": lam2})]
 
-    return _sampled_check("coercivity", n_samples, tol, sampler, seed, evaluate)
+    return _sampled_check("coercivity", n_samples, tol, seed, sampler, evaluate)
 
 
 def check_boundedness(drift, bundle: HypothesisBundle, sampler,
@@ -497,7 +466,7 @@ def check_boundedness(drift, bundle: HypothesisBundle, sampler,
                            {"part": which, "lhs": lhs, "rhs": rhs}))
         return groups
 
-    return _sampled_check("boundedness", n_samples, tol, sampler, seed, evaluate)
+    return _sampled_check("boundedness", n_samples, tol, seed, sampler, evaluate)
 
 
 def check_hemicontinuity(drift, sampler, n_samples: int = 100, seed: int = 0,
@@ -524,8 +493,10 @@ def check_hemicontinuity(drift, sampler, n_samples: int = 100, seed: int = 0,
         return [(ratio - jump_fraction, flagged,
                  {"worst_jump": worst, "range": total})]
 
-    return _sampled_check("hemicontinuity", n_samples, jump_fraction, sampler,
-                          seed, evaluate, draws=3)
+    return _sampled_check(
+        "hemicontinuity", n_samples, jump_fraction, seed,
+        lambda rng: (*sampler(rng), *sampler(rng)[1:], *sampler(rng)[1:]),
+        evaluate)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
-"""Violation reports produced by the sampled structural-hypothesis checkers."""
+"""Violation reports and the one engine every sampled checker runs on."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 
 @dataclass
@@ -46,3 +48,56 @@ class ViolationReport:
     def summary(self) -> str:
         state = "ok" if self.ok else f"{self.n_violations} violations (max excess {self.max_excess:.3e})"
         return f"{self.name}: {self.n_samples} samples, {state}"
+
+
+def _entry(value, row: int):
+    """A detail value at one row: a string or scalar is shared by every
+    row, an array's leading axis runs over the rows (rows may be arrays)."""
+    if not isinstance(value, str) and np.ndim(value):
+        value = np.asarray(value)[row]
+    if isinstance(value, str):
+        return str(value)
+    return value if np.ndim(value) else float(value)
+
+
+def _record(report: ViolationReport, t, groups, index=None) -> ViolationReport:
+    """Append the flagged rows of (excess, flagged, detail) groups, row by
+    row and within a row in group order, as a per-sample loop would; row
+    k is reported at time t[k] with index ``index[k]`` (k by default)."""
+    t = np.asarray(t, dtype=float)
+    for k, g in sorted((k, g) for g, group in enumerate(groups)
+                       for k in np.flatnonzero(np.broadcast_to(group[1],
+                                                               t.shape))):
+        excess, _, detail = groups[g]
+        report.violations.append(Violation(
+            index=int(k if index is None else index[k]), t=float(t[k]),
+            excess=float(np.broadcast_to(excess, t.shape)[k]),
+            detail={key: _entry(value, k) for key, value in detail.items()}))
+    return report
+
+
+def _sample_sum(v: np.ndarray) -> np.ndarray:
+    """The sum of each sample of a stack (axis 0) over its other axes."""
+    return np.sum(v, axis=tuple(range(1, v.ndim)))
+
+
+def _sampled_check(name: str, n_samples: int, tol: float, seed: int, draw,
+                   evaluate, tail=None) -> ViolationReport:
+    """One sampled inequality check, evaluated on the stack of all samples.
+
+    Every sample is drawn first, as the tuple ``draw(rng)`` led by the time
+    its violations are reported at, from one generator seeded with
+    ``seed``.  ``evaluate`` gets one column per entry (a float stack, or a
+    list of segments) and returns :func:`_record`'s groups, one per
+    inequality.  ``tail(rng, report)`` is a later stage of its own.
+    """
+    rng = np.random.default_rng(seed)
+    report = ViolationReport(name=name, n_samples=n_samples, tol=tol)
+    samples = [draw(rng) for _ in range(n_samples)]
+    if samples:
+        columns = [list(c) if np.asarray(c[0]).dtype == object
+                   else np.array(c, dtype=float) for c in zip(*samples)]
+        _record(report, columns[0], evaluate(*columns))
+    if tail is not None:
+        tail(rng, report)
+    return report

@@ -16,6 +16,7 @@ exact root.  Every map is solved by one damped Newton kernel with an
 analytic or finite-difference Jacobian, over one vector or a stack of
 independent replicas (each with its own target, convergence mask and line
 search); a diagonal map is a stack of width-1 rows, one per component.
+The sampled checkers evaluate and solve whole stacks of samples at once.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, NonconvergenceError
-from .reporting import Violation, ViolationReport
+from .reporting import ViolationReport, _record, _sample_sum, _sampled_check
 
 __all__ = [
     "MonotoneMap",
@@ -106,32 +107,37 @@ def _newton_steps(M: np.ndarray, g: np.ndarray) -> np.ndarray:
         return np.stack([_newton_steps(m, r) for m, r in zip(M, g)])
 
 
-def _replica_error(message: str, lead: tuple, history: list, flat: int):
-    """NonconvergenceError for the replica at flat row ``flat`` of a stack
-    with leading shape ``lead``, carrying that replica's history."""
-    rows = [float(np.reshape(h, -1)[flat]) for h in history]
-    replica = None
-    if lead:
-        replica = np.unravel_index(flat, lead)
-        replica = int(replica[0]) if len(lead) == 1 \
-            else tuple(map(int, replica))
-    return NonconvergenceError(message, residuals=rows, replica=replica)
+def _replica_error(message_of, lead: tuple, history: list, failed):
+    """NonconvergenceError, with its history and ``message_of(flat)``, for
+    the first failed flat row of a stack with leading shape ``lead``;
+    ``also`` holds the errors of the other rows in ``failed``."""
+    errors = [NonconvergenceError(
+        message_of(flat),
+        residuals=[float(np.reshape(h, -1)[flat]) for h in history],
+        replica=None if not lead else int(flat) if len(lead) == 1
+        else tuple(map(int, np.unravel_index(flat, lead))))
+        for flat in np.flatnonzero(failed)]
+    errors[0].also = tuple(errors[1:])
+    return errors[0]
 
 
 def _resolvent_general(F, t, eps, x, tol, max_iter, guess=None, counts=None):
     """Damped Newton on y - eps*F(t, y) = x for x of shape (..., n).
 
-    Every row is an independent replica with its own target
+    ``eps`` is a float or one eps per row, shaped (..., 1).  Every row is
+    an independent replica with its own target
     tol*(1 + |x_row|), convergence mask and line-search step length.  The
     whole stack is evaluated together; a converged row gets a zero step
     and a row that has accepted its line-search trial a zero step length,
     so it stays frozen and each row follows the iterates it would follow
-    alone.  The first row that fails raises, with its own history.
+    alone.  The first row that fails raises, with its own history, and
+    carries the errors of the rows failing with it in ``also``.
     """
     x = np.asarray(x, dtype=float)
     y = x.copy() if guess is None else np.array(guess, dtype=float).reshape(x.shape)
     lead = x.shape[:-1]
     eye = np.eye(x.shape[-1])
+    eps_jac = eps[..., None] if isinstance(eps, np.ndarray) else eps
     target = tol * (1.0 + _norms(x))
     iterations = np.zeros(lead, dtype=np.int64)
     halvings = np.zeros(lead, dtype=np.int64)
@@ -145,7 +151,7 @@ def _resolvent_general(F, t, eps, x, tol, max_iter, guess=None, counts=None):
         if not n_active:
             break
         iterations += active
-        step = _newton_steps(eye - eps * _full_jacobian(F, t, y), g)
+        step = _newton_steps(eye - eps_jac * _full_jacobian(F, t, y), g)
         if n_active < active.size:
             step = np.where(active[..., None], step, 0.0)
         lam = 1.0
@@ -166,20 +172,19 @@ def _resolvent_general(F, t, eps, x, tol, max_iter, guess=None, counts=None):
             halvings += pending
             lam = lam * np.where(pending, 0.5, 0.0)[..., None]
         else:
-            flat = int(np.flatnonzero(pending)[0])
-            stalled = float(np.reshape(history[-1], -1)[flat])
             raise _replica_error(
-                f"resolvent of {F.name}: damped Newton stalled at residual "
-                f"{stalled:.3e}; is the map actually dissipative?",
-                lead, history, flat)
+                lambda flat: f"resolvent of {F.name}: damped Newton stalled "
+                f"at residual {float(np.reshape(history[-1], -1)[flat]):.3e}"
+                f"; is the map actually dissipative?",
+                lead, history, pending)
     else:
         failed = ~(ng <= target)
         if np.count_nonzero(failed):
-            flat = int(np.flatnonzero(failed)[0])
             raise _replica_error(
-                f"resolvent of {F.name} did not converge in {max_iter} "
-                f"iterations (residual {float(np.reshape(ng, -1)[flat]):.3e})",
-                lead, history, flat)
+                lambda flat: f"resolvent of {F.name} did not converge in "
+                f"{max_iter} iterations (residual "
+                f"{float(np.reshape(ng, -1)[flat]):.3e})",
+                lead, history, failed)
     if counts is not None:
         counts.iterations += iterations
         counts.halvings += halvings
@@ -201,9 +206,17 @@ def resolvent(F: MonotoneMap, t: float, eps: float, x, tol: float = 1e-12,
     answer does not depend on it beyond the tolerance.  ``counts`` (a
     :class:`NewtonCounts` shaped like the stack's leading axes, for a
     diagonal map like x) accumulates Newton iterations and line-search
-    halvings.  ``eps`` must lie in (0, inf).
+    halvings.  ``eps`` must lie in (0, inf); an array of them broadcasts
+    against x, one per element for a diagonal map and one per row for a
+    general one (an (S, 1) column for x of shape (S, n)).
     """
-    if not 0 < eps < np.inf:
+    if isinstance(eps, np.ndarray):
+        if not np.all((0 < eps) & (eps < np.inf)) \
+                or not (F.diagonal or eps.shape[-1:] in ((), (1,))):
+            raise ConfigError("resolvent needs 0 < eps < inf, one per row "
+                              f"(a trailing axis of 1), got {eps!r}")
+        eps = eps[..., None] if F.diagonal else eps
+    elif not 0 < eps < np.inf:
         raise ConfigError(f"resolvent needs 0 < eps < inf, got {eps!r}")
     if not tol > 0:
         raise ConfigError(f"resolvent needs tol > 0, got {tol!r}")
@@ -251,20 +264,35 @@ def check_dissipativity(F: MonotoneMap, sampler, n_samples: int = 500,
                         seed: int = 0, tol: float = 1e-12,
                         t: float = 0.0) -> ViolationReport:
     """Sampled check of <x - y, F(x) - F(y)> <= tol on random pairs."""
-    rng = np.random.default_rng(seed)
-    report = ViolationReport(name=f"dissipativity[{F.name}]",
-                             n_samples=n_samples, tol=tol)
-    for i in range(n_samples):
-        x = np.asarray(sampler(rng), dtype=float)
-        y = np.asarray(sampler(rng), dtype=float)
-        fx = np.asarray(F.eval(t, x), dtype=float)
-        fy = np.asarray(F.eval(t, y), dtype=float)
-        inner = float(np.sum((x - y) * (fx - fy)))
-        if inner > tol:
-            report.violations.append(Violation(
-                index=i, t=t, excess=inner - tol,
-                detail={"inner": inner, "x": x, "y": y}))
-    return report
+
+    def evaluate(_, x, y):
+        inner = _sample_sum((x - y) * (np.asarray(F.eval(t, x), dtype=float)
+                                       - np.asarray(F.eval(t, y), dtype=float)))
+        return [(inner - tol, inner > tol, {"inner": inner, "x": x, "y": y})]
+
+    return _sampled_check(f"dissipativity[{F.name}]", n_samples, tol, seed,
+                          lambda rng: (t, sampler(rng), sampler(rng)), evaluate)
+
+
+def _yosida_rows(F: MonotoneMap, t: float, eps: np.ndarray, x: np.ndarray):
+    """A_eps(x) of a stack of samples, one eps each, in one resolvent call;
+    failed samples are set aside (NaN) with their one-sample solve error
+    and the rest solved again: exact, as each Newton row solves alone."""
+    column = (-1,) + (1,) * (x.ndim - 1)
+    a, errors, rows = np.full(x.shape, np.nan), {}, np.arange(len(x))
+    while rows.size:
+        try:
+            e = eps[rows].reshape(column)
+            a[rows] = (resolvent(F, t, e, x[rows], tol=1e-13) - x[rows]) / e
+            break
+        except NonconvergenceError as exc:
+            for err in (exc, *exc.also):
+                row, *within = np.atleast_1d(err.replica).tolist()
+                errors.setdefault(int(rows[row]), str(NonconvergenceError(
+                    err.args[0], replica=None if not within else within[0]
+                    if len(within) == 1 else tuple(within))))
+            rows = rows[~np.isin(rows, list(errors))]
+    return a, errors
 
 
 def check_yosida_properties(F: MonotoneMap, sampler, n_samples: int = 200,
@@ -279,67 +307,62 @@ def check_yosida_properties(F: MonotoneMap, sampler, n_samples: int = 200,
 
     Random (eps, x, y) triples drive (I)-(III); (IV) sweeps eps over a
     decreasing grid at a handful of sampled base points.  Violations carry
-    the property label in their detail dict.
+    the property label in their detail dict; a sample whose resolvent
+    solve fails is flagged "resolvent solve", and a failed sweep point
+    enters (IV)'s gaps as inf.
     """
-    rng = np.random.default_rng(seed)
-    report = ViolationReport(name=f"yosida properties[{F.name}]",
-                             n_samples=n_samples, tol=tol)
-
-    def j_and_a(eps, x):
-        j = resolvent(F, t, eps, x, tol=1e-13)
-        return j, (j - x) / eps
-
-    for i in range(n_samples):
-        eps = float(10.0 ** rng.uniform(-3, 0))
-        x = np.asarray(sampler(rng), dtype=float)
-        y = np.asarray(sampler(rng), dtype=float)
-        try:
-            _, ax = j_and_a(eps, x)
-            _, ay = j_and_a(eps, y)
-        except NonconvergenceError as exc:
-            report.violations.append(Violation(
-                index=i, t=eps, excess=np.inf,
-                detail={"property": "resolvent solve", "error": str(exc)}))
-            continue
-        scale = 1.0 + float(np.linalg.norm(x) + np.linalg.norm(y))
-        inner = float(np.sum((x - y) * (ax - ay)))
-        if inner > tol * scale:
-            report.violations.append(Violation(
-                index=i, t=eps, excess=inner,
-                detail={"property": "I monotonicity"}))
-        lhs = float(np.linalg.norm(ax - ay))
-        rhs = float(np.linalg.norm(x - y)) / eps
-        if lhs > rhs * (1.0 + tol) + tol:
-            report.violations.append(Violation(
-                index=i, t=eps, excess=lhs - rhs,
-                detail={"property": "II lipschitz"}))
-        na = float(np.linalg.norm(ax))
-        nf = float(np.linalg.norm(np.asarray(F.eval(t, x), dtype=float)))
-        if na > nf * (1.0 + tol) + tol:
-            report.violations.append(Violation(
-                index=i, t=eps, excess=na - nf,
-                detail={"property": "III domination"}))
-
     eps_grid = np.logspace(-1, -5, 9)
-    for i in range(5):
-        x = np.asarray(sampler(rng), dtype=float)
-        fx = np.asarray(F.eval(t, x), dtype=float)
-        gaps = []
-        for eps in eps_grid:
-            try:
-                _, ax = j_and_a(float(eps), x)
-            except NonconvergenceError:
-                gaps.append(np.inf)
-                continue
-            gaps.append(float(np.linalg.norm(ax - fx)))
-        worsened = [k for k in range(1, len(gaps))
-                    if gaps[k] > gaps[k - 1] + tol * (1.0 + gaps[k - 1])]
-        if worsened or not gaps[-1] <= gaps[0] + tol:
-            report.violations.append(Violation(
-                index=n_samples + i, t=float(eps_grid[-1]),
-                excess=float(gaps[-1] - gaps[0]),
-                detail={"property": "IV convergence", "gaps": gaps}))
-    report.notes.append(
-        "eps drawn log-uniform from [1e-3, 1]; property IV swept on "
-        f"{len(eps_grid)} decreasing eps values at 5 base points")
-    return report
+
+    def norms(v):
+        return np.sqrt(_sample_sum(v * v))
+
+    def state(rng):
+        return np.atleast_1d(np.asarray(sampler(rng), dtype=float))
+
+    def draw(rng):
+        return float(10.0 ** rng.uniform(-3, 0)), state(rng), state(rng)
+
+    def evaluate(eps, x, y):
+        n = len(eps)
+        a, errors = _yosida_rows(F, t, np.concatenate([eps, eps]),
+                                 np.concatenate([x, y]))
+        ax, ay = a[:n], a[n:]
+        # a sample fails with its x solve's error, else with its y solve's
+        error = [errors.get(i, errors.get(n + i, "")) for i in range(n)]
+        solved = np.array([not e for e in error])
+        scale = 1.0 + norms(x) + norms(y)
+        inner = _sample_sum((x - y) * (ax - ay))
+        lip, lip_cap = norms(ax - ay), norms(x - y) / eps
+        na, nf = norms(ax), norms(np.asarray(F.eval(t, x), dtype=float))
+        return [
+            (np.inf, ~solved, {"property": "resolvent solve", "error": error}),
+            (inner, solved & (inner > tol * scale),
+             {"property": "I monotonicity"}),
+            (lip - lip_cap, solved & (lip > lip_cap * (1.0 + tol) + tol),
+             {"property": "II lipschitz"}),
+            (na - nf, solved & (na > nf * (1.0 + tol) + tol),
+             {"property": "III domination"})]
+
+    def convergence_sweep(rng, report):
+        base = np.stack([state(rng) for _ in range(5)])
+        k = len(eps_grid)
+        a, errors = _yosida_rows(F, t, np.tile(eps_grid, 5),
+                                 np.repeat(base, k, axis=0))
+        gaps = norms(a - np.repeat(np.asarray(F.eval(t, base), dtype=float),
+                                   k, axis=0))
+        gaps[list(errors)] = np.inf
+        gaps = gaps.reshape(5, k)
+        worsened = np.any(gaps[:, 1:] > gaps[:, :-1]
+                          + tol * (1.0 + gaps[:, :-1]), axis=1)
+        with np.errstate(invalid="ignore"):
+            excess = gaps[:, -1] - gaps[:, 0]
+        _record(report, np.full(5, eps_grid[-1]), [
+            (excess, worsened | ~(gaps[:, -1] <= gaps[:, 0] + tol),
+             {"property": "IV convergence", "gaps": gaps})],
+            index=n_samples + np.arange(5))
+        report.notes.append(
+            "eps drawn log-uniform from [1e-3, 1]; property IV swept on "
+            f"{k} decreasing eps values at 5 base points")
+
+    return _sampled_check(f"yosida properties[{F.name}]", n_samples, tol,
+                          seed, draw, evaluate, tail=convergence_sweep)

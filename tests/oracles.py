@@ -1,0 +1,320 @@
+"""Per-sample reference loops for the stacked sampled checkers.
+
+Each oracle draws and evaluates one sample at a time, in the order the
+stacked checker draws them, and appends its violations as it goes; it
+is the checker written the plain way.  ``assert_same_report`` compares
+a stacked report with its oracle's.
+"""
+
+import math
+
+import numpy as np
+
+from monosee.analysis import rho_eval
+from monosee.errors import NonconvergenceError
+from monosee.functional import segment_distance
+from monosee.noise import EMPTY_CONTEXT
+from monosee.reporting import Violation, ViolationReport
+from monosee.resolvent import resolvent
+
+LABELS = ("part", "property")
+
+
+def assert_same_report(stacked, oracle, rel=1e-9):
+    """Same name, size, notes, flagged (index, t) rows in order, detail
+    keys and labels; excess within ``rel`` relative (inf and NaN
+    exactly)."""
+    assert (stacked.name, stacked.n_samples, stacked.tol) \
+        == (oracle.name, oracle.n_samples, oracle.tol)
+    assert stacked.notes == oracle.notes
+    assert [(v.index, v.t) for v in stacked.violations] \
+        == [(v.index, v.t) for v in oracle.violations]
+    for got, want in zip(stacked.violations, oracle.violations):
+        assert sorted(got.detail) == sorted(want.detail)
+        for key in LABELS:
+            assert got.detail.get(key) == want.detail.get(key)
+        if math.isfinite(want.excess):
+            assert abs(got.excess - want.excess) \
+                <= rel * max(1.0, abs(want.excess)), (got, want)
+        else:
+            assert got.excess == want.excess \
+                or (math.isnan(got.excess) and math.isnan(want.excess))
+
+
+# ---------------------------------------------------------------------------
+# resolvent and Yosida
+
+
+def dissipativity(F, sampler, n_samples=500, seed=0, tol=1e-12, t=0.0):
+    rng = np.random.default_rng(seed)
+    report = ViolationReport(name=f"dissipativity[{F.name}]",
+                             n_samples=n_samples, tol=tol)
+    for i in range(n_samples):
+        x = np.asarray(sampler(rng), dtype=float)
+        y = np.asarray(sampler(rng), dtype=float)
+        fx = np.asarray(F.eval(t, x), dtype=float)
+        fy = np.asarray(F.eval(t, y), dtype=float)
+        inner = float(np.sum((x - y) * (fx - fy)))
+        if inner > tol:
+            report.violations.append(Violation(
+                index=i, t=t, excess=inner - tol,
+                detail={"inner": inner, "x": x, "y": y}))
+    return report
+
+
+def yosida_properties(F, sampler, n_samples=200, seed=0, tol=1e-8, t=0.0):
+    rng = np.random.default_rng(seed)
+    report = ViolationReport(name=f"yosida properties[{F.name}]",
+                             n_samples=n_samples, tol=tol)
+
+    def j_and_a(eps, x):
+        j = resolvent(F, t, eps, x, tol=1e-13)
+        return j, (j - x) / eps
+
+    for i in range(n_samples):
+        eps = float(10.0 ** rng.uniform(-3, 0))
+        x = np.asarray(sampler(rng), dtype=float)
+        y = np.asarray(sampler(rng), dtype=float)
+        try:
+            _, ax = j_and_a(eps, x)
+            _, ay = j_and_a(eps, y)
+        except NonconvergenceError as exc:
+            report.violations.append(Violation(
+                index=i, t=eps, excess=np.inf,
+                detail={"property": "resolvent solve", "error": str(exc)}))
+            continue
+        scale = 1.0 + float(np.linalg.norm(x) + np.linalg.norm(y))
+        inner = float(np.sum((x - y) * (ax - ay)))
+        if inner > tol * scale:
+            report.violations.append(Violation(
+                index=i, t=eps, excess=inner,
+                detail={"property": "I monotonicity"}))
+        lhs = float(np.linalg.norm(ax - ay))
+        rhs = float(np.linalg.norm(x - y)) / eps
+        if lhs > rhs * (1.0 + tol) + tol:
+            report.violations.append(Violation(
+                index=i, t=eps, excess=lhs - rhs,
+                detail={"property": "II lipschitz"}))
+        na = float(np.linalg.norm(ax))
+        nf = float(np.linalg.norm(np.asarray(F.eval(t, x), dtype=float)))
+        if na > nf * (1.0 + tol) + tol:
+            report.violations.append(Violation(
+                index=i, t=eps, excess=na - nf,
+                detail={"property": "III domination"}))
+
+    eps_grid = np.logspace(-1, -5, 9)
+    for i in range(5):
+        x = np.asarray(sampler(rng), dtype=float)
+        fx = np.asarray(F.eval(t, x), dtype=float)
+        gaps = []
+        for eps in eps_grid:
+            try:
+                _, ax = j_and_a(float(eps), x)
+            except NonconvergenceError:
+                gaps.append(np.inf)
+                continue
+            gaps.append(float(np.linalg.norm(ax - fx)))
+        worsened = [k for k in range(1, len(gaps))
+                    if gaps[k] > gaps[k - 1] + tol * (1.0 + gaps[k - 1])]
+        if worsened or not gaps[-1] <= gaps[0] + tol:
+            report.violations.append(Violation(
+                index=n_samples + i, t=float(eps_grid[-1]),
+                excess=float(gaps[-1] - gaps[0]),
+                detail={"property": "IV convergence", "gaps": gaps}))
+    report.notes.append(
+        "eps drawn log-uniform from [1e-3, 1]; property IV swept on "
+        f"{len(eps_grid)} decreasing eps values at 5 base points")
+    return report
+
+
+# ---------------------------------------------------------------------------
+# backward drivers
+
+
+def driver_modulus(driver, sampler, n_samples=500, seed=0, tol=1e-10):
+    rng = np.random.default_rng(seed)
+    report = ViolationReport(name=f"driver modulus[{driver.name}]",
+                             n_samples=n_samples, tol=tol)
+    for i in range(n_samples):
+        t, x, z = sampler(rng)
+        _, x2, z2 = sampler(rng)
+        if rng.uniform() < 0.1:
+            x2, z2 = x.copy(), z.copy()
+        dc = np.asarray(driver.eval(t, x, z), dtype=float) \
+            - np.asarray(driver.eval(t, x2, z2), dtype=float)
+        lhs = float(np.sum(dc * dc))
+        dx2 = float(np.sum((x - x2) ** 2))
+        dz2 = float(np.sum((z - z2) ** 2))
+        rhs = driver.c1 * (float(rho_eval(dx2, driver.rho)) + dz2)
+        excess = lhs - rhs
+        scale = 1.0 + lhs + rhs
+        if excess > tol * scale:
+            report.violations.append(Violation(
+                index=i, t=t, excess=excess,
+                detail={"lhs": lhs, "rhs": rhs, "dx2": dx2, "dz2": dz2}))
+    return report
+
+
+def driver_growth(driver, sampler, n_samples=500, seed=0, tol=1e-10):
+    rng = np.random.default_rng(seed)
+    report = ViolationReport(name=f"driver growth[{driver.name}]",
+                             n_samples=n_samples, tol=tol)
+    for i in range(n_samples):
+        t, x, z = sampler(rng)
+        lhs = float(np.linalg.norm(driver.eval(t, x, z)))
+        zeta = 0.0 if driver.zeta is None else float(driver.zeta(t))
+        rhs = zeta + driver.c2 * (
+            float(np.linalg.norm(x)) + float(np.linalg.norm(z)))
+        excess = lhs - rhs
+        scale = 1.0 + lhs + rhs
+        if excess > tol * scale:
+            report.violations.append(Violation(
+                index=i, t=t, excess=excess, detail={"lhs": lhs, "rhs": rhs}))
+    return report
+
+
+# ---------------------------------------------------------------------------
+# functional and Volterra coefficients
+
+
+def _profile_value(profile, *args) -> float:
+    if profile is None:
+        return 0.0
+    if callable(profile):
+        return float(profile(*args))
+    return float(profile)
+
+
+def _hs_norm_sq(mat, norm) -> float:
+    mat = np.atleast_2d(np.asarray(mat, dtype=float))
+    return float(sum(norm(mat[:, j]) ** 2 for j in range(mat.shape[1])))
+
+
+def functional_lipschitz(coeffs, sampler, n_samples=300, seed=0, tol=1e-10):
+    rng = np.random.default_rng(seed)
+    report = ViolationReport(name=f"functional modulus[{coeffs.name}]",
+                             n_samples=n_samples, tol=tol)
+    for i in range(n_samples):
+        t, s, seg_a, seg_b = sampler(rng)
+        norm = seg_a.row_norm
+        dist_sq = segment_distance(seg_a, seg_b) ** 2
+        checks = []
+        if coeffs.c1 is not None:
+            lhs = norm(np.asarray(coeffs.c1(t, seg_a), dtype=float)
+                       - np.asarray(coeffs.c1(t, seg_b), dtype=float)) ** 2
+            checks.append(("c1", lhs, _profile_value(coeffs.lambda3, t)))
+        if coeffs.d1 is not None:
+            diff = (np.atleast_2d(np.asarray(coeffs.d1(t, seg_a), float))
+                    - np.atleast_2d(np.asarray(coeffs.d1(t, seg_b), float)))
+            checks.append(("d1", _hs_norm_sq(diff, norm),
+                           _profile_value(coeffs.lambda3, t)))
+        if coeffs.c2 is not None:
+            lhs = norm(np.asarray(coeffs.c2(t, s, seg_a), dtype=float)
+                       - np.asarray(coeffs.c2(t, s, seg_b), dtype=float)) ** 2
+            checks.append(("c2", lhs, _profile_value(coeffs.lambda5, t, s)))
+        if coeffs.d2 is not None:
+            diff = (np.atleast_2d(np.asarray(coeffs.d2(t, s, seg_a), float))
+                    - np.atleast_2d(np.asarray(coeffs.d2(t, s, seg_b),
+                                               float)))
+            checks.append(("d2", _hs_norm_sq(diff, norm),
+                           _profile_value(coeffs.lambda5, t, s)))
+        for label, lhs, rate in checks:
+            rhs = rate * rho_eval(dist_sq, coeffs.rho)
+            excess = (lhs - rhs) / (1.0 + lhs + rhs)
+            if excess > tol:
+                report.violations.append(Violation(
+                    index=i, t=t, excess=float(excess),
+                    detail={"part": label, "lhs": lhs, "rhs": rhs,
+                            "distance_sq": dist_sq}))
+    return report
+
+
+def functional_growth(coeffs, bundle, sampler, n_samples=300, seed=0,
+                      tol=1e-10, t_final=1.0, n_quad=65):
+    rng = np.random.default_rng(seed)
+    report = ViolationReport(name=f"functional growth[{coeffs.name}]",
+                             n_samples=n_samples, tol=tol)
+    report.notes.append(
+        "one-time growth scale uses min(lambda1, lambda2)^(2/q1): the "
+        "declared bounds disagree on which coercivity rate anchors it")
+
+    def scale_one(t):
+        l1 = float(bundle.lambda1(t, EMPTY_CONTEXT))
+        l2 = float(bundle.lambda2(t, EMPTY_CONTEXT))
+        return coeffs.growth_c0 * min(l1, l2) ** (2.0 / bundle.q1)
+
+    for i in range(n_samples):
+        t, s, seg_a, _ = sampler(rng)
+        norm = seg_a.row_norm
+        sup_sq = seg_a.sup_norm() ** 2
+        if coeffs.c1 is not None or coeffs.d1 is not None:
+            lhs = 0.0
+            if coeffs.c1 is not None:
+                lhs += norm(np.asarray(coeffs.c1(t, seg_a), float)) ** 2
+            if coeffs.d1 is not None:
+                lhs += _hs_norm_sq(coeffs.d1(t, seg_a), norm)
+            rhs = scale_one(t) * (_profile_value(coeffs.zeta, t) + sup_sq)
+            excess = (lhs - rhs) / (1.0 + lhs + rhs)
+            if excess > tol:
+                report.violations.append(Violation(
+                    index=i, t=t, excess=float(excess),
+                    detail={"part": "one-time", "lhs": lhs, "rhs": rhs}))
+        if coeffs.c2 is not None or coeffs.d2 is not None:
+            lhs = 0.0
+            if coeffs.c2 is not None:
+                lhs += norm(np.asarray(coeffs.c2(t, s, seg_a), float)) ** 2
+            if coeffs.d2 is not None:
+                lhs += _hs_norm_sq(coeffs.d2(t, s, seg_a), norm)
+            rhs = _profile_value(coeffs.lambda6, t, s) \
+                + _profile_value(coeffs.lambda7, t, s) * sup_sq
+            excess = (lhs - rhs) / (1.0 + lhs + rhs)
+            if excess > tol:
+                report.violations.append(Violation(
+                    index=i, t=t, excess=float(excess),
+                    detail={"part": "two-time", "s": s, "lhs": lhs,
+                            "rhs": rhs}))
+
+    for t in np.linspace(t_final / 8.0, t_final, 8):
+        grid = np.linspace(0.0, float(t), n_quad)
+        vals = np.array([_profile_value(coeffs.lambda6, float(t), float(s))
+                         + _profile_value(coeffs.lambda7, float(t), float(s))
+                         for s in grid])
+        mass = float(np.trapezoid(vals, grid))
+        cap = scale_one(float(t))
+        excess = (mass - cap) / (1.0 + mass + cap)
+        if excess > tol:
+            report.violations.append(Violation(
+                index=-1, t=float(t), excess=float(excess),
+                detail={"part": "two-time rate budget", "mass": mass,
+                        "cap": cap}))
+    return report
+
+
+def volterra_partials(v, sampler, n_samples=200, seed=0, rel_tol=1e-6,
+                      fd_step=1e-5, t_final=1.0):
+    rng = np.random.default_rng(seed)
+    report = ViolationReport(name=f"volterra partials[{v.name}]",
+                             n_samples=n_samples, tol=rel_tol)
+    pairs = []
+    if v.drift_kernel is not None:
+        pairs.append(("drift_kernel", v.drift_kernel, v.drift_kernel_dt))
+    if v.diffusion_kernel is not None:
+        pairs.append(("diffusion_kernel", v.diffusion_kernel,
+                      v.diffusion_kernel_dt))
+    for i in range(n_samples):
+        t, s, seg, _ = sampler(rng)
+        t = min(max(t, fd_step), t_final - fd_step)
+        for label, kernel, partial in pairs:
+            hi = np.asarray(kernel(t + fd_step, s, seg), dtype=float)
+            lo = np.asarray(kernel(t - fd_step, s, seg), dtype=float)
+            fd = (hi - lo) / (2.0 * fd_step)
+            ref = np.zeros_like(fd) if partial is None \
+                else np.asarray(partial(t, s, seg), dtype=float)
+            err = float(np.max(np.abs(fd - ref)))
+            scale = 1.0 + float(np.max(np.abs(ref))) \
+                + float(np.max(np.abs(fd)))
+            if err / scale > rel_tol:
+                report.violations.append(Violation(
+                    index=i, t=t, excess=float(err / scale - rel_tol),
+                    detail={"part": label, "s": s, "fd_error": err}))
+    return report

@@ -31,6 +31,9 @@ from monosee.errors import (ConfigError, NonconvergenceError,
 from monosee.noise import NoiseBatch, sample_batch, sample_path
 from monosee.resolvent import MonotoneMap, NewtonCounts, resolvent, yosida
 
+import oracles
+from oracles import assert_same_report
+
 
 def _linear_drift(rate: float = -1.0) -> MonotoneMap:
     return MonotoneMap(
@@ -388,6 +391,26 @@ def test_regression_states_equal_per_path_cumulative_noise():
         assert np.array_equal(states[r], alone)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_problem_rejects_non_finite_horizon_and_shift(value):
+    with pytest.raises(ConfigError, match="t_final"):
+        _problem(_linear_drift(-1.0), zero_driver(), _wiener_terminal,
+                 t_final=value)
+    with pytest.raises(ConfigError, match="lambda0"):
+        _problem(_linear_drift(-1.0), zero_driver(), _wiener_terminal,
+                 lambda0=value)
+    # a batch whose horizon is not finite fails the horizon comparison
+    problem = _problem(_linear_drift(-1.0), zero_driver(), _wiener_terminal)
+    batch = _batch(2, 1.0, 8, 20)
+    times = batch.times.copy()
+    times[-1] = value
+    with pytest.raises(ConfigError, match="horizon"):
+        solve_bsde_autonomous_C(
+            problem, NoiseBatch(batch.seed, batch.replica0, batch.level,
+                                times, batch.increments,
+                                batch.scalar_paths))
+
+
 def test_solve_validates_inputs():
     problem = _problem(_linear_drift(-1.0), zero_driver(), _wiener_terminal)
     batch = _batch(2, 1.0, 8, 20)
@@ -689,25 +712,79 @@ def test_driver_checkers_accept_declared_linear_driver():
     assert check_driver_growth(driver, sampler, n_samples=500).ok
 
 
-def test_driver_checkers_flag_planted_violations():
-    rooty = BsdeDriver(
+def _rooty_driver():
+    return BsdeDriver(
         eval=lambda t, x, z: np.sign(np.asarray(z)[..., 0])
         * np.sqrt(np.abs(np.asarray(z)[..., 0])),
-        c1=1.0, c2=1.0, x_dependent=False,
-        name="square-root driver")
+        c1=1.0, c2=1.0, x_dependent=False, name="square-root driver")
+
+
+def _quadratic_driver():
+    return BsdeDriver(eval=lambda t, x, z: np.asarray(x, dtype=float) ** 2,
+                      c2=1.0, zeta=lambda t: 1.0, z_dependent=False,
+                      name="quadratic driver")
+
+
+def test_driver_checkers_flag_planted_violations():
     sampler = driver_state_sampler(1, 1, amp_range=(1e-3, 1e0))
-    report = check_driver_modulus(rooty, sampler, n_samples=400)
+    report = check_driver_modulus(_rooty_driver(), sampler, n_samples=400)
     assert not report.ok and report.max_excess > 0
 
-    quadratic = BsdeDriver(
-        eval=lambda t, x, z: np.asarray(x, dtype=float) ** 2,
-        c2=1.0, zeta=lambda t: 1.0, z_dependent=False,
-        name="quadratic driver")
-    growth = check_driver_growth(quadratic,
+    growth = check_driver_growth(_quadratic_driver(),
                                  driver_state_sampler(1, 1,
                                                       amp_range=(1e0, 1e1)),
                                  n_samples=400)
     assert not growth.ok
+
+
+def _concave_driver():
+    # reads t, x and z of a (2, 3) problem; rho_k modulus, time-dependent zeta
+    return BsdeDriver(
+        eval=lambda t, x, z: (1.0 + t) * np.sqrt(np.abs(x))
+        + 0.3 * np.sum(z, axis=-1),
+        rho=rho_k_modulus(1), c1=4.0, c2=1.5, zeta=lambda t: 0.5 + t,
+        name="concave driver")
+
+
+DRIVER_CASES = [
+    (lambda: _linear_z_driver(0.7), (1, 1, (1e-2, 1e2)), 500),
+    (_rooty_driver, (1, 1, (1e-3, 1e0)), 400),
+    (_quadratic_driver, (1, 1, (1e0, 1e1)), 400),
+    (_concave_driver, (2, 3, (1e-2, 1e1)), 300)]
+
+
+@pytest.mark.parametrize("make_driver, shape, n_samples", DRIVER_CASES)
+@pytest.mark.parametrize("seed", [0, 9])
+def test_stacked_driver_checks_match_the_per_sample_loop(make_driver, shape,
+                                                         n_samples, seed):
+    driver = make_driver()
+    dim, modes, amp = shape
+    sampler = driver_state_sampler(dim, modes, amp_range=amp)
+    assert_same_report(
+        check_driver_modulus(driver, sampler, n_samples=n_samples, seed=seed),
+        oracles.driver_modulus(driver, sampler, n_samples=n_samples,
+                               seed=seed))
+    assert_same_report(
+        check_driver_growth(driver, sampler, n_samples=n_samples, seed=seed),
+        oracles.driver_growth(driver, sampler, n_samples=n_samples,
+                              seed=seed))
+
+
+def test_driver_checks_pass_times_as_a_column():
+    seen = []
+
+    def probe(t, *states):
+        # records the shape of t, and is the zero driver (or zeta)
+        seen.append(np.shape(t))
+        return np.zeros_like(states[0]) if states else np.zeros(np.shape(t))
+
+    driver = BsdeDriver(eval=probe, zeta=probe, name="probe")
+    sampler = driver_state_sampler(2, 1)
+    check_driver_modulus(driver, sampler, n_samples=7)
+    check_driver_growth(driver, sampler, n_samples=7)
+    assert seen == [(7, 1)] * 4
+    assert np.array_equal(driver.zeta_at(np.array([0.0, 0.5])), np.zeros(2))
+    assert BsdeDriver(eval=probe).zeta_at(0.25) == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ from monosee.errors import ConfigError, NonconvergenceError
 from monosee.forward import SolverConfig, solve_forward, trajectory_csv
 from monosee.functional import (
     ContractionReport, FunctionalCoefficients, SegmentPath,
-    VolterraCoefficients, bihari_domination_report, check_functional_growth,
+    VolterraCoefficients, _rate, bihari_domination_report,
+    check_functional_growth,
     check_functional_lipschitz, check_volterra_partials,
     functional_trajectory_csv, initial_segment, lambda8_profile,
     picard_solve_functional, segment, segment_distance, segment_sampler,
@@ -17,6 +18,9 @@ from monosee.noise import refine_path, sample_path, zero_path
 from monosee.operators import (ConstantDiffusion, HypothesisBundle,
                                ReactionDiffusionDrift, constant_profile)
 from monosee.triple import DiscreteTriple
+
+import oracles
+from oracles import assert_same_report
 
 
 def _rd_triple():
@@ -156,9 +160,15 @@ def test_initial_segment_holds_only_the_past():
 def test_profiles_accept_constants_and_callables():
     cf = FunctionalCoefficients(lambda3=2.0, lambda5=lambda t, s: t + s,
                                 zeta=lambda t: 3.0 * t)
-    assert cf.lambda3_at(0.7) == 2.0
-    assert cf.lambda5_at(0.5, 0.25) == 0.75
-    assert cf.zeta_at(2.0) == 6.0
+    assert _rate(cf.lambda3, 0.7) == 2.0
+    assert _rate(cf.lambda5, 0.5, 0.25) == 0.75
+    assert _rate(cf.zeta, 2.0) == 6.0
+    # arrays of times broadcast together, one call per profile
+    t, s = np.array([[0.5], [1.0]]), np.array([0.0, 0.25, 0.5])
+    assert np.array_equal(_rate(cf.lambda5, t, s), t + s)
+    assert np.array_equal(_rate(cf.lambda3, t, s), np.full((2, 3), 2.0))
+    assert np.array_equal(_rate(cf.lambda6, s), np.zeros(3))
+    assert np.array_equal(_rate(None, t), np.zeros((2, 1)))
     with pytest.raises(ConfigError, match="growth_c0"):
         FunctionalCoefficients(growth_c0=0.0)
     with pytest.raises(ConfigError, match="growth_c0"):
@@ -423,6 +433,84 @@ def test_growth_checker_flags_a_quadratic_one_time_term():
     assert report.n_violations >= 90
 
 
+def _lagged_linear(kappa=0.8):
+    return FunctionalCoefficients(
+        c1=lambda t, seg: kappa * seg.at(-0.25),
+        d1=lambda t, seg: np.array([[0.25], [0.4]]),
+        c2=lambda t, s, seg: 0.5 * seg.end,
+        lambda3=kappa ** 2, lambda5=0.25, lambda6=1.0, lambda7=0.5,
+        zeta=1.0, growth_c0=2.0, name="lagged linear")
+
+
+def _square_root_force():
+    return FunctionalCoefficients(
+        c1=lambda t, seg: np.sign(seg.end) * np.sqrt(np.abs(seg.end)),
+        lambda3=1.0, zeta=1.0, growth_c0=2.0, name="square-root force")
+
+
+def _quadratic_growth():
+    return FunctionalCoefficients(
+        c1=lambda t, seg: seg.end * seg.sup_norm() ** 2,
+        lambda3=1.0, zeta=1.0, growth_c0=2.0, name="quadratic growth")
+
+
+def _time_varying():
+    # every coefficient slot, callable rates of arrays of times, and a
+    # two-time budget too large for the one-time scale
+    return FunctionalCoefficients(
+        c1=lambda t, seg: np.sin(t) * seg.at(-0.1),
+        d1=lambda t, seg: np.outer(seg.end, [0.2, 0.1]),
+        c2=lambda t, s, seg: np.exp(-(t - s)) * seg.end,
+        d2=lambda t, s, seg: np.outer(seg.at(-0.25), [0.3]) * s,
+        lambda3=lambda t: 1.0 + t, lambda5=lambda t, s: 0.5 + t * s,
+        lambda6=lambda t, s: 3.0 + np.cos(t - s), lambda7=lambda t, s: t,
+        zeta=lambda t: 0.5 * t, growth_c0=1.5, name="time varying")
+
+
+FUNCTIONAL_CASES = [
+    (_lagged_linear, {}, 300), (_square_root_force,
+                                {"amp_range": (1e-4, 1e-2)}, 200),
+    (_quadratic_growth, {"amp_range": (1e1, 1e2)}, 100),
+    (_time_varying, {}, 200),
+    (_time_varying, {"norm": lambda row: 2.0 * np.linalg.norm(row)}, 60)]
+
+
+@pytest.mark.parametrize("make, sampler_kw, n_samples", FUNCTIONAL_CASES)
+@pytest.mark.parametrize("seed", [11, 4])
+def test_stacked_functional_checks_match_the_per_sample_loop(
+        make, sampler_kw, n_samples, seed):
+    coeffs = make()
+    sampler = segment_sampler(width=2, memory=0.25, **sampler_kw)
+    bundle = HypothesisBundle(lambda1=constant_profile(1.0),
+                              lambda2=constant_profile(2.0))
+    assert_same_report(
+        check_functional_lipschitz(coeffs, sampler, n_samples=n_samples,
+                                   seed=seed),
+        oracles.functional_lipschitz(coeffs, sampler, n_samples=n_samples,
+                                     seed=seed))
+    assert_same_report(
+        check_functional_growth(coeffs, bundle, sampler,
+                                n_samples=n_samples, seed=seed),
+        oracles.functional_growth(coeffs, bundle, sampler,
+                                  n_samples=n_samples, seed=seed))
+
+
+def test_lambda8_profile_takes_one_rate_call_on_the_grid():
+    calls = []
+
+    def lam5(t, s):
+        calls.append(np.broadcast_shapes(np.shape(t), np.shape(s)))
+        return t * s
+
+    times = np.linspace(0.0, 1.0, 5)
+    cf = FunctionalCoefficients(lambda3=lambda t: 1.0 + t, lambda5=lam5)
+    out = lambda8_profile(cf, times, n_quad=33)
+    assert calls == [(5, 33)]
+    # int_0^t t*s ds = t^3 / 2, exact under the trapezoid rule up to O(h^2)
+    assert np.allclose(out, 1.0 + times + times ** 3 / 2.0, rtol=0,
+                       atol=1e-3)
+
+
 # ---------------------------------------------------------------------------
 # two-time kernels
 
@@ -479,15 +567,28 @@ def test_partial_checker_accepts_the_exponential_kernel():
     assert report.ok
 
 
-def test_partial_checker_flags_a_wrong_partial():
-    bad = VolterraCoefficients(
+def _wrong_partial():
+    return VolterraCoefficients(
         drift_kernel=lambda t, s, seg: np.exp(-(t - s)) * seg.end,
         drift_kernel_dt=lambda t, s, seg: -0.9 * np.exp(-(t - s)) * seg.end)
-    report = check_volterra_partials(bad,
+
+
+def test_partial_checker_flags_a_wrong_partial():
+    report = check_volterra_partials(_wrong_partial(),
                                      segment_sampler(width=2, memory=0.25),
                                      n_samples=150, seed=3)
     assert not report.ok
     assert report.n_violations == 150
+
+
+@pytest.mark.parametrize("make", [_exp_kernel_pair, _wrong_partial])
+@pytest.mark.parametrize("seed", [3, 8])
+def test_stacked_partial_check_matches_the_per_sample_loop(make, seed):
+    v = make()
+    sampler = segment_sampler(width=2, memory=0.25)
+    assert_same_report(
+        check_volterra_partials(v, sampler, n_samples=150, seed=seed),
+        oracles.volterra_partials(v, sampler, n_samples=150, seed=seed))
 
 
 def test_direct_eval_of_empty_kernels_is_zero():

@@ -514,15 +514,44 @@ def test_experiments_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def _perfbench_module(name):
+    path = Path(__file__).parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_benchmark_tracer_finds_every_target():
     # the benchmark wraps named functions and methods of the package, so
     # deleting or renaming one of them has to fail here too
     import monosee.experiments  # noqa: F401  (loads every traced module)
-    path = Path(__file__).parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _perfbench_module("tracer")
     assert tracer.self_test(tracer.snapshot()) == []
+
+
+def test_benchmark_correctness_gate_passes_at_one_seed_class(tmp_path,
+                                                            monkeypatch):
+    # every operation of every workload, judged against the recorded
+    # reference outcome the way a benchmark run judges it: a changed
+    # summary key, summary value or assertion name shows up here first
+    workloads = _perfbench_module("workloads")
+    gate = _perfbench_module("gate")
+    monkeypatch.setenv("MONOSEE_OUTPUT_ROOT", str(tmp_path))
+    reference = gate.load_reference()["workloads"]
+    cls = 0
+    judged = {}
+    for workload in workloads.WORKLOADS.values():
+        refs = reference[workload.name][str(cls)]
+        for op, prepared in zip(workload.ops,
+                                workloads.prepare(workload, cls)):
+            record = workloads.run_op(op, prepared, tmp_path)
+            reasons, mismatch = gate.judge(record, refs.get(op.name),
+                                           record.digests)
+            judged[f"{workload.name}/{op.name}"] = (mismatch, reasons)
+    assert len(judged) == sum(len(w.ops) for w in workloads.WORKLOADS.values())
+    assert {name: v for name, v in judged.items() if v[0]} == {}
 
 
 def test_manifest_written_on_failure(tmp_path):

@@ -13,6 +13,9 @@ from monosee.errors import ConfigError, NonconvergenceError
 from monosee.resolvent import (MonotoneMap, NewtonCounts, check_dissipativity,
                                check_yosida_properties, resolvent, yosida)
 
+import oracles
+from oracles import assert_same_report
+
 
 def linear_map():
     return MonotoneMap(eval=lambda t, x: -x,
@@ -217,6 +220,118 @@ def test_dissipativity_checker():
     bad = MonotoneMap(eval=lambda t, x: x, diagonal=True, name="identity")
     flagged = check_dissipativity(bad, sampler4, n_samples=300, seed=2)
     assert not flagged.ok
+
+
+def _sine_map():
+    return MonotoneMap(eval=lambda t, x: np.sin(x), diagonal=True, name="sine")
+
+
+def _identity_map():
+    return MonotoneMap(eval=lambda t, x: x, diagonal=True, name="identity")
+
+
+def _plus_cube_map():
+    return MonotoneMap(eval=lambda t, x: x ** 3,
+                       jacobian=lambda t, x: 3.0 * x ** 2, diagonal=True,
+                       name="plus cube")
+
+
+def _general_cubic_map():
+    # the cubic map as a general (row-by-row, full Jacobian) map
+    return MonotoneMap(eval=lambda t, x: -x ** 3,
+                       jacobian=lambda t, x: -3.0 * x[..., None] ** 2
+                       * np.eye(x.shape[-1]), name="general minus cube")
+
+
+YOSIDA_CASES = [
+    (linear_map, 200, 5, 1e-8), (cubic_map, 200, 5, 1e-8),
+    (cubic_map, 1000, 17, 1e-8), (_sine_map, 200, 5, 1e-8),
+    (linear_map, 1000, 17, 1e-10), (cubic_map, 1000, 17, 1e-10),
+    (_sine_map, 1000, 17, 1e-10), (_identity_map, 200, 5, 1e-8),
+    (_general_cubic_map, 200, 5, 1e-8)]
+
+
+@pytest.mark.parametrize("make_map, n_samples, seed, tol", YOSIDA_CASES)
+def test_stacked_yosida_check_matches_the_per_sample_loop(make_map, n_samples,
+                                                          seed, tol):
+    F = make_map()
+    assert_same_report(
+        check_yosida_properties(F, sampler4, n_samples=n_samples, seed=seed,
+                                tol=tol),
+        oracles.yosida_properties(F, sampler4, n_samples=n_samples,
+                                  seed=seed, tol=tol))
+
+
+@pytest.mark.parametrize("make_map", [cubic_map, _identity_map, _sine_map,
+                                      _general_cubic_map])
+@pytest.mark.parametrize("seed", [2, 3])
+def test_stacked_dissipativity_check_matches_the_per_sample_loop(make_map,
+                                                                 seed):
+    F = make_map()
+    stacked = check_dissipativity(F, sampler4, n_samples=300, seed=seed)
+    oracle = oracles.dissipativity(F, sampler4, n_samples=300, seed=seed)
+    assert_same_report(stacked, oracle)
+    for got, want in zip(stacked.violations, oracle.violations):
+        assert np.array_equal(got.detail["x"], want.detail["x"])
+        assert np.array_equal(got.detail["y"], want.detail["y"])
+
+
+def test_yosida_check_records_unconverged_solves_like_the_loop():
+    # y - eps*y**3 = x stalls for many (eps, x): those samples are flagged
+    # "resolvent solve" with the one-sample solve's own error, and a
+    # stalled sweep point enters property IV's gaps as inf
+    F = _plus_cube_map()
+    stacked = check_yosida_properties(F, sampler4, n_samples=200, seed=5)
+    oracle = oracles.yosida_properties(F, sampler4, n_samples=200, seed=5)
+    assert_same_report(stacked, oracle)
+
+    def unsolved(report):
+        return [v.index for v in report.violations
+                if v.detail["property"] == "resolvent solve"]
+
+    assert unsolved(stacked) == unsolved(oracle)
+    assert len(unsolved(stacked)) == 96
+    for got, want in zip(stacked.violations, oracle.violations):
+        if want.detail["property"] == "resolvent solve":
+            assert got.excess == np.inf
+            assert got.detail["error"] == want.detail["error"]
+    sweeps = [v for v in stacked.violations
+              if v.detail["property"] == "IV convergence"]
+    assert any(np.isinf(v.detail["gaps"]).any() for v in sweeps)
+
+
+def test_resolvent_takes_one_eps_per_row():
+    x = np.array([[1.0, -2.0], [0.5, 3.0], [2.0, 0.0]])
+    eps = np.array([0.1, 0.5, 2.0])
+    for F in (cubic_map(), _general_cubic_map()):
+        stacked = resolvent(F, 0.0, eps[:, None], x, tol=1e-13)
+        for row, e, y in zip(x, eps, stacked):
+            assert np.array_equal(y, resolvent(F, 0.0, float(e), row,
+                                               tol=1e-13))
+    # a diagonal map may take one eps per element
+    per_element = resolvent(cubic_map(), 0.0, np.full(x.shape, 0.5), x)
+    assert np.array_equal(per_element, resolvent(cubic_map(), 0.0, 0.5, x))
+
+
+@pytest.mark.parametrize("eps", [np.array([0.1, np.nan]),
+                                 np.array([0.1, 0.0]),
+                                 np.array([[0.1, 0.2], [0.3, 0.4]]),
+                                 np.array([0.1, 0.2, 0.3])])
+def test_resolvent_rejects_bad_eps_arrays(eps):
+    x = np.ones((2, 2))
+    with pytest.raises(ConfigError, match="eps"):
+        resolvent(_general_cubic_map(), 0.0, eps, x)
+
+
+def test_batched_failure_lists_every_replica_failing_with_it():
+    x = np.array([[0.0, 0.0, 0.0], [0.0, 5.0, -5.0]])
+    with pytest.raises(NonconvergenceError) as err:
+        resolvent(cubic_map(), 0.0, 0.5, x, tol=1e-14, max_iter=1)
+    assert err.value.replica == (1, 1)
+    assert [e.replica for e in err.value.also] == [(1, 2)]
+    with pytest.raises(NonconvergenceError) as alone:
+        resolvent(cubic_map(), 0.0, 0.5, x[1, 2], tol=1e-14, max_iter=1)
+    assert err.value.also[0].residuals == alone.value.residuals
 
 
 def test_antimonotone_map_raises_nonconvergence():
