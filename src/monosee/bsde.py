@@ -561,6 +561,12 @@ def reduce_lambda0(problem: BsdeProblem):
     def gamma(t: float) -> float:
         return math.exp(0.5 * lam * t)
 
+    def gamma_at(t):
+        """gamma at a float t, or elementwise at an array of times."""
+        if np.ndim(t) == 0:
+            return gamma(t)
+        return np.exp(0.5 * lam * np.asarray(t, dtype=float))
+
     base_drift = problem.drift
     base_driver = problem.driver
     base_terminal = problem.terminal
@@ -591,16 +597,17 @@ def reduce_lambda0(problem: BsdeProblem):
                         name=f"{base_drift.name} (shift-reduced)")
 
     def driver_eval(t, x, z):
-        g = gamma(t)
+        g = gamma_at(t)
+        # z carries a trailing modes axis that an (S, 1) time column lacks
+        z = np.asarray(z, dtype=float) / np.expand_dims(g, -1)
         return g * np.asarray(
-            base_driver.eval(t, np.asarray(x, dtype=float) / g,
-                             np.asarray(z, dtype=float) / g), dtype=float)
+            base_driver.eval(t, np.asarray(x, dtype=float) / g, z),
+            dtype=float)
 
     zeta = None
     if base_driver.zeta is not None:
         base_zeta = base_driver.zeta
-        zeta = lambda t: np.exp(0.5 * lam * np.asarray(t, dtype=float)) \
-            * np.asarray(base_zeta(t), dtype=float)
+        zeta = lambda t: gamma_at(t) * np.asarray(base_zeta(t), dtype=float)
     driver = replace(base_driver, eval=driver_eval, zeta=zeta,
                      c1=base_driver.c1 * math.exp(lam * problem.t_final),
                      name=f"{base_driver.name} (shift-reduced)")

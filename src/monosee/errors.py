@@ -18,8 +18,7 @@ class NonconvergenceError(MonoseeError):
 
     Carries the residual history so callers can report or post-mortem it;
     a batched solve also records which ``replica`` failed (None otherwise),
-    and the message then starts with it.  A batched resolvent solve also
-    lists, in ``also``, the errors of the replicas failing with it.
+    and the message then starts with it.
     """
 
     def __init__(self, message, residuals=None, replica=None):

@@ -741,14 +741,12 @@ def segment_sampler(width: int, memory: float, t_final: float = 1.0,
 def _sq_norms(label: str, fn, times, segs, others=None) -> np.ndarray:
     """Squared norm of a coefficient at every sample (or of its difference
     from its value at ``others``), Hilbert-Schmidt for a d1/d2 factor, in
-    the segments' row norm: Euclidean, one stacked reduction, if none."""
+    the segments' row norm."""
     factor = label[0] == "d"
     values = _per_sample(fn, times, segs, label, factor)
     if others is not None:
         values = values - _per_sample(fn, times, others, label, factor)
     rows = np.swapaxes(values, -1, -2) if factor else values[:, None]
-    if all(seg.norm is None for seg in segs):
-        return np.sum(rows * rows, axis=(-2, -1))
     return np.array([sum(seg.row_norm(r) ** 2 for r in row)
                      for seg, row in zip(segs, rows)])
 

@@ -107,18 +107,16 @@ def _newton_steps(M: np.ndarray, g: np.ndarray) -> np.ndarray:
         return np.stack([_newton_steps(m, r) for m, r in zip(M, g)])
 
 
-def _replica_error(message_of, lead: tuple, history: list, failed):
-    """NonconvergenceError, with its history and ``message_of(flat)``, for
-    the first failed flat row of a stack with leading shape ``lead``;
-    ``also`` holds the errors of the other rows in ``failed``."""
-    errors = [NonconvergenceError(
-        message_of(flat),
-        residuals=[float(np.reshape(h, -1)[flat]) for h in history],
-        replica=None if not lead else int(flat) if len(lead) == 1
-        else tuple(map(int, np.unravel_index(flat, lead))))
-        for flat in np.flatnonzero(failed)]
-    errors[0].also = tuple(errors[1:])
-    return errors[0]
+def _replica_error(message: str, lead: tuple, history: list, flat: int):
+    """NonconvergenceError for the replica at flat row ``flat`` of a stack
+    with leading shape ``lead``, carrying that replica's history."""
+    rows = [float(np.reshape(h, -1)[flat]) for h in history]
+    replica = None
+    if lead:
+        replica = np.unravel_index(flat, lead)
+        replica = int(replica[0]) if len(lead) == 1 \
+            else tuple(map(int, replica))
+    return NonconvergenceError(message, residuals=rows, replica=replica)
 
 
 def _resolvent_general(F, t, eps, x, tol, max_iter, guess=None, counts=None):
@@ -130,8 +128,7 @@ def _resolvent_general(F, t, eps, x, tol, max_iter, guess=None, counts=None):
     whole stack is evaluated together; a converged row gets a zero step
     and a row that has accepted its line-search trial a zero step length,
     so it stays frozen and each row follows the iterates it would follow
-    alone.  The first row that fails raises, with its own history, and
-    carries the errors of the rows failing with it in ``also``.
+    alone.  The first row that fails raises, with its own history.
     """
     x = np.asarray(x, dtype=float)
     y = x.copy() if guess is None else np.array(guess, dtype=float).reshape(x.shape)
@@ -172,19 +169,20 @@ def _resolvent_general(F, t, eps, x, tol, max_iter, guess=None, counts=None):
             halvings += pending
             lam = lam * np.where(pending, 0.5, 0.0)[..., None]
         else:
+            flat = int(np.flatnonzero(pending)[0])
+            stalled = float(np.reshape(history[-1], -1)[flat])
             raise _replica_error(
-                lambda flat: f"resolvent of {F.name}: damped Newton stalled "
-                f"at residual {float(np.reshape(history[-1], -1)[flat]):.3e}"
-                f"; is the map actually dissipative?",
-                lead, history, pending)
+                f"resolvent of {F.name}: damped Newton stalled at residual "
+                f"{stalled:.3e}; is the map actually dissipative?",
+                lead, history, flat)
     else:
         failed = ~(ng <= target)
         if np.count_nonzero(failed):
+            flat = int(np.flatnonzero(failed)[0])
             raise _replica_error(
-                lambda flat: f"resolvent of {F.name} did not converge in "
-                f"{max_iter} iterations (residual "
-                f"{float(np.reshape(ng, -1)[flat]):.3e})",
-                lead, history, failed)
+                f"resolvent of {F.name} did not converge in {max_iter} "
+                f"iterations (residual {float(np.reshape(ng, -1)[flat]):.3e})",
+                lead, history, flat)
     if counts is not None:
         counts.iterations += iterations
         counts.halvings += halvings
@@ -274,25 +272,26 @@ def check_dissipativity(F: MonotoneMap, sampler, n_samples: int = 500,
                           lambda rng: (t, sampler(rng), sampler(rng)), evaluate)
 
 
-def _yosida_rows(F: MonotoneMap, t: float, eps: np.ndarray, x: np.ndarray):
-    """A_eps(x) of a stack of samples, one eps each, in one resolvent call;
-    failed samples are set aside (NaN) with their one-sample solve error
-    and the rest solved again: exact, as each Newton row solves alone."""
-    column = (-1,) + (1,) * (x.ndim - 1)
-    a, errors, rows = np.full(x.shape, np.nan), {}, np.arange(len(x))
-    while rows.size:
+def _yosida_rows(F: MonotoneMap, t: float, eps: np.ndarray, *stacks):
+    """A_eps of each stack of samples, one eps per sample, in one resolvent
+    call.  If that call fails, each sample is solved alone, stack by stack
+    up to its first failed solve, whose error it keeps; its unsolved
+    values are NaN."""
+    x = np.concatenate(stacks)
+    e = np.tile(eps, len(stacks)).reshape((-1,) + (1,) * (x.ndim - 1))
+    try:
+        return np.split((resolvent(F, t, e, x, tol=1e-13) - x) / e,
+                        len(stacks)), {}
+    except NonconvergenceError:
+        pass
+    out, errors = [np.full(s.shape, np.nan) for s in stacks], {}
+    for i, e in enumerate(eps.tolist()):
         try:
-            e = eps[rows].reshape(column)
-            a[rows] = (resolvent(F, t, e, x[rows], tol=1e-13) - x[rows]) / e
-            break
+            for a, s in zip(out, stacks):
+                a[i] = (resolvent(F, t, e, s[i], tol=1e-13) - s[i]) / e
         except NonconvergenceError as exc:
-            for err in (exc, *exc.also):
-                row, *within = np.atleast_1d(err.replica).tolist()
-                errors.setdefault(int(rows[row]), str(NonconvergenceError(
-                    err.args[0], replica=None if not within else within[0]
-                    if len(within) == 1 else tuple(within))))
-            rows = rows[~np.isin(rows, list(errors))]
-    return a, errors
+            errors[i] = str(exc)
+    return out, errors
 
 
 def check_yosida_properties(F: MonotoneMap, sampler, n_samples: int = 200,
@@ -323,12 +322,8 @@ def check_yosida_properties(F: MonotoneMap, sampler, n_samples: int = 200,
         return float(10.0 ** rng.uniform(-3, 0)), state(rng), state(rng)
 
     def evaluate(eps, x, y):
-        n = len(eps)
-        a, errors = _yosida_rows(F, t, np.concatenate([eps, eps]),
-                                 np.concatenate([x, y]))
-        ax, ay = a[:n], a[n:]
-        # a sample fails with its x solve's error, else with its y solve's
-        error = [errors.get(i, errors.get(n + i, "")) for i in range(n)]
+        (ax, ay), errors = _yosida_rows(F, t, eps, x, y)
+        error = [errors.get(i, "") for i in range(len(eps))]
         solved = np.array([not e for e in error])
         scale = 1.0 + norms(x) + norms(y)
         inner = _sample_sum((x - y) * (ax - ay))
@@ -346,8 +341,8 @@ def check_yosida_properties(F: MonotoneMap, sampler, n_samples: int = 200,
     def convergence_sweep(rng, report):
         base = np.stack([state(rng) for _ in range(5)])
         k = len(eps_grid)
-        a, errors = _yosida_rows(F, t, np.tile(eps_grid, 5),
-                                 np.repeat(base, k, axis=0))
+        (a,), errors = _yosida_rows(F, t, np.tile(eps_grid, 5),
+                                    np.repeat(base, k, axis=0))
         gaps = norms(a - np.repeat(np.asarray(F.eval(t, base), dtype=float),
                                    k, axis=0))
         gaps[list(errors)] = np.inf

@@ -787,6 +787,25 @@ def test_driver_checks_pass_times_as_a_column():
     assert BsdeDriver(eval=probe).zeta_at(0.25) == 0.0
 
 
+@pytest.mark.parametrize("make_driver", [_concave_driver, _quadratic_driver])
+def test_driver_checks_run_on_a_shift_reduced_driver(make_driver):
+    """The reduced driver and zeta take the (S, 1) time column too."""
+    driver = make_driver()
+    problem = _problem(_linear_drift(), driver, _wiener_terminal,
+                       lambda0=1.0)
+    reduced = reduce_lambda0(problem)[0].driver
+    assert reduced.c1 > driver.c1
+    dim = 2 if driver.name == "concave driver" else 1
+    modes = 3 if dim == 2 else 1
+    sampler = driver_state_sampler(dim, modes, amp_range=(1e-2, 1e1))
+    assert_same_report(
+        check_driver_modulus(reduced, sampler, n_samples=200, seed=3),
+        oracles.driver_modulus(reduced, sampler, n_samples=200, seed=3))
+    assert_same_report(
+        check_driver_growth(reduced, sampler, n_samples=200, seed=3),
+        oracles.driver_growth(reduced, sampler, n_samples=200, seed=3))
+
+
 # ---------------------------------------------------------------------------
 # a-priori report
 

@@ -323,17 +323,6 @@ def test_resolvent_rejects_bad_eps_arrays(eps):
         resolvent(_general_cubic_map(), 0.0, eps, x)
 
 
-def test_batched_failure_lists_every_replica_failing_with_it():
-    x = np.array([[0.0, 0.0, 0.0], [0.0, 5.0, -5.0]])
-    with pytest.raises(NonconvergenceError) as err:
-        resolvent(cubic_map(), 0.0, 0.5, x, tol=1e-14, max_iter=1)
-    assert err.value.replica == (1, 1)
-    assert [e.replica for e in err.value.also] == [(1, 2)]
-    with pytest.raises(NonconvergenceError) as alone:
-        resolvent(cubic_map(), 0.0, 0.5, x[1, 2], tol=1e-14, max_iter=1)
-    assert err.value.also[0].residuals == alone.value.residuals
-
-
 def test_antimonotone_map_raises_nonconvergence():
     # y - 1*y = x has no solution for x != 0
     bad = MonotoneMap(eval=lambda t, x: x, jacobian=lambda t, x: np.ones_like(x),
