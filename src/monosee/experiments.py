@@ -17,9 +17,10 @@ base seed, stacked into one NoiseBatch: the forward demos step it with
 one batched forward solve (each replica follows the iterates it would
 follow alone), the backward experiments regress across it, and the
 ensemble is reduced in replica order.  The manifest is
-written even when a run fails, with the error recorded; the replica
-demos and the backward experiments also record their solver counters in
-it (``solver_stats``).
+written even when a run fails, with the error recorded; the forward
+experiments (the replica demos, galerkin_convergence,
+timestep_convergence and pathwise_uniqueness) and the backward
+experiments also record their solver counters in it (``solver_stats``).
 """
 
 from __future__ import annotations
@@ -287,6 +288,12 @@ def _solver_config(s: Settings, n_grid: int, n_modes: int,
 # determine, and returns the run step (out_dir -> ExperimentOutcome)
 
 
+def _forward_stats(counts: NewtonCounts, forward_steps: int) -> dict:
+    return {"forward_steps": forward_steps,
+            "newton_iterations": int(counts.iterations.sum()),
+            "line_search_halvings": int(counts.halvings.sum())}
+
+
 def _demo(s: Settings, set_name: str, label: str):
     n_grid = s.get("problem", "n_grid", 16)
     n_modes = s.get("numerics", "n_modes", 8)
@@ -315,10 +322,7 @@ def _demo(s: Settings, set_name: str, label: str):
         energy_sup = max(float(np.max(np.abs(np.cumsum(path.energy_residual))))
                          for path in paths)
         first, noise0 = paths[0], batch.path(0)
-        outcome.solver_stats = {
-            "forward_steps": replicas * n_steps,
-            "newton_iterations": int(counts.iterations.sum()),
-            "line_search_halvings": int(counts.halvings.sum())}
+        outcome.solver_stats = _forward_stats(counts, replicas * n_steps)
 
         times = first.times
         mean_h = h_sq.mean(axis=0)
@@ -373,10 +377,13 @@ def _galerkin_convergence(s):
         noise = sample_path(seed=seed, t_final=t_final, n_steps=n_steps,
                             n_modes=1)
         u0 = ops.triple.basis_function(1)
-        paths = {n: solve_forward(cfg, ops.drift, ops.diffusion, noise, u0)
+        counts = NewtonCounts(1)
+        paths = {n: solve_forward(cfg, ops.drift, ops.diffusion, noise, u0,
+                                  counts=counts)
                  for n, cfg in configs.items()}
 
         outcome = ExperimentOutcome()
+        outcome.solver_stats = _forward_stats(counts, len(configs) * n_steps)
         rows = []
         distances = []
         for n in mode_counts[:-1]:
@@ -421,14 +428,17 @@ def _timestep_convergence(s):
         e1 = tr.basis_function(1)
         mu1 = float(tr.mu[0])
         outcome = ExperimentOutcome()
+        counts = NewtonCounts(1)
         errors = []
         for n_steps in steps:
             noise = zero_path(t_final, n_steps, 1)
-            path = solve_forward(cfg, ops.drift, ops.diffusion, noise, e1)
+            path = solve_forward(cfg, ops.drift, ops.diffusion, noise, e1,
+                                 counts=counts)
             err = max(tr.h_norm(path.states[k]
                                 - math.exp(-mu1 * path.times[k]) * e1)
                       for k in range(n_steps + 1))
             errors.append(err)
+        outcome.solver_stats = _forward_stats(counts, sum(steps))
         ratios = [errors[i] / errors[i + 1] for i in range(len(errors) - 1)]
         order = convergence_order(errors, dts)
         write_csv(out_dir / "timestep_errors.csv", ["dt", "sup_h_error"],
@@ -458,7 +468,9 @@ def _pathwise_uniqueness(s):
                             n_modes=1)
         tr = ops.triple
         u0 = tr.basis_function(1)
-        base = solve_forward(cfg, ops.drift, ops.diffusion, noise, u0)
+        counts = NewtonCounts(1)
+        base = solve_forward(cfg, ops.drift, ops.diffusion, noise, u0,
+                             counts=counts)
 
         outcome = ExperimentOutcome()
         deltas = (1e-1, 1e-2, 1e-3)
@@ -466,7 +478,8 @@ def _pathwise_uniqueness(s):
         dists = []
         for delta in deltas:
             other = solve_forward(cfg, ops.drift, ops.diffusion, noise,
-                                  u0 + delta * tr.basis_function(1))
+                                  u0 + delta * tr.basis_function(1),
+                                  counts=counts)
             d = sup_h_distance(base, other)
             dists.append(d)
             rows.append([delta, d, d / delta])
@@ -482,6 +495,8 @@ def _pathwise_uniqueness(s):
                           for i in range(len(dists) - 1)),
                       f"distances {dists}")
         outcome.summary.update({"deltas": list(deltas), "distances": dists})
+        outcome.solver_stats = _forward_stats(
+            counts, (1 + len(deltas)) * n_steps)
         return outcome
     return run
 

@@ -10,7 +10,10 @@ which is integrated by a drift-implicit Euler scheme, the only scheme:
 the noise enters explicitly, the drift implicitly, and each step is one
 resolvent solve of the (dissipative) projected drift on the noise grid's
 step.  Random coefficients are frozen at the left endpoint of every step
-so the scheme stays adapted.
+so the scheme stays adapted.  Step k solves at t_k + dt and evaluates
+the diffusion once (at t_k) and the drift once per Newton trial; its
+energy-identity ledger entry reuses the step's explicit target r and the
+drift at the accepted iterate, so it costs no operator evaluation.
 
 A replica ensemble is one (R, n) stack of coefficient vectors, one row per
 noise replica, and each step is one damped-Newton solve over the stack
@@ -41,11 +44,12 @@ from .errors import ConfigError, MonoseeError, NonconvergenceError
 from .noise import (EMPTY_CONTEXT, BatchContext, NoiseBatch, NoiseContext,
                     NoisePath)
 from .operators import HypothesisBundle, constant_profile, profile_on_grid
-from .resolvent import MonotoneMap, NewtonCounts, resolvent
+from .resolvent import MonotoneMap, NewtonCounts, _resolvent_general, resolvent
 from .triple import POROUS_MEDIUM, DiscreteTriple, _float_or_array
 
 __all__ = [
-    "SolverConfig", "SolutionPath", "GalerkinSystem", "step_implicit",
+    "SolverConfig", "SolutionPath", "GalerkinSystem", "ImplicitStep",
+    "step_implicit",
     "solve_forward", "solve_diagonal_batch",
     "RescaledProblem", "rescale_problem", "clock_theta", "energy_residual",
     "AprioriReport", "apriori_norms", "trajectory_csv",
@@ -191,36 +195,46 @@ def _noise_term(sig, dW) -> np.ndarray:
     return (sig[..., :m] @ dW[..., :m, None])[..., 0]
 
 
+class ImplicitStep(NamedTuple):
+    """One implicit step's new state ``y``, its explicit target
+    ``r = x + sigma(t, x) @ dW`` and the drift ``b_y = b(t + dt, y)`` at
+    the accepted Newton iterate, each shaped like the state (stack)."""
+
+    y: np.ndarray
+    r: np.ndarray
+    b_y: np.ndarray
+
+
 def step_implicit(x, t: float, dt: float, dW, b: MonotoneMap, sigma,
-                  cfg: SolverConfig, guess=None, counts=None) -> np.ndarray:
+                  cfg: SolverConfig, guess=None, counts=None) -> ImplicitStep:
     """One drift-implicit Euler step of one state or an (R, n) stack.
 
-    Solves y - dt * b(t + dt, y) = x + sigma(t, x) @ dW to the configured
-    resolvent tolerance, row by row for a stack (``dW`` then has a row per
-    replica).  ``b`` is the drift as a MonotoneMap and ``sigma`` a callable
-    of (t, state), both bound to any frozen context (see
+    Solves y - dt * b(t + dt, y) = r, r = x + sigma(t, x) @ dW, to the
+    configured resolvent tolerance, row by row for a stack (``dW`` then
+    has a row per replica), and returns (y, r, b(t + dt, y)): sigma is
+    evaluated once and b once per Newton trial, the last trial being y.
+    ``b`` is the drift as a (non-diagonal) MonotoneMap and ``sigma`` a
+    callable of (t, state), both bound to any frozen context (see
     ``GalerkinSystem.bind``); ``counts`` accumulates the Newton work.
+    ``dt`` must be positive and finite, as a noise grid's step is.
     """
     x = np.asarray(x, dtype=float)
     r = x + _noise_term(sigma(t, x), dW)
-    return resolvent(b, t + dt, dt, r, tol=cfg.resolvent_tol,
-                     max_iter=cfg.resolvent_max_iter, guess=guess,
-                     counts=counts)
+    y, b_y = _resolvent_general(b, t + dt, dt, r, cfg.resolvent_tol,
+                                cfg.resolvent_max_iter, guess=guess,
+                                counts=counts)
+    return ImplicitStep(y, r, b_y)
 
 
-def _energy_defect(system, ctx: BatchContext, x, y) -> np.ndarray:
-    """Per-replica energy-identity defect of the step from ``ctx.index``.
+def _step_defect(y, r, b_y, dt: float) -> np.ndarray:
+    """Per-replica energy-identity defect of one step.
 
     |y|^2 - |x|^2 - 2 dt [y, A(y)] - 2 <x, B dW> - |B dW|^2, evaluated as
-    <y - r, y + r> - 2 dt [y, A(y)] with r = x + B dW; -dt^2 |b(y)|^2 for
-    an exact resolvent solve, 0 for zero drift.
+    <y - r, y + r> - 2 dt [y, A(y)] with r = x + B dW and b_y the
+    projected drift at y; -dt^2 |b(y)|^2 for an exact resolvent solve, 0
+    for zero drift.
     """
-    batch, k = ctx.batch, ctx.index
-    t0, t1 = float(batch.times[k]), float(batch.times[k + 1])
-    r = x + _noise_term(system.sigma(t0, ctx, x), batch.increments[:, k])
-    b_at_y = system.b(t1, ctx, y)
-    return np.add.reduce((y - r) * (y + r) - (2.0 * batch.dt) * y * b_at_y,
-                         axis=-1)
+    return np.add.reduce((y - r) * (y + r) - (2.0 * dt) * y * b_y, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +256,10 @@ def solve_forward(cfg: SolverConfig, drift, diffusion, noise, x0,
 
     ``x0`` may be grid values or a GridFunction; it is projected onto the
     first n modes and starts every replica.  Every step is one
-    drift-implicit Euler step (``step_implicit``) of the grid's step size.
+    drift-implicit Euler step (``step_implicit``) of the grid's step dt,
+    solved at times[k] + dt, whose ledger entry reuses the step's r and
+    b(y).  The noise must carry the system's ``n_noise`` modes at least
+    (ConfigError otherwise); extra modes go unused.
     The operators are stepped as given: to remove lambda0 from the
     hypothesis bundle, solve ``rescale_problem``'s transformed operators
     and multiply the trajectory by its ``gamma``.
@@ -258,6 +275,10 @@ def solve_forward(cfg: SolverConfig, drift, diffusion, noise, x0,
                           f"{triple.n_grid}")
     dt = batch.dt
     system = GalerkinSystem(drift, diffusion, n, triple)
+    if batch.n_modes < system.n_noise:
+        raise ConfigError(f"noise carries {batch.n_modes} modes, but the "
+                          f"projected diffusion has {system.n_noise} "
+                          f"noise columns")
     times, n_steps = batch.times, batch.n_steps
     x0v = np.asarray(x0.values if hasattr(x0, "values") else x0, dtype=float)
     if x0v.shape != (triple.n_grid,):
@@ -276,16 +297,16 @@ def solve_forward(cfg: SolverConfig, drift, diffusion, noise, x0,
         xk = coeffs[:, k]
         dw = batch.increments[:, k]
         try:
-            y = step_implicit(xk, t0, dt, dw, drift_map, sigma, cfg,
-                              guess=xk, counts=counts)
+            step = step_implicit(xk, t0, dt, dw, drift_map, sigma, cfg,
+                                 guess=xk, counts=counts)
         except NonconvergenceError as err:
             replica = None if single is not None \
                 else batch.replica0 + err.replica
             raise NonconvergenceError(
                 f"forward solve failed at step {k} (t = {t0:g}): "
                 f"{err.args[0]}", err.residuals, replica) from err
-        residual[:, k] = _energy_defect(system, ctx, xk, y)
-        coeffs[:, k + 1] = y
+        residual[:, k] = _step_defect(step.y, step.r, step.b_y, dt)
+        coeffs[:, k + 1] = step.y
 
     states = coeffs @ system.modes.T
     h_sq = np.sum(coeffs * coeffs, axis=-1)
@@ -532,16 +553,22 @@ def energy_residual(path: SolutionPath, drift, diffusion,
     """Recompute the per-step energy-identity defect from a stored path.
 
     Expects the operators the trajectory was actually stepped with; for a
-    rescaled solve that means the transformed ones.  Evaluates the same
-    ledger as solve_forward, so it agrees with the stored one.
+    rescaled solve that means the transformed ones.  Re-evaluates r =
+    x + sigma(t_k, x) dW and b(t_k + dt, y) at the stored states, the
+    times solve_forward steps at, and applies the same ledger formula, so
+    it reproduces the stored ledger bit for bit.
     """
     system = GalerkinSystem(drift, diffusion, path.n_modes, path.triple)
-    ctx = BatchContext(NoiseBatch.from_path(noise), path=noise)
+    batch = NoiseBatch.from_path(noise)
+    ctx = BatchContext(batch, path=noise)
+    dt = batch.dt
     out = np.empty(path.n_steps)
     for k in range(path.n_steps):
         ctx.index = k
-        [out[k]] = _energy_defect(system, ctx, path.coeffs[None, k],
-                                  path.coeffs[None, k + 1])
+        t0 = float(batch.times[k])
+        x, y = path.coeffs[None, k], path.coeffs[None, k + 1]
+        r = x + _noise_term(system.sigma(t0, ctx, x), batch.increments[:, k])
+        [out[k]] = _step_defect(y, r, system.b(t0 + dt, ctx, y), dt)
     return out
 
 

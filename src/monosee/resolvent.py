@@ -129,6 +129,8 @@ def _resolvent_general(F, t, eps, x, tol, max_iter, guess=None, counts=None):
     and a row that has accepted its line-search trial a zero step length,
     so it stays frozen and each row follows the iterates it would follow
     alone.  The first row that fails raises, with its own history.
+    Returns (y, F(t, y)): the map at the accepted iterate comes along,
+    carried through the line search like the residual.
     """
     x = np.asarray(x, dtype=float)
     y = x.copy() if guess is None else np.array(guess, dtype=float).reshape(x.shape)
@@ -139,7 +141,8 @@ def _resolvent_general(F, t, eps, x, tol, max_iter, guess=None, counts=None):
     iterations = np.zeros(lead, dtype=np.int64)
     halvings = np.zeros(lead, dtype=np.int64)
     history = []
-    g = y - eps * np.asarray(F.eval(t, y), dtype=float) - x
+    f = np.asarray(F.eval(t, y), dtype=float)
+    g = y - eps * f - x
     ng = _norms(g)
     for _ in range(max_iter):
         history.append(ng)
@@ -155,15 +158,17 @@ def _resolvent_general(F, t, eps, x, tol, max_iter, guess=None, counts=None):
         pending = active
         for _ in range(40):
             y_try = y - lam * step
-            g_try = y_try - eps * np.asarray(F.eval(t, y_try), dtype=float) - x
+            f_try = np.asarray(F.eval(t, y_try), dtype=float)
+            g_try = y_try - eps * f_try - x
             ng_try = _norms(g_try)
             pending = pending & ~(ng_try < ng)
             if not np.count_nonzero(pending):
-                y, g, ng = y_try, g_try, ng_try
+                y, f, g, ng = y_try, f_try, g_try, ng_try
                 break
             # keep the rows that descended (step length 0 from now on)
             # and halve the others' step length
             y = np.where(pending[..., None], y, y_try)
+            f = np.where(pending[..., None], f, f_try)
             g = np.where(pending[..., None], g, g_try)
             ng = np.where(pending, ng, ng_try)
             halvings += pending
@@ -186,7 +191,7 @@ def _resolvent_general(F, t, eps, x, tol, max_iter, guess=None, counts=None):
     if counts is not None:
         counts.iterations += iterations
         counts.halvings += halvings
-    return y
+    return y, f
 
 
 def resolvent(F: MonotoneMap, t: float, eps: float, x, tol: float = 1e-12,
@@ -222,7 +227,7 @@ def resolvent(F: MonotoneMap, t: float, eps: float, x, tol: float = 1e-12,
         raise ConfigError(f"resolvent needs max_iter >= 1, got {max_iter!r}")
     if not F.diagonal:
         return _resolvent_general(F, t, eps, np.atleast_1d(x), tol, max_iter,
-                                  guess=guess, counts=counts)
+                                  guess=guess, counts=counts)[0]
     jacobian = None if F.jacobian is None else (
         lambda t, y: np.asarray(F.jacobian(t, y[..., 0]),
                                 dtype=float)[..., None, None])
@@ -231,7 +236,7 @@ def resolvent(F: MonotoneMap, t: float, eps: float, x, tol: float = 1e-12,
                                      dtype=float)[..., None],
         jacobian=jacobian, name=F.name)
     y = _resolvent_general(rows, t, eps, np.asarray(x, dtype=float)[..., None],
-                           tol, max_iter, guess=guess, counts=counts)
+                           tol, max_iter, guess=guess, counts=counts)[0]
     return y[..., 0]
 
 

@@ -8,6 +8,7 @@ ledger against its own algebraic identity.
 
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,10 +20,11 @@ from monosee.forward import (AprioriReport, GalerkinSystem, SolverConfig,
                              rescale_problem,
                              solve_diagonal_batch, solve_forward,
                              step_implicit, trajectory_csv)
-from monosee.noise import EMPTY_CONTEXT, NoiseBatch, NoiseContext, \
-    refine_path, sample_batch, sample_path, zero_path
+from monosee.noise import EMPTY_CONTEXT, BatchContext, NoiseBatch, \
+    NoiseContext, refine_path, sample_batch, sample_path, zero_path
 from monosee.operators import (ConstantDiffusion, PhiDrift,
-                               ReactionDiffusionDrift, build_operator_set,
+                               PorousMediumDrift, ReactionDiffusionDrift,
+                               build_operator_set,
                                check_coercivity, check_monotonicity,
                                constant_profile, pair_sampler, state_sampler,
                                tabulated_profile)
@@ -120,7 +122,7 @@ def test_step_zero_drift_is_explicit_increment():
     dW = np.array([1.0, -1.0, 2.0, 0.5])
     y = step_implicit(x, 0.0, 0.01, dW,
                       b=MonotoneMap(eval=lambda t, v: np.zeros_like(v)),
-                      sigma=lambda t, v: sig, cfg=cfg)
+                      sigma=lambda t, v: sig, cfg=cfg).y
     assert np.array_equal(y, x + sig @ dW)
 
 
@@ -133,7 +135,7 @@ def test_step_linear_closed_form():
     dt = 0.05
     y = step_implicit(x, 0.0, dt, dW,
                       b=MonotoneMap(eval=lambda t, v: -mu * v),
-                      sigma=lambda t, v: sig_mat, cfg=cfg)
+                      sigma=lambda t, v: sig_mat, cfg=cfg).y
     r = x + sig_mat[:, 0] * dW[0]
     assert np.allclose(y, r / (1.0 + mu * dt), rtol=1e-12, atol=1e-14)
 
@@ -145,7 +147,7 @@ def test_step_cubic_against_bisection_oracle():
     k, dt, r = 2.5, 0.2, 3.7
     y = step_implicit(np.array([r]), 0.0, dt, np.array([0.0]),
                       b=MonotoneMap(eval=lambda t, v: -k * v ** 3),
-                      sigma=lambda t, v: np.zeros((1, 1)), cfg=cfg)
+                      sigma=lambda t, v: np.zeros((1, 1)), cfg=cfg).y
 
     lo, hi = 0.0, r
     for _ in range(200):
@@ -167,11 +169,59 @@ def test_monotone_step_is_nonexpansive_with_shared_noise():
         x1 = rng.normal(size=8) * 2.0
         x2 = rng.normal(size=8) * 2.0
         dW = rng.normal(size=1) * 0.1
-        y1 = step_implicit(x1, 0.0, 0.01, dW, b, sigma, cfg)
-        y2 = step_implicit(x2, 0.0, 0.01, dW, b, sigma, cfg)
+        y1 = step_implicit(x1, 0.0, 0.01, dW, b, sigma, cfg).y
+        y2 = step_implicit(x2, 0.0, 0.01, dW, b, sigma, cfg).y
         before = np.linalg.norm(x1 - x2)
         after = np.linalg.norm(y1 - y2)
         assert after <= before * (1.0 + 1e-9) + 1e-11
+
+
+def test_step_returns_its_target_and_the_drift_at_the_new_state():
+    ops = build_operator_set("eq_1_2", 12, p=3.0)
+    noise = sample_path(seed=3, t_final=0.25, n_steps=10, n_modes=1)
+    sys = GalerkinSystem(ops.drift, ops.diffusion, 6, ops.triple)
+    ctx = BatchContext(NoiseBatch.from_path(noise), path=noise)
+    b, sigma = sys.bind(ctx)
+    cfg = SolverConfig(n_modes_galerkin=6)
+    x = ops.triple.coefficients(np.sin(np.pi * ops.triple.nodes), 6)[None]
+    for k in range(noise.n_steps):
+        ctx.index = k
+        t = float(noise.times[k])
+        dW = noise.increments[None, k]
+        step = step_implicit(x, t, noise.dt, dW, b, sigma, cfg, guess=x)
+        assert np.array_equal(step.r, x + sys.sigma(t, ctx, x) @ dW[0])
+        assert np.array_equal(step.b_y, sys.b(t + noise.dt, ctx, step.y))
+        x = step.y
+
+
+def _counted(monkeypatch, calls, obj, name):
+    method = getattr(obj, name)
+
+    def counting(*args, **kwargs):
+        calls[name] += 1
+        return method(*args, **kwargs)
+
+    monkeypatch.setattr(obj, name, counting)
+
+
+def test_forward_step_evaluates_each_operator_once_per_quantity(monkeypatch):
+    # a strong additive noise from rest makes the line search halve
+    ops = build_operator_set("porous_medium", 12, p=3.0)
+    diff = ConstantDiffusion(ops.triple, 300.0 * np.ones((12, 1)))
+    noise = sample_path(seed=21, t_final=0.25, n_steps=25, n_modes=1)
+    drift_calls, diffusion_calls = Counter(), Counter()
+    _counted(monkeypatch, drift_calls, ops.drift, "eval")
+    _counted(monkeypatch, drift_calls, ops.drift, "jacobian")
+    _counted(monkeypatch, diffusion_calls, diff, "eval")
+    counts = NewtonCounts(1)
+    solve_forward(SolverConfig(n_modes_galerkin=6), ops.drift, diff, noise,
+                  np.zeros(12), counts=counts)
+    [iterations], [halvings] = counts.iterations, counts.halvings
+    assert halvings > 0
+    assert diffusion_calls["eval"] == noise.n_steps
+    assert drift_calls["eval"] == noise.n_steps + iterations + halvings
+    # the GalerkinSystem constructor probes the Jacobian once
+    assert drift_calls["jacobian"] == 1 + iterations
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +318,25 @@ def test_solve_forward_propagates_nonconvergence_with_step_index():
     assert len(solve_forward(cfg, ops.drift, ops.diffusion, calm, zero)) == 2
 
 
+def test_solve_forward_rejects_noise_with_too_few_modes():
+    ops = build_operator_set("porous_medium", 16, n_modes=4)
+    cfg = SolverConfig(n_modes_galerkin=8)
+    x0 = np.sin(np.pi * ops.triple.nodes)
+    path = sample_path(seed=2, t_final=0.25, n_steps=10, n_modes=1)
+    batch = sample_batch(seed=2, t_final=0.25, n_steps=10, n_modes=3,
+                         replicas=2)
+    for noise in (path, batch):
+        with pytest.raises(ConfigError, match="noise carries .* modes"):
+            solve_forward(cfg, ops.drift, ops.diffusion, noise, x0)
+    # extra noise modes are the noise-side truncation, and a Galerkin
+    # space narrower than the diffusion drives only its own n columns
+    wide = sample_path(seed=2, t_final=0.25, n_steps=10, n_modes=6)
+    solve_forward(cfg, ops.drift, ops.diffusion, wide, x0)
+    two = sample_path(seed=2, t_final=0.25, n_steps=10, n_modes=2)
+    solve_forward(SolverConfig(n_modes_galerkin=2), ops.drift,
+                  ops.diffusion, two, x0)
+
+
 # ---------------------------------------------------------------------------
 # replica batches
 
@@ -338,9 +407,10 @@ def test_pathwise_uniqueness_insensitive_to_resolvent_guess():
     for k in range(noise.n_steps):
         t = float(noise.times[k])
         dW = noise.increments[k]
-        x_a = step_implicit(x_a, t, noise.dt, dW, b, sigma, cfg, guess=x_a)
+        x_a = step_implicit(x_a, t, noise.dt, dW, b, sigma, cfg,
+                            guess=x_a).y
         x_b = step_implicit(x_b, t, noise.dt, dW, b, sigma, cfg,
-                            guess=x_b + rng.normal(size=8) * 0.5)
+                            guess=x_b + rng.normal(size=8) * 0.5).y
         worst = max(worst, float(np.linalg.norm(x_a - x_b)))
     assert worst <= 10.0 * cfg.resolvent_tol
 
@@ -388,14 +458,29 @@ def test_energy_residual_equals_minus_dt_sq_drift_norm():
         assert abs(path.energy_residual[k] - predicted) <= 1e-8 * scale
 
 
+def _assert_recompute_matches_ledger(ops, drift, noise):
+    cfg = SolverConfig(n_modes_galerkin=6)
+    path = solve_forward(cfg, drift, ops.diffusion, noise,
+                         0.5 * np.sin(np.pi * ops.triple.nodes))
+    recomputed = energy_residual(path, drift, ops.diffusion, noise)
+    assert np.array_equal(recomputed, path.energy_residual)
+
+
 def test_energy_residual_recompute_matches_ledger():
     ops = build_operator_set("eq_1_1", 12, p=3.0)
     noise = sample_path(seed=21, t_final=0.5, n_steps=25, n_modes=1)
-    cfg = SolverConfig(n_modes_galerkin=6)
-    path = solve_forward(cfg, ops.drift, ops.diffusion, noise,
-                         0.5 * np.sin(np.pi * ops.triple.nodes))
-    recomputed = energy_residual(path, ops.drift, ops.diffusion, noise)
-    assert np.allclose(recomputed, path.energy_residual, rtol=0, atol=1e-15)
+    _assert_recompute_matches_ledger(ops, ops.drift, noise)
+
+
+def test_energy_residual_recompute_matches_ledger_of_time_reading_drift():
+    # the step solves at t_k + dt, which on this grid is not always
+    # times[k + 1]; a drift reading t sees the difference
+    ops = build_operator_set("eq_1_1", 12, p=3.0)
+    drift = PorousMediumDrift(
+        ops.triple, 3.0, coeff=lambda t, ctx: 1.0 + 1e3 * np.asarray(t))
+    noise = sample_path(seed=21, t_final=0.25, n_steps=250, n_modes=1)
+    assert np.any(noise.times[:-1] + noise.dt != noise.times[1:])
+    _assert_recompute_matches_ledger(ops, drift, noise)
 
 
 def test_energy_cumulative_defect_halves_with_dt():

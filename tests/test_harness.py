@@ -440,6 +440,9 @@ def test_experiment_rerun_is_byte_identical(tmp_path):
 # small configs of the experiments that record solver counters
 STATS_CONFIGS = {
     "porous_medium_demo": ({"n_steps": 40}, {"replicas": 3}),
+    "galerkin_convergence": ({"n_steps": 20}, {}),
+    "timestep_convergence": ({}, {}),
+    "pathwise_uniqueness": ({"n_steps": 20}, {}),
     "bsde_linear_validation": ({"n_steps": 16}, {"replicas": 400}),
     "bsde_picard_demo": ({"n_steps": 8}, {"replicas": 200}),
 }
@@ -466,10 +469,22 @@ def test_demo_solver_stats_repeat_and_stay_out_of_summary(tmp_path):
         assert not set(stats[experiment]) & set(first["summary"])
         assert not any(key in csv_text for key in stats[experiment])
 
-    forward = stats["porous_medium_demo"]
-    assert forward["forward_steps"] == 3 * 40
-    assert forward["newton_iterations"] >= forward["forward_steps"] // 2 > 0
-    assert forward["line_search_halvings"] >= 0
+    # forward steps: replicas x steps for the demo; one single-path solve
+    # per mode count (4), per step size (50 + 100 + 200 steps at
+    # t_final = 0.2) and per initial state (the base and 3 perturbed)
+    forward_steps = {"porous_medium_demo": 3 * 40,
+                     "galerkin_convergence": 4 * 20,
+                     "timestep_convergence": 50 + 100 + 200,
+                     "pathwise_uniqueness": 4 * 20}
+    for experiment, steps in forward_steps.items():
+        forward = stats[experiment]
+        assert set(forward) == {"forward_steps", "newton_iterations",
+                                "line_search_halvings"}
+        assert forward["forward_steps"] == steps
+        assert forward["newton_iterations"] >= steps // 2 > 0
+        assert forward["line_search_halvings"] >= 0
+    # the heat drift is linear: one Newton iteration per implicit step
+    assert stats["timestep_convergence"]["newton_iterations"] == 350
     # one solve: one sweep over 16 steps, every design factored once; the
     # linear drift's implicit step is one Newton iteration per path and step
     assert stats["bsde_linear_validation"] == {
