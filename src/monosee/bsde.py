@@ -48,7 +48,7 @@ import numpy as np
 from .analysis import ModulusSpec, linear_modulus, rho_eval
 from .errors import ConfigError, NonconvergenceError, RegressionError
 from .noise import NoiseBatch
-from .reporting import ViolationReport, _sample_sum, _sampled_check
+from .reporting import ViolationReport, _sample_sum, _sampled_check, csv_text
 from .resolvent import MonotoneMap, NewtonCounts, resolvent
 
 __all__ = [
@@ -580,17 +580,11 @@ def reduce_lambda0(problem: BsdeProblem):
 
     drift_jac = None
     if base_drift.jacobian is not None:
-        if base_drift.diagonal:
-            def drift_jac(t, x):
-                x = np.asarray(x, dtype=float)
-                return np.asarray(base_drift.jacobian(t, x / gamma(t)),
-                                  dtype=float) - 0.5 * lam
-        else:
-            def drift_jac(t, x):
-                x = np.asarray(x, dtype=float)
-                jac = np.asarray(base_drift.jacobian(t, x / gamma(t)),
-                                 dtype=float)
-                return jac - 0.5 * lam * np.eye(x.shape[-1])
+        def drift_jac(t, x):
+            x = np.asarray(x, dtype=float)
+            shift = 1.0 if base_drift.diagonal else np.eye(x.shape[-1])
+            return np.asarray(base_drift.jacobian(t, x / gamma(t)),
+                              dtype=float) - 0.5 * lam * shift
 
     drift = MonotoneMap(eval=drift_eval, jacobian=drift_jac,
                         diagonal=base_drift.diagonal,
@@ -1062,9 +1056,8 @@ def solution_csv(solution: BsdeSolution) -> str:
     Columns: t, the X regression coefficients per state component and
     basis term, the Z coefficients per component, mode, and basis term,
     and the iteration residual history (entry k on row k, blank beyond).
-    Z cells are blank on the terminal row, where no Z is defined.  Full
-    17-significant-digit floats so a rerun with the same seed reproduces
-    the file byte for byte.
+    Z cells are blank on the terminal row, where no Z is defined.
+    Rendered by ``reporting.csv_text``.
     """
     d, m = solution.dim, solution.n_modes
     names = solution.basis.names
@@ -1074,16 +1067,14 @@ def solution_csv(solution: BsdeSolution) -> str:
                for i in range(d) for j in range(m) for nm in names]
     header.append("picard_residual")
     res = solution.picard_residuals
-    lines = [",".join(header)]
+    rows = []
     n = solution.n_steps
     for k in range(n + 1):
-        cells = [f"{solution.times[k]:.17g}"]
-        cells += [f"{c:.17g}" for c in solution.x_coeffs[k].T.ravel()]
+        cells = [solution.times[k], *solution.x_coeffs[k].T.ravel()]
         if k < n:
-            cells += [f"{c:.17g}"
-                      for c in solution.z_coeffs[k].transpose(1, 2, 0).ravel()]
+            cells += list(solution.z_coeffs[k].transpose(1, 2, 0).ravel())
         else:
             cells += [""] * (d * m * len(names))
-        cells.append(f"{res[k]:.17g}" if k < len(res) else "")
-        lines.append(",".join(cells))
-    return "\r\n".join(lines) + "\r\n"
+        cells.append(res[k] if k < len(res) else "")
+        rows.append(cells)
+    return csv_text(header, rows)

@@ -17,7 +17,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .config import apply_overrides, load_config
+from .config import load_config
 from .experiments import list_experiments, run_experiment, validate_experiment
 
 __all__ = ["main", "build_parser"]
@@ -48,15 +48,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(path: str, overrides: List[str]):
-    config = load_config(path)
-    if overrides:
-        config = apply_overrides(config, overrides)
-    return config
-
-
 def _cmd_run(args) -> int:
-    config = _load(args.config, args.overrides)
+    config = load_config(args.config, args.overrides)
     result = run_experiment(config)
     print(f"{result.experiment}: artifacts in {result.out_dir}")
     for a in result.outcome.assertions:
@@ -76,7 +69,7 @@ def _cmd_list() -> int:
 
 
 def _cmd_validate(args) -> int:
-    config = _load(args.config, args.overrides)
+    config = load_config(args.config, args.overrides)
     problems = validate_experiment(config)
     if problems:
         print(f"{args.config}: invalid for {config.experiment!r}:",

@@ -57,6 +57,7 @@ from .operators import (PhiDrift, ReactionDiffusionDrift, build_operator_set,
                         check_boundedness, check_coercivity,
                         check_hemicontinuity, check_monotonicity,
                         pair_sampler, state_sampler)
+from .reporting import _fmt, csv_text
 from .resolvent import MonotoneMap, NewtonCounts
 from .triple import DiscreteTriple
 
@@ -78,30 +79,9 @@ BSDE_PROBE_TIMES = (0.25, 0.5, 0.75)
 # artifact plumbing
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
-    return str(value)
-
-
-def _csv_cell(value) -> str:
-    text = _fmt(value)
-    if any(c in text for c in ',"\r\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
 def write_csv(path, header, rows) -> None:
-    """RFC-4180 table: comma separated, CRLF line ends, 17 significant
-    digits for floats, quoted only when a cell needs it."""
-    lines = [",".join(_csv_cell(h) for h in header)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(cell) for cell in row))
-    Path(path).write_bytes(("\r\n".join(lines) + "\r\n").encode("utf-8"))
+    """Write ``reporting.csv_text(header, rows)`` as UTF-8."""
+    Path(path).write_bytes(csv_text(header, rows).encode("utf-8"))
 
 
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd")

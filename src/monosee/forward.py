@@ -44,6 +44,7 @@ from .errors import ConfigError, MonoseeError, NonconvergenceError
 from .noise import (EMPTY_CONTEXT, BatchContext, NoiseBatch, NoiseContext,
                     NoisePath)
 from .operators import HypothesisBundle, constant_profile, profile_on_grid
+from .reporting import csv_text
 from .resolvent import MonotoneMap, NewtonCounts, _resolvent_general, resolvent
 from .triple import POROUS_MEDIUM, DiscreteTriple, _float_or_array
 
@@ -254,12 +255,12 @@ def solve_forward(cfg: SolverConfig, drift, diffusion, noise, x0,
     step and, in a batch, the replica, with that replica's history.
     ``counts`` (one entry per replica) accumulates the Newton work.
 
-    ``x0`` may be grid values or a GridFunction; it is projected onto the
-    first n modes and starts every replica.  Every step is one
-    drift-implicit Euler step (``step_implicit``) of the grid's step dt,
-    solved at times[k] + dt, whose ledger entry reuses the step's r and
-    b(y).  The noise must carry the system's ``n_noise`` modes at least
-    (ConfigError otherwise); extra modes go unused.
+    ``x0`` holds grid values; it is projected onto the first n modes and
+    starts every replica.  Every step is one drift-implicit Euler step
+    (``step_implicit``) of the grid's step dt, solved at times[k] + dt,
+    whose ledger entry reuses the step's r and b(y).  The noise must
+    carry the system's ``n_noise`` modes at least (ConfigError
+    otherwise); extra modes go unused.
     The operators are stepped as given: to remove lambda0 from the
     hypothesis bundle, solve ``rescale_problem``'s transformed operators
     and multiply the trajectory by its ``gamma``.
@@ -280,7 +281,7 @@ def solve_forward(cfg: SolverConfig, drift, diffusion, noise, x0,
                           f"projected diffusion has {system.n_noise} "
                           f"noise columns")
     times, n_steps = batch.times, batch.n_steps
-    x0v = np.asarray(x0.values if hasattr(x0, "values") else x0, dtype=float)
+    x0v = np.asarray(x0, dtype=float)
     if x0v.shape != (triple.n_grid,):
         raise ConfigError(f"initial state has shape {x0v.shape}, expected "
                           f"({triple.n_grid},)")
@@ -289,7 +290,7 @@ def solve_forward(cfg: SolverConfig, drift, diffusion, noise, x0,
     coeffs = np.empty((n_rep, n_steps + 1, n))
     coeffs[:, 0] = triple.coefficients(x0v, n)
     residual = np.empty((n_rep, n_steps))
-    ctx = BatchContext(batch, path=single)
+    ctx = BatchContext(batch)
     drift_map, sigma = system.bind(ctx)
     for k in range(n_steps):
         ctx.index = k
@@ -354,35 +355,45 @@ def solve_diagonal_batch(f, g, noise: NoisePath, y0, f_prime=None,
 
 
 def _gamma_factory(lambda0) -> Callable:
-    """gamma(t, ctx) = exp(0.5 * integral of lambda0 over [0, t]), a float
-    for one time and an array for an array of times.
+    """gamma(t, ctx) = exp(0.5 * integral of lambda0 over [0, t]).
 
-    With a noise path in the context the integral uses the left-endpoint
-    rule on the path grid (lambda0 may read the scalar path, which is only
-    defined at grid times; the left rule also keeps the value adapted).
-    Without a path the profile is deterministic and a trapezoid rule on a
-    fine fixed grid applies.  Per-path cumulative integrals are cached.
+    With noise in the context the integral is the left-endpoint rule on
+    the noise grid (lambda0 may read the scalar path, which is only
+    defined at grid times; the left rule also keeps the value adapted),
+    tabulated once per noise object, one row per replica read through its
+    own NoiseContext (a NoisePath is the batch of one).  A BatchContext
+    gets an (R, 1) column at one time; a NoiseContext a float for one
+    time, an array for an array of times.  Without noise the profile is
+    deterministic and a trapezoid rule on a fine fixed grid applies.
     """
-    cache: dict = {}
+    cache: list = [None]  # (noise, vals, cum) of the last noise object
 
     def gamma(t, ctx):
         t = np.asarray(t, dtype=float)
-        path = getattr(ctx, "path", None)
-        if path is None:
+        in_batch = isinstance(ctx, BatchContext)
+        noise = ctx.batch if in_batch else getattr(ctx, "path", None)
+        if noise is None:
             grid = np.linspace(0.0, np.maximum(t, 0.0), 257, axis=-1)
             integral = np.trapezoid(profile_on_grid(lambda0, grid, ctx), grid, axis=-1)
         else:
-            hit = cache.get(id(path))
-            if hit is None or hit[0] is not path:
-                vals = profile_on_grid(lambda0, path.times, NoiseContext(path))
-                cum = np.concatenate(
-                    [[0.0], np.cumsum(vals[:-1] * np.diff(path.times))])
-                hit = cache[id(path)] = (path, vals, cum)
-            _, vals, cum = hit
-            j = np.clip(np.searchsorted(path.times, t, side="right") - 1,
-                        0, path.n_steps)
-            integral = np.where(t >= path.t_final, cum[-1],
-                                cum[j] + vals[j] * (t - path.times[j]))
+            if cache[0] is None or cache[0][0] is not noise:
+                paths = [noise] if isinstance(noise, NoisePath) \
+                    else [noise.path(r) for r in range(noise.n_replicas)]
+                vals = np.stack([profile_on_grid(lambda0, p.times, NoiseContext(p))
+                                 for p in paths], axis=-1)  # (N+1, R)
+                cum = np.concatenate([np.zeros((1, len(paths))), np.cumsum(
+                    vals[:-1] * np.diff(noise.times)[:, None], axis=0)])
+                cache[0] = (noise, vals, cum)
+            _, vals, cum = cache[0]
+            j = np.clip(np.searchsorted(noise.times, t, side="right") - 1,
+                        0, noise.n_steps)
+            rows = np.moveaxis(np.where(  # (R,) + t.shape
+                t[..., None] >= noise.t_final, cum[-1],
+                cum[j] + vals[j] * (t - noise.times[j])[..., None]), -1, 0)
+            if not in_batch:
+                integral = rows[0]
+            else:  # an (R, 1) column at one time
+                integral = rows if t.ndim else rows[:, None]
         return _float_or_array(np.exp(0.5 * np.where(t > 0.0, integral, 0.0)))
 
     return gamma
@@ -436,7 +447,7 @@ class _RescaledDiffusion:
         return self.base.n_modes
 
     def eval(self, t, ctx, u) -> np.ndarray:
-        g = np.asarray(self.gamma(t, ctx))  # shaped like t: (..., 1) over a stack
+        g = np.asarray(self.gamma(t, ctx))  # like t; (R, 1) in a BatchContext
         scaled = None if u is None else g * np.asarray(u, dtype=float)
         return self.base.eval(t, ctx, scaled) / g[..., None]
 
@@ -560,7 +571,7 @@ def energy_residual(path: SolutionPath, drift, diffusion,
     """
     system = GalerkinSystem(drift, diffusion, path.n_modes, path.triple)
     batch = NoiseBatch.from_path(noise)
-    ctx = BatchContext(batch, path=noise)
+    ctx = BatchContext(batch)
     dt = batch.dt
     out = np.empty(path.n_steps)
     for k in range(path.n_steps):
@@ -661,19 +672,18 @@ def apriori_norms(path: SolutionPath, bundle: HypothesisBundle,
 # trajectory export
 
 
+def _trajectory_table(path: SolutionPath):
+    """(header, rows) of ``trajectory_csv``."""
+    n = path.coeffs.shape[1]
+    header = ["t", *(f"c{i}" for i in range(1, n + 1)),
+              "h_norm_sq", "x1_norm", "x2_norm", "energy_residual"]
+    res = np.concatenate([[0.0], path.energy_residual])
+    return header, [[path.times[k], *path.coeffs[k], path.h_norm_sq[k],
+                     path.x1_norm[k], path.x2_norm[k], res[k]]
+                    for k in range(len(path.times))]
+
+
 def trajectory_csv(path: SolutionPath) -> str:
     """Render a trajectory as CSV: t, mode coefficients, squared H-norm,
-    X1/X2 norms, and the energy residual of the arriving step (0 for the
-    initial row).  Full 17-significant-digit floats so a rerun with the
-    same seed reproduces the file byte for byte.
-    """
-    n = path.coeffs.shape[1]
-    header = ("t," + ",".join(f"c{i}" for i in range(1, n + 1))
-              + ",h_norm_sq,x1_norm,x2_norm,energy_residual")
-    res = np.concatenate([[0.0], path.energy_residual])
-    lines = [header]
-    for k in range(len(path.times)):
-        cells = [path.times[k], *path.coeffs[k], path.h_norm_sq[k],
-                 path.x1_norm[k], path.x2_norm[k], res[k]]
-        lines.append(",".join(f"{c:.17g}" for c in cells))
-    return "\r\n".join(lines) + "\r\n"
+    X1/X2 norms, and the arriving step's energy residual (0 on row 0)."""
+    return csv_text(*_trajectory_table(path))

@@ -23,10 +23,11 @@ import numpy as np
 from .analysis import (ModulusSpec, _lambda_values, bihari_bound,
                        linear_modulus, picard_comparison_curve, rho_eval)
 from .errors import ConfigError, MonoseeError, NonconvergenceError
-from .forward import SolverConfig, SolutionPath, solve_forward, trajectory_csv
+from .forward import (SolverConfig, SolutionPath, _trajectory_table,
+                      solve_forward)
 from .noise import EMPTY_CONTEXT, NoisePath
 from .operators import profile_on_grid
-from .reporting import ViolationReport, _record, _sampled_check
+from .reporting import ViolationReport, _record, _sampled_check, csv_text
 
 __all__ = [
     "Segment", "SegmentPath", "segment", "segment_distance",
@@ -932,19 +933,15 @@ def functional_trajectory_csv(result: FunctionalPicardResult) -> str:
     step arrives there); the block from time 0 on is exactly the final
     inner solve's trajectory table.
     """
-    inner = trajectory_csv(result.forward_path)
-    lines = inner.split("\r\n")
-    header, body = lines[0], lines[1:]
+    header, body = _trajectory_table(result.forward_path)
     path = result.path
     triple = path.triple
     n = result.forward_path.n_modes
-    out = [header]
+    rows = []
     for k in range(len(path.history_times) - 1):
         t = float(path.history_times[k])
         row = path.history_values[k]
         coeff = triple.coefficients(row, n)
-        cells = [t, *coeff, float(coeff @ coeff),
-                 triple.x_norm(row, 1), triple.x_norm(row, 2), 0.0]
-        out.append(",".join(f"{c:.17g}" for c in cells))
-    out.extend(body)
-    return "\r\n".join(out)
+        rows.append([t, *coeff, float(coeff @ coeff),
+                     triple.x_norm(row, 1), triple.x_norm(row, 2), 0.0])
+    return csv_text(header, rows + body)

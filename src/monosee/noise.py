@@ -363,42 +363,30 @@ def load_increments(filename: str):
 
 
 class NoiseContext:
-    """Lookup view handed to random coefficients: w_t and frozen-time views.
+    """Lookup view handed to random coefficients: w at grid times of one
+    path (0 everywhere without a path)."""
 
-    An implicit step evaluates the drift at the right endpoint but must keep
-    random coefficients adapted, so the stepper hands the drift a view frozen
-    at the left endpoint: scalar(t) then returns w at the frozen time.
-    """
-
-    def __init__(self, path: NoisePath | None, frozen_time: float | None = None):
+    def __init__(self, path: NoisePath | None):
         self.path = path
-        self.frozen_time = frozen_time
 
     def scalar(self, t):
-        """w at t or at an array of grid times (frozen or empty: one float)."""
+        """w at t or at an array of grid times (empty: one float)."""
         if self.path is None:
             return 0.0
-        when = self.frozen_time if self.frozen_time is not None else t
-        return self.path.scalar_at(when)
-
-    def frozen(self, t0: float) -> "NoiseContext":
-        return NoiseContext(self.path, frozen_time=float(t0))
+        return self.path.scalar_at(t)
 
 
 class BatchContext:
     """The stepper's frozen view of a NoiseBatch.
 
-    ``scalar(t)`` returns w at grid index ``index`` for every replica as
-    an (R, 1) column, read by index with no time search, so random
-    coefficients broadcast over an (R, n) stack of states.  The stepper
-    sets ``index`` to the left endpoint of each step, which keeps the
-    coefficients adapted.  ``path`` is the NoisePath of a single-path
-    solve (None for a batch), for coefficients that integrate along it.
+    An implicit step evaluates the drift at the right endpoint but must
+    keep random coefficients adapted, so ``scalar(t)`` returns w at the
+    step's left grid index ``index`` (set by the stepper), for every
+    replica as an (R, 1) column that broadcasts over an (R, n) stack.
     """
 
-    def __init__(self, batch: NoiseBatch, path: NoisePath | None = None):
+    def __init__(self, batch: NoiseBatch):
         self.batch = batch
-        self.path = path
         self.index = 0
 
     def scalar(self, t: float) -> np.ndarray:

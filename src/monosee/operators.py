@@ -36,7 +36,7 @@ from .errors import ConfigError, MonoseeError
 from .noise import EMPTY_CONTEXT
 from .reporting import ViolationReport, _record, _sampled_check
 from .triple import (POROUS_MEDIUM, REACTION_DIFFUSION, DiscreteTriple,
-                     _float_or_array, _values)
+                     _float_or_array)
 
 __all__ = [
     "constant_profile",
@@ -204,14 +204,14 @@ class PorousMediumDrift:
         return c * (self.p - 1.0) * np.abs(r) ** (self.p - 2.0)
 
     def eval(self, t, ctx, u) -> np.ndarray:
-        u = _require_finite(_values(u), "porous-medium drift")
+        u = _require_finite(u, "porous-medium drift")
         return self.triple.apply_laplacian(self.phi(t, ctx, u))
 
     def parts(self, t, ctx, u):
         return [(1, self.eval(t, ctx, u))]
 
     def jacobian(self, t, ctx, u) -> np.ndarray:
-        u = _values(u)
+        u = np.asarray(u, dtype=float)
         return self.triple.laplacian * self.phi_prime(t, ctx, u)[..., np.newaxis, :]
 
 
@@ -234,7 +234,7 @@ class PhiDrift:
         return np.asarray(self._phi(t, ctx, np.asarray(r, dtype=float)), dtype=float)
 
     def eval(self, t, ctx, u) -> np.ndarray:
-        u = _require_finite(_values(u), "phi drift")
+        u = _require_finite(u, "phi drift")
         return self.triple.apply_laplacian(self.phi(t, ctx, u))
 
     def parts(self, t, ctx, u):
@@ -243,7 +243,7 @@ class PhiDrift:
     def jacobian(self, t, ctx, u) -> np.ndarray:
         if self._phi_prime is None:
             raise ConfigError("analytic jacobian needs phi_prime")
-        u = _values(u)
+        u = np.asarray(u, dtype=float)
         pp = np.asarray(self._phi_prime(t, ctx, u), dtype=float)
         return self.triple.laplacian * pp[..., np.newaxis, :]
 
@@ -269,13 +269,13 @@ class ReactionDiffusionDrift:
         self.b_prime = b_prime
 
     def divergence_part(self, t, ctx, u) -> np.ndarray:
-        u = _require_finite(_values(u), "reaction-diffusion drift")
+        u = _require_finite(u, "reaction-diffusion drift")
         faces = self.triple.grad(u)
         flux = np.asarray(self.a(t, ctx, faces), dtype=float)
         return np.diff(flux, axis=-1) / self.triple.h
 
     def reaction_part(self, t, ctx, u) -> np.ndarray:
-        u = _require_finite(_values(u), "reaction-diffusion drift")
+        u = _require_finite(u, "reaction-diffusion drift")
         return -np.asarray(self.b(t, ctx, u), dtype=float)
 
     def eval(self, t, ctx, u) -> np.ndarray:
@@ -286,7 +286,7 @@ class ReactionDiffusionDrift:
                 (2, self.reaction_part(t, ctx, u))]
 
     def jacobian(self, t, ctx, u) -> np.ndarray:
-        u = _values(u)
+        u = np.asarray(u, dtype=float)
         tr = self.triple
         n = tr.n_grid
         if self.a_prime is None or self.b_prime is None:
@@ -341,7 +341,7 @@ class MultiplicativeDiffusion:
         return len(self.sigmas)
 
     def eval(self, t, ctx, u) -> np.ndarray:
-        u = _require_finite(_values(u), "multiplicative diffusion")
+        u = _require_finite(u, "multiplicative diffusion")
         return np.stack([np.broadcast_to(
             np.asarray(s(t, ctx, u), dtype=float), u.shape)
             for s in self.sigmas], axis=-1)

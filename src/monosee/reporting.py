@@ -1,4 +1,5 @@
-"""Violation reports and the one engine every sampled checker runs on."""
+"""Violation reports, the one engine every sampled checker runs on, and
+the one CSV renderer every artifact table goes through."""
 
 from __future__ import annotations
 
@@ -101,3 +102,30 @@ def _sampled_check(name: str, n_samples: int, tol: float, seed: int, draw,
     if tail is not None:
         tail(rng, report)
     return report
+
+
+def _fmt(value) -> str:
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return f"{float(value):.17g}"
+    return str(value)
+
+
+def _csv_cell(value) -> str:
+    if isinstance(value, float):  # np.float64 too; never quoted
+        return f"{value:.17g}"
+    text = _fmt(value)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def csv_text(header, rows) -> str:
+    """RFC-4180 table: comma separated, CRLF line ends, 17 significant
+    digits for floats (a rerun with the same seed reproduces the bytes),
+    quoted only when a cell needs it."""
+    return "".join(",".join(map(_csv_cell, line)) + "\r\n"
+                   for line in [header, *rows])

@@ -21,36 +21,12 @@ identically whenever f is an H-element in grid coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError
 
 POROUS_MEDIUM = "porous_medium"
 REACTION_DIFFUSION = "reaction_diffusion"
-
-
-@dataclass
-class GridFunction:
-    """A grid-sampled function owned by a triple."""
-
-    values: np.ndarray
-    triple: "DiscreteTriple"
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.triple.n_grid,):
-            raise ValueError(
-                f"GridFunction length {self.values.shape} does not match "
-                f"grid size {self.triple.n_grid}"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("GridFunction entries must be finite")
-
-
-def _values(u) -> np.ndarray:
-    return u.values if isinstance(u, GridFunction) else np.asarray(u, dtype=float)
 
 
 def _float_or_array(values):
@@ -97,9 +73,6 @@ class DiscreteTriple:
 
     # -- element construction ------------------------------------------------
 
-    def grid_function(self, values) -> GridFunction:
-        return GridFunction(np.asarray(values, dtype=float), self)
-
     def basis_function(self, i: int) -> np.ndarray:
         """i-th H-orthonormal basis vector (1-based, ascending eigenvalue)."""
         if not 1 <= i <= self.n_grid:
@@ -110,16 +83,16 @@ class DiscreteTriple:
 
     def apply_laplacian(self, u) -> np.ndarray:
         """L u along the last axis (L is symmetric), for states or stacks."""
-        return _values(u) @ self.laplacian
+        return np.asarray(u, dtype=float) @ self.laplacian
 
     def neg_lap_inv(self, f) -> np.ndarray:
         """(-L)^{-1} f along the last axis, through the eigen-decomposition."""
-        return ((_values(f) @ self._vecs) / self.mu) @ self._vecs.T
+        return ((np.asarray(f, dtype=float) @ self._vecs) / self.mu) @ self._vecs.T
 
     def grad(self, u) -> np.ndarray:
         """Forward differences with zero boundary padding; n_grid+1 face
         values along the last axis."""
-        u = _values(u)
+        u = np.asarray(u, dtype=float)
         wall = np.zeros(u.shape[:-1] + (1,))
         padded = np.concatenate([wall, u, wall], axis=-1)
         return np.diff(padded, axis=-1) / self.h
@@ -127,7 +100,7 @@ class DiscreteTriple:
     def _check(self, u, stacked: bool = False) -> np.ndarray:
         """Grid values of one state, or of a stack of states along the
         last axis when ``stacked``."""
-        v = _values(u)
+        v = np.asarray(u, dtype=float)
         shape = v.shape[-1:] if stacked else v.shape
         if shape != (self.n_grid,):
             raise ValueError(
@@ -156,7 +129,7 @@ class DiscreteTriple:
 
     def hs_norm_sq(self, cols):
         """sum_j |B e_j|_H^2 over the columns (..., n_grid, n_modes) of B."""
-        c = np.swapaxes(_values(cols), -1, -2)
+        c = np.swapaxes(np.asarray(cols, dtype=float), -1, -2)
         return _float_or_array(np.sum(self.h_inner(c, c), axis=-1))
 
     def lq_norm(self, u, q: float):

@@ -73,7 +73,7 @@ def test_galerkin_zero_at_origin():
 
     rd = build_operator_set("eq_1_2", 16)
     path = sample_path(seed=2, t_final=1.0, n_steps=16, n_modes=1)
-    ctx = NoiseContext(path).frozen(0.5)
+    ctx = NoiseContext(path)
     rsys = GalerkinSystem(rd.drift, rd.diffusion, 8, rd.triple)
     assert np.allclose(rsys.b(0.5, ctx, np.zeros(8)), 0.0, atol=1e-13)
     assert np.allclose(rsys.sigma(0.5, ctx, np.zeros(8)), 0.0, atol=1e-13)
@@ -180,7 +180,7 @@ def test_step_returns_its_target_and_the_drift_at_the_new_state():
     ops = build_operator_set("eq_1_2", 12, p=3.0)
     noise = sample_path(seed=3, t_final=0.25, n_steps=10, n_modes=1)
     sys = GalerkinSystem(ops.drift, ops.diffusion, 6, ops.triple)
-    ctx = BatchContext(NoiseBatch.from_path(noise), path=noise)
+    ctx = BatchContext(NoiseBatch.from_path(noise))
     b, sigma = sys.bind(ctx)
     cfg = SolverConfig(n_modes_galerkin=6)
     x = ops.triple.coefficients(np.sin(np.pi * ops.triple.nodes), 6)[None]
@@ -341,20 +341,26 @@ def test_solve_forward_rejects_noise_with_too_few_modes():
 # replica batches
 
 
-@pytest.mark.parametrize("name", ["eq_1_1", "eq_1_2"])
-def test_batch_agrees_with_batches_of_one(name):
+@pytest.mark.parametrize("name,rescaled", [
+    pytest.param("eq_1_1", False, id="eq_1_1"),
+    pytest.param("eq_1_2", False, id="eq_1_2"),
+    # the lambda0 gauge reads each replica's own noise row
+    pytest.param("eq_1_2", True, id="eq_1_2-rescaled")])
+def test_batch_agrees_with_batches_of_one(name, rescaled):
     ops = build_operator_set(name, 16, p=3.0)
+    drift, diffusion = ops.drift, ops.diffusion
+    if rescaled:
+        drift, diffusion, _, _ = rescale_problem(drift, diffusion, ops.bundle)
     cfg = SolverConfig(n_modes_galerkin=8)
     u0 = ops.triple.basis_function(1)
     batch = sample_batch(seed=41, t_final=0.25, n_steps=50, n_modes=1,
                          replicas=8)
     counts = NewtonCounts(8)
-    paths = solve_forward(cfg, ops.drift, ops.diffusion, batch, u0,
-                          counts=counts)
+    paths = solve_forward(cfg, drift, diffusion, batch, u0, counts=counts)
     assert len(paths) == 8
     for r, path in enumerate(paths):
         one = NewtonCounts(1)
-        [alone] = solve_forward(cfg, ops.drift, ops.diffusion,
+        [alone] = solve_forward(cfg, drift, diffusion,
                                 NoiseBatch.from_path(batch.path(r)), u0,
                                 counts=one)
         for name in ("coeffs", "energy_residual", "h_norm_sq", "x1_norm",
@@ -448,11 +454,12 @@ def test_energy_residual_equals_minus_dt_sq_drift_norm():
     x0 = np.sin(np.pi * ops.triple.nodes)
     path = solve_forward(cfg, ops.drift, ops.diffusion, noise, x0)
     sys = GalerkinSystem(ops.drift, ops.diffusion, 8, ops.triple)
-    base = NoiseContext(noise)
+    ctx = BatchContext(NoiseBatch.from_path(noise))
     dt = noise.dt
     for k in range(path.n_steps):
-        ctx = base.frozen(float(noise.times[k]))
-        bval = sys.b(float(noise.times[k + 1]), ctx, path.coeffs[k + 1])
+        ctx.index = k
+        [bval] = sys.b(float(noise.times[k + 1]), ctx,
+                       path.coeffs[None, k + 1])
         predicted = -dt ** 2 * float(bval @ bval)
         scale = 1.0 + abs(predicted)
         assert abs(path.energy_residual[k] - predicted) <= 1e-8 * scale
@@ -534,6 +541,24 @@ def test_rescale_gamma_closed_form_constant_rate():
     assert scaled.bundle.lambda3(1.0, EMPTY_CONTEXT) == pytest.approx(
         ops.bundle.lambda3(1.0, EMPTY_CONTEXT) + 0.8)
     assert scaled.bundle.lambda0(1.0, EMPTY_CONTEXT) == 0.0
+
+
+def test_rescale_gamma_in_a_batch_context_is_one_row_per_replica():
+    ops = build_operator_set("eq_1_2", 8, p=3.0)
+    gamma = rescale_problem(ops.drift, ops.diffusion, ops.bundle).gamma
+    batch = sample_batch(seed=9, t_final=0.5, n_steps=16, n_modes=1,
+                         replicas=4)
+    ctx = BatchContext(batch)
+    for t in (*batch.times, *(batch.times[:-1] + 0.3 * batch.dt), 0.7):
+        column = gamma(t, ctx)
+        assert column.shape == (4, 1)
+        for r in range(4):
+            assert column[r, 0] == gamma(t, NoiseContext(batch.path(r)))
+    assert len(set(gamma(0.5, ctx)[:, 0])) == 4  # the rows read their own w
+    ramp = gamma(batch.times, ctx)
+    assert ramp.shape == (4, 17)
+    assert np.array_equal(ramp[2], gamma(batch.times,
+                                         NoiseContext(batch.path(2))))
 
 
 def test_rescaled_hs_norm_one_formula_for_states_and_stacks():

@@ -154,8 +154,9 @@ def test_noise_context_frozen_lookup():
     ctx = NoiseContext(p)
     assert ctx.scalar(0.0) == 0.0
     assert ctx.scalar(0.5) == pytest.approx(p.scalar_path[2])
-    frozen = ctx.frozen(0.25)
-    assert frozen.scalar(0.75) == pytest.approx(p.scalar_path[1])
+    frozen = BatchContext(NoiseBatch.from_path(p))
+    frozen.index = 1
+    assert frozen.scalar(0.75)[0, 0] == pytest.approx(p.scalar_path[1])
     with pytest.raises(ValueError):
         ctx.scalar(0.33)  # off-grid
 
@@ -171,8 +172,11 @@ def test_noise_context_array_lookup():
                           [ctx.scalar(float(t)) for t in p.times])
     with pytest.raises(ValueError, match="0.33"):
         ctx.scalar(np.array([0.25, 0.33, 0.5]))  # one entry off the grid
-    # a frozen view and the empty context answer with one broadcastable float
-    assert ctx.frozen(0.25).scalar(times) == p.scalar_path[2]
+    # the stepper's frozen view answers with one broadcastable column,
+    # the empty context with one float
+    frozen = BatchContext(NoiseBatch.from_path(p))
+    frozen.index = 2
+    assert np.array_equal(frozen.scalar(times), [[p.scalar_path[2]]])
     assert NoiseContext(None).scalar(times) == 0.0
 
 

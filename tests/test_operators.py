@@ -29,9 +29,6 @@ class FixedScalar:
     def scalar(self, t):
         return self.w
 
-    def frozen(self, t0):
-        return self
-
 
 def test_heat_drift_is_discrete_laplacian():
     ops = build_operator_set("heat", 8)

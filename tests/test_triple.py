@@ -10,7 +10,6 @@ from monosee.triple import (
     POROUS_MEDIUM,
     REACTION_DIFFUSION,
     DiscreteTriple,
-    GridFunction,
 )
 
 
@@ -167,16 +166,6 @@ def test_projection_nesting():
         tr.project(u, 0)
     with pytest.raises(ValueError):
         tr.project(u, 11)
-
-
-def test_grid_function_validation():
-    tr = DiscreteTriple(4, REACTION_DIFFUSION)
-    gf = tr.grid_function([1.0, 2.0, 3.0, 4.0])
-    assert isinstance(gf, GridFunction)
-    with pytest.raises(ValueError):
-        tr.grid_function([1.0, 2.0])
-    with pytest.raises(ValueError):
-        tr.grid_function([1.0, np.nan, 0.0, 0.0])
 
 
 def test_dual_norm_porous_medium_exact():
