@@ -85,10 +85,12 @@ class BsdeDriver:
 
     ``eval`` takes (t, x, z) with x of shape (..., d) and z of shape
     (..., d, m) (one H-valued column per noise mode) and returns x's
-    shape (..., d).  The solvers hand it a whole replica stack, x (R, d)
-    and z (R, d, m), at one float time; the sampled checkers a stack of
-    samples with their times as an (S, 1) column, which ``eval`` and the
-    profile ``zeta`` must accept (``np.exp(t)``, not ``math.exp(t)``).
+    shape (..., d).  The solvers make one call per driver evaluation
+    over every replica and left grid time: x (R, N, d) and z (R, N, d, m)
+    with the times as an (N, 1) column; the sampled checkers hand it a
+    stack of samples with their times as an (S, 1) column.  So ``eval``
+    and the profile ``zeta`` must accept array times (``np.exp(t)``, not
+    ``math.exp(t)``), and a time factor on z needs one more trailing axis.
 
     The declared continuity data mirror the structural hypotheses the
     checkers sample:
@@ -323,7 +325,9 @@ class _Projection:
     U = A V S^-1 is the same row on every sample, kept as ``offset``.
     ``orthonormal()`` rebuilds U with one small product; a caller fitting
     several targets against one design builds U once and hands it to
-    each :meth:`fit`, which is then matrix products only.
+    each :meth:`project`, which is then matrix products only, and turns
+    the weights it needs into basis coefficients with
+    :meth:`coefficients`.  :meth:`fit` is the two for one target.
     """
 
     varying: np.ndarray
@@ -336,12 +340,11 @@ class _Projection:
         n_carrier = len(self.active) - self.varying.shape[1]
         return self.varying @ self.factor[n_carrier:] + self.offset
 
-    def fit(self, targets: np.ndarray, u: Optional[np.ndarray] = None):
+    def fit(self, targets: np.ndarray):
         """Project targets (samples,) or (samples, t) onto the design.
 
-        ``u`` is this projection's :meth:`orthonormal` block, built here
-        when omitted.  Returns (coeffs, fitted, stderr): coeffs V S^-1 U^T y
-        (zero on absorbed columns), fitted values U U^T y, and stderr =
+        Returns (coeffs, fitted, stderr): coeffs V S^-1 U^T y (zero on
+        absorbed columns), fitted values U U^T y, and stderr =
         rms(residual) * sqrt(active columns/samples), the usual scale of
         the projection's own Monte-Carlo error.
         """
@@ -349,18 +352,28 @@ class _Projection:
         squeeze = targets.ndim == 1
         if squeeze:
             targets = targets[:, None]
-        if u is None:
-            u = self.orthonormal()
-        weights = u.T @ targets
-        fitted = u @ weights
-        coeffs = np.zeros((self.n_terms, targets.shape[1]))
-        coeffs[self.active] = self.factor @ weights
-        resid = targets - fitted
-        stderr = float(np.sqrt(np.mean(resid ** 2) * len(self.active)
-                               / len(targets)))
+        weights, fitted, stderr = self.project(targets, self.orthonormal())
+        coeffs = self.coefficients(weights)
         if squeeze:
             return coeffs[:, 0], fitted[:, 0], stderr
         return coeffs, fitted, stderr
+
+    def project(self, targets: np.ndarray, u: np.ndarray):
+        """(weights U^T y, fitted values, stderr) of (samples, t) targets,
+        given this projection's :meth:`orthonormal` block ``u``."""
+        weights = u.T @ targets
+        fitted = u @ weights
+        resid = targets - fitted
+        mean_sq = np.add.reduce(resid * resid, axis=None) / resid.size
+        stderr = float(np.sqrt(mean_sq * len(self.active) / len(targets)))
+        return weights, fitted, stderr
+
+    def coefficients(self, weights: np.ndarray) -> np.ndarray:
+        """Basis coefficients V S^-1 w of (a, t) weights, zero on the
+        absorbed columns: (terms, t)."""
+        coeffs = np.zeros((self.n_terms, weights.shape[1]))
+        coeffs[self.active] = self.factor @ weights
+        return coeffs
 
 
 def _projection(design: np.ndarray, names,
@@ -374,7 +387,8 @@ def _projection(design: np.ndarray, names,
     """
     n_rows, n_cols = design.shape
     where = "" if t is None else f" at t = {t:.6g}"
-    spans = np.ptp(design, axis=0)
+    columns = np.ascontiguousarray(design.T)  # np.ptp, on contiguous rows
+    spans = columns.max(axis=1) - columns.min(axis=1)
     varying = [j for j in range(n_cols) if spans[j] != 0.0]
     carrier = [j for j in range(n_cols)
                if spans[j] == 0.0 and design[0, j] != 0.0][:1]
@@ -517,7 +531,9 @@ class BackwardCounts:
     ``fits`` the least-squares fits made with them (the terminal fit plus
     three per step, per sweep).  ``newton_iterations`` and
     ``line_search_halvings`` total the damped-Newton work of the implicit
-    drift steps over all replicas.  Pass one to a solver as ``counts`` to
+    drift steps over all replicas.  ``driver_evaluations`` counts the
+    driver matrices evaluated, each one stacked ``eval`` call over all
+    paths and left grid times.  Pass one to a solver as ``counts`` to
     have it add its work.
     """
 
@@ -526,6 +542,7 @@ class BackwardCounts:
     fits: int = 0
     newton_iterations: int = 0
     line_search_halvings: int = 0
+    driver_evaluations: int = 0
 
 
 def z_path_distance(z_a: np.ndarray, z_b: np.ndarray, dt: float) -> float:
@@ -658,18 +675,15 @@ def _state_values(batch: NoiseBatch) -> np.ndarray:
 
 
 def _driver_matrix(driver: BsdeDriver, times: np.ndarray, x_frozen: np.ndarray,
-                   z_frozen: np.ndarray) -> np.ndarray:
+                   z_frozen: np.ndarray, counts: BackwardCounts) -> np.ndarray:
     """Driver values on the left grid points over all paths: (R, N, d),
-    one stacked call per grid time."""
-    values = np.empty(x_frozen.shape)
-    for k in range(z_frozen.shape[1]):
-        xs = x_frozen[:, k]
-        out = np.asarray(driver.eval(float(times[k]), xs, z_frozen[:, k]),
-                         dtype=float)
-        if out.shape != xs.shape:
-            raise ConfigError(f"driver {driver.name} returned shape "
-                              f"{out.shape} for stacked input {xs.shape}")
-        values[:, k] = out
+    one stacked call with the (N, 1) column of left grid times."""
+    t_left = times[:x_frozen.shape[1], None]
+    values = np.asarray(driver.eval(t_left, x_frozen, z_frozen), dtype=float)
+    if values.shape != x_frozen.shape:
+        raise ConfigError(f"driver {driver.name} returned shape "
+                          f"{values.shape} for stacked input {x_frozen.shape}")
+    counts.driver_evaluations += 1
     return values
 
 
@@ -695,8 +709,11 @@ def _backward_sweep(problem: BsdeProblem, batch: NoiseBatch,
     then Z(t_k) = fit of X(t_{k+1}) * dW_k / dt, both fits over the basis
     evaluated at the t_k states.  ``projections[k]`` is the design at t_k,
     factored once per solve by :func:`_prepare`; each step builds its
-    orthonormal block once and makes its three fits (the conditional
-    expectation, the X coefficients, the Z regression) as products with it.
+    orthonormal block once and makes its three fits as products with it,
+    each only as far as the recursion reads it: the conditional
+    expectation's fitted values and stderr, the X coefficients' weights,
+    the Z regression's weights, fitted values and stderr.  The weights
+    become basis coefficients after the loop.
     """
     times = batch.times
     n = batch.n_steps
@@ -713,33 +730,33 @@ def _backward_sweep(problem: BsdeProblem, batch: NoiseBatch,
     z_coeffs = np.empty((n, basis.n_terms, d, m))
     x_stderr = np.empty(n + 1)
     z_stderr = np.empty(n)
-
-    def fit(k, targets, u):
-        counts.fits += 1
-        return projections[k].fit(targets, u)
+    x_weights, z_weights = [None] * n, [None] * n
 
     counts.sweeps += 1
+    counts.fits += 3 * n + 1
     newton = NewtonCounts((r_count, d) if problem.drift.diagonal else r_count)
     x_paths[:, n] = _terminal_values(problem, batch)
-    x_coeffs[n], fitted, x_stderr[n] = fit(n, x_paths[:, n],
-                                          projections[n].orthonormal())
+    x_coeffs[n], fitted, x_stderr[n] = projections[n].fit(x_paths[:, n])
     terminal_residual = float(np.sqrt(np.mean((x_paths[:, n] - fitted) ** 2)))
 
     for k in range(n - 1, -1, -1):
-        u = projections[k].orthonormal()
-        _, fit_cond, se_cond = fit(k, x_paths[:, k + 1], u)
+        proj = projections[k]
+        u = proj.orthonormal()
+        _, fit_cond, x_stderr[k] = proj.project(x_paths[:, k + 1], u)
         cond[:, k] = fit_cond
-        x_stderr[k] = se_cond
         x_paths[:, k] = regularized_implicit_step(
             problem.drift, float(times[k + 1]), dt,
             fit_cond + dt * c_values[:, k], tol=resolvent_tol,
             max_iter=resolvent_max_iter, counts=newton)
-        x_coeffs[k], _, _ = fit(k, x_paths[:, k], u)
+        x_weights[k] = u.T @ x_paths[:, k]
         z_targets = (x_paths[:, k + 1][:, :, None]
                      * incs[:, k][:, None, :] / dt).reshape(r_count, d * m)
-        zc, z_fit, z_stderr[k] = fit(k, z_targets, u)
-        z_coeffs[k] = zc.reshape(basis.n_terms, d, m)
+        z_weights[k], z_fit, z_stderr[k] = proj.project(z_targets, u)
         z_paths[:, k] = z_fit.reshape(r_count, d, m)
+    for k in range(n):
+        x_coeffs[k] = projections[k].coefficients(x_weights[k])
+        z_coeffs[k] = projections[k].coefficients(z_weights[k]).reshape(
+            basis.n_terms, d, m)
     counts.newton_iterations += int(newton.iterations.sum())
     counts.line_search_halvings += int(newton.halvings.sum())
 
@@ -799,7 +816,7 @@ def solve_bsde_autonomous_C(problem: BsdeProblem, batch: NoiseBatch,
                                                   counts)
     lead = (batch.n_replicas, batch.n_steps, reduced.dim)
     c_values = _driver_matrix(reduced.driver, batch.times, np.zeros(lead),
-                              np.zeros(lead + (reduced.n_modes,)))
+                              np.zeros(lead + (reduced.n_modes,)), counts)
     sol = _backward_sweep(reduced, batch, basis, projections, c_values,
                           resolvent_tol, resolvent_max_iter, counts)
     return _unscale_solution(sol, gamma)
@@ -817,7 +834,8 @@ def _picard_z_core(reduced: BsdeProblem, batch: NoiseBatch, basis,
     recorded without paying another sweep.
     """
     z_prev = np.zeros(x_frozen.shape + (reduced.n_modes,))
-    c_cur = _driver_matrix(reduced.driver, batch.times, x_frozen, z_prev)
+    c_cur = _driver_matrix(reduced.driver, batch.times, x_frozen, z_prev,
+                           counts)
     history = []
     for _ in range(max_iter):
         sol = _backward_sweep(reduced, batch, basis, projections, c_cur,
@@ -827,7 +845,8 @@ def _picard_z_core(reduced: BsdeProblem, batch: NoiseBatch, basis,
         if history[-1] < tol:
             return sol, history
         if not reduced.driver.z_dependent or np.array_equal(c_cur, c_next := (
-                _driver_matrix(reduced.driver, batch.times, x_frozen, z_prev))):
+                _driver_matrix(reduced.driver, batch.times, x_frozen, z_prev,
+                               counts))):
             history.append(0.0)
             return sol, history
         c_cur = c_next

@@ -562,7 +562,8 @@ def _backward_stats(counts: BackwardCounts) -> dict:
             "regression_factorizations": counts.factorizations,
             "regression_fits": counts.fits,
             "newton_iterations": counts.newton_iterations,
-            "line_search_halvings": counts.line_search_halvings}
+            "line_search_halvings": counts.line_search_halvings,
+            "driver_evaluations": counts.driver_evaluations}
 
 
 def _bsde_linear_validation(s):

@@ -1,9 +1,13 @@
-"""Per-sample reference loops for the stacked sampled checkers.
+"""Plain reference loops for the stacked checkers and the backward sweep.
 
-Each oracle draws and evaluates one sample at a time, in the order the
-stacked checker draws them, and appends its violations as it goes; it
-is the checker written the plain way.  ``assert_same_report`` compares
-a stacked report with its oracle's.
+Each checker oracle draws and evaluates one sample at a time, in the
+order the stacked checker draws them, and appends its violations as it
+goes; it is the checker written the plain way.  ``assert_same_report``
+compares a stacked report with its oracle's.  The backward oracles are
+the regression sweep with three full fits per step and the driver
+matrix with one driver call per grid time; they take the arguments of
+``monosee.bsde._backward_sweep`` and ``_driver_matrix`` and stand in
+for them.
 """
 
 import math
@@ -11,11 +15,13 @@ import math
 import numpy as np
 
 from monosee.analysis import rho_eval
-from monosee.errors import NonconvergenceError
+from monosee.bsde import (BsdeSolution, _terminal_values,
+                          regularized_implicit_step)
+from monosee.errors import ConfigError, NonconvergenceError
 from monosee.functional import segment_distance
 from monosee.noise import EMPTY_CONTEXT
 from monosee.reporting import Violation, ViolationReport
-from monosee.resolvent import resolvent
+from monosee.resolvent import NewtonCounts, resolvent
 
 LABELS = ("part", "property")
 
@@ -171,6 +177,91 @@ def driver_growth(driver, sampler, n_samples=500, seed=0, tol=1e-10):
             report.violations.append(Violation(
                 index=i, t=t, excess=excess, detail={"lhs": lhs, "rhs": rhs}))
     return report
+
+
+# ---------------------------------------------------------------------------
+# backward regression sweep
+
+
+def driver_matrix(driver, times, x_frozen, z_frozen, counts):
+    values = np.empty(x_frozen.shape)
+    for k in range(z_frozen.shape[1]):
+        xs = x_frozen[:, k]
+        out = np.asarray(driver.eval(float(times[k]), xs, z_frozen[:, k]),
+                         dtype=float)
+        if out.shape != xs.shape:
+            raise ConfigError(f"driver {driver.name} returned shape "
+                              f"{out.shape} for stacked input {xs.shape}")
+        values[:, k] = out
+    counts.driver_evaluations += 1
+    return values
+
+
+def _projection_fit(projection, targets, u):
+    """(coeffs, fitted, stderr) of (samples, t) targets, the full fit."""
+    weights = u.T @ targets
+    fitted = u @ weights
+    coeffs = np.zeros((projection.n_terms, targets.shape[1]))
+    coeffs[projection.active] = projection.factor @ weights
+    resid = targets - fitted
+    stderr = float(np.sqrt(np.mean(resid ** 2) * len(projection.active)
+                           / len(targets)))
+    return coeffs, fitted, stderr
+
+
+def backward_sweep(problem, batch, basis, projections, c_values,
+                   resolvent_tol, resolvent_max_iter, counts):
+    times = batch.times
+    n = batch.n_steps
+    dt = batch.dt
+    r_count = batch.n_replicas
+    d = problem.dim
+    m = problem.n_modes
+    incs = batch.increments
+
+    x_paths = np.empty((r_count, n + 1, d))
+    z_paths = np.empty((r_count, n, d, m))
+    cond = np.empty((r_count, n, d))
+    x_coeffs = np.empty((n + 1, basis.n_terms, d))
+    z_coeffs = np.empty((n, basis.n_terms, d, m))
+    x_stderr = np.empty(n + 1)
+    z_stderr = np.empty(n)
+
+    def fit(k, targets, u):
+        counts.fits += 1
+        return _projection_fit(projections[k], targets, u)
+
+    counts.sweeps += 1
+    newton = NewtonCounts((r_count, d) if problem.drift.diagonal else r_count)
+    x_paths[:, n] = _terminal_values(problem, batch)
+    x_coeffs[n], fitted, x_stderr[n] = fit(n, x_paths[:, n],
+                                          projections[n].orthonormal())
+    terminal_residual = float(np.sqrt(np.mean((x_paths[:, n] - fitted) ** 2)))
+
+    for k in range(n - 1, -1, -1):
+        u = projections[k].orthonormal()
+        _, fit_cond, se_cond = fit(k, x_paths[:, k + 1], u)
+        cond[:, k] = fit_cond
+        x_stderr[k] = se_cond
+        x_paths[:, k] = regularized_implicit_step(
+            problem.drift, float(times[k + 1]), dt,
+            fit_cond + dt * c_values[:, k], tol=resolvent_tol,
+            max_iter=resolvent_max_iter, counts=newton)
+        x_coeffs[k], _, _ = fit(k, x_paths[:, k], u)
+        z_targets = (x_paths[:, k + 1][:, :, None]
+                     * incs[:, k][:, None, :] / dt).reshape(r_count, d * m)
+        zc, z_fit, z_stderr[k] = fit(k, z_targets, u)
+        z_coeffs[k] = zc.reshape(basis.n_terms, d, m)
+        z_paths[:, k] = z_fit.reshape(r_count, d, m)
+    counts.newton_iterations += int(newton.iterations.sum())
+    counts.line_search_halvings += int(newton.halvings.sum())
+
+    return BsdeSolution(times=times.copy(), x_coeffs=x_coeffs,
+                        z_coeffs=z_coeffs, x_paths=x_paths, z_paths=z_paths,
+                        conditional_fit=cond, driver_values=c_values,
+                        basis=basis, x_fit_stderr=x_stderr,
+                        z_fit_stderr=z_stderr,
+                        terminal_residual=terminal_residual)
 
 
 # ---------------------------------------------------------------------------

@@ -9,16 +9,19 @@ against hand-computable budgets and Jensen's inequality.
 """
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import monosee.bsde
 from monosee.analysis import rho_eval, rho_k_modulus
 from monosee.bsde import (BackwardCounts, BsdeAprioriReport, BsdeDriver,
-                          BsdeProblem, PolynomialBasis, _fit, _projection,
-                          _state_values, apriori_bound_check,
+                          BsdeProblem, BsdeSolution, PolynomialBasis,
+                          _driver_matrix, _fit, _projection, _state_values,
+                          apriori_bound_check,
                           check_driver_growth,
                           check_driver_modulus,
                           driver_state_sampler, martingale_residuals,
@@ -492,14 +495,178 @@ def test_picard_z_factors_each_design_once_per_solve():
     sol = picard_in_z(problem, batch, tol=1e-8, max_iter=30, counts=counts)
     sweeps = len(sol.picard_residuals)
     assert sweeps >= 4 and sol.picard_residuals[-1] > 0.0  # no shortcut
+    # the driver matrix is evaluated up front and refreshed after every
+    # sweep but the last
     assert counts == BackwardCounts(sweeps=sweeps,
                                     factorizations=n_steps + 1,
                                     fits=sweeps * (3 * n_steps + 1),
                                     newton_iterations=sweeps * n_steps * 300,
-                                    line_search_halvings=0)
+                                    line_search_halvings=0,
+                                    driver_evaluations=sweeps)
     again = BackwardCounts()
     picard_in_z(problem, batch, tol=1e-8, max_iter=30, counts=again)
     assert again == counts
+
+
+# ---------------------------------------------------------------------------
+# the sweep and the driver matrix against their plain oracles
+
+
+_SKEW = np.array([[-1.0, 0.5], [-0.5, -1.0]])
+_MIX = np.array([[1.0, 0.5], [0.0, 1.0]])
+
+
+def _skew_drift() -> MonotoneMap:
+    """A non-diagonal linear drift acting row by row; symmetric part -I."""
+    return MonotoneMap(
+        eval=lambda t, x: np.asarray(x, dtype=float) @ _SKEW.T,
+        jacobian=lambda t, x: np.broadcast_to(_SKEW, np.shape(x) + (2,)),
+        name="skew drift")
+
+
+def _timed_driver(solver) -> BsdeDriver:
+    """A driver reading t, with the dependence the solver admits."""
+    rho = rho_k_modulus(k=1)
+    if solver is solve_bsde_autonomous_C:
+        return BsdeDriver(eval=lambda t, x, z: (0.5 + t) * np.ones_like(x),
+                          x_dependent=False, z_dependent=False,
+                          name="timed forcing")
+    if solver is picard_in_z:
+        return BsdeDriver(
+            eval=lambda t, x, z: (1.0 + t) * 0.3 * np.sum(z, axis=-1),
+            x_dependent=False, name="timed z driver")
+    return BsdeDriver(
+        eval=lambda t, x, z: (1.0 + t) * 0.5 * np.sqrt(rho_eval(x * x, rho))
+        * np.sign(x) + 0.2 * np.sum(z, axis=-1),
+        rho=rho, name="timed x-z driver")
+
+
+def _oracle_case(solver, dims, lambda0=0.0, n_steps=8):
+    """(problem, batch, basis): a diagonal drift and the default basis in
+    one dimension, a non-diagonal drift and a degree-3 basis in two."""
+    d, m = dims
+    if d == 1:
+        drift, basis, mix = _linear_drift(-1.0), None, np.ones((1, 1))
+    else:
+        drift, basis, mix = _skew_drift(), polynomial_basis(m, 3), _MIX
+    problem = BsdeProblem(
+        drift=drift, driver=_timed_driver(solver),
+        terminal=lambda b: np.sum(b.increments, axis=1) @ mix,
+        t_final=1.0, n_modes=m, dim=d, lambda0=lambda0)
+    return problem, _batch(29, 1.0, n_steps, 120, n_modes=m), basis
+
+
+def _solve_with(solver, case, monkeypatch, oracle=False):
+    problem, batch, basis = case
+    counts = BackwardCounts()
+    with monkeypatch.context() as patch:
+        if oracle:
+            patch.setattr(monosee.bsde, "_backward_sweep",
+                          oracles.backward_sweep)
+            patch.setattr(monosee.bsde, "_driver_matrix",
+                          oracles.driver_matrix)
+        sol = solver(problem, batch, basis=basis, counts=counts)
+    return sol, counts
+
+
+def _records(sol) -> dict:
+    """Every numeric record of a solution as a float array, by field name
+    (the inner Picard histories flattened, their lengths kept apart)."""
+    out = {}
+    for f in fields(BsdeSolution):
+        value = getattr(sol, f.name)
+        if f.name == "basis":
+            continue
+        if f.name == "inner_picard_residuals":
+            out["inner_lengths"] = np.array([len(h) for h in value])
+            value = [r for h in value for r in h]
+        out[f.name] = np.asarray(value, dtype=float)
+    return out
+
+
+_SOLVERS = [solve_bsde_autonomous_C, picard_in_z, picard_in_x]
+
+
+@pytest.mark.parametrize("dims", [(1, 1), (2, 2)])
+@pytest.mark.parametrize("solver", _SOLVERS, ids=lambda f: f.__name__)
+def test_backward_solvers_match_the_three_fit_oracle_bit_for_bit(
+        solver, dims, monkeypatch):
+    case = _oracle_case(solver, dims)
+    sol, counts = _solve_with(solver, case, monkeypatch)
+    want, want_counts = _solve_with(solver, case, monkeypatch, oracle=True)
+    assert sol.basis == want.basis
+    got, ref = _records(sol), _records(want)
+    for name in ref:
+        assert np.array_equal(got[name], ref[name]), name
+    assert counts == want_counts
+    # every path starts at W(0) = 0: the design at t = 0 is degenerate and
+    # only the intercept carries a coefficient
+    assert sol.x_coeffs[0][0].any()
+    assert not sol.x_coeffs[0][1:].any() and not sol.z_coeffs[0][1:].any()
+
+
+@pytest.mark.parametrize("solver", _SOLVERS, ids=lambda f: f.__name__)
+def test_shift_reduced_solves_match_the_oracle_to_rounding(solver,
+                                                           monkeypatch):
+    """With lambda0 > 0 the stacked driver scales by np.exp over the time
+    column, the oracle by math.exp at each float time; the two differ by
+    at most an ulp, so every record agrees to 1e-14 of its own scale."""
+    case = _oracle_case(solver, (2, 2), lambda0=0.8, n_steps=64)
+    t_left = case[1].times[:-1]
+    assert any(math.exp(0.4 * t) != g  # the grid exercises the difference
+               for t, g in zip(t_left, np.exp(0.4 * t_left[:, None])[:, 0]))
+    sol, counts = _solve_with(solver, case, monkeypatch)
+    want, want_counts = _solve_with(solver, case, monkeypatch, oracle=True)
+    got, ref = _records(sol), _records(want)
+    for name in ref:
+        assert got[name].shape == ref[name].shape, name
+        scale = np.max(np.abs(ref[name]), initial=0.0)
+        assert np.max(np.abs(got[name] - ref[name]), initial=0.0) \
+            <= 1e-14 * scale, name
+    assert counts == want_counts
+
+
+def test_driver_matrix_is_one_stacked_call_equal_to_the_per_time_oracle():
+    rng = np.random.default_rng(5)
+    times = np.linspace(0.0, 1.0, 9)
+    x = rng.standard_normal((30, 9, 2))[:, :8]  # a solver's x_prev[:, :n]
+    z = rng.standard_normal((30, 8, 2, 3))
+    seen = []
+
+    def timed(t, x, z):
+        seen.append(np.shape(t))
+        return (1.0 + t * t) * np.sqrt(np.abs(x)) \
+            + 0.3 * np.sum(z, axis=-1) * t
+
+    driver = BsdeDriver(eval=timed, name="timed driver")
+    counts = BackwardCounts()
+    got = _driver_matrix(driver, times, x, z, counts)
+    assert seen == [(8, 1)] and counts.driver_evaluations == 1
+    want = oracles.driver_matrix(driver, times, x, z, BackwardCounts())
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("solver", [picard_in_z, picard_in_x],
+                         ids=lambda f: f.__name__)
+def test_solvers_call_the_driver_once_per_driver_matrix(solver, monkeypatch):
+    matrices = []
+    original = monosee.bsde._driver_matrix
+
+    def counting(*args):
+        matrices.append(args[0].name)
+        return original(*args)
+
+    monkeypatch.setattr(monosee.bsde, "_driver_matrix", counting)
+    problem, batch, _ = _oracle_case(solver, (1, 1))
+    calls = []
+    base = problem.driver.eval
+    problem.driver.eval = lambda t, x, z: calls.append(t) or base(t, x, z)
+    counts = BackwardCounts()
+    sol = solver(problem, batch, counts=counts)
+    assert len(calls) == len(matrices) == counts.driver_evaluations > 1
+    if solver is picard_in_z:  # up front, then after every sweep but the last
+        assert counts.driver_evaluations == counts.sweeps \
+            == len(sol.picard_residuals)
 
 
 def test_picard_z_rejects_x_dependent_driver():

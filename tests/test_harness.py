@@ -461,10 +461,12 @@ def _stats_run(tmp_path, experiment, name):
 
 def test_demo_solver_stats_repeat_and_stay_out_of_summary(tmp_path):
     stats = {}
+    summaries = {}
     for experiment in STATS_CONFIGS:
         first, csv_text = _stats_run(tmp_path, experiment, "a")
         second, _ = _stats_run(tmp_path, experiment, "b")
         stats[experiment] = first["solver_stats"]
+        summaries[experiment] = first["summary"]
         assert stats[experiment] == second["solver_stats"]
         assert not set(stats[experiment]) & set(first["summary"])
         assert not any(key in csv_text for key in stats[experiment])
@@ -486,11 +488,12 @@ def test_demo_solver_stats_repeat_and_stay_out_of_summary(tmp_path):
     # the heat drift is linear: one Newton iteration per implicit step
     assert stats["timestep_convergence"]["newton_iterations"] == 350
     # one solve: one sweep over 16 steps, every design factored once; the
-    # linear drift's implicit step is one Newton iteration per path and step
+    # linear drift's implicit step is one Newton iteration per path and
+    # step; the zero driver is evaluated once
     assert stats["bsde_linear_validation"] == {
         "backward_sweeps": 1, "regression_factorizations": 17,
         "regression_fits": 3 * 16 + 1, "newton_iterations": 400 * 16,
-        "line_search_halvings": 0}
+        "line_search_halvings": 0, "driver_evaluations": 1}
     # two solves (Picard in z, Picard in x) over 8 steps, many sweeps
     picard = stats["bsde_picard_demo"]
     assert picard["regression_factorizations"] == 2 * 9
@@ -498,6 +501,12 @@ def test_demo_solver_stats_repeat_and_stay_out_of_summary(tmp_path):
     assert picard["regression_fits"] == picard["backward_sweeps"] * (3 * 8 + 1)
     assert picard["newton_iterations"] == picard["backward_sweeps"] * 8 * 200
     assert picard["line_search_halvings"] == 0
+    # the z solve evaluates its driver up front and after every sweep but
+    # the last, one per recorded residual; the z-independent x driver once
+    # per outer sweep
+    summary = summaries["bsde_picard_demo"]
+    assert picard["driver_evaluations"] == summary["z_iterations"] \
+        + summary["x_outer_iterations"]
 
 
 def test_picard_demo_skips_refreshing_a_z_independent_driver(tmp_path,
@@ -527,6 +536,24 @@ def test_experiments_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
     assert out.stdout.strip() == "[]"
+
+
+def test_run_digests_repeats_for_a_named_experiment(tmp_path):
+    root = Path(__file__).parents[1]
+
+    def digest(name):
+        out = subprocess.run(
+            [sys.executable, str(root / "tools" / "run_digests.py"),
+             str(root / "src"), str(tmp_path / name), "bsde_picard_demo"],
+            capture_output=True, text=True, check=True)
+        return out.stdout.splitlines()
+
+    first = digest("a")
+    assert first == digest("b")
+    assert {line.split()[0] for line in first} == {
+        f"bsde_picard_demo/{run}"
+        for run in ("default", "1001", "17017", "31031")}
+    assert any("manifest:solver_stats" in line for line in first)
 
 
 def _perfbench_module(name):

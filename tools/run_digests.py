@@ -1,10 +1,11 @@
 """Digests of every registered experiment's numbers, for "same numbers" checks.
 
-    python3 tools/run_digests.py SRC_DIR OUT_DIR
+    python3 tools/run_digests.py SRC_DIR OUT_DIR [EXPERIMENT ...]
 
 Imports monosee from ``SRC_DIR`` (a checkout's ``src/``), runs every
-registered experiment at its default config and with ``monte_carlo.seed``
-set to each of 1001, 17017 and 31031, writing the artifacts under
+registered experiment (or only the named ones) at its default config and
+with ``monte_carlo.seed`` set to each of 1001, 17017 and 31031, writing
+the artifacts under
 ``OUT_DIR``, and prints one SHA-256 per CSV and per SVG, and one per
 manifest field ``summary``, ``assertions``, ``solver_stats`` and
 ``error`` (re-serialized with sorted keys).  The wall-clock and config
@@ -51,13 +52,19 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("src", help="source tree to import monosee from")
     parser.add_argument("out", help="directory for the runs' artifacts")
+    parser.add_argument("experiments", nargs="*",
+                        help="experiments to run (default: all registered)")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(Path(args.src).resolve()))
     from monosee.config import ExperimentConfig, apply_overrides
     from monosee.experiments import EXPERIMENTS, run_experiment
 
+    unknown = sorted(set(args.experiments) - set(EXPERIMENTS))
+    if unknown:
+        parser.error(f"unknown experiments {unknown}; registered: "
+                     f"{', '.join(EXPERIMENTS)}")
     out = Path(args.out).resolve()
-    for name in EXPERIMENTS:
+    for name in args.experiments or EXPERIMENTS:
         for seed in SEEDS:
             label = f"{name}/{'default' if seed is None else seed}"
             run_dir = out / name / ("default" if seed is None else str(seed))
