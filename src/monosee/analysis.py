@@ -258,8 +258,8 @@ def bihari_bound(g0: float, lambda_profile, spec: ModulusSpec, t_grid) -> Bihari
     cap are set to inf and the first one's time is reported as blowup_time.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    if g0 < 0:
-        raise ValueError("g0 must be nonnegative")
+    if not g0 >= 0:  # NaN fails this comparison too
+        raise ValueError(f"g0 must be nonnegative, got {g0!r}")
     if g0 == 0.0 and not spec.is_osgood:
         raise ValueError("g0 > 0 required for a non-Osgood modulus base point")
     lam = _lambda_values(lambda_profile, t_grid)
@@ -314,6 +314,8 @@ def zero_limit_check(lambda_profile, spec: ModulusSpec, t_grid,
     if g0_sequence is None:
         g0_sequence = np.array([1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12])
     g0_sequence = np.asarray(g0_sequence, dtype=float)
+    if g0_sequence.size == 0:
+        raise ValueError("g0_sequence must hold at least one value")
     ends = np.array([
         bihari_bound(g0, lambda_profile, spec, t_grid).at_end()
         for g0 in g0_sequence

@@ -59,21 +59,32 @@ SCHEMA = {
 }
 
 
-def _coerce(section: str, key: str, raw: str):
-    kind = SCHEMA[section][key]
-    text = raw.strip()
-    try:
-        if kind is int:
+def _store(config: ExperimentConfig, section: str, items) -> None:
+    """Check each ``(key, raw)`` of ``section`` against SCHEMA, parse it as
+    its declared type and store it on ``config``: the one gate that file
+    values and overrides both pass."""
+    if section not in SCHEMA:
+        raise ConfigError(f"unknown section [{section}]; known: "
+                          f"{', '.join(SCHEMA)}")
+    for key, raw in items:
+        kind = SCHEMA[section].get(key)
+        if kind is None:
+            raise ConfigError(f"unknown key {section}.{key}; known keys in "
+                              f"[{section}]: {', '.join(SCHEMA[section])}")
+        text = raw.strip()
+        try:
             # reject silent float->int truncation: 3.5 replicas is a typo
-            if any(c in text for c in ".eE") and not text.lstrip("+-").isdigit():
+            if kind is int and any(c in text for c in ".eE") \
+                    and not text.lstrip("+-").isdigit():
                 raise ValueError("not an integer")
-            return int(text)
-        if kind is float:
-            return float(text)
-        return text
-    except ValueError:
-        raise ConfigError(f"{section}.{key}: cannot parse {raw!r} as "
-                          f"{kind.__name__}") from None
+            value = kind(text)
+        except ValueError:
+            raise ConfigError(f"{section}.{key}: cannot parse {raw!r} as "
+                              f"{kind.__name__}") from None
+        if section == "experiment":
+            config.experiment = value
+        else:
+            getattr(config, section)[key] = value
 
 
 @dataclass
@@ -119,27 +130,12 @@ def parse_config(text: str, source: Optional[str] = None) -> ExperimentConfig:
     except configparser.Error as err:
         raise ConfigError(f"malformed configuration: {err}") from None
 
-    sections: dict = {name: {} for name in SCHEMA}
+    config = ExperimentConfig(experiment="", source=source)
     for section in parser.sections():
-        if section not in SCHEMA:
-            raise ConfigError(f"unknown section [{section}]; known: "
-                              f"{', '.join(SCHEMA)}")
-        for key, raw in parser.items(section):
-            if key not in SCHEMA[section]:
-                raise ConfigError(f"unknown key {section}.{key}; known keys "
-                                  f"in [{section}]: "
-                                  f"{', '.join(SCHEMA[section])}")
-            sections[section][key] = _coerce(section, key, raw)
-
-    name = sections["experiment"].get("name")
-    if not name:
+        _store(config, section, parser.items(section))
+    if not config.experiment:
         raise ConfigError("missing required field experiment.name")
-    return ExperimentConfig(experiment=name,
-                            problem=sections["problem"],
-                            numerics=sections["numerics"],
-                            monte_carlo=sections["monte_carlo"],
-                            output=sections["output"],
-                            source=source)
+    return config
 
 
 def load_config(path, overrides: Sequence[str] = ()) -> ExperimentConfig:
@@ -172,17 +168,10 @@ def apply_overrides(config: ExperimentConfig,
             raise ConfigError(f"override target {target!r} must be "
                               f"section.key")
         section, key = target.split(".", 1)
-        if section not in SCHEMA:
-            raise ConfigError(f"unknown section {section!r} in override "
-                              f"{item!r}")
-        if key not in SCHEMA[section]:
-            raise ConfigError(f"unknown key {section}.{key} in override "
-                              f"{item!r}")
-        value = _coerce(section, key, raw)
-        if section == "experiment":
-            config.experiment = value
-        else:
-            getattr(config, section)[key] = value
+        try:
+            _store(config, section, [(key, raw)])
+        except ConfigError as err:
+            raise ConfigError(f"override {item!r}: {err}") from None
     if not config.experiment:
         raise ConfigError("missing required field experiment.name")
     return config

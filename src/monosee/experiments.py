@@ -46,11 +46,10 @@ from .bsde import (BackwardCounts, BsdeDriver, BsdeProblem, picard_in_x,
 from .config import ExperimentConfig
 from .errors import ConfigError, NonconvergenceError
 from .forward import SolverConfig, apriori_norms, solve_forward, trajectory_csv
-from .functional import (FunctionalCoefficients, SegmentPath,
+from .functional import (FunctionalCoefficients, Segment, SegmentPath,
                          VolterraCoefficients, bihari_domination_report,
-                         functional_trajectory_csv, initial_segment,
-                         lambda8_profile, picard_solve_functional,
-                         volterra_consistency)
+                         functional_trajectory_csv, lambda8_profile,
+                         picard_solve_functional, volterra_consistency)
 from .noise import (NoiseContext, refine_path, sample_batch, sample_path,
                     zero_path)
 from .operators import (PhiDrift, ReactionDiffusionDrift, build_operator_set,
@@ -713,7 +712,7 @@ def _functional_delay_demo(s):
     knots = np.linspace(-memory, 0.0, lag_steps + 1)
     knots[-1] = 0.0
     hist = np.stack([(1.0 + th) * np.array([1.0, -0.5]) for th in knots])
-    x0seg = initial_segment(memory, knots, hist, triple=tr)
+    past = Segment(theta=knots, values=hist)
     d1col = np.array([[0.25], [0.4]])
     coeffs = FunctionalCoefficients(
         c1=lambda t, seg: kappa * seg.at(-memory),
@@ -723,10 +722,10 @@ def _functional_delay_demo(s):
     def run(out_dir):
         noise = sample_path(seed=seed, t_final=t_final, n_steps=n_steps,
                             n_modes=1)
-        res_a = picard_solve_functional(drift, coeffs, noise, x0seg, cfg,
+        res_a = picard_solve_functional(drift, coeffs, noise, past, cfg,
                                         max_iter=max_iter, tol=tol)
         res_b = picard_solve_functional(
-            drift, coeffs, noise, x0seg, cfg, max_iter=max_iter, tol=tol,
+            drift, coeffs, noise, past, cfg, max_iter=max_iter, tol=tol,
             first_iterate=np.zeros((noise.n_steps + 1, tr.n_grid)))
         gap = max(tr.h_norm(a - b) for a, b in zip(res_a.path.values,
                                                    res_b.path.values))
@@ -785,15 +784,17 @@ def _volterra_consistency(s):
         times = np.linspace(0.0, t_final, n + 1)
         memory = 0.25 * t_final
         m = int(round(memory / (t_final / n)))
+        if not s.check(m >= 1, f"numerics.n_steps = {n_steps} puts no grid "
+                               f"step inside the memory window {memory:g}"):
+            return None
         knots = np.linspace(-memory, 0.0, m + 1)
         knots[-1] = 0.0
         f = lambda t: np.array([np.sin(t + 1.0), np.cos(2.0 * t)])
         hist = np.stack([f(th) for th in knots])
         values = np.stack([f(t) for t in times])
         values[0] = hist[-1]
-        return s.build("numerics.n_steps", SegmentPath, memory=memory,
-                       history_times=knots, history_values=hist,
-                       times=times, values=values, triple=tr)
+        return SegmentPath(Segment(theta=knots, values=hist), times, values,
+                           tr)
 
     coarse_path, fine_path = analytic_path(n_steps), analytic_path(2 * n_steps)
 

@@ -40,6 +40,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from .analysis import running_integral
 from .errors import ConfigError, MonoseeError, NonconvergenceError
 from .noise import (EMPTY_CONTEXT, BatchContext, NoiseBatch, NoiseContext,
                     NoisePath)
@@ -541,8 +542,7 @@ def clock_theta(lambda3, m: float, t_final: float, ctx=EMPTY_CONTEXT,
     vals = profile_on_grid(lambda3, grid, ctx)
     if np.any(vals < 0):
         raise ConfigError("lambda3 must be nonnegative for the clock")
-    accumulated = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(grid))])
+    accumulated = running_integral(vals, grid)
     if accumulated[-1] < m:
         return float(t_final)
     idx = int(np.searchsorted(accumulated, m, side="left"))

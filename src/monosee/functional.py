@@ -38,7 +38,7 @@ __all__ = [
     "check_functional_lipschitz", "check_functional_growth",
     "check_volterra_partials", "volterra_to_functional",
     "volterra_direct_eval", "volterra_consistency",
-    "functional_trajectory_csv", "initial_segment",
+    "functional_trajectory_csv",
 ]
 
 _GRID_ATOL = 1e-12
@@ -134,52 +134,34 @@ def segment_distance(a: Segment, b: Segment) -> float:
 
 @dataclass
 class SegmentPath:
-    """A path with memory: states on [-memory, 0] plus the trajectory.
+    """A path with memory: the prescribed past plus the trajectory.
 
-    The history block carries the prescribed past, the trajectory block
-    the evolving states from time 0 onward; both must agree at the seam.
-    Norms use the attached triple's H-norm when present, else the
-    Euclidean norm of the rows.
+    ``past`` is the window on [-memory, 0]; the trajectory holds the
+    evolving states from time 0 onward, and its first row must equal
+    ``past.end`` (the seam).  Norms use the attached triple's H-norm when
+    present, else the Euclidean norm of the rows.
     """
 
-    memory: float
-    history_times: np.ndarray
-    history_values: np.ndarray
+    past: Segment
     times: np.ndarray
     values: np.ndarray
     triple: object = field(repr=False, default=None)
 
     def __post_init__(self):
-        self.memory = float(self.memory)
-        self.history_times = np.asarray(self.history_times, dtype=float)
-        self.history_values = np.asarray(self.history_values, dtype=float)
         self.times = np.asarray(self.times, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
-        if self.memory < 0:
-            raise ConfigError("memory horizon must be >= 0")
-        ht, hv = self.history_times, self.history_values
-        if ht.ndim != 1 or hv.ndim != 2 or len(ht) != len(hv):
-            raise ConfigError("history needs matching 1-d times and 2-d "
-                              "value rows")
         if self.times.ndim != 1 or self.values.ndim != 2 \
                 or len(self.times) != len(self.values):
             raise ConfigError("trajectory needs matching 1-d times and 2-d "
                               "value rows")
-        if hv.shape[1] != self.values.shape[1]:
-            raise ConfigError(f"history width {hv.shape[1]} does not match "
-                              f"trajectory width {self.values.shape[1]}")
-        if len(ht) > 1 and np.any(np.diff(ht) <= 0):
-            raise ConfigError("history times must be strictly increasing")
+        if self.past.width != self.values.shape[1]:
+            raise ConfigError(f"history width {self.past.width} does not "
+                              f"match trajectory width {self.values.shape[1]}")
         if len(self.times) > 1 and np.any(np.diff(self.times) <= 0):
             raise ConfigError("trajectory times must be strictly increasing")
-        if ht[-1] != 0.0:
-            raise ConfigError("history must end at time 0")
         if self.times[0] != 0.0:
             raise ConfigError("trajectory must start at time 0")
-        if abs(ht[0] + self.memory) > 1e-9 * max(1.0, self.memory):
-            raise ConfigError(f"history starts at {ht[0]:g}, expected "
-                              f"-memory = {-self.memory:g}")
-        if not np.array_equal(hv[-1], self.values[0]):
+        if not np.array_equal(self.past.end, self.values[0]):
             raise ConfigError("history and trajectory disagree at the seam "
                               "(time 0)")
 
@@ -193,11 +175,11 @@ class SegmentPath:
 
     @property
     def combined_times(self) -> np.ndarray:
-        return np.concatenate([self.history_times[:-1], self.times])
+        return np.concatenate([self.past.theta[:-1], self.times])
 
     @property
     def combined_values(self) -> np.ndarray:
-        return np.concatenate([self.history_values[:-1], self.values])
+        return np.concatenate([self.past.values[:-1], self.values])
 
     def h_norm_of(self, row) -> float:
         if self.triple is not None:
@@ -213,15 +195,6 @@ class SegmentPath:
         return max(self.h_norm_of(row) for row in self.combined_values)
 
 
-def initial_segment(memory: float, history_times, history_values,
-                    triple=None) -> SegmentPath:
-    """A SegmentPath holding only the prescribed past (trajectory = seam)."""
-    hv = np.asarray(history_values, dtype=float)
-    return SegmentPath(memory=memory, history_times=history_times,
-                       history_values=hv, times=np.array([0.0]),
-                       values=hv[-1:].copy(), triple=triple)
-
-
 def segment(path: SegmentPath, t: float) -> Segment:
     """The window of ``path`` ending at time t, as offsets into the past.
 
@@ -234,7 +207,7 @@ def segment(path: SegmentPath, t: float) -> Segment:
         raise ConfigError(f"segment time {t:g} outside the trajectory range "
                           f"[0, {path.t_end:g}]")
     t = min(max(t, 0.0), path.t_end)
-    mem = path.memory
+    mem = path.past.memory
     lo = t - mem
     ct, cv = path.combined_times, path.combined_values
     guard = _GRID_ATOL * max(1.0, mem, abs(t))
@@ -494,7 +467,7 @@ class FunctionalPicardResult:
 
 
 def picard_solve_functional(drift, coeffs: FunctionalCoefficients,
-                            noise: NoisePath, x0seg: SegmentPath,
+                            noise: NoisePath, past: Segment,
                             cfg: SolverConfig, max_iter: int = 30,
                             tol: float = 1e-8,
                             first_iterate=None) -> FunctionalPicardResult:
@@ -503,28 +476,26 @@ def picard_solve_functional(drift, coeffs: FunctionalCoefficients,
     Each sweep tabulates the functional terms along the previous iterate
     and solves the resulting plain equation (base drift plus frozen
     forcing, frozen diffusion) with the forward solver, starting every
-    trajectory from the segment's seam value.  The initial segment is
+    trajectory from the past's current state ``past.end``.  The past is
     projected onto the configured Galerkin modes once, so all iterates
     live in the same subspace.  The first iterate is the constant
     extension of the seam value unless ``first_iterate`` supplies
-    trajectory rows (its seam row is always pinned to the history).
+    trajectory rows (its seam row is always pinned to the past).
     Iteration stops when the sup-H distance of successive iterates drops
     below tol; if one sweep reproduces the previous frozen terms bit for
     bit, the iterate is an exact fixed point of the (deterministic) sweep
     map and a final residual of 0.0 is recorded without re-solving.
     """
     triple = drift.triple
-    if x0seg.width != triple.n_grid:
-        raise ConfigError(f"initial segment width {x0seg.width} does not "
+    if past.width != triple.n_grid:
+        raise ConfigError(f"initial segment width {past.width} does not "
                           f"match the grid size {triple.n_grid}")
-    if abs(x0seg.t_end) > 0.0:
-        raise ConfigError("the initial segment must end at time 0")
     if max_iter < 1:
         raise ConfigError("max_iter must be >= 1")
     if tol <= 0:
         raise ConfigError("tol must be positive")
     dt = noise.dt
-    mem = x0seg.memory
+    mem = past.memory
     if mem > 0:
         steps = mem / dt
         if abs(steps - round(steps)) > 1e-9:
@@ -534,22 +505,20 @@ def picard_solve_functional(drift, coeffs: FunctionalCoefficients,
     times = noise.times
     n_pts = len(times)
     n = cfg.n_modes_galerkin
-    hist_proj = np.stack([triple.project(row, n)
-                          for row in x0seg.history_values])
-    seam = hist_proj[-1]
+    past = Segment(theta=past.theta, values=np.stack(
+        [triple.project(row, n) for row in past.values]))
+    seam = past.end
 
     if first_iterate is None:
         traj = np.tile(seam, (n_pts, 1))
     else:
         traj = np.array(first_iterate, dtype=float)
-        if traj.shape != (n_pts, x0seg.width):
+        if traj.shape != (n_pts, past.width):
             raise ConfigError(f"first_iterate has shape {traj.shape}, "
-                              f"expected ({n_pts}, {x0seg.width})")
+                              f"expected ({n_pts}, {past.width})")
         traj = np.stack([triple.project(row, n) for row in traj])
         traj[0] = seam
-    current = SegmentPath(memory=mem, history_times=x0seg.history_times,
-                          history_values=hist_proj, times=times.copy(),
-                          values=traj, triple=triple)
+    current = SegmentPath(past, times.copy(), traj, triple)
 
     residuals: list = []
     profiles: list = []
@@ -576,9 +545,7 @@ def picard_solve_functional(drift, coeffs: FunctionalCoefficients,
         res = math.sqrt(float(profile[-1]))
         residuals.append(res)
         profiles.append(profile)
-        current = SegmentPath(memory=mem, history_times=x0seg.history_times,
-                              history_values=hist_proj, times=times.copy(),
-                              values=new_values, triple=triple)
+        current = SegmentPath(past, times.copy(), new_values, triple)
         prev_terms = (g_rows, d_rows)
         if res < tol:
             return FunctionalPicardResult(
@@ -934,14 +901,11 @@ def functional_trajectory_csv(result: FunctionalPicardResult) -> str:
     inner solve's trajectory table.
     """
     header, body = _trajectory_table(result.forward_path)
-    path = result.path
-    triple = path.triple
+    triple = result.path.triple
     n = result.forward_path.n_modes
     rows = []
-    for k in range(len(path.history_times) - 1):
-        t = float(path.history_times[k])
-        row = path.history_values[k]
+    for t, row in zip(result.path.past.theta[:-1], result.path.past.values):
         coeff = triple.coefficients(row, n)
-        rows.append([t, *coeff, float(coeff @ coeff),
+        rows.append([float(t), *coeff, float(coeff @ coeff),
                      triple.x_norm(row, 1), triple.x_norm(row, 2), 0.0])
     return csv_text(header, rows + body)

@@ -24,10 +24,10 @@ from monosee.config import ExperimentConfig
 from monosee.experiments import EXPERIMENTS, run_experiment
 from monosee.forward import (SolverConfig, solve_diagonal_batch,
                              solve_forward)
-from monosee.functional import (FunctionalCoefficients, VolterraCoefficients,
-                                SegmentPath, bihari_domination_report,
-                                initial_segment, lambda8_profile,
-                                picard_solve_functional, volterra_consistency)
+from monosee.functional import (FunctionalCoefficients, Segment, SegmentPath,
+                                VolterraCoefficients, bihari_domination_report,
+                                lambda8_profile, picard_solve_functional,
+                                volterra_consistency)
 from monosee.noise import (NoiseContext, refine_path, sample_batch,
                            sample_path, zero_path)
 from monosee.operators import (ConstantDiffusion, PhiDrift,
@@ -384,16 +384,16 @@ def test_criterion_10_functional_uniqueness_surrogate(capsys):
     knots = np.linspace(-memory, 0.0, lag_steps + 1)
     knots[-1] = 0.0
     hist = np.stack([(1.0 + th) * np.array([1.0, -0.5]) for th in knots])
-    x0seg = initial_segment(memory, knots, hist, triple=tr)
+    past = Segment(theta=knots, values=hist)
     coeffs = FunctionalCoefficients(
         c1=lambda t, seg: kappa * seg.at(-memory),
         d1=lambda t, seg: np.array([[0.25], [0.4]]),
         lambda3=kappa ** 2, lambda5=0.0, name="lagged restoring force")
     cfg = SolverConfig(n_modes_galerkin=2)
-    res_a = picard_solve_functional(drift, coeffs, noise, x0seg, cfg,
+    res_a = picard_solve_functional(drift, coeffs, noise, past, cfg,
                                     max_iter=40, tol=tol)
     res_b = picard_solve_functional(
-        drift, coeffs, noise, x0seg, cfg, max_iter=40, tol=tol,
+        drift, coeffs, noise, past, cfg, max_iter=40, tol=tol,
         first_iterate=np.zeros((n_steps + 1, 2)))
     gap = max(tr.h_norm(a - b)
               for a, b in zip(res_a.path.values, res_b.path.values))
@@ -434,9 +434,8 @@ def test_criterion_11_volterra_consistency(capsys):
         hist = np.stack([f(th) for th in knots])
         values = np.stack([f(t) for t in times])
         values[0] = hist[-1]
-        return SegmentPath(memory=0.25, history_times=knots,
-                           history_values=hist, times=times, values=values,
-                           triple=tr)
+        return SegmentPath(Segment(theta=knots, values=hist), times, values,
+                           tr)
 
     coarse = sample_path(seed=9, t_final=1.0, n_steps=16, n_modes=1)
     fine = refine_path(coarse)

@@ -336,8 +336,24 @@ def test_blowup_reported_not_extrapolated():
     assert b2.blowup_time is not None
 
 
+@pytest.mark.parametrize("g0", [math.nan, -1e-12, -math.inf])
+def test_bihari_bound_rejects_a_nan_or_negative_base_point(g0):
+    # a NaN base point would otherwise give an all-NaN bound curve
+    t = np.linspace(0.0, 1.0, 11)
+    for spec in (linear_modulus(1.0), rho_k_modulus(k=1)):
+        with pytest.raises(ValueError, match="g0 must be nonnegative"):
+            bihari_bound(g0, lambda s: 1.0, spec, t)
+
+
 # ---------------------------------------------------------------------------
 # zero_limit_check
+
+
+def test_zero_limit_rejects_an_empty_sequence():
+    t = np.linspace(0.0, 1.0, 11)
+    with pytest.raises(ValueError, match="at least one value"):
+        zero_limit_check(lambda s: 1.0, linear_modulus(1.0), t,
+                         g0_sequence=[])
 
 
 def test_zero_limit_rho1_passes():

@@ -7,11 +7,11 @@ import pytest
 from monosee.errors import ConfigError, NonconvergenceError
 from monosee.forward import SolverConfig, solve_forward, trajectory_csv
 from monosee.functional import (
-    ContractionReport, FunctionalCoefficients, SegmentPath,
+    ContractionReport, FunctionalCoefficients, Segment, SegmentPath,
     VolterraCoefficients, _rate, bihari_domination_report,
     check_functional_growth,
     check_functional_lipschitz, check_volterra_partials,
-    functional_trajectory_csv, initial_segment, lambda8_profile,
+    functional_trajectory_csv, lambda8_profile,
     picard_solve_functional, segment, segment_distance, segment_sampler,
     volterra_consistency, volterra_direct_eval, volterra_to_functional)
 from monosee.noise import refine_path, sample_path, zero_path
@@ -48,45 +48,36 @@ def _linear_path(tr=None):
     hist = np.array([[0.0, 0.0], [0.5, 0.25], [1.0, 0.5]])
     times = np.array([0.0, 0.25, 0.5])
     values = np.array([[1.0, 0.5], [2.0, 1.0], [3.0, 1.5]])
-    return SegmentPath(memory=0.5, history_times=knots, history_values=hist,
-                       times=times, values=values, triple=tr)
+    return SegmentPath(Segment(theta=knots, values=hist), times, values, tr)
 
 
 # ---------------------------------------------------------------------------
 # segment algebra
 
 
+def _ramp_past():
+    return Segment(theta=np.array([-0.5, 0.0]),
+                   values=np.array([[0.0], [1.0]]))
+
+
 def test_segment_path_rejects_seam_mismatch():
     with pytest.raises(ConfigError, match="seam"):
-        SegmentPath(memory=0.5,
-                    history_times=np.array([-0.5, 0.0]),
-                    history_values=np.array([[0.0], [1.0]]),
-                    times=np.array([0.0, 0.5]),
-                    values=np.array([[1.0 + 1e-15], [2.0]]))
+        SegmentPath(_ramp_past(), np.array([0.0, 0.5]),
+                    np.array([[1.0 + 1e-15], [2.0]]))
 
 
 def test_segment_path_grid_validation():
-    with pytest.raises(ConfigError, match="history must end at time 0"):
-        SegmentPath(memory=0.5,
-                    history_times=np.array([-0.5, -0.1]),
-                    history_values=np.array([[0.0], [1.0]]),
-                    times=np.array([0.0]), values=np.array([[1.0]]))
+    # a past must end at time 0: the Segment type itself refuses it
+    with pytest.raises(ConfigError, match="must end at 0"):
+        Segment(theta=np.array([-0.5, -0.1]), values=np.array([[0.0], [1.0]]))
     with pytest.raises(ConfigError, match="start at time 0"):
-        SegmentPath(memory=0.5,
-                    history_times=np.array([-0.5, 0.0]),
-                    history_values=np.array([[0.0], [1.0]]),
-                    times=np.array([0.1, 0.5]),
-                    values=np.array([[1.0], [2.0]]))
+        SegmentPath(_ramp_past(), np.array([0.1, 0.5]),
+                    np.array([[1.0], [2.0]]))
     with pytest.raises(ConfigError, match="width"):
-        SegmentPath(memory=0.5,
-                    history_times=np.array([-0.5, 0.0]),
-                    history_values=np.array([[0.0], [1.0]]),
-                    times=np.array([0.0]), values=np.array([[1.0, 2.0]]))
-    with pytest.raises(ConfigError, match="-memory"):
-        SegmentPath(memory=0.75,
-                    history_times=np.array([-0.5, 0.0]),
-                    history_values=np.array([[0.0], [1.0]]),
-                    times=np.array([0.0]), values=np.array([[1.0]]))
+        SegmentPath(_ramp_past(), np.array([0.0]), np.array([[1.0, 2.0]]))
+    # the memory window is the past's own, so it cannot disagree with it
+    path = _linear_path()
+    assert segment(path, 0.5).theta[0] == -path.past.memory == -0.5
 
 
 def test_value_at_exact_on_grid_and_linear_between():
@@ -102,8 +93,8 @@ def test_value_at_exact_on_grid_and_linear_between():
 def test_segment_at_time_zero_is_the_initial_history():
     path = _linear_path()
     seg = segment(path, 0.0)
-    assert np.array_equal(seg.theta, path.history_times)
-    assert np.array_equal(seg.values, path.history_values)
+    assert np.array_equal(seg.theta, path.past.theta)
+    assert np.array_equal(seg.values, path.past.values)
 
 
 def test_segment_offset_zero_row_is_the_current_state():
@@ -125,11 +116,9 @@ def test_segment_rejects_out_of_range_times():
 def test_segment_interpolates_the_window_endpoint():
     # memory 0.375 from t = 0.5 reaches back to 0.125, between stored rows
     path = _linear_path()
-    path = SegmentPath(memory=0.375,
-                       history_times=np.array([-0.375, 0.0]),
-                       history_values=np.array([[0.625, 0.3125],
-                                                [1.0, 0.5]]),
-                       times=path.times, values=path.values)
+    past = Segment(theta=np.array([-0.375, 0.0]),
+                   values=np.array([[0.625, 0.3125], [1.0, 0.5]]))
+    path = SegmentPath(past, path.times, path.values)
     seg = segment(path, 0.5)
     assert seg.theta[0] == -0.375
     expected = 0.5 * (path.values[0] + path.values[1])
@@ -140,7 +129,6 @@ def test_segment_distance_exact_for_piecewise_linear():
     theta = np.array([-1.0, 0.0])
     a = segment(_linear_path(), 0.5)
     assert segment_distance(a, a) == 0.0
-    from monosee.functional import Segment
     s1 = Segment(theta=theta, values=np.array([[0.0], [1.0]]))
     s2 = Segment(theta=theta, values=np.array([[1.0], [0.0]]))
     assert segment_distance(s1, s2) == pytest.approx(1.0, abs=1e-15)
@@ -150,11 +138,13 @@ def test_segment_distance_exact_for_piecewise_linear():
         segment_distance(s1, s3)
 
 
-def test_initial_segment_holds_only_the_past():
+def test_segment_path_keeps_its_past_segment():
     knots, hist = _ramp_history(0.25, 3, [1.0, -0.5])
-    seg_path = initial_segment(0.25, knots, hist)
-    assert seg_path.t_end == 0.0
-    assert np.array_equal(seg_path.values[0], hist[-1])
+    past = Segment(theta=knots, values=hist)
+    path = SegmentPath(past, np.array([0.0]), hist[-1:].copy())
+    assert path.past is past
+    assert path.t_end == 0.0
+    assert np.array_equal(path.values[0], past.end)
 
 
 def test_profiles_accept_constants_and_callables():
@@ -185,22 +175,22 @@ def _delay_setup(kappa=0.8, n_steps=32, seed=77, lag_steps=4):
     memory = lag_steps / n_steps
     noise = sample_path(seed=seed, t_final=1.0, n_steps=n_steps, n_modes=1)
     knots, hist = _ramp_history(memory, lag_steps + 1, [1.0, -0.5])
-    x0seg = initial_segment(memory, knots, hist, triple=tr)
+    past = Segment(theta=knots, values=hist)
     d1col = np.array([[0.25], [0.4]])
     coeffs = FunctionalCoefficients(
         c1=lambda t, seg: kappa * seg.at(-memory),
         d1=lambda t, seg: d1col,
         lambda3=kappa ** 2, lambda5=0.0, name="lagged restoring force")
     cfg = SolverConfig(n_modes_galerkin=2)
-    return tr, drift, noise, x0seg, coeffs, cfg, d1col
+    return tr, drift, noise, past, coeffs, cfg, d1col
 
 
 def test_memory_independent_terms_converge_in_one_solve():
     # no path-reading terms: the first sweep already lands on the fixed
     # point, the second only confirms it (frozen inputs repeat bitwise)
-    tr, drift, noise, x0seg, _, cfg, d1col = _delay_setup()
+    tr, drift, noise, past, _, cfg, d1col = _delay_setup()
     plain = FunctionalCoefficients(d1=lambda t, seg: d1col, name="plain")
-    res = picard_solve_functional(drift, plain, noise, x0seg, cfg,
+    res = picard_solve_functional(drift, plain, noise, past, cfg,
                                   max_iter=10, tol=1e-12)
     assert res.n_iterations == 2
     assert res.residuals[-1] == 0.0
@@ -215,13 +205,13 @@ def test_memory_independent_terms_converge_in_one_solve():
 def test_noise_factor_wider_than_the_noise_is_rejected(part):
     # a (2, 2) factor on a 1-mode path: its second column has no noise to
     # act on, so the sweep refuses it instead of dropping it
-    _, drift, noise, x0seg, _, cfg, _ = _delay_setup(n_steps=8)
+    _, drift, noise, past, _, cfg, _ = _delay_setup(n_steps=8)
     wide = np.array([[0.25, 0.1], [0.4, -0.2]])
     factor = (lambda t, seg: wide) if part == "d1" \
         else (lambda t, s, seg: wide)
     coeffs = FunctionalCoefficients(**{part: factor})
     with pytest.raises(ConfigError, match=f"{part} returned 2 noise columns"):
-        picard_solve_functional(drift, coeffs, noise, x0seg, cfg)
+        picard_solve_functional(drift, coeffs, noise, past, cfg)
 
 
 def test_delay_equation_matches_direct_stepping_oracle():
@@ -229,16 +219,16 @@ def test_delay_equation_matches_direct_stepping_oracle():
     # mode, y[k+1] (1 + mu dt) = y[k] + dt kappa lag(t[k+1]) + (P d1) dW
     # with the lag read from the same path (history-interpolated early on)
     kappa, n_steps, lag_steps = 0.8, 32, 4
-    tr, drift, noise, x0seg, coeffs, cfg, d1col = _delay_setup(
+    tr, drift, noise, past, coeffs, cfg, d1col = _delay_setup(
         kappa=kappa, n_steps=n_steps, lag_steps=lag_steps)
-    res = picard_solve_functional(drift, coeffs, noise, x0seg, cfg,
+    res = picard_solve_functional(drift, coeffs, noise, past, cfg,
                                   max_iter=40, tol=1e-10)
 
     h = tr.h
     mu = 4.0 / h ** 2 * np.sin(np.array([1, 2]) * np.pi * h / 2.0) ** 2
     dt = noise.dt
     memory = lag_steps / n_steps
-    hist_c = np.stack([tr.coefficients(r, 2) for r in x0seg.history_values])
+    hist_c = np.stack([tr.coefficients(r, 2) for r in past.values])
     proj_d1 = tr.coefficients(d1col[:, 0], 2)
     y = np.zeros((n_steps + 1, 2))
     y[0] = hist_c[-1]
@@ -247,7 +237,7 @@ def test_delay_equation_matches_direct_stepping_oracle():
         if t_lag >= 0:
             lag = y[int(round(t_lag / dt))]
         else:
-            lag = np.array([np.interp(t_lag, x0seg.history_times,
+            lag = np.array([np.interp(t_lag, past.theta,
                                       hist_c[:, j]) for j in range(2)])
         y[k + 1] = (y[k] + dt * kappa * lag
                     + proj_d1 * noise.increments[k, 0]) / (1.0 + mu * dt)
@@ -256,12 +246,12 @@ def test_delay_equation_matches_direct_stepping_oracle():
 
 
 def test_two_starting_iterates_reach_the_same_fixed_point():
-    tr, drift, noise, x0seg, coeffs, cfg, _ = _delay_setup()
+    tr, drift, noise, past, coeffs, cfg, _ = _delay_setup()
     tol = 1e-10
-    res_a = picard_solve_functional(drift, coeffs, noise, x0seg, cfg,
+    res_a = picard_solve_functional(drift, coeffs, noise, past, cfg,
                                     max_iter=40, tol=tol)
     res_b = picard_solve_functional(
-        drift, coeffs, noise, x0seg, cfg, max_iter=40, tol=tol,
+        drift, coeffs, noise, past, cfg, max_iter=40, tol=tol,
         first_iterate=np.zeros((noise.n_steps + 1, 2)))
     gap = max(tr.h_norm(a - b)
               for a, b in zip(res_a.path.values, res_b.path.values))
@@ -269,53 +259,45 @@ def test_two_starting_iterates_reach_the_same_fixed_point():
 
 
 def test_solver_input_validation():
-    tr, drift, noise, x0seg, coeffs, cfg, _ = _delay_setup()
-    wide = initial_segment(0.125, np.array([-0.125, 0.0]),
-                           np.zeros((2, 3)), triple=tr)
+    _, drift, noise, past, coeffs, cfg, _ = _delay_setup()
+    wide = Segment(theta=np.array([-0.125, 0.0]), values=np.zeros((2, 3)))
     with pytest.raises(ConfigError, match="grid size"):
         picard_solve_functional(drift, coeffs, noise, wide, cfg)
     knots, hist = _ramp_history(0.1, 3, [1.0, -0.5])
-    odd = initial_segment(0.1, knots, hist, triple=tr)
+    odd = Segment(theta=knots, values=hist)
     with pytest.raises(ConfigError, match="whole number of time steps"):
         picard_solve_functional(drift, coeffs, noise, odd, cfg)
     with pytest.raises(ConfigError, match="tol"):
-        picard_solve_functional(drift, coeffs, noise, x0seg, cfg, tol=0.0)
+        picard_solve_functional(drift, coeffs, noise, past, cfg, tol=0.0)
     with pytest.raises(ConfigError, match="max_iter"):
-        picard_solve_functional(drift, coeffs, noise, x0seg, cfg,
+        picard_solve_functional(drift, coeffs, noise, past, cfg,
                                 max_iter=0)
     with pytest.raises(ConfigError, match="first_iterate"):
-        picard_solve_functional(drift, coeffs, noise, x0seg, cfg,
+        picard_solve_functional(drift, coeffs, noise, past, cfg,
                                 first_iterate=np.zeros((3, 2)))
-    started = SegmentPath(memory=0.125,
-                          history_times=np.array([-0.125, 0.0]),
-                          history_values=np.zeros((2, 2)),
-                          times=np.array([0.0, 0.5]),
-                          values=np.zeros((2, 2)), triple=tr)
-    with pytest.raises(ConfigError, match="end at time 0"):
-        picard_solve_functional(drift, coeffs, noise, started, cfg)
 
 
 def test_nonconvergence_raises_and_keeps_residuals():
-    _, drift, noise, x0seg, coeffs, cfg, _ = _delay_setup()
+    _, drift, noise, past, coeffs, cfg, _ = _delay_setup()
     with pytest.raises(NonconvergenceError) as err:
-        picard_solve_functional(drift, coeffs, noise, x0seg, cfg,
+        picard_solve_functional(drift, coeffs, noise, past, cfg,
                                 max_iter=2, tol=1e-14)
     assert len(err.value.residuals) == 2
 
 
 def test_converged_path_keeps_seam_and_projected_history():
-    tr, drift, noise, x0seg, coeffs, cfg, _ = _delay_setup()
-    res = picard_solve_functional(drift, coeffs, noise, x0seg, cfg,
+    tr, drift, noise, past, coeffs, cfg, _ = _delay_setup()
+    res = picard_solve_functional(drift, coeffs, noise, past, cfg,
                                   max_iter=40, tol=1e-10)
     path = res.path
-    assert np.array_equal(path.history_values[-1], path.values[0])
-    expected = np.stack([tr.project(r, 2) for r in x0seg.history_values])
-    assert np.array_equal(path.history_values, expected)
+    assert np.array_equal(path.past.end, path.values[0])
+    expected = np.stack([tr.project(r, 2) for r in past.values])
+    assert np.array_equal(path.past.values, expected)
 
 
 def test_residual_profiles_are_running_sups_matching_residuals():
-    _, drift, noise, x0seg, coeffs, cfg, _ = _delay_setup()
-    res = picard_solve_functional(drift, coeffs, noise, x0seg, cfg,
+    _, drift, noise, past, coeffs, cfg, _ = _delay_setup()
+    res = picard_solve_functional(drift, coeffs, noise, past, cfg,
                                   max_iter=40, tol=1e-10)
     assert res.n_iterations == len(res.residual_profiles)
     for r, prof in zip(res.residuals, res.residual_profiles):
@@ -329,8 +311,8 @@ def test_residual_profiles_are_running_sups_matching_residuals():
 
 
 def test_delay_toy_contraction_within_comparison_envelope():
-    _, drift, noise, x0seg, coeffs, cfg, _ = _delay_setup()
-    res = picard_solve_functional(drift, coeffs, noise, x0seg, cfg,
+    _, drift, noise, past, coeffs, cfg, _ = _delay_setup()
+    res = picard_solve_functional(drift, coeffs, noise, past, cfg,
                                   max_iter=40, tol=1e-10)
     assert res.n_iterations >= 4
     lam8 = lambda8_profile(coeffs, noise.times)
@@ -524,9 +506,7 @@ def _analytic_path(n_steps, tr, t_final=1.0, memory=0.25):
     hist = np.stack([f(th) for th in knots])
     values = np.stack([f(t) for t in times])
     values[0] = hist[-1]
-    return SegmentPath(memory=memory, history_times=knots,
-                       history_values=hist, times=times, values=values,
-                       triple=tr)
+    return SegmentPath(Segment(theta=knots, values=hist), times, values, tr)
 
 
 def test_time_independent_kernel_reduces_to_plain_coefficients():
@@ -651,7 +631,7 @@ def test_consistency_discrepancy_halves_with_the_step():
 def test_moving_a_time_independent_term_between_kernel_and_diagonal():
     # w(s) may live inside the two-time kernel (zero t-partial) or as an
     # explicit one-time coefficient; both presentations must solve alike
-    _, drift, noise, x0seg, _, cfg, d1col = _delay_setup(n_steps=16)
+    _, drift, noise, past, _, cfg, d1col = _delay_setup(n_steps=16)
     w = lambda s, seg: 0.3 * seg.at(-0.25) + np.array([0.1, -0.2])
     inside = VolterraCoefficients(
         drift_kernel=lambda t, s, seg: np.exp(-(t - s)) * seg.end
@@ -666,9 +646,9 @@ def test_moving_a_time_independent_term_between_kernel_and_diagonal():
     base_c1 = f_outside.c1
     f_outside.c1 = lambda t, seg: base_c1(t, seg) + w(t, seg)
     f_outside.d1 = lambda t, seg: d1col
-    res_in = picard_solve_functional(drift, f_inside, noise, x0seg, cfg,
+    res_in = picard_solve_functional(drift, f_inside, noise, past, cfg,
                                      max_iter=40, tol=1e-11)
-    res_out = picard_solve_functional(drift, f_outside, noise, x0seg, cfg,
+    res_out = picard_solve_functional(drift, f_outside, noise, past, cfg,
                                       max_iter=40, tol=1e-11)
     gap = np.max(np.abs(res_in.path.values - res_out.path.values))
     assert gap <= 1e-10
@@ -679,10 +659,10 @@ def test_moving_a_time_independent_term_between_kernel_and_diagonal():
 
 
 def test_functional_csv_layout_and_identical_rerun():
-    _, drift, noise, x0seg, coeffs, cfg, _ = _delay_setup()
+    _, drift, noise, past, coeffs, cfg, _ = _delay_setup()
 
     def run():
-        res = picard_solve_functional(drift, coeffs, noise, x0seg, cfg,
+        res = picard_solve_functional(drift, coeffs, noise, past, cfg,
                                       max_iter=40, tol=1e-10)
         return res, functional_trajectory_csv(res)
 
@@ -690,7 +670,7 @@ def test_functional_csv_layout_and_identical_rerun():
     lines = text.split("\r\n")
     inner = trajectory_csv(res.forward_path).split("\r\n")
     assert lines[0] == "t,c1,c2,h_norm_sq,x1_norm,x2_norm,energy_residual"
-    n_hist = len(x0seg.history_times) - 1
+    n_hist = len(past.theta) - 1
     assert len(lines) == n_hist + len(inner)
     for row in lines[1:1 + n_hist]:
         cells = row.split(",")

@@ -100,6 +100,22 @@ def test_apply_overrides_rejects_malformed(item):
         apply_overrides(cfg, [item])
 
 
+@pytest.mark.parametrize("section, key, raw", [
+    ("problem", "plutonium", "9"),       # unknown key
+    ("wormholes", "x", "1"),             # unknown section
+    ("numerics", "t_final", "soon"),     # unparsable float
+    ("monte_carlo", "replicas", "3.5"),  # fractional int
+])
+def test_file_and_override_values_share_one_validator(section, key, raw):
+    with pytest.raises(ConfigError) as from_file:
+        parse_config(f"[experiment]\nname = bihari_table\n"
+                     f"[{section}]\n{key} = {raw}\n")
+    item = f"{section}.{key}={raw}"
+    with pytest.raises(ConfigError) as from_override:
+        apply_overrides(parse_config(GOOD), [item])
+    assert str(from_override.value) == f"override {item!r}: {from_file.value}"
+
+
 def test_load_config_missing_file():
     with pytest.raises(ConfigError, match="cannot read"):
         load_config("/nonexistent/nowhere.ini")
@@ -540,20 +556,27 @@ def test_experiments_import_loads_no_scipy():
 
 def test_run_digests_repeats_for_a_named_experiment(tmp_path):
     root = Path(__file__).parents[1]
+    names = ("bsde_picard_demo", "functional_delay_demo",
+             "volterra_consistency")
 
     def digest(name):
         out = subprocess.run(
             [sys.executable, str(root / "tools" / "run_digests.py"),
-             str(root / "src"), str(tmp_path / name), "bsde_picard_demo"],
+             str(root / "src"), str(tmp_path / name), *names],
             capture_output=True, text=True, check=True)
         return out.stdout.splitlines()
 
     first = digest("a")
     assert first == digest("b")
     assert {line.split()[0] for line in first} == {
-        f"bsde_picard_demo/{run}"
+        f"{name}/{run}" for name in names
         for run in ("default", "1001", "17017", "31031")}
     assert any("manifest:solver_stats" in line for line in first)
+    # every run of the memory experiments writes its CSVs and no error
+    for name, csv in (("functional_delay_demo", "delay_trajectory.csv"),
+                      ("volterra_consistency", "volterra_consistency.csv")):
+        assert sum(line.startswith(f"{name}/") and f" {csv} " in line
+                   for line in first) == 4
 
 
 def _perfbench_module(name):
