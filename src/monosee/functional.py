@@ -901,10 +901,10 @@ def functional_trajectory_csv(result: FunctionalPicardResult) -> str:
     inner solve's trajectory table.
     """
     header, body = _trajectory_table(result.forward_path)
-    triple = result.path.triple
+    past, triple = result.path.past, result.path.triple
     n = result.forward_path.n_modes
     rows = []
-    for t, row in zip(result.path.past.theta[:-1], result.path.past.values):
+    for t, row in zip(past.theta[:-1], past.values[:-1]):
         coeff = triple.coefficients(row, n)
         rows.append([float(t), *coeff, float(coeff @ coeff),
                      triple.x_norm(row, 1), triple.x_norm(row, 2), 0.0])
