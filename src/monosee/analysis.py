@@ -9,7 +9,8 @@ with rho a nondecreasing concave modulus.  When rho additionally satisfies the
 Osgood condition (int_0+ dx/rho(x) = +infinity), g0 = 0 forces g == 0, which is
 the quantitative mechanism behind pathwise uniqueness and fixed-point
 convergence.  This module evaluates the moduli, the bound, its zero-limit
-diagnostic, and the discrete weighted norms used by every error study.
+diagnostic, and the sup-H distances and convergence orders used by every
+error study.
 
 G and G^{-1} are exact (Bihari 1956): G = log(x/g0)/slope (linear),
 (x^(1-a) - g0^(1-a))/(c0 (1-a)) (power), and for rho_k [P(g0) - P(x)]/c0
@@ -349,23 +350,6 @@ def picard_comparison_curve(prev_curve, lambda_profile, spec: ModulusSpec,
 
 # ---------------------------------------------------------------------------
 # discrete norms and rates
-
-
-def k_norm(path, which: int, lambda_profile) -> float:
-    """Discrete weighted norm [ int_0^T lambda_i(t) ||X(t)||_{X_i}^{q_i} dt ]^{1/q_i}.
-
-    path must expose times, x1_norm/x2_norm ledgers and exponents q1/q2
-    (a SolutionPath does).  Left-endpoint rule, full horizon.
-    """
-    if which not in (1, 2):
-        raise ValueError("which must be 1 or 2")
-    times = np.asarray(path.times, dtype=float)
-    vals = np.asarray(path.x1_norm if which == 1 else path.x2_norm, dtype=float)
-    q = float(path.q1 if which == 1 else path.q2)
-    lam = _lambda_values(lambda_profile, times)
-    dt = np.diff(times)
-    integral = float(np.sum(lam[:-1] * vals[:-1] ** q * dt))
-    return integral ** (1.0 / q)
 
 
 def sup_h_distance(p1, p2) -> float:

@@ -62,11 +62,13 @@ SCHEMA = {
 def _store(config: ExperimentConfig, section: str, items) -> None:
     """Check each ``(key, raw)`` of ``section`` against SCHEMA, parse it as
     its declared type and store it on ``config``: the one gate that file
-    values and overrides both pass."""
+    values and overrides both pass.  Keys are lower-cased first, as
+    ``configparser`` does for the keys it reads from a file."""
     if section not in SCHEMA:
         raise ConfigError(f"unknown section [{section}]; known: "
                           f"{', '.join(SCHEMA)}")
     for key, raw in items:
+        key = key.lower()
         kind = SCHEMA[section].get(key)
         if kind is None:
             raise ConfigError(f"unknown key {section}.{key}; known keys in "

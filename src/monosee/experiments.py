@@ -769,6 +769,10 @@ def _volterra_consistency(s):
     kernel = s.get("problem", "kernel", "exponential")
     s.check(kernel == "exponential",
             f"problem.kernel must be exponential, got {kernel!r}")
+    # the memory window 0.25 t_final is then whole steps on both grids
+    s.check(n_steps % 4 == 0, f"numerics.n_steps must be a multiple of 4 "
+                              f"(the memory window is a quarter of "
+                              f"t_final), got {n_steps}")
     tr = DiscreteTriple(2, "reaction_diffusion")
     col = np.array([[0.2], [0.1]])
     v = VolterraCoefficients(
@@ -783,11 +787,7 @@ def _volterra_consistency(s):
     def analytic_path(n):
         times = np.linspace(0.0, t_final, n + 1)
         memory = 0.25 * t_final
-        m = int(round(memory / (t_final / n)))
-        if not s.check(m >= 1, f"numerics.n_steps = {n_steps} puts no grid "
-                               f"step inside the memory window {memory:g}"):
-            return None
-        knots = np.linspace(-memory, 0.0, m + 1)
+        knots = np.linspace(-memory, 0.0, n // 4 + 1)
         knots[-1] = 0.0
         f = lambda t: np.array([np.sin(t + 1.0), np.cos(2.0 * t)])
         hist = np.stack([f(th) for th in knots])

@@ -30,7 +30,7 @@ from .operators import profile_on_grid
 from .reporting import ViolationReport, _record, _sampled_check, csv_text
 
 __all__ = [
-    "Segment", "SegmentPath", "segment", "segment_distance",
+    "Segment", "SegmentPath", "segment_distance",
     "FunctionalCoefficients", "VolterraCoefficients",
     "FunctionalPicardResult", "ContractionReport",
     "picard_solve_functional", "lambda8_profile",
@@ -44,34 +44,19 @@ __all__ = [
 _GRID_ATOL = 1e-12
 
 
-def _euclidean(row) -> float:
-    return float(np.linalg.norm(np.asarray(row, dtype=float)))
-
-
-def _interp_rows(times: np.ndarray, rows: np.ndarray, t: float) -> np.ndarray:
-    """Linear interpolation of stacked rows; exact rows at grid hits."""
-    scale = max(1.0, abs(float(times[0])), abs(float(times[-1])))
-    if t < times[0] - _GRID_ATOL * scale or t > times[-1] + _GRID_ATOL * scale:
-        raise ConfigError(f"time {t:g} outside the stored range "
-                          f"[{times[0]:g}, {times[-1]:g}]")
-    idx = int(np.searchsorted(times, t))
-    if idx < len(times) and abs(float(times[idx]) - t) <= _GRID_ATOL * scale:
-        return rows[idx].copy()
-    if idx > 0 and abs(float(times[idx - 1]) - t) <= _GRID_ATOL * scale:
-        return rows[idx - 1].copy()
-    lo, hi = idx - 1, idx
-    w = (t - float(times[lo])) / (float(times[hi]) - float(times[lo]))
-    return (1.0 - w) * rows[lo] + w * rows[hi]
-
-
 @dataclass(frozen=True)
 class Segment:
-    """One window of a path, indexed by the offset into the past.
+    """A window of a path, or a stack of windows, indexed by the offset
+    into the past.
 
     ``theta`` runs from -memory to 0 (0 = "now"); ``values`` holds one
-    state row per offset.  Rows between stored offsets are linearly
-    interpolated, so the sup-norm over the window is attained at the
-    stored rows and ``sup_norm`` is exact for the piecewise-linear path.
+    state row per offset, (knots, width), or S windows on that one offset
+    grid, (S, knots, width).  Every reader works row-wise on a stack:
+    ``end`` and ``at`` return (S, width) rows instead of one (width,) row,
+    and ``sup_norm`` one norm per window.  Rows between stored offsets are
+    linearly interpolated, so the sup-norm over the window is attained at
+    the stored rows and ``sup_norm`` is exact for the piecewise-linear
+    path.  ``norm`` is the norm of one state row (Euclidean when None).
     """
 
     theta: np.ndarray
@@ -81,9 +66,11 @@ class Segment:
     def __post_init__(self):
         theta = np.asarray(self.theta, dtype=float)
         values = np.asarray(self.values, dtype=float)
-        if theta.ndim != 1 or values.ndim != 2 or len(theta) != len(values):
-            raise ConfigError("segment needs matching 1-d offsets and "
-                              "2-d value rows")
+        if theta.ndim != 1 or values.ndim not in (2, 3) \
+                or len(theta) != values.shape[-2]:
+            raise ConfigError("segment needs 1-d offsets and value rows "
+                              "(knots, width), or a stack of them "
+                              "(S, knots, width)")
         if len(theta) < 1 or np.any(np.diff(theta) <= 0):
             raise ConfigError("segment offsets must be strictly increasing")
         if theta[-1] != 0.0:
@@ -96,7 +83,7 @@ class Segment:
 
     @property
     def width(self) -> int:
-        return self.values.shape[1]
+        return self.values.shape[-1]
 
     @property
     def memory(self) -> float:
@@ -105,31 +92,52 @@ class Segment:
     @property
     def end(self) -> np.ndarray:
         """The current state, i.e. the row at offset 0."""
-        return self.values[-1]
+        return self.values[..., -1, :]
 
     def at(self, theta: float) -> np.ndarray:
-        return _interp_rows(self.theta, self.values, float(theta))
+        """The row at one offset: a stored row exactly, else linearly
+        interpolated between its neighbours."""
+        grid, rows, th = self.theta, self.values, float(theta)
+        guard = _GRID_ATOL * max(1.0, self.memory)
+        if th < grid[0] - guard or th > guard:
+            raise ConfigError(f"offset {th:g} outside the window "
+                              f"[{grid[0]:g}, 0]")
+        idx = int(np.searchsorted(grid, th))
+        if idx < len(grid) and abs(float(grid[idx]) - th) <= guard:
+            return rows[..., idx, :].copy()
+        if idx > 0 and abs(float(grid[idx - 1]) - th) <= guard:
+            return rows[..., idx - 1, :].copy()
+        lo, hi = idx - 1, idx
+        w = (th - float(grid[lo])) / (float(grid[hi]) - float(grid[lo]))
+        return (1.0 - w) * rows[..., lo, :] + w * rows[..., hi, :]
 
-    def row_norm(self, row) -> float:
-        return (self.norm or _euclidean)(row)
+    def row_norm(self, row):
+        """The norm of a state row, or of each row along the last axis."""
+        if self.norm is None:
+            return np.linalg.norm(row, axis=-1)
+        if np.ndim(row) == 1:
+            return self.norm(row)
+        return np.apply_along_axis(self.norm, -1, row)
 
-    def sup_norm(self) -> float:
-        return max(self.row_norm(row) for row in self.values)
+    def sup_norm(self):
+        """The sup of the row norm over the window, one per window."""
+        return np.max(self.row_norm(self.values), axis=-1)
 
 
-def segment_distance(a: Segment, b: Segment) -> float:
-    """Sup over the window of the norm of the difference of two segments.
+def segment_distance(a: Segment, b: Segment):
+    """Sup over the window of the norm of the difference of two segments
+    on one offset grid, one distance per window of a stack.
 
-    Exact for piecewise-linear segments: the difference is evaluated on
-    the union of the two offset grids, where its norm attains the sup.
+    Exact for piecewise-linear segments: their difference is piecewise
+    linear on the shared grid, so its norm attains the sup at a knot.
     """
-    if abs(a.memory - b.memory) > 1e-9 * max(1.0, a.memory, b.memory):
-        raise ConfigError(f"segments cover different memory windows "
-                          f"({a.memory:g} vs {b.memory:g})")
-    grid = np.union1d(a.theta, b.theta)
-    keep = np.concatenate([[True], np.diff(grid) > _GRID_ATOL])
-    grid = grid[keep]
-    return max(a.row_norm(a.at(th) - b.at(th)) for th in grid)
+    if a.theta.shape != b.theta.shape or np.any(
+            np.abs(a.theta - b.theta) > _GRID_ATOL * max(1.0, a.memory)):
+        raise ConfigError(f"segments must share one offset grid; these "
+                          f"cover memory windows {a.memory:g} and "
+                          f"{b.memory:g} on {len(a.theta)} and "
+                          f"{len(b.theta)} knots")
+    return np.max(a.row_norm(a.values - b.values), axis=-1)
 
 
 @dataclass
@@ -154,6 +162,8 @@ class SegmentPath:
                 or len(self.times) != len(self.values):
             raise ConfigError("trajectory needs matching 1-d times and 2-d "
                               "value rows")
+        if self.past.values.ndim != 2:
+            raise ConfigError("the past of a path is one window, not a stack")
         if self.past.width != self.values.shape[1]:
             raise ConfigError(f"history width {self.past.width} does not "
                               f"match trajectory width {self.values.shape[1]}")
@@ -184,43 +194,23 @@ class SegmentPath:
     def h_norm_of(self, row) -> float:
         if self.triple is not None:
             return float(self.triple.h_norm(row))
-        return _euclidean(row)
+        return float(np.linalg.norm(np.asarray(row, dtype=float)))
 
-    def value_at(self, t: float) -> np.ndarray:
-        return _interp_rows(self.combined_times, self.combined_values,
-                            float(t))
-
-    def sup_norm(self) -> float:
-        """The sup of the H-norm over every stored state."""
-        return max(self.h_norm_of(row) for row in self.combined_values)
-
-
-def segment(path: SegmentPath, t: float) -> Segment:
-    """The window of ``path`` ending at time t, as offsets into the past.
-
-    Stored states inside the window are taken exactly; the window
-    endpoints are interpolated when they fall between stored times.  The
-    offset-0 row equals the state at t exactly whenever t is stored.
-    """
-    t = float(t)
-    if t < -_GRID_ATOL or t > path.t_end + _GRID_ATOL * max(1.0, path.t_end):
-        raise ConfigError(f"segment time {t:g} outside the trajectory range "
-                          f"[0, {path.t_end:g}]")
-    t = min(max(t, 0.0), path.t_end)
-    mem = path.past.memory
-    lo = t - mem
-    ct, cv = path.combined_times, path.combined_values
-    guard = _GRID_ATOL * max(1.0, mem, abs(t))
-    inside = np.nonzero((ct > lo + guard) & (ct < t - guard))[0]
-    theta = np.concatenate([[-mem], ct[inside] - t, [0.0]]) if mem > 0 \
-        else np.array([0.0])
-    first = _interp_rows(ct, cv, lo)
-    last = _interp_rows(ct, cv, t)
-    if mem > 0:
-        rows = np.vstack([first[None, :], cv[inside], last[None, :]])
-    else:
-        rows = last[None, :]
-    return Segment(theta=theta, values=rows, norm=path.h_norm_of)
+    def windows(self) -> Segment:
+        """The window ending at every trajectory time, stacked on the
+        past's offsets: one strided view of ``combined_values``.  The
+        past's knots must be the step grid, offsets -j dt."""
+        steps = np.diff(self.combined_times)
+        if len(steps) and np.any(np.abs(steps - steps[-1])
+                                 > 1e-9 * steps[-1]):
+            raise ConfigError(
+                f"the past's {len(self.past.theta)} knots over memory "
+                f"{self.past.memory:g} are not the step grid of the "
+                f"trajectory (offsets -j dt, dt = {steps[-1]:g})")
+        view = np.lib.stride_tricks.sliding_window_view(
+            self.combined_values, len(self.past.theta), axis=0)
+        return Segment(theta=self.past.theta, values=np.swapaxes(view, 1, 2),
+                       norm=self.h_norm_of)
 
 
 # ---------------------------------------------------------------------------
@@ -262,12 +252,19 @@ class FunctionalCoefficients(_DeclaredRates):
     ``c1(t, segment)`` and ``d1(t, segment)`` feed the dynamics directly;
     ``c2(t, s, segment)`` and ``d2(t, s, segment)`` enter through time
     integrals over s < t (d2 through the stochastic integral).  Any of
-    the four may be None, meaning identically zero.  ``lambda3`` scales
-    the modulus bound of the one-time pair, ``lambda5`` of the two-time
-    pair; ``lambda6``/``lambda7``/``zeta`` enter the growth bounds with
-    overall factor ``growth_c0``.  Profiles may be constants or callables
-    of t (one-time) / (t, s) (two-time) that accept arrays of times
-    (``np.exp``, not ``math.exp``): the checkers and
+    the four may be None, meaning identically zero.  Each is called on a
+    stacked :class:`Segment` of S windows, with its times as columns
+    that broadcast against what it returns: (S, 1) for c1 and c2, which
+    return (S, width) state rows, and (S, 1, 1) for d1 and d2, which
+    return (S, width, m) noise factors, m at most the noise modes.  So
+    ``np.exp(-(t - s)) * seg.end`` and ``np.exp(-(t - s)) * col`` for a
+    (width, m) column ``col`` both work as written; a coefficient that
+    ignores its arguments may return one row or factor.  ``lambda3``
+    scales the modulus bound of the one-time pair, ``lambda5`` of the
+    two-time pair; ``lambda6``/``lambda7``/``zeta`` enter the growth
+    bounds with overall factor ``growth_c0``.  Profiles may be constants
+    or callables of t (one-time) / (t, s) (two-time) that accept arrays
+    of times (``np.exp``, not ``math.exp``): the checkers and
     :func:`lambda8_profile` pass whole stacks and grids in one call.
     """
 
@@ -282,13 +279,15 @@ class FunctionalCoefficients(_DeclaredRates):
 class VolterraCoefficients(_DeclaredRates):
     """Two-time kernels evaluated at (t, s) with analytic t-partials.
 
-    ``drift_kernel(t, s, segment)`` returns a state row, and
-    ``diffusion_kernel(t, s, segment)`` a (width, m) factor for the noise
-    increment at s.  The partials in the first argument must be supplied
-    analytically (None means identically zero, as for a kernel that does
-    not depend on its first argument); a finite-difference check guards
-    against inconsistent inputs.  Declared bounds as in
-    FunctionalCoefficients.
+    ``drift_kernel(t, s, segment)`` returns state rows, and
+    ``diffusion_kernel(t, s, segment)`` (width, m) factors for the noise
+    increment at s, both on a stacked segment with the times as columns,
+    as c2 and d2 of FunctionalCoefficients (the drift pair is called with
+    (S, 1) columns, the diffusion pair with (S, 1, 1) ones).  The
+    partials in the first argument must be supplied analytically (None
+    means identically zero, as for a kernel that does not depend on its
+    first argument); a finite-difference check guards against
+    inconsistent inputs.  Declared bounds as in FunctionalCoefficients.
     """
 
     drift_kernel: Optional[Callable] = None
@@ -322,37 +321,32 @@ def volterra_to_functional(v: VolterraCoefficients) -> FunctionalCoefficients:
 # frozen-forcing Picard iteration
 
 
-def _per_sample(fn, times, segs, who: str, factor: bool = False):
-    """A one-segment coefficient called once per sample, at the sample's
-    times and segment, stacked: state rows (S, width), or with ``factor``
-    noise factors (S, width, m) of one shape along the stack."""
-    out = [(np.atleast_2d if factor else np.asarray)(
-        np.asarray(fn(*args, seg), dtype=float))
-        for *args, seg in zip(*(np.asarray(t).tolist() for t in times), segs)]
-    width, shapes = segs[0].width, {o.shape for o in out}
-    for shape in shapes:
-        if shape[0] != width or not (factor or len(shape) == 1):
-            raise ConfigError(f"{who} returned shape {shape}, expected "
-                              f"({width},{' noise modes' * factor})")
-    if len(shapes) > 1:
-        raise ConfigError(f"{who} must return a fixed shape along the grid")
-    return np.array(out)
+def _stacked(fn, who: str, times, seg: Segment, factor: bool = False):
+    """A coefficient called once on a stack of S windows, its times (one
+    1-d array per argument) passed as (S, 1) columns, or (S, 1, 1) for a
+    noise ``factor``: state rows (S, width) or factors (S, width, m)."""
+    n, width = seg.values.shape[0], seg.width
+    out = np.asarray(fn(*(np.reshape(t, (n,) + (1,) * (1 + factor))
+                          for t in times), seg), dtype=float)
+    expected = (n, width, out.shape[-1]) if factor and out.ndim \
+        else (n, width)
+    try:
+        if out.ndim < len(expected) - 1 or out.shape[-1 - factor] != width:
+            raise ValueError
+        return np.broadcast_to(out, expected)
+    except ValueError:
+        raise ConfigError(f"{who} returned shape {out.shape}, expected "
+                          f"({n}, {width}{', noise modes' * factor})") \
+            from None
 
 
-def _check_noise_columns(mat: np.ndarray, n_modes: int, who: str) -> None:
-    """A (width, m) noise factor with m <= n_modes embeds into the leading
-    noise coordinates; more columns than the noise provides is a
+def _check_noise_columns(mats: np.ndarray, n_modes: int, who: str) -> None:
+    """(..., width, m) noise factors with m <= n_modes embed into the
+    leading noise coordinates; more columns than the noise provides is a
     configuration error."""
-    if mat.shape[1] > n_modes:
-        raise ConfigError(f"{who} returned {mat.shape[1]} noise columns but "
-                          f"the noise path carries only {n_modes} modes")
-
-
-def _against_increments(mat: np.ndarray, inc_row: np.ndarray,
-                        who: str) -> np.ndarray:
-    """Apply a (width, m) factor to the first m recorded increments."""
-    _check_noise_columns(mat, len(inc_row), who)
-    return mat @ inc_row[:mat.shape[1]]
+    if mats.shape[-1] > n_modes:
+        raise ConfigError(f"{who} returned {mats.shape[-1]} noise columns "
+                          f"but the noise path carries only {n_modes} modes")
 
 
 def _frozen_terms(coeffs: FunctionalCoefficients, path: SegmentPath,
@@ -362,34 +356,37 @@ def _frozen_terms(coeffs: FunctionalCoefficients, path: SegmentPath,
     Returns (g_rows, d_rows): g_rows[k] is the frozen drift addition at
     grid time k (one-time term plus accumulated two-time integrals,
     left-point rule, stochastic part against the recorded increments);
-    d_rows[k] is the frozen diffusion factor.  One evaluation per
-    (time, source) pair; nothing is recomputed inside the inner solver.
+    d_rows[k] is the frozen diffusion factor.  Each one-time coefficient
+    is called once on the windows at every grid time, each two-time one
+    once per grid time t_k on the windows at the sources s_j < t_k;
+    nothing is recomputed inside the inner solver.
     """
     times = path.times
     n_pts = len(times)
     width = path.width
     dt = float(times[1] - times[0]) if n_pts > 1 else 0.0
-    segs = [segment(path, float(t)) for t in times]
+    windows = path.windows()
 
     g_rows = np.zeros((n_pts, width))
     if coeffs.c1 is not None:
-        g_rows += _per_sample(coeffs.c1, (times,), segs, "c1")
-    for k in range(1, n_pts):
-        # the sources s_j < t_k, added in order of j (the order fixes the bits)
-        past = (np.full(k, times[k]), times[:k])
-        if coeffs.c2 is not None:
-            g_rows[k] += dt * sum(_per_sample(coeffs.c2, past, segs[:k], "c2"),
-                                  np.zeros(width))
-        if coeffs.d2 is not None:
-            g_rows[k] += sum(
-                (_against_increments(mat, noise.increments[j], "d2")
-                 for j, mat in enumerate(_per_sample(
-                     coeffs.d2, past, segs[:k], "d2", factor=True))),
-                np.zeros(width))
+        g_rows += _stacked(coeffs.c1, "c1", (times,), windows)
+    if coeffs.c2 is not None or coeffs.d2 is not None:
+        for k in range(1, n_pts):
+            sources = Segment(windows.theta, windows.values[:k],
+                              windows.norm)
+            past = (np.full(k, times[k]), times[:k])
+            if coeffs.c2 is not None:
+                g_rows[k] += dt * np.sum(
+                    _stacked(coeffs.c2, "c2", past, sources), axis=0)
+            if coeffs.d2 is not None:
+                mats = _stacked(coeffs.d2, "d2", past, sources, factor=True)
+                _check_noise_columns(mats, noise.n_modes, "d2")
+                g_rows[k] += np.einsum("jwm,jm->w", mats,
+                                       noise.increments[:k, :mats.shape[-1]])
     if coeffs.d1 is None:
         return g_rows, np.zeros((n_pts, width, 1))
-    d_rows = _per_sample(coeffs.d1, (times,), segs, "d1", factor=True)
-    _check_noise_columns(d_rows[0], noise.n_modes, "d1")
+    d_rows = _stacked(coeffs.d1, "d1", (times,), windows, factor=True)
+    _check_noise_columns(d_rows, noise.n_modes, "d1")
     return g_rows, d_rows
 
 
@@ -487,6 +484,8 @@ def picard_solve_functional(drift, coeffs: FunctionalCoefficients,
     map and a final residual of 0.0 is recorded without re-solving.
     """
     triple = drift.triple
+    if past.values.ndim != 2:
+        raise ConfigError("the past of a path is one window, not a stack")
     if past.width != triple.n_grid:
         raise ConfigError(f"initial segment width {past.width} does not "
                           f"match the grid size {triple.n_grid}")
@@ -671,8 +670,9 @@ def bihari_domination_report(residual_profiles: Sequence[np.ndarray],
 
 
 # ---------------------------------------------------------------------------
-# sampled hypothesis checkers: each draws every sample first, calls the
-# one-segment coefficients once per sample and compares on the stack
+# sampled hypothesis checkers: each draws every sample first, stacks the
+# drawn segments, calls each coefficient once on the stack and compares
+# on it
 
 
 def segment_sampler(width: int, memory: float, t_final: float = 1.0,
@@ -706,17 +706,26 @@ def segment_sampler(width: int, memory: float, t_final: float = 1.0,
     return sample
 
 
-def _sq_norms(label: str, fn, times, segs, others=None) -> np.ndarray:
-    """Squared norm of a coefficient at every sample (or of its difference
-    from its value at ``others``), Hilbert-Schmidt for a d1/d2 factor, in
-    the segments' row norm."""
+def _stack(segs) -> Segment:
+    """The drawn segments, on one offset grid, as one stacked segment."""
+    theta = segs[0].theta
+    if any(not np.array_equal(seg.theta, theta) for seg in segs):
+        raise ConfigError("sampled segments must share one offset grid")
+    return Segment(theta, np.stack([seg.values for seg in segs]),
+                   segs[0].norm)
+
+
+def _sq_norms(label: str, fn, times, segs: Segment,
+              others: Optional[Segment] = None) -> np.ndarray:
+    """Squared norm of a coefficient at every sample of a stack (or of its
+    difference from its value at ``others``), Hilbert-Schmidt for a d1/d2
+    factor, in the segments' row norm."""
     factor = label[0] == "d"
-    values = _per_sample(fn, times, segs, label, factor)
+    values = _stacked(fn, label, times, segs, factor)
     if others is not None:
-        values = values - _per_sample(fn, times, others, label, factor)
+        values = values - _stacked(fn, label, times, others, factor)
     rows = np.swapaxes(values, -1, -2) if factor else values[:, None]
-    return np.array([sum(seg.row_norm(r) ** 2 for r in row)
-                     for seg, row in zip(segs, rows)])
+    return np.sum(segs.row_norm(rows) ** 2, axis=-1)
 
 
 def check_functional_lipschitz(coeffs: FunctionalCoefficients, sampler,
@@ -726,8 +735,8 @@ def check_functional_lipschitz(coeffs: FunctionalCoefficients, sampler,
     declared rate times rho of the squared segment distance."""
 
     def evaluate(t, s, seg_a, seg_b):
-        dist_sq = np.array([segment_distance(a, b) ** 2
-                            for a, b in zip(seg_a, seg_b)])
+        seg_a, seg_b = _stack(seg_a), _stack(seg_b)
+        dist_sq = segment_distance(seg_a, seg_b) ** 2
         groups = []
         for label, fn, times, rate in (
                 ("c1", coeffs.c1, (t,), coeffs.lambda3),
@@ -769,7 +778,8 @@ def check_functional_growth(coeffs: FunctionalCoefficients, bundle, sampler,
         return coeffs.growth_c0 * rate ** (2.0 / bundle.q1)
 
     def evaluate(t, s, seg_a, _):
-        sup_sq = np.array([seg.sup_norm() ** 2 for seg in seg_a])
+        seg_a = _stack(seg_a)
+        sup_sq = seg_a.sup_norm() ** 2
         groups = []
         if coeffs.c1 is not None or coeffs.d1 is not None:
             lhs = sum(_sq_norms(label, fn, (t,), seg_a) for label, fn in
@@ -825,14 +835,15 @@ def check_volterra_partials(v: VolterraCoefficients, sampler,
         return min(max(t, fd_step), t_final - fd_step), s, seg
 
     def evaluate(t, s, seg):
+        seg = _stack(seg)
         groups = []
         for label, kernel, partial in pairs:
             factor = label == "diffusion_kernel"
-            fd = (_per_sample(kernel, (t + fd_step, s), seg, label, factor)
-                  - _per_sample(kernel, (t - fd_step, s), seg, label, factor)
+            fd = (_stacked(kernel, label, (t + fd_step, s), seg, factor)
+                  - _stacked(kernel, label, (t - fd_step, s), seg, factor)
                   ) / (2.0 * fd_step)
             ref = np.zeros_like(fd) if partial is None \
-                else _per_sample(partial, (t, s), seg, label, factor)
+                else _stacked(partial, label, (t, s), seg, factor)
             axes = tuple(range(1, fd.ndim))
             err = np.max(np.abs(fd - ref), axis=axes)
             rel = err / (1.0 + np.max(np.abs(ref), axis=axes)

@@ -15,7 +15,6 @@ driving Brownian motion w_t used by random coefficients.
 from __future__ import annotations
 
 import operator
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +24,6 @@ from .triple import _float_or_array
 
 _PURPOSE_BASE = 0
 _PURPOSE_BRIDGE = 1
-
-MAGIC = b"MSNOISE1"
 
 # NumPy's SeedSequence: O'Neill's seed_seq_fe hash with a 4-word pool
 _POOL_SIZE = 4
@@ -337,29 +334,6 @@ def refine_path(path: NoisePath) -> NoisePath:
     times = np.linspace(0.0, path.t_final, 2 * n + 1)
     return NoisePath(path.seed, path.replica, path.level + 1, times, fine,
                      _scalar_from_increments(fine))
-
-
-def save_increments(path: NoisePath, filename: str) -> None:
-    """Binary dump: 8-byte magic, then little-endian uint64 N, n_modes, seed,
-    then N*n_modes little-endian float64 increments, row-major.  A seed
-    outside [0, 2**64) does not fit and raises ConfigError."""
-    if not 0 <= path.seed < 2**64:
-        raise ConfigError(f"seed {path.seed} does not fit the dump's uint64")
-    with open(filename, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<QQQ", path.n_steps, path.n_modes, path.seed))
-        fh.write(np.ascontiguousarray(path.increments, dtype="<f8").tobytes())
-
-
-def load_increments(filename: str):
-    """Read a dump back; returns (seed, increments)."""
-    with open(filename, "rb") as fh:
-        magic = fh.read(8)
-        if magic != MAGIC:
-            raise ConfigError(f"not a noise dump (magic {magic!r})")
-        n, m, seed = struct.unpack("<QQQ", fh.read(24))
-        data = np.frombuffer(fh.read(n * m * 8), dtype="<f8").reshape(n, m)
-    return int(seed), np.array(data, dtype=float)
 
 
 class NoiseContext:

@@ -1,4 +1,5 @@
-"""Plain reference loops for the stacked checkers and the backward sweep.
+"""Plain reference loops for the stacked checkers, the backward sweep and
+the memory terms.
 
 Each checker oracle draws and evaluates one sample at a time, in the
 order the stacked checker draws them, and appends its violations as it
@@ -7,7 +8,11 @@ compares a stacked report with its oracle's.  The backward oracles are
 the regression sweep with three full fits per step and the driver
 matrix with one driver call per grid time; they take the arguments of
 ``monosee.bsde._backward_sweep`` and ``_driver_matrix`` and stand in
-for them.
+for them.  The memory oracles build the window at one grid time by
+searching and interpolating the stored path (``segment``), and tabulate
+the frozen functional terms with one coefficient call per window and a
+Python loop over the source times (``frozen_terms``, which takes the
+arguments of ``monosee.functional._frozen_terms``).
 """
 
 import math
@@ -18,7 +23,7 @@ from monosee.analysis import rho_eval
 from monosee.bsde import (BsdeSolution, _terminal_values,
                           regularized_implicit_step)
 from monosee.errors import ConfigError, NonconvergenceError
-from monosee.functional import segment_distance
+from monosee.functional import Segment, segment_distance
 from monosee.noise import EMPTY_CONTEXT
 from monosee.reporting import Violation, ViolationReport
 from monosee.resolvent import NewtonCounts, resolvent
@@ -409,3 +414,100 @@ def volterra_partials(v, sampler, n_samples=200, seed=0, rel_tol=1e-6,
                     index=i, t=t, excess=float(err / scale - rel_tol),
                     detail={"part": label, "s": s, "fd_error": err}))
     return report
+
+
+# ---------------------------------------------------------------------------
+# memory terms, one window and one sample at a time
+
+_GRID_ATOL = 1e-12
+
+
+def _interp_rows(times, rows, t):
+    scale = max(1.0, abs(float(times[0])), abs(float(times[-1])))
+    if t < times[0] - _GRID_ATOL * scale or t > times[-1] + _GRID_ATOL * scale:
+        raise ConfigError(f"time {t:g} outside the stored range "
+                          f"[{times[0]:g}, {times[-1]:g}]")
+    idx = int(np.searchsorted(times, t))
+    if idx < len(times) and abs(float(times[idx]) - t) <= _GRID_ATOL * scale:
+        return rows[idx].copy()
+    if idx > 0 and abs(float(times[idx - 1]) - t) <= _GRID_ATOL * scale:
+        return rows[idx - 1].copy()
+    lo, hi = idx - 1, idx
+    w = (t - float(times[lo])) / (float(times[hi]) - float(times[lo]))
+    return (1.0 - w) * rows[lo] + w * rows[hi]
+
+
+def segment(path, t):
+    """The window of ``path`` ending at time t: stored states inside it
+    exactly, its endpoints interpolated when they fall between stored
+    times."""
+    t = float(t)
+    if t < -_GRID_ATOL or t > path.t_end + _GRID_ATOL * max(1.0, path.t_end):
+        raise ConfigError(f"segment time {t:g} outside the trajectory range "
+                          f"[0, {path.t_end:g}]")
+    t = min(max(t, 0.0), path.t_end)
+    mem = path.past.memory
+    lo = t - mem
+    ct, cv = path.combined_times, path.combined_values
+    guard = _GRID_ATOL * max(1.0, mem, abs(t))
+    inside = np.nonzero((ct > lo + guard) & (ct < t - guard))[0]
+    theta = np.concatenate([[-mem], ct[inside] - t, [0.0]]) if mem > 0 \
+        else np.array([0.0])
+    first = _interp_rows(ct, cv, lo)
+    last = _interp_rows(ct, cv, t)
+    if mem > 0:
+        rows = np.vstack([first[None, :], cv[inside], last[None, :]])
+    else:
+        rows = last[None, :]
+    return Segment(theta=theta, values=rows, norm=path.h_norm_of)
+
+
+def _per_sample(fn, times, segs, who, factor=False):
+    out = [(np.atleast_2d if factor else np.asarray)(
+        np.asarray(fn(*args, seg), dtype=float))
+        for *args, seg in zip(*(np.asarray(t).tolist() for t in times), segs)]
+    width, shapes = segs[0].width, {o.shape for o in out}
+    for shape in shapes:
+        if shape[0] != width or not (factor or len(shape) == 1):
+            raise ConfigError(f"{who} returned shape {shape}, expected "
+                              f"({width},{' noise modes' * factor})")
+    if len(shapes) > 1:
+        raise ConfigError(f"{who} must return a fixed shape along the grid")
+    return np.array(out)
+
+
+def _against_increments(mat, inc_row, who):
+    if mat.shape[1] > len(inc_row):
+        raise ConfigError(f"{who} returned {mat.shape[1]} noise columns but "
+                          f"the noise path carries only {len(inc_row)} modes")
+    return mat @ inc_row[:mat.shape[1]]
+
+
+def frozen_terms(coeffs, path, noise):
+    times = path.times
+    n_pts = len(times)
+    width = path.width
+    dt = float(times[1] - times[0]) if n_pts > 1 else 0.0
+    segs = [segment(path, float(t)) for t in times]
+
+    g_rows = np.zeros((n_pts, width))
+    if coeffs.c1 is not None:
+        g_rows += _per_sample(coeffs.c1, (times,), segs, "c1")
+    for k in range(1, n_pts):
+        past = (np.full(k, times[k]), times[:k])
+        if coeffs.c2 is not None:
+            g_rows[k] += dt * sum(_per_sample(coeffs.c2, past, segs[:k], "c2"),
+                                  np.zeros(width))
+        if coeffs.d2 is not None:
+            g_rows[k] += sum(
+                (_against_increments(mat, noise.increments[j], "d2")
+                 for j, mat in enumerate(_per_sample(
+                     coeffs.d2, past, segs[:k], "d2", factor=True))),
+                np.zeros(width))
+    if coeffs.d1 is None:
+        return g_rows, np.zeros((n_pts, width, 1))
+    d_rows = _per_sample(coeffs.d1, (times,), segs, "d1", factor=True)
+    if d_rows.shape[2] > noise.n_modes:
+        raise ConfigError("d1 returned more noise columns than the noise "
+                          "path carries")
+    return g_rows, d_rows

@@ -15,7 +15,6 @@ from monosee.analysis import (
     _G_inverse,
     bihari_bound,
     convergence_order,
-    k_norm,
     linear_modulus,
     osgood_partial_integral,
     picard_comparison_curve,
@@ -400,42 +399,15 @@ def test_picard_comparison_curve_linear_modulus():
 
 
 class _StubPath:
-    def __init__(self, times, x1, x2, q1, q2):
+    def __init__(self, times):
         self.times = times
-        self.x1_norm = x1
-        self.x2_norm = x2
-        self.q1 = q1
-        self.q2 = q2
-        self.coeffs = np.zeros((len(times), 2))
-
-
-def test_k_norm_zero_and_constant():
-    t = np.linspace(0.0, 2.0, 201)
-    zero = _StubPath(t, np.zeros_like(t), np.zeros_like(t), 3.0, 2.0)
-    assert k_norm(zero, 1, lambda s: 1.0) == 0.0
-    c = 1.7
-    const = _StubPath(t, np.full_like(t, c), np.full_like(t, c), 3.0, 2.0)
-    assert k_norm(const, 1, lambda s: 1.0) == pytest.approx(c * 2.0 ** (1 / 3.0), rel=1e-12)
-    assert k_norm(const, 2, lambda s: 1.0) == pytest.approx(c * 2.0 ** 0.5, rel=1e-12)
-
-
-def test_k_norm_homogeneity():
-    rng = np.random.default_rng(3)
-    t = np.linspace(0.0, 1.0, 33)
-    vals = rng.uniform(0.1, 2.0, size=t.size)
-    p1 = _StubPath(t, vals, vals, 2.5, 2.0)
-    p2 = _StubPath(t, 3.0 * vals, 3.0 * vals, 2.5, 2.0)
-    lam = rng.uniform(0.1, 1.0, size=t.size)
-    for which in (1, 2):
-        assert k_norm(p2, which, lam) == pytest.approx(3.0 * k_norm(p1, which, lam), rel=1e-12)
+        self.coeffs = np.zeros((len(times), 3))
 
 
 def test_sup_h_distance():
     t = np.linspace(0, 1, 5)
-    a = _StubPath(t, None, None, 2, 2)
-    b = _StubPath(t, None, None, 2, 2)
-    a.coeffs = np.zeros((5, 3))
-    b.coeffs = np.zeros((5, 3))
+    a = _StubPath(t)
+    b = _StubPath(t)
     assert sup_h_distance(a, b) == 0.0
     b.coeffs = b.coeffs.copy()
     b.coeffs[2] = [3.0, 4.0, 0.0]

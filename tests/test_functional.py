@@ -12,8 +12,9 @@ from monosee.functional import (
     check_functional_growth,
     check_functional_lipschitz, check_volterra_partials,
     functional_trajectory_csv, lambda8_profile,
-    picard_solve_functional, segment, segment_distance, segment_sampler,
-    volterra_consistency, volterra_direct_eval, volterra_to_functional)
+    _frozen_terms, picard_solve_functional, segment_distance,
+    segment_sampler, volterra_consistency, volterra_direct_eval,
+    volterra_to_functional)
 from monosee.noise import refine_path, sample_path, zero_path
 from monosee.operators import (ConstantDiffusion, HypothesisBundle,
                                ReactionDiffusionDrift, constant_profile)
@@ -75,60 +76,104 @@ def test_segment_path_grid_validation():
                     np.array([[1.0], [2.0]]))
     with pytest.raises(ConfigError, match="width"):
         SegmentPath(_ramp_past(), np.array([0.0]), np.array([[1.0, 2.0]]))
+    stacked = Segment(theta=np.array([-0.5, 0.0]), values=np.ones((3, 2, 1)))
+    with pytest.raises(ConfigError, match="one window, not a stack"):
+        SegmentPath(stacked, np.array([0.0, 0.5]), np.array([[1.0], [2.0]]))
     # the memory window is the past's own, so it cannot disagree with it
     path = _linear_path()
-    assert segment(path, 0.5).theta[0] == -path.past.memory == -0.5
+    assert path.windows().theta[0] == -path.past.memory == -0.5
 
 
-def test_value_at_exact_on_grid_and_linear_between():
-    path = _linear_path()
-    assert np.array_equal(path.value_at(-0.25), np.array([0.5, 0.25]))
-    assert np.array_equal(path.value_at(0.25), np.array([2.0, 1.0]))
+def test_at_exact_on_knots_and_linear_between():
+    windows = _linear_path().windows()
+    assert np.array_equal(windows.at(-0.25),
+                          np.array([[0.5, 0.25], [1.0, 0.5], [2.0, 1.0]]))
+    assert np.array_equal(windows.at(0.0), windows.end)
     # the stored rows are linear in t, so midpoints are exact half-sums
-    mid = path.value_at(0.125)
-    assert np.allclose(mid, 0.5 * (path.values[0] + path.values[1]),
+    assert np.allclose(windows.at(-0.125),
+                       0.5 * (windows.values[:, 1] + windows.values[:, 2]),
                        rtol=0, atol=1e-15)
 
 
 def test_segment_at_time_zero_is_the_initial_history():
     path = _linear_path()
-    seg = segment(path, 0.0)
-    assert np.array_equal(seg.theta, path.past.theta)
-    assert np.array_equal(seg.values, path.past.values)
+    windows = path.windows()
+    assert windows.values.shape == (3, 3, 2)
+    assert np.array_equal(windows.theta, path.past.theta)
+    assert np.array_equal(windows.values[0], path.past.values)
 
 
 def test_segment_offset_zero_row_is_the_current_state():
     path = _linear_path()
-    for k, t in enumerate(path.times):
-        seg = segment(path, float(t))
-        assert seg.theta[-1] == 0.0
-        assert np.array_equal(seg.end, path.values[k])
+    windows = path.windows()
+    assert windows.theta[-1] == 0.0
+    assert np.array_equal(windows.end, path.values)
 
 
 def test_segment_rejects_out_of_range_times():
+    windows = _linear_path().windows()
+    with pytest.raises(ConfigError, match="outside the window"):
+        windows.at(-0.6)
+    with pytest.raises(ConfigError, match="outside the window"):
+        windows.at(0.1)
+
+
+def test_windows_are_views_equal_to_the_searched_segments():
     path = _linear_path()
-    with pytest.raises(ConfigError, match="outside"):
-        segment(path, -0.1)
-    with pytest.raises(ConfigError, match="outside"):
-        segment(path, 0.75)
+    windows = path.windows()
+    # one strided view: neighbouring windows share their rows
+    assert np.shares_memory(windows.values[0], windows.values[1])
+    for k, t in enumerate(path.times):
+        single = oracles.segment(path, float(t))
+        assert np.allclose(single.theta, windows.theta, rtol=0, atol=1e-15)
+        assert np.array_equal(single.values, windows.values[k])
 
 
-def test_segment_interpolates_the_window_endpoint():
-    # memory 0.375 from t = 0.5 reaches back to 0.125, between stored rows
+def test_windows_reject_a_past_off_the_step_grid():
+    # memory 0.375 on a 0.25 step: the window would start between rows
     path = _linear_path()
     past = Segment(theta=np.array([-0.375, 0.0]),
                    values=np.array([[0.625, 0.3125], [1.0, 0.5]]))
-    path = SegmentPath(past, path.times, path.values)
-    seg = segment(path, 0.5)
-    assert seg.theta[0] == -0.375
-    expected = 0.5 * (path.values[0] + path.values[1])
-    assert np.allclose(seg.values[0], expected, rtol=0, atol=1e-15)
+    with pytest.raises(ConfigError, match="not the step grid"):
+        SegmentPath(past, path.times, path.values).windows()
+    # uneven knots over a whole number of steps are off the grid too
+    past = Segment(theta=np.array([-0.5, -0.375, 0.0]),
+                   values=np.array([[0.0, 0.0], [0.5, 0.25], [1.0, 0.5]]))
+    with pytest.raises(ConfigError, match="not the step grid"):
+        SegmentPath(past, path.times, path.values).windows()
+
+
+def test_stacked_reads_match_each_window_read_alone():
+    rng = np.random.default_rng(5)
+    theta = np.array([-0.25, -0.125, -0.0625, 0.0])
+    values = rng.standard_normal((6, 4, 3))
+    others = rng.standard_normal((6, 4, 3))
+    for norm in (None, lambda row: 2.0 * np.linalg.norm(row)):
+        stack = Segment(theta, values, norm)
+        other = Segment(theta, others, norm)
+        dist = segment_distance(stack, other)
+        assert stack.width == 3 and stack.memory == 0.25
+        for i in range(6):
+            one = Segment(theta, values[i], norm)
+            assert np.array_equal(stack.end[i], one.end)
+            for th in (-0.25, -0.2, -0.0625, -0.01, 0.0):
+                assert np.array_equal(stack.at(th)[i], one.at(th))
+            assert stack.sup_norm()[i] == pytest.approx(one.sup_norm(),
+                                                        rel=1e-15)
+            assert dist[i] == pytest.approx(
+                segment_distance(one, Segment(theta, others[i], norm)),
+                rel=1e-15)
+            assert np.allclose(stack.row_norm(values[i]),
+                               [one.row_norm(r) for r in values[i]],
+                               rtol=1e-15, atol=0)
+    with pytest.raises(ConfigError, match="knots, width"):
+        Segment(theta, rng.standard_normal((2, 6, 4, 3)))
 
 
 def test_segment_distance_exact_for_piecewise_linear():
     theta = np.array([-1.0, 0.0])
-    a = segment(_linear_path(), 0.5)
-    assert segment_distance(a, a) == 0.0
+    a = _linear_path().windows()
+    assert np.array_equal(segment_distance(a, a), np.zeros(3))
     s1 = Segment(theta=theta, values=np.array([[0.0], [1.0]]))
     s2 = Segment(theta=theta, values=np.array([[1.0], [0.0]]))
     assert segment_distance(s1, s2) == pytest.approx(1.0, abs=1e-15)
@@ -136,6 +181,10 @@ def test_segment_distance_exact_for_piecewise_linear():
                  values=np.array([[0.0], [0.0]]))
     with pytest.raises(ConfigError, match="memory windows"):
         segment_distance(s1, s3)
+    # one memory on different knots: no shared grid to compare on
+    s4 = Segment(theta=np.array([-1.0, -0.5, 0.0]), values=np.zeros((3, 1)))
+    with pytest.raises(ConfigError, match="one offset grid"):
+        segment_distance(s1, s4)
 
 
 def test_segment_path_keeps_its_past_segment():
@@ -214,6 +263,84 @@ def test_noise_factor_wider_than_the_noise_is_rejected(part):
         picard_solve_functional(drift, coeffs, noise, past, cfg)
 
 
+def _interior_offset():
+    # reads the offset -0.1, between the knots of a 1/16 or 1/64 step, so
+    # every window is interpolated
+    col = np.array([[0.2, -0.1], [0.1, 0.3]])
+    return FunctionalCoefficients(
+        c1=lambda t, seg: np.cos(t) * seg.at(-0.25),
+        c2=lambda t, s, seg: np.exp(-(t - s)) * seg.at(-0.1),
+        d2=lambda t, s, seg: np.exp(-(t - s)) * seg.at(-0.1)[..., None]
+        * np.array([0.3, -0.2]) + s * col,
+        d1=lambda t, seg: seg.end[..., None] * np.array([0.2, 0.1]),
+        name="interior offset")
+
+
+def _tabulation_cases():
+    v = _exp_kernel_pair()
+    return {"volterra direct": FunctionalCoefficients(
+                c2=v.drift_kernel, d2=v.diffusion_kernel),
+            "volterra rewritten": volterra_to_functional(v),
+            "interior offset": _interior_offset()}
+
+
+@pytest.mark.parametrize("case", ["volterra direct", "volterra rewritten",
+                                  "interior offset"])
+@pytest.mark.parametrize("n_steps", [16, 64])
+def test_stacked_tabulation_matches_the_per_window_loop(case, n_steps):
+    coeffs = _tabulation_cases()[case]
+    path = _analytic_path(n_steps, _rd_triple())
+    noise = sample_path(seed=9, t_final=1.0, n_steps=n_steps, n_modes=2)
+    g_rows, d_rows = _frozen_terms(coeffs, path, noise)
+    g_want, d_want = oracles.frozen_terms(coeffs, path, noise)
+    assert g_rows.shape == g_want.shape and d_rows.shape == d_want.shape
+    for got, want in ((g_rows, g_want), (d_rows, d_want)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_each_sweep_calls_a_coefficient_once_per_grid_time_at_most():
+    n_steps = 8
+    _, drift, noise, past, _, cfg, d1col = _delay_setup(n_steps=n_steps,
+                                                        lag_steps=2)
+    calls = {"c1": 0, "c2": 0, "d1": 0, "d2": 0}
+
+    def counted(label, fn):
+        def wrapped(*args):
+            calls[label] += 1
+            return fn(*args)
+        return wrapped
+
+    coeffs = FunctionalCoefficients(
+        c1=counted("c1", lambda t, seg: 0.5 * seg.at(-0.25)),
+        c2=counted("c2", lambda t, s, seg: 0.2 * np.exp(-(t - s))
+                   * seg.end),
+        d1=counted("d1", lambda t, seg: d1col),
+        d2=counted("d2", lambda t, s, seg: 0.1 * np.exp(-(t - s)) * d1col))
+    res = picard_solve_functional(drift, coeffs, noise, past, cfg,
+                                  max_iter=40, tol=1e-10)
+    sweeps = res.n_iterations
+    assert sweeps >= 2
+    assert calls == {"c1": sweeps, "d1": sweeps, "c2": sweeps * n_steps,
+                     "d2": sweeps * n_steps}
+
+
+@pytest.mark.parametrize("part, fn, message", [
+    ("c1", lambda t, seg: np.zeros(3),
+     r"c1 returned shape \(3,\), expected \(9, 2\)"),
+    ("c2", lambda t, s, seg: seg.end[..., None],
+     r"c2 returned shape \(1, 2, 1\), expected \(1, 2\)"),
+    ("d1", lambda t, seg: seg.end,
+     r"d1 returned shape \(9, 2\), expected \(9, 2, noise modes\)"),
+    ("d2", lambda t, s, seg: np.array([0.25, 0.4]),
+     r"d2 returned shape \(2,\), expected \(1, 2, noise modes\)"),
+])
+def test_a_coefficient_of_the_wrong_shape_is_named(part, fn, message):
+    _, drift, noise, past, _, cfg, _ = _delay_setup(n_steps=8)
+    coeffs = FunctionalCoefficients(**{part: fn})
+    with pytest.raises(ConfigError, match=message):
+        picard_solve_functional(drift, coeffs, noise, past, cfg)
+
+
 def test_delay_equation_matches_direct_stepping_oracle():
     # modes diagonalize the flux part, so the converged path obeys, per
     # mode, y[k+1] (1 + mu dt) = y[k] + dt kappa lag(t[k+1]) + (P d1) dW
@@ -263,6 +390,9 @@ def test_solver_input_validation():
     wide = Segment(theta=np.array([-0.125, 0.0]), values=np.zeros((2, 3)))
     with pytest.raises(ConfigError, match="grid size"):
         picard_solve_functional(drift, coeffs, noise, wide, cfg)
+    stacked = Segment(theta=past.theta, values=np.stack([past.values] * 3))
+    with pytest.raises(ConfigError, match="one window, not a stack"):
+        picard_solve_functional(drift, coeffs, noise, stacked, cfg)
     knots, hist = _ramp_history(0.1, 3, [1.0, -0.5])
     odd = Segment(theta=knots, values=hist)
     with pytest.raises(ConfigError, match="whole number of time steps"):
@@ -403,7 +533,7 @@ def test_growth_checker_accepts_and_notes_the_rate_ambiguity():
 
 def test_growth_checker_flags_a_quadratic_one_time_term():
     grow = FunctionalCoefficients(
-        c1=lambda t, seg: seg.end * seg.sup_norm() ** 2,
+        c1=lambda t, seg: seg.end * seg.sup_norm()[..., None] ** 2,
         lambda3=1.0, zeta=1.0, growth_c0=2.0)
     bundle = HypothesisBundle(lambda1=constant_profile(1.0),
                               lambda2=constant_profile(2.0))
@@ -432,7 +562,7 @@ def _square_root_force():
 
 def _quadratic_growth():
     return FunctionalCoefficients(
-        c1=lambda t, seg: seg.end * seg.sup_norm() ** 2,
+        c1=lambda t, seg: seg.end * seg.sup_norm()[..., None] ** 2,
         lambda3=1.0, zeta=1.0, growth_c0=2.0, name="quadratic growth")
 
 
@@ -441,9 +571,9 @@ def _time_varying():
     # two-time budget too large for the one-time scale
     return FunctionalCoefficients(
         c1=lambda t, seg: np.sin(t) * seg.at(-0.1),
-        d1=lambda t, seg: np.outer(seg.end, [0.2, 0.1]),
+        d1=lambda t, seg: seg.end[..., None] * np.array([0.2, 0.1]),
         c2=lambda t, s, seg: np.exp(-(t - s)) * seg.end,
-        d2=lambda t, s, seg: np.outer(seg.at(-0.25), [0.3]) * s,
+        d2=lambda t, s, seg: seg.at(-0.25)[..., None] * 0.3 * s,
         lambda3=lambda t: 1.0 + t, lambda5=lambda t, s: 0.5 + t * s,
         lambda6=lambda t, s: 3.0 + np.cos(t - s), lambda7=lambda t, s: t,
         zeta=lambda t: 0.5 * t, growth_c0=1.5, name="time varying")
@@ -510,12 +640,14 @@ def _analytic_path(n_steps, tr, t_final=1.0, memory=0.25):
 
 
 def test_time_independent_kernel_reduces_to_plain_coefficients():
-    g = lambda s: np.array([[0.2 + s], [0.1]])
+    g = lambda s: np.array([[0.2], [0.1]]) + s * np.array([[1.0], [0.0]])
     v = VolterraCoefficients(diffusion_kernel=lambda t, s, seg: g(s))
     f = volterra_to_functional(v)
     assert f.c1 is None and f.c2 is None and f.d2 is None
-    seg = segment(_linear_path(), 0.5)
+    seg = _linear_path().windows()
     assert np.array_equal(f.d1(0.3, seg), g(0.3))
+    t = np.array([0.0, 0.3, 0.5])[:, None, None]
+    assert np.array_equal(f.d1(t, seg), g(t))
 
 
 def test_product_kernel_reduction_closed_form():
@@ -525,7 +657,7 @@ def test_product_kernel_reduction_closed_form():
         drift_kernel=lambda t, s, seg: t * k(s),
         drift_kernel_dt=lambda t, s, seg: k(s))
     f = volterra_to_functional(v)
-    seg = segment(_linear_path(), 0.5)
+    seg = _linear_path().windows()
     assert np.allclose(f.c1(0.4, seg), 0.4 * k(0.4), rtol=0, atol=1e-15)
     assert np.allclose(f.c2(0.9, 0.3, seg), k(0.3), rtol=0, atol=1e-15)
 

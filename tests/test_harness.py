@@ -116,6 +116,14 @@ def test_file_and_override_values_share_one_validator(section, key, raw):
     assert str(from_override.value) == f"override {item!r}: {from_file.value}"
 
 
+def test_mixed_case_key_means_the_same_in_a_file_and_an_override():
+    from_file = parse_config(GOOD.replace("t_final = 1.0", "T_final = 3"))
+    from_override = apply_overrides(parse_config(GOOD),
+                                    ["numerics.T_final=3"])
+    assert from_file.numerics == from_override.numerics == {"t_final": 3.0}
+    assert from_file.echo() == from_override.echo()
+
+
 def test_load_config_missing_file():
     with pytest.raises(ConfigError, match="cannot read"):
         load_config("/nonexistent/nowhere.ini")
@@ -276,6 +284,8 @@ REJECTED = [
     ("timestep_convergence", "numerics.t_final=0.001"),
     ("volterra_consistency", "numerics.n_steps=1"),
     ("volterra_consistency", "numerics.n_steps=2"),
+    # a memory window of 1.5 steps: the past would lie off the step grid
+    ("volterra_consistency", "numerics.n_steps=6"),
     ("functional_delay_demo", "numerics.max_iter=0"),
     ("functional_delay_demo", "numerics.tol=0"),
     ("hypothesis_report", "monte_carlo.replicas=-3"),
@@ -321,6 +331,8 @@ ACCEPTED = [
     # keys the experiment never reads
     ("timestep_convergence", ("numerics.n_steps=0",)),
     ("timestep_convergence", ("problem.p=1.5",)),
+    # a multiple of 4 steps: the memory window is whole steps on both grids
+    ("volterra_consistency", ("numerics.n_steps=8",)),
 ]
 
 

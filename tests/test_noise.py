@@ -1,6 +1,4 @@
-"""Tests for seeded noise paths, bridge refinement, and the binary dump."""
-
-from pathlib import Path
+"""Tests for seeded noise paths and bridge refinement."""
 
 import numpy as np
 import pytest
@@ -14,11 +12,9 @@ from monosee.noise import (
     NoiseContext,
     NoisePath,
     _substream_keys,
-    load_increments,
     refine_path,
     sample_batch,
     sample_path,
-    save_increments,
     zero_path,
 )
 
@@ -130,23 +126,6 @@ def test_bridge_midpoint_conditional_variance():
     s2 = np.var(centered, ddof=1)
     se = (dt / 4.0) * np.sqrt(2.0 / (R - 1))
     assert abs(s2 - dt / 4.0) < 3 * se
-
-
-def test_dump_round_trip(tmp_path):
-    p = sample_path(42, 1.0, 10, 3)
-    fname = str(tmp_path / "noise.bin")
-    save_increments(p, fname)
-    seed, inc = load_increments(fname)
-    assert seed == 42
-    assert np.array_equal(inc, p.increments)
-    raw = Path(fname).read_bytes()
-    assert raw[:8] == b"MSNOISE1"
-    assert len(raw) == 8 + 24 + 10 * 3 * 8
-
-    bad = tmp_path / "bad.bin"
-    bad.write_bytes(b"NOTMAGIC" + raw[8:])
-    with pytest.raises(ConfigError):
-        load_increments(str(bad))
 
 
 def test_noise_context_frozen_lookup():
@@ -308,14 +287,3 @@ def test_bridge_draws_its_fresh_philox_substream():
 def test_keys_need_non_negative_integer_seed_and_replica(call):
     with pytest.raises(ConfigError, match="non-negative integer|2\\*\\*64"):
         call()
-
-
-def test_dump_refuses_a_seed_it_cannot_hold(tmp_path):
-    fname = str(tmp_path / "noise.bin")
-    with pytest.raises(ConfigError, match="uint64"):
-        save_increments(sample_path(2**70 + 3, 1.0, 4, 1), fname)
-    widest = sample_path(2**64 - 1, 1.0, 4, 1)
-    save_increments(widest, fname)
-    seed, inc = load_increments(fname)
-    assert seed == 2**64 - 1
-    assert np.array_equal(inc, widest.increments)
