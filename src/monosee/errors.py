@@ -14,17 +14,19 @@ class ConfigError(MonoseeError):
 
 
 class NonconvergenceError(MonoseeError):
-    """An iterative solve ran out of iterations.
+    """An iterative solve ran out of iterations or stalled.
 
     Carries the residual history so callers can report or post-mortem it;
     a batched solve also records which ``replica`` failed (None otherwise),
-    and the message then starts with it.
+    and the message then starts with it.  A resolvent error lists every
+    failed row in ``failures``, itself first (empty for other solves).
     """
 
     def __init__(self, message, residuals=None, replica=None):
         super().__init__(message)
         self.residuals = list(residuals) if residuals is not None else []
         self.replica = replica
+        self.failures = []
 
     def __str__(self):
         text = super().__str__()

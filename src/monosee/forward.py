@@ -222,9 +222,11 @@ def step_implicit(x, t: float, dt: float, dW, b: MonotoneMap, sigma,
     """
     x = np.asarray(x, dtype=float)
     r = x + _noise_term(sigma(t, x), dW)
-    y, b_y = _resolvent_general(b, t + dt, dt, r, cfg.resolvent_tol,
-                                cfg.resolvent_max_iter, guess=guess,
-                                counts=counts)
+    y, b_y, unsolved = _resolvent_general(
+        b, t + dt, dt, r, cfg.resolvent_tol, cfg.resolvent_max_iter,
+        guess=guess, counts=counts)
+    if unsolved is not None:
+        raise unsolved()
     return ImplicitStep(y, r, b_y)
 
 
@@ -253,7 +255,8 @@ def solve_forward(cfg: SolverConfig, drift, diffusion, noise, x0,
     follows the iterates it would follow alone (up to the rounding of the
     stacked matrix products).  A NoisePath is the batch of one and gives
     one SolutionPath.  A failed step raises NonconvergenceError naming the
-    step and, in a batch, the replica, with that replica's history.
+    step and, in a batch, the replica, with that replica's history; its
+    ``failures`` list every failed replica (numbered from ``replica0``).
     ``counts`` (one entry per replica) accumulates the Newton work.
 
     ``x0`` holds grid values; it is projected onto the first n modes and
@@ -302,11 +305,12 @@ def solve_forward(cfg: SolverConfig, drift, diffusion, noise, x0,
             step = step_implicit(xk, t0, dt, dw, drift_map, sigma, cfg,
                                  guess=xk, counts=counts)
         except NonconvergenceError as err:
-            replica = None if single is not None \
-                else batch.replica0 + err.replica
-            raise NonconvergenceError(
-                f"forward solve failed at step {k} (t = {t0:g}): "
-                f"{err.args[0]}", err.residuals, replica) from err
+            for e in err.failures or [err]:
+                e.args = (f"forward solve failed at step {k} (t = {t0:g}): "
+                          f"{e.args[0]}",)
+                e.replica = None if single is not None \
+                    else batch.replica0 + e.replica
+            raise
         residual[:, k] = _step_defect(step.y, step.r, step.b_y, dt)
         coeffs[:, k + 1] = step.y
 

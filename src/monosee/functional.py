@@ -324,14 +324,19 @@ def volterra_to_functional(v: VolterraCoefficients) -> FunctionalCoefficients:
 def _stacked(fn, who: str, times, seg: Segment, factor: bool = False):
     """A coefficient called once on a stack of S windows, its times (one
     1-d array per argument) passed as (S, 1) columns, or (S, 1, 1) for a
-    noise ``factor``: state rows (S, width) or factors (S, width, m)."""
+    noise ``factor``: state rows (S, width) or factors (S, width, m), or
+    one (width, m) factor for all S that keeps its shape on one window."""
     n, width = seg.values.shape[0], seg.width
-    out = np.asarray(fn(*(np.reshape(t, (n,) + (1,) * (1 + factor))
-                          for t in times), seg), dtype=float)
+    columns = [np.reshape(t, (n,) + (1,) * (1 + factor)) for t in times]
+    out = np.asarray(fn(*columns, seg), dtype=float)
     expected = (n, width, out.shape[-1]) if factor and out.ndim \
         else (n, width)
     try:
         if out.ndim < len(expected) - 1 or out.shape[-1 - factor] != width:
+            raise ValueError
+        if factor and out.ndim == 2 and n == width > 1 and np.shape(fn(
+                *(c[:1] for c in columns),
+                Segment(seg.theta, seg.values[:1], seg.norm))) != out.shape:
             raise ValueError
         return np.broadcast_to(out, expected)
     except ValueError:

@@ -22,6 +22,7 @@ The sampled checkers evaluate and solve whole stacks of samples at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -107,32 +108,60 @@ def _newton_steps(M: np.ndarray, g: np.ndarray) -> np.ndarray:
         return np.stack([_newton_steps(m, r) for m, r in zip(M, g)])
 
 
-def _replica_error(message: str, lead: tuple, history: list, flat: int):
-    """NonconvergenceError for the replica at flat row ``flat`` of a stack
-    with leading shape ``lead``, carrying that replica's history."""
-    rows = [float(np.reshape(h, -1)[flat]) for h in history]
-    replica = None
-    if lead:
-        replica = np.unravel_index(flat, lead)
-        replica = int(replica[0]) if len(lead) == 1 \
-            else tuple(map(int, replica))
-    return NonconvergenceError(message, residuals=rows, replica=replica)
+def _group_error(name: str, at, history, index=()):
+    """The NonconvergenceError the rows at ``index`` (all by default) raise
+    if solved alone, or None if none failed.  ``at`` is each row's failing
+    entry of its residual ``history`` (-1 if solved): its stalled Newton
+    iteration, or the last (final) entry if it ran out of iterations.  The
+    first failure (lowest ``at``, then flat index) is the error, with its
+    replica in the group's own axes; ``failures`` lists all, itself first.
+    """
+    at, history, failures = at[index], history[index], []
+    for row in sorted(map(tuple, np.argwhere(at >= 0).tolist()),
+                      key=at.__getitem__):
+        k, residuals = int(at[row]), history[row]
+        stalled = k + 1 < len(residuals)
+        message = (f"resolvent of {name}: damped Newton stalled at residual "
+                   f"{residuals[k]:.3e}; is the map actually dissipative?"
+                   if stalled else f"resolvent of {name} did not converge in "
+                   f"{k} iterations (residual {residuals[k]:.3e})")
+        failures.append(NonconvergenceError(
+            message, residuals[:k + stalled].tolist(),
+            row[0] if len(row) == 1 else row or None))
+    if failures:
+        failures[0].failures = failures
+        return failures[0]
 
 
 def _resolvent_general(F, t, eps, x, tol, max_iter, guess=None, counts=None):
     """Damped Newton on y - eps*F(t, y) = x for x of shape (..., n).
 
     ``eps`` is a float or one eps per row, shaped (..., 1).  Every row is
-    an independent replica with its own target
-    tol*(1 + |x_row|), convergence mask and line-search step length.  The
-    whole stack is evaluated together; a converged row gets a zero step
-    and a row that has accepted its line-search trial a zero step length,
-    so it stays frozen and each row follows the iterates it would follow
-    alone.  The first row that fails raises, with its own history.
-    Returns (y, F(t, y)): the map at the accepted iterate comes along,
-    carried through the line search like the residual.
+    an independent replica with its own target tol*(1 + |x_row|),
+    convergence mask and line-search step length.  The whole stack is
+    evaluated together; a converged row, or one whose line search stalls
+    (uses up its 40 halvings), gets a zero step and a row that has
+    accepted its line-search trial a zero step length, so it stays frozen
+    and each row follows the iterates it would follow alone.  Returns (y,
+    F(t, y), unsolved), the map carried through the line search like the
+    residual; ``unsolved`` is None if every row converged (only then
+    ``counts`` gains the work), else ``unsolved(index=())`` is
+    :func:`_group_error`.
     """
-    x = np.asarray(x, dtype=float)
+    if F.diagonal:  # the elements as a stack of width-1 rows
+        rows = MonotoneMap(
+            eval=lambda t, y: np.asarray(F.eval(t, y[..., 0]),
+                                         dtype=float)[..., None],
+            jacobian=None if F.jacobian is None else (
+                lambda t, y: np.asarray(F.jacobian(t, y[..., 0]),
+                                        dtype=float)[..., None, None]),
+            name=F.name)
+        eps = eps[..., None] if isinstance(eps, np.ndarray) else eps
+        y, f, unsolved = _resolvent_general(
+            rows, t, eps, np.asarray(x, dtype=float)[..., None], tol,
+            max_iter, guess, counts)
+        return y[..., 0], f[..., 0], unsolved
+    x = np.atleast_1d(np.asarray(x, dtype=float))
     y = x.copy() if guess is None else np.array(guess, dtype=float).reshape(x.shape)
     lead = x.shape[:-1]
     eye = np.eye(x.shape[-1])
@@ -141,12 +170,15 @@ def _resolvent_general(F, t, eps, x, tol, max_iter, guess=None, counts=None):
     iterations = np.zeros(lead, dtype=np.int64)
     halvings = np.zeros(lead, dtype=np.int64)
     history = []
+    at = None  # each row's stalled iteration (max_iter if none)
     f = np.asarray(F.eval(t, y), dtype=float)
     g = y - eps * f - x
     ng = _norms(g)
-    for _ in range(max_iter):
+    for it in range(max_iter):
         history.append(ng)
         active = ~(ng <= target)
+        if at is not None:
+            active &= at == max_iter
         n_active = np.count_nonzero(active)
         if not n_active:
             break
@@ -174,24 +206,16 @@ def _resolvent_general(F, t, eps, x, tol, max_iter, guess=None, counts=None):
             halvings += pending
             lam = lam * np.where(pending, 0.5, 0.0)[..., None]
         else:
-            flat = int(np.flatnonzero(pending)[0])
-            stalled = float(np.reshape(history[-1], -1)[flat])
-            raise _replica_error(
-                f"resolvent of {F.name}: damped Newton stalled at residual "
-                f"{stalled:.3e}; is the map actually dissipative?",
-                lead, history, flat)
-    else:
-        failed = ~(ng <= target)
-        if np.count_nonzero(failed):
-            flat = int(np.flatnonzero(failed)[0])
-            raise _replica_error(
-                f"resolvent of {F.name} did not converge in {max_iter} "
-                f"iterations (residual {float(np.reshape(ng, -1)[flat]):.3e})",
-                lead, history, flat)
+            at = np.where(pending, it, max_iter if at is None else at)
+    else:  # out of iterations: every row not converged has failed
+        at = max_iter if at is None else at
+    if at is not None and np.count_nonzero(failed := ~(ng <= target)):
+        return y, f, partial(_group_error, F.name, np.where(failed, at, -1),
+                             np.stack(history + [ng], axis=-1))
     if counts is not None:
         counts.iterations += iterations
         counts.halvings += halvings
-    return y, f
+    return y, f, None
 
 
 def resolvent(F: MonotoneMap, t: float, eps: float, x, tol: float = 1e-12,
@@ -203,41 +227,33 @@ def resolvent(F: MonotoneMap, t: float, eps: float, x, tol: float = 1e-12,
     map accepts a stack x of shape (..., n) and a diagonal map an array
     of any shape, solved as the stack x[..., None] of width-1 rows: each
     row is solved as an independent replica in one batched Newton
-    iteration, and a failure names the first failing replica (an index
-    into x for a diagonal map) and carries its residual history.
+    iteration.  If rows fail (a line search stalls, or ``max_iter`` runs
+    out), the error names the first failing replica (an index into x for
+    a diagonal map) with its history, and ``failures`` lists every one.
     ``guess`` (shaped like x) warm starts the Newton iteration; the
     answer does not depend on it beyond the tolerance.  ``counts`` (a
     :class:`NewtonCounts` shaped like the stack's leading axes, for a
     diagonal map like x) accumulates Newton iterations and line-search
-    halvings.  ``eps`` must lie in (0, inf); an array of them broadcasts
-    against x, one per element for a diagonal map and one per row for a
-    general one (an (S, 1) column for x of shape (S, n)).
+    halvings of a call that returns.  ``eps`` must lie in (0, inf); an array
+    of them broadcasts against x, one per element for a diagonal map and
+    one per row for a general one (an (S, 1) column for x of shape (S, n)).
     """
     if isinstance(eps, np.ndarray):
         if not np.all((0 < eps) & (eps < np.inf)) \
                 or not (F.diagonal or eps.shape[-1:] in ((), (1,))):
             raise ConfigError("resolvent needs 0 < eps < inf, one per row "
                               f"(a trailing axis of 1), got {eps!r}")
-        eps = eps[..., None] if F.diagonal else eps
     elif not 0 < eps < np.inf:
         raise ConfigError(f"resolvent needs 0 < eps < inf, got {eps!r}")
     if not tol > 0:
         raise ConfigError(f"resolvent needs tol > 0, got {tol!r}")
     if max_iter < 1:
         raise ConfigError(f"resolvent needs max_iter >= 1, got {max_iter!r}")
-    if not F.diagonal:
-        return _resolvent_general(F, t, eps, np.atleast_1d(x), tol, max_iter,
-                                  guess=guess, counts=counts)[0]
-    jacobian = None if F.jacobian is None else (
-        lambda t, y: np.asarray(F.jacobian(t, y[..., 0]),
-                                dtype=float)[..., None, None])
-    rows = MonotoneMap(
-        eval=lambda t, y: np.asarray(F.eval(t, y[..., 0]),
-                                     dtype=float)[..., None],
-        jacobian=jacobian, name=F.name)
-    y = _resolvent_general(rows, t, eps, np.asarray(x, dtype=float)[..., None],
-                           tol, max_iter, guess=guess, counts=counts)[0]
-    return y[..., 0]
+    y, _, unsolved = _resolvent_general(F, t, eps, x, tol, max_iter,
+                                        guess=guess, counts=counts)
+    if unsolved is not None:
+        raise unsolved()
+    return y
 
 
 def yosida(F: MonotoneMap, t: float, eps: float, x, tol: float = 1e-12,
@@ -277,28 +293,6 @@ def check_dissipativity(F: MonotoneMap, sampler, n_samples: int = 500,
                           lambda rng: (t, sampler(rng), sampler(rng)), evaluate)
 
 
-def _yosida_rows(F: MonotoneMap, t: float, eps: np.ndarray, *stacks):
-    """A_eps of each stack of samples, one eps per sample, in one resolvent
-    call.  If that call fails, each sample is solved alone, stack by stack
-    up to its first failed solve, whose error it keeps; its unsolved
-    values are NaN."""
-    x = np.concatenate(stacks)
-    e = np.tile(eps, len(stacks)).reshape((-1,) + (1,) * (x.ndim - 1))
-    try:
-        return np.split((resolvent(F, t, e, x, tol=1e-13) - x) / e,
-                        len(stacks)), {}
-    except NonconvergenceError:
-        pass
-    out, errors = [np.full(s.shape, np.nan) for s in stacks], {}
-    for i, e in enumerate(eps.tolist()):
-        try:
-            for a, s in zip(out, stacks):
-                a[i] = (resolvent(F, t, e, s[i], tol=1e-13) - s[i]) / e
-        except NonconvergenceError as exc:
-            errors[i] = str(exc)
-    return out, errors
-
-
 def check_yosida_properties(F: MonotoneMap, sampler, n_samples: int = 200,
                             seed: int = 0, tol: float = 1e-8,
                             t: float = 0.0) -> ViolationReport:
@@ -310,10 +304,11 @@ def check_yosida_properties(F: MonotoneMap, sampler, n_samples: int = 200,
     (IV)  A_eps(x) -> F(x) monotonically as eps decreases.
 
     Random (eps, x, y) triples drive (I)-(III); (IV) sweeps eps over a
-    decreasing grid at a handful of sampled base points.  Violations carry
-    the property label in their detail dict; a sample whose resolvent
-    solve fails is flagged "resolvent solve", and a failed sweep point
-    enters (IV)'s gaps as inf.
+    decreasing grid at a handful of sampled base points, each stage solved
+    in one call.  Violations carry the property label in their detail
+    dict; a sample whose solve fails is flagged "resolvent solve" with the
+    error its first failed solve (x, then y) raises alone, and a failed
+    sweep point enters (IV)'s gaps as inf.
     """
     eps_grid = np.logspace(-1, -5, 9)
 
@@ -326,9 +321,21 @@ def check_yosida_properties(F: MonotoneMap, sampler, n_samples: int = 200,
     def draw(rng):
         return float(10.0 ** rng.uniform(-3, 0)), state(rng), state(rng)
 
+    def solve(eps, *stacks):
+        # A_eps of stacked samples, one eps per sample, in one kernel call,
+        # and each sample's error text: its first failed stack's ("" if none)
+        x = np.stack(stacks)
+        e = eps.reshape((-1,) + (1,) * (x.ndim - 2))
+        j, _, unsolved = _resolvent_general(F, t, e, x, 1e-13, 200)
+        errors = [""] * len(eps)
+        if unsolved is not None:
+            for i in range(len(eps)):
+                errors[i] = str(next(filter(None, (
+                    unsolved((s, i)) for s in range(len(stacks)))), ""))
+        return (j - x) / e, errors
+
     def evaluate(eps, x, y):
-        (ax, ay), errors = _yosida_rows(F, t, eps, x, y)
-        error = [errors.get(i, "") for i in range(len(eps))]
+        (ax, ay), error = solve(eps, x, y)
         solved = np.array([not e for e in error])
         scale = 1.0 + norms(x) + norms(y)
         inner = _sample_sum((x - y) * (ax - ay))
@@ -346,11 +353,10 @@ def check_yosida_properties(F: MonotoneMap, sampler, n_samples: int = 200,
     def convergence_sweep(rng, report):
         base = np.stack([state(rng) for _ in range(5)])
         k = len(eps_grid)
-        (a,), errors = _yosida_rows(F, t, np.tile(eps_grid, 5),
-                                    np.repeat(base, k, axis=0))
+        (a,), errors = solve(np.tile(eps_grid, 5), np.repeat(base, k, axis=0))
         gaps = norms(a - np.repeat(np.asarray(F.eval(t, base), dtype=float),
                                    k, axis=0))
-        gaps[list(errors)] = np.inf
+        gaps[[bool(e) for e in errors]] = np.inf
         gaps = gaps.reshape(5, k)
         worsened = np.any(gaps[:, 1:] > gaps[:, :-1]
                           + tol * (1.0 + gaps[:, :-1]), axis=1)

@@ -314,7 +314,23 @@ def test_solve_forward_propagates_nonconvergence_with_step_index():
     assert len(err.value.residuals) == len(alone.value.residuals) >= 1
     assert np.allclose(err.value.residuals, alone.value.residuals,
                        rtol=1e-12, atol=0)
-    calm = NoiseBatch(0, 0, 0, times, increments[:2], scalar[:2])
+    # every failed replica is listed, each with its own one-path history
+    assert [f.replica for f in err.value.failures] == [2, 3]
+    for failure in err.value.failures:
+        assert str(failure).startswith(
+            f"replica {failure.replica}: forward solve failed at step 0 ")
+        with pytest.raises(NonconvergenceError) as alone:
+            solve_forward(cfg, ops.drift, ops.diffusion,
+                          batch.path(failure.replica), zero)
+        assert len(failure.residuals) == len(alone.value.residuals)
+        assert np.allclose(failure.residuals, alone.value.residuals,
+                           rtol=1e-12, atol=0)
+    # replicas are numbered from the batch's first one
+    shifted = dataclasses.replace(batch, replica0=5)
+    with pytest.raises(NonconvergenceError, match=r"^replica 7: ") as err:
+        solve_forward(cfg, ops.drift, ops.diffusion, shifted, zero)
+    assert [f.replica for f in err.value.failures] == [7, 8]
+    calm =NoiseBatch(0, 0, 0, times, increments[:2], scalar[:2])
     assert len(solve_forward(cfg, ops.drift, ops.diffusion, calm, zero)) == 2
 
 

@@ -341,6 +341,23 @@ def test_a_coefficient_of_the_wrong_shape_is_named(part, fn, message):
         picard_solve_functional(drift, coeffs, noise, past, cfg)
 
 
+@pytest.mark.parametrize("n_pts", [1, 2, 3])
+def test_state_rows_from_d1_are_named_at_every_stack_size(n_pts):
+    # d1 sees one window per grid time; on a 2-wide path with 2 grid times
+    # the state rows (2, 2) have the shape of one shared (2, 2) factor
+    path = _linear_path()
+    path = SegmentPath(path.past, path.times[:n_pts], path.values[:n_pts])
+    noise = sample_path(seed=9, t_final=0.5, n_steps=2, n_modes=2)
+    rows = FunctionalCoefficients(d1=lambda t, seg: seg.end)
+    with pytest.raises(ConfigError, match=rf"d1 returned shape \({n_pts}, "
+                       rf"2\), expected \({n_pts}, 2, noise modes\)"):
+        _frozen_terms(rows, path, noise)
+    shared = np.array([[0.25, 0.1], [0.4, -0.2]])
+    _, d_rows = _frozen_terms(
+        FunctionalCoefficients(d1=lambda t, seg: shared), path, noise)
+    assert np.array_equal(d_rows, np.broadcast_to(shared, (n_pts, 2, 2)))
+
+
 def test_delay_equation_matches_direct_stepping_oracle():
     # modes diagonalize the flux part, so the converged path obeys, per
     # mode, y[k+1] (1 + mu dt) = y[k] + dt kappa lag(t[k+1]) + (P d1) dW

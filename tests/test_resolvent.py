@@ -4,6 +4,8 @@ The cubic resolvent is checked against a plain interval-bisection oracle
 implemented here, independent of the package's Newton machinery.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -191,6 +193,31 @@ def test_diagonal_failure_names_the_element():
     assert err.value.residuals == alone.value.residuals
 
 
+def test_a_stall_fails_before_running_out_of_iterations():
+    # row 1 starts on the maximum of y - y**3/3, where the Newton matrix
+    # vanishes and no step length descends: it stalls at iteration 0.  Row
+    # 0 needs more than 2 iterations.  The error is row 1's, as when the
+    # stall stopped the whole solve; every failed row is listed
+    F = _plus_cube_map()
+    x, eps = np.array([0.5, 1.0]), np.array([0.5, 1.0 / 3.0])
+    counts = NewtonCounts(2)
+    with pytest.raises(NonconvergenceError) as err:
+        resolvent(F, 0.0, eps, x, tol=1e-14, max_iter=2, counts=counts)
+    assert str(err.value) == ("replica 1: resolvent of plus cube: damped "
+                              "Newton stalled at residual 3.333e-01; is the "
+                              "map actually dissipative?")
+    assert err.value.replica == 1
+    assert not counts.iterations.any() and not counts.halvings.any()
+    assert [f.replica for f in err.value.failures] == [1, 0]
+    for failure in err.value.failures:
+        with pytest.raises(NonconvergenceError) as alone:
+            resolvent(F, 0.0, float(eps[failure.replica]),
+                      x[failure.replica], tol=1e-14, max_iter=2)
+        assert str(failure) == f"replica {failure.replica}: {alone.value}"
+        assert failure.residuals == alone.value.residuals
+    assert err.value.failures[0] is err.value
+
+
 def sampler4(rng):
     return rng.uniform(-3, 3, size=4)
 
@@ -298,6 +325,34 @@ def test_yosida_check_records_unconverged_solves_like_the_loop():
     sweeps = [v for v in stacked.violations
               if v.detail["property"] == "IV convergence"]
     assert any(np.isinf(v.detail["gaps"]).any() for v in sweeps)
+
+
+def _general_plus_cube_map():
+    return MonotoneMap(eval=lambda t, x: x ** 3,
+                       jacobian=lambda t, x: 3.0 * x[..., None] ** 2
+                       * np.eye(x.shape[-1]), name="general plus cube")
+
+
+@pytest.mark.parametrize("make_map, prefix, n_unsolved", [
+    (_plus_cube_map, r"replica [0-3]: ", 96),
+    (_general_plus_cube_map, "", 86)])
+def test_unsolved_samples_carry_the_one_sample_error_text(make_map, prefix,
+                                                          n_unsolved):
+    # a diagonal map solves a sample as 4 rows, and its one-sample error
+    # names the element; a general map's sample is one row, named by none
+    F = make_map()
+    stacked = check_yosida_properties(F, sampler4, n_samples=200, seed=5)
+    oracle = oracles.yosida_properties(F, sampler4, n_samples=200, seed=5)
+    assert_same_report(stacked, oracle)
+
+    def unsolved(report):
+        return [(v.index, v.detail["error"]) for v in report.violations
+                if v.detail["property"] == "resolvent solve"]
+
+    assert unsolved(stacked) == unsolved(oracle)
+    assert len(unsolved(stacked)) == n_unsolved
+    assert all(re.match(f"{prefix}resolvent of {F.name}", error)
+               for _, error in unsolved(stacked))
 
 
 def test_resolvent_takes_one_eps_per_row():
