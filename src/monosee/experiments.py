@@ -37,9 +37,9 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from . import __version__
-from .analysis import (bihari_bound, convergence_order, linear_modulus,
-                       rho_eval, rho_k_modulus, sup_h_distance,
-                       zero_limit_check)
+from .analysis import (BOUND_CAP, bihari_bound, convergence_order,
+                       linear_modulus, rho_eval, rho_k_modulus,
+                       sup_h_distance, zero_limit_check)
 from .bsde import (BackwardCounts, BsdeDriver, BsdeProblem, picard_in_x,
                    picard_in_z, polynomial_basis, solution_csv,
                    solve_bsde_autonomous_C, zero_driver)
@@ -826,6 +826,13 @@ def _bihari_table(s):
     spec = None
     if kind == "linear":
         spec = linear_modulus(1.0)
+        # the unit-rate bound e^t passes the cap at t = log(BOUND_CAP),
+        # where the tabulated curve turns inf; rho_k bounds grow slower
+        s.check(t_final <= math.log(BOUND_CAP),
+                f"numerics.t_final must be at most log(BOUND_CAP) = "
+                f"{math.log(BOUND_CAP):.6g} for rho_kind = linear, where the "
+                f"bound e^t_final stays below the cap {BOUND_CAP:g}; "
+                f"got {t_final!r}")
     elif kind == "rho_k":
         spec = s.build("problem.rho_*", rho_k_modulus,
                        k=s.get("problem", "rho_k", 1),

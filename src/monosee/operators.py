@@ -359,15 +359,32 @@ def state_sampler(triple: DiscreteTriple, t_final: float = 1.0,
 
     Pass the noise grid as ``times`` when the operators carry random
     coefficients: scalar-path lookups only exist at grid times.
+
+    One sample draws, in this order: the time, as ``times[rng.integers(
+    len(times))]`` or, without a grid, ``t_final * rng.random()``; the
+    log-amplitude, ``rng.uniform(lo, hi)``; then ``triple.n_grid``
+    standard normals.  This is the stream the ``rng.choice(times)`` and
+    ``rng.uniform(0.0, t_final)`` forms drew: the same values, and the
+    generator left in the same state.  An empty or non-1-d grid, or
+    without a grid a negative or non-finite ``t_final``, raises
+    ConfigError here rather than at every draw.
     """
     lo, hi = np.log(amp_range[0]), np.log(amp_range[1])
-    times = None if times is None else np.asarray(times, dtype=float)
+    if times is None:
+        if not 0.0 <= t_final < np.inf:
+            raise ConfigError(f"state sampler needs a finite t_final >= 0, "
+                              f"got {t_final!r}")
+    else:
+        times = np.asarray(times, dtype=float)
+        if times.ndim != 1 or times.size == 0:
+            raise ConfigError(f"state sampler needs a non-empty 1-d grid "
+                              f"of times, got shape {times.shape}")
 
     def sample(rng):
         if times is None:
-            t = float(rng.uniform(0.0, t_final))
+            t = float(t_final * rng.random())
         else:
-            t = float(rng.choice(times))
+            t = float(times[rng.integers(len(times))])
         amp = float(np.exp(rng.uniform(lo, hi)))
         u = amp * rng.standard_normal(triple.n_grid)
         return t, u
@@ -377,13 +394,20 @@ def state_sampler(triple: DiscreteTriple, t_final: float = 1.0,
 
 def pair_sampler(triple: DiscreteTriple, t_final: float = 1.0,
                  amp_range=(1e-3, 1e3), times=None):
-    """Random (t, u, v) triplets for the two-point checks."""
+    """Random (t, u, v) triplets for the two-point checks.
+
+    One sample draws (t, u) from ``state_sampler``, then a second state
+    whose time is discarded, as v, then the coin ``rng.random()``: below
+    0.1, v is replaced by a copy of u.  This is the stream the
+    ``rng.uniform()`` coin drew.  The arguments are checked as
+    ``state_sampler`` checks them.
+    """
     single = state_sampler(triple, t_final, amp_range, times=times)
 
     def sample(rng):
         t, u = single(rng)
         _, v = single(rng)
-        if rng.uniform() < 0.1:
+        if rng.random() < 0.1:
             v = u.copy()  # exercise the u = v edge exactly
         return t, u, v
 

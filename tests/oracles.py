@@ -1,5 +1,6 @@
 """Plain reference loops for the stacked checkers, the backward sweep and
-the memory terms.
+the memory terms, and the operator samplers written with ``choice`` and
+``uniform``.
 
 Each checker oracle draws and evaluates one sample at a time, in the
 order the stacked checker draws them, and appends its violations as it
@@ -12,7 +13,10 @@ for them.  The memory oracles build the window at one grid time by
 searching and interpolating the stored path (``segment``), and tabulate
 the frozen functional terms with one coefficient call per window and a
 Python loop over the source times (``frozen_terms``, which takes the
-arguments of ``monosee.functional._frozen_terms``).
+arguments of ``monosee.functional._frozen_terms``).  The sampler oracles
+draw each time with ``rng.choice`` or ``rng.uniform`` and the u = v coin
+with ``rng.uniform()``; ``monosee.operators.state_sampler`` and
+``pair_sampler`` must draw the same stream with the primitive draws.
 """
 
 import math
@@ -50,6 +54,39 @@ def assert_same_report(stacked, oracle, rel=1e-9):
         else:
             assert got.excess == want.excess \
                 or (math.isnan(got.excess) and math.isnan(want.excess))
+
+
+# ---------------------------------------------------------------------------
+# operator samplers
+
+
+def state_sampler(triple, t_final=1.0, amp_range=(1e-3, 1e3), times=None):
+    lo, hi = np.log(amp_range[0]), np.log(amp_range[1])
+    times = None if times is None else np.asarray(times, dtype=float)
+
+    def sample(rng):
+        if times is None:
+            t = float(rng.uniform(0.0, t_final))
+        else:
+            t = float(rng.choice(times))
+        amp = float(np.exp(rng.uniform(lo, hi)))
+        u = amp * rng.standard_normal(triple.n_grid)
+        return t, u
+
+    return sample
+
+
+def pair_sampler(triple, t_final=1.0, amp_range=(1e-3, 1e3), times=None):
+    single = state_sampler(triple, t_final, amp_range, times=times)
+
+    def sample(rng):
+        t, u = single(rng)
+        _, v = single(rng)
+        if rng.uniform() < 0.1:
+            v = u.copy()
+        return t, u, v
+
+    return sample
 
 
 # ---------------------------------------------------------------------------

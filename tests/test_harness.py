@@ -301,6 +301,9 @@ REJECTED = [
     ("bsde_picard_demo", "numerics.tol=-1"),
     # unknown enum values
     ("bihari_table", "problem.rho_kind=cubic"),
+    # a linear bound e^t_final past BOUND_CAP = 1e300 (t_final > 690.78)
+    ("bihari_table", "numerics.t_final=691"),
+    ("bihari_table", "numerics.t_final=800"),
     ("volterra_consistency", "problem.kernel=gaussian"),
     # a negative seed keys no noise substream (every seeded experiment)
     ("porous_medium_demo", "monte_carlo.seed=-4"),
@@ -430,6 +433,21 @@ def test_bihari_table_linear_closed_form(tmp_path):
     assert manifest["experiment"] == "bihari_table"
     assert manifest["error"] is None
     assert all(a["passed"] for a in manifest["assertions"])
+
+
+def test_bihari_table_linear_t_final_stops_at_the_bound_cap(tmp_path):
+    past = validate_experiment(ExperimentConfig(
+        experiment="bihari_table", numerics={"t_final": 691.0}))
+    assert len(past) == 1 and "log(BOUND_CAP) = 690.776" in past[0]
+    # rho_1 grows slower than e^t: its bound at t_final = 800 is finite
+    assert validate_experiment(ExperimentConfig(
+        experiment="bihari_table", problem={"rho_kind": "rho_k"},
+        numerics={"t_final": 800.0})) == []
+    result = run_experiment(_config("bihari_table", tmp_path,
+                                    numerics={"t_final": 690.0}))
+    assert result.passed
+    assert [a.name for a in result.outcome.assertions] == [
+        "matches_exponential_closed_form", "bound_nondecreasing"]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -589,6 +607,96 @@ def test_run_digests_repeats_for_a_named_experiment(tmp_path):
                       ("volterra_consistency", "volterra_consistency.csv")):
         assert sum(line.startswith(f"{name}/") and f" {csv} " in line
                    for line in first) == 4
+
+
+def _tool_module(name):
+    path = Path(__file__).parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"tools_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_ab_pairs_gain_and_bound_verdicts():
+    compare = _tool_module("ab_pairs").compare
+    parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+    # lower in 9 of 10 pairs, medians 0.3 apart against a 0.035 parent IQR
+    change = [0.7] * 9 + [1.5]
+    m = compare(parent, change, "lower", bound=0.24)
+    assert m["wins"] == {"change": 9, "parent": 1, "ties": 0}
+    assert m["gain"] and m["bound"] == "ok"
+    assert m["parent"]["median"] == 1.0
+    assert (m["parent"]["q1"], m["parent"]["q3"]) == pytest.approx((0.9825, 1.0175))
+    # 8 of 10 is below nine tenths; a tie counts for neither side
+    assert not compare(parent, [0.7] * 8 + [1.5, 0.98], "lower")["gain"]
+    assert compare(parent, [0.7] * 8 + [1.5, 0.98], "lower")["wins"]["ties"] == 1
+    # a missing run wins for neither side but counts among the pairs
+    short = compare(parent, [0.7] * 8 + [None, None], "lower")
+    assert short["wins"]["change"] == 8 and not short["gain"]
+    # 10 of 10, but the medians differ by less than the parent's IQR
+    assert not compare(parent, [p - 0.01 for p in parent], "lower")["gain"]
+    # a failed or incorrect run voids the gain
+    assert not compare(parent, change, "lower", runs_sound=False)["gain"]
+    # "higher" flips the direction
+    assert compare([-p for p in parent], [-c for c in change], "higher")["gain"]
+    assert not compare(parent, change, "higher")["gain"]
+    # bounds: worse by 30% > 24%; spread past the bound; every run better
+    assert compare(parent, [1.3] * 10, "lower", bound=0.24)["bound"] == "worse"
+    wide = [0.5, 1.5] * 5
+    assert compare(parent, wide, "lower", bound=0.24)["bound"] == "unresolved"
+    assert compare(wide, [0.4] * 10, "lower", bound=0.24)["bound"] == "ok"
+
+
+def _stub_checkout(root, speed):
+    # a benchmark whose run reports wall_s = speed and logs its arguments
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(
+        "import json, sys\n"
+        "from pathlib import Path\n"
+        "with open('runs.log', 'a') as log:\n"
+        "    log.write(' '.join(sys.argv[1:]) + '\\n')\n"
+        "speed = float(Path('speed.txt').read_text())\n"
+        "print(json.dumps({'correct': True, 'attempted': 1, 'failed': 0,\n"
+        "    'metrics': {'wall_s': {'value': speed, 'unit': 's'}}}))\n")
+    (root / "speed.txt").write_text(str(speed))
+    (root / "BENCHMARK.json").write_text(json.dumps({
+        "command": [sys.executable, "perfbench/run.py"], "paths": ["perfbench"],
+        "run_seconds": 3, "workloads": [{"name": "w"}],
+        "end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.24}],
+        "per_layer": []}))
+    return root
+
+
+def test_ab_pairs_runs_alternating_pairs_and_refuses(tmp_path, capsys):
+    main = _tool_module("ab_pairs").main
+    parent = _stub_checkout(tmp_path / "parent", 1.0)
+    change = _stub_checkout(tmp_path / "change", 0.5)
+    out = tmp_path / "ab.json"
+    assert main([str(parent), str(change), "--pairs", "3", "--first-seed",
+                 "11", "--out", str(out), "w"]) == 0
+    report = json.loads(out.read_text())
+    runs = report["workloads"]["w"]["runs"]
+    assert [(r["seed"], r["first"]) for r in runs] == [
+        (11, "parent"), (12, "change"), (13, "parent")]
+    assert runs[0]["change"] == {"exit": 0, "correct": True, "failed": 0,
+                                 "metrics": {"wall_s": 0.5}}
+    assert (parent / "runs.log").read_text().splitlines() == [
+        f"--workload w --seed {s} --seconds 3 --trace 0" for s in (11, 12, 13)]
+    wall = report["workloads"]["w"]["metrics"]["wall_s"]
+    assert wall["gain"] and wall["bound"] == "ok"
+    assert wall["wins"] == {"change": 3, "parent": 0, "ties": 0}
+    # an existing FILE is never overwritten
+    before = out.read_bytes()
+    assert main([str(parent), str(change), "--pairs", "1", "--out", str(out),
+                 "w"]) == 2
+    assert out.read_bytes() == before
+    # nor are two different benchmarks compared
+    (change / "perfbench" / "gate.py").write_text("")
+    assert main([str(parent), str(change), "--pairs", "1", "--out",
+                 str(tmp_path / "other.json"), "w"]) == 2
+    assert "perfbench/gate.py" in capsys.readouterr().err
+    assert not (tmp_path / "other.json").exists()
+    assert len((parent / "runs.log").read_text().splitlines()) == 3
 
 
 def _perfbench_module(name):

@@ -7,6 +7,7 @@ computed here, independent of the triple's pairing machinery.
 import numpy as np
 import pytest
 
+import oracles
 from monosee.errors import ConfigError, MonoseeError
 from monosee.noise import EMPTY_CONTEXT, NoiseContext, sample_path
 from monosee.operators import (ConstantDiffusion, HypothesisBundle,
@@ -536,3 +537,56 @@ def test_profiles_must_accept_arrays_of_times():
                               n_samples=4)
     assert report.n_samples == 4
     assert vectorised.integrability_report(EMPTY_CONTEXT, 1.0, n=8).ok
+
+
+# the report's probe grid (64 steps on [0, 1]) and the two amplitude
+# ranges hypothesis_report samples with
+SAMPLER_GRIDS = {
+    "none": None,
+    "one_point": [0.37],
+    "two_points": [0.0, 1.0],
+    "probe": sample_path(5, 1.0, 64, 1).times,
+    "non_uniform": [0.0, 0.01, 0.05, 0.2, 0.21, 0.5, 0.93, 1.0],
+}
+
+
+@pytest.mark.parametrize("amp_range", [(1e-3, 1e3), (1e-1, 1e2)])
+@pytest.mark.parametrize("grid", sorted(SAMPLER_GRIDS))
+@pytest.mark.parametrize("seed", [0, 5, 2**31])
+def test_samplers_draw_the_choice_and_uniform_stream(seed, grid, amp_range):
+    """The primitive draws give the oracle's times and states bit for bit,
+    u = v branch included, and leave the generator in the same state."""
+    tr = DiscreteTriple(12, POROUS_MEDIUM, q1=3, q2=3)
+    kw = {"amp_range": amp_range, "times": SAMPLER_GRIDS[grid]}
+    for make, want_make in ((state_sampler, oracles.state_sampler),
+                            (pair_sampler, oracles.pair_sampler)):
+        rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        sample, want_sample = make(tr, **kw), want_make(tr, **kw)
+        equal_pairs = 0
+        for _ in range(500):
+            t, *states = sample(rng)
+            want_t, *want_states = want_sample(want_rng)
+            assert type(t) is float and t == want_t
+            for got, want in zip(states, want_states):
+                assert got.tobytes() == want.tobytes()
+            equal_pairs += len(states) == 2 and states[0] is not states[1] \
+                and states[0].tobytes() == states[1].tobytes()
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+        if make is pair_sampler:
+            assert 20 < equal_pairs < 100
+
+
+@pytest.mark.parametrize("kw, match", [
+    ({"times": []}, "non-empty 1-d grid"),
+    ({"times": np.zeros((0, 3))}, "non-empty 1-d grid"),
+    ({"t_final": -1.0}, "finite t_final >= 0"),
+    ({"t_final": np.inf}, "finite t_final >= 0"),
+    ({"t_final": np.nan}, "finite t_final >= 0"),
+])
+def test_samplers_reject_what_the_draws_rejected(kw, match):
+    tr = DiscreteTriple(4, POROUS_MEDIUM, q1=3, q2=3)
+    for make in (state_sampler, pair_sampler):
+        with pytest.raises(ConfigError, match=match):
+            make(tr, **kw)
+    # at t_final = 0 every time drawn is 0, as uniform(0, 0) drew it
+    assert state_sampler(tr, t_final=0.0)(np.random.default_rng(1))[0] == 0.0
