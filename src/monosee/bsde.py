@@ -48,7 +48,8 @@ import numpy as np
 from .analysis import ModulusSpec, linear_modulus, rho_eval
 from .errors import ConfigError, NonconvergenceError, RegressionError
 from .noise import NoiseBatch
-from .reporting import ViolationReport, _sample_sum, _sampled_check, csv_text
+from .reporting import (ViolationReport, _require_amp_range, _sample_sum,
+                        _sampled_check, csv_text)
 from .resolvent import MonotoneMap, NewtonCounts, resolvent
 
 __all__ = [
@@ -169,7 +170,9 @@ class BsdeProblem:
 
 def driver_state_sampler(dim: int, n_modes: int, t_final: float = 1.0,
                          amp_range=(1e-2, 1e1)):
-    """Random (t, x, z) with log-uniform amplitudes for the driver checks."""
+    """Random (t, x, z) with log-uniform amplitudes for the driver checks;
+    an amp_range outside 0 < lo <= hi < inf raises ConfigError."""
+    _require_amp_range(amp_range, "driver state sampler")
     lo, hi = math.log(amp_range[0]), math.log(amp_range[1])
 
     def sample(rng):

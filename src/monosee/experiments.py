@@ -492,9 +492,12 @@ def _hypothesis_report(s):
         ctx = NoiseContext(probe)
         outcome = ExperimentOutcome()
         rows = []
+        # the samplers read only the grid size, which every family shares:
+        # both families' checks read one pair stream and one state stream,
+        # each drawn once
+        pairs = pair_sampler(families[0].triple, times=probe.times)
+        singles = state_sampler(families[0].triple, times=probe.times)
         for name, ops in zip(("eq_1_1", "eq_1_2"), families):
-            pairs = pair_sampler(ops.triple, times=probe.times)
-            singles = state_sampler(ops.triple, times=probe.times)
             reports = {
                 "monotonicity": check_monotonicity(
                     ops.drift, ops.diffusion, ops.bundle, pairs,

@@ -27,7 +27,8 @@ from .forward import (SolverConfig, SolutionPath, _trajectory_table,
                       solve_forward)
 from .noise import EMPTY_CONTEXT, NoisePath
 from .operators import profile_on_grid
-from .reporting import ViolationReport, _record, _sampled_check, csv_text
+from .reporting import (ViolationReport, _record, _require_amp_range,
+                        _sampled_check, csv_text)
 
 __all__ = [
     "Segment", "SegmentPath", "segment_distance",
@@ -685,12 +686,14 @@ def segment_sampler(width: int, memory: float, t_final: float = 1.0,
     """Random piecewise-linear segment pairs with log-uniform amplitudes.
 
     Returns sample(rng) -> (t, s, seg_a, seg_b) with 0 <= s <= t <= T and
-    both segments on the same offset grid.
+    both segments on the same offset grid.  An amp_range outside 0 < lo
+    <= hi < inf raises ConfigError.
     """
     if width < 1 or n_knots < 2:
         raise ConfigError("segment sampler needs width >= 1 and >= 2 knots")
     if memory <= 0:
         raise ConfigError("segment sampler needs a positive memory horizon")
+    _require_amp_range(amp_range, "segment sampler")
     lo, hi = math.log(amp_range[0]), math.log(amp_range[1])
     theta = np.linspace(-memory, 0.0, n_knots)
     theta[-1] = 0.0

@@ -22,7 +22,8 @@ Checkers sample random states (amplitudes log-uniform over a wide range to
 probe both small- and large-field regimes) and run on the sampled-check
 engine of :mod:`monosee.reporting`: every sample is drawn first, the
 inequality is evaluated once on the whole stack, and every violation is
-reported as data; nothing raises on a failed hypothesis.
+reported as data; nothing raises on a failed hypothesis.  A sampler is a
+``SampleStream``: checks given the same sampler and seed share its draws.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ import numpy as np
 
 from .errors import ConfigError, MonoseeError
 from .noise import EMPTY_CONTEXT
-from .reporting import ViolationReport, _record, _sampled_check
+from .reporting import (GroupedStream, SampleStream, ViolationReport,
+                        _record, _require_amp_range, _sampled_check)
 from .triple import (POROUS_MEDIUM, REACTION_DIFFUSION, DiscreteTriple,
                      _float_or_array)
 
@@ -354,7 +356,7 @@ class MultiplicativeDiffusion:
 # samplers
 
 def state_sampler(triple: DiscreteTriple, t_final: float = 1.0,
-                  amp_range=(1e-3, 1e3), times=None):
+                  amp_range=(1e-3, 1e3), times=None) -> SampleStream:
     """Random (t, u) with log-uniform amplitude over amp_range.
 
     Pass the noise grid as ``times`` when the operators carry random
@@ -365,10 +367,16 @@ def state_sampler(triple: DiscreteTriple, t_final: float = 1.0,
     log-amplitude, ``rng.uniform(lo, hi)``; then ``triple.n_grid``
     standard normals.  This is the stream the ``rng.choice(times)`` and
     ``rng.uniform(0.0, t_final)`` forms drew: the same values, and the
-    generator left in the same state.  An empty or non-1-d grid, or
-    without a grid a negative or non-finite ``t_final``, raises
-    ConfigError here rather than at every draw.
+    generator left in the same state.  An amp_range outside 0 < lo <= hi
+    < inf, an empty or non-1-d grid, or without a grid a negative or
+    non-finite ``t_final``, raises ConfigError here rather than at a draw.
+
+    The returned :class:`~monosee.reporting.SampleStream` is the
+    per-sample draw; the checkers read its prefix, so every check given
+    this object with the same seed shares its drawn stack (only
+    ``triple.n_grid`` is read, so triples of one grid size may share it).
     """
+    _require_amp_range(amp_range, "state sampler")
     lo, hi = np.log(amp_range[0]), np.log(amp_range[1])
     if times is None:
         if not 0.0 <= t_final < np.inf:
@@ -389,18 +397,20 @@ def state_sampler(triple: DiscreteTriple, t_final: float = 1.0,
         u = amp * rng.standard_normal(triple.n_grid)
         return t, u
 
-    return sample
+    return SampleStream(sample)
 
 
 def pair_sampler(triple: DiscreteTriple, t_final: float = 1.0,
-                 amp_range=(1e-3, 1e3), times=None):
+                 amp_range=(1e-3, 1e3), times=None) -> SampleStream:
     """Random (t, u, v) triplets for the two-point checks.
 
     One sample draws (t, u) from ``state_sampler``, then a second state
     whose time is discarded, as v, then the coin ``rng.random()``: below
     0.1, v is replaced by a copy of u.  This is the stream the
     ``rng.uniform()`` coin drew.  The arguments are checked as
-    ``state_sampler`` checks them.
+    ``state_sampler`` checks them.  The coin makes this a stream of its
+    own: a :class:`~monosee.reporting.SampleStream` whose drawn pairs are
+    shared, as ``state_sampler``'s states are, by every check given it.
     """
     single = state_sampler(triple, t_final, amp_range, times=times)
 
@@ -411,7 +421,7 @@ def pair_sampler(triple: DiscreteTriple, t_final: float = 1.0,
             v = u.copy()  # exercise the u = v edge exactly
         return t, u, v
 
-    return sample
+    return SampleStream(sample)
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +511,10 @@ def check_hemicontinuity(drift, sampler, n_samples: int = 100, seed: int = 0,
     Evaluates the pairing on the grid e in {0, 1/32, ..., 1} and flags any
     single-step jump exceeding jump_fraction of the profile's total range
     (an affine or smooth profile spreads its variation over many steps; a
-    step discontinuity concentrates it in one).  A sample draws (t, x), y, z.
+    step discontinuity concentrates it in one).  A sample is three
+    consecutive draws of ``sampler``, (t, x), y and z, so the samples of a
+    ``state_sampler`` stream are its first 3 * n_samples states, shared
+    with the coercivity and boundedness checks given the same object.
     """
     tr = drift.triple
     eps_grid = np.linspace(0.0, 1.0, 33)
@@ -517,10 +530,8 @@ def check_hemicontinuity(drift, sampler, n_samples: int = 100, seed: int = 0,
         return [(ratio - jump_fraction, flagged,
                  {"worst_jump": worst, "range": total})]
 
-    return _sampled_check(
-        "hemicontinuity", n_samples, jump_fraction, seed,
-        lambda rng: (*sampler(rng), *sampler(rng)[1:], *sampler(rng)[1:]),
-        evaluate)
+    return _sampled_check("hemicontinuity", n_samples, jump_fraction, seed,
+                          GroupedStream(sampler, 3), evaluate)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 @dataclass
 class Violation:
@@ -82,22 +84,98 @@ def _sample_sum(v: np.ndarray) -> np.ndarray:
     return np.sum(v, axis=tuple(range(1, v.ndim)))
 
 
+def _require_amp_range(amp_range, who: str) -> None:
+    """Require 0 < lo <= hi < inf of a sampler's amplitude range; the
+    sampler takes its own logarithms."""
+    lo, hi = amp_range
+    if not 0 < lo <= hi < np.inf:
+        raise ConfigError(f"{who} needs an amp_range with 0 < lo <= hi < inf, "
+                          f"got {amp_range!r}")
+
+
+def _columns(samples) -> list:
+    """Drawn sample tuples as one column per entry: a float stack that no
+    reader can write into, or a list of objects (segments)."""
+    columns = []
+    for c in zip(*samples):
+        if np.asarray(c[0]).dtype == object:
+            columns.append(list(c))
+        else:
+            columns.append(np.array(c, dtype=float))
+            columns[-1].flags.writeable = False
+    return columns
+
+
+class SampleStream:
+    """A per-sample draw ``sample(rng)`` whose stream is drawn once per seed.
+
+    Called with a generator, it is the per-sample draw.  ``prefix(seed,
+    n)`` gives the first n samples of ``default_rng(seed)``'s stream,
+    drawing only those no earlier call drew, so every check that reads
+    the same stream of the same object shares its draws.  The memo lives
+    as long as the object: a new sampler redraws.
+    """
+
+    def __init__(self, sample):
+        self.sample = sample
+        self._drawn = {}  # seed -> (generator past the drawn samples, samples)
+
+    def __call__(self, rng):
+        return self.sample(rng)
+
+    def prefix(self, seed, n: int):
+        """(the first n samples, the generator past the last sample drawn
+        for ``seed``)."""
+        if seed not in self._drawn:
+            self._drawn[seed] = (np.random.default_rng(seed), [])
+        rng, samples = self._drawn[seed]
+        samples.extend(self.sample(rng) for _ in range(n - len(samples)))
+        return samples[:max(n, 0)], rng
+
+
+class GroupedStream(SampleStream):
+    """k consecutive samples of ``draw`` as one sample: the first whole,
+    the others without their leading time.  Its draws are read off those
+    of ``draw`` when that is a SampleStream, else off a fresh one."""
+
+    def __init__(self, draw, k: int):
+        base = draw if isinstance(draw, SampleStream) else SampleStream(draw)
+        super().__init__(lambda rng: self._join([base(rng) for _ in range(k)]))
+        self.base, self.k = base, k
+
+    @staticmethod
+    def _join(group):
+        first, *others = map(tuple, group)
+        return first + tuple(x for other in others for x in other[1:])
+
+    def prefix(self, seed, n: int):
+        samples, rng = self.base.prefix(seed, self.k * n)
+        return [self._join(samples[i:i + self.k])
+                for i in range(0, len(samples), self.k)], rng
+
+
 def _sampled_check(name: str, n_samples: int, tol: float, seed: int, draw,
                    evaluate, tail=None) -> ViolationReport:
     """One sampled inequality check, evaluated on the stack of all samples.
 
     Every sample is drawn first, as the tuple ``draw(rng)`` led by the time
-    its violations are reported at, from one generator seeded with
-    ``seed``.  ``evaluate`` gets one column per entry (a float stack, or a
-    list of segments) and returns :func:`_record`'s groups, one per
-    inequality.  ``tail(rng, report)`` is a later stage of its own.
+    its violations are reported at, from the stream of a generator seeded
+    with ``seed``.  A :class:`SampleStream` ``draw`` with an integer seed
+    reads that stream's shared prefix; a plain per-sample callable, any
+    other seed, and every check with a ``tail`` draw a fresh, unshared
+    stream.  ``evaluate`` gets one column per entry (a read-only float
+    stack, or a list of segments) and returns :func:`_record`'s groups,
+    one per inequality.  ``tail(rng, report)`` is a later stage of its
+    own, handed the generator where a per-sample loop over the samples
+    leaves it.
     """
-    rng = np.random.default_rng(seed)
+    shared = isinstance(draw, SampleStream) and tail is None \
+        and isinstance(seed, (int, np.integer))
+    stream = draw if shared else SampleStream(draw)
+    samples, rng = stream.prefix(seed, n_samples)
     report = ViolationReport(name=name, n_samples=n_samples, tol=tol)
-    samples = [draw(rng) for _ in range(n_samples)]
     if samples:
-        columns = [list(c) if np.asarray(c[0]).dtype == object
-                   else np.array(c, dtype=float) for c in zip(*samples)]
+        columns = _columns(samples)
         _record(report, columns[0], evaluate(*columns))
     if tail is not None:
         tail(rng, report)

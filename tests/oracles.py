@@ -59,6 +59,11 @@ def assert_same_report(stacked, oracle, rel=1e-9):
 # ---------------------------------------------------------------------------
 # operator samplers
 
+# amplitude ranges every sampler must reject with ConfigError when built:
+# a zero or negative bound, an infinite one, and lo > hi
+BAD_AMP_RANGES = [(0.0, 1.0), (-1.0, 1.0), (1.0, np.inf), (10.0, 1.0),
+                  (np.nan, 1.0)]
+
 
 def state_sampler(triple, t_final=1.0, amp_range=(1e-3, 1e3), times=None):
     lo, hi = np.log(amp_range[0]), np.log(amp_range[1])

@@ -954,6 +954,16 @@ def test_driver_checks_pass_times_as_a_column():
     assert BsdeDriver(eval=probe).zeta_at(0.25) == 0.0
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("amp_range", oracles.BAD_AMP_RANGES)
+def test_driver_state_sampler_rejects_a_bad_amp_range(amp_range):
+    # before any logarithm is taken, so no math domain error
+    with pytest.raises(ConfigError, match=r"0 < lo <= hi < inf"):
+        driver_state_sampler(1, 1, amp_range=amp_range)
+    assert driver_state_sampler(1, 1, amp_range=(2.0, 2.0))(
+        np.random.default_rng(0))[1].shape == (1,)
+
+
 @pytest.mark.parametrize("make_driver", [_concave_driver, _quadratic_driver])
 def test_driver_checks_run_on_a_shift_reduced_driver(make_driver):
     """The reduced driver and zeta take the (S, 1) time column too."""

@@ -830,6 +830,16 @@ def test_functional_csv_layout_and_identical_rerun():
     assert again == text
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("amp_range", oracles.BAD_AMP_RANGES)
+def test_segment_sampler_rejects_a_bad_amp_range(amp_range):
+    # before any logarithm is taken, so no math domain error
+    with pytest.raises(ConfigError, match=r"0 < lo <= hi < inf"):
+        segment_sampler(width=2, memory=0.5, amp_range=amp_range)
+    assert segment_sampler(width=2, memory=0.5, amp_range=(2.0, 2.0))(
+        np.random.default_rng(0))[2].values.shape == (9, 2)
+
+
 def test_segment_sampler_validation():
     with pytest.raises(ConfigError, match="memory"):
         segment_sampler(width=2, memory=0.0)

@@ -7,8 +7,12 @@ computed here, independent of the triple's pairing machinery.
 import numpy as np
 import pytest
 
+import monosee.experiments
+import monosee.operators
 import oracles
+from monosee.config import ExperimentConfig
 from monosee.errors import ConfigError, MonoseeError
+from monosee.experiments import run_experiment
 from monosee.noise import EMPTY_CONTEXT, NoiseContext, sample_path
 from monosee.operators import (ConstantDiffusion, HypothesisBundle,
                                MultiplicativeDiffusion, PhiDrift,
@@ -17,8 +21,9 @@ from monosee.operators import (ConstantDiffusion, HypothesisBundle,
                                check_boundedness, check_coercivity,
                                check_hemicontinuity, check_monotonicity,
                                constant_profile, pair_sampler, state_sampler)
-from monosee.reporting import Violation
+from monosee.reporting import Violation, _sampled_check
 from monosee.triple import POROUS_MEDIUM, REACTION_DIFFUSION, DiscreteTriple
+from oracles import assert_same_report
 
 
 class FixedScalar:
@@ -590,3 +595,150 @@ def test_samplers_reject_what_the_draws_rejected(kw, match):
             make(tr, **kw)
     # at t_final = 0 every time drawn is 0, as uniform(0, 0) drew it
     assert state_sampler(tr, t_final=0.0)(np.random.default_rng(1))[0] == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("amp_range", oracles.BAD_AMP_RANGES)
+@pytest.mark.parametrize("make", [state_sampler, pair_sampler])
+def test_samplers_reject_a_bad_amp_range(make, amp_range):
+    # before any logarithm is taken, so no RuntimeWarning at a draw
+    tr = DiscreteTriple(4, POROUS_MEDIUM, q1=3, q2=3)
+    with pytest.raises(ConfigError, match=r"0 < lo <= hi < inf"):
+        make(tr, amp_range=amp_range)
+    assert make(tr, amp_range=(2.0, 2.0))(np.random.default_rng(0))[1].shape \
+        == (4,)
+
+
+# ---------------------------------------------------------------------------
+# shared draws: hypothesis_report's nine checks read three streams
+
+
+def _counted(stream, calls: list):
+    """``stream`` with its per-sample draw counted in ``calls``."""
+    inner = stream.sample
+
+    def sample(rng):
+        calls.append(None)
+        return inner(rng)
+
+    stream.sample = sample
+    return stream
+
+
+def _report_checks(pairs, singles, planted_pairs, n_samples=500, seed=5):
+    """hypothesis_report's nine checks, in its order, on the given draws."""
+    probe = sample_path(seed, 1.0, 64, 1)
+    ctx = NoiseContext(probe)
+    reports = []
+    for name in ("eq_1_1", "eq_1_2"):
+        ops = build_operator_set(name, 12)
+        reports += [
+            check_monotonicity(ops.drift, ops.diffusion, ops.bundle, pairs,
+                               n_samples=n_samples, seed=seed, ctx=ctx),
+            check_coercivity(ops.drift, ops.diffusion, ops.bundle, singles,
+                             n_samples=n_samples, seed=seed, ctx=ctx),
+            check_boundedness(ops.drift, ops.bundle, singles,
+                              n_samples=n_samples, seed=seed, ctx=ctx),
+            check_hemicontinuity(ops.drift, singles,
+                                 n_samples=min(n_samples, 200), seed=seed,
+                                 ctx=ctx)]
+    pm = build_operator_set("porous_medium", 12)
+    planted = PhiDrift(pm.triple, lambda t, c, r: np.sin(r),
+                       lambda t, c, r: np.cos(r))
+    reports.append(check_monotonicity(planted, pm.diffusion, pm.bundle,
+                                      planted_pairs, n_samples=n_samples,
+                                      seed=seed))
+    return reports
+
+
+def test_shared_draws_give_the_fresh_reports():
+    """Each check on the report's shared streams equals the same check on a
+    fresh per-check generator drawn by the choice/uniform oracle samplers,
+    and the shared streams draw each sample once."""
+    tr = DiscreteTriple(12, POROUS_MEDIUM, q1=3, q2=3)
+    times = sample_path(5, 1.0, 64, 1).times
+    pair_calls, single_calls, planted_calls = [], [], []
+    shared = _report_checks(
+        _counted(pair_sampler(tr, times=times), pair_calls),
+        _counted(state_sampler(tr, times=times), single_calls),
+        _counted(pair_sampler(tr, amp_range=(1e-1, 1e2)), planted_calls))
+    fresh = _report_checks(
+        oracles.pair_sampler(tr, times=times),
+        oracles.state_sampler(tr, times=times),
+        oracles.pair_sampler(tr, amp_range=(1e-1, 1e2)))
+    assert len(shared) == 9
+    for got, want in zip(shared, fresh):
+        assert_same_report(got, want, rel=0.0)
+        for g, w in zip(got.violations, want.violations):
+            assert g.detail.keys() == w.detail.keys()
+            assert all(np.array_equal(g.detail[k], w.detail[k])
+                       for k in g.detail)
+    assert not shared[-1].ok and all(r.ok for r in shared[:-1])
+    # 500 pairs for both families; 600 states for coercivity, boundedness
+    # and hemicontinuity's 200 three-state samples; 500 planted pairs
+    assert (len(pair_calls), len(single_calls), len(planted_calls)) \
+        == (500, 600, 500)
+
+
+def test_memoized_draws_are_read_only_and_live_with_their_sampler():
+    tr = DiscreteTriple(6, POROUS_MEDIUM, q1=3, q2=3)
+    calls = []
+    stream = _counted(state_sampler(tr), calls)
+
+    def planted(t, u):
+        u[0, 0] = 0.0  # writes into the shared column
+        return []
+
+    with pytest.raises(ValueError, match="read-only"):
+        _sampled_check("planted", 10, 0.0, 3, stream, planted)
+    (t, u), *_ = stream.prefix(3, 10)[0]
+    want_t, want_u = oracles.state_sampler(tr)(np.random.default_rng(3))
+    assert t == want_t and np.array_equal(u, want_u)
+    assert len(calls) == 10
+    # a longer prefix draws only the new samples; a new sampler redraws
+    stream.prefix(3, 25)
+    assert len(calls) == 25
+    _counted(state_sampler(tr), calls).prefix(3, 25)
+    assert len(calls) == 50
+
+
+def test_a_check_with_a_tail_sees_the_fresh_loops_generator():
+    # the stream is drawn past n_samples first; the tail still gets the
+    # generator where a per-sample loop over n_samples leaves it
+    tr = DiscreteTriple(6, POROUS_MEDIUM, q1=3, q2=3)
+    stream = state_sampler(tr)
+    _sampled_check("ahead", 40, 0.0, 3, stream, lambda t, u: [])
+    seen = {}
+
+    def tail(rng, report):
+        seen["state"] = rng.bit_generator.state
+        seen["next"] = stream(rng)[1]
+
+    _sampled_check("tail", 25, 0.0, 3, stream, lambda t, u: [], tail=tail)
+    rng = np.random.default_rng(3)
+    for _ in range(25):
+        oracles.state_sampler(tr)(rng)
+    assert seen["state"] == rng.bit_generator.state
+    assert np.array_equal(seen["next"], oracles.state_sampler(tr)(rng)[1])
+
+
+def test_hypothesis_report_draws_each_state_once_per_run(monkeypatch,
+                                                         tmp_path):
+    """About 2,600 state draws per default run (6,200 when every check drew
+    its own), and as many again on a second run: nothing carries over."""
+    calls = []
+    real = monosee.operators.state_sampler
+
+    def counting(*args, **kwargs):
+        return _counted(real(*args, **kwargs), calls)
+
+    monkeypatch.setattr(monosee.operators, "state_sampler", counting)
+    monkeypatch.setattr(monosee.experiments, "state_sampler", counting)
+    counts = []
+    for run in range(2):
+        del calls[:]
+        run_experiment(ExperimentConfig(
+            experiment="hypothesis_report",
+            output={"directory": str(tmp_path / str(run))}))
+        counts.append(len(calls))
+    assert counts == [2600, 2600]

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monosee.errors import ConfigError, NonconvergenceError
+from monosee.reporting import SampleStream
 from monosee.resolvent import (MonotoneMap, NewtonCounts, check_dissipativity,
                                check_yosida_properties, resolvent, yosida)
 
@@ -325,6 +326,25 @@ def test_yosida_check_records_unconverged_solves_like_the_loop():
     sweeps = [v for v in stacked.violations
               if v.detail["property"] == "IV convergence"]
     assert any(np.isinf(v.detail["gaps"]).any() for v in sweeps)
+
+
+def test_yosida_check_with_its_tail_ignores_a_shared_stream():
+    # the check's draw is its own (eps, x, y) triple, so it draws a fresh
+    # stream even from a SampleStream drawn ahead, and its convergence
+    # sweep reads the generator where the per-sample loop leaves it
+    F = _plus_cube_map()
+    stream = SampleStream(sampler4)
+    stream.prefix(5, 1000)
+    shared = check_yosida_properties(F, stream, n_samples=200, seed=5)
+    assert_same_report(shared, check_yosida_properties(F, sampler4,
+                                                       n_samples=200, seed=5),
+                       rel=0.0)
+    assert_same_report(shared, oracles.yosida_properties(F, sampler4,
+                                                         n_samples=200,
+                                                         seed=5))
+    sweeps = [v for v in shared.violations
+              if v.detail["property"] == "IV convergence"]
+    assert [v.index for v in sweeps] and all(v.index >= 200 for v in sweeps)
 
 
 def _general_plus_cube_map():
