@@ -242,20 +242,27 @@ def running_integral(y, x) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)])
 
 
-def _lambda_values(lambda_profile, t_grid: np.ndarray) -> np.ndarray:
-    """lambda on t_grid, from a callable or an array tabulated there."""
-    if callable(lambda_profile):
-        return np.array([float(lambda_profile(t)) for t in t_grid])
-    return np.asarray(lambda_profile, dtype=float)
+def _rate(profile, *times) -> np.ndarray:
+    """A rate profile at ``times`` (floats or arrays, broadcast together),
+    in their broadcast shape: None is identically zero, a callable is
+    called once on the arrays, and a constant or an array tabulated on
+    the times is taken as it is."""
+    times = [np.asarray(t, dtype=float) for t in times]
+    value = profile(*times) if callable(profile) else \
+        0.0 if profile is None else profile
+    return np.broadcast_to(np.asarray(value, dtype=float),
+                           np.broadcast_shapes(*(t.shape for t in times)))
 
 
 def bihari_bound(g0: float, lambda_profile, spec: ModulusSpec, t_grid) -> BihariBound:
     """Tabulate the comparison bound on t_grid.
 
-    lambda_profile may be a callable t -> lambda(t) >= 0 or an array tabulated
-    on t_grid.  The base point of G is fixed at g0 itself, so the bound is
-    directly G^{-1}(Lambda(t)) in closed form (for the linear kind the
-    Gronwall form g0 * exp(slope * Lambda)).  Values that would exceed the
+    lambda_profile may be a constant, an array tabulated on t_grid or a
+    callable t -> lambda(t) >= 0, called once on the whole grid array; a
+    negative or NaN lambda raises ValueError, and +inf is a blow-up.  The
+    base point of G is fixed at g0 itself, so the bound is directly
+    G^{-1}(Lambda(t)) in closed form (for the linear kind the Gronwall
+    form g0 * exp(slope * Lambda)).  Values that would exceed the
     cap are set to inf and the first one's time is reported as blowup_time.
     """
     t_grid = np.asarray(t_grid, dtype=float)
@@ -263,10 +270,10 @@ def bihari_bound(g0: float, lambda_profile, spec: ModulusSpec, t_grid) -> Bihari
         raise ValueError(f"g0 must be nonnegative, got {g0!r}")
     if g0 == 0.0 and not spec.is_osgood:
         raise ValueError("g0 > 0 required for a non-Osgood modulus base point")
-    lam = _lambda_values(lambda_profile, t_grid)
-    if lam.shape != t_grid.shape:
+    if np.ndim(lambda_profile) and np.shape(lambda_profile) != t_grid.shape:
         raise ValueError("tabulated lambda profile must match t_grid")
-    if np.any(lam < 0):
+    lam = _rate(lambda_profile, t_grid)
+    if not np.all(lam >= 0):  # NaN fails this comparison too
         raise ValueError("lambda profile must be nonnegative")
     lam_int = running_integral(lam, t_grid)
     if g0 == 0.0:
@@ -343,7 +350,9 @@ def picard_comparison_curve(prev_curve, lambda_profile, spec: ModulusSpec,
     """
     t_grid = np.asarray(t_grid, dtype=float)
     prev = np.asarray(prev_curve, dtype=float)
-    lam = _lambda_values(lambda_profile, t_grid)
+    lam = _rate(lambda_profile, t_grid)
+    if not np.all(lam >= 0):  # NaN fails this comparison too
+        raise ValueError("lambda profile must be nonnegative")
     integrand = lam * rho_eval(np.maximum(prev, 0.0), spec)
     return c0 * running_integral(integrand, t_grid)
 

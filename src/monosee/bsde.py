@@ -45,11 +45,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .analysis import ModulusSpec, linear_modulus, rho_eval
+from .analysis import ModulusSpec, _rate, linear_modulus, rho_eval
 from .errors import ConfigError, NonconvergenceError, RegressionError
 from .noise import NoiseBatch
-from .reporting import (ViolationReport, _require_amp_range, _sample_sum,
-                        _sampled_check, csv_text)
+from .reporting import (ViolationReport, _require_amp_range,
+                        _require_t_final, _sample_sum, _sampled_check,
+                        csv_text)
 from .resolvent import MonotoneMap, NewtonCounts, resolvent
 
 __all__ = [
@@ -119,9 +120,7 @@ class BsdeDriver:
 
     def zeta_at(self, t):
         """zeta at t (a float or an array of times), in t's shape."""
-        t = np.asarray(t, dtype=float)
-        value = 0.0 if self.zeta is None else self.zeta(t)
-        return np.broadcast_to(np.asarray(value, dtype=float), t.shape)
+        return _rate(self.zeta, t)
 
 
 def zero_driver() -> BsdeDriver:
@@ -143,7 +142,9 @@ class BsdeProblem:
     ``terminal`` maps the driving :class:`NoiseBatch` to the terminal
     states X_T, one row per replica: shape (R, dim).  ``eta`` optionally
     declares the forcing intercept profile t -> |A(t, 0)| used by the
-    a-priori budget; when omitted the budget evaluates |A(t, 0)| directly.
+    a-priori budget, which calls it once on its whole quadrature grid (so
+    it takes an array of times, as ``zeta`` does); when omitted the budget
+    evaluates |A(t, 0)| directly.
     """
 
     drift: MonotoneMap
@@ -153,7 +154,7 @@ class BsdeProblem:
     n_modes: int
     dim: int = 1
     lambda0: float = 0.0
-    eta: Optional[Callable[[float], float]] = None
+    eta: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if not 0 < self.t_final < math.inf:
@@ -171,8 +172,10 @@ class BsdeProblem:
 def driver_state_sampler(dim: int, n_modes: int, t_final: float = 1.0,
                          amp_range=(1e-2, 1e1)):
     """Random (t, x, z) with log-uniform amplitudes for the driver checks;
-    an amp_range outside 0 < lo <= hi < inf raises ConfigError."""
+    an amp_range outside 0 < lo <= hi < inf, or a negative or non-finite
+    t_final, raises ConfigError."""
     _require_amp_range(amp_range, "driver state sampler")
+    _require_t_final(t_final, "driver state sampler")
     lo, hi = math.log(amp_range[0]), math.log(amp_range[1])
 
     def sample(rng):
@@ -575,17 +578,13 @@ def reduce_lambda0(problem: BsdeProblem):
     worst-case factor exp(lambda0*T), zeta the factor gamma(t)).
     """
     lam = problem.lambda0
-    if lam == 0.0:
-        return problem, (lambda t: 1.0)
 
-    def gamma(t: float) -> float:
-        return math.exp(0.5 * lam * t)
-
-    def gamma_at(t):
+    def gamma(t):
         """gamma at a float t, or elementwise at an array of times."""
-        if np.ndim(t) == 0:
-            return gamma(t)
         return np.exp(0.5 * lam * np.asarray(t, dtype=float))
+
+    if lam == 0.0:
+        return problem, gamma
 
     base_drift = problem.drift
     base_driver = problem.driver
@@ -611,7 +610,7 @@ def reduce_lambda0(problem: BsdeProblem):
                         name=f"{base_drift.name} (shift-reduced)")
 
     def driver_eval(t, x, z):
-        g = gamma_at(t)
+        g = gamma(t)
         # z carries a trailing modes axis that an (S, 1) time column lacks
         z = np.asarray(z, dtype=float) / np.expand_dims(g, -1)
         return g * np.asarray(
@@ -620,8 +619,7 @@ def reduce_lambda0(problem: BsdeProblem):
 
     zeta = None
     if base_driver.zeta is not None:
-        base_zeta = base_driver.zeta
-        zeta = lambda t: gamma_at(t) * np.asarray(base_zeta(t), dtype=float)
+        zeta = lambda t: gamma(t) * base_driver.zeta_at(t)
     driver = replace(base_driver, eval=driver_eval, zeta=zeta,
                      c1=base_driver.c1 * math.exp(lam * problem.t_final),
                      name=f"{base_driver.name} (shift-reduced)")
@@ -629,7 +627,8 @@ def reduce_lambda0(problem: BsdeProblem):
     g_final = gamma(problem.t_final)
     terminal = lambda batch: g_final * np.asarray(base_terminal(batch),
                                                   dtype=float)
-    eta = None if base_eta is None else (lambda t: gamma(t) * float(base_eta(t)))
+    eta = None if base_eta is None else \
+        (lambda t: gamma(t) * _rate(base_eta, t))
     reduced = replace(problem, drift=drift, driver=driver, terminal=terminal,
                       lambda0=0.0, eta=eta)
     return reduced, gamma
@@ -637,7 +636,7 @@ def reduce_lambda0(problem: BsdeProblem):
 
 def _unscale_solution(sol: BsdeSolution, gamma) -> BsdeSolution:
     """Divide a reduced-coordinates solution by gamma(t) grid-pointwise."""
-    g = np.array([gamma(t) for t in sol.times])
+    g = gamma(sol.times)
     if np.all(g == 1.0):
         return sol
     n = sol.n_steps
@@ -1041,7 +1040,7 @@ def apriori_bound_check(solution: BsdeSolution, problem: BsdeProblem,
 
     ts = np.linspace(0.0, problem.t_final, n_quad)
     if problem.eta is not None:
-        drift_part = np.array([float(problem.eta(t)) for t in ts])
+        drift_part = _rate(problem.eta, ts)
     else:
         zero = np.zeros(problem.dim)
         drift_part = np.array([

@@ -367,8 +367,8 @@ def _galerkin_convergence(s):
         distances = []
         for n in mode_counts[:-1]:
             coarse, fine = paths[n], paths[2 * n]
-            d = max(ops.triple.h_norm(coarse.states[k] - ops.triple.project(
-                fine.states[k], n)) for k in range(n_steps + 1))
+            d = float(np.max(ops.triple.h_norm(
+                coarse.states - ops.triple.project(fine.states, n))))
             distances.append(d)
             rows.append([n, 2 * n, d])
         write_csv(out_dir / "galerkin_nesting.csv",
@@ -413,9 +413,8 @@ def _timestep_convergence(s):
             noise = zero_path(t_final, n_steps, 1)
             path = solve_forward(cfg, ops.drift, ops.diffusion, noise, e1,
                                  counts=counts)
-            err = max(tr.h_norm(path.states[k]
-                                - math.exp(-mu1 * path.times[k]) * e1)
-                      for k in range(n_steps + 1))
+            exact = np.exp(-mu1 * path.times)[:, None] * e1
+            err = float(np.max(tr.h_norm(path.states - exact)))
             errors.append(err)
         outcome.solver_stats = _forward_stats(counts, sum(steps))
         ratios = [errors[i] / errors[i + 1] for i in range(len(errors) - 1)]
@@ -730,8 +729,8 @@ def _functional_delay_demo(s):
         res_b = picard_solve_functional(
             drift, coeffs, noise, past, cfg, max_iter=max_iter, tol=tol,
             first_iterate=np.zeros((noise.n_steps + 1, tr.n_grid)))
-        gap = max(tr.h_norm(a - b) for a, b in zip(res_a.path.values,
-                                                   res_b.path.values))
+        gap = float(np.max(tr.h_norm(res_a.path.values
+                                     - res_b.path.values)))
 
         outcome = ExperimentOutcome()
         outcome.check("two_starts_same_fixed_point", gap <= 10 * tol,
@@ -752,7 +751,7 @@ def _functional_delay_demo(s):
             rows.append([i + 1, ra, rb])
         write_csv(out_dir / "picard_residuals.csv",
                   ["iteration", "constant_start", "zero_start"], rows)
-        h_curve = [tr.h_norm(row) for row in res_a.path.values]
+        h_curve = tr.h_norm(res_a.path.values)
         svg_series(out_dir / "delay_solution.svg", res_a.times,
                    {"H-norm of state": h_curve},
                    title="delayed restoring force: converged trajectory")

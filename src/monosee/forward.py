@@ -115,11 +115,8 @@ class SolutionPath:
 
     def span_residual(self) -> float:
         """Largest H-distance of any state from its n-mode projection."""
-        worst = 0.0
-        for k in range(len(self.times)):
-            proj = self.triple.project(self.states[k], self.n_modes)
-            worst = max(worst, self.triple.h_norm(self.states[k] - proj))
-        return worst
+        proj = self.triple.project(self.states, self.n_modes)
+        return float(np.max(self.triple.h_norm(self.states - proj)))
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +442,6 @@ class _RescaledDiffusion:
     def __init__(self, base, gamma):
         self.base = base
         self.gamma = gamma
-        self.triple = base.triple
 
     @property
     def n_modes(self) -> int:
@@ -455,9 +451,6 @@ class _RescaledDiffusion:
         g = np.asarray(self.gamma(t, ctx))  # like t; (R, 1) in a BatchContext
         scaled = None if u is None else g * np.asarray(u, dtype=float)
         return self.base.eval(t, ctx, scaled) / g[..., None]
-
-    def hs_norm_sq(self, t, ctx, u):
-        return self.triple.hs_norm_sq(self.eval(t, ctx, u))
 
 
 class RescaledProblem(NamedTuple):

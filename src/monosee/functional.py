@@ -20,15 +20,15 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .analysis import (ModulusSpec, _lambda_values, bihari_bound,
-                       linear_modulus, picard_comparison_curve, rho_eval)
+from .analysis import (ModulusSpec, _rate, bihari_bound, linear_modulus,
+                       picard_comparison_curve, rho_eval)
 from .errors import ConfigError, MonoseeError, NonconvergenceError
 from .forward import (SolverConfig, SolutionPath, _trajectory_table,
                       solve_forward)
 from .noise import EMPTY_CONTEXT, NoisePath
 from .operators import profile_on_grid
 from .reporting import (ViolationReport, _record, _require_amp_range,
-                        _sampled_check, csv_text)
+                        _require_t_final, _sampled_check, csv_text)
 
 __all__ = [
     "Segment", "SegmentPath", "segment_distance",
@@ -57,12 +57,14 @@ class Segment:
     and ``sup_norm`` one norm per window.  Rows between stored offsets are
     linearly interpolated, so the sup-norm over the window is attained at
     the stored rows and ``sup_norm`` is exact for the piecewise-linear
-    path.  ``norm`` is the norm of one state row (Euclidean when None).
+    path.  ``norm`` maps state rows along the last axis to their norms,
+    every row in one call (Euclidean when None).  The offsets must be
+    finite.
     """
 
     theta: np.ndarray
     values: np.ndarray
-    norm: Optional[Callable[[np.ndarray], float]] = None
+    norm: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         theta = np.asarray(self.theta, dtype=float)
@@ -72,6 +74,8 @@ class Segment:
             raise ConfigError("segment needs 1-d offsets and value rows "
                               "(knots, width), or a stack of them "
                               "(S, knots, width)")
+        if not np.isfinite(theta).all():
+            raise ConfigError("segment offsets must be finite")
         if len(theta) < 1 or np.any(np.diff(theta) <= 0):
             raise ConfigError("segment offsets must be strictly increasing")
         if theta[-1] != 0.0:
@@ -112,13 +116,11 @@ class Segment:
         w = (th - float(grid[lo])) / (float(grid[hi]) - float(grid[lo]))
         return (1.0 - w) * rows[..., lo, :] + w * rows[..., hi, :]
 
-    def row_norm(self, row):
-        """The norm of a state row, or of each row along the last axis."""
+    def row_norm(self, rows):
+        """The norm of each state row along the last axis."""
         if self.norm is None:
-            return np.linalg.norm(row, axis=-1)
-        if np.ndim(row) == 1:
-            return self.norm(row)
-        return np.apply_along_axis(self.norm, -1, row)
+            return np.linalg.norm(rows, axis=-1)
+        return self.norm(rows)
 
     def sup_norm(self):
         """The sup of the row norm over the window, one per window."""
@@ -148,7 +150,8 @@ class SegmentPath:
     ``past`` is the window on [-memory, 0]; the trajectory holds the
     evolving states from time 0 onward, and its first row must equal
     ``past.end`` (the seam).  Norms use the attached triple's H-norm when
-    present, else the Euclidean norm of the rows.
+    present, else the Euclidean norm of the rows; ``h_norm_of`` is that
+    norm of each row along the last axis.
     """
 
     past: Segment
@@ -192,10 +195,11 @@ class SegmentPath:
     def combined_values(self) -> np.ndarray:
         return np.concatenate([self.past.values[:-1], self.values])
 
-    def h_norm_of(self, row) -> float:
+    def h_norm_of(self, rows):
+        """The norm of each state row along the last axis."""
         if self.triple is not None:
-            return float(self.triple.h_norm(row))
-        return float(np.linalg.norm(np.asarray(row, dtype=float)))
+            return self.triple.h_norm(rows)
+        return np.linalg.norm(np.asarray(rows, dtype=float), axis=-1)
 
     def windows(self) -> Segment:
         """The window ending at every trajectory time, stacked on the
@@ -216,17 +220,6 @@ class SegmentPath:
 
 # ---------------------------------------------------------------------------
 # coefficient bundles
-
-
-def _rate(profile, *times) -> np.ndarray:
-    """A declared rate profile at ``times`` (floats or arrays, broadcast
-    together), in their broadcast shape: None is identically zero, a
-    callable is called once on the arrays, anything else is a constant."""
-    times = [np.asarray(t, dtype=float) for t in times]
-    value = profile(*times) if callable(profile) else \
-        0.0 if profile is None else profile
-    return np.broadcast_to(np.asarray(value, dtype=float),
-                           np.broadcast_shapes(*(t.shape for t in times)))
 
 
 @dataclass
@@ -439,10 +432,6 @@ class _FrozenDiffusion:
     def eval(self, t, ctx, u):
         return self._rows.at(t)
 
-    def hs_norm_sq(self, t, ctx, u) -> float:
-        row = self._rows.at(t)
-        return float(np.sum(row * row))
-
 
 @dataclass
 class FunctionalPicardResult:
@@ -510,8 +499,7 @@ def picard_solve_functional(drift, coeffs: FunctionalCoefficients,
     times = noise.times
     n_pts = len(times)
     n = cfg.n_modes_galerkin
-    past = Segment(theta=past.theta, values=np.stack(
-        [triple.project(row, n) for row in past.values]))
+    past = Segment(theta=past.theta, values=triple.project(past.values, n))
     seam = past.end
 
     if first_iterate is None:
@@ -521,7 +509,7 @@ def picard_solve_functional(drift, coeffs: FunctionalCoefficients,
         if traj.shape != (n_pts, past.width):
             raise ConfigError(f"first_iterate has shape {traj.shape}, "
                               f"expected ({n_pts}, {past.width})")
-        traj = np.stack([triple.project(row, n) for row in traj])
+        traj = triple.project(traj, n)
         traj[0] = seam
     current = SegmentPath(past, times.copy(), traj, triple)
 
@@ -544,8 +532,7 @@ def picard_solve_functional(drift, coeffs: FunctionalCoefficients,
         inner = solve_forward(cfg, aug, frozen, noise, seam)
         new_values = inner.states.copy()
         new_values[0] = seam
-        diff_sq = np.array([triple.h_norm(new_values[k] - current.values[k])
-                            ** 2 for k in range(n_pts)])
+        diff_sq = triple.h_norm(new_values - current.values) ** 2
         profile = np.maximum.accumulate(diff_sq)
         res = math.sqrt(float(profile[-1]))
         residuals.append(res)
@@ -622,9 +609,9 @@ def bihari_domination_report(residual_profiles: Sequence[np.ndarray],
     difference by more than ``slack``.
     """
     times = np.asarray(times, dtype=float)
-    lam = _lambda_values(lambda8, times)
-    if lam.shape != times.shape:
+    if np.ndim(lambda8) and np.shape(lambda8) != times.shape:
         raise ConfigError("lambda8 profile must match the time grid")
+    lam = _rate(lambda8, times)
     profiles = [np.asarray(p, dtype=float) for p in residual_profiles]
     if any(p.shape != times.shape for p in profiles):
         raise ConfigError("residual profiles must match the time grid")
@@ -687,13 +674,16 @@ def segment_sampler(width: int, memory: float, t_final: float = 1.0,
 
     Returns sample(rng) -> (t, s, seg_a, seg_b) with 0 <= s <= t <= T and
     both segments on the same offset grid.  An amp_range outside 0 < lo
-    <= hi < inf raises ConfigError.
+    <= hi < inf, a memory that is not positive and finite, or a negative
+    or non-finite t_final raises ConfigError.
     """
     if width < 1 or n_knots < 2:
         raise ConfigError("segment sampler needs width >= 1 and >= 2 knots")
-    if memory <= 0:
-        raise ConfigError("segment sampler needs a positive memory horizon")
+    if not 0.0 < memory < math.inf:
+        raise ConfigError(f"segment sampler needs a positive, finite memory "
+                          f"horizon, got {memory!r}")
     _require_amp_range(amp_range, "segment sampler")
+    _require_t_final(t_final, "segment sampler")
     lo, hi = math.log(amp_range[0]), math.log(amp_range[1])
     theta = np.linspace(-memory, 0.0, n_knots)
     theta[-1] = 0.0
@@ -904,7 +894,7 @@ def volterra_consistency(v: VolterraCoefficients, path: SegmentPath,
     acc = np.cumsum(np.concatenate([zero, noise.dt * g_rows[:-1]]), axis=0)
     stoch = np.cumsum(np.concatenate([zero, (d_rows[:-1] @ inc)[..., 0]]),
                       axis=0)
-    return max(path.h_norm_of(row) for row in direct - (acc + stoch))
+    return float(np.max(path.h_norm_of(direct - (acc + stoch))))
 
 
 # ---------------------------------------------------------------------------
@@ -922,9 +912,8 @@ def functional_trajectory_csv(result: FunctionalPicardResult) -> str:
     header, body = _trajectory_table(result.forward_path)
     past, triple = result.path.past, result.path.triple
     n = result.forward_path.n_modes
-    rows = []
-    for t, row in zip(past.theta[:-1], past.values[:-1]):
-        coeff = triple.coefficients(row, n)
-        rows.append([float(t), *coeff, float(coeff @ coeff),
-                     triple.x_norm(row, 1), triple.x_norm(row, 2), 0.0])
+    hist = past.values[:-1]
+    coeff = triple.coefficients(hist, n)
+    rows = [[float(t), *c, float(c @ c), x1, x2, 0.0] for t, c, x1, x2 in zip(
+        past.theta[:-1], coeff, triple.x_norm(hist, 1), triple.x_norm(hist, 2))]
     return csv_text(header, rows + body)

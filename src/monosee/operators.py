@@ -33,10 +33,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .analysis import _rate
 from .errors import ConfigError, MonoseeError
 from .noise import EMPTY_CONTEXT
 from .reporting import (GroupedStream, SampleStream, ViolationReport,
-                        _record, _require_amp_range, _sampled_check)
+                        _record, _require_amp_range, _require_t_final,
+                        _sampled_check)
 from .triple import (POROUS_MEDIUM, REACTION_DIFFUSION, DiscreteTriple,
                      _float_or_array)
 
@@ -101,9 +103,7 @@ def tabulated_profile(times, values):
 
 def profile_on_grid(profile, times, ctx) -> np.ndarray:
     """A profile's values at every entry of ``times`` (one call), in that shape."""
-    times = np.asarray(times, dtype=float)
-    return np.broadcast_to(np.asarray(profile(times, ctx), dtype=float),
-                           times.shape)
+    return _rate(lambda t: profile(t, ctx), times)
 
 
 @dataclass
@@ -325,9 +325,6 @@ class ConstantDiffusion:
     def eval(self, t, ctx, u) -> np.ndarray:
         return self.matrix
 
-    def hs_norm_sq(self, t, ctx, u):
-        return self.triple.hs_norm_sq(self.eval(t, ctx, u))
-
 
 class MultiplicativeDiffusion:
     """Nemytskii diffusion: column j is sigma_j(t, u(.)); t may be an array."""
@@ -347,9 +344,6 @@ class MultiplicativeDiffusion:
         return np.stack([np.broadcast_to(
             np.asarray(s(t, ctx, u), dtype=float), u.shape)
             for s in self.sigmas], axis=-1)
-
-    def hs_norm_sq(self, t, ctx, u):
-        return self.triple.hs_norm_sq(self.eval(t, ctx, u))
 
 
 # ---------------------------------------------------------------------------
@@ -379,9 +373,7 @@ def state_sampler(triple: DiscreteTriple, t_final: float = 1.0,
     _require_amp_range(amp_range, "state sampler")
     lo, hi = np.log(amp_range[0]), np.log(amp_range[1])
     if times is None:
-        if not 0.0 <= t_final < np.inf:
-            raise ConfigError(f"state sampler needs a finite t_final >= 0, "
-                              f"got {t_final!r}")
+        _require_t_final(t_final, "state sampler")
     else:
         times = np.asarray(times, dtype=float)
         if times.ndim != 1 or times.size == 0:
@@ -465,7 +457,7 @@ def check_coercivity(drift, diff, bundle: HypothesisBundle, sampler,
     def evaluate(t, u, *_):
         tc = t[:, None]
         pairing = 2.0 * tr.dual_pairing(u, drift.eval(tc, ctx, u))
-        hs2 = diff.hs_norm_sq(tc, ctx, u)
+        hs2 = tr.hs_norm_sq(diff.eval(tc, ctx, u))
         lam1 = bundle.lambda1(t, ctx) * tr.x_norm(u, 1) ** bundle.q1
         lam2 = bundle.lambda2(t, ctx) * tr.x_norm(u, 2) ** bundle.q2
         lam3 = bundle.lambda3(t, ctx) * tr.h_norm(u) ** 2
@@ -570,7 +562,8 @@ def build_operator_set(name: str, n_grid: int, p: float = 3.0,
             lambda0=constant_profile(0.0),
             lambda1=coeff, lambda2=coeff,
             lambda3=constant_profile(1e-6),
-            xi=constant_profile(diffusion.hs_norm_sq(0.0, EMPTY_CONTEXT, None)),
+            xi=constant_profile(
+                tr.hs_norm_sq(diffusion.eval(0.0, EMPTY_CONTEXT, None))),
             q1=p_eff, q2=p_eff, c_a1=1.0, c_a2=1.0, c1=1.0)
         return OperatorSet(name, drift, diffusion, bundle, tr)
 

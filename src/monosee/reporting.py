@@ -93,6 +93,13 @@ def _require_amp_range(amp_range, who: str) -> None:
                           f"got {amp_range!r}")
 
 
+def _require_t_final(t_final, who: str) -> None:
+    """Require a finite t_final >= 0 of a sampler that draws its times on
+    [0, t_final]."""
+    if not 0.0 <= t_final < np.inf:
+        raise ConfigError(f"{who} needs a finite t_final >= 0, got {t_final!r}")
+
+
 def _columns(samples) -> list:
     """Drawn sample tuples as one column per entry: a float stack that no
     reader can write into, or a list of objects (segments)."""

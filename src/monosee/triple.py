@@ -97,12 +97,11 @@ class DiscreteTriple:
         padded = np.concatenate([wall, u, wall], axis=-1)
         return np.diff(padded, axis=-1) / self.h
 
-    def _check(self, u, stacked: bool = False) -> np.ndarray:
+    def _check(self, u) -> np.ndarray:
         """Grid values of one state, or of a stack of states along the
-        last axis when ``stacked``."""
+        last axis."""
         v = np.asarray(u, dtype=float)
-        shape = v.shape[-1:] if stacked else v.shape
-        if shape != (self.n_grid,):
+        if v.shape[-1:] != (self.n_grid,):
             raise ValueError(
                 f"vector of length {v.shape} does not match grid size {self.n_grid}"
             )
@@ -112,13 +111,11 @@ class DiscreteTriple:
 
     def h_inner(self, u, v):
         """<u, v>_H along the last axis (stacks broadcast); a float for two states."""
-        u = self._check(u, stacked=True)
-        v = self._check(v, stacked=True)
+        u = self._check(u)
+        v = self._check(v)
         if self.flavor == POROUS_MEDIUM:
             v = self.neg_lap_inv(v)
-        if u.ndim == 1 and v.ndim == 1:
-            return float(self.h * (u @ v))
-        return self.h * np.einsum("...i,...i->...", u, v)
+        return _float_or_array(self.h * np.einsum("...i,...i->...", u, v))
 
     def h_norm(self, u):
         return _float_or_array(np.sqrt(np.maximum(self.h_inner(u, u), 0.0)))
@@ -135,7 +132,7 @@ class DiscreteTriple:
     def lq_norm(self, u, q: float):
         """Discrete L^q norm: a float for one state, an array (one norm per
         state) for a stack along the last axis."""
-        return self._riemann_norm(self._check(u, stacked=True), q)
+        return self._riemann_norm(self._check(u), q)
 
     def _riemann_norm(self, values, q: float):
         """(h sum |values|^q)^(1/q) along the last axis."""
@@ -149,7 +146,7 @@ class DiscreteTriple:
         q = self.q1 if which == 1 else self.q2
         if self.flavor == POROUS_MEDIUM or which == 2:
             return self.lq_norm(u, q)
-        return self._riemann_norm(self.grad(self._check(u, stacked=True)), q)
+        return self._riemann_norm(self.grad(self._check(u)), q)
 
     def dual_norm(self, f, which: int):
         """Discrete X_i* norm of f (f in the pairing coordinates above),
@@ -165,7 +162,7 @@ class DiscreteTriple:
         """
         if which not in (1, 2):
             raise ValueError("which must be 1 or 2")
-        f = self._check(f, stacked=True)
+        f = self._check(f)
         q = self.q1 if which == 1 else self.q2
         qp = q / (q - 1.0)
         if self.flavor == POROUS_MEDIUM:
@@ -190,16 +187,16 @@ class DiscreteTriple:
     # -- projection ------------------------------------------------------------
 
     def project(self, u, n: int) -> np.ndarray:
-        """H-orthogonal projection onto span{e_1 .. e_n}."""
+        """H-orthogonal projection onto span{e_1 .. e_n}, of one state or
+        of each state of a stack along the last axis."""
         if not 1 <= n <= self.n_grid:
             raise ValueError(f"mode count {n} out of range 1..{self.n_grid}")
-        u = self._check(u)
-        coeffs = self.coefficients(u, n)
-        return self.basis[:, :n] @ coeffs
+        return self.coefficients(u, n) @ self.basis[:, :n].T
 
     def coefficients(self, u, n: int) -> np.ndarray:
-        """First n basis coefficients [e_i, u] of u (pairing coordinates)."""
+        """First n basis coefficients [e_i, u] of u (pairing coordinates),
+        along the last axis of a state or a stack."""
         u = self._check(u)
-        if self.flavor == REACTION_DIFFUSION:
-            return self.h * (self.basis[:, :n].T @ u)
-        return self.h * (self.basis[:, :n].T @ self.neg_lap_inv(u))
+        if self.flavor == POROUS_MEDIUM:
+            u = self.neg_lap_inv(u)
+        return self.h * (u @ self.basis[:, :n])

@@ -338,7 +338,7 @@ def test_criterion_09_bihari_suite(capsys):
     t_fine = np.linspace(0.0, 1.0, 401)
 
     def lam(s):
-        return 1.0 + 0.5 * math.sin(3.0 * s)
+        return 1.0 + 0.5 * np.sin(3.0 * s)
 
     ode = solve_ivp(lambda s, g: [lam(s) * rho_eval(max(g[0], 0.0), spec)],
                     (0.0, 1.0), [g0], method="Radau", rtol=1e-10,

@@ -12,6 +12,7 @@ from monosee.analysis import (
     BOUND_CAP,
     ModulusSpec,
     _G,
+    _rate,
     _G_inverse,
     bihari_bound,
     convergence_order,
@@ -282,7 +283,7 @@ def test_rho1_bound_vs_ode_oracle():
     t = np.linspace(0.0, 1.0, 401)
 
     def lam(s):
-        return 1.0 + 0.5 * math.sin(3.0 * s)
+        return 1.0 + 0.5 * np.sin(3.0 * s)
 
     sol = solve_ivp(lambda s, g: [lam(s) * rho_eval(max(g[0], 0.0), spec)],
                     (0.0, 1.0), [g0], method="Radau",
@@ -426,3 +427,57 @@ def test_convergence_order_exact_geometric():
 
 def test_bound_cap_is_sane():
     assert BOUND_CAP < float("inf")
+
+
+def test_one_rate_reader_for_every_profile_form():
+    t = np.linspace(0.0, 1.0, 11)
+    calls = []
+
+    def lam(s):
+        calls.append(np.shape(s))
+        return 1.0 + s
+
+    assert np.array_equal(_rate(None, t), np.zeros(11))
+    assert np.array_equal(_rate(2.5, t), np.full(11, 2.5))
+    assert np.array_equal(_rate(2.0 * t, t), 2.0 * t)
+    assert np.array_equal(_rate(lam, t), 1.0 + t) and calls == [(11,)]
+    assert np.array_equal(_rate(lambda s: 3.0, t), np.full(11, 3.0))
+    col, row = t[:3, None], t[None, :4]
+    assert np.array_equal(_rate(lambda a, b: a * b, col, row), col * row)
+    assert _rate(lambda s: 2.0 * s, 0.25) == 0.5
+    # the Bihari readers take each form, one profile call per bound
+    calls.clear()
+    curve = bihari_bound(1.0, lam, linear_modulus(1.0), t).bound_curve
+    assert calls == [(11,)]
+    assert np.array_equal(
+        curve, bihari_bound(1.0, 1.0 + t, linear_modulus(1.0), t).bound_curve)
+    assert np.array_equal(
+        bihari_bound(1.0, 2.0, linear_modulus(1.0), t).bound_curve,
+        bihari_bound(1.0, np.full(11, 2.0), linear_modulus(1.0),
+                     t).bound_curve)
+    assert np.array_equal(picard_comparison_curve(np.ones(11), None,
+                                                  linear_modulus(1.0), t),
+                          np.zeros(11))
+    with pytest.raises(ValueError, match="tabulated lambda profile must "
+                                         "match t_grid"):
+        bihari_bound(1.0, np.ones(5), linear_modulus(1.0), t)
+
+
+@pytest.mark.parametrize("profile", [
+    lambda s: np.nan, np.full(11, np.nan),
+    np.where(np.arange(11) == 4, np.nan, 1.0)])
+def test_nan_rate_profile_is_rejected(profile):
+    t = np.linspace(0.0, 1.0, 11)
+    with pytest.raises(ValueError, match="lambda profile must be nonnegative"):
+        bihari_bound(1.0, profile, linear_modulus(1.0), t)
+    with pytest.raises(ValueError, match="lambda profile must be nonnegative"):
+        zero_limit_check(profile, rho_k_modulus(1), t)
+    with pytest.raises(ValueError, match="lambda profile must be nonnegative"):
+        picard_comparison_curve(np.ones(11), profile, linear_modulus(1.0), t)
+
+
+def test_infinite_rate_profile_is_a_blowup():
+    t = np.linspace(0.0, 1.0, 11)
+    b = bihari_bound(1.0, np.full(11, np.inf), linear_modulus(1.0), t)
+    assert b.bound_curve[0] == 1.0 and np.all(np.isinf(b.bound_curve[1:]))
+    assert b.blowup_time == t[1]

@@ -1023,6 +1023,65 @@ def test_apriori_flags_undeclared_forcing():
     assert "EXCEEDS" in report.summary()
 
 
+def test_apriori_reads_eta_and_zeta_once_on_the_grid():
+    calls = []
+
+    def profile(scale):
+        def rate(t):
+            calls.append(np.shape(t))
+            return scale * (1.0 + t)
+        return rate
+
+    driver = BsdeDriver(eval=lambda t, x, z: np.zeros_like(x), c2=0.0,
+                        zeta=profile(0.5), x_dependent=False,
+                        z_dependent=False, name="zero with zeta")
+    problem = _problem(_linear_drift(-1.0), driver, _wiener_terminal,
+                       eta=profile(2.0))
+    sol = solve_bsde_autonomous_C(problem, _batch(4, 1.0, 8, 50))
+    report = apriori_bound_check(sol, problem, n_quad=65)
+    assert calls == [(65,), (65,)]
+    ts = np.linspace(0.0, 1.0, 65)
+    assert report.eta_sq_integral == float(
+        np.trapezoid((2.0 * (1.0 + ts) + 0.5 * (1.0 + ts)) ** 2, ts))
+    # the shift-reduced eta and zeta read arrays too, scaled by gamma
+    reduced, gamma = reduce_lambda0(_problem(
+        _linear_drift(-1.0), driver, _wiener_terminal, eta=profile(2.0),
+        lambda0=0.8))
+    assert np.array_equal(reduced.eta(ts), gamma(ts) * 2.0 * (1.0 + ts))
+    assert np.array_equal(reduced.driver.zeta_at(ts),
+                          gamma(ts) * 0.5 * (1.0 + ts))
+
+
+def test_gamma_reads_floats_and_arrays_alike():
+    problem = _problem(_linear_drift(-1.0), zero_driver(), _wiener_terminal,
+                       lambda0=0.8)
+    gamma = reduce_lambda0(problem)[1]
+    ts = np.linspace(0.0, 1.0, 9)
+    assert np.array_equal(gamma(ts), [gamma(float(t)) for t in ts])
+    assert np.array_equal(gamma(ts[:, None]), gamma(ts)[:, None])
+    assert gamma(1.0) == pytest.approx(math.exp(0.4), rel=1e-15)
+    unshifted = reduce_lambda0(_problem(_linear_drift(-1.0), zero_driver(),
+                                        _wiener_terminal))[1]
+    assert np.array_equal(unshifted(ts), np.ones(9))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t_final", [-1.0, math.inf, math.nan])
+def test_driver_state_sampler_rejects_non_finite_times(t_final):
+    with pytest.raises(ConfigError, match="finite t_final >= 0"):
+        driver_state_sampler(2, 1, t_final=t_final)
+    # valid arguments draw the stream they drew; t_final = 0 draws t = 0
+    rng, want = np.random.default_rng(2), np.random.default_rng(2)
+    t, x, z = driver_state_sampler(2, 3, t_final=0.5)(rng)
+    lo, hi = math.log(1e-2), math.log(1e1)
+    assert t == want.uniform(0.0, 0.5)
+    assert x.tobytes() == (float(np.exp(want.uniform(lo, hi)))
+                           * want.standard_normal(2)).tobytes()
+    assert z.tobytes() == (float(np.exp(want.uniform(lo, hi)))
+                           * want.standard_normal((2, 3))).tobytes()
+    assert driver_state_sampler(2, 1, t_final=0.0)(rng)[0] == 0.0
+
+
 # ---------------------------------------------------------------------------
 # export and reproducibility
 

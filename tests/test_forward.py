@@ -585,13 +585,15 @@ def test_rescaled_hs_norm_one_formula_for_states_and_stacks():
     scaled = rescale_problem(ops.drift, ops.diffusion, bundle)
     t = np.array([[0.25], [0.5], [1.0]])
     u = np.random.default_rng(5).normal(size=(3, 8))
-    expect = [ops.diffusion.hs_norm_sq(s, EMPTY_CONTEXT, None)
+    hs_norm_sq = lambda diff, s, state: ops.triple.hs_norm_sq(
+        diff.eval(s, EMPTY_CONTEXT, state))
+    expect = [hs_norm_sq(ops.diffusion, s, None)
               / scaled.gamma(s, EMPTY_CONTEXT) ** 2 for s in t[:, 0]]
     for state in (None, u):
-        got = scaled.diffusion.hs_norm_sq(t, EMPTY_CONTEXT, state)
+        got = hs_norm_sq(scaled.diffusion, t, state)
         assert got.shape == (3,)
         assert np.allclose(got, expect, rtol=1e-13, atol=0)
-    assert scaled.diffusion.hs_norm_sq(1.0, EMPTY_CONTEXT, None) == pytest.approx(
+    assert hs_norm_sq(scaled.diffusion, 1.0, None) == pytest.approx(
         expect[-1], rel=1e-13)
 
 

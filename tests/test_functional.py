@@ -1,9 +1,12 @@
 """Memory-dependent solves: segment algebra, frozen-forcing iteration,
 two-time kernel reduction, and the contraction diagnostics."""
 
+import math
+
 import numpy as np
 import pytest
 
+from monosee.analysis import linear_modulus
 from monosee.errors import ConfigError, NonconvergenceError
 from monosee.forward import SolverConfig, solve_forward, trajectory_csv
 from monosee.functional import (
@@ -148,7 +151,7 @@ def test_stacked_reads_match_each_window_read_alone():
     theta = np.array([-0.25, -0.125, -0.0625, 0.0])
     values = rng.standard_normal((6, 4, 3))
     others = rng.standard_normal((6, 4, 3))
-    for norm in (None, lambda row: 2.0 * np.linalg.norm(row)):
+    for norm in (None, lambda rows: 2.0 * np.linalg.norm(rows, axis=-1)):
         stack = Segment(theta, values, norm)
         other = Segment(theta, others, norm)
         dist = segment_distance(stack, other)
@@ -438,7 +441,7 @@ def test_converged_path_keeps_seam_and_projected_history():
                                   max_iter=40, tol=1e-10)
     path = res.path
     assert np.array_equal(path.past.end, path.values[0])
-    expected = np.stack([tr.project(r, 2) for r in past.values])
+    expected = tr.project(past.values, 2)
     assert np.array_equal(path.past.values, expected)
 
 
@@ -601,7 +604,8 @@ FUNCTIONAL_CASES = [
                                 {"amp_range": (1e-4, 1e-2)}, 200),
     (_quadratic_growth, {"amp_range": (1e1, 1e2)}, 100),
     (_time_varying, {}, 200),
-    (_time_varying, {"norm": lambda row: 2.0 * np.linalg.norm(row)}, 60)]
+    (_time_varying, {"norm": lambda rows: 2.0 * np.linalg.norm(rows, axis=-1)},
+     60)]
 
 
 @pytest.mark.parametrize("make, sampler_kw, n_samples", FUNCTIONAL_CASES)
@@ -851,3 +855,75 @@ def test_segment_sampler_validation():
     assert 0.0 <= s <= t <= 1.0
     assert seg_a.values.shape == (9, 3)
     assert seg_b.theta[-1] == 0.0
+
+
+def test_a_custom_norm_reads_every_row_in_one_call():
+    rng = np.random.default_rng(6)
+    theta = np.array([-0.5, -0.25, 0.0])
+    values, others = rng.standard_normal((2, 5, 3, 4))
+    calls = []
+
+    def norm(rows):
+        calls.append(np.shape(rows))
+        return np.max(np.abs(rows), axis=-1)
+
+    stack, other = Segment(theta, values, norm), Segment(theta, others, norm)
+    sup, dist = stack.sup_norm(), segment_distance(stack, other)
+    assert calls == [(5, 3, 4), (5, 3, 4)]
+    for i in range(5):
+        assert sup[i] == max(np.max(np.abs(r)) for r in values[i])
+        assert dist[i] == max(np.max(np.abs(r)) for r in values[i] - others[i])
+    # the path's own norm is the triple's H-norm of each row
+    tr = _rd_triple()
+    path = _linear_path(tr)
+    assert np.array_equal(path.h_norm_of(path.values),
+                          [tr.h_norm(r) for r in path.values])
+    assert np.array_equal(_linear_path().h_norm_of(path.values),
+                          [np.linalg.norm(r) for r in path.values])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("theta", [[np.nan, 0.0], [-np.inf, 0.0],
+                                   [-1.0, np.nan, 0.0], [np.nan]])
+def test_segment_rejects_non_finite_offsets(theta):
+    with pytest.raises(ConfigError, match="offsets must be finite"):
+        Segment(theta=theta, values=np.zeros((len(theta), 1)))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kw, match", [
+    ({"t_final": -1.0}, "finite t_final >= 0"),
+    ({"t_final": np.inf}, "finite t_final >= 0"),
+    ({"t_final": np.nan}, "finite t_final >= 0"),
+    ({"memory": np.nan}, "positive, finite memory"),
+    ({"memory": np.inf}, "positive, finite memory")])
+def test_segment_sampler_rejects_non_finite_times(kw, match):
+    with pytest.raises(ConfigError, match=match):
+        segment_sampler(**{"width": 2, "memory": 0.5, **kw})
+    # valid arguments draw the stream they drew: t, s, then each segment
+    rng, want = np.random.default_rng(3), np.random.default_rng(3)
+    t, s, seg_a, seg_b = segment_sampler(width=2, memory=0.5)(rng)
+    assert t == want.uniform(0.0, 1.0) and s == want.uniform(0.0, t)
+    lo, hi = math.log(1e-2), math.log(1e1)
+    amp_a, amp_b = math.exp(want.uniform(lo, hi)), math.exp(want.uniform(lo, hi))
+    for seg, amp in ((seg_a, amp_a), (seg_b, amp_b)):
+        assert seg.values.tobytes() == (
+            amp * want.standard_normal((9, 2))).tobytes()
+    assert rng.bit_generator.state == want.bit_generator.state
+    # at t_final = 0 every time drawn is 0
+    assert segment_sampler(width=2, memory=0.5, t_final=0.0)(
+        np.random.default_rng(1))[:2] == (0.0, 0.0)
+
+
+def test_domination_report_names_a_mismatched_lambda8():
+    times = np.linspace(0.0, 1.0, 5)
+    profiles = [np.linspace(0.0, 1.0, 5) ** 2] * 2
+    with pytest.raises(ConfigError, match="lambda8 profile must match the "
+                                          "time grid"):
+        bihari_domination_report(profiles, times, np.ones(4),
+                                 linear_modulus(1.0))
+    # a constant, a grid array and a callable of the grid agree
+    reports = [bihari_domination_report(profiles, times, lam8,
+                                        linear_modulus(1.0))
+               for lam8 in (2.0, np.full(5, 2.0), lambda t: 2.0 + 0.0 * t)]
+    assert reports[0] == reports[1] == reports[2]

@@ -699,6 +699,69 @@ def test_ab_pairs_runs_alternating_pairs_and_refuses(tmp_path, capsys):
     assert len((parent / "runs.log").read_text().splitlines()) == 3
 
 
+def _digest_tree(root, cells, summary, stats=None):
+    # one run_digests.py run directory: a CSV and a manifest
+    run = root / "demo" / "default"
+    run.mkdir(parents=True)
+    text = "".join(",".join(row) + "\r\n" for row in [["n", "d"], *cells])
+    (run / "table.csv").write_text(text, encoding="utf-8", newline="")
+    (run / "plot.svg").write_text(str(len(cells)))
+    (run / "manifest.json").write_text(json.dumps({
+        "summary": summary, "assertions": [{"name": "a", "passed": True}],
+        "solver_stats": stats or {"iterations": 3}, "error": None,
+        "wall_clock_seconds": len(cells)}))
+    return root
+
+
+def test_compare_runs_reports_float_gaps_and_refuses_the_rest(tmp_path,
+                                                             capsys):
+    main = _tool_module("compare_runs").main
+    base = _digest_tree(tmp_path / "a", [["1", "0.5"], ["2", "0.25"]],
+                        {"d": [0.5, 0.25], "n": 2})
+
+    def run(name, cells, summary, stats=None):
+        tree = _digest_tree(tmp_path / name, cells, summary, stats)
+        code = main([str(base), str(tree)])
+        return code, capsys.readouterr().out.splitlines()
+
+    # same numbers (wall clock and SVG aside): silent
+    assert run("same", [["1", "0.5"], ["2", "0.25"]],
+               {"d": [0.5, 0.25], "n": 2}) == (0, [])
+    # floats only: each artifact with its largest gaps
+    code, out = run("float", [["1", "0.5"], ["2", "0.2500000001"]],
+                    {"d": [0.5000000002, 0.25], "n": 2})
+    assert code == 0
+    assert out == ["demo/default manifest:summary max_abs 2e-10 "
+                   "max_rel 4e-10",
+                   "demo/default table.csv max_abs 1e-10 max_rel 4e-10"]
+    # an int, a bool, a string, a type, a shape or a key that changed
+    for name, cells, summary, stats, words in [
+            ("int", [["1", "0.5"], ["3", "0.25"]], None, None, "'2' != '3'"),
+            ("rows", [["1", "0.5"]], None, None, "3 rows != 2 rows"),
+            ("n", [["1", "0.5"], ["2", "0.25"]], {"d": [0.5, 0.25], "n": 3},
+             None, "summary.n: 2 != 3"),
+            ("type", [["1", "0.5"], ["2", "0.25"]],
+             {"d": [0.5, 0.25], "n": 2.0}, None, "summary.n: int 2 != float"),
+            ("len", [["1", "0.5"], ["2", "0.25"]], {"d": [0.5], "n": 2},
+             None, "summary.d: length 2 != 1"),
+            ("key", [["1", "0.5"], ["2", "0.25"]], {"d": [0.5, 0.25]},
+             None, "summary.n: on one side only"),
+            ("bool", [["1", "0.5"], ["2", "0.25"]],
+             {"d": [0.5, 0.25], "n": 2}, {"iterations": True},
+             "solver_stats.iterations: int 3 != bool True")]:
+        code, out = run(name, cells, summary or {"d": [0.5, 0.25], "n": 2},
+                        stats)
+        assert code == 1, name
+        assert any(words in line for line in out), (name, out)
+    # a file on one side only
+    tree = _digest_tree(tmp_path / "extra", [["1", "0.5"], ["2", "0.25"]],
+                        {"d": [0.5, 0.25], "n": 2})
+    (tree / "demo" / "default" / "more.csv").write_text("x\r\n")
+    assert main([str(base), str(tree)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "demo/default more.csv only in B"]
+
+
 def _perfbench_module(name):
     path = Path(__file__).parents[1] / "perfbench" / f"{name}.py"
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)

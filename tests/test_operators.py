@@ -134,7 +134,7 @@ def test_constant_diffusion_zero_and_hs_norm():
     tr = DiscreteTriple(7, REACTION_DIFFUSION)
     zero = ConstantDiffusion(tr, np.zeros((7, 3)))
     assert np.all(zero.eval(0.0, EMPTY_CONTEXT, None) == 0.0)
-    assert zero.hs_norm_sq(0.0, EMPTY_CONTEXT, None) == 0.0
+    assert tr.hs_norm_sq(zero.eval(0.0, EMPTY_CONTEXT, None)) == 0.0
 
 
 def test_multiplicative_sigma_column_of_twos():
@@ -154,7 +154,8 @@ def test_hs_norm_two_ways():
     u = np.linspace(-1, 2, 6)
     m = diff.eval(0.0, EMPTY_CONTEXT, u)
     direct = tr.h * float(np.sum(m ** 2))
-    assert diff.hs_norm_sq(0.0, EMPTY_CONTEXT, u) == pytest.approx(direct, rel=1e-12)
+    assert tr.hs_norm_sq(diff.eval(0.0, EMPTY_CONTEXT, u)) == pytest.approx(
+        direct, rel=1e-12)
 
 
 def test_power_map_monotone_sign_oracle():
@@ -216,7 +217,7 @@ def test_coercivity_porous_medium_passes():
 def test_coercivity_flags_underdeclared_xi():
     ops = build_operator_set("porous_medium", 10, p=3)
     diff = ConstantDiffusion(ops.triple, np.ones((10, 1)))
-    full = diff.hs_norm_sq(0.0, EMPTY_CONTEXT, None)
+    full = ops.triple.hs_norm_sq(diff.eval(0.0, EMPTY_CONTEXT, None))
     starved = HypothesisBundle(
         lambda1=constant_profile(1.0), lambda2=constant_profile(1.0),
         lambda3=constant_profile(1e-6), xi=constant_profile(0.5 * full),
@@ -224,6 +225,29 @@ def test_coercivity_flags_underdeclared_xi():
     report = check_coercivity(ops.drift, diff, starved,
                               state_sampler(ops.triple), n_samples=200, seed=7)
     assert not report.ok  # constant HS mass dominates near u = 0
+
+
+class _EvalOnly:
+    """A diffusion is its columns and its mode count, nothing more."""
+
+    def __init__(self, base):
+        self.eval = base.eval
+        self.n_modes = base.n_modes
+
+
+@pytest.mark.parametrize("name", ["eq_1_1", "eq_1_2"])
+def test_a_diffusion_with_only_eval_and_n_modes_passes_the_checks(name):
+    ops = build_operator_set(name, 10, p=3.0)
+    bare = _EvalOnly(ops.diffusion)
+    for check, make in ((check_coercivity, state_sampler),
+                        (check_monotonicity, pair_sampler)):
+        sampler = make(ops.triple, amp_range=(1e-2, 1e1))
+        report = check(ops.drift, bare, ops.bundle, sampler, n_samples=100,
+                       seed=3)
+        assert report.ok, report.summary()
+        assert_same_report(report, check(ops.drift, ops.diffusion, ops.bundle,
+                                         sampler, n_samples=100, seed=3),
+                           rel=0.0)
 
 
 def test_coercivity_degenerate_coefficient_time():
@@ -452,7 +476,7 @@ def _planted(kind):
     drift = PhiDrift(tr, lambda t, ctx, r: phi(r))
     diff = ConstantDiffusion(tr, np.ones((10, 1)))
     return drift, diff, HypothesisBundle(q1=3, q2=3, xi=constant_profile(
-        diff.hs_norm_sq(0.0, EMPTY_CONTEXT, None)))
+        tr.hs_norm_sq(diff.eval(0.0, EMPTY_CONTEXT, None))))
 
 
 @pytest.mark.parametrize("flag_all", [False, True])

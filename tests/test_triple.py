@@ -275,3 +275,32 @@ def test_hs_norm_sq_of_columns_and_stacks():
     direct = [sum(tr.h_inner(c[:, j], c[:, j]) for j in range(2)) for c in cols]
     assert np.allclose(tr.hs_norm_sq(cols), direct, rtol=1e-12, atol=0)
     assert tr.hs_norm_sq(cols[0]) == pytest.approx(direct[0], rel=1e-12)
+
+
+@pytest.mark.parametrize("flavor", [POROUS_MEDIUM, REACTION_DIFFUSION])
+def test_project_and_coefficients_take_stacks(flavor):
+    tr = DiscreteTriple(11, flavor, q1=3, q2=3)
+    rng = np.random.default_rng(8)
+    for n in (1, 4, 11):
+        basis = tr.basis[:, :n]
+        for shape in ((5,), (3, 4)):
+            stack = rng.standard_normal(shape + (11,)) * 10.0 ** rng.uniform(
+                -3, 3, shape + (1,))
+            coeffs, proj = tr.coefficients(stack, n), tr.project(stack, n)
+            assert coeffs.shape == shape + (n,)
+            assert proj.shape == shape + (11,)
+            for idx in np.ndindex(shape):
+                row = stack[idx]
+                scale = np.max(np.abs(row))
+                assert np.allclose(coeffs[idx], tr.coefficients(row, n),
+                                   rtol=0, atol=1e-12 * scale)
+                assert np.allclose(proj[idx], tr.project(row, n),
+                                   rtol=0, atol=1e-12 * scale)
+        # one state: the single-state formulas, bit for bit
+        u = rng.standard_normal(11)
+        paired = u if flavor == REACTION_DIFFUSION else tr.neg_lap_inv(u)
+        want = tr.h * (basis.T @ paired)
+        assert tr.coefficients(u, n).tobytes() == want.tobytes()
+        assert tr.project(u, n).tobytes() == (basis @ want).tobytes()
+    with pytest.raises(ValueError, match="grid size"):
+        tr.coefficients(np.zeros((3, 10)), 2)
