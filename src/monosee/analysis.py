@@ -246,12 +246,16 @@ def _rate(profile, *times) -> np.ndarray:
     """A rate profile at ``times`` (floats or arrays, broadcast together),
     in their broadcast shape: None is identically zero, a callable is
     called once on the arrays, and a constant or an array tabulated on
-    the times is taken as it is."""
+    the times is taken as it is; one that does not broadcast is a ValueError."""
     times = [np.asarray(t, dtype=float) for t in times]
-    value = profile(*times) if callable(profile) else \
-        0.0 if profile is None else profile
-    return np.broadcast_to(np.asarray(value, dtype=float),
-                           np.broadcast_shapes(*(t.shape for t in times)))
+    value = np.asarray(profile(*times) if callable(profile) else
+                       0.0 if profile is None else profile, dtype=float)
+    shape = np.broadcast_shapes(*(t.shape for t in times))
+    try:
+        return np.broadcast_to(value, shape)
+    except ValueError:
+        raise ValueError(f"rate profile of shape {value.shape} must match "
+                         f"the time grid's shape {shape}") from None
 
 
 def bihari_bound(g0: float, lambda_profile, spec: ModulusSpec, t_grid) -> BihariBound:

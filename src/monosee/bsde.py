@@ -439,7 +439,8 @@ def regularized_implicit_step(drift: MonotoneMap, t: float, dt: float, rhs,
     module docstring) with one resolvent solve over a stacked rhs: a
     diagonal drift acts elementwise, a general one row by row on
     (..., d).  ``counts`` (a :class:`~monosee.resolvent.NewtonCounts`
-    shaped like the resolvent's stack) accumulates the Newton work.
+    shaped like the resolvent's stack) accumulates the Newton work; a
+    linear drift's resolvent is solved in closed form and counts none.
     ``dt`` must lie in (0, inf).
     """
     if not 0 < dt < math.inf:
@@ -573,9 +574,10 @@ def reduce_lambda0(problem: BsdeProblem):
     gamma(t)*A(t, x/gamma(t)) - lambda0*x/2 is dissipative with no shift,
     the driver becomes gamma(t)*C(t, x/gamma, z/gamma) and the terminal
     gamma(T)*X_T.  Solvers apply this up front and divide the solution by
-    gamma afterwards, so their internals always see lambda0 = 0.  The
-    declared driver constants transform conservatively (c1 picks up the
-    worst-case factor exp(lambda0*T), zeta the factor gamma(t)).
+    gamma afterwards, so their internals always see lambda0 = 0.  A
+    linear drift stays linear, with slope a - lambda0/2 (or A - lambda0/2*I).
+    The declared driver constants transform conservatively (c1 picks up
+    the worst-case factor exp(lambda0*T), zeta the factor gamma(t)).
     """
     lam = problem.lambda0
 
@@ -605,9 +607,14 @@ def reduce_lambda0(problem: BsdeProblem):
             return np.asarray(base_drift.jacobian(t, x / gamma(t)),
                               dtype=float) - 0.5 * lam * shift
 
+    slope = base_drift.slope
+    if slope is not None:  # gamma cancels in the linear part
+        slope = slope - 0.5 * lam * (1.0 if base_drift.diagonal
+                                     else np.eye(len(slope)))
     drift = MonotoneMap(eval=drift_eval, jacobian=drift_jac,
                         diagonal=base_drift.diagonal,
-                        name=f"{base_drift.name} (shift-reduced)")
+                        name=f"{base_drift.name} (shift-reduced)",
+                        slope=slope)
 
     def driver_eval(t, x, z):
         g = gamma(t)

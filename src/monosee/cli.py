@@ -14,11 +14,11 @@ Exit codes: 0 when the run completed and every recorded assertion passed,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
-from .config import load_config
-from .experiments import list_experiments, run_experiment, validate_experiment
+from .config import BLAS_THREAD_VARS, load_config
 
 __all__ = ["main", "build_parser"]
 
@@ -49,6 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
+    from .experiments import run_experiment
     config = load_config(args.config, args.overrides)
     result = run_experiment(config)
     print(f"{result.experiment}: artifacts in {result.out_dir}")
@@ -63,12 +64,14 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_list() -> int:
+    from .experiments import list_experiments
     for line in list_experiments():
         print(line)
     return 0
 
 
 def _cmd_validate(args) -> int:
+    from .experiments import validate_experiment
     config = load_config(args.config, args.overrides)
     problems = validate_experiment(config)
     if problems:
@@ -83,6 +86,11 @@ def _cmd_validate(args) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    # one BLAS thread, the count the benchmark measures, unless the caller
+    # set one; it only takes effect before numpy (with .experiments) loads
+    if "numpy" not in sys.modules \
+            and not set(BLAS_THREAD_VARS) & set(os.environ):
+        os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
     try:
         if args.command == "run":
             return _cmd_run(args)

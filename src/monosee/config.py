@@ -21,6 +21,10 @@ from .errors import ConfigError
 __all__ = ["ExperimentConfig", "load_config", "parse_config",
            "apply_overrides", "SCHEMA"]
 
+# the BLAS thread count's variables: pinned by the CLI, in every manifest
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
+
 # permitted keys per section, with the type each value must parse as
 SCHEMA = {
     "experiment": {

@@ -43,7 +43,7 @@ from .analysis import (BOUND_CAP, bihari_bound, convergence_order,
 from .bsde import (BackwardCounts, BsdeDriver, BsdeProblem, picard_in_x,
                    picard_in_z, polynomial_basis, solution_csv,
                    solve_bsde_autonomous_C, zero_driver)
-from .config import ExperimentConfig
+from .config import BLAS_THREAD_VARS, ExperimentConfig
 from .errors import ConfigError, NonconvergenceError
 from .forward import SolverConfig, apriori_norms, solve_forward, trajectory_csv
 from .functional import (FunctionalCoefficients, Segment, SegmentPath,
@@ -535,9 +535,8 @@ def _hypothesis_report(s):
 
 
 # the backward experiments' drift A(x) = -x and terminal X_T = W(T)
-_RESTORING_DRIFT = MonotoneMap(eval=lambda t, x: -x,
-                              jacobian=lambda t, x: -np.ones_like(x),
-                              diagonal=True, name="linear restoring drift")
+_RESTORING_DRIFT = MonotoneMap.linear(-1.0, diagonal=True,
+                                     name="linear restoring drift")
 
 
 def _wiener_terminal(batch):
@@ -966,7 +965,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
 
     The manifest is written even when setup finds a problem or the
     experiment raises; any exception is recorded and re-raised for the
-    caller's exit handling.
+    caller's exit handling.  It records the BLAS thread variables.
     """
     out_dir = resolve_output_dir(config)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -990,6 +989,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
             "version": __version__,
             "seed": config.monte_carlo.get("seed"),
             "wall_clock_seconds": time.perf_counter() - started,
+            "blas_threads": {v: os.environ.get(v) for v in BLAS_THREAD_VARS},
             "summary": outcome.summary if outcome else {},
             "solver_stats": outcome.solver_stats if outcome else {},
             "assertions": [

@@ -12,18 +12,19 @@ negate it before wrapping it in a :class:`MonotoneMap`.
 
 The resolvent J_eps(x) solves y - eps*F(t, y) = x; the Yosida regularization
 is A_eps(x) = (J_eps(x) - x) / eps, which coincides with F(J_eps(x)) at the
-exact root.  Every map is solved by one damped Newton kernel with an
-analytic or finite-difference Jacobian, over one vector or a stack of
-independent replicas (each with its own target, convergence mask and line
-search); a diagonal map is a stack of width-1 rows, one per component.
-The sampled checkers evaluate and solve whole stacks of samples at once.
+exact root.  A linear map is solved in closed form, every other map by
+one damped Newton kernel with an analytic or finite-difference Jacobian,
+over one vector or a stack of independent replicas (each with its own
+target, convergence mask and line search); a diagonal map is a stack of
+width-1 rows, one per component.  The sampled checkers evaluate and
+solve whole stacks of samples at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -34,7 +35,6 @@ __all__ = [
     "MonotoneMap",
     "NewtonCounts",
     "resolvent",
-    "yosida",
     "check_dissipativity",
     "check_yosida_properties",
 ]
@@ -52,13 +52,32 @@ class MonotoneMap:
     independent replica per element.  A general map handed a stack x of
     shape (..., n) (independent replicas, one per row) must act row by
     row: ``eval`` returns (..., n) and ``jacobian`` (..., n, n).  Maps
-    only ever called on single vectors may ignore this.
+    only ever called on single vectors may ignore this.  ``slope``, set
+    by :meth:`linear`, declares F(t, x) = slope*x at every t; the
+    resolvent of such a map is solved in closed form, without Newton work.
     """
 
     eval: Callable[[float, np.ndarray], np.ndarray]
     jacobian: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
     diagonal: bool = False
     name: str = "monotone map"
+    slope: Optional[Union[float, np.ndarray]] = None
+
+    @classmethod
+    def linear(cls, slope, diagonal: bool = False,
+               name: str = "linear map") -> "MonotoneMap":
+        """F(t, x) = slope*x, its ``eval`` and ``jacobian`` built from the
+        slope: a float acting elementwise if ``diagonal``, else a square
+        matrix A acting as A @ x on each row of a stack."""
+        if diagonal:
+            a = float(slope)
+            return cls(eval=lambda t, x: a * np.asarray(x, dtype=float),
+                       jacobian=lambda t, x: np.full(np.shape(x), a),
+                       diagonal=True, name=name, slope=a)
+        a = np.array(slope, dtype=float)
+        return cls(eval=lambda t, x: np.asarray(x, dtype=float) @ a.T,
+                   jacobian=lambda t, x: np.broadcast_to(
+                       a, np.shape(x)[:-1] + a.shape), name=name, slope=a)
 
 
 def _full_jacobian(F: MonotoneMap, t: float, y: np.ndarray) -> np.ndarray:
@@ -133,6 +152,21 @@ def _group_error(name: str, at, history, index=()):
         return failures[0]
 
 
+def _linear_resolvent(F: MonotoneMap, eps, x) -> Optional[np.ndarray]:
+    """(I - eps*slope)^{-1} x, eps a float or one per element (diagonal)
+    or row ((..., 1), general); None if that matrix is singular."""
+    x = np.asarray(x, dtype=float)
+    if F.diagonal:
+        scale = 1.0 - eps * F.slope
+        return None if np.count_nonzero(scale == 0) else x / scale
+    eps = eps[..., None] if isinstance(eps, np.ndarray) else eps
+    try:
+        return np.linalg.solve(np.eye(len(F.slope)) - eps * F.slope,
+                               np.atleast_1d(x)[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        return None
+
+
 def _resolvent_general(F, t, eps, x, tol, max_iter, guess=None, counts=None):
     """Damped Newton on y - eps*F(t, y) = x for x of shape (..., n).
 
@@ -146,8 +180,13 @@ def _resolvent_general(F, t, eps, x, tol, max_iter, guess=None, counts=None):
     F(t, y), unsolved), the map carried through the line search like the
     residual; ``unsolved`` is None if every row converged (only then
     ``counts`` gains the work), else ``unsolved(index=())`` is
-    :func:`_group_error`.
+    :func:`_group_error`.  A linear map is solved in closed form instead,
+    counting no work, unless I - eps*slope is singular.
     """
+    if F.slope is not None:
+        y = _linear_resolvent(F, eps, x)
+        if y is not None:
+            return y, np.asarray(F.eval(t, y), dtype=float), None
     if F.diagonal:  # the elements as a stack of width-1 rows
         rows = MonotoneMap(
             eval=lambda t, y: np.asarray(F.eval(t, y[..., 0]),
@@ -237,6 +276,8 @@ def resolvent(F: MonotoneMap, t: float, eps: float, x, tol: float = 1e-12,
     halvings of a call that returns.  ``eps`` must lie in (0, inf); an array
     of them broadcasts against x, one per element for a diagonal map and
     one per row for a general one (an (S, 1) column for x of shape (S, n)).
+    A linear map passes the same checks, then is solved in closed form and
+    adds nothing to ``counts``.
     """
     if isinstance(eps, np.ndarray):
         if not np.all((0 < eps) & (eps < np.inf)) \
@@ -254,29 +295,6 @@ def resolvent(F: MonotoneMap, t: float, eps: float, x, tol: float = 1e-12,
     if unsolved is not None:
         raise unsolved()
     return y
-
-
-def yosida(F: MonotoneMap, t: float, eps: float, x, tol: float = 1e-12,
-           max_iter: int = 200) -> np.ndarray:
-    """Yosida regularization A_eps(x) = (J_eps(x) - x)/eps = F(t, J_eps(x)).
-
-    Both identities are checked against each other; disagreement beyond the
-    solver tolerance (amplified by 1/eps) means the inner solve lied and is
-    reported as nonconvergence.
-    """
-    x = np.asarray(x, dtype=float)
-    j = resolvent(F, t, eps, x, tol=tol, max_iter=max_iter)
-    a = (j - x) / eps
-    f_at_j = np.asarray(F.eval(t, j), dtype=float)
-    gap = float(np.max(np.abs(a - f_at_j)))
-    allowed = 10.0 * tol * (1.0 + float(np.max(np.abs(x)))) / eps
-    if gap > allowed:
-        raise NonconvergenceError(
-            f"yosida identity mismatch for {F.name}: |(J-x)/eps - F(J)| = "
-            f"{gap:.3e} > {allowed:.3e}",
-            residuals=[gap],
-        )
-    return a
 
 
 def check_dissipativity(F: MonotoneMap, sampler, n_samples: int = 500,

@@ -1,6 +1,7 @@
 """Plain reference loops for the stacked checkers, the backward sweep and
-the memory terms, and the operator samplers written with ``choice`` and
-``uniform``.
+the memory terms, the operator samplers written with ``choice`` and
+``uniform``, and the Yosida regularization checked against its two
+identities (``yosida``).
 
 Each checker oracle draws and evaluates one sample at a time, in the
 order the stacked checker draws them, and appends its violations as it
@@ -96,6 +97,25 @@ def pair_sampler(triple, t_final=1.0, amp_range=(1e-3, 1e3), times=None):
 
 # ---------------------------------------------------------------------------
 # resolvent and Yosida
+
+
+def yosida(F, t, eps, x, tol=1e-12, max_iter=200):
+    """Yosida regularization A_eps(x) = (J_eps(x) - x)/eps = F(t, J_eps(x)).
+
+    Both identities are checked against each other; disagreement beyond the
+    solver tolerance (amplified by 1/eps) means the inner solve lied and is
+    reported as nonconvergence.
+    """
+    x = np.asarray(x, dtype=float)
+    j = resolvent(F, t, eps, x, tol=tol, max_iter=max_iter)
+    a = (j - x) / eps
+    gap = float(np.max(np.abs(a - np.asarray(F.eval(t, j), dtype=float))))
+    allowed = 10.0 * tol * (1.0 + float(np.max(np.abs(x)))) / eps
+    if gap > allowed:
+        raise NonconvergenceError(
+            f"yosida identity mismatch for {F.name}: |(J-x)/eps - F(J)| = "
+            f"{gap:.3e} > {allowed:.3e}", residuals=[gap])
+    return a
 
 
 def dissipativity(F, sampler, n_samples=500, seed=0, tol=1e-12, t=0.0):

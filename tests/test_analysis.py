@@ -463,6 +463,13 @@ def test_one_rate_reader_for_every_profile_form():
         bihari_bound(1.0, np.ones(5), linear_modulus(1.0), t)
 
 
+def test_callable_rate_profile_of_the_wrong_shape_names_both_shapes():
+    t = np.linspace(0.0, 1.0, 11)
+    with pytest.raises(ValueError, match=r"rate profile of shape \(5,\) must "
+                                         r"match the time grid's shape \(11,\)"):
+        bihari_bound(1.0, lambda s: np.ones(5), linear_modulus(1.0), t)
+
+
 @pytest.mark.parametrize("profile", [
     lambda s: np.nan, np.full(11, np.nan),
     np.where(np.arange(11) == 4, np.nan, 1.0)])

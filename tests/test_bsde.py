@@ -9,7 +9,7 @@ against hand-computable budgets and Jensen's inequality.
 """
 
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -32,7 +32,7 @@ from monosee.bsde import (BackwardCounts, BsdeAprioriReport, BsdeDriver,
 from monosee.errors import (ConfigError, NonconvergenceError,
                             RegressionError)
 from monosee.noise import NoiseBatch, sample_batch, sample_path
-from monosee.resolvent import MonotoneMap, NewtonCounts, resolvent, yosida
+from monosee.resolvent import MonotoneMap, NewtonCounts, resolvent
 
 import oracles
 from oracles import assert_same_report
@@ -231,7 +231,7 @@ def test_regularized_step_satisfies_defining_equation():
     dt = 0.08
     rhs = np.array([0.9, -1.7, 2.2])
     y = regularized_implicit_step(drift, 0.0, dt, rhs)
-    a_eps = yosida(drift, 0.0, dt, y)
+    a_eps = oracles.yosida(drift, 0.0, dt, y)
     assert np.max(np.abs(y - dt * a_eps - rhs)) <= 1e-8
 
 
@@ -789,6 +789,46 @@ def test_reduce_lambda0_solves_expansive_drift_exactly():
     for k in range(sol.n_steps + 1):
         expected = c * math.exp(1.0 - sol.times[k])
         assert np.allclose(sol.x_paths[:, k, 0], expected, rtol=1e-8)
+
+
+def _row_norms(v):
+    return np.linalg.norm(v, axis=-1)
+
+
+def test_linear_skew_drift_closed_form_matches_newton_on_a_stack():
+    x = np.random.default_rng(11).standard_normal((40, 2))
+    counts = NewtonCounts(40)
+    got = resolvent(MonotoneMap.linear(_SKEW), 0.0, 0.2, x, counts=counts)
+    want = resolvent(_skew_drift(), 0.0, 0.2, x)
+    assert np.all(_row_norms(got - want) <= 1e-14 * _row_norms(want))
+    assert not counts.iterations.any()
+
+
+@pytest.mark.parametrize("slope, diagonal", [(0.5, True),
+                                             (_SKEW + np.eye(2), False)])
+def test_reduce_lambda0_keeps_a_linear_drift_linear(slope, diagonal):
+    """With lambda0 = 1.5 the reduced slope is slope - 0.75 (times I), and
+    its closed-form solve matches Newton on the reduced Newton drift."""
+    lam, dim = 1.5, 1 if diagonal else 2
+    drift = MonotoneMap.linear(slope, diagonal=diagonal, name="linear")
+
+    def reduce(drift):
+        return reduce_lambda0(BsdeProblem(
+            drift=drift, driver=zero_driver(), terminal=_wiener_terminal,
+            t_final=1.0, n_modes=1, dim=dim, lambda0=lam))[0].drift
+
+    reduced, newton = reduce(drift), reduce(replace(drift, slope=None))
+    assert newton.slope is None and reduced.diagonal == diagonal
+    assert reduced.name == "linear (shift-reduced)"
+    assert np.array_equal(reduced.slope,
+                          slope - 0.75 * (1.0 if diagonal else np.eye(2)))
+    x = np.random.default_rng(12).standard_normal((30, 2))
+    assert np.allclose(reduced.eval(0.4, x), newton.eval(0.4, x),
+                       rtol=1e-14, atol=1e-14)
+    got = resolvent(reduced, 0.4, 0.3, x)
+    want = resolvent(newton, 0.4, 0.3, x)
+    size = np.abs if diagonal else _row_norms
+    assert np.all(size(got - want) <= 1e-14 * size(want))
 
 
 # ---------------------------------------------------------------------------

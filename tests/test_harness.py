@@ -534,18 +534,18 @@ def test_demo_solver_stats_repeat_and_stay_out_of_summary(tmp_path):
     # the heat drift is linear: one Newton iteration per implicit step
     assert stats["timestep_convergence"]["newton_iterations"] == 350
     # one solve: one sweep over 16 steps, every design factored once; the
-    # linear drift's implicit step is one Newton iteration per path and
-    # step; the zero driver is evaluated once
+    # linear drift's implicit step is solved in closed form, with no
+    # Newton iteration; the zero driver is evaluated once
     assert stats["bsde_linear_validation"] == {
         "backward_sweeps": 1, "regression_factorizations": 17,
-        "regression_fits": 3 * 16 + 1, "newton_iterations": 400 * 16,
+        "regression_fits": 3 * 16 + 1, "newton_iterations": 0,
         "line_search_halvings": 0, "driver_evaluations": 1}
     # two solves (Picard in z, Picard in x) over 8 steps, many sweeps
     picard = stats["bsde_picard_demo"]
     assert picard["regression_factorizations"] == 2 * 9
     assert picard["backward_sweeps"] > 2
     assert picard["regression_fits"] == picard["backward_sweeps"] * (3 * 8 + 1)
-    assert picard["newton_iterations"] == picard["backward_sweeps"] * 8 * 200
+    assert picard["newton_iterations"] == 0
     assert picard["line_search_halvings"] == 0
     # the z solve evaluates its driver up front and after every sweep but
     # the last, one per recorded residual; the z-independent x driver once
@@ -582,6 +582,30 @@ def test_experiments_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("preset, want", [
+    ({}, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+          "MKL_NUM_THREADS": "1"}),
+    ({"OPENBLAS_NUM_THREADS": "2"}, {"OPENBLAS_NUM_THREADS": "2",
+                                     "OMP_NUM_THREADS": None,
+                                     "MKL_NUM_THREADS": None})])
+def test_cli_pins_one_blas_thread_unless_one_is_set(tmp_path, preset, want):
+    root = Path(__file__).parents[1]
+    env = {key: value for key, value in os.environ.items()
+           if key not in want}
+    env.update(preset, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-m", "monosee.cli", "run",
+                    str(root / "configs" / "bihari_table.ini"), "--set",
+                    f"output.directory={tmp_path / 'out'}"],
+                   capture_output=True, text=True, check=True, env=env)
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["blas_threads"] == want
+    assert "blas_threads" not in manifest["summary"]
+    assert "blas_threads" not in manifest["solver_stats"]
+    assert not any("THREADS" in path.read_text()
+                   for path in (tmp_path / "out").glob("*.csv"))
 
 
 def test_run_digests_repeats_for_a_named_experiment(tmp_path):

@@ -5,6 +5,7 @@ implemented here, independent of the package's Newton machinery.
 """
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from monosee.errors import ConfigError, NonconvergenceError
 from monosee.reporting import SampleStream
 from monosee.resolvent import (MonotoneMap, NewtonCounts, check_dissipativity,
-                               check_yosida_properties, resolvent, yosida)
+                               check_yosida_properties, resolvent)
 
 import oracles
 from oracles import assert_same_report
@@ -86,7 +87,7 @@ def test_resolvent_rejects_eps_outside_open_half_line(eps, diagonal):
 
 def test_yosida_linear():
     x = np.array([2.0, -4.0])
-    a = yosida(linear_map(), 0.0, 1.0, x)
+    a = oracles.yosida(linear_map(), 0.0, 1.0, x)
     assert np.allclose(a, -x / 2.0, rtol=0, atol=1e-12)
 
 
@@ -95,7 +96,7 @@ def test_yosida_identity_pair_cubic():
     x = np.array([1.5, -0.3, 2.0])
     eps = 0.25
     j = resolvent(F, 0.0, eps, x, tol=1e-13)
-    a = yosida(F, 0.0, eps, x, tol=1e-13)
+    a = oracles.yosida(F, 0.0, eps, x, tol=1e-13)
     assert np.allclose(a, (j - x) / eps, rtol=0, atol=1e-12)
     assert np.allclose(a, -j ** 3, rtol=0, atol=1e-9)
 
@@ -107,7 +108,7 @@ def test_domination_direct_samples():
     for _ in range(100):
         eps = float(10.0 ** rng.uniform(-3, 0))
         x = rng.uniform(-3, 3, size=4)
-        a = yosida(F, 0.0, eps, x, tol=1e-13)
+        a = oracles.yosida(F, 0.0, eps, x, tol=1e-13)
         assert np.linalg.norm(a) <= np.linalg.norm(x ** 3) * (1 + 1e-10) + 1e-10
 
 
@@ -116,7 +117,7 @@ def test_yosida_convergence_sweep():
     x = np.array(1.0)
     gaps = []
     for eps in np.logspace(-1, -6, 11):
-        a = yosida(F, 0.0, float(eps), x, tol=1e-14)
+        a = oracles.yosida(F, 0.0, float(eps), x, tol=1e-14)
         gaps.append(abs(float(a) + 1.0))  # F(1) = -1
     assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] < 1e-4
@@ -271,12 +272,21 @@ def _general_cubic_map():
                        * np.eye(x.shape[-1]), name="general minus cube")
 
 
+def _closed_form_map():
+    return MonotoneMap.linear(-1.0, diagonal=True, name="closed-form minus x")
+
+
+def _closed_form_general_map():
+    return MonotoneMap.linear(_dissipative_matrix(8, 4), name="closed-form A")
+
+
 YOSIDA_CASES = [
     (linear_map, 200, 5, 1e-8), (cubic_map, 200, 5, 1e-8),
     (cubic_map, 1000, 17, 1e-8), (_sine_map, 200, 5, 1e-8),
     (linear_map, 1000, 17, 1e-10), (cubic_map, 1000, 17, 1e-10),
     (_sine_map, 1000, 17, 1e-10), (_identity_map, 200, 5, 1e-8),
-    (_general_cubic_map, 200, 5, 1e-8)]
+    (_general_cubic_map, 200, 5, 1e-8), (_closed_form_map, 200, 5, 1e-8),
+    (_closed_form_general_map, 200, 5, 1e-8)]
 
 
 @pytest.mark.parametrize("make_map, n_samples, seed, tol", YOSIDA_CASES)
@@ -459,7 +469,7 @@ def test_general_resolvent_properties(map_seed, n, cubic, analytic, seed,
     slack = 2.0 * TOL * (1.0 + np.linalg.norm(x) + np.linalg.norm(y))
     assert np.linalg.norm(jx - jy) <= np.linalg.norm(x - y) + slack
     # Yosida identity: (J - x)/eps = F(J)
-    a = yosida(F, 0.0, eps, x, tol=TOL)
+    a = oracles.yosida(F, 0.0, eps, x, tol=TOL)
     assert np.linalg.norm(a - F.eval(0.0, jx)) \
         <= 10.0 * TOL * (1.0 + np.linalg.norm(x)) / eps
     # a stacked call equals looping over its rows: both solve each row to
@@ -529,7 +539,7 @@ def test_diagonal_resolvent_properties(n, analytic, seed, log_eps,
     # solves' residuals are the only slack
     assert np.all(np.abs(jx - jy) <= np.abs(x - y) + np.abs(rx) + np.abs(ry))
     # Yosida identity: (J - x)/eps = F(J)
-    ax = yosida(F, 0.0, eps, x, tol=TOL)
+    ax = oracles.yosida(F, 0.0, eps, x, tol=TOL)
     assert np.max(np.abs(ax - F.eval(0.0, jx))) \
         <= 10.0 * TOL * (1.0 + np.max(np.abs(x))) / eps
 
@@ -544,3 +554,107 @@ def test_resolvent_rejects_unusable_tolerances(kwargs, fragment, diagonal):
     F = linear_map() if diagonal else full_dissipative_map(1, 2, 0.3)
     with pytest.raises(ConfigError, match=fragment):
         resolvent(F, 0.0, 0.5, np.ones(2), **kwargs)
+
+
+# ---------------------------------------------------------------------------
+# linear maps: the closed-form resolvent against the Newton kernel
+
+
+def _newton(F):
+    """The same map with its slope hidden, so the Newton kernel solves it."""
+    return replace(F, slope=None)
+
+
+def _assert_matches_newton(F, eps, x):
+    """Closed form and Newton agree to 1e-14 relative: elementwise for a
+    diagonal map, in each row's norm for a general one."""
+    got = resolvent(F, 0.3, eps, x)
+    want = resolvent(_newton(F), 0.3, eps, x)
+    assert got.shape == want.shape == np.shape(x)
+    size = np.abs if F.diagonal else lambda v: np.linalg.norm(v, axis=-1)
+    assert np.all(size(got - want) <= 1e-14 * size(want))
+
+
+def _dissipative_matrix(seed, n):
+    """A random matrix with negative definite symmetric part."""
+    m = np.random.default_rng(seed).standard_normal((n, n))
+    return m - m.T - np.eye(n)
+
+
+def test_linear_diagonal_closed_form_matches_newton():
+    x = 10.0 * np.random.default_rng(4).standard_normal((4, 3))
+    for slope in (-2.5, 0.0):
+        _assert_matches_newton(MonotoneMap.linear(slope, diagonal=True),
+                               0.7, x)
+
+
+def test_linear_closed_form_takes_one_eps_per_row():
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((6, 3))
+    eps = 10.0 ** rng.uniform(-3, 1, size=(6, 1))
+    for F in (MonotoneMap.linear(-1.5, diagonal=True),
+              MonotoneMap.linear(_dissipative_matrix(5, 3))):
+        _assert_matches_newton(F, eps, x)
+        for row, e, y in zip(x, eps[:, 0], resolvent(F, 0.0, eps, x)):
+            assert np.allclose(y, resolvent(F, 0.0, float(e), row),
+                               rtol=1e-15, atol=0)
+
+
+def test_linear_general_closed_form_matches_newton_on_a_stack():
+    F = MonotoneMap.linear(_dissipative_matrix(6, 4), name="random linear")
+    x = np.random.default_rng(6).standard_normal((7, 4))
+    _assert_matches_newton(F, 0.4, x)
+    # a single vector is the one-row stack
+    assert np.array_equal(resolvent(F, 0.0, 0.4, x[0]),
+                          resolvent(F, 0.0, 0.4, x[:1])[0])
+
+
+def test_linear_map_evaluates_its_slope():
+    a = _dissipative_matrix(7, 3)
+    F = MonotoneMap.linear(a)
+    x = np.random.default_rng(7).standard_normal((5, 3))
+    assert np.allclose(F.eval(0.0, x), (a @ x.T).T, rtol=1e-15, atol=1e-15)
+    assert F.jacobian(0.0, x).shape == (5, 3, 3)
+    assert np.array_equal(F.jacobian(0.0, x[0]), a)
+    D = MonotoneMap.linear(-2.0, diagonal=True)
+    assert np.array_equal(D.eval(0.0, x), -2.0 * x)
+    assert np.array_equal(D.jacobian(0.0, x), np.full(x.shape, -2.0))
+
+
+def test_linear_closed_form_counts_no_newton_work():
+    x = np.array([1.0, -2.0, 0.5])
+    counts = NewtonCounts(x.shape)
+    resolvent(MonotoneMap.linear(-1.0, diagonal=True), 0.0, 0.5, x,
+              counts=counts)
+    assert not counts.iterations.any() and not counts.halvings.any()
+    resolvent(cubic_map(), 0.0, 0.5, x, counts=counts)
+    assert np.all(counts.iterations > 0)
+
+
+def test_singular_linear_resolvent_falls_back_to_newton_failure():
+    # 1 - eps*slope = 0: no closed form, and Newton reports the failure
+    with pytest.raises(NonconvergenceError, match="damped Newton stalled"):
+        resolvent(MonotoneMap.linear(2.0, diagonal=True), 0.0, 0.5,
+                  np.array([1.0, 2.0]))
+    with pytest.raises(NonconvergenceError, match="damped Newton stalled"):
+        resolvent(MonotoneMap.linear(2.0 * np.eye(2)), 0.0, 0.5,
+                  np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("kwargs, fragment", [
+    ({"eps": 0.0}, "0 < eps < inf"),
+    ({"eps": -0.5}, "0 < eps < inf"),
+    ({"eps": np.inf}, "0 < eps < inf"),
+    ({"eps": np.array([[0.5], [0.0]])}, "0 < eps < inf"),
+    ({"tol": 0.0}, "tol > 0"),
+    ({"tol": -1e-8}, "tol > 0"),
+    ({"max_iter": 0}, "max_iter >= 1"),
+])
+@pytest.mark.parametrize("diagonal", [True, False])
+def test_linear_resolvent_keeps_the_argument_checks(kwargs, fragment,
+                                                    diagonal):
+    F = MonotoneMap.linear(-1.0 if diagonal else -np.eye(2),
+                           diagonal=diagonal)
+    kwargs = {"eps": 0.5, **kwargs}
+    with pytest.raises(ConfigError, match=fragment):
+        resolvent(F, 0.0, x=np.ones((2, 2)), **kwargs)
