@@ -11,9 +11,12 @@ the noise enters explicitly, the drift implicitly, and each step is one
 resolvent solve of the (dissipative) projected drift on the noise grid's
 step.  Random coefficients are frozen at the left endpoint of every step
 so the scheme stays adapted.  Step k solves at t_k + dt and evaluates
-the diffusion once (at t_k) and the drift once per Newton trial; its
-energy-identity ledger entry reuses the step's explicit target r and the
-drift at the accepted iterate, so it costs no operator evaluation.
+the diffusion once (at t_k) and, per Newton trial, each drift term's
+pointwise map once, composed in mode space without visiting the grid
+(``GalerkinSystem``); a drift whose terms are all linear is solved in
+closed form.  Its energy-identity ledger entry reuses the step's
+explicit target r and the drift at the accepted iterate, so it costs no
+operator evaluation.
 
 A replica ensemble is one (R, n) stack of coefficient vectors, one row per
 noise replica, and each step is one damped-Newton solve over the stack
@@ -44,7 +47,8 @@ from .analysis import running_integral
 from .errors import ConfigError, MonoseeError, NonconvergenceError
 from .noise import (EMPTY_CONTEXT, BatchContext, NoiseBatch, NoiseContext,
                     NoisePath)
-from .operators import HypothesisBundle, constant_profile, profile_on_grid
+from .operators import (DriftTerm, HypothesisBundle, _require_finite,
+                        constant_profile, profile_on_grid)
 from .reporting import csv_text
 from .resolvent import MonotoneMap, NewtonCounts, _resolvent_general, resolvent
 from .triple import POROUS_MEDIUM, DiscreteTriple, _float_or_array
@@ -129,15 +133,24 @@ class GalerkinSystem:
     ``b(t, ctx, x)`` and ``sigma(t, ctx, x)`` act on coefficient vectors
     x of length n, or on stacks (..., n) of them; sigma is truncated to
     min(n, diffusion modes) noise columns (the noise-side projection).
-    ``bind`` gives the projected drift an analytic Jacobian whenever the
-    drift exposes one.
+
+    The drift is composed in mode space from its ``terms()``: each term
+    psi(u @ K_in) @ K_out is precomputed as ``inner = M^T K_in`` and
+    ``outer = K_out P^T`` (M the modes, P the projector), so
+
+        b(x) = sum psi(x @ inner) @ outer,
+        Db(x) = sum (outer^T * psi'(x @ inner)) @ inner^T,
+
+    without visiting the grid.  The first identity term's argument is the
+    node values, where a non-finite state entry raises MonoseeError.
+    ``bind`` gives the projected drift this analytic Jacobian when every
+    term has a psi', and its matrix when every term is linear.
     """
 
     def __init__(self, drift, diffusion, n: int, triple: DiscreteTriple):
         if not 1 <= n <= triple.n_grid:
             raise ConfigError(f"Galerkin dimension {n} out of range "
                               f"1..{triple.n_grid}")
-        self.drift = drift
         self.diffusion = diffusion
         self.n = int(n)
         self.triple = triple
@@ -148,24 +161,46 @@ class GalerkinSystem:
             paired = self.modes
         self.projector = triple.h * paired.T                 # (n, n_grid)
         self.n_noise = min(self.n, diffusion.n_modes)
-        # probe once whether the drift can linearize (structural, not
-        # state-dependent, so the origin is as good a point as any)
-        try:
-            drift.jacobian(0.0, EMPTY_CONTEXT, np.zeros(triple.n_grid))
-            self._has_jacobian = True
-        except ConfigError:
-            self._has_jacobian = False
-
-    @property
-    def has_jacobian(self) -> bool:
-        return self._has_jacobian
+        terms = drift.terms()
+        inners = [self.modes.T if term.k_in is None
+                  else self.modes.T @ term.k_in for term in terms]
+        outers = [self.projector.T if term.k_out is None
+                  else term.k_out @ self.projector.T for term in terms]
+        self._terms = list(zip(inners, [term.psi for term in terms], outers))
+        self._jacobian_terms = None if any(
+            term.psi_prime is None for term in terms) else [
+            (inner, term.psi_prime, np.ascontiguousarray(outer.T),
+             np.ascontiguousarray(inner.T))
+            for term, inner, outer in zip(terms, inners, outers)]
+        self._checked = next((k for k, term in enumerate(terms)
+                              if term.k_in is None), 0)
+        self._slope = None if any(term.slope is None for term in terms) \
+            else sum(term.slope * inner @ outer for term, inner, outer
+                     in zip(terms, inners, outers)).T
 
     def lift(self, x) -> np.ndarray:
         """Grid values of the state(s) with coefficient vector(s) x."""
         return np.asarray(x, dtype=float) @ self.modes.T
 
     def b(self, t: float, ctx, x) -> np.ndarray:
-        return self.drift.eval(t, ctx, self.lift(x)) @ self.projector.T
+        x = np.asarray(x, dtype=float)
+        out = None
+        for k, (inner, psi, outer) in enumerate(self._terms):
+            z = x @ inner
+            if k == self._checked:
+                _require_finite(z, "projected drift")
+            value = psi(t, ctx, z) @ outer
+            out = value if out is None else out + value
+        return out
+
+    def _jacobian(self, t: float, ctx, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        out = None
+        for inner, psi_prime, outer_t, inner_t in self._jacobian_terms:
+            slopes = np.asarray(psi_prime(t, ctx, x @ inner), dtype=float)
+            value = (outer_t * slopes[..., None, :]) @ inner_t
+            out = value if out is None else out + value
+        return out
 
     def sigma(self, t: float, ctx, x) -> np.ndarray:
         cols = self.projector @ self.diffusion.eval(t, ctx, self.lift(x))
@@ -174,11 +209,11 @@ class GalerkinSystem:
     def bind(self, ctx):
         """(drift, sigma) reading random coefficients from ``ctx``: the
         projected drift as a MonotoneMap and sigma as a callable of (t, x)."""
-        jac = (lambda t, x: self.projector
-               @ self.drift.jacobian(t, ctx, self.lift(x)) @ self.modes) \
-            if self.has_jacobian else None
-        drift = MonotoneMap(eval=lambda t, x: self.b(t, ctx, x), jacobian=jac,
-                            name="projected drift")
+        drift = MonotoneMap(
+            eval=lambda t, x: self.b(t, ctx, x),
+            jacobian=None if self._jacobian_terms is None
+            else lambda t, x: self._jacobian(t, ctx, x),
+            name="projected drift", slope=self._slope)
         return drift, lambda t, x: self.sigma(t, ctx, x)
 
 
@@ -406,7 +441,9 @@ class _RescaledDrift:
 
     The damping is subtracted once from the total drift (that is what the
     transformed state's differential demands); ``parts`` distributes it
-    evenly across the declared parts so per-part bounds stay valid.
+    evenly across the declared parts so per-part bounds stay valid.  The
+    terms are the base drift's, each psi as gamma^{-1} psi(gamma z) and
+    its psi' read at gamma z, plus the damping as one identity term.
     """
 
     def __init__(self, base, lambda0, gamma):
@@ -414,6 +451,32 @@ class _RescaledDrift:
         self.lambda0 = lambda0
         self.gamma = gamma
         self.triple = base.triple
+
+    def terms(self):
+        gamma, lambda0 = self.gamma, self.lambda0
+
+        def rescaled(term):
+            psi, psi_prime = term.psi, term.psi_prime
+
+            def scaled(t, ctx, z):
+                g = gamma(t, ctx)
+                return psi(t, ctx, g * z) / g
+
+            def scaled_prime(t, ctx, z):
+                return psi_prime(t, ctx, gamma(t, ctx) * z)
+
+            return term._replace(psi=scaled, psi_prime=None
+                                 if psi_prime is None else scaled_prime)
+
+        def damping(t, ctx, z):
+            return -0.5 * np.asarray(lambda0(t, ctx), dtype=float) * z
+
+        def damping_prime(t, ctx, z):
+            return np.broadcast_to(
+                -0.5 * np.asarray(lambda0(t, ctx), dtype=float), np.shape(z))
+
+        return (*map(rescaled, self.base.terms()),
+                DriftTerm(None, damping, damping_prime, None))
 
     def _frame(self, t, ctx, u):
         """(u, gamma, lambda0) at (t, ctx); lambda0 may be a column."""

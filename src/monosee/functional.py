@@ -26,7 +26,7 @@ from .errors import ConfigError, MonoseeError, NonconvergenceError
 from .forward import (SolverConfig, SolutionPath, _trajectory_table,
                       solve_forward)
 from .noise import EMPTY_CONTEXT, NoisePath
-from .operators import profile_on_grid
+from .operators import DriftTerm, profile_on_grid
 from .reporting import (ViolationReport, _record, _require_amp_range,
                         _require_t_final, _sampled_check, csv_text)
 
@@ -408,12 +408,27 @@ class _GridRows:
 
 
 class _AugmentedDrift:
-    """Base drift plus a frozen, time-tabulated forcing row."""
+    """Base drift plus a frozen, time-tabulated forcing row.
+
+    The terms are the base drift's plus the row as an identity term whose
+    psi ignores the state (and whose psi' is zero).
+    """
 
     def __init__(self, base, times, g_rows):
         self.base = base
         self.triple = base.triple
         self._rows = _GridRows(times, g_rows)
+
+    def terms(self):
+        rows = self._rows
+
+        def forcing(t, ctx, z):
+            return np.broadcast_to(rows.at(t), np.shape(z))
+
+        def flat(t, ctx, z):
+            return np.zeros(np.shape(z))
+
+        return (*self.base.terms(), DriftTerm(None, forcing, flat, None))
 
     def eval(self, t, ctx, u):
         return self.base.eval(t, ctx, u) + self._rows.at(t)

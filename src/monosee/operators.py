@@ -14,6 +14,12 @@ coefficient read from a batch context is an (R, 1) column that broadcasts
 over the stack.  A stack of Jacobians has shape (..., n_grid, n_grid) and
 a stack of diffusion matrices (..., n_grid, n_modes).
 
+Every drift is quasi-linear: a sum of ``DriftTerm``s psi(t, u @ k_in) @
+k_out, a fixed linear map, a pointwise nonlinearity and a second fixed
+map, listed by its ``terms()``.  The Galerkin solver composes the terms
+in mode space (``forward.GalerkinSystem``); ``eval`` and ``jacobian`` are
+the same drift on the grid, for the checkers.
+
 Time profiles and random coefficients, built-in or user-supplied, must
 accept an array of times: a stack of states taken at S different times
 evaluates in one call with the times as an (S, 1) column.
@@ -29,7 +35,7 @@ reported as data; nothing raises on a failed hypothesis.  A sampler is a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -48,6 +54,7 @@ __all__ = [
     "tabulated_profile",
     "profile_on_grid",
     "HypothesisBundle",
+    "DriftTerm",
     "PorousMediumDrift",
     "PhiDrift",
     "ReactionDiffusionDrift",
@@ -178,12 +185,33 @@ def _require_finite(u: np.ndarray, who: str) -> np.ndarray:
     return u
 
 
+class DriftTerm(NamedTuple):
+    """One term psi(t, ctx, u @ k_in) @ k_out of a quasi-linear drift.
+
+    ``k_in`` maps grid values to the m arguments of the pointwise map psi
+    (n_grid, m) and ``k_out`` its m values back to dual grid coordinates
+    (m, n_grid); None stands for the identity.  ``psi_prime`` is psi's
+    pointwise derivative (None if unknown: no analytic Jacobian), and a
+    float ``slope`` declares psi(t, ctx, z) = slope * z at every t.  psi
+    and psi_prime act elementwise on an argument of any shape, with t a
+    float or a column that broadcasts over a stack.
+    """
+
+    k_in: Optional[np.ndarray]
+    psi: Callable
+    psi_prime: Optional[Callable]
+    k_out: Optional[np.ndarray]
+    slope: Optional[float] = None
+
+
 class PorousMediumDrift:
     """Nonlinear diffusion u -> L phi(u) with phi(t, r) = c(t) |r|**(p-2) r.
 
     Output is in dual grid coordinates (pre-multiplied by L), so
     dual_pairing(v, eval(u)) = -h * sum(v * phi(u)).  The profile c must
-    accept arrays of times, as the bundle's rates must (HypothesisBundle).
+    accept arrays of times, as the bundle's rates must (HypothesisBundle);
+    without one, c = 1.  One term (I, phi, phi', L), linear (the heat
+    drift L u) for p = 2 without a profile.
     """
 
     def __init__(self, triple: DiscreteTriple, p: float, coeff=None):
@@ -193,6 +221,7 @@ class PorousMediumDrift:
             raise ConfigError(f"exponent p must be >= 2, got {p}")
         self.triple = triple
         self.p = float(p)
+        self._slope = 1.0 if self.p == 2.0 and coeff is None else None
         self.coeff = coeff if coeff is not None else constant_profile(1.0)
 
     def phi(self, t, ctx, r):
@@ -204,6 +233,10 @@ class PorousMediumDrift:
         c = self.coeff(t, ctx)
         r = np.asarray(r, dtype=float)
         return c * (self.p - 1.0) * np.abs(r) ** (self.p - 2.0)
+
+    def terms(self):
+        return (DriftTerm(None, self.phi, self.phi_prime,
+                          self.triple.laplacian, self._slope),)
 
     def eval(self, t, ctx, u) -> np.ndarray:
         u = _require_finite(u, "porous-medium drift")
@@ -220,9 +253,10 @@ class PorousMediumDrift:
 class PhiDrift:
     """Nonlinear-diffusion drift L phi(u) with a user-supplied scalar map.
 
-    Same dual-coordinate convention as PorousMediumDrift; exists so planted
-    counterexamples (non-monotone or discontinuous phi) can run through the
-    hypothesis checkers.  phi(t, ctx, r) must accept arrays of t and r.
+    Same dual-coordinate convention and single term (I, phi, phi', L) as
+    PorousMediumDrift; exists so planted counterexamples (non-monotone or
+    discontinuous phi) can run through the hypothesis checkers.
+    phi(t, ctx, r) must accept arrays of t and r.
     """
 
     def __init__(self, triple: DiscreteTriple, phi, phi_prime=None):
@@ -234,6 +268,10 @@ class PhiDrift:
 
     def phi(self, t, ctx, r):
         return np.asarray(self._phi(t, ctx, np.asarray(r, dtype=float)), dtype=float)
+
+    def terms(self):
+        return (DriftTerm(None, self.phi, self._phi_prime,
+                          self.triple.laplacian),)
 
     def eval(self, t, ctx, u) -> np.ndarray:
         u = _require_finite(u, "phi drift")
@@ -259,6 +297,8 @@ class ReactionDiffusionDrift:
     against L^2 directly, split into a divergence part (gradient space dual)
     and a reaction part (Lebesgue dual).  The maps must accept arrays of
     t and r, as the checkers pass an (S, 1) column of times with a stack.
+    Two terms: (G, a, a', -G^T) with G the gradient matrix, the divergence
+    being -G^T, and (I, b, b', -I).
     """
 
     def __init__(self, triple: DiscreteTriple, a, b, a_prime=None, b_prime=None):
@@ -269,6 +309,11 @@ class ReactionDiffusionDrift:
         self.b = b
         self.a_prime = a_prime
         self.b_prime = b_prime
+
+    def terms(self):
+        grad = self.triple.gradient
+        return (DriftTerm(grad, self.a, self.a_prime, -grad.T),
+                DriftTerm(None, self.b, self.b_prime, -np.eye(len(grad))))
 
     def divergence_part(self, t, ctx, u) -> np.ndarray:
         u = _require_finite(u, "reaction-diffusion drift")
@@ -288,23 +333,14 @@ class ReactionDiffusionDrift:
                 (2, self.reaction_part(t, ctx, u))]
 
     def jacobian(self, t, ctx, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        tr = self.triple
-        n = tr.n_grid
         if self.a_prime is None or self.b_prime is None:
             raise ConfigError("analytic jacobian needs a_prime and b_prime")
-        ap = np.asarray(self.a_prime(t, ctx, tr.grad(u)), dtype=float)
+        u = np.asarray(u, dtype=float)
+        grad = self.triple.gradient
+        ap = np.asarray(self.a_prime(t, ctx, u @ grad), dtype=float)
         bp = np.asarray(self.b_prime(t, ctx, u), dtype=float)
-        # J1[i, k] = (ap[i+1]*(G u)[i+1] - ap[i]*(G u)[i]) derivative pattern:
-        # tridiagonal with face conductivities ap / h^2, one per state
-        J = np.zeros(u.shape[:-1] + (n, n))
-        main = -(ap[..., :-1] + ap[..., 1:]) / tr.h ** 2
-        idx = np.arange(n)
-        J[..., idx, idx] = main - bp
-        off = ap[..., 1:-1] / tr.h ** 2
-        J[..., idx[:-1], idx[1:]] = off
-        J[..., idx[1:], idx[:-1]] = off
-        return J
+        return -(grad * ap[..., np.newaxis, :]) @ grad.T \
+            - bp[..., np.newaxis] * np.eye(len(grad))
 
 
 class ConstantDiffusion:
@@ -553,9 +589,11 @@ def build_operator_set(name: str, n_grid: int, p: float = 3.0,
     if name in ("heat", "porous_medium", "eq_1_1"):
         p_eff = 2.0 if name == "heat" else p
         tr = DiscreteTriple(n_grid, POROUS_MEDIUM, q1=p_eff, q2=p_eff)
-        # eq_1_1 scales the nonlinearity and both rates by |w_t|
+        # eq_1_1 scales the nonlinearity and both rates by |w_t|; the
+        # others keep the drift's own c = 1, so heat is declared linear
         coeff = abs_scalar_profile() if name == "eq_1_1" else constant_profile(1.0)
-        drift = PorousMediumDrift(tr, p_eff, coeff=coeff)
+        drift = PorousMediumDrift(tr, p_eff,
+                                  coeff=coeff if name == "eq_1_1" else None)
         diffusion = ConstantDiffusion(tr, np.full(
             (n_grid, n_modes), 0.0 if name == "heat" else 1.0))
         bundle = HypothesisBundle(

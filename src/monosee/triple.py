@@ -59,6 +59,13 @@ class DiscreteTriple:
         lap[idx, idx + 1] = inv_h2
         lap[idx + 1, idx] = inv_h2
         self.laplacian = lap
+        # forward differences with zero walls, face j = (u_j - u_{j-1}) / h:
+        # grad(u) = u @ gradient, and -gradient.T is the discrete divergence
+        gradient = np.zeros((n_grid, n_grid + 1))
+        nodes = np.arange(n_grid)
+        gradient[nodes, nodes] = 1.0 / self.h
+        gradient[nodes, nodes + 1] = -1.0 / self.h
+        self.gradient = gradient
 
         # eigenbasis of -L: mu ascending, V Euclidean-orthonormal columns
         mu, vecs = np.linalg.eigh(-lap)
@@ -92,10 +99,7 @@ class DiscreteTriple:
     def grad(self, u) -> np.ndarray:
         """Forward differences with zero boundary padding; n_grid+1 face
         values along the last axis."""
-        u = np.asarray(u, dtype=float)
-        wall = np.zeros(u.shape[:-1] + (1,))
-        padded = np.concatenate([wall, u, wall], axis=-1)
-        return np.diff(padded, axis=-1) / self.h
+        return np.asarray(u, dtype=float) @ self.gradient
 
     def _check(self, u) -> np.ndarray:
         """Grid values of one state, or of a stack of states along the

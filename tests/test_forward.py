@@ -28,6 +28,7 @@ from monosee.operators import (ConstantDiffusion, PhiDrift,
                                check_coercivity, check_monotonicity,
                                constant_profile, pair_sampler, state_sampler,
                                tabulated_profile)
+from monosee.functional import _AugmentedDrift
 from monosee.resolvent import MonotoneMap, NewtonCounts
 from monosee.triple import DiscreteTriple, REACTION_DIFFUSION
 
@@ -109,6 +110,78 @@ def _rd_zero_drift(tr):
     zero = lambda t, ctx, r: np.zeros_like(np.asarray(r, dtype=float))
     return ReactionDiffusionDrift(tr, a=zero, b=zero, a_prime=zero,
                                   b_prime=zero)
+
+
+def _composed_drift(name, n_grid):
+    """(drift, diffusion) of one drift kind the Galerkin system composes."""
+    if name in ("heat", "porous_medium", "reaction_diffusion", "eq_1_1",
+                "eq_1_2"):
+        ops = build_operator_set(name, n_grid, p=3.0)
+        return ops.drift, ops.diffusion
+    if name == "phi":
+        tr = DiscreteTriple(n_grid, "porous_medium", q1=4.0, q2=4.0)
+        return (PhiDrift(tr, lambda t, ctx, r: r ** 3 + r,
+                         phi_prime=lambda t, ctx, r: 3.0 * r ** 2 + 1.0),
+                ConstantDiffusion(tr, np.zeros((n_grid, 1))))
+    if name == "augmented":
+        ops = build_operator_set("eq_1_2", n_grid, p=3.0)
+        rows = np.random.default_rng(5).normal(size=(9, n_grid))
+        return (_AugmentedDrift(ops.drift, np.linspace(0.0, 0.25, 9), rows),
+                ops.diffusion)
+    ops = build_operator_set("eq_1_2", n_grid, p=3.0)  # random lambda0
+    rescaled = rescale_problem(ops.drift, ops.diffusion, ops.bundle)
+    return rescaled.drift, rescaled.diffusion
+
+
+def _assert_rows_close(got, want, rtol):
+    gap = np.linalg.norm(got - want, axis=-1)
+    assert np.all(gap <= rtol * np.linalg.norm(want, axis=-1)), \
+        np.max(gap / np.linalg.norm(want, axis=-1))
+
+
+@pytest.mark.parametrize("name", ["heat", "porous_medium",
+                                  "reaction_diffusion", "eq_1_1", "eq_1_2",
+                                  "phi", "augmented", "rescaled"])
+def test_galerkin_composition_matches_the_grid_drift(name):
+    # the mode-space composition of the drift's terms against lifting to
+    # the grid, the grid-space eval and jacobian, and projecting back
+    drift, diffusion = _composed_drift(name, 16)
+    n = 6
+    sys = GalerkinSystem(drift, diffusion, n, drift.triple)
+    noise = sample_batch(seed=3, t_final=0.25, n_steps=8, n_modes=1,
+                         replicas=4)
+    t = float(noise.times[5])
+    batch_ctx = BatchContext(noise)
+    batch_ctx.index = 5
+    rng = np.random.default_rng(11)
+    cases = [(NoiseContext(noise.path(2)), 2.0 * rng.normal(size=n)),
+             (batch_ctx, 2.0 * rng.normal(size=(4, n)))]
+    for ctx, x in cases:
+        b, _ = sys.bind(ctx)
+        u = sys.lift(x)
+        _assert_rows_close(sys.b(t, ctx, x),
+                           drift.eval(t, ctx, u) @ sys.projector.T, 1e-12)
+        jac = b.jacobian(t, x)
+        assert jac.shape == x.shape + (n,)
+        grid = sys.projector @ drift.jacobian(t, ctx, u) @ sys.modes
+        assert np.all(np.linalg.norm(jac - grid, axis=(-2, -1))
+                      <= 1e-12 * np.linalg.norm(grid, axis=(-2, -1)))
+        # and against central differences of the composed drift
+        fd = np.empty_like(jac)
+        for j in range(n):
+            step = 1e-6 * (1.0 + np.abs(x[..., j, None]))
+            up, down = x.copy(), x.copy()
+            up[..., j] += step[..., 0]
+            down[..., j] -= step[..., 0]
+            fd[..., j] = (b.eval(t, up) - b.eval(t, down)) / (2.0 * step)
+        assert np.all(np.linalg.norm(jac - fd, axis=(-2, -1))
+                      <= 1e-6 * np.linalg.norm(jac, axis=(-2, -1)))
+        # only the heat drift is linear, and its matrix is the Jacobian
+        if name == "heat":
+            assert np.allclose(b.slope, jac, rtol=0,
+                               atol=1e-12 * np.max(np.abs(jac)))
+        else:
+            assert b.slope is None
 
 
 # ---------------------------------------------------------------------------
@@ -209,9 +282,11 @@ def test_forward_step_evaluates_each_operator_once_per_quantity(monkeypatch):
     ops = build_operator_set("porous_medium", 12, p=3.0)
     diff = ConstantDiffusion(ops.triple, 300.0 * np.ones((12, 1)))
     noise = sample_path(seed=21, t_final=0.25, n_steps=25, n_modes=1)
+    # the projected drift is composed from the drift's one term (I, phi,
+    # phi', L), so a Newton trial is one phi call and an iteration one phi'
     drift_calls, diffusion_calls = Counter(), Counter()
-    _counted(monkeypatch, drift_calls, ops.drift, "eval")
-    _counted(monkeypatch, drift_calls, ops.drift, "jacobian")
+    _counted(monkeypatch, drift_calls, ops.drift, "phi")
+    _counted(monkeypatch, drift_calls, ops.drift, "phi_prime")
     _counted(monkeypatch, diffusion_calls, diff, "eval")
     counts = NewtonCounts(1)
     solve_forward(SolverConfig(n_modes_galerkin=6), ops.drift, diff, noise,
@@ -219,9 +294,8 @@ def test_forward_step_evaluates_each_operator_once_per_quantity(monkeypatch):
     [iterations], [halvings] = counts.iterations, counts.halvings
     assert halvings > 0
     assert diffusion_calls["eval"] == noise.n_steps
-    assert drift_calls["eval"] == noise.n_steps + iterations + halvings
-    # the GalerkinSystem constructor probes the Jacobian once
-    assert drift_calls["jacobian"] == 1 + iterations
+    assert drift_calls["phi"] == noise.n_steps + iterations + halvings
+    assert drift_calls["phi_prime"] == iterations
 
 
 # ---------------------------------------------------------------------------

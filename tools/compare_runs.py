@@ -14,16 +14,20 @@ with its largest absolute and relative float difference (relative to the
 larger magnitude of the two values).  Any other difference is printed
 with its place and makes the exit status 1: an int, bool or string that
 changed, a value whose type changed, a list or table of another shape,
-a key or file present on one side only.  A CSV cell counts as a float
-when it parses as one and is not an integer literal on both sides, so an
-integral float that changes ("2" to "3") is reported as an int change.
-The exit status is 0 when the trees differ in floats only, or not at all.
+a key or file present on one side only, and a float that moved by more
+than the benchmark gate's ABS_TOL + REL_TOL * |A's value| (both
+constants read from ``perfbench/gate.py``).  A CSV cell counts as a
+float when it parses as one and is not an integer literal on both sides,
+so an integral float that changes ("2" to "3") is reported as an int
+change.  The exit status is 0 when the trees differ in floats inside
+the gate's tolerance only, or not at all.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import importlib.util
 import io
 import json
 import math
@@ -31,6 +35,18 @@ import sys
 from pathlib import Path
 
 MANIFEST_FIELDS = ("summary", "assertions", "solver_stats", "error")
+
+
+def _gate_tolerances() -> tuple:
+    """(ABS_TOL, REL_TOL) of the benchmark's correctness gate."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gate.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gate", path)
+    gate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gate)
+    return gate.ABS_TOL, gate.REL_TOL
+
+
+ABS_TOL, REL_TOL = _gate_tolerances()
 
 
 class _Diff:
@@ -42,7 +58,7 @@ class _Diff:
         self.floats = 0
         self.problems = []
 
-    def number(self, a: float, b: float) -> None:
+    def number(self, a: float, b: float, where: str) -> None:
         if a == b or (math.isnan(a) and math.isnan(b)):
             return
         self.floats += 1
@@ -50,6 +66,9 @@ class _Diff:
         scale = max(abs(a), abs(b))
         self.max_abs = max(self.max_abs, gap)
         self.max_rel = max(self.max_rel, gap / scale if scale > 0 else 0.0)
+        if not gap <= ABS_TOL + REL_TOL * abs(a):
+            self.problems.append(f"{where}: {a!r} != {b!r} beyond the "
+                                 f"gate's tolerance")
 
 
 def _int_literal(text: str) -> bool:
@@ -67,7 +86,7 @@ def _compare_cell(a: str, b: str, where: str, diff: _Diff) -> None:
     fa, fb = _float(a), _float(b)
     if fa is not None and fb is not None \
             and not (_int_literal(a) and _int_literal(b)):
-        diff.number(fa, fb)
+        diff.number(fa, fb, where)
     elif a != b:
         diff.problems.append(f"{where}: {a!r} != {b!r}")
 
@@ -91,7 +110,7 @@ def _compare_json(a, b, where: str, diff: _Diff) -> None:
         diff.problems.append(f"{where}: {type(a).__name__} "
                              f"{a!r} != {type(b).__name__} {b!r}")
     elif isinstance(a, float):
-        diff.number(a, b)
+        diff.number(a, b, where)
     elif isinstance(a, list):
         if len(a) != len(b):
             diff.problems.append(f"{where}: length {len(a)} != {len(b)}")
