@@ -282,9 +282,11 @@ class PolynomialBasis:
             raise ConfigError(
                 f"basis expects {self.n_vars} state variables, got "
                 f"{states.shape[1]}")
-        cols = [np.prod(states ** np.asarray(e, dtype=float), axis=1)
-                for e in self.exponents]
-        return np.column_stack(cols)
+        design = np.empty((len(states), self.n_terms))
+        for j, e in enumerate(self.exponents):
+            np.prod(states ** np.asarray(e, dtype=float), axis=1,
+                    out=design[:, j])
+        return design
 
 
 def polynomial_basis(n_vars: int, degree: int = 2,
@@ -325,26 +327,20 @@ class _Projection:
     one), with zero reported for the absorbed coefficients: conditioning
     on a degenerate state (all paths share the same value, as the noise
     does at time zero) is a plain mean, not an error.  The remaining
-    ``active`` columns A (samples, a), the carrier first, factor as the
-    thin SVD A = U S V^T, and ``factor`` keeps V S^-1 (a x a).  Only the
-    non-constant columns are stored (``varying``): the carrier's term of
-    U = A V S^-1 is the same row on every sample, kept as ``offset``.
-    ``orthonormal()`` rebuilds U with one small product; a caller fitting
-    several targets against one design builds U once and hands it to
-    each :meth:`project`, which is then matrix products only, and turns
-    the weights it needs into basis coefficients with
-    :meth:`coefficients`.  :meth:`fit` is the two for one target.
+    ``n_active`` columns A (samples, a) factor as A = QR with LAPACK's R
+    alone (no Q is formed) and R = W S V^T, so A = (QW) S V^T is A's thin
+    SVD without its thin U.  ``factor`` (terms, terms) holds V S^-1 on
+    the active rows and the first a columns, zeros elsewhere: U =
+    ``design`` @ factor is the orthonormal block, padded with zero
+    columns, and factor @ weights turns U^T y into basis coefficients,
+    zero on the absorbed columns.  Only these factors and their counts
+    outlive a solve's :func:`_prepare`, stacked over the grid; :meth:`fit`
+    is the one-design fit.
     """
 
-    varying: np.ndarray
+    design: np.ndarray
     factor: np.ndarray
-    offset: np.ndarray
-    active: np.ndarray
-    n_terms: int
-
-    def orthonormal(self) -> np.ndarray:
-        n_carrier = len(self.active) - self.varying.shape[1]
-        return self.varying @ self.factor[n_carrier:] + self.offset
+    n_active: int
 
     def fit(self, targets: np.ndarray):
         """Project targets (samples,) or (samples, t) onto the design.
@@ -358,65 +354,91 @@ class _Projection:
         squeeze = targets.ndim == 1
         if squeeze:
             targets = targets[:, None]
-        weights, fitted, stderr = self.project(targets, self.orthonormal())
-        coeffs = self.coefficients(weights)
+        u = self.design @ self.factor
+        weights = u.T @ targets
+        fitted = u @ weights
+        coeffs = self.factor @ weights
+        stderr = float(_fit_stderr(targets[None], fitted[None],
+                                   self.n_active)[0])
         if squeeze:
             return coeffs[:, 0], fitted[:, 0], stderr
         return coeffs, fitted, stderr
 
-    def project(self, targets: np.ndarray, u: np.ndarray):
-        """(weights U^T y, fitted values, stderr) of (samples, t) targets,
-        given this projection's :meth:`orthonormal` block ``u``."""
-        weights = u.T @ targets
-        fitted = u @ weights
-        resid = targets - fitted
-        mean_sq = np.add.reduce(resid * resid, axis=None) / resid.size
-        stderr = float(np.sqrt(mean_sq * len(self.active) / len(targets)))
-        return weights, fitted, stderr
 
-    def coefficients(self, weights: np.ndarray) -> np.ndarray:
-        """Basis coefficients V S^-1 w of (a, t) weights, zero on the
-        absorbed columns: (terms, t)."""
-        coeffs = np.zeros((self.n_terms, weights.shape[1]))
-        coeffs[self.active] = self.factor @ weights
-        return coeffs
+def _fit_stderr(targets: np.ndarray, fitted: np.ndarray, n_active,
+                out: Optional[np.ndarray] = None) -> np.ndarray:
+    """rms(targets - fitted) * sqrt(active columns / samples) of each fit
+    in a (fits, samples, t) stack; the residuals go to ``out`` if given."""
+    resid = np.subtract(targets, fitted, out=out)
+    resid *= resid
+    mean_sq = np.add.reduce(resid.reshape(len(resid), -1), axis=1) \
+        / resid[0].size
+    return np.sqrt(mean_sq * n_active / resid.shape[1])
+
+
+def _factor(designs: np.ndarray, names, times=None):
+    """Factor a (times, samples, terms) stack of designs for least-squares
+    fits: returns each time's zero-padded factor (times, terms, terms) and
+    its count of active columns (times,), as :class:`_Projection` keeps.
+
+    Times with the same active columns share one stacked QR and one
+    stacked SVD of their triangles (LAPACK still factors each design on
+    its own).  The rank test is ``lstsq``'s, on the singular values of
+    QR's triangle, which are the active columns' own: singular values
+    above eps * max(samples, active columns) * s_max count.  An
+    identically zero design, or a rank deficiency left after absorbing
+    the constant columns (genuine collinearity), raises
+    :class:`RegressionError` for the earliest such time, naming it when
+    ``times`` are given.
+    """
+    n_times, n_rows, n_cols = designs.shape
+    # each design's columns as contiguous rows: for the spans, and handed to
+    # QR transposed back, in the column-major layout LAPACK reads
+    columns = np.ascontiguousarray(designs.transpose(0, 2, 1))
+    spans = columns.max(axis=2) - columns.min(axis=2)
+    groups = {}
+    for i in range(n_times):
+        carrier = np.flatnonzero((spans[i] == 0.0) & (columns[i, :, 0] != 0.0))
+        active = tuple(carrier[:1]) + tuple(np.flatnonzero(spans[i] != 0.0))
+        groups.setdefault(active, []).append(i)
+    n_active = np.zeros(n_times, dtype=np.int64)
+    ranks = np.zeros(n_times, dtype=np.int64)
+    solved = []
+    for active, idx in groups.items():
+        if active:
+            _, s, vt = np.linalg.svd(np.linalg.qr(
+                columns[np.ix_(idx, active)].transpose(0, 2, 1), mode="r"))
+            cutoff = np.finfo(float).eps * max(n_rows, len(active)) * s[:, :1]
+            n_active[idx] = len(active)
+            ranks[idx] = np.count_nonzero(s > cutoff, axis=1)
+            solved.append((idx, active, s, vt))
+    failed = np.flatnonzero((n_active == 0) | (ranks < n_active))
+    if len(failed):
+        i = failed[0]
+        basis = ", ".join(names)
+        where = "" if times is None else f" at t = {float(times[i]):.6g}"
+        if not n_active[i]:
+            raise RegressionError(f"regression design is identically zero "
+                                  f"for basis [{basis}]{where}")
+        raise RegressionError(
+            f"regression design is rank-deficient (rank {ranks[i]} < "
+            f"{n_active[i]} independent columns over {n_rows} samples) for "
+            f"basis [{basis}]{where}")
+    factors = np.zeros((n_times, n_cols, n_cols))
+    for idx, active, s, vt in solved:
+        factors[np.ix_(idx, active, range(len(active)))] = \
+            vt.transpose(0, 2, 1) / s[:, None, :]
+    return factors, n_active
 
 
 def _projection(design: np.ndarray, names,
                 t: Optional[float] = None) -> _Projection:
-    """Factor one design for least-squares fits (see :class:`_Projection`).
-
-    The rank test is ``lstsq``'s: singular values above
-    eps * max(samples, active columns) * s_max count.  A rank deficiency
-    left after absorbing the constant columns is genuine collinearity and
-    raises :class:`RegressionError`, naming the grid time t when given.
-    """
-    n_rows, n_cols = design.shape
-    where = "" if t is None else f" at t = {t:.6g}"
-    columns = np.ascontiguousarray(design.T)  # np.ptp, on contiguous rows
-    spans = columns.max(axis=1) - columns.min(axis=1)
-    varying = [j for j in range(n_cols) if spans[j] != 0.0]
-    carrier = [j for j in range(n_cols)
-               if spans[j] == 0.0 and design[0, j] != 0.0][:1]
-    active = carrier + varying
-    if not active:
-        raise RegressionError(
-            f"regression design is identically zero for basis "
-            f"[{', '.join(names)}]{where}")
-    _, s, vt = np.linalg.svd(design[:, active], full_matrices=False)
-    cutoff = np.finfo(float).eps * max(n_rows, len(active)) * s[0]
-    rank = int(np.count_nonzero(s > cutoff))
-    if rank < len(active):
-        raise RegressionError(
-            f"regression design is rank-deficient (rank {rank} < "
-            f"{len(active)} independent columns over {n_rows} samples) for "
-            f"basis [{', '.join(names)}]{where}")
-    factor = vt.T / s
-    offset = (design[0, carrier[0]] * factor[0] if carrier
-              else np.zeros(len(active)))
-    return _Projection(varying=design[:, varying], factor=factor,
-                       offset=offset, active=np.array(active),
-                       n_terms=n_cols)
+    """Factor one design for least-squares fits (see :class:`_Projection`
+    and :func:`_factor`, whose errors name the grid time t when given)."""
+    factors, n_active = _factor(design[None], names,
+                                None if t is None else (t,))
+    return _Projection(design=design, factor=factors[0],
+                       n_active=int(n_active[0]))
 
 
 def _fit(design: np.ndarray, names, targets: np.ndarray,
@@ -677,10 +699,28 @@ def _check_batch(problem: BsdeProblem, batch: NoiseBatch) -> None:
 
 
 def _state_values(batch: NoiseBatch) -> np.ndarray:
-    """Markovian regression states W(t_k), shape (R, N+1, modes)."""
-    lead = (batch.n_replicas, 1, batch.n_modes)
-    return np.concatenate([np.zeros(lead),
-                           np.cumsum(batch.increments, axis=1)], axis=1)
+    """Markovian regression states W(t_k), time first: (N+1, R, modes)."""
+    states = np.empty((batch.n_steps + 1, batch.n_replicas, batch.n_modes))
+    states[0] = 0.0
+    np.cumsum(batch.increments.transpose(1, 0, 2), axis=0, out=states[1:])
+    return states
+
+
+@dataclass(frozen=True)
+class _Regression:
+    """What a solve keeps of its regression designs (see :func:`_prepare`):
+    the states W(t_k) (N+1, R, modes), each grid time's zero-padded
+    :class:`_Projection` factor (N+1, terms, terms) and its count of
+    active columns (N+1,).  The designs themselves are rebuilt from the
+    states a block of grid times at a time."""
+
+    states: np.ndarray
+    factors: np.ndarray
+    n_active: np.ndarray
+
+
+# grid times per stacked block: bounds each block buffer at _BLOCK * R rows
+_BLOCK = 8
 
 
 def _driver_matrix(driver: BsdeDriver, times: np.ndarray, x_frozen: np.ndarray,
@@ -707,7 +747,7 @@ def _terminal_values(problem: BsdeProblem, batch: NoiseBatch) -> np.ndarray:
 
 
 def _backward_sweep(problem: BsdeProblem, batch: NoiseBatch,
-                    basis: PolynomialBasis, projections: list,
+                    basis: PolynomialBasis, regression: _Regression,
                     c_values: np.ndarray, resolvent_tol: float,
                     resolvent_max_iter: int,
                     counts: BackwardCounts) -> BsdeSolution:
@@ -716,13 +756,15 @@ def _backward_sweep(problem: BsdeProblem, batch: NoiseBatch,
     X(t_k) = fit of X(t_{k+1}) + dt*A_eps(t_{k+1}, X(t_k)) + dt*C(t_k)
     with the implicit regularized drift solved by the resolvent identity,
     then Z(t_k) = fit of X(t_{k+1}) * dW_k / dt, both fits over the basis
-    evaluated at the t_k states.  ``projections[k]`` is the design at t_k,
-    factored once per solve by :func:`_prepare`; each step builds its
-    orthonormal block once and makes its three fits as products with it,
-    each only as far as the recursion reads it: the conditional
-    expectation's fitted values and stderr, the X coefficients' weights,
-    the Z regression's weights, fitted values and stderr.  The weights
-    become basis coefficients after the loop.
+    evaluated at the t_k states, with the factors :func:`_prepare` made
+    once per solve.  The grid is walked down in blocks of ``_BLOCK``
+    times.  Each block builds its orthonormal blocks U_k = design_k @
+    factor_k in one stacked product, then runs the only sequential part,
+    the conditional fit and implicit step of each time from the top of
+    the block down; the X weights, the Z targets, weights and fitted
+    values, both stderrs and the basis coefficients of the whole block
+    then follow as stacked products over its times.  The buffers are
+    allocated once per sweep.
     """
     times = batch.times
     n = batch.n_steps
@@ -730,42 +772,76 @@ def _backward_sweep(problem: BsdeProblem, batch: NoiseBatch,
     r_count = batch.n_replicas
     d = problem.dim
     m = problem.n_modes
-    incs = batch.increments
+    terms = basis.n_terms
+    states, factors = regression.states, regression.factors
 
     x_paths = np.empty((r_count, n + 1, d))
     z_paths = np.empty((r_count, n, d, m))
     cond = np.empty((r_count, n, d))
-    x_coeffs = np.empty((n + 1, basis.n_terms, d))
-    z_coeffs = np.empty((n, basis.n_terms, d, m))
+    x_coeffs = np.empty((n + 1, terms, d))
+    z_coeffs = np.empty((n, terms, d, m))
     x_stderr = np.empty(n + 1)
     z_stderr = np.empty(n)
-    x_weights, z_weights = [None] * n, [None] * n
+    # time-first views of the records and of the increments
+    x_t = x_paths.transpose(1, 0, 2)
+    z_coeffs_flat = z_coeffs.reshape(n, terms, d * m)
+    incs_t = batch.increments.transpose(1, 0, 2)
+    # time-first block buffers: U_k, X(t_k) with X at the block's top time
+    # in the last row, the conditional fits, dt*C(t_k) during the chain and
+    # the Z targets after it, and the Z fits
+    block = min(_BLOCK, n)
+    u_buf = np.empty((block, r_count, terms))
+    x_buf = np.empty((block + 1, r_count, d))
+    cond_buf = np.empty((block, r_count, d))
+    work_buf = np.empty(block * r_count * d * m)
+    z_buf = np.empty((block, r_count, d * m))
 
     counts.sweeps += 1
     counts.fits += 3 * n + 1
     newton = NewtonCounts((r_count, d) if problem.drift.diagonal else r_count)
     x_paths[:, n] = _terminal_values(problem, batch)
-    x_coeffs[n], fitted, x_stderr[n] = projections[n].fit(x_paths[:, n])
+    terminal = _Projection(basis.design(states[n]), factors[n],
+                           int(regression.n_active[n]))
+    x_coeffs[n], fitted, x_stderr[n] = terminal.fit(x_paths[:, n])
     terminal_residual = float(np.sqrt(np.mean((x_paths[:, n] - fitted) ** 2)))
 
-    for k in range(n - 1, -1, -1):
-        proj = projections[k]
-        u = proj.orthonormal()
-        _, fit_cond, x_stderr[k] = proj.project(x_paths[:, k + 1], u)
-        cond[:, k] = fit_cond
-        x_paths[:, k] = regularized_implicit_step(
-            problem.drift, float(times[k + 1]), dt,
-            fit_cond + dt * c_values[:, k], tol=resolvent_tol,
-            max_iter=resolvent_max_iter, counts=newton)
-        x_weights[k] = u.T @ x_paths[:, k]
-        z_targets = (x_paths[:, k + 1][:, :, None]
-                     * incs[:, k][:, None, :] / dt).reshape(r_count, d * m)
-        z_weights[k], z_fit, z_stderr[k] = proj.project(z_targets, u)
-        z_paths[:, k] = z_fit.reshape(r_count, d, m)
-    for k in range(n):
-        x_coeffs[k] = projections[k].coefficients(x_weights[k])
-        z_coeffs[k] = projections[k].coefficients(z_weights[k]).reshape(
-            basis.n_terms, d, m)
+    for top in range(n, 0, -block):
+        low = max(top - block, 0)
+        rows = top - low
+        u = np.matmul(
+            basis.design(states[low:top].reshape(-1, m)).reshape(
+                rows, r_count, terms), factors[low:top], out=u_buf[:rows])
+        x_block, cond_block = x_buf[:rows + 1], cond_buf[:rows]
+        x_block[rows] = x_paths[:, top]
+        forcing = np.multiply(dt, c_values[:, low:top].transpose(1, 0, 2),
+                              out=work_buf[:rows * r_count * d].reshape(
+                                  rows, r_count, d))
+        for i in range(rows - 1, -1, -1):
+            k = low + i
+            np.matmul(u[i], u[i].T @ x_paths[:, k + 1], out=cond_block[i])
+            x_paths[:, k] = x_block[i] = regularized_implicit_step(
+                problem.drift, float(times[k + 1]), dt,
+                cond_block[i] + forcing[i], tol=resolvent_tol,
+                max_iter=resolvent_max_iter, counts=newton)
+        cond[:, low:top] = cond_block.transpose(1, 0, 2)
+        u_tr = u.transpose(0, 2, 1)
+        n_active = regression.n_active[low:top]
+        after = x_block[1:]
+        np.matmul(factors[low:top], u_tr @ x_t[low:top],
+                  out=x_coeffs[low:top])
+        x_stderr[low:top] = _fit_stderr(after, cond_block, n_active,
+                                        out=cond_block)
+        targets = np.multiply(after[..., None], incs_t[low:top, :, None, :],
+                              out=work_buf[:rows * r_count * d * m].reshape(
+                                  rows, r_count, d, m))
+        targets /= dt
+        targets = targets.reshape(rows, r_count, d * m)
+        z_weights = u_tr @ targets
+        z_fit = np.matmul(u, z_weights, out=z_buf[:rows])
+        z_paths[:, low:top] = z_fit.reshape(rows, r_count, d, m).transpose(
+            1, 0, 2, 3)
+        np.matmul(factors[low:top], z_weights, out=z_coeffs_flat[low:top])
+        z_stderr[low:top] = _fit_stderr(targets, z_fit, n_active, out=z_fit)
     counts.newton_iterations += int(newton.iterations.sum())
     counts.line_search_halvings += int(newton.halvings.sum())
 
@@ -780,7 +856,14 @@ def _backward_sweep(problem: BsdeProblem, batch: NoiseBatch,
 def _prepare(problem: BsdeProblem, batch: NoiseBatch, basis,
              counts: BackwardCounts):
     """Shared validation: reduce the shift, build the basis and factor the
-    regression design of every grid time, once for the whole solve."""
+    regression design of every grid time, once for the whole solve.
+
+    Returns (reduced problem, gamma, basis, :class:`_Regression`).  The
+    one array of size R kept is the (N+1, R, modes) state stack, built in
+    that layout from the increments; the designs are built and handed to
+    :func:`_factor` one block of ``_BLOCK`` grid times at a time, and live
+    only that long.
+    """
     reduced, gamma = reduce_lambda0(problem)
     _check_batch(reduced, batch)
     states = _state_values(batch)
@@ -789,11 +872,17 @@ def _prepare(problem: BsdeProblem, batch: NoiseBatch, basis,
     if not basis.has_intercept:
         raise ConfigError("the regression basis must span constants "
                           "(no intercept term found)")
-    projections = [_projection(basis.design(states[:, k]), basis.names,
-                               float(t))
-                   for k, t in enumerate(batch.times)]
-    counts.factorizations += len(projections)
-    return reduced, gamma, basis, projections
+    n_times, r_count, m = states.shape
+    factors = np.empty((n_times, basis.n_terms, basis.n_terms))
+    n_active = np.empty(n_times, dtype=np.int64)
+    for low in range(0, n_times, _BLOCK):
+        top = min(low + _BLOCK, n_times)
+        designs = basis.design(states[low:top].reshape(-1, m)).reshape(
+            top - low, r_count, basis.n_terms)
+        factors[low:top], n_active[low:top] = _factor(
+            designs, basis.names, batch.times[low:top])
+    counts.factorizations += n_times
+    return reduced, gamma, basis, _Regression(states, factors, n_active)
 
 
 # ---------------------------------------------------------------------------
@@ -821,20 +910,20 @@ def solve_bsde_autonomous_C(problem: BsdeProblem, batch: NoiseBatch,
             f"{problem.driver.x_dependent}, z_dependent="
             f"{problem.driver.z_dependent}")
     counts = BackwardCounts() if counts is None else counts
-    reduced, gamma, basis, projections = _prepare(problem, batch, basis,
+    reduced, gamma, basis, regression = _prepare(problem, batch, basis,
                                                   counts)
     lead = (batch.n_replicas, batch.n_steps, reduced.dim)
     c_values = _driver_matrix(reduced.driver, batch.times, np.zeros(lead),
                               np.zeros(lead + (reduced.n_modes,)), counts)
-    sol = _backward_sweep(reduced, batch, basis, projections, c_values,
+    sol = _backward_sweep(reduced, batch, basis, regression, c_values,
                           resolvent_tol, resolvent_max_iter, counts)
     return _unscale_solution(sol, gamma)
 
 
 def _picard_z_core(reduced: BsdeProblem, batch: NoiseBatch, basis,
-                   projections: list, x_frozen: np.ndarray, max_iter: int,
-                   tol: float, resolvent_tol: float, resolvent_max_iter: int,
-                   counts: BackwardCounts):
+                   regression: _Regression, x_frozen: np.ndarray,
+                   max_iter: int, tol: float, resolvent_tol: float,
+                   resolvent_max_iter: int, counts: BackwardCounts):
     """Iterate on the z argument with the x argument held at x_frozen.
 
     Starts from the zero Z process.  After a sweep with a driver that
@@ -847,7 +936,7 @@ def _picard_z_core(reduced: BsdeProblem, batch: NoiseBatch, basis,
                            counts)
     history = []
     for _ in range(max_iter):
-        sol = _backward_sweep(reduced, batch, basis, projections, c_cur,
+        sol = _backward_sweep(reduced, batch, basis, regression, c_cur,
                               resolvent_tol, resolvent_max_iter, counts)
         history.append(z_path_distance(sol.z_paths, z_prev, batch.dt))
         z_prev = sol.z_paths
@@ -888,10 +977,10 @@ def picard_in_z(problem: BsdeProblem, batch: NoiseBatch,
     if max_iter < 1:
         raise ConfigError(f"max_iter must be >= 1, got {max_iter!r}")
     counts = BackwardCounts() if counts is None else counts
-    reduced, gamma, basis, projections = _prepare(problem, batch, basis,
+    reduced, gamma, basis, regression = _prepare(problem, batch, basis,
                                                   counts)
     x_frozen = np.zeros((batch.n_replicas, batch.n_steps, reduced.dim))
-    sol, history = _picard_z_core(reduced, batch, basis, projections,
+    sol, history = _picard_z_core(reduced, batch, basis, regression,
                                   x_frozen, max_iter, tol, resolvent_tol,
                                   resolvent_max_iter, counts)
     sol = replace(sol, picard_residuals=tuple(history))
@@ -924,14 +1013,14 @@ def picard_in_x(problem: BsdeProblem, batch: NoiseBatch,
         if limit < 1:
             raise ConfigError(f"{name} must be >= 1, got {limit!r}")
     counts = BackwardCounts() if counts is None else counts
-    reduced, gamma, basis, projections = _prepare(problem, batch, basis,
+    reduced, gamma, basis, regression = _prepare(problem, batch, basis,
                                                   counts)
     n = batch.n_steps
     x_prev = np.zeros((batch.n_replicas, n + 1, reduced.dim))
     outer_history = []
     inner_histories = []
     for _ in range(max_iter):
-        sol, inner = _picard_z_core(reduced, batch, basis, projections,
+        sol, inner = _picard_z_core(reduced, batch, basis, regression,
                                     x_prev[:, :n], inner_max_iter, inner_tol,
                                     resolvent_tol, resolvent_max_iter, counts)
         gap = float(np.max(np.mean(
@@ -976,7 +1065,7 @@ def martingale_residuals(solution: BsdeSolution, problem: BsdeProblem,
     incs = batch.increments
     out = np.empty(solution.n_steps)
     for k in range(solution.n_steps):
-        design = solution.basis.design(states[:, k])
+        design = solution.basis.design(states[k])
         noise_term = np.einsum("rdm,rm->rd", solution.z_paths[:, k],
                                incs[:, k])
         target = (solution.x_paths[:, k + 1] - solution.conditional_fit[:, k]

@@ -259,6 +259,8 @@ def step_implicit(x, t: float, dt: float, dW, b: MonotoneMap, sigma,
         guess=guess, counts=counts)
     if unsolved is not None:
         raise unsolved()
+    if b_y is None:  # a linear drift's closed form leaves b(t + dt, y) to us
+        b_y = np.asarray(b.eval(t + dt, y), dtype=float)
     return ImplicitStep(y, r, b_y)
 
 

@@ -181,12 +181,14 @@ def _resolvent_general(F, t, eps, x, tol, max_iter, guess=None, counts=None):
     residual; ``unsolved`` is None if every row converged (only then
     ``counts`` gains the work), else ``unsolved(index=())`` is
     :func:`_group_error`.  A linear map is solved in closed form instead,
-    counting no work, unless I - eps*slope is singular.
+    counting no work and returning None for F(t, y), which a caller that
+    needs it evaluates; only a singular I - eps*slope takes the Newton
+    path.
     """
     if F.slope is not None:
         y = _linear_resolvent(F, eps, x)
         if y is not None:
-            return y, np.asarray(F.eval(t, y), dtype=float), None
+            return y, None, None
     if F.diagonal:  # the elements as a stack of width-1 rows
         rows = MonotoneMap(
             eval=lambda t, y: np.asarray(F.eval(t, y[..., 0]),

@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from monosee.analysis import rho_eval
-from monosee.bsde import (BsdeSolution, _terminal_values,
+from monosee.bsde import (BsdeSolution, _projection, _terminal_values,
                           regularized_implicit_step)
 from monosee.errors import ConfigError, NonconvergenceError
 from monosee.functional import Segment, segment_distance
@@ -264,20 +264,12 @@ def driver_matrix(driver, times, x_frozen, z_frozen, counts):
     return values
 
 
-def _projection_fit(projection, targets, u):
-    """(coeffs, fitted, stderr) of (samples, t) targets, the full fit."""
-    weights = u.T @ targets
-    fitted = u @ weights
-    coeffs = np.zeros((projection.n_terms, targets.shape[1]))
-    coeffs[projection.active] = projection.factor @ weights
-    resid = targets - fitted
-    stderr = float(np.sqrt(np.mean(resid ** 2) * len(projection.active)
-                           / len(targets)))
-    return coeffs, fitted, stderr
-
-
-def backward_sweep(problem, batch, basis, projections, c_values,
+def backward_sweep(problem, batch, basis, regression, c_values,
                    resolvent_tol, resolvent_max_iter, counts):
+    """The sweep with three full fits per step, each through its own
+    per-time ``_projection`` of a design built here from the batch's
+    per-path cumulative noise; ``regression`` (the solver's stacked
+    factors) is not read."""
     times = batch.times
     n = batch.n_steps
     dt = batch.dt
@@ -293,31 +285,37 @@ def backward_sweep(problem, batch, basis, projections, c_values,
     z_coeffs = np.empty((n, basis.n_terms, d, m))
     x_stderr = np.empty(n + 1)
     z_stderr = np.empty(n)
+    states = np.concatenate([np.zeros((r_count, 1, m)),
+                             np.cumsum(incs, axis=1)], axis=1)
+    projections = [_projection(basis.design(states[:, k]), basis.names,
+                               float(t)) for k, t in enumerate(times)]
 
-    def fit(k, targets, u):
+    def fit(k, targets):
+        """(coeffs, fitted, stderr) of (samples, t) targets, the full fit."""
         counts.fits += 1
-        return _projection_fit(projections[k], targets, u)
+        coeffs, fitted, _ = projections[k].fit(targets)
+        stderr = float(np.sqrt(np.mean((targets - fitted) ** 2)
+                               * projections[k].n_active / len(targets)))
+        return coeffs, fitted, stderr
 
     counts.sweeps += 1
     newton = NewtonCounts((r_count, d) if problem.drift.diagonal else r_count)
     x_paths[:, n] = _terminal_values(problem, batch)
-    x_coeffs[n], fitted, x_stderr[n] = fit(n, x_paths[:, n],
-                                          projections[n].orthonormal())
+    x_coeffs[n], fitted, x_stderr[n] = fit(n, x_paths[:, n])
     terminal_residual = float(np.sqrt(np.mean((x_paths[:, n] - fitted) ** 2)))
 
     for k in range(n - 1, -1, -1):
-        u = projections[k].orthonormal()
-        _, fit_cond, se_cond = fit(k, x_paths[:, k + 1], u)
+        _, fit_cond, se_cond = fit(k, x_paths[:, k + 1])
         cond[:, k] = fit_cond
         x_stderr[k] = se_cond
         x_paths[:, k] = regularized_implicit_step(
             problem.drift, float(times[k + 1]), dt,
             fit_cond + dt * c_values[:, k], tol=resolvent_tol,
             max_iter=resolvent_max_iter, counts=newton)
-        x_coeffs[k], _, _ = fit(k, x_paths[:, k], u)
+        x_coeffs[k], _, _ = fit(k, x_paths[:, k])
         z_targets = (x_paths[:, k + 1][:, :, None]
                      * incs[:, k][:, None, :] / dt).reshape(r_count, d * m)
-        zc, z_fit, z_stderr[k] = fit(k, z_targets, u)
+        zc, z_fit, z_stderr[k] = fit(k, z_targets)
         z_coeffs[k] = zc.reshape(basis.n_terms, d, m)
         z_paths[:, k] = z_fit.reshape(r_count, d, m)
     counts.newton_iterations += int(newton.iterations.sum())

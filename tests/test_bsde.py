@@ -206,6 +206,77 @@ def test_projection_rejects_exactly_collinear_designs(seed, n_rows, n_free,
         _projection(design, names, 0.25)
 
 
+# monomial designs in W(t) at the edge of their rank loss (R = 4000, seed
+# 31, 64 steps): the thin SVD's verdict at each (degree, grid index), True
+# for full rank
+_MONOMIAL_VERDICTS = {(12, 1): True, (12, 64): True,
+                      (18, 1): False, (18, 64): True}
+
+
+@pytest.mark.parametrize("degree, k", sorted(_MONOMIAL_VERDICTS))
+def test_qr_factorization_keeps_the_svd_rank_verdicts(degree, k):
+    """R's singular values give the thin SVD's lstsq-rule rank: the same
+    verdict, and the same rank in the error text, on monomial designs on
+    either side of their rank loss."""
+    batch = sample_batch(seed=31, t_final=1.0, n_steps=64, n_modes=1,
+                         replicas=4000)
+    basis = polynomial_basis(1, degree)
+    design = basis.design(_state_values(batch)[k])
+    s = np.linalg.svd(design, compute_uv=False)
+    rank = int(np.count_nonzero(
+        s > np.finfo(float).eps * max(design.shape) * s[0]))
+    assert (rank == basis.n_terms) is _MONOMIAL_VERDICTS[degree, k]
+    if rank == basis.n_terms:
+        assert _projection(design, basis.names).n_active == basis.n_terms
+    else:
+        with pytest.raises(RegressionError,
+                           match=rf"\(rank {rank} < {basis.n_terms} "):
+            _projection(design, basis.names, float(batch.times[k]))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_qr_singular_values_match_the_thin_svd(seed):
+    """On random tall designs with columns scaled over six decades, the
+    factor's column norms are 1/s for s within 1e-13 relative of the thin
+    SVD's, and design @ factor has orthonormal columns up to the rounding
+    the condition number allows."""
+    rng = np.random.default_rng(seed)
+    n_rows, n_cols = int(rng.integers(20, 3000)), int(rng.integers(1, 9))
+    design = rng.standard_normal((n_rows, n_cols)) \
+        * 10.0 ** rng.uniform(-3, 3, size=n_cols)
+    proj = _projection(design, [f"c{j}" for j in range(n_cols)])
+    s = np.linalg.svd(design, compute_uv=False)
+    got = 1.0 / np.linalg.norm(proj.factor[:, :proj.n_active], axis=0)
+    assert proj.n_active == n_cols
+    assert np.max(np.abs(got - s) / s) <= 1e-13
+    u = design @ proj.factor
+    assert np.allclose(u.T @ u, np.eye(n_cols), rtol=0,
+                       atol=1e-15 * s[0] / s[-1])
+
+
+@pytest.mark.parametrize("n_modes", [1, 2])
+def test_prepare_keeps_one_state_stack_and_nothing_else_of_size_r(n_modes):
+    """The regression data of a solve is the (N+1, R, m) W(t_k) stack plus
+    per-time factors and counts whose bytes do not depend on R."""
+    problem = BsdeProblem(drift=_linear_drift(-1.0), driver=zero_driver(),
+                          terminal=_wiener_terminal, t_final=1.0,
+                          n_modes=n_modes)
+    others = set()
+    for replicas in (40, 400):
+        batch = _batch(3, 1.0, 16, replicas, n_modes=n_modes)
+        regression = monosee.bsde._prepare(problem, batch, None,
+                                           BackwardCounts())[3]
+        arrays = {f.name: getattr(regression, f.name)
+                  for f in fields(regression)}
+        assert all(isinstance(a, np.ndarray) for a in arrays.values())
+        states = arrays.pop("states")
+        assert states.shape == (17, replicas, n_modes)
+        assert np.array_equal(states, _state_values(batch))
+        assert all(replicas not in a.shape for a in arrays.values())
+        others.add(sum(a.nbytes for a in arrays.values()))
+    assert len(others) == 1
+
+
 # ---------------------------------------------------------------------------
 # regularized implicit step
 
@@ -383,15 +454,17 @@ def test_representation_matches_paths_for_linear_problem():
 
 
 def test_regression_states_equal_per_path_cumulative_noise():
-    """The batched state W(t_k) is each path's own running sum, bit for
-    bit: the reference is the per-path loop the batch replaced."""
+    """The batched state W(t_k), stacked time first, is each path's own
+    running sum, bit for bit: the reference is the per-path loop the batch
+    replaced."""
     batch = _batch(3, 1.0, 16, 25, n_modes=3)
     states = _state_values(batch)
+    assert states.shape == (17, 25, 3)
     for r in range(batch.n_replicas):
         path = batch.path(r)
         alone = np.vstack([np.zeros((1, path.n_modes)),
                            np.cumsum(path.increments, axis=0)])
-        assert np.array_equal(states[r], alone)
+        assert np.array_equal(states[:, r], alone)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -587,11 +660,7 @@ def _records(sol) -> dict:
 _SOLVERS = [solve_bsde_autonomous_C, picard_in_z, picard_in_x]
 
 
-@pytest.mark.parametrize("dims", [(1, 1), (2, 2)])
-@pytest.mark.parametrize("solver", _SOLVERS, ids=lambda f: f.__name__)
-def test_backward_solvers_match_the_three_fit_oracle_bit_for_bit(
-        solver, dims, monkeypatch):
-    case = _oracle_case(solver, dims)
+def _assert_matches_oracle_bit_for_bit(solver, case, monkeypatch):
     sol, counts = _solve_with(solver, case, monkeypatch)
     want, want_counts = _solve_with(solver, case, monkeypatch, oracle=True)
     assert sol.basis == want.basis
@@ -601,8 +670,42 @@ def test_backward_solvers_match_the_three_fit_oracle_bit_for_bit(
     assert counts == want_counts
     # every path starts at W(0) = 0: the design at t = 0 is degenerate and
     # only the intercept carries a coefficient
-    assert sol.x_coeffs[0][0].any()
-    assert not sol.x_coeffs[0][1:].any() and not sol.z_coeffs[0][1:].any()
+    intercept = sol.basis.names.index("1")
+    others = [j for j in range(sol.basis.n_terms) if j != intercept]
+    assert sol.x_coeffs[0][intercept].any()
+    assert not sol.x_coeffs[0][others].any()
+    assert not sol.z_coeffs[0][others].any()
+
+
+@pytest.mark.parametrize("dims", [(1, 1), (2, 2)])
+@pytest.mark.parametrize("solver", _SOLVERS, ids=lambda f: f.__name__)
+def test_backward_solvers_match_the_three_fit_oracle_bit_for_bit(
+        solver, dims, monkeypatch):
+    _assert_matches_oracle_bit_for_bit(solver, _oracle_case(solver, dims),
+                                       monkeypatch)
+
+
+def _late_intercept_basis(n_vars: int) -> PolynomialBasis:
+    """The degree-2 basis with its intercept moved from first to last."""
+    base = polynomial_basis(n_vars, 2)
+    return PolynomialBasis(exponents=base.exponents[1:] + base.exponents[:1],
+                           names=base.names[1:] + base.names[:1])
+
+
+@pytest.mark.parametrize("dims, late_intercept",
+                         [((1, 1), False), ((1, 1), True), ((2, 2), True)],
+                         ids=["1d", "1d-late-intercept", "2d-late-intercept"])
+@pytest.mark.parametrize("solver", _SOLVERS, ids=lambda f: f.__name__)
+def test_backward_solvers_match_the_oracle_over_a_partial_block(
+        solver, dims, late_intercept, monkeypatch):
+    """13 steps leave a partial block of the sweep below a full one, and an
+    intercept listed last moves the carrier column off the front."""
+    problem, batch, basis = _oracle_case(solver, dims, n_steps=13)
+    assert 13 % monosee.bsde._BLOCK != 0
+    if late_intercept:
+        basis = _late_intercept_basis(dims[1])
+    _assert_matches_oracle_bit_for_bit(solver, (problem, batch, basis),
+                                       monkeypatch)
 
 
 @pytest.mark.parametrize("solver", _SOLVERS, ids=lambda f: f.__name__)

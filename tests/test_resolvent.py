@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monosee.errors import ConfigError, NonconvergenceError
+from monosee.forward import SolverConfig, step_implicit
 from monosee.reporting import SampleStream
 from monosee.resolvent import (MonotoneMap, NewtonCounts, check_dissipativity,
                                check_yosida_properties, resolvent)
@@ -629,6 +630,32 @@ def test_linear_closed_form_counts_no_newton_work():
     assert not counts.iterations.any() and not counts.halvings.any()
     resolvent(cubic_map(), 0.0, 0.5, x, counts=counts)
     assert np.all(counts.iterations > 0)
+
+
+@pytest.mark.parametrize("diagonal", [True, False],
+                         ids=["diagonal", "matrix"])
+def test_linear_closed_form_leaves_the_map_unevaluated(diagonal):
+    """``resolvent`` throws F(t, y) away, so a linear map's closed form
+    makes no ``eval`` call through it; the forward step, which returns
+    b(t + dt, y), evaluates it once at the solved stack."""
+    base = MonotoneMap.linear(-1.5 if diagonal else _dissipative_matrix(8, 3),
+                              diagonal=diagonal)
+    calls = []
+
+    def counted(t, x):
+        calls.append(t)
+        return base.eval(t, x)
+
+    F = replace(base, eval=counted)
+    x = np.random.default_rng(8).standard_normal((5, 3))
+    y = resolvent(F, 0.0, 0.5, x)
+    assert calls == []
+    cfg = SolverConfig(n_modes_galerkin=3)
+    step = step_implicit(x, 0.25, 0.5, np.zeros((5, 1)), F,
+                         lambda t, v: np.zeros(v.shape + (1,)), cfg)
+    assert calls == [0.75]
+    assert np.array_equal(step.y, y)
+    assert np.array_equal(step.b_y, base.eval(0.75, y))
 
 
 def test_singular_linear_resolvent_falls_back_to_newton_failure():
