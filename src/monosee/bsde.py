@@ -125,7 +125,7 @@ class BsdeDriver:
 
 def zero_driver() -> BsdeDriver:
     """The C = 0 driver (independent of both arguments)."""
-    return BsdeDriver(eval=lambda t, x, z: np.zeros_like(np.asarray(x, dtype=float)),
+    return BsdeDriver(eval=lambda t, x, z: np.zeros(np.shape(x)),
                       c1=0.0, c2=0.0, x_dependent=False, z_dependent=False,
                       name="zero driver")
 
@@ -913,8 +913,10 @@ def solve_bsde_autonomous_C(problem: BsdeProblem, batch: NoiseBatch,
     reduced, gamma, basis, regression = _prepare(problem, batch, basis,
                                                   counts)
     lead = (batch.n_replicas, batch.n_steps, reduced.dim)
-    c_values = _driver_matrix(reduced.driver, batch.times, np.zeros(lead),
-                              np.zeros(lead + (reduced.n_modes,)), counts)
+    # read-only zero views: the driver reads neither argument
+    c_values = _driver_matrix(
+        reduced.driver, batch.times, np.broadcast_to(0.0, lead),
+        np.broadcast_to(0.0, lead + (reduced.n_modes,)), counts)
     sol = _backward_sweep(reduced, batch, basis, regression, c_values,
                           resolvent_tol, resolvent_max_iter, counts)
     return _unscale_solution(sol, gamma)

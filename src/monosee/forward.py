@@ -47,7 +47,8 @@ from .analysis import running_integral
 from .errors import ConfigError, MonoseeError, NonconvergenceError
 from .noise import (EMPTY_CONTEXT, BatchContext, NoiseBatch, NoiseContext,
                     NoisePath)
-from .operators import (DriftTerm, HypothesisBundle, _require_finite,
+from .operators import (DriftTerm, HypothesisBundle, _compose,
+                        _compose_jacobian, _grid_eval, _grid_jacobian,
                         constant_profile, profile_on_grid)
 from .reporting import csv_text
 from .resolvent import MonotoneMap, NewtonCounts, _resolvent_general, resolvent
@@ -166,7 +167,8 @@ class GalerkinSystem:
                   else self.modes.T @ term.k_in for term in terms]
         outers = [self.projector.T if term.k_out is None
                   else term.k_out @ self.projector.T for term in terms]
-        self._terms = list(zip(inners, [term.psi for term in terms], outers))
+        self._terms = [term._replace(k_in=inner, k_out=outer)
+                       for term, inner, outer in zip(terms, inners, outers)]
         self._jacobian_terms = None if any(
             term.psi_prime is None for term in terms) else [
             (inner, term.psi_prime, np.ascontiguousarray(outer.T),
@@ -183,24 +185,12 @@ class GalerkinSystem:
         return np.asarray(x, dtype=float) @ self.modes.T
 
     def b(self, t: float, ctx, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = None
-        for k, (inner, psi, outer) in enumerate(self._terms):
-            z = x @ inner
-            if k == self._checked:
-                _require_finite(z, "projected drift")
-            value = psi(t, ctx, z) @ outer
-            out = value if out is None else out + value
-        return out
+        return _compose(self._terms, t, ctx, np.asarray(x, dtype=float),
+                        self._checked)
 
     def _jacobian(self, t: float, ctx, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = None
-        for inner, psi_prime, outer_t, inner_t in self._jacobian_terms:
-            slopes = np.asarray(psi_prime(t, ctx, x @ inner), dtype=float)
-            value = (outer_t * slopes[..., None, :]) @ inner_t
-            out = value if out is None else out + value
-        return out
+        return _compose_jacobian(self._jacobian_terms, t, ctx,
+                                 np.asarray(x, dtype=float))
 
     def sigma(self, t: float, ctx, x) -> np.ndarray:
         cols = self.projector @ self.diffusion.eval(t, ctx, self.lift(x))
@@ -441,12 +431,15 @@ def _gamma_factory(lambda0) -> Callable:
 class _RescaledDrift:
     """gamma^{-1} A(t, gamma x) minus half the lambda0 damping.
 
-    The damping is subtracted once from the total drift (that is what the
-    transformed state's differential demands); ``parts`` distributes it
-    evenly across the declared parts so per-part bounds stay valid.  The
-    terms are the base drift's, each psi as gamma^{-1} psi(gamma z) and
-    its psi' read at gamma z, plus the damping as one identity term.
+    The terms are the base drift's, each psi as gamma^{-1} psi(gamma z)
+    and its psi' read at gamma z, plus the damping -lambda0 x / 2 (what
+    the transformed state's differential demands) as identity terms, one
+    per part the base declares, each carrying an even share, so per-part
+    bounds stay valid.
     """
+
+    eval = _grid_eval
+    jacobian = _grid_jacobian
 
     def __init__(self, base, lambda0, gamma):
         self.base = base
@@ -456,6 +449,9 @@ class _RescaledDrift:
 
     def terms(self):
         gamma, lambda0 = self.gamma, self.lambda0
+        base_terms = self.base.terms()
+        parts = sorted({term.part for term in base_terms})
+        share = 0.5 / len(parts)
 
         def rescaled(term):
             psi, psi_prime = term.psi, term.psi_prime
@@ -471,34 +467,15 @@ class _RescaledDrift:
                                  if psi_prime is None else scaled_prime)
 
         def damping(t, ctx, z):
-            return -0.5 * np.asarray(lambda0(t, ctx), dtype=float) * z
+            return -share * np.asarray(lambda0(t, ctx), dtype=float) * z
 
         def damping_prime(t, ctx, z):
             return np.broadcast_to(
-                -0.5 * np.asarray(lambda0(t, ctx), dtype=float), np.shape(z))
+                -share * np.asarray(lambda0(t, ctx), dtype=float), np.shape(z))
 
-        return (*map(rescaled, self.base.terms()),
-                DriftTerm(None, damping, damping_prime, None))
-
-    def _frame(self, t, ctx, u):
-        """(u, gamma, lambda0) at (t, ctx); lambda0 may be a column."""
-        return (np.asarray(u, dtype=float), self.gamma(t, ctx),
-                np.asarray(self.lambda0(t, ctx), dtype=float))
-
-    def eval(self, t, ctx, u) -> np.ndarray:
-        u, g, lam0 = self._frame(t, ctx, u)
-        return self.base.eval(t, ctx, g * u) / g - 0.5 * lam0 * u
-
-    def parts(self, t, ctx, u):
-        u, g, lam0 = self._frame(t, ctx, u)
-        base_parts = self.base.parts(t, ctx, g * u)
-        share = 0.5 * lam0 / len(base_parts)
-        return [(idx, f / g - share * u) for idx, f in base_parts]
-
-    def jacobian(self, t, ctx, u) -> np.ndarray:
-        u, g, lam0 = self._frame(t, ctx, u)
-        return (self.base.jacobian(t, ctx, g * u)
-                - 0.5 * lam0[..., None] * np.eye(u.shape[-1]))
+        return (*map(rescaled, base_terms),
+                *(DriftTerm(None, damping, damping_prime, None, part=part)
+                  for part in parts))
 
 
 class _RescaledDiffusion:

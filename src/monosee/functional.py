@@ -26,7 +26,7 @@ from .errors import ConfigError, MonoseeError, NonconvergenceError
 from .forward import (SolverConfig, SolutionPath, _trajectory_table,
                       solve_forward)
 from .noise import EMPTY_CONTEXT, NoisePath
-from .operators import DriftTerm, profile_on_grid
+from .operators import DriftTerm, _grid_eval, _grid_jacobian, profile_on_grid
 from .reporting import (ViolationReport, _record, _require_amp_range,
                         _require_t_final, _sampled_check, csv_text)
 
@@ -410,9 +410,13 @@ class _GridRows:
 class _AugmentedDrift:
     """Base drift plus a frozen, time-tabulated forcing row.
 
-    The terms are the base drift's plus the row as an identity term whose
-    psi ignores the state (and whose psi' is zero).
+    The terms are the base drift's plus the row as an identity term of
+    part 1 whose psi ignores the state (and whose psi' is zero); the row
+    is looked up at one grid time, so a stack shares one float t.
     """
+
+    eval = _grid_eval
+    jacobian = _grid_jacobian
 
     def __init__(self, base, times, g_rows):
         self.base = base
@@ -429,12 +433,6 @@ class _AugmentedDrift:
             return np.zeros(np.shape(z))
 
         return (*self.base.terms(), DriftTerm(None, forcing, flat, None))
-
-    def eval(self, t, ctx, u):
-        return self.base.eval(t, ctx, u) + self._rows.at(t)
-
-    def jacobian(self, t, ctx, u):
-        return self.base.jacobian(t, ctx, u)
 
 
 class _FrozenDiffusion:

@@ -16,9 +16,11 @@ a stack of diffusion matrices (..., n_grid, n_modes).
 
 Every drift is quasi-linear: a sum of ``DriftTerm``s psi(t, u @ k_in) @
 k_out, a fixed linear map, a pointwise nonlinearity and a second fixed
-map, listed by its ``terms()``.  The Galerkin solver composes the terms
-in mode space (``forward.GalerkinSystem``); ``eval`` and ``jacobian`` are
-the same drift on the grid, for the checkers.
+map, listed by its ``terms()``, its only definition.  One loop composes
+the terms, in mode space for the Galerkin solver (``forward.
+GalerkinSystem``) and on the grid for the checkers: each drift binds
+``eval = _grid_eval`` and ``jacobian = _grid_jacobian``, and
+``drift_parts`` composes each part of the split A = A1 + A2 apart.
 
 Time profiles and random coefficients, built-in or user-supplied, must
 accept an array of times: a stack of states taken at S different times
@@ -55,6 +57,7 @@ __all__ = [
     "profile_on_grid",
     "HypothesisBundle",
     "DriftTerm",
+    "drift_parts",
     "PorousMediumDrift",
     "PhiDrift",
     "ReactionDiffusionDrift",
@@ -194,7 +197,9 @@ class DriftTerm(NamedTuple):
     pointwise derivative (None if unknown: no analytic Jacobian), and a
     float ``slope`` declares psi(t, ctx, z) = slope * z at every t.  psi
     and psi_prime act elementwise on an argument of any shape, with t a
-    float or a column that broadcasts over a stack.
+    float or a column that broadcasts over a stack.  ``part`` (1 or 2)
+    places the term in the split A = A1 + A2 whose parts hypothesis (H3)
+    bounds in X1* and X2*.
     """
 
     k_in: Optional[np.ndarray]
@@ -202,6 +207,67 @@ class DriftTerm(NamedTuple):
     psi_prime: Optional[Callable]
     k_out: Optional[np.ndarray]
     slope: Optional[float] = None
+    part: int = 1
+
+
+def _compose(terms, t, ctx, x, checked: int = -1) -> np.ndarray:
+    """sum psi(t, ctx, x @ k_in) @ k_out over the ``terms``, a None map
+    skipped as the identity; the argument of term ``checked`` must be
+    finite (MonoseeError naming the entry)."""
+    out = None
+    for k, term in enumerate(terms):
+        z = x if term.k_in is None else x @ term.k_in
+        if k == checked:
+            _require_finite(z, "projected drift")
+        value = term.psi(t, ctx, z)
+        if term.k_out is not None:
+            value = value @ term.k_out
+        out = value if out is None else out + value
+    return out
+
+
+def _compose_jacobian(terms, t, ctx, x) -> np.ndarray:
+    """sum (k_out^T * psi'(t, ctx, x @ k_in)) @ k_in^T over the (k_in,
+    psi', k_out^T, k_in^T) ``terms``, a None map read as the identity."""
+    out = None
+    for k_in, psi_prime, out_t, in_t in terms:
+        slopes = np.asarray(psi_prime(t, ctx, x if k_in is None else x @ k_in),
+                            dtype=float)
+        value = (np.eye(slopes.shape[-1]) if out_t is None else out_t) \
+            * slopes[..., np.newaxis, :]
+        if in_t is not None:
+            value = value @ in_t
+        out = value if out is None else out + value
+    return out
+
+
+def _grid_eval(drift, t, ctx, u) -> np.ndarray:
+    """The drift's terms composed on grid values u, one state or a stack."""
+    return _compose(drift.terms(), t, ctx,
+                    _require_finite(u, type(drift).__name__))
+
+
+def _grid_jacobian(drift, t, ctx, u) -> np.ndarray:
+    """The Jacobian of ``_grid_eval``, (..., n_grid, n_grid); ConfigError
+    unless every term has a psi'."""
+    terms = drift.terms()
+    if any(term.psi_prime is None for term in terms):
+        raise ConfigError(f"{type(drift).__name__}: analytic jacobian needs "
+                          f"every term's psi_prime")
+    return _compose_jacobian(
+        [(term.k_in, term.psi_prime, None if term.k_out is None
+          else term.k_out.T, None if term.k_in is None else term.k_in.T)
+         for term in terms], t, ctx, np.asarray(u, dtype=float))
+
+
+def drift_parts(drift, t, ctx, u) -> list:
+    """[(i, A_i(t, u))] for each part i the drift's terms declare, in
+    increasing order: the terms of part i composed on the grid."""
+    u = _require_finite(u, type(drift).__name__)
+    terms = drift.terms()
+    return [(which, _compose([term for term in terms if term.part == which],
+                             t, ctx, u))
+            for which in sorted({term.part for term in terms})]
 
 
 class PorousMediumDrift:
@@ -213,6 +279,9 @@ class PorousMediumDrift:
     without one, c = 1.  One term (I, phi, phi', L), linear (the heat
     drift L u) for p = 2 without a profile.
     """
+
+    eval = _grid_eval
+    jacobian = _grid_jacobian
 
     def __init__(self, triple: DiscreteTriple, p: float, coeff=None):
         if triple.flavor != POROUS_MEDIUM:
@@ -238,17 +307,6 @@ class PorousMediumDrift:
         return (DriftTerm(None, self.phi, self.phi_prime,
                           self.triple.laplacian, self._slope),)
 
-    def eval(self, t, ctx, u) -> np.ndarray:
-        u = _require_finite(u, "porous-medium drift")
-        return self.triple.apply_laplacian(self.phi(t, ctx, u))
-
-    def parts(self, t, ctx, u):
-        return [(1, self.eval(t, ctx, u))]
-
-    def jacobian(self, t, ctx, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        return self.triple.laplacian * self.phi_prime(t, ctx, u)[..., np.newaxis, :]
-
 
 class PhiDrift:
     """Nonlinear-diffusion drift L phi(u) with a user-supplied scalar map.
@@ -258,6 +316,9 @@ class PhiDrift:
     discontinuous phi) can run through the hypothesis checkers.
     phi(t, ctx, r) must accept arrays of t and r.
     """
+
+    eval = _grid_eval
+    jacobian = _grid_jacobian
 
     def __init__(self, triple: DiscreteTriple, phi, phi_prime=None):
         if triple.flavor != POROUS_MEDIUM:
@@ -273,20 +334,6 @@ class PhiDrift:
         return (DriftTerm(None, self.phi, self._phi_prime,
                           self.triple.laplacian),)
 
-    def eval(self, t, ctx, u) -> np.ndarray:
-        u = _require_finite(u, "phi drift")
-        return self.triple.apply_laplacian(self.phi(t, ctx, u))
-
-    def parts(self, t, ctx, u):
-        return [(1, self.eval(t, ctx, u))]
-
-    def jacobian(self, t, ctx, u) -> np.ndarray:
-        if self._phi_prime is None:
-            raise ConfigError("analytic jacobian needs phi_prime")
-        u = np.asarray(u, dtype=float)
-        pp = np.asarray(self._phi_prime(t, ctx, u), dtype=float)
-        return self.triple.laplacian * pp[..., np.newaxis, :]
-
 
 class ReactionDiffusionDrift:
     """Quasilinear drift div_h a(d_h u) - b(u) on the L^2 triple.
@@ -294,12 +341,15 @@ class ReactionDiffusionDrift:
     ``a`` and ``b`` are scalar maps (t, ctx, r) -> value, applied pointwise
     to face gradients and nodal values respectively; both must be
     nondecreasing in r for the hypothesis checks to pass.  Output pairs
-    against L^2 directly, split into a divergence part (gradient space dual)
-    and a reaction part (Lebesgue dual).  The maps must accept arrays of
-    t and r, as the checkers pass an (S, 1) column of times with a stack.
-    Two terms: (G, a, a', -G^T) with G the gradient matrix, the divergence
-    being -G^T, and (I, b, b', -I).
+    against L^2 directly.  The maps must accept arrays of t and r, as the
+    checkers pass an (S, 1) column of times with a stack.  Two terms: the
+    divergence part (G, a, a', -G^T), G the gradient matrix and -G^T the
+    divergence, bounded in the gradient space's dual, and the reaction
+    part (I, b, b', -I), part 2, bounded in the Lebesgue dual.
     """
+
+    eval = _grid_eval
+    jacobian = _grid_jacobian
 
     def __init__(self, triple: DiscreteTriple, a, b, a_prime=None, b_prime=None):
         if triple.flavor != REACTION_DIFFUSION:
@@ -313,34 +363,8 @@ class ReactionDiffusionDrift:
     def terms(self):
         grad = self.triple.gradient
         return (DriftTerm(grad, self.a, self.a_prime, -grad.T),
-                DriftTerm(None, self.b, self.b_prime, -np.eye(len(grad))))
-
-    def divergence_part(self, t, ctx, u) -> np.ndarray:
-        u = _require_finite(u, "reaction-diffusion drift")
-        faces = self.triple.grad(u)
-        flux = np.asarray(self.a(t, ctx, faces), dtype=float)
-        return np.diff(flux, axis=-1) / self.triple.h
-
-    def reaction_part(self, t, ctx, u) -> np.ndarray:
-        u = _require_finite(u, "reaction-diffusion drift")
-        return -np.asarray(self.b(t, ctx, u), dtype=float)
-
-    def eval(self, t, ctx, u) -> np.ndarray:
-        return self.divergence_part(t, ctx, u) + self.reaction_part(t, ctx, u)
-
-    def parts(self, t, ctx, u):
-        return [(1, self.divergence_part(t, ctx, u)),
-                (2, self.reaction_part(t, ctx, u))]
-
-    def jacobian(self, t, ctx, u) -> np.ndarray:
-        if self.a_prime is None or self.b_prime is None:
-            raise ConfigError("analytic jacobian needs a_prime and b_prime")
-        u = np.asarray(u, dtype=float)
-        grad = self.triple.gradient
-        ap = np.asarray(self.a_prime(t, ctx, u @ grad), dtype=float)
-        bp = np.asarray(self.b_prime(t, ctx, u), dtype=float)
-        return -(grad * ap[..., np.newaxis, :]) @ grad.T \
-            - bp[..., np.newaxis] * np.eye(len(grad))
+                DriftTerm(None, self.b, self.b_prime, -np.eye(len(grad)),
+                          part=2))
 
 
 class ConstantDiffusion:
@@ -509,7 +533,7 @@ def check_coercivity(drift, diff, bundle: HypothesisBundle, sampler,
 def check_boundedness(drift, bundle: HypothesisBundle, sampler,
                       n_samples: int = 500, seed: int = 0, tol: float = 1e-10,
                       ctx=EMPTY_CONTEXT) -> ViolationReport:
-    """Sampled dual-norm growth check, per drift part.
+    """Sampled dual-norm growth check, per drift part (``drift_parts``).
 
     |A_i(u)|_{Xi*} <= eta_i lambda_i^{1/q_i} + c_{A_i} lambda_i |u|_{X_i}^{q_i - 1}
     """
@@ -517,7 +541,7 @@ def check_boundedness(drift, bundle: HypothesisBundle, sampler,
 
     def evaluate(t, u, *_):
         groups = []
-        for which, part in drift.parts(t[:, None], ctx, u):
+        for which, part in drift_parts(drift, t[:, None], ctx, u):
             lam = (bundle.lambda1 if which == 1 else bundle.lambda2)(t, ctx)
             eta = (bundle.eta1 if which == 1 else bundle.eta2)(t, ctx)
             q = bundle.q1 if which == 1 else bundle.q2

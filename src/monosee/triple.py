@@ -88,10 +88,6 @@ class DiscreteTriple:
 
     # -- linear algebra helpers ---------------------------------------------
 
-    def apply_laplacian(self, u) -> np.ndarray:
-        """L u along the last axis (L is symmetric), for states or stacks."""
-        return np.asarray(u, dtype=float) @ self.laplacian
-
     def neg_lap_inv(self, f) -> np.ndarray:
         """(-L)^{-1} f along the last axis, through the eigen-decomposition."""
         return ((np.asarray(f, dtype=float) @ self._vecs) / self.mu) @ self._vecs.T

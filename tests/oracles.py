@@ -1,7 +1,10 @@
 """Plain reference loops for the stacked checkers, the backward sweep and
 the memory terms, the operator samplers written with ``choice`` and
-``uniform``, and the Yosida regularization checked against its two
-identities (``yosida``).
+``uniform``, the Yosida regularization checked against its two
+identities (``yosida``), and the built-in drifts, their Jacobians and
+their parts written on the grid by hand (``drift_eval``,
+``drift_jacobian``, ``drift_parts``), which the drifts' composed terms
+must reproduce.
 
 Each checker oracle draws and evaluates one sample at a time, in the
 order the stacked checker draws them, and appends its violations as it
@@ -28,8 +31,10 @@ from monosee.analysis import rho_eval
 from monosee.bsde import (BsdeSolution, _projection, _terminal_values,
                           regularized_implicit_step)
 from monosee.errors import ConfigError, NonconvergenceError
-from monosee.functional import Segment, segment_distance
+from monosee.forward import _RescaledDrift
+from monosee.functional import Segment, _AugmentedDrift, segment_distance
 from monosee.noise import EMPTY_CONTEXT
+from monosee.operators import PhiDrift, PorousMediumDrift, ReactionDiffusionDrift
 from monosee.reporting import Violation, ViolationReport
 from monosee.resolvent import NewtonCounts, resolvent
 
@@ -93,6 +98,74 @@ def pair_sampler(triple, t_final=1.0, amp_range=(1e-3, 1e3), times=None):
         return t, u, v
 
     return sample
+
+
+# ---------------------------------------------------------------------------
+# drifts written on the grid by hand: L phi(u) for the porous family,
+# np.diff(a(grad_h u)) / h - b(u) for reaction-diffusion, a rescaled drift
+# as gamma^-1 A(gamma u) - lambda0 u / 2 and an augmented one as A(u) plus
+# its forcing row, with their Jacobians and their parts
+
+
+def _gauge(drift, t, ctx):
+    return (drift.gamma(t, ctx),
+            np.asarray(drift.lambda0(t, ctx), dtype=float))
+
+
+def drift_eval(drift, t, ctx, u):
+    u = np.asarray(u, dtype=float)
+    if isinstance(drift, (PorousMediumDrift, PhiDrift)):
+        return drift.phi(t, ctx, u) @ drift.triple.laplacian
+    if isinstance(drift, ReactionDiffusionDrift):
+        flux = np.asarray(drift.a(t, ctx, drift.triple.grad(u)), dtype=float)
+        return np.diff(flux, axis=-1) / drift.triple.h \
+            - np.asarray(drift.b(t, ctx, u), dtype=float)
+    if isinstance(drift, _RescaledDrift):
+        g, lam0 = _gauge(drift, t, ctx)
+        return drift_eval(drift.base, t, ctx, g * u) / g - 0.5 * lam0 * u
+    return drift_eval(drift.base, t, ctx, u) + drift._rows.at(t)
+
+
+def drift_parts(drift, t, ctx, u):
+    """[(i, A_i(u))]: the divergence and reaction parts of a
+    reaction-diffusion drift, the whole drift otherwise; a rescaled drift
+    spreads its damping evenly over the base's parts, an augmented one
+    adds its row to part 1."""
+    u = np.asarray(u, dtype=float)
+    if isinstance(drift, ReactionDiffusionDrift):
+        flux = np.asarray(drift.a(t, ctx, drift.triple.grad(u)), dtype=float)
+        return [(1, np.diff(flux, axis=-1) / drift.triple.h),
+                (2, -np.asarray(drift.b(t, ctx, u), dtype=float))]
+    if isinstance(drift, _RescaledDrift):
+        g, lam0 = _gauge(drift, t, ctx)
+        base = drift_parts(drift.base, t, ctx, g * u)
+        share = 0.5 * lam0 / len(base)
+        return [(i, f / g - share * u) for i, f in base]
+    if isinstance(drift, _AugmentedDrift):
+        (_, first), *rest = drift_parts(drift.base, t, ctx, u)
+        return [(1, first + drift._rows.at(t)), *rest]
+    return [(1, drift_eval(drift, t, ctx, u))]
+
+
+def drift_jacobian(drift, t, ctx, u):
+    u = np.asarray(u, dtype=float)
+    lap = drift.triple.laplacian
+    if isinstance(drift, PorousMediumDrift):
+        return lap * drift.phi_prime(t, ctx, u)[..., np.newaxis, :]
+    if isinstance(drift, PhiDrift):
+        pp = np.asarray(drift._phi_prime(t, ctx, u), dtype=float)
+        return lap * pp[..., np.newaxis, :]
+    if isinstance(drift, ReactionDiffusionDrift):
+        grad = drift.triple.gradient
+        ap = np.asarray(drift.a_prime(t, ctx, u @ grad), dtype=float)
+        bp = np.asarray(drift.b_prime(t, ctx, u), dtype=float)
+        return -(grad * ap[..., np.newaxis, :]) @ grad.T \
+            - bp[..., np.newaxis] * np.eye(len(grad))
+    if isinstance(drift, _RescaledDrift):
+        g, lam0 = _gauge(drift, t, ctx)
+        return drift_jacobian(drift.base, t, ctx, g * u) \
+            - 0.5 * lam0[..., np.newaxis] * np.eye(u.shape[-1])
+    return drift_jacobian(drift.base, t, ctx, u)
 
 
 # ---------------------------------------------------------------------------

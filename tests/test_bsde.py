@@ -348,6 +348,35 @@ def test_constant_terminal_zero_operators():
     assert sol0.terminal_residual <= 1e-12
 
 
+def test_autonomous_driver_reads_read_only_zero_stacks():
+    """A driver independent of x and z is handed non-writeable zero
+    stacks of shapes (R, N, d) and (R, N, d, m), and zero_driver answers
+    a writeable stack of zeros of the x shape."""
+    seen = []
+
+    def record(t, x, z):
+        seen.append((x, z))
+        return zero_driver().eval(t, x, z)
+
+    driver = BsdeDriver(eval=record, c1=0.0, c2=0.0, x_dependent=False,
+                        z_dependent=False, name="recording driver")
+    problem = BsdeProblem(drift=_linear_drift(-1.0), driver=driver,
+                          terminal=_wiener_terminal, t_final=1.0,
+                          n_modes=2, dim=1)
+    sol = solve_bsde_autonomous_C(problem, _batch(21, 1.0, 8, 50, n_modes=2))
+    [(x, z)] = seen
+    assert x.shape == (50, 8, 1) and z.shape == (50, 8, 1, 2)
+    assert not x.flags.writeable and not z.flags.writeable
+    assert np.all(x == 0.0) and np.all(z == 0.0)
+    values = zero_driver().eval(0.5, x, z)
+    assert values.shape == x.shape and values.flags.writeable
+    assert np.all(values == 0.0)
+    reference = solve_bsde_autonomous_C(
+        replace(problem, driver=zero_driver()),
+        _batch(21, 1.0, 8, 50, n_modes=2))
+    assert np.array_equal(sol.x_paths, reference.x_paths)
+
+
 def test_linear_drift_deterministic_terminal_recurrence():
     """A(x) = -x, X_T = c: the scheme is exactly c*((1+dt)/(1+2dt))^(N-k).
 

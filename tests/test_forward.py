@@ -13,6 +13,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import monosee.resolvent
 from monosee.analysis import convergence_order, sup_h_distance
 from monosee.errors import ConfigError, MonoseeError, NonconvergenceError
 from monosee.forward import (AprioriReport, GalerkinSystem, SolverConfig,
@@ -26,11 +27,12 @@ from monosee.operators import (ConstantDiffusion, PhiDrift,
                                PorousMediumDrift, ReactionDiffusionDrift,
                                build_operator_set,
                                check_coercivity, check_monotonicity,
-                               constant_profile, pair_sampler, state_sampler,
-                               tabulated_profile)
+                               constant_profile, drift_parts, pair_sampler,
+                               state_sampler, tabulated_profile)
 from monosee.functional import _AugmentedDrift
 from monosee.resolvent import MonotoneMap, NewtonCounts
 from monosee.triple import DiscreteTriple, REACTION_DIFFUSION
+import oracles
 
 
 def _zero_phi_drift(triple):
@@ -182,6 +184,110 @@ def test_galerkin_composition_matches_the_grid_drift(name):
                                atol=1e-12 * np.max(np.abs(jac)))
         else:
             assert b.slope is None
+
+
+def _assert_rows_match(got, want, exact):
+    """Bit for bit, or within 1e-15 of each row's largest entry."""
+    assert got.shape == want.shape
+    if exact:
+        assert np.array_equal(got, want)
+    else:
+        scale = np.max(np.abs(want), axis=-1, keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-15 * scale)
+
+
+@pytest.mark.parametrize("name", ["heat", "porous_medium",
+                                  "reaction_diffusion", "eq_1_1", "eq_1_2",
+                                  "phi", "augmented", "rescaled"])
+def test_grid_form_matches_the_hand_written_drift(name):
+    # the grid eval, parts and Jacobian composed from the drift's terms
+    # against the formulas written on the grid by hand: the porous family
+    # and the Jacobians bit for bit, the rest to rounding; the rescaled
+    # drift's damping arrives as one term per part, so its Jacobian too
+    drift, _ = _composed_drift(name, 16)
+    noise = sample_batch(seed=3, t_final=0.25, n_steps=8, n_modes=1,
+                         replicas=4)
+    ctx = NoiseContext(noise.path(2))
+    rng = np.random.default_rng(19)
+    amp = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), (500, 1)))
+    u = amp * rng.standard_normal((500, 16))
+    cases = [float(noise.times[5])]
+    if name != "augmented":  # its forcing row is read at one grid time
+        cases.append(noise.times[rng.integers(1, 9, (500, 1))])
+    porous = name in ("heat", "porous_medium", "eq_1_1", "phi")
+    for t in cases:
+        _assert_rows_match(drift.eval(t, ctx, u),
+                           oracles.drift_eval(drift, t, ctx, u), porous)
+        got = drift_parts(drift, t, ctx, u)
+        want = oracles.drift_parts(drift, t, ctx, u)
+        assert [which for which, _ in got] == [which for which, _ in want]
+        for (_, got_part), (_, want_part) in zip(got, want):
+            _assert_rows_match(got_part, want_part, porous)
+        _assert_rows_match(drift.jacobian(t, ctx, u),
+                           oracles.drift_jacobian(drift, t, ctx, u),
+                           name != "rescaled")
+
+
+@pytest.mark.parametrize("name", ["heat", "porous_medium",
+                                  "reaction_diffusion", "eq_1_1", "eq_1_2",
+                                  "phi", "augmented", "rescaled"])
+def test_grid_form_names_a_non_finite_state_entry(name):
+    # checked on the node values before any term, also where the first
+    # term's argument is not the state (the reaction-diffusion gradient)
+    drift, _ = _composed_drift(name, 16)
+    ctx = NoiseContext(sample_path(seed=3, t_final=0.25, n_steps=8,
+                                   n_modes=1))
+    u = np.full((3, 16), 0.5)
+    u[1, 7] = np.nan
+    for evaluate in (drift.eval, lambda t, c, v: drift_parts(drift, t, c, v)):
+        with pytest.raises(MonoseeError, match="index 7 of replica 1"):
+            evaluate(0.125, ctx, u)
+        with pytest.raises(MonoseeError, match="index 7$"):
+            evaluate(0.125, ctx, u[1])
+
+
+def _no_prime_drifts(n_grid):
+    """A phi drift without phi' and a reaction-diffusion drift without b',
+    each with the analytic drift it should match."""
+    pm = DiscreteTriple(n_grid, "porous_medium", q1=4.0, q2=4.0)
+    phi = lambda t, ctx, r: r ** 3 + r
+    phi_prime = lambda t, ctx, r: 3.0 * r ** 2 + 1.0
+    rd = DiscreteTriple(n_grid, REACTION_DIFFUSION, q1=2.0, q2=4.0)
+    a = lambda t, ctx, r: np.asarray(r, dtype=float)
+    a_prime = lambda t, ctx, r: np.ones_like(np.asarray(r, dtype=float))
+    return [(PhiDrift(pm, phi), PhiDrift(pm, phi, phi_prime)),
+            (ReactionDiffusionDrift(rd, a, phi, a_prime),
+             ReactionDiffusionDrift(rd, a, phi, a_prime, phi_prime))]
+
+
+def test_grid_jacobian_needs_every_psi_prime():
+    for drift, _ in _no_prime_drifts(8):
+        with pytest.raises(ConfigError, match="psi_prime"):
+            drift.jacobian(0.0, EMPTY_CONTEXT, np.ones(8))
+
+
+def test_solve_forward_differences_a_drift_without_psi_prime(monkeypatch):
+    # the projected drift gets no analytic Jacobian, so each Newton
+    # iteration differences it (resolvent._full_jacobian); the path
+    # agrees with the analytic solve to the Newton tolerance
+    full = monosee.resolvent._full_jacobian
+    differenced = []
+
+    def counting(F, t, y):
+        differenced.append(F.jacobian is None)
+        return full(F, t, y)
+
+    monkeypatch.setattr(monosee.resolvent, "_full_jacobian", counting)
+    noise = sample_path(seed=4, t_final=0.1, n_steps=10, n_modes=1)
+    cfg = SolverConfig(n_modes_galerkin=4)
+    for bare, analytic in _no_prime_drifts(12):
+        x0 = np.sin(np.pi * bare.triple.nodes)
+        diffusion = ConstantDiffusion(bare.triple, np.zeros((12, 1)))
+        differenced.clear()
+        got = solve_forward(cfg, bare, diffusion, noise, x0)
+        assert differenced and all(differenced)
+        want = solve_forward(cfg, analytic, diffusion, noise, x0)
+        assert np.allclose(got.coeffs, want.coeffs, rtol=1e-8, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------

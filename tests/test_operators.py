@@ -20,7 +20,8 @@ from monosee.operators import (ConstantDiffusion, HypothesisBundle,
                                abs_scalar_profile, build_operator_set,
                                check_boundedness, check_coercivity,
                                check_hemicontinuity, check_monotonicity,
-                               constant_profile, pair_sampler, state_sampler)
+                               constant_profile, drift_parts, pair_sampler,
+                               state_sampler)
 from monosee.reporting import Violation, _sampled_check
 from monosee.triple import POROUS_MEDIUM, REACTION_DIFFUSION, DiscreteTriple
 from oracles import assert_same_report
@@ -426,7 +427,7 @@ def _reference_boundedness(drift, bundle, sampler, n_samples, seed,
     tr, found = drift.triple, []
     for i in range(n_samples):
         t, u = sampler(rng)[:2]
-        for which, part in drift.parts(t, ctx, u):
+        for which, part in drift_parts(drift, t, ctx, u):
             lam = (bundle.lambda1 if which == 1 else bundle.lambda2)(t, ctx)
             eta = (bundle.eta1 if which == 1 else bundle.eta2)(t, ctx)
             q = bundle.q1 if which == 1 else bundle.q2
@@ -517,7 +518,7 @@ def test_stacked_checkers_match_per_sample_reference(name, flag_all):
         hemi, _reference_hemicontinuity(drift, singles, n, seed, jump, ctx),
         rel=1e-6 if flag_all else 1e-9)
     if flag_all:
-        assert bounded.n_violations == n * len(drift.parts(0.0, ctx, np.ones(tr.n_grid)))
+        assert bounded.n_violations == n * len(drift_parts(drift, 0.0, ctx, np.ones(tr.n_grid)))
 
 
 def test_planted_references_find_violations():
