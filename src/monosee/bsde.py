@@ -248,8 +248,9 @@ class PolynomialBasis:
 
     ``exponents[j]`` is the multi-index of basis term j over the state
     variables; ``names[j]`` its printable label.  ``design`` turns a
-    (samples, variables) state block into the (samples, terms) design
-    matrix.
+    (..., variables) stack of states into the (..., terms) design: a
+    (samples, variables) block gives the design matrix, a (times,
+    samples, variables) stack one design per time.
     """
 
     exponents: tuple
@@ -278,14 +279,14 @@ class PolynomialBasis:
 
     def design(self, states) -> np.ndarray:
         states = np.atleast_2d(np.asarray(states, dtype=float))
-        if states.shape[1] != self.n_vars:
+        if states.shape[-1] != self.n_vars:
             raise ConfigError(
                 f"basis expects {self.n_vars} state variables, got "
-                f"{states.shape[1]}")
-        design = np.empty((len(states), self.n_terms))
+                f"{states.shape[-1]}")
+        design = np.empty(states.shape[:-1] + (self.n_terms,))
         for j, e in enumerate(self.exponents):
-            np.prod(states ** np.asarray(e, dtype=float), axis=1,
-                    out=design[:, j])
+            np.prod(states ** np.asarray(e, dtype=float), axis=-1,
+                    out=design[..., j])
         return design
 
 
@@ -318,53 +319,6 @@ def polynomial_basis(n_vars: int, degree: int = 2,
     return PolynomialBasis(exponents=tuple(idx), names=tuple(names))
 
 
-@dataclass(frozen=True)
-class _Projection:
-    """Least-squares projection onto one regression design, factored once.
-
-    Columns that are exactly constant across the sample are absorbed by
-    the first non-zero constant column (the intercept when the basis has
-    one), with zero reported for the absorbed coefficients: conditioning
-    on a degenerate state (all paths share the same value, as the noise
-    does at time zero) is a plain mean, not an error.  The remaining
-    ``n_active`` columns A (samples, a) factor as A = QR with LAPACK's R
-    alone (no Q is formed) and R = W S V^T, so A = (QW) S V^T is A's thin
-    SVD without its thin U.  ``factor`` (terms, terms) holds V S^-1 on
-    the active rows and the first a columns, zeros elsewhere: U =
-    ``design`` @ factor is the orthonormal block, padded with zero
-    columns, and factor @ weights turns U^T y into basis coefficients,
-    zero on the absorbed columns.  Only these factors and their counts
-    outlive a solve's :func:`_prepare`, stacked over the grid; :meth:`fit`
-    is the one-design fit.
-    """
-
-    design: np.ndarray
-    factor: np.ndarray
-    n_active: int
-
-    def fit(self, targets: np.ndarray):
-        """Project targets (samples,) or (samples, t) onto the design.
-
-        Returns (coeffs, fitted, stderr): coeffs V S^-1 U^T y (zero on
-        absorbed columns), fitted values U U^T y, and stderr =
-        rms(residual) * sqrt(active columns/samples), the usual scale of
-        the projection's own Monte-Carlo error.
-        """
-        targets = np.asarray(targets, dtype=float)
-        squeeze = targets.ndim == 1
-        if squeeze:
-            targets = targets[:, None]
-        u = self.design @ self.factor
-        weights = u.T @ targets
-        fitted = u @ weights
-        coeffs = self.factor @ weights
-        stderr = float(_fit_stderr(targets[None], fitted[None],
-                                   self.n_active)[0])
-        if squeeze:
-            return coeffs[:, 0], fitted[:, 0], stderr
-        return coeffs, fitted, stderr
-
-
 def _fit_stderr(targets: np.ndarray, fitted: np.ndarray, n_active,
                 out: Optional[np.ndarray] = None) -> np.ndarray:
     """rms(targets - fitted) * sqrt(active columns / samples) of each fit
@@ -379,7 +333,18 @@ def _fit_stderr(targets: np.ndarray, fitted: np.ndarray, n_active,
 def _factor(designs: np.ndarray, names, times=None):
     """Factor a (times, samples, terms) stack of designs for least-squares
     fits: returns each time's zero-padded factor (times, terms, terms) and
-    its count of active columns (times,), as :class:`_Projection` keeps.
+    its count of active columns (times,).
+
+    Columns that are exactly constant across the sample are absorbed by
+    the first non-zero constant column (the intercept when the basis has
+    one), with zero reported for the absorbed coefficients: conditioning
+    on a degenerate state (all paths share the same value, as the noise
+    does at time zero) is a plain mean, not an error.  The remaining
+    a active columns A (samples, a) factor as A = QR with LAPACK's R
+    alone (no Q is formed) and R = W S V^T, so A = (QW) S V^T is A's thin
+    SVD without its thin U.  A factor holds V S^-1 on the active rows and
+    the first a columns, zeros elsewhere: U = design @ factor is the
+    orthonormal block, padded with zero columns, that :func:`_fit` takes.
 
     Times with the same active columns share one stacked QR and one
     stacked SVD of their triangles (LAPACK still factors each design on
@@ -431,20 +396,17 @@ def _factor(designs: np.ndarray, names, times=None):
     return factors, n_active
 
 
-def _projection(design: np.ndarray, names,
-                t: Optional[float] = None) -> _Projection:
-    """Factor one design for least-squares fits (see :class:`_Projection`
-    and :func:`_factor`, whose errors name the grid time t when given)."""
-    factors, n_active = _factor(design[None], names,
-                                None if t is None else (t,))
-    return _Projection(design=design, factor=factors[0],
-                       n_active=int(n_active[0]))
-
-
-def _fit(design: np.ndarray, names, targets: np.ndarray,
-         t: Optional[float] = None):
-    """One-shot least-squares fit: factor the design, project targets."""
-    return _projection(design, names, t).fit(targets)
+def _fit(u: np.ndarray, factors: np.ndarray, targets: np.ndarray,
+         coeffs: Optional[np.ndarray] = None,
+         fitted: Optional[np.ndarray] = None):
+    """Least-squares fits of a (times, samples, t) stack of targets y on
+    the orthonormal blocks u = design @ factor (times, samples, terms) of
+    :func:`_factor`: returns (factor U^T y, U U^T y), the basis
+    coefficients (zero on absorbed columns) and the fitted values, each
+    written to ``coeffs`` / ``fitted`` when given."""
+    weights = u.transpose(0, 2, 1) @ targets
+    return (np.matmul(factors, weights, out=coeffs),
+            np.matmul(u, weights, out=fitted))
 
 
 # ---------------------------------------------------------------------------
@@ -710,8 +672,8 @@ def _state_values(batch: NoiseBatch) -> np.ndarray:
 class _Regression:
     """What a solve keeps of its regression designs (see :func:`_prepare`):
     the states W(t_k) (N+1, R, modes), each grid time's zero-padded
-    :class:`_Projection` factor (N+1, terms, terms) and its count of
-    active columns (N+1,).  The designs themselves are rebuilt from the
+    :func:`_factor` factor (N+1, terms, terms) and its count of active
+    columns (N+1,).  The designs themselves are rebuilt from the
     states a block of grid times at a time."""
 
     states: np.ndarray
@@ -800,17 +762,16 @@ def _backward_sweep(problem: BsdeProblem, batch: NoiseBatch,
     counts.fits += 3 * n + 1
     newton = NewtonCounts((r_count, d) if problem.drift.diagonal else r_count)
     x_paths[:, n] = _terminal_values(problem, batch)
-    terminal = _Projection(basis.design(states[n]), factors[n],
-                           int(regression.n_active[n]))
-    x_coeffs[n], fitted, x_stderr[n] = terminal.fit(x_paths[:, n])
-    terminal_residual = float(np.sqrt(np.mean((x_paths[:, n] - fitted) ** 2)))
+    u = np.matmul(basis.design(states[n:]), factors[n:], out=u_buf[:1])
+    _, fitted = _fit(u, factors[n:], x_t[n:], coeffs=x_coeffs[n:])
+    x_stderr[n] = _fit_stderr(x_t[n:], fitted, regression.n_active[n:])[0]
+    terminal_residual = float(np.sqrt(np.mean((x_t[n] - fitted[0]) ** 2)))
 
     for top in range(n, 0, -block):
         low = max(top - block, 0)
         rows = top - low
-        u = np.matmul(
-            basis.design(states[low:top].reshape(-1, m)).reshape(
-                rows, r_count, terms), factors[low:top], out=u_buf[:rows])
+        u = np.matmul(basis.design(states[low:top]), factors[low:top],
+                      out=u_buf[:rows])
         x_block, cond_block = x_buf[:rows + 1], cond_buf[:rows]
         x_block[rows] = x_paths[:, top]
         forcing = np.multiply(dt, c_values[:, low:top].transpose(1, 0, 2),
@@ -824,10 +785,9 @@ def _backward_sweep(problem: BsdeProblem, batch: NoiseBatch,
                 cond_block[i] + forcing[i], tol=resolvent_tol,
                 max_iter=resolvent_max_iter, counts=newton)
         cond[:, low:top] = cond_block.transpose(1, 0, 2)
-        u_tr = u.transpose(0, 2, 1)
         n_active = regression.n_active[low:top]
         after = x_block[1:]
-        np.matmul(factors[low:top], u_tr @ x_t[low:top],
+        np.matmul(factors[low:top], u.transpose(0, 2, 1) @ x_t[low:top],
                   out=x_coeffs[low:top])
         x_stderr[low:top] = _fit_stderr(after, cond_block, n_active,
                                         out=cond_block)
@@ -836,11 +796,10 @@ def _backward_sweep(problem: BsdeProblem, batch: NoiseBatch,
                                   rows, r_count, d, m))
         targets /= dt
         targets = targets.reshape(rows, r_count, d * m)
-        z_weights = u_tr @ targets
-        z_fit = np.matmul(u, z_weights, out=z_buf[:rows])
+        _, z_fit = _fit(u, factors[low:top], targets,
+                        coeffs=z_coeffs_flat[low:top], fitted=z_buf[:rows])
         z_paths[:, low:top] = z_fit.reshape(rows, r_count, d, m).transpose(
             1, 0, 2, 3)
-        np.matmul(factors[low:top], z_weights, out=z_coeffs_flat[low:top])
         z_stderr[low:top] = _fit_stderr(targets, z_fit, n_active, out=z_fit)
     counts.newton_iterations += int(newton.iterations.sum())
     counts.line_search_halvings += int(newton.halvings.sum())
@@ -872,15 +831,13 @@ def _prepare(problem: BsdeProblem, batch: NoiseBatch, basis,
     if not basis.has_intercept:
         raise ConfigError("the regression basis must span constants "
                           "(no intercept term found)")
-    n_times, r_count, m = states.shape
+    n_times = len(states)
     factors = np.empty((n_times, basis.n_terms, basis.n_terms))
     n_active = np.empty(n_times, dtype=np.int64)
     for low in range(0, n_times, _BLOCK):
         top = min(low + _BLOCK, n_times)
-        designs = basis.design(states[low:top].reshape(-1, m)).reshape(
-            top - low, r_count, basis.n_terms)
         factors[low:top], n_active[low:top] = _factor(
-            designs, basis.names, batch.times[low:top])
+            basis.design(states[low:top]), basis.names, batch.times[low:top])
     counts.factorizations += n_times
     return reduced, gamma, basis, _Regression(states, factors, n_active)
 
@@ -1060,21 +1017,25 @@ def martingale_residuals(solution: BsdeSolution, problem: BsdeProblem,
     remains measures only the sampling error of the Z regression
     direction.  For problems solved through the lambda0 reduction the
     identity holds in reduced coordinates and the unscaled record makes
-    this an O(dt)-accurate diagnostic rather than an exact one.
+    this an O(dt)-accurate diagnostic rather than an exact one.  The
+    designs are factored as a solve factors them (:func:`_prepare`), and
+    fitted one block of ``_BLOCK`` grid times at a time.
     """
-    _check_batch(problem, batch)
-    states = _state_values(batch)
-    incs = batch.increments
-    out = np.empty(solution.n_steps)
-    for k in range(solution.n_steps):
-        design = solution.basis.design(states[k])
-        noise_term = np.einsum("rdm,rm->rd", solution.z_paths[:, k],
-                               incs[:, k])
-        target = (solution.x_paths[:, k + 1] - solution.conditional_fit[:, k]
-                  - noise_term)
-        _, fitted, _ = _fit(design, solution.basis.names, target,
-                            float(batch.times[k]))
-        out[k] = float(np.sqrt(np.mean(np.sum(fitted ** 2, axis=1))))
+    _, _, basis, regression = _prepare(problem, batch, solution.basis,
+                                       BackwardCounts())
+    states, factors = regression.states, regression.factors
+    n = solution.n_steps
+    x_t = solution.x_paths.transpose(1, 0, 2)
+    out = np.empty(n)
+    for low in range(0, n, _BLOCK):
+        top = min(low + _BLOCK, n)
+        u = basis.design(states[low:top]) @ factors[low:top]
+        noise = np.einsum("rkdm,rkm->krd", solution.z_paths[:, low:top],
+                          batch.increments[:, low:top])
+        targets = x_t[low + 1:top + 1] \
+            - solution.conditional_fit[:, low:top].transpose(1, 0, 2) - noise
+        _, fitted = _fit(u, factors[low:top], targets)
+        out[low:top] = np.sqrt(np.mean(np.sum(fitted ** 2, axis=2), axis=1))
     return out
 
 
@@ -1122,7 +1083,9 @@ def apriori_bound_check(solution: BsdeSolution, problem: BsdeProblem,
     E sup|X|^q and E(int |Z|^2 dt)^{q/2} are Monte-Carlo estimates over
     the stored paths; the base combines the terminal moment with the
     squared forcing-intercept integral (trapezoid quadrature of eta(s) =
-    |A(s, 0)| + zeta(s), or of the declared eta profile plus zeta).
+    |A(s, 0)| + zeta(s), or of the declared eta profile plus zeta).  A
+    drift that declares its ``slope`` is linear, so |A(s, 0)| = 0 without
+    an evaluation; any other is evaluated once per quadrature point.
     With the true proportionality constant out of reach, the ratio
     lhs/base is reported and only order-of-magnitude violations flag.
     """
@@ -1139,6 +1102,8 @@ def apriori_bound_check(solution: BsdeSolution, problem: BsdeProblem,
     ts = np.linspace(0.0, problem.t_final, n_quad)
     if problem.eta is not None:
         drift_part = _rate(problem.eta, ts)
+    elif problem.drift.slope is not None:
+        drift_part = np.zeros(n_quad)
     else:
         zero = np.zeros(problem.dim)
         drift_part = np.array([

@@ -398,7 +398,14 @@ class _GridRows:
         self._dt = float(self._times[1] - self._times[0]) \
             if len(self._times) > 1 else 1.0
 
-    def at(self, t: float) -> np.ndarray:
+    def at(self, t) -> np.ndarray:
+        """The row at a float grid time t; at a column of times (..., 1),
+        whose trailing axis is a stack's state axis, the rows (..., row).
+        A time off the grid raises MonoseeError naming it."""
+        if isinstance(t, np.ndarray) and t.ndim:
+            times = t[..., 0]
+            return np.array([self.at(s) for s in times.ravel()]).reshape(
+                times.shape + self._rows.shape[1:])
         idx = int(round((float(t) - float(self._times[0])) / self._dt))
         if not 0 <= idx < len(self._times) \
                 or abs(float(self._times[idx]) - float(t)) > 1e-9:
@@ -412,7 +419,8 @@ class _AugmentedDrift:
 
     The terms are the base drift's plus the row as an identity term of
     part 1 whose psi ignores the state (and whose psi' is zero); the row
-    is looked up at one grid time, so a stack shares one float t.
+    is looked up at a float grid time, or per state at an (S, 1) column of
+    grid times, as the sampled checkers pass.
     """
 
     eval = _grid_eval
@@ -436,7 +444,8 @@ class _AugmentedDrift:
 
 
 class _FrozenDiffusion:
-    """Diffusion factors tabulated along the previous iterate."""
+    """Diffusion factors tabulated along the previous iterate, looked up
+    at a float grid time or per state at an (S, 1) column of them."""
 
     def __init__(self, times, d_rows):
         self._rows = _GridRows(times, d_rows)

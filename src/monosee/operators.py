@@ -270,69 +270,66 @@ def drift_parts(drift, t, ctx, u) -> list:
             for which in sorted({term.part for term in terms})]
 
 
-class PorousMediumDrift:
-    """Nonlinear diffusion u -> L phi(u) with phi(t, r) = c(t) |r|**(p-2) r.
+class PhiDrift:
+    """Nonlinear-diffusion drift u -> L phi(u) with a scalar map phi.
 
     Output is in dual grid coordinates (pre-multiplied by L), so
-    dual_pairing(v, eval(u)) = -h * sum(v * phi(u)).  The profile c must
-    accept arrays of times, as the bundle's rates must (HypothesisBundle);
-    without one, c = 1.  One term (I, phi, phi', L), linear (the heat
-    drift L u) for p = 2 without a profile.
+    dual_pairing(v, eval(u)) = -h * sum(v * phi(u)).  One term (I, phi,
+    phi', L).  phi(t, ctx, r) and phi_prime (None: no analytic Jacobian)
+    must accept arrays of t and r; a user-supplied phi lets planted
+    counterexamples (non-monotone or discontinuous phi) run through the
+    hypothesis checkers.
     """
 
     eval = _grid_eval
     jacobian = _grid_jacobian
+    _slope = None  # phi(t, ctx, r) = _slope * r at every t, when declared
 
-    def __init__(self, triple: DiscreteTriple, p: float, coeff=None):
+    def __init__(self, triple: DiscreteTriple, phi, phi_prime=None):
         if triple.flavor != POROUS_MEDIUM:
-            raise ConfigError("PorousMediumDrift needs a porous_medium triple")
-        if p < 2:
-            raise ConfigError(f"exponent p must be >= 2, got {p}")
+            raise ConfigError(
+                f"{type(self).__name__} needs a porous_medium triple")
         self.triple = triple
-        self.p = float(p)
-        self._slope = 1.0 if self.p == 2.0 and coeff is None else None
-        self.coeff = coeff if coeff is not None else constant_profile(1.0)
-
-    def phi(self, t, ctx, r):
-        c = self.coeff(t, ctx)
-        r = np.asarray(r, dtype=float)
-        return c * np.abs(r) ** (self.p - 2.0) * r
-
-    def phi_prime(self, t, ctx, r):
-        c = self.coeff(t, ctx)
-        r = np.asarray(r, dtype=float)
-        return c * (self.p - 1.0) * np.abs(r) ** (self.p - 2.0)
+        self.phi = phi
+        self.phi_prime = phi_prime
 
     def terms(self):
         return (DriftTerm(None, self.phi, self.phi_prime,
                           self.triple.laplacian, self._slope),)
 
 
-class PhiDrift:
-    """Nonlinear-diffusion drift L phi(u) with a user-supplied scalar map.
+class PorousMediumDrift(PhiDrift):
+    """The porous-medium drift: phi(t, r) = c(t) |r|**(p-2) r.
 
-    Same dual-coordinate convention and single term (I, phi, phi', L) as
-    PorousMediumDrift; exists so planted counterexamples (non-monotone or
-    discontinuous phi) can run through the hypothesis checkers.
-    phi(t, ctx, r) must accept arrays of t and r.
+    The profile c must accept arrays of times, as the bundle's rates must
+    (HypothesisBundle); without one, c = 1, and p = 2 is then the linear
+    heat drift L u.
     """
 
     eval = _grid_eval
     jacobian = _grid_jacobian
 
-    def __init__(self, triple: DiscreteTriple, phi, phi_prime=None):
-        if triple.flavor != POROUS_MEDIUM:
-            raise ConfigError("PhiDrift needs a porous_medium triple")
-        self.triple = triple
-        self._phi = phi
-        self._phi_prime = phi_prime
+    def __init__(self, triple: DiscreteTriple, p: float, coeff=None):
+        # phi and phi' close over c and p, not over self: a drift that
+        # referred to itself would live until a cyclic garbage collection
+        c = coeff if coeff is not None else constant_profile(1.0)
+        exponent = float(p)
 
-    def phi(self, t, ctx, r):
-        return np.asarray(self._phi(t, ctx, np.asarray(r, dtype=float)), dtype=float)
+        def phi(t, ctx, r):
+            r = np.asarray(r, dtype=float)
+            return c(t, ctx) * np.abs(r) ** (exponent - 2.0) * r
 
-    def terms(self):
-        return (DriftTerm(None, self.phi, self._phi_prime,
-                          self.triple.laplacian),)
+        def phi_prime(t, ctx, r):
+            r = np.asarray(r, dtype=float)
+            return c(t, ctx) * (exponent - 1.0) \
+                * np.abs(r) ** (exponent - 2.0)
+
+        super().__init__(triple, phi, phi_prime)
+        if p < 2:
+            raise ConfigError(f"exponent p must be >= 2, got {p}")
+        self.p, self.coeff = exponent, c
+        if exponent == 2.0 and coeff is None:
+            self._slope = 1.0
 
 
 class ReactionDiffusionDrift:

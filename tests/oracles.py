@@ -13,10 +13,11 @@ compares a stacked report with its oracle's.  The backward oracles are
 the regression sweep with three full fits per step and the driver
 matrix with one driver call per grid time; they take the arguments of
 ``monosee.bsde._backward_sweep`` and ``_driver_matrix`` and stand in
-for them.  The memory oracles build the window at one grid time by
-searching and interpolating the stored path (``segment``), and tabulate
-the frozen functional terms with one coefficient call per window and a
-Python loop over the source times (``frozen_terms``, which takes the
+for them; ``martingale_residuals`` fits one grid time at a time.  The
+memory oracles build the window at one grid time by searching and
+interpolating the stored path (``segment``), and tabulate the frozen
+functional terms with one coefficient call per window and a Python
+loop over the source times (``frozen_terms``, which takes the
 arguments of ``monosee.functional._frozen_terms``).  The sampler oracles
 draw each time with ``rng.choice`` or ``rng.uniform`` and the u = v coin
 with ``rng.uniform()``; ``monosee.operators.state_sampler`` and
@@ -28,13 +29,13 @@ import math
 import numpy as np
 
 from monosee.analysis import rho_eval
-from monosee.bsde import (BsdeSolution, _projection, _terminal_values,
+from monosee.bsde import (BsdeSolution, _factor, _fit, _terminal_values,
                           regularized_implicit_step)
 from monosee.errors import ConfigError, NonconvergenceError
 from monosee.forward import _RescaledDrift
 from monosee.functional import Segment, _AugmentedDrift, segment_distance
 from monosee.noise import EMPTY_CONTEXT
-from monosee.operators import PhiDrift, PorousMediumDrift, ReactionDiffusionDrift
+from monosee.operators import PhiDrift, ReactionDiffusionDrift
 from monosee.reporting import Violation, ViolationReport
 from monosee.resolvent import NewtonCounts, resolvent
 
@@ -114,7 +115,7 @@ def _gauge(drift, t, ctx):
 
 def drift_eval(drift, t, ctx, u):
     u = np.asarray(u, dtype=float)
-    if isinstance(drift, (PorousMediumDrift, PhiDrift)):
+    if isinstance(drift, PhiDrift):
         return drift.phi(t, ctx, u) @ drift.triple.laplacian
     if isinstance(drift, ReactionDiffusionDrift):
         flux = np.asarray(drift.a(t, ctx, drift.triple.grad(u)), dtype=float)
@@ -150,10 +151,8 @@ def drift_parts(drift, t, ctx, u):
 def drift_jacobian(drift, t, ctx, u):
     u = np.asarray(u, dtype=float)
     lap = drift.triple.laplacian
-    if isinstance(drift, PorousMediumDrift):
-        return lap * drift.phi_prime(t, ctx, u)[..., np.newaxis, :]
-    if isinstance(drift, PhiDrift):
-        pp = np.asarray(drift._phi_prime(t, ctx, u), dtype=float)
+    if isinstance(drift, PhiDrift):  # PorousMediumDrift included
+        pp = np.asarray(drift.phi_prime(t, ctx, u), dtype=float)
         return lap * pp[..., np.newaxis, :]
     if isinstance(drift, ReactionDiffusionDrift):
         grad = drift.triple.gradient
@@ -339,10 +338,10 @@ def driver_matrix(driver, times, x_frozen, z_frozen, counts):
 
 def backward_sweep(problem, batch, basis, regression, c_values,
                    resolvent_tol, resolvent_max_iter, counts):
-    """The sweep with three full fits per step, each through its own
-    per-time ``_projection`` of a design built here from the batch's
-    per-path cumulative noise; ``regression`` (the solver's stacked
-    factors) is not read."""
+    """The sweep with three full fits per step, each through ``_fit`` on
+    a factor of its own: every grid time's design, built here from the
+    batch's per-path cumulative noise, is factored alone by ``_factor``;
+    ``regression`` (the solver's stacked factors) is not read."""
     times = batch.times
     n = batch.n_steps
     dt = batch.dt
@@ -360,16 +359,18 @@ def backward_sweep(problem, batch, basis, regression, c_values,
     z_stderr = np.empty(n)
     states = np.concatenate([np.zeros((r_count, 1, m)),
                              np.cumsum(incs, axis=1)], axis=1)
-    projections = [_projection(basis.design(states[:, k]), basis.names,
-                               float(t)) for k, t in enumerate(times)]
+    designs = [basis.design(states[:, k])[None] for k in range(n + 1)]
+    factored = [_factor(design, basis.names, (float(t),))
+                for design, t in zip(designs, times)]
 
     def fit(k, targets):
         """(coeffs, fitted, stderr) of (samples, t) targets, the full fit."""
         counts.fits += 1
-        coeffs, fitted, _ = projections[k].fit(targets)
-        stderr = float(np.sqrt(np.mean((targets - fitted) ** 2)
-                               * projections[k].n_active / len(targets)))
-        return coeffs, fitted, stderr
+        factor, n_active = factored[k]
+        coeffs, fitted = _fit(designs[k] @ factor, factor, targets[None])
+        stderr = float(np.sqrt(np.mean((targets - fitted[0]) ** 2)
+                               * n_active[0] / len(targets)))
+        return coeffs[0], fitted[0], stderr
 
     counts.sweeps += 1
     newton = NewtonCounts((r_count, d) if problem.drift.diagonal else r_count)
@@ -400,6 +401,28 @@ def backward_sweep(problem, batch, basis, regression, c_values,
                         basis=basis, x_fit_stderr=x_stderr,
                         z_fit_stderr=z_stderr,
                         terminal_residual=terminal_residual)
+
+
+def martingale_residuals(solution, problem, batch):
+    """``monosee.bsde.martingale_residuals`` one grid time at a time: the
+    compensated increment X(t_{k+1}) - conditional fit - Z(t_k) dW_k
+    projected on a design built here and factored alone by ``_factor``,
+    its rms over paths per step."""
+    incs = batch.increments
+    states = np.concatenate([np.zeros((batch.n_replicas, 1, batch.n_modes)),
+                             np.cumsum(incs, axis=1)], axis=1)
+    out = np.empty(solution.n_steps)
+    for k in range(solution.n_steps):
+        design = solution.basis.design(states[:, k])[None]
+        factor, _ = _factor(design, solution.basis.names,
+                            (float(batch.times[k]),))
+        noise_term = np.einsum("rdm,rm->rd", solution.z_paths[:, k],
+                               incs[:, k])
+        target = (solution.x_paths[:, k + 1] - solution.conditional_fit[:, k]
+                  - noise_term)
+        _, fitted = _fit(design @ factor, factor, target[None])
+        out[k] = float(np.sqrt(np.mean(np.sum(fitted[0] ** 2, axis=1))))
+    return out
 
 
 # ---------------------------------------------------------------------------

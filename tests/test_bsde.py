@@ -20,7 +20,8 @@ import monosee.bsde
 from monosee.analysis import rho_eval, rho_k_modulus
 from monosee.bsde import (BackwardCounts, BsdeAprioriReport, BsdeDriver,
                           BsdeProblem, BsdeSolution, PolynomialBasis,
-                          _driver_matrix, _fit, _projection, _state_values,
+                          _driver_matrix, _factor, _fit, _fit_stderr,
+                          _state_values,
                           apriori_bound_check,
                           check_driver_growth,
                           check_driver_modulus,
@@ -103,6 +104,17 @@ def test_basis_design_matches_monomials():
     assert np.allclose(d, expected, rtol=0, atol=1e-15)
 
 
+def test_basis_design_of_a_stack_is_the_stack_of_designs():
+    basis = polynomial_basis(2, degree=3)
+    stack = np.random.default_rng(4).standard_normal((3, 7, 2))
+    designs = basis.design(stack)
+    assert designs.shape == (3, 7, basis.n_terms)
+    for block, design in zip(stack, designs):
+        assert np.array_equal(design, basis.design(block))
+    with pytest.raises(ConfigError, match="expects 2 state variables, got 3"):
+        basis.design(np.zeros((3, 7, 3)))
+
+
 def test_basis_rejects_malformed_spec():
     with pytest.raises(ConfigError):
         PolynomialBasis(exponents=((0,), (1,)), names=("1",))
@@ -114,13 +126,26 @@ def test_basis_rejects_malformed_spec():
         polynomial_basis(2).design(np.zeros((4, 3)))
 
 
+def _fit_one(design, names, targets, t=None):
+    """(coeffs, fitted, stderr) of one design's fit through ``_factor``,
+    ``_fit`` and ``_fit_stderr``; 1-d targets give 1-d results."""
+    factors, n_active = _factor(design[None], names,
+                                None if t is None else (t,))
+    targets = np.asarray(targets, dtype=float)
+    stack = targets.reshape(len(targets), -1)[None]
+    coeffs, fitted = _fit(design[None] @ factors, factors, stack)
+    stderr = float(_fit_stderr(stack, fitted, n_active)[0])
+    return (coeffs[0].reshape(design.shape[1:] + targets.shape[1:]),
+            fitted[0].reshape(targets.shape), stderr)
+
+
 def test_fit_recovers_in_span_polynomial_exactly():
     basis = polynomial_basis(1, degree=2)
     rng = np.random.default_rng(11)
     s = rng.standard_normal((200, 1))
     design = basis.design(s)
     targets = 2.0 + 3.0 * s[:, 0] - 0.5 * s[:, 0] ** 2
-    coeffs, fitted, stderr = _fit(design, basis.names, targets)
+    coeffs, fitted, stderr = _fit_one(design, basis.names, targets)
     assert np.allclose(coeffs, [2.0, 3.0, -0.5], atol=1e-10)
     assert np.allclose(fitted, targets, atol=1e-10)
     assert stderr < 1e-10
@@ -131,7 +156,7 @@ def test_fit_degenerate_state_collapses_to_mean():
     design = basis.design(np.zeros((40, 1)))  # columns 1, 0, 0
     rng = np.random.default_rng(5)
     targets = rng.standard_normal(40)
-    coeffs, fitted, _ = _fit(design, basis.names, targets)
+    coeffs, fitted, _ = _fit_one(design, basis.names, targets)
     assert np.allclose(coeffs, [targets.mean(), 0.0, 0.0], atol=1e-12)
     assert np.allclose(fitted, targets.mean(), atol=1e-12)
 
@@ -142,7 +167,7 @@ def test_fit_raises_on_collinear_columns():
     rng = np.random.default_rng(7)
     s = rng.standard_normal((50, 1))
     with pytest.raises(RegressionError, match=r"rank-deficient.*w1_again"):
-        _fit(basis.design(s), basis.names, s[:, 0])
+        _fit_one(basis.design(s), basis.names, s[:, 0])
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -177,7 +202,7 @@ def test_projection_matches_lstsq(seed, n_rows, n_free, n_zero, n_const,
     ref_stderr = float(np.sqrt(np.mean((targets - ref_fitted) ** 2)
                                * len(active) / n_rows))
 
-    coeffs, fitted, stderr = _projection(design, names).fit(targets)
+    coeffs, fitted, stderr = _fit_one(design, names, targets)
     tol = 1e-10 * (1.0 + float(np.max(np.abs(targets))))
     assert np.max(np.abs(fitted - ref_fitted)) <= tol
     assert abs(stderr - ref_stderr) <= tol
@@ -203,7 +228,7 @@ def test_projection_rejects_exactly_collinear_designs(seed, n_rows, n_free,
     names = ["1"] + [f"w{j}" for j in range(n_free)] + ["combo"]
     with pytest.raises(RegressionError,
                        match=r"rank-deficient.*combo\] at t = 0\.25"):
-        _projection(design, names, 0.25)
+        _factor(design[None], names, (0.25,))
 
 
 # monomial designs in W(t) at the edge of their rank loss (R = 4000, seed
@@ -227,11 +252,11 @@ def test_qr_factorization_keeps_the_svd_rank_verdicts(degree, k):
         s > np.finfo(float).eps * max(design.shape) * s[0]))
     assert (rank == basis.n_terms) is _MONOMIAL_VERDICTS[degree, k]
     if rank == basis.n_terms:
-        assert _projection(design, basis.names).n_active == basis.n_terms
+        assert _factor(design[None], basis.names)[1][0] == basis.n_terms
     else:
         with pytest.raises(RegressionError,
                            match=rf"\(rank {rank} < {basis.n_terms} "):
-            _projection(design, basis.names, float(batch.times[k]))
+            _factor(design[None], basis.names, (float(batch.times[k]),))
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -244,12 +269,13 @@ def test_qr_singular_values_match_the_thin_svd(seed):
     n_rows, n_cols = int(rng.integers(20, 3000)), int(rng.integers(1, 9))
     design = rng.standard_normal((n_rows, n_cols)) \
         * 10.0 ** rng.uniform(-3, 3, size=n_cols)
-    proj = _projection(design, [f"c{j}" for j in range(n_cols)])
+    [factor], [n_active] = _factor(design[None],
+                                   [f"c{j}" for j in range(n_cols)])
     s = np.linalg.svd(design, compute_uv=False)
-    got = 1.0 / np.linalg.norm(proj.factor[:, :proj.n_active], axis=0)
-    assert proj.n_active == n_cols
+    got = 1.0 / np.linalg.norm(factor[:, :n_active], axis=0)
+    assert n_active == n_cols
     assert np.max(np.abs(got - s) / s) <= 1e-13
-    u = design @ proj.factor
+    u = design @ factor
     assert np.allclose(u.T @ u, np.eye(n_cols), rtol=0,
                        atol=1e-15 * s[0] / s[-1])
 
@@ -758,6 +784,24 @@ def test_shift_reduced_solves_match_the_oracle_to_rounding(solver,
     assert counts == want_counts
 
 
+@pytest.mark.parametrize("lambda0", [0.0, 0.8])
+@pytest.mark.parametrize("dims", [(1, 1), (2, 2)])
+def test_martingale_residuals_match_the_per_time_oracle(dims, lambda0):
+    """One fit per block of grid times on the solve's own factors against
+    a fit per time on a factor of its own; 13 steps leave a partial
+    block, and lambda0 > 0 runs the factoring through the shift
+    reduction."""
+    problem, batch, basis = _oracle_case(picard_in_x, dims, lambda0=lambda0,
+                                         n_steps=13)
+    sol = picard_in_x(problem, batch, basis=basis)
+    got = martingale_residuals(sol, problem, batch)
+    want = oracles.martingale_residuals(sol, problem, batch)
+    assert got.shape == want.shape == (13,)
+    assert np.all(want > 0.0)
+    assert np.all(np.abs(got - want) <= 1e-13 * want), \
+        np.max(np.abs(got - want) / want)
+
+
 def test_driver_matrix_is_one_stacked_call_equal_to_the_per_time_oracle():
     rng = np.random.default_rng(5)
     times = np.linspace(0.0, 1.0, 9)
@@ -1193,6 +1237,30 @@ def test_apriori_flags_undeclared_forcing():
     assert report.lhs_total > 0.0 and report.base == 0.0
     assert math.isinf(report.fitted_c0) and not report.ok
     assert "EXCEEDS" in report.summary()
+
+
+@pytest.mark.parametrize("lambda0", [0.0, 0.8])
+def test_apriori_budget_leaves_a_linear_drift_unevaluated(lambda0):
+    """A drift that declares its slope has A(t, 0) = 0: the budget makes
+    no drift call, the shift-reduced map's included, and reports what the
+    513 calls of the same map without its declaration report."""
+    calls = []
+    linear = MonotoneMap.linear(-1.0, diagonal=True)
+    counted = replace(linear, eval=lambda t, x: calls.append(t)
+                      or linear.eval(t, x))
+    driver = BsdeDriver(eval=lambda t, x, z: np.zeros_like(x), c2=0.0,
+                        zeta=lambda t: 0.5 * (1.0 + t), x_dependent=False,
+                        z_dependent=False, name="zero with zeta")
+    problem = _problem(counted, driver, _wiener_terminal, lambda0=lambda0)
+    sol = solve_bsde_autonomous_C(problem, _batch(4, 1.0, 8, 50))
+    for declared in (problem, reduce_lambda0(problem)[0]):
+        calls.clear()
+        report = apriori_bound_check(sol, declared)
+        assert calls == []
+        undeclared = replace(declared,
+                             drift=replace(declared.drift, slope=None))
+        assert apriori_bound_check(sol, undeclared) == report
+        assert len(calls) == 513
 
 
 def test_apriori_reads_eta_and_zeta_once_on_the_grid():

@@ -29,7 +29,7 @@ from monosee.operators import (ConstantDiffusion, PhiDrift,
                                check_coercivity, check_monotonicity,
                                constant_profile, drift_parts, pair_sampler,
                                state_sampler, tabulated_profile)
-from monosee.functional import _AugmentedDrift
+from monosee.functional import _AugmentedDrift, _FrozenDiffusion
 from monosee.resolvent import MonotoneMap, NewtonCounts
 from monosee.triple import DiscreteTriple, REACTION_DIFFUSION
 import oracles
@@ -211,9 +211,8 @@ def test_grid_form_matches_the_hand_written_drift(name):
     rng = np.random.default_rng(19)
     amp = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), (500, 1)))
     u = amp * rng.standard_normal((500, 16))
-    cases = [float(noise.times[5])]
-    if name != "augmented":  # its forcing row is read at one grid time
-        cases.append(noise.times[rng.integers(1, 9, (500, 1))])
+    cases = [float(noise.times[5]),
+             noise.times[rng.integers(1, 9, (500, 1))]]
     porous = name in ("heat", "porous_medium", "eq_1_1", "phi")
     for t in cases:
         _assert_rows_match(drift.eval(t, ctx, u),
@@ -244,6 +243,23 @@ def test_grid_form_names_a_non_finite_state_entry(name):
             evaluate(0.125, ctx, u)
         with pytest.raises(MonoseeError, match="index 7$"):
             evaluate(0.125, ctx, u[1])
+
+
+@pytest.mark.parametrize("off", [0.1, 0.5, -0.03125])
+def test_frozen_rows_name_an_off_grid_time_in_a_column(off):
+    # a forcing row or a diffusion factor exists only at the grid times
+    # it was tabulated on
+    times = np.linspace(0.0, 0.25, 9)
+    rng = np.random.default_rng(5)
+    drift = _AugmentedDrift(build_operator_set("heat", 16).drift, times,
+                            rng.normal(size=(9, 16)))
+    diffusion = _FrozenDiffusion(times, rng.normal(size=(9, 16, 2)))
+    t = np.array([[0.0], [0.125], [off]])
+    for evaluate in (drift.eval, diffusion.eval):
+        with pytest.raises(MonoseeError,
+                           match=rf"off the grid \(t = {off:g}\)"):
+            evaluate(t, EMPTY_CONTEXT, np.ones((3, 16)))
+    assert diffusion.eval(t[:2], EMPTY_CONTEXT, None).shape == (2, 16, 2)
 
 
 def _no_prime_drifts(n_grid):

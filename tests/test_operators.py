@@ -4,6 +4,9 @@ Pairing values are checked against direct pointwise summation oracles
 computed here, independent of the triple's pairing machinery.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ import oracles
 from monosee.config import ExperimentConfig
 from monosee.errors import ConfigError, MonoseeError
 from monosee.experiments import run_experiment
+from monosee.functional import _AugmentedDrift, _FrozenDiffusion
 from monosee.noise import EMPTY_CONTEXT, NoiseContext, sample_path
 from monosee.operators import (ConstantDiffusion, HypothesisBundle,
                                MultiplicativeDiffusion, PhiDrift,
@@ -42,6 +46,19 @@ def test_heat_drift_is_discrete_laplacian():
     u = np.sin(np.linspace(0.3, 2.0, 8))
     out = ops.drift.eval(0.0, EMPTY_CONTEXT, u)
     assert np.allclose(out, ops.triple.laplacian @ u, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["heat", "porous_medium", "eq_1_1",
+                                  "eq_1_2", "reaction_diffusion"])
+def test_a_built_in_drift_is_freed_with_its_last_reference(name):
+    # a phi that closed over its drift would keep the drift, and its
+    # triple's matrices, alive until a cyclic garbage collection
+    gc.disable()
+    try:
+        drift = weakref.ref(build_operator_set(name, 16, p=3.0).drift)
+        assert drift() is None
+    finally:
+        gc.enable()
 
 
 def test_zero_state_maps_to_zero():
@@ -480,10 +497,21 @@ def _planted(kind):
         tr.hs_norm_sq(diff.eval(0.0, EMPTY_CONTEXT, None))))
 
 
+def _augmented(times):
+    """The eq_1_2 drift plus a forcing row, and a diffusion, tabulated on
+    the grid as a sweep of the memory solver freezes them."""
+    ops = build_operator_set("eq_1_2", 10, p=3.0)
+    rng = np.random.default_rng(8)
+    drift = _AugmentedDrift(ops.drift, times,
+                            rng.normal(size=(len(times), 10)))
+    diff = _FrozenDiffusion(times, rng.normal(size=(len(times), 10, 1)))
+    return drift, diff, ops.bundle
+
+
 @pytest.mark.parametrize("flag_all", [False, True])
 @pytest.mark.parametrize("name", ["eq_1_1", "eq_1_2", "porous_medium",
                                   "reaction_diffusion", "planted_sin",
-                                  "planted_sign"])
+                                  "planted_sign", "augmented"])
 def test_stacked_checkers_match_per_sample_reference(name, flag_all):
     """Same violations as the per-sample loops; with ``flag_all`` the
     tolerances are set so that every sample is a violation, which compares
@@ -494,6 +522,9 @@ def test_stacked_checkers_match_per_sample_reference(name, flag_all):
         drift, diff, bundle = _planted(name)
         amp = (1e-1, 1e2) if name == "planted_sin" else (0.5, 2.0)
         tr = drift.triple
+    elif name == "augmented":  # read at the checkers' column of times
+        drift, diff, bundle = _augmented(path.times)
+        tr, amp = drift.triple, (1e-3, 1e3)
     else:
         ops = build_operator_set(name, 10, p=3.0)
         drift, diff, bundle, tr = ops.drift, ops.diffusion, ops.bundle, ops.triple
