@@ -18,8 +18,9 @@ class NonconvergenceError(MonoseeError):
 
     Carries the residual history so callers can report or post-mortem it;
     a batched solve also records which ``replica`` failed (None otherwise),
-    and the message then starts with it.  A resolvent error lists every
-    failed row in ``failures``, itself first (empty for other solves).
+    and the message then starts with it.  A resolvent error, and a
+    stacked Picard solve's, lists every failed row in ``failures``,
+    itself first (empty for other solves).
     """
 
     def __init__(self, message, residuals=None, replica=None):

@@ -49,7 +49,8 @@ from .forward import SolverConfig, apriori_norms, solve_forward, trajectory_csv
 from .functional import (FunctionalCoefficients, Segment, SegmentPath,
                          VolterraCoefficients, bihari_domination_report,
                          functional_trajectory_csv, lambda8_profile,
-                         picard_solve_functional, volterra_consistency)
+                         picard_solve_functional_stack,
+                         volterra_consistency)
 from .noise import (NoiseContext, refine_path, sample_batch, sample_path,
                     zero_path)
 from .operators import (PhiDrift, ReactionDiffusionDrift, build_operator_set,
@@ -446,18 +447,18 @@ def _pathwise_uniqueness(s):
                             n_modes=1)
         tr = ops.triple
         u0 = tr.basis_function(1)
-        counts = NewtonCounts(1)
-        base = solve_forward(cfg, ops.drift, ops.diffusion, noise, u0,
-                             counts=counts)
+        deltas = (1e-1, 1e-2, 1e-3)
+        counts = NewtonCounts(1 + len(deltas))
+        # one solve, one row per start, every row on this one path
+        base, *others = solve_forward(
+            cfg, ops.drift, ops.diffusion, noise,
+            [u0] + [u0 + delta * tr.basis_function(1) for delta in deltas],
+            counts=counts)
 
         outcome = ExperimentOutcome()
-        deltas = (1e-1, 1e-2, 1e-3)
         rows = []
         dists = []
-        for delta in deltas:
-            other = solve_forward(cfg, ops.drift, ops.diffusion, noise,
-                                  u0 + delta * tr.basis_function(1),
-                                  counts=counts)
+        for delta, other in zip(deltas, others):
             d = sup_h_distance(base, other)
             dists.append(d)
             rows.append([delta, d, d / delta])
@@ -723,11 +724,11 @@ def _functional_delay_demo(s):
     def run(out_dir):
         noise = sample_path(seed=seed, t_final=t_final, n_steps=n_steps,
                             n_modes=1)
-        res_a = picard_solve_functional(drift, coeffs, noise, past, cfg,
-                                        max_iter=max_iter, tol=tol)
-        res_b = picard_solve_functional(
-            drift, coeffs, noise, past, cfg, max_iter=max_iter, tol=tol,
-            first_iterate=np.zeros((noise.n_steps + 1, tr.n_grid)))
+        # both starts on one stack: each sweep is one forward solve
+        res_a, res_b = picard_solve_functional_stack(
+            drift, coeffs, noise, past, cfg,
+            [None, np.zeros((noise.n_steps + 1, tr.n_grid))],
+            max_iter=max_iter, tol=tol)
         gap = float(np.max(tr.h_norm(res_a.path.values
                                      - res_b.path.values)))
 

@@ -283,8 +283,13 @@ def solve_forward(cfg: SolverConfig, drift, diffusion, noise, x0,
     ``failures`` list every failed replica (numbered from ``replica0``).
     ``counts`` (one entry per replica) accumulates the Newton work.
 
-    ``x0`` holds grid values; it is projected onto the first n modes and
-    starts every replica.  Every step is one drift-implicit Euler step
+    ``x0`` holds grid values: one state (n_grid,) that starts every
+    replica, or an (R, n_grid) stack with one start per row.  A stack on
+    a NoisePath makes the path a batch of R read-only broadcast rows, so
+    R solves that share one noise path run as one stack, give R
+    SolutionPaths, and a failed row is named by its start index; on a
+    NoiseBatch, R must be its replica count.  Starts are projected onto
+    the first n modes.  Every step is one drift-implicit Euler step
     (``step_implicit``) of the grid's step dt, solved at times[k] + dt,
     whose ledger entry reuses the step's r and b(y).  The noise must
     carry the system's ``n_noise`` modes at least (ConfigError
@@ -295,9 +300,21 @@ def solve_forward(cfg: SolverConfig, drift, diffusion, noise, x0,
 
     Deterministic for fixed (noise, config): no RNG is consulted.
     """
-    single = noise if isinstance(noise, NoisePath) else None
-    batch = NoiseBatch.from_path(noise) if single is not None else noise
     triple = drift.triple
+    x0v = np.asarray(x0, dtype=float)
+    if x0v.shape[-1:] != (triple.n_grid,) or x0v.ndim > 2 \
+            or x0v.shape[:-1] == (0,):
+        raise ConfigError(f"initial state has shape {x0v.shape}, expected "
+                          f"({triple.n_grid},) or a stack (R, "
+                          f"{triple.n_grid}) with R >= 1")
+    single = isinstance(noise, NoisePath) and x0v.ndim == 1
+    if isinstance(noise, NoisePath):
+        batch = NoiseBatch.from_path(noise, 1 if single else len(x0v))
+    elif x0v.ndim == 2 and len(x0v) != noise.n_replicas:
+        raise ConfigError(f"{len(x0v)} starts for a noise batch of "
+                          f"{noise.n_replicas} replicas")
+    else:
+        batch = noise
     n = cfg.n_modes_galerkin
     if n > triple.n_grid:
         raise ConfigError(f"n_modes_galerkin={n} exceeds grid size "
@@ -309,14 +326,11 @@ def solve_forward(cfg: SolverConfig, drift, diffusion, noise, x0,
                           f"projected diffusion has {system.n_noise} "
                           f"noise columns")
     times, n_steps = batch.times, batch.n_steps
-    x0v = np.asarray(x0, dtype=float)
-    if x0v.shape != (triple.n_grid,):
-        raise ConfigError(f"initial state has shape {x0v.shape}, expected "
-                          f"({triple.n_grid},)")
 
     n_rep = batch.n_replicas
     coeffs = np.empty((n_rep, n_steps + 1, n))
-    coeffs[:, 0] = triple.coefficients(x0v, n)
+    # row by row, so a start projects as it does alone
+    coeffs[:, 0] = [triple.coefficients(x, n) for x in np.atleast_2d(x0v)]
     residual = np.empty((n_rep, n_steps))
     ctx = BatchContext(batch)
     drift_map, sigma = system.bind(ctx)
@@ -332,8 +346,8 @@ def solve_forward(cfg: SolverConfig, drift, diffusion, noise, x0,
             for e in err.failures or [err]:
                 e.args = (f"forward solve failed at step {k} (t = {t0:g}): "
                           f"{e.args[0]}",)
-                e.replica = None if single is not None \
-                    else batch.replica0 + e.replica
+                e.replica = None if single else e.replica + (
+                    batch.replica0 if batch is noise else 0)
             raise
         residual[:, k] = _step_defect(step.y, step.r, step.b_y, dt)
         coeffs[:, k + 1] = step.y
@@ -346,7 +360,7 @@ def solve_forward(cfg: SolverConfig, drift, diffusion, noise, x0,
         h_norm_sq=h_sq[r], x1_norm=x1[r], x2_norm=x2[r],
         energy_residual=residual[r], q1=triple.q1, q2=triple.q2, n_modes=n,
         triple=triple) for r in range(n_rep)]
-    return paths[0] if single is not None else paths
+    return paths[0] if single else paths
 
 
 def solve_diagonal_batch(f, g, noise: NoisePath, y0, f_prime=None,

@@ -34,7 +34,8 @@ __all__ = [
     "Segment", "SegmentPath", "segment_distance",
     "FunctionalCoefficients", "VolterraCoefficients",
     "FunctionalPicardResult", "ContractionReport",
-    "picard_solve_functional", "lambda8_profile",
+    "picard_solve_functional", "picard_solve_functional_stack",
+    "lambda8_profile",
     "bihari_domination_report", "segment_sampler",
     "check_functional_lipschitz", "check_functional_growth",
     "check_volterra_partials", "volterra_to_functional",
@@ -417,10 +418,13 @@ class _GridRows:
 class _AugmentedDrift:
     """Base drift plus a frozen, time-tabulated forcing row.
 
-    The terms are the base drift's plus the row as an identity term of
-    part 1 whose psi ignores the state (and whose psi' is zero); the row
-    is looked up at a float grid time, or per state at an (S, 1) column of
-    grid times, as the sampled checkers pass.
+    ``g_rows`` holds one forcing row per grid time, (n_pts, width), or one
+    per stacked state, (n_pts, R, width), for a solve over an (R, n_grid)
+    stack.  The terms are the base drift's plus the row as an identity
+    term of part 1 whose psi ignores the state (and whose psi' is zero);
+    the row is looked up at a float grid time, or, for one row per grid
+    time, per state at an (S, 1) column of grid times, as the sampled
+    checkers pass.
     """
 
     eval = _grid_eval
@@ -444,12 +448,14 @@ class _AugmentedDrift:
 
 
 class _FrozenDiffusion:
-    """Diffusion factors tabulated along the previous iterate, looked up
-    at a float grid time or per state at an (S, 1) column of them."""
+    """Diffusion factors tabulated along the previous iterate: one
+    (width, m) factor per grid time, (n_pts, width, m), or one per stacked
+    state, (n_pts, R, width, m).  Looked up at a float grid time, or, for
+    one factor per grid time, per state at an (S, 1) column of them."""
 
     def __init__(self, times, d_rows):
         self._rows = _GridRows(times, d_rows)
-        self.n_modes = int(d_rows.shape[2])
+        self.n_modes = int(d_rows.shape[-1])
 
     def eval(self, t, ctx, u):
         return self._rows.at(t)
@@ -499,6 +505,40 @@ def picard_solve_functional(drift, coeffs: FunctionalCoefficients,
     below tol; if one sweep reproduces the previous frozen terms bit for
     bit, the iterate is an exact fixed point of the (deterministic) sweep
     map and a final residual of 0.0 is recorded without re-solving.
+
+    This is the one-start call of :func:`picard_solve_functional_stack`,
+    whose loop it runs; its errors name no start.
+    """
+    try:
+        [result] = picard_solve_functional_stack(
+            drift, coeffs, noise, past, cfg, [first_iterate],
+            max_iter=max_iter, tol=tol)
+    except NonconvergenceError as err:
+        err.replica = None
+        raise
+    return result
+
+
+def picard_solve_functional_stack(drift, coeffs: FunctionalCoefficients,
+                                  noise: NoisePath, past: Segment,
+                                  cfg: SolverConfig, first_iterates,
+                                  max_iter: int = 30,
+                                  tol: float = 1e-8) -> list:
+    """Frozen-forcing iteration from several first iterates at once.
+
+    One FunctionalPicardResult per entry of ``first_iterates`` (each
+    None for the constant extension of the seam, or trajectory rows, as
+    ``first_iterate`` of :func:`picard_solve_functional`), all on one
+    past and one noise path.  Each sweep tabulates the frozen terms of
+    every active row, one row at a time, and makes one forward solve over
+    the rows that still need one (``solve_forward`` on an (R, n_grid)
+    stack of seams).  A row leaves the stack once it converges or takes
+    the exact-fixed-point exit, so each row takes the sweeps, and gets
+    the result, it would get alone (up to the rounding of the stacked
+    products).  A row that does not converge within ``max_iter`` sweeps,
+    or whose inner solve fails, raises the NonconvergenceError it raises
+    alone, with ``replica`` its index in ``first_iterates``; ``failures``
+    lists every row that failed at that sweep.
     """
     triple = drift.triple
     if past.values.ndim != 2:
@@ -524,51 +564,78 @@ def picard_solve_functional(drift, coeffs: FunctionalCoefficients,
     past = Segment(theta=past.theta, values=triple.project(past.values, n))
     seam = past.end
 
-    if first_iterate is None:
-        traj = np.tile(seam, (n_pts, 1))
-    else:
-        traj = np.array(first_iterate, dtype=float)
-        if traj.shape != (n_pts, past.width):
-            raise ConfigError(f"first_iterate has shape {traj.shape}, "
-                              f"expected ({n_pts}, {past.width})")
-        traj = triple.project(traj, n)
-        traj[0] = seam
-    current = SegmentPath(past, times.copy(), traj, triple)
+    current = []
+    for first_iterate in first_iterates:
+        if first_iterate is None:
+            traj = np.tile(seam, (n_pts, 1))
+        else:
+            traj = np.array(first_iterate, dtype=float)
+            if traj.shape != (n_pts, past.width):
+                raise ConfigError(f"first_iterate has shape {traj.shape}, "
+                                  f"expected ({n_pts}, {past.width})")
+            traj = triple.project(traj, n)
+            traj[0] = seam
+        current.append(SegmentPath(past, times.copy(), traj, triple))
+    if not current:
+        raise ConfigError("first_iterates must hold at least one start")
 
-    residuals: list = []
-    profiles: list = []
-    inner = None
-    prev_terms = None
+    # per row; a row that leaves the stack keeps its entries as they are
+    n_rows = len(current)
+    residuals = [[] for _ in range(n_rows)]
+    profiles = [[] for _ in range(n_rows)]
+    inner = [None] * n_rows
+    prev_terms = [None] * n_rows
+    active = list(range(n_rows))
     for _ in range(max_iter):
-        g_rows, d_rows = _frozen_terms(coeffs, current, noise)
-        if prev_terms is not None \
-                and np.array_equal(g_rows, prev_terms[0]) \
-                and np.array_equal(d_rows, prev_terms[1]):
-            residuals.append(0.0)
-            profiles.append(np.zeros(n_pts))
-            return FunctionalPicardResult(
-                path=current, residuals=tuple(residuals),
-                residual_profiles=tuple(profiles), forward_path=inner)
-        aug = _AugmentedDrift(drift, times, g_rows)
-        frozen = _FrozenDiffusion(times, d_rows)
-        inner = solve_forward(cfg, aug, frozen, noise, seam)
-        new_values = inner.states.copy()
-        new_values[0] = seam
-        diff_sq = triple.h_norm(new_values - current.values) ** 2
-        profile = np.maximum.accumulate(diff_sq)
-        res = math.sqrt(float(profile[-1]))
-        residuals.append(res)
-        profiles.append(profile)
-        current = SegmentPath(past, times.copy(), new_values, triple)
-        prev_terms = (g_rows, d_rows)
-        if res < tol:
-            return FunctionalPicardResult(
-                path=current, residuals=tuple(residuals),
-                residual_profiles=tuple(profiles), forward_path=inner)
-    raise NonconvergenceError(
-        f"functional iteration did not reach tol={tol:g} within "
-        f"{max_iter} sweeps (last residual {residuals[-1]:.3e})",
-        residuals=residuals)
+        solving, terms = [], []
+        for i in active:
+            g_rows, d_rows = _frozen_terms(coeffs, current[i], noise)
+            if prev_terms[i] is not None \
+                    and np.array_equal(g_rows, prev_terms[i][0]) \
+                    and np.array_equal(d_rows, prev_terms[i][1]):
+                residuals[i].append(0.0)
+                profiles[i].append(np.zeros(n_pts))
+            else:
+                solving.append(i)
+                terms.append((g_rows, d_rows))
+        active = []
+        if not solving:
+            break
+        try:  # the tables stacked behind their time axis, as looked up
+            paths = solve_forward(
+                cfg, _AugmentedDrift(drift, times, np.stack(
+                    [g for g, _ in terms], axis=1)),
+                _FrozenDiffusion(times, np.stack(
+                    [d for _, d in terms], axis=1)),
+                noise, np.tile(seam, (len(solving), 1)))
+        except NonconvergenceError as err:
+            for e in err.failures or [err]:
+                e.replica = solving[e.replica]
+            raise
+        for i, path, row_terms in zip(solving, paths, terms):
+            new_values = path.states.copy()
+            new_values[0] = seam
+            diff_sq = triple.h_norm(new_values - current[i].values) ** 2
+            profile = np.maximum.accumulate(diff_sq)
+            res = math.sqrt(float(profile[-1]))
+            residuals[i].append(res)
+            profiles[i].append(profile)
+            current[i] = SegmentPath(past, times.copy(), new_values, triple)
+            inner[i], prev_terms[i] = path, row_terms
+            if not res < tol:  # a NaN residual does not converge
+                active.append(i)
+    if active:
+        failures = [NonconvergenceError(
+            f"functional iteration did not reach tol={tol:g} within "
+            f"{max_iter} sweeps (last residual {residuals[i][-1]:.3e})",
+            residuals=residuals[i], replica=i) for i in active]
+        failures[0].failures = failures
+        raise failures[0]
+    return [FunctionalPicardResult(path=path, residuals=tuple(res),
+                                   residual_profiles=tuple(prof),
+                                   forward_path=last)
+            for path, res, prof, last in zip(current, residuals, profiles,
+                                             inner)]
 
 
 # ---------------------------------------------------------------------------

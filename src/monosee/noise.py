@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, MonoseeError
 from .triple import _float_or_array
 
 _PURPOSE_BASE = 0
@@ -166,12 +166,13 @@ class NoisePath:
         return float(self.times[1] - self.times[0])
 
     def scalar_at(self, t):
-        """w_t at grid times (nearest index, with tolerance), shaped like t."""
+        """w_t at grid times (nearest index, with tolerance), shaped like t;
+        a time off the grid raises MonoseeError naming it."""
         t = np.asarray(t, dtype=float)
         idx = np.clip(np.rint(t / self.dt).astype(int), 0, self.n_steps)
         off = np.abs(self.times[idx] - t) > 1e-9 * np.maximum(1.0, np.abs(t)) + 1e-12
         if off.any():
-            raise ValueError(f"time {t[off][0]} is not on the noise grid")
+            raise MonoseeError(f"time {t[off][0]} is not on the noise grid")
         return _float_or_array(self.scalar_path[idx])
 
 
@@ -200,10 +201,16 @@ class NoiseBatch:
     scalar_paths: np.ndarray   # R x (N+1)
 
     @classmethod
-    def from_path(cls, path: NoisePath) -> "NoiseBatch":
-        """The batch of one holding ``path``."""
+    def from_path(cls, path: NoisePath, rows: int = 1) -> "NoiseBatch":
+        """The batch of ``rows`` rows, each holding ``path``: read-only
+        broadcast views, not copies.  With more than one row, ``path(r)``
+        labels row r replica ``path.replica + r``, a row index, not a
+        substream."""
         return cls(path.seed, path.replica, path.level, path.times,
-                   path.increments[None], path.scalar_path[None])
+                   np.broadcast_to(path.increments,
+                                   (rows,) + path.increments.shape),
+                   np.broadcast_to(path.scalar_path,
+                                   (rows,) + path.scalar_path.shape))
 
     @property
     def n_replicas(self) -> int:

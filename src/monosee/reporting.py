@@ -147,7 +147,8 @@ class GroupedStream(SampleStream):
 
     def __init__(self, draw, k: int):
         base = draw if isinstance(draw, SampleStream) else SampleStream(draw)
-        super().__init__(lambda rng: self._join([base(rng) for _ in range(k)]))
+        join = self._join  # not self: a lambda over self is a cycle
+        super().__init__(lambda rng: join([base(rng) for _ in range(k)]))
         self.base, self.k = base, k
 
     @staticmethod

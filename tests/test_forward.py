@@ -530,6 +530,93 @@ def test_solve_forward_propagates_nonconvergence_with_step_index():
     assert len(solve_forward(cfg, ops.drift, ops.diffusion, calm, zero)) == 2
 
 
+def _pathwise_starts(triple):
+    u0 = triple.basis_function(1)
+    return [u0] + [u0 + delta * triple.basis_function(1)
+                   for delta in (1e-1, 1e-2, 1e-3)] \
+        + [0.5 * triple.basis_function(3) - u0]
+
+
+@pytest.mark.parametrize("name", ["porous_medium", "eq_1_2"])
+def test_starts_on_one_path_solve_as_one_stack(name):
+    # R starts on one NoisePath: one solve whose rows match R single
+    # solves to rounding, with the same Newton work row by row
+    ops = build_operator_set(name, 16)
+    cfg = SolverConfig(n_modes_galerkin=8)
+    noise = sample_path(11, 0.25, 100, 1)
+    starts = _pathwise_starts(ops.triple)
+    counts = NewtonCounts(len(starts))
+    paths = solve_forward(cfg, ops.drift, ops.diffusion, noise,
+                          np.array(starts), counts=counts)
+    assert isinstance(paths, list) and len(paths) == len(starts)
+    for r, (x0, path) in enumerate(zip(starts, paths)):
+        alone_counts = NewtonCounts(1)
+        alone = solve_forward(cfg, ops.drift, ops.diffusion, noise, x0,
+                              counts=alone_counts)
+        # a start projects as it does alone, so row 0 is bit for bit
+        assert np.array_equal(path.coeffs[0], alone.coeffs[0])
+        assert np.max(np.abs(path.coeffs - alone.coeffs)) <= 1e-15
+        # the grid values and norms read those coefficients, at their scale
+        for field in ("states", "h_norm_sq", "x1_norm", "x2_norm",
+                      "energy_residual"):
+            ref = getattr(alone, field)
+            assert np.max(np.abs(getattr(path, field) - ref)) \
+                <= 1e-15 * (1.0 + np.max(np.abs(ref)))
+        assert counts.iterations[r] == alone_counts.iterations.sum() > 0
+        assert counts.halvings[r] == alone_counts.halvings.sum()
+
+
+def test_a_start_stack_needs_one_row_per_replica():
+    ops = build_operator_set("porous_medium", 12)
+    cfg = SolverConfig(n_modes_galerkin=4)
+    noise = sample_path(3, 0.25, 10, 1)
+    u0 = ops.triple.basis_function(1)
+    for bad in (np.zeros(11), np.zeros((2, 11)), np.zeros((0, 12)),
+                np.zeros((1, 2, 12)), np.float64(1.0)):
+        with pytest.raises(ConfigError, match="initial state has shape"):
+            solve_forward(cfg, ops.drift, ops.diffusion, noise, bad)
+    batch = sample_batch(3, 0.25, 10, 1, replicas=3)
+    with pytest.raises(ConfigError, match="2 starts for a noise batch of 3"):
+        solve_forward(cfg, ops.drift, ops.diffusion, batch, [u0, u0])
+    # one start per replica: each row is that replica solved from its start
+    starts = [u0, 2.0 * u0, -u0]
+    paths = solve_forward(cfg, ops.drift, ops.diffusion, batch, starts)
+    for r, path in enumerate(paths):
+        alone = solve_forward(cfg, ops.drift, ops.diffusion, batch.path(r),
+                              starts[r])
+        assert np.max(np.abs(path.coeffs - alone.coeffs)) <= 1e-15
+    # a stack of one is still a stack: a list of one path
+    [one] = solve_forward(cfg, ops.drift, ops.diffusion, noise, [u0])
+    assert np.array_equal(one.coeffs[0], solve_forward(
+        cfg, ops.drift, ops.diffusion, noise, u0).coeffs[0])
+
+
+def test_a_failing_start_is_named_by_its_index():
+    # from rest with no noise a row needs no Newton step; the large starts
+    # need more than the one allowed, and the error names the first of
+    # them by its place in the stack, with its own one-start history
+    ops = build_operator_set("porous_medium", 12, p=3.0)
+    cfg = SolverConfig(n_modes_galerkin=6, resolvent_max_iter=1,
+                       resolvent_tol=1e-14)
+    noise = zero_path(1.0, 10)
+    big = 50.0 * np.sin(np.pi * ops.triple.nodes)
+    starts = [np.zeros(12), big, np.zeros(12), -big]
+    with pytest.raises(NonconvergenceError,
+                       match=r"^replica 1: forward solve failed at step 0 ") \
+            as err:
+        solve_forward(cfg, ops.drift, ops.diffusion, noise, starts)
+    assert err.value.replica == 1
+    assert [f.replica for f in err.value.failures] == [1, 3]
+    for failure in err.value.failures:
+        with pytest.raises(NonconvergenceError) as alone:
+            solve_forward(cfg, ops.drift, ops.diffusion, noise,
+                          starts[failure.replica])
+        assert alone.value.replica is None
+        assert failure.args == alone.value.args
+        assert np.allclose(failure.residuals, alone.value.residuals,
+                           rtol=1e-12, atol=0)
+
+
 def test_solve_forward_rejects_noise_with_too_few_modes():
     ops = build_operator_set("porous_medium", 16, n_modes=4)
     cfg = SolverConfig(n_modes_galerkin=8)

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+import monosee.functional
+
 from monosee.analysis import linear_modulus
 from monosee.errors import ConfigError, NonconvergenceError
 from monosee.forward import SolverConfig, solve_forward, trajectory_csv
@@ -15,7 +17,8 @@ from monosee.functional import (
     check_functional_growth,
     check_functional_lipschitz, check_volterra_partials,
     functional_trajectory_csv, lambda8_profile,
-    _frozen_terms, picard_solve_functional, segment_distance,
+    _frozen_terms, picard_solve_functional,
+    picard_solve_functional_stack, segment_distance,
     segment_sampler, volterra_consistency, volterra_direct_eval,
     volterra_to_functional)
 from monosee.noise import refine_path, sample_path, zero_path
@@ -433,6 +436,111 @@ def test_nonconvergence_raises_and_keeps_residuals():
         picard_solve_functional(drift, coeffs, noise, past, cfg,
                                 max_iter=2, tol=1e-14)
     assert len(err.value.residuals) == 2
+
+
+def _assert_same_result(stacked, alone):
+    assert stacked.residuals == alone.residuals
+    assert len(stacked.residual_profiles) == len(alone.residual_profiles)
+    for a, b in zip(stacked.residual_profiles, alone.residual_profiles):
+        assert np.array_equal(a, b)
+    assert np.array_equal(stacked.path.values, alone.path.values)
+    assert np.array_equal(stacked.path.past.values, alone.path.past.values)
+    for field in ("coeffs", "states", "h_norm_sq", "energy_residual"):
+        assert np.array_equal(getattr(stacked.forward_path, field),
+                              getattr(alone.forward_path, field))
+
+
+def test_stacked_starts_take_the_sweeps_they_take_alone():
+    # lag 4 of 32 steps: sweep k makes the first k lag windows exact, and
+    # the frozen terms never read the last one.  At tol 5e-12 the constant
+    # start stops on its residual after 8 sweeps, the zero start needs a
+    # 9th, whose terms repeat the 8th's bit for bit (the exact-fixed-point
+    # exit), and a start that already is the fixed point stops after one
+    tr, drift, noise, past, coeffs, cfg, _ = _delay_setup()
+    fixed = picard_solve_functional(drift, coeffs, noise, past, cfg,
+                                    max_iter=40, tol=1e-300).path.values
+    starts = [None, np.zeros((noise.n_steps + 1, 2)), fixed]
+    stacked = picard_solve_functional_stack(drift, coeffs, noise, past, cfg,
+                                            starts, max_iter=40, tol=5e-12)
+    alone = [picard_solve_functional(drift, coeffs, noise, past, cfg,
+                                     max_iter=40, tol=5e-12, first_iterate=s)
+             for s in starts]
+    assert [r.n_iterations for r in alone] == [8, 9, 1]
+    assert alone[1].residuals[-1] == 0.0 < alone[1].residuals[-2]
+    for a, b in zip(stacked, alone):
+        _assert_same_result(a, b)
+
+
+def test_a_stacked_row_that_cannot_converge_raises_its_own_error():
+    # within 3 sweeps only the start at the fixed point converges; both
+    # others fail, and the error is the first one's, named by its index
+    tr, drift, noise, past, coeffs, cfg, _ = _delay_setup()
+    fixed = picard_solve_functional(drift, coeffs, noise, past, cfg,
+                                    max_iter=40, tol=1e-300).path.values
+    starts = [fixed, None, np.zeros((noise.n_steps + 1, 2))]
+    with pytest.raises(NonconvergenceError, match="^replica 1: ") as err:
+        picard_solve_functional_stack(drift, coeffs, noise, past, cfg,
+                                      starts, max_iter=3, tol=1e-10)
+    assert [f.replica for f in err.value.failures] == [1, 2]
+    for failure in err.value.failures:
+        with pytest.raises(NonconvergenceError) as alone:
+            picard_solve_functional(drift, coeffs, noise, past, cfg,
+                                    max_iter=3, tol=1e-10,
+                                    first_iterate=starts[failure.replica])
+        assert alone.value.replica is None
+        assert failure.args == alone.value.args
+        assert failure.residuals == alone.value.residuals
+        assert len(failure.residuals) == 3
+
+
+def test_stacked_inner_failure_names_the_start(monkeypatch):
+    # a resolvent that may take no Newton step fails each row's first
+    # inner solve; the error names the row by its place in the stack,
+    # with the message and history the row gets alone
+    tr, drift, noise, past, coeffs, cfg, _ = _delay_setup()
+    strict = SolverConfig(n_modes_galerkin=2, resolvent_max_iter=1,
+                          resolvent_tol=1e-300)
+    starts = [None, np.zeros((noise.n_steps + 1, 2))]
+    with pytest.raises(NonconvergenceError, match="^replica 0: forward "
+                                                  "solve failed") as err:
+        picard_solve_functional_stack(drift, coeffs, noise, past, strict,
+                                      starts)
+    assert [f.replica for f in err.value.failures] == [0, 1]
+    for failure in err.value.failures:
+        with pytest.raises(NonconvergenceError) as alone:
+            picard_solve_functional(drift, coeffs, noise, past, strict,
+                                    first_iterate=starts[failure.replica])
+        assert alone.value.replica is None
+        assert failure.args == alone.value.args
+        assert np.allclose(failure.residuals, alone.value.residuals,
+                           rtol=1e-12, atol=0)
+
+    # once a row has left, the inner solve's row 0 is the next start
+    fixed = picard_solve_functional(drift, coeffs, noise, past, cfg,
+                                    max_iter=40, tol=1e-300).path.values
+    solves = []
+
+    def failing_second_solve(*args):
+        solves.append(len(args[-1]))
+        if len(solves) == 2:
+            raise NonconvergenceError("inner", replica=0)
+        return solve_forward(*args)
+
+    monkeypatch.setattr(monosee.functional, "solve_forward",
+                        failing_second_solve)
+    with pytest.raises(NonconvergenceError, match="^replica 1: inner"):
+        picard_solve_functional_stack(drift, coeffs, noise, past, cfg,
+                                      [fixed, None], tol=1e-10)
+    assert solves == [2, 1]
+
+
+def test_stack_input_validation():
+    _, drift, noise, past, coeffs, cfg, _ = _delay_setup()
+    with pytest.raises(ConfigError, match="at least one start"):
+        picard_solve_functional_stack(drift, coeffs, noise, past, cfg, [])
+    with pytest.raises(ConfigError, match="first_iterate"):
+        picard_solve_functional_stack(drift, coeffs, noise, past, cfg,
+                                      [None, np.zeros((3, 2))])
 
 
 def test_converged_path_keeps_seam_and_projected_history():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from monosee.errors import ConfigError
+from monosee.errors import ConfigError, MonoseeError
 from monosee.noise import (
     BatchContext,
     NoiseBatch,
@@ -136,7 +136,7 @@ def test_noise_context_frozen_lookup():
     frozen = BatchContext(NoiseBatch.from_path(p))
     frozen.index = 1
     assert frozen.scalar(0.75)[0, 0] == pytest.approx(p.scalar_path[1])
-    with pytest.raises(ValueError):
+    with pytest.raises(MonoseeError, match="0.33"):
         ctx.scalar(0.33)  # off-grid
 
 
@@ -149,7 +149,7 @@ def test_noise_context_array_lookup():
     assert np.array_equal(values, p.scalar_path[[3, 0, 8, 3]].reshape(2, 2))
     assert np.array_equal(ctx.scalar(p.times),
                           [ctx.scalar(float(t)) for t in p.times])
-    with pytest.raises(ValueError, match="0.33"):
+    with pytest.raises(MonoseeError, match="0.33"):
         ctx.scalar(np.array([0.25, 0.33, 0.5]))  # one entry off the grid
     # the stepper's frozen view answers with one broadcastable column,
     # the empty context with one float
@@ -197,6 +197,13 @@ def test_batch_of_one_and_batch_context():
     back = batch.path(0)
     assert (back.seed, back.replica, back.level) == (11, 3, 1)
     assert np.array_equal(back.increments, p.increments)
+    # R rows of one path are read-only views of it, not copies
+    rows = NoiseBatch.from_path(p, 3)
+    assert rows.n_replicas == 3
+    for stack, row in ((rows.increments, p.increments),
+                       (rows.scalar_paths, p.scalar_path)):
+        assert np.shares_memory(stack, row) and not stack.flags.writeable
+        assert all(np.array_equal(r, row) for r in stack)
 
     many = sample_batch(11, 1.0, 4, 1, replicas=3)
     ctx = BatchContext(many)

@@ -26,7 +26,7 @@ from monosee.operators import (ConstantDiffusion, HypothesisBundle,
                                check_hemicontinuity, check_monotonicity,
                                constant_profile, drift_parts, pair_sampler,
                                state_sampler)
-from monosee.reporting import Violation, _sampled_check
+from monosee.reporting import GroupedStream, Violation, _sampled_check
 from monosee.triple import POROUS_MEDIUM, REACTION_DIFFUSION, DiscreteTriple
 from oracles import assert_same_report
 
@@ -57,6 +57,21 @@ def test_a_built_in_drift_is_freed_with_its_last_reference(name):
     try:
         drift = weakref.ref(build_operator_set(name, 16, p=3.0).drift)
         assert drift() is None
+    finally:
+        gc.enable()
+
+
+def test_a_grouped_stream_is_freed_with_its_last_reference():
+    # a draw that closed over its own stream would keep the stream, and
+    # every sample it drew, alive until a cyclic garbage collection
+    gc.disable()
+    try:
+        stream = GroupedStream(lambda rng: (rng.uniform(), rng.normal()), 3)
+        assert len(stream(np.random.default_rng(0))) == 4
+        assert len(stream.prefix(0, 5)[0]) == 5
+        ref = weakref.ref(stream)
+        del stream
+        assert ref() is None
     finally:
         gc.enable()
 
