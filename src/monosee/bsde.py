@@ -477,16 +477,8 @@ class BsdeSolution:
         return len(self.times) - 1
 
     @property
-    def t_final(self) -> float:
-        return float(self.times[-1])
-
-    @property
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
-
-    @property
-    def n_paths(self) -> int:
-        return self.x_paths.shape[0]
 
     @property
     def dim(self) -> int:

@@ -285,9 +285,15 @@ def _demo(s: Settings, set_name: str, label: str):
     s.check(1 <= u0_mode <= n_grid, f"problem.u0_mode must lie in 1..n_grid "
                                     f"({n_grid}), got {u0_mode}")
     p, (ops,) = _operator_sets(s, n_grid, set_name)
+    tol = s.get("numerics", "resolvent_tol", 1e-10)
+    # the Newton target tol * (1 + |x|) is out of float64's reach below
+    # a few epsilons (1e-16 stalls reaction_diffusion_demo)
+    floor = 4 * np.finfo(float).eps
+    s.check(not 0 < tol < floor,
+            f"numerics.resolvent_tol = {tol:g} is below 4 float64 epsilons "
+            f"({floor:.3g}), a residual the solver cannot meet")
     cfg = _solver_config(
-        s, n_grid, n_modes,
-        resolvent_tol=s.get("numerics", "resolvent_tol", 1e-10),
+        s, n_grid, n_modes, resolvent_tol=tol,
         resolvent_max_iter=s.get("numerics", "resolvent_max_iter", 50))
 
     def run(out_dir):

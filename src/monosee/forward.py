@@ -43,7 +43,6 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .analysis import running_integral
 from .errors import ConfigError, MonoseeError, NonconvergenceError
 from .noise import (EMPTY_CONTEXT, BatchContext, NoiseBatch, NoiseContext,
                     NoisePath)
@@ -58,7 +57,7 @@ __all__ = [
     "SolverConfig", "SolutionPath", "GalerkinSystem", "ImplicitStep",
     "step_implicit",
     "solve_forward", "solve_diagonal_batch",
-    "RescaledProblem", "rescale_problem", "clock_theta", "energy_residual",
+    "RescaledProblem", "rescale_problem",
     "AprioriReport", "apriori_norms", "trajectory_csv",
 ]
 
@@ -569,71 +568,7 @@ def rescale_problem(drift, diffusion, bundle: HypothesisBundle,
 
 
 # ---------------------------------------------------------------------------
-# dissipation clock
-
-
-def clock_theta(lambda3, m: float, t_final: float, ctx=EMPTY_CONTEXT,
-                n_quad: int = 2048) -> float:
-    """First time the accumulated quadratic rate H(t) = int_0^t lambda3
-    reaches m; t_final when it never does (the empty-infimum convention).
-
-    With a noise path in the context the quadrature grid is the path grid
-    (random profiles are only defined there); otherwise a uniform grid of
-    n_quad cells is used.
-    """
-    if m < 0:
-        raise ConfigError(f"clock level m must be >= 0, got {m}")
-    if m == 0:
-        return 0.0
-    path = getattr(ctx, "path", None)
-    if path is not None:
-        grid = path.times[path.times <= t_final + 1e-12].astype(float)
-        if grid.size < 2 or grid[-1] < t_final - 1e-9:
-            raise ConfigError("noise grid does not cover [0, t_final]")
-    else:
-        grid = np.linspace(0.0, float(t_final), n_quad + 1)
-    vals = profile_on_grid(lambda3, grid, ctx)
-    if np.any(vals < 0):
-        raise ConfigError("lambda3 must be nonnegative for the clock")
-    accumulated = running_integral(vals, grid)
-    if accumulated[-1] < m:
-        return float(t_final)
-    idx = int(np.searchsorted(accumulated, m, side="left"))
-    if idx == 0:
-        return float(grid[0])
-    lo, hi = accumulated[idx - 1], accumulated[idx]
-    if hi == lo:
-        return float(grid[idx])
-    frac = (m - lo) / (hi - lo)
-    return float(grid[idx - 1] + frac * (grid[idx] - grid[idx - 1]))
-
-
-# ---------------------------------------------------------------------------
-# energy identity and a-priori budget
-
-
-def energy_residual(path: SolutionPath, drift, diffusion,
-                    noise: NoisePath) -> np.ndarray:
-    """Recompute the per-step energy-identity defect from a stored path.
-
-    Expects the operators the trajectory was actually stepped with; for a
-    rescaled solve that means the transformed ones.  Re-evaluates r =
-    x + sigma(t_k, x) dW and b(t_k + dt, y) at the stored states, the
-    times solve_forward steps at, and applies the same ledger formula, so
-    it reproduces the stored ledger bit for bit.
-    """
-    system = GalerkinSystem(drift, diffusion, path.n_modes, path.triple)
-    batch = NoiseBatch.from_path(noise)
-    ctx = BatchContext(batch)
-    dt = batch.dt
-    out = np.empty(path.n_steps)
-    for k in range(path.n_steps):
-        ctx.index = k
-        t0 = float(batch.times[k])
-        x, y = path.coeffs[None, k], path.coeffs[None, k + 1]
-        r = x + _noise_term(system.sigma(t0, ctx, x), batch.increments[:, k])
-        [out[k]] = _step_defect(y, r, system.b(t0 + dt, ctx, y), dt)
-    return out
+# a-priori budget
 
 
 @dataclass
@@ -675,13 +610,12 @@ class AprioriReport:
 
 
 def apriori_norms(path: SolutionPath, bundle: HypothesisBundle,
-                  ctx=EMPTY_CONTEXT, m: Optional[float] = None) -> AprioriReport:
+                  ctx=EMPTY_CONTEXT) -> AprioriReport:
     """Compare the trajectory's norm ledger against its Gronwall budget.
 
-    ``m`` caps the accumulated quadratic rate (integrals run over
-    [0, theta_m]); by default it is the full accumulated rate, making
-    theta the final time.  Left-endpoint quadrature throughout, matching
-    the ledger's own convention.
+    The integrals run over the whole path, so theta is the final time and
+    m the full accumulated quadratic rate int lambda3.  Left-endpoint
+    quadrature throughout, matching the ledger's own convention.
     """
     times = np.asarray(path.times, dtype=float)
     dts = np.diff(times)
@@ -692,32 +626,24 @@ def apriori_norms(path: SolutionPath, bundle: HypothesisBundle,
     eta1 = profile_on_grid(bundle.eta1, times, ctx)
     eta2 = profile_on_grid(bundle.eta2, times, ctx)
 
-    if m is None:
-        m_val = float(np.sum(lam3[:-1] * dts))
-        theta = float(times[-1])
-    else:
-        m_val = float(m)
-        theta = clock_theta(bundle.lambda3, m_val, float(times[-1]), ctx)
+    m_val = float(np.sum(lam3[:-1] * dts))
 
-    # cell weights for integrals over [0, theta]
-    weights = np.clip(np.minimum(times[1:], theta) - times[:-1], 0.0, None)
-    on = times <= theta + 1e-12
-
-    sup_h_sq = float(np.max(path.h_norm_sq[on]))
-    w1 = float(np.sum(lam1[:-1] * path.x1_norm[:-1] ** path.q1 * weights))
-    w2 = float(np.sum(lam2[:-1] * path.x2_norm[:-1] ** path.q2 * weights))
-    diss = float(np.sum(lam3[:-1] * path.h_norm_sq[:-1] * weights))
+    sup_h_sq = float(np.max(path.h_norm_sq))
+    w1 = float(np.sum(lam1[:-1] * path.x1_norm[:-1] ** path.q1 * dts))
+    w2 = float(np.sum(lam2[:-1] * path.x2_norm[:-1] ** path.q2 * dts))
+    diss = float(np.sum(lam3[:-1] * path.h_norm_sq[:-1] * dts))
 
     qp1 = path.q1 / (path.q1 - 1.0)
     qp2 = path.q2 / (path.q2 - 1.0)
     base = float(path.h_norm_sq[0]
-                 + np.sum(xi[:-1] * weights)
-                 + np.sum((eta1[:-1] ** qp1 + eta2[:-1] ** qp2) * weights))
+                 + np.sum(xi[:-1] * dts)
+                 + np.sum((eta1[:-1] ** qp1 + eta2[:-1] ** qp2) * dts))
     budget = 3.0 * math.exp(m_val) * base
     lhs = sup_h_sq + w1 + w2 + diss
     ok = lhs <= budget * (1.0 + 1e-12) or lhs == 0.0
     return AprioriReport(sup_h_sq=sup_h_sq, weighted_x1=w1, weighted_x2=w2,
-                         dissipation=diss, m=m_val, theta=theta, base=base,
+                         dissipation=diss, m=m_val, theta=float(times[-1]),
+                         base=base,
                          budget=budget, ok=ok)
 
 

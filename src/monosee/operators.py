@@ -47,13 +47,11 @@ from .noise import EMPTY_CONTEXT
 from .reporting import (GroupedStream, SampleStream, ViolationReport,
                         _record, _require_amp_range, _require_t_final,
                         _sampled_check)
-from .triple import (POROUS_MEDIUM, REACTION_DIFFUSION, DiscreteTriple,
-                     _float_or_array)
+from .triple import POROUS_MEDIUM, REACTION_DIFFUSION, DiscreteTriple
 
 __all__ = [
     "constant_profile",
     "abs_scalar_profile",
-    "tabulated_profile",
     "profile_on_grid",
     "HypothesisBundle",
     "DriftTerm",
@@ -95,18 +93,6 @@ def abs_scalar_profile(scale: float = 1.0):
 
     def profile(t, ctx):
         return scale * np.abs(ctx.scalar(t))
-
-    return profile
-
-
-def tabulated_profile(times, values):
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if times.ndim != 1 or times.shape != values.shape:
-        raise ConfigError("tabulated profile needs matching 1-d times/values")
-
-    def profile(t, ctx):
-        return _float_or_array(np.interp(t, times, values))
 
     return profile
 

@@ -4,7 +4,8 @@ the memory terms, the operator samplers written with ``choice`` and
 identities (``yosida``), and the built-in drifts, their Jacobians and
 their parts written on the grid by hand (``drift_eval``,
 ``drift_jacobian``, ``drift_parts``), which the drifts' composed terms
-must reproduce.
+must reproduce.  ``energy_residual`` recomputes a forward path's
+energy-identity ledger from its stored states, one step at a time.
 
 Each checker oracle draws and evaluates one sample at a time, in the
 order the stacked checker draws them, and appends its violations as it
@@ -32,9 +33,10 @@ from monosee.analysis import rho_eval
 from monosee.bsde import (BsdeSolution, _factor, _fit, _terminal_values,
                           regularized_implicit_step)
 from monosee.errors import ConfigError, NonconvergenceError
-from monosee.forward import _RescaledDrift
+from monosee.forward import (GalerkinSystem, _noise_term, _RescaledDrift,
+                             _step_defect)
 from monosee.functional import Segment, _AugmentedDrift, segment_distance
-from monosee.noise import EMPTY_CONTEXT
+from monosee.noise import EMPTY_CONTEXT, BatchContext, NoiseBatch
 from monosee.operators import PhiDrift, ReactionDiffusionDrift
 from monosee.reporting import Violation, ViolationReport
 from monosee.resolvent import NewtonCounts, resolvent
@@ -165,6 +167,33 @@ def drift_jacobian(drift, t, ctx, u):
         return drift_jacobian(drift.base, t, ctx, g * u) \
             - 0.5 * lam0[..., np.newaxis] * np.eye(u.shape[-1])
     return drift_jacobian(drift.base, t, ctx, u)
+
+
+# ---------------------------------------------------------------------------
+# energy ledger
+
+
+def energy_residual(path, drift, diffusion, noise):
+    """Recompute the per-step energy-identity defect from a stored path.
+
+    Expects the operators the trajectory was actually stepped with; for a
+    rescaled solve that means the transformed ones.  Re-evaluates r =
+    x + sigma(t_k, x) dW and b(t_k + dt, y) at the stored states, the
+    times solve_forward steps at, and applies the same ledger formula, so
+    it reproduces the stored ledger bit for bit.
+    """
+    system = GalerkinSystem(drift, diffusion, path.n_modes, path.triple)
+    batch = NoiseBatch.from_path(noise)
+    ctx = BatchContext(batch)
+    dt = batch.dt
+    out = np.empty(path.n_steps)
+    for k in range(path.n_steps):
+        ctx.index = k
+        t0 = float(batch.times[k])
+        x, y = path.coeffs[None, k], path.coeffs[None, k + 1]
+        r = x + _noise_term(system.sigma(t0, ctx, x), batch.increments[:, k])
+        [out[k]] = _step_defect(y, r, system.b(t0 + dt, ctx, y), dt)
+    return out
 
 
 # ---------------------------------------------------------------------------

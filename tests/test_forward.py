@@ -17,8 +17,7 @@ import monosee.resolvent
 from monosee.analysis import convergence_order, sup_h_distance
 from monosee.errors import ConfigError, MonoseeError, NonconvergenceError
 from monosee.forward import (AprioriReport, GalerkinSystem, SolverConfig,
-                             apriori_norms, clock_theta, energy_residual,
-                             rescale_problem,
+                             apriori_norms, rescale_problem,
                              solve_diagonal_batch, solve_forward,
                              step_implicit, trajectory_csv)
 from monosee.noise import EMPTY_CONTEXT, BatchContext, NoiseBatch, \
@@ -28,7 +27,7 @@ from monosee.operators import (ConstantDiffusion, PhiDrift,
                                build_operator_set,
                                check_coercivity, check_monotonicity,
                                constant_profile, drift_parts, pair_sampler,
-                               state_sampler, tabulated_profile)
+                               state_sampler)
 from monosee.functional import _AugmentedDrift, _FrozenDiffusion
 from monosee.resolvent import MonotoneMap, NewtonCounts
 from monosee.triple import DiscreteTriple, REACTION_DIFFUSION
@@ -768,7 +767,7 @@ def _assert_recompute_matches_ledger(ops, drift, noise):
     cfg = SolverConfig(n_modes_galerkin=6)
     path = solve_forward(cfg, drift, ops.diffusion, noise,
                          0.5 * np.sin(np.pi * ops.triple.nodes))
-    recomputed = energy_residual(path, drift, ops.diffusion, noise)
+    recomputed = oracles.energy_residual(path, drift, ops.diffusion, noise)
     assert np.array_equal(recomputed, path.energy_residual)
 
 
@@ -919,34 +918,7 @@ def test_rescale_solve_and_untransform_consistent_first_order():
 
 
 # ---------------------------------------------------------------------------
-# clock and a-priori ledger
-
-
-def test_clock_theta_unit_rate():
-    lam = constant_profile(1.0)
-    assert clock_theta(lam, 0.3, 1.0) == pytest.approx(0.3, abs=1e-12)
-    assert clock_theta(lam, 2.0, 1.0) == 1.0  # never reached: final time
-    assert clock_theta(lam, 0.0, 1.0) == 0.0
-
-
-def test_clock_theta_double_rate():
-    assert clock_theta(constant_profile(2.0), 1.0, 1.0) == pytest.approx(
-        0.5, abs=1e-12)
-
-
-def test_clock_theta_piecewise_against_cumsum_oracle():
-    times = np.array([0.0, 0.5, 0.5001, 1.0])
-    vals = np.array([0.0, 0.0, 4.0, 4.0])
-    lam = tabulated_profile(times, vals)
-    got = clock_theta(lam, 1.0, 1.0)
-
-    grid = np.linspace(0.0, 1.0, 200001)
-    fv = np.interp(grid, times, vals)
-    acc = np.concatenate([[0.0],
-                          np.cumsum(0.5 * (fv[1:] + fv[:-1]) * np.diff(grid))])
-    oracle = float(grid[int(np.searchsorted(acc, 1.0))])
-    assert abs(got - oracle) < 2e-3
-    assert abs(got - 0.75) < 2e-3  # H(t) ~ 4 (t - 0.5)+ past the ramp
+# a-priori ledger
 
 
 def test_apriori_zero_solution_zero_budget():

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -315,6 +316,9 @@ REJECTED = [
     ("bsde_picard_demo", "monte_carlo.seed=-1"),
     ("functional_delay_demo", "monte_carlo.seed=-1"),
     ("volterra_consistency", "monte_carlo.seed=-1"),
+    # a Newton target tol * (1 + |x|) below what float64 can meet
+    ("porous_medium_demo", "numerics.resolvent_tol=1e-17"),
+    ("reaction_diffusion_demo", "numerics.resolvent_tol=1e-16"),
 ]
 
 ACCEPTED = [
@@ -336,6 +340,8 @@ ACCEPTED = [
     ("timestep_convergence", ("problem.p=1.5",)),
     # a multiple of 4 steps: the memory window is whole steps on both grids
     ("volterra_consistency", ("numerics.n_steps=8",)),
+    # the smallest forward tolerance validate lets through, 4 epsilons
+    ("reaction_diffusion_demo", ("numerics.resolvent_tol=8.9e-16",)),
 ]
 
 
@@ -613,7 +619,8 @@ def test_cli_pins_one_blas_thread_unless_one_is_set(tmp_path, preset, want):
 def test_run_digests_repeats_for_a_named_experiment(tmp_path):
     root = Path(__file__).parents[1]
     names = ("bsde_picard_demo", "functional_delay_demo",
-             "volterra_consistency")
+             "volterra_consistency", "bihari_table")
+    labels = (*names, *(f"bihari_table.rho_k{k}" for k in (1, 2, 3)))
 
     def digest(name):
         out = subprocess.run(
@@ -625,7 +632,7 @@ def test_run_digests_repeats_for_a_named_experiment(tmp_path):
     first = digest("a")
     assert first == digest("b")
     assert {line.split()[0] for line in first} == {
-        f"{name}/{run}" for name in names
+        f"{label}/{run}" for label in labels
         for run in ("default", "1001", "17017", "31031")}
     assert any("manifest:solver_stats" in line for line in first)
     # every run of the memory experiments writes its CSVs and no error
@@ -633,6 +640,37 @@ def test_run_digests_repeats_for_a_named_experiment(tmp_path):
                       ("volterra_consistency", "volterra_consistency.csv")):
         assert sum(line.startswith(f"{name}/") and f" {csv} " in line
                    for line in first) == 4
+
+
+REACH_TAGS = re.compile(r"(item (4|6|8|12)|error path|benchmark|accessor): \S")
+
+
+def _reach_allowlist(path):
+    """name -> reason of each entry of ``tools/reach_allowlist.txt``."""
+    entries = {}
+    for line in path.read_text("utf-8").splitlines():
+        if line.strip() and not line.startswith("#"):
+            name, _, reason = line.partition(" ")
+            assert name not in entries, f"{name} listed twice"
+            entries[name] = reason.strip()
+    return entries
+
+
+def test_every_function_no_run_reaches_is_allowlisted():
+    """The reachability ledger: every function of src/monosee that no run
+    of tools/reach.py reaches is named in the allowlist with a tagged
+    reason, and every entry still names one, so the list only shrinks."""
+    root = Path(__file__).parents[1]
+    out = subprocess.run(
+        [sys.executable, str(root / "tools" / "reach.py"), str(root / "src")],
+        capture_output=True, text=True, check=True).stdout.splitlines()
+    unreached = {line.split()[0] for line in out[:-1]}
+    assert out[-1].startswith(f"total: {len(out) - 1} functions, ")
+    allowed = _reach_allowlist(root / "tools" / "reach_allowlist.txt")
+    assert sorted(unreached - set(allowed)) == [], "unreached, not allowlisted"
+    assert sorted(set(allowed) - unreached) == [], "allowlisted, not unreached"
+    assert [name for name, reason in allowed.items()
+            if not REACH_TAGS.match(reason)] == []
 
 
 def _tool_module(name):

@@ -2,15 +2,15 @@
 
     python3 tools/run_digests.py SRC_DIR OUT_DIR [EXPERIMENT ...]
 
-Imports monosee from ``SRC_DIR`` (a checkout's ``src/``), runs every
-registered experiment (or only the named ones) at its default config and
-with ``monte_carlo.seed`` set to each of 1001, 17017 and 31031, writing
-the artifacts under
-``OUT_DIR``, and prints one SHA-256 per CSV and per SVG, and one per
-manifest field ``summary``, ``assertions``, ``solver_stats`` and
-``error`` (re-serialized with sorted keys).  The wall-clock and config
-echo are left out, so two source trees that compute the same numbers
-print the same lines:
+Imports monosee from ``SRC_DIR`` (a checkout's ``src/``), makes every run
+in ``RUNS`` (or only the runs of the named experiments) with its own
+overrides, once as they stand and once with ``monte_carlo.seed`` set to
+each of 1001, 17017 and 31031, writing the artifacts under
+``OUT_DIR/LABEL/RUN`` (RUN is ``default`` or the seed), and prints one
+SHA-256 per CSV and per SVG, and one per manifest field ``summary``,
+``assertions``, ``solver_stats`` and ``error`` (re-serialized with sorted
+keys).  The wall-clock and config echo are left out, so two source trees
+that compute the same numbers print the same lines:
 
     python3 tools/run_digests.py old/src /tmp/a > a.txt
     python3 tools/run_digests.py src /tmp/b > b.txt
@@ -29,6 +29,18 @@ from pathlib import Path
 
 SEEDS = (None, 1001, 17017, 31031)
 MANIFEST_FIELDS = ("summary", "assertions", "solver_stats", "error")
+
+# (label, experiment, overrides): every registered experiment at its
+# default config, and the Bihari table at each iterated-log modulus.
+# tools/reach.py makes the same runs, so every function it counts as
+# reached is one whose numbers these digests check.
+RUNS = [(name, name, ()) for name in (
+    "porous_medium_demo", "reaction_diffusion_demo", "galerkin_convergence",
+    "timestep_convergence", "pathwise_uniqueness", "hypothesis_report",
+    "bsde_linear_validation", "bsde_picard_demo", "functional_delay_demo",
+    "volterra_consistency", "bihari_table")] + [
+    (f"bihari_table.rho_k{k}", "bihari_table",
+     ("problem.rho_kind=rho_k", f"problem.rho_k={k}")) for k in (1, 2, 3)]
 
 
 def _sha(data: bytes) -> str:
@@ -63,12 +75,17 @@ def main(argv=None) -> int:
     if unknown:
         parser.error(f"unknown experiments {unknown}; registered: "
                      f"{', '.join(EXPERIMENTS)}")
+    unrun = sorted(set(EXPERIMENTS) - {name for _, name, _ in RUNS})
+    if unrun:
+        parser.error(f"registered experiments missing from RUNS: {unrun}")
     out = Path(args.out).resolve()
-    for name in args.experiments or EXPERIMENTS:
+    for label, name, settings in RUNS:
+        if args.experiments and name not in args.experiments:
+            continue
         for seed in SEEDS:
-            label = f"{name}/{'default' if seed is None else seed}"
-            run_dir = out / name / ("default" if seed is None else str(seed))
-            overrides = [f"output.directory={run_dir}"]
+            run = "default" if seed is None else str(seed)
+            run_dir = out / label / run
+            overrides = [*settings, f"output.directory={run_dir}"]
             if seed is not None:
                 overrides.append(f"monte_carlo.seed={seed}")
             config = apply_overrides(ExperimentConfig(experiment=name),
@@ -77,7 +94,7 @@ def main(argv=None) -> int:
                 run_experiment(config)
             except Exception:  # recorded in the manifest, digested below
                 pass
-            for line in _digest_run(run_dir, label):
+            for line in _digest_run(run_dir, f"{label}/{run}"):
                 print(line, flush=True)
     return 0
 
