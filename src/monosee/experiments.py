@@ -259,8 +259,9 @@ def _solver_config(s: Settings, n_grid: int, n_modes: int,
                    **tolerances) -> Optional[SolverConfig]:
     s.check(n_modes <= n_grid, f"numerics.n_modes must lie in 1..n_grid "
                                f"({n_grid}), got {n_modes}")
-    return s.build("numerics", SolverConfig, n_modes_galerkin=n_modes,
-                   **tolerances)
+    if all(map(math.isfinite, tolerances.values())):  # else s.get named it
+        return s.build("numerics", SolverConfig, n_modes_galerkin=n_modes,
+                       **tolerances)
 
 
 # ---------------------------------------------------------------------------

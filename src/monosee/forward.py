@@ -10,21 +10,21 @@ which is integrated by a drift-implicit Euler scheme, the only scheme:
 the noise enters explicitly, the drift implicitly, and each step is one
 resolvent solve of the (dissipative) projected drift on the noise grid's
 step.  Random coefficients are frozen at the left endpoint of every step
-so the scheme stays adapted.  Step k solves at t_k + dt and evaluates
-the diffusion once (at t_k) and, per Newton trial, each drift term's
-pointwise map once, composed in mode space without visiting the grid
-(``GalerkinSystem``); a drift whose terms are all linear is solved in
-closed form.  Its energy-identity ledger entry reuses the step's
-explicit target r and the drift at the accepted iterate, so it costs no
-operator evaluation.
+so the scheme stays adapted.  Step k solves at t_k + dt; it reads each
+random coefficient once, evaluates the diffusion once, at t_k (a constant
+one once per solve), and per Newton trial each drift term's psi once,
+composed in mode space (``GalerkinSystem``), with a Jacobian that reuses
+the trial's term arguments; an all-linear drift is solved in closed
+form.  Its energy-identity ledger entry reuses the step's explicit
+target r and the drift at the accepted iterate: no operator evaluation.
 
 A replica ensemble is one (R, n) stack of coefficient vectors, one row per
 noise replica, and each step is one damped-Newton solve over the stack
 with per-replica targets, convergence masks and line searches; a single
 noise path is the batch of one.  The module also houses the lambda0
 gauge ``rescale_problem`` (solve its transformed operators, multiply back
-by its gamma), the dissipation clock theta, the per-step energy-identity
-ledger, and the a-priori norm budget check.
+by its gamma), the per-step energy-identity ledger, and the a-priori norm
+budget check.
 
 Coordinate facts used throughout: the basis is H-orthonormal, so the
 squared H-norm of a state is the Euclidean square of its coefficient
@@ -46,9 +46,9 @@ import numpy as np
 from .errors import ConfigError, MonoseeError, NonconvergenceError
 from .noise import (EMPTY_CONTEXT, BatchContext, NoiseBatch, NoiseContext,
                     NoisePath)
-from .operators import (DriftTerm, HypothesisBundle, _compose,
-                        _compose_jacobian, _grid_eval, _grid_jacobian,
-                        constant_profile, profile_on_grid)
+from .operators import (ConstantDiffusion, DriftTerm, HypothesisBundle,
+                        _compose, _compose_jacobian, _grid_eval,
+                        _grid_jacobian, constant_profile, profile_on_grid)
 from .reporting import csv_text
 from .resolvent import MonotoneMap, NewtonCounts, _resolvent_general, resolvent
 from .triple import POROUS_MEDIUM, DiscreteTriple, _float_or_array
@@ -141,8 +141,10 @@ class GalerkinSystem:
         b(x) = sum psi(x @ inner) @ outer,
         Db(x) = sum (outer^T * psi'(x @ inner)) @ inner^T,
 
-    without visiting the grid.  The first identity term's argument is the
-    node values, where a non-finite state entry raises MonoseeError.
+    without visiting the grid; a Jacobian at the (unmodified) stack b last
+    evaluated reuses its arguments x @ inner, a constant sigma is projected
+    once, here, and the first identity term's argument is the node values,
+    where a non-finite state entry raises MonoseeError.
     ``bind`` gives the projected drift this analytic Jacobian when every
     term has a psi', and its matrix when every term is linear.
     """
@@ -178,20 +180,29 @@ class GalerkinSystem:
         self._slope = None if any(term.slope is None for term in terms) \
             else sum(term.slope * inner @ outer for term, inner, outer
                      in zip(terms, inners, outers)).T
+        self._evaluated = None, None  # b's last stack and its terms' args
+        self._sigma = (self.projector @ diffusion.matrix)[..., :self.n_noise] \
+            if isinstance(diffusion, ConstantDiffusion) else None
 
     def lift(self, x) -> np.ndarray:
         """Grid values of the state(s) with coefficient vector(s) x."""
         return np.asarray(x, dtype=float) @ self.modes.T
 
     def b(self, t: float, ctx, x) -> np.ndarray:
-        return _compose(self._terms, t, ctx, np.asarray(x, dtype=float),
-                        self._checked)
+        x, args = np.asarray(x, dtype=float), []
+        out = _compose(self._terms, t, ctx, x, self._checked, args)
+        self._evaluated = x, args
+        return out
 
     def _jacobian(self, t: float, ctx, x) -> np.ndarray:
-        return _compose_jacobian(self._jacobian_terms, t, ctx,
-                                 np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+        last, args = self._evaluated
+        return _compose_jacobian(self._jacobian_terms, t, ctx, x,
+                                 args if x is last else None)
 
     def sigma(self, t: float, ctx, x) -> np.ndarray:
+        if self._sigma is not None:
+            return self._sigma
         cols = self.projector @ self.diffusion.eval(t, ctx, self.lift(x))
         return cols[..., :self.n_noise]
 

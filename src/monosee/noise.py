@@ -364,11 +364,21 @@ class BatchContext:
     keep random coefficients adapted, so ``scalar(t)`` returns w at the
     step's left grid index ``index`` (set by the stepper), for every
     replica as an (R, 1) column that broadcasts over an (R, n) stack.
+    A profile may keep its value for the step in ``memo``, keyed by itself,
+    as ``abs_scalar_profile`` does; setting ``index`` empties the memo.
     """
 
     def __init__(self, batch: NoiseBatch):
         self.batch = batch
         self.index = 0
+
+    @property
+    def index(self) -> int:
+        return self._index
+
+    @index.setter
+    def index(self, k: int) -> None:
+        self._index, self.memo = k, {}
 
     def scalar(self, t: float) -> np.ndarray:
         return self.batch.scalar_paths[:, self.index, None]

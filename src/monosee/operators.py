@@ -43,7 +43,7 @@ import numpy as np
 
 from .analysis import _rate
 from .errors import ConfigError, MonoseeError
-from .noise import EMPTY_CONTEXT
+from .noise import EMPTY_CONTEXT, BatchContext
 from .reporting import (GroupedStream, SampleStream, ViolationReport,
                         _record, _require_amp_range, _require_t_final,
                         _sampled_check)
@@ -89,10 +89,14 @@ def constant_profile(value: float):
 
 
 def abs_scalar_profile(scale: float = 1.0):
-    """t -> scale * |w_t| with w the context's scalar driving path."""
+    """t -> scale * |w_t| with w the context's scalar driving path, read
+    once per step in a BatchContext (through its ``memo``)."""
 
     def profile(t, ctx):
-        return scale * np.abs(ctx.scalar(t))
+        memo = ctx.memo if isinstance(ctx, BatchContext) else {}
+        if profile not in memo:
+            memo[profile] = scale * np.abs(ctx.scalar(t))
+        return memo[profile]
 
     return profile
 
@@ -196,13 +200,16 @@ class DriftTerm(NamedTuple):
     part: int = 1
 
 
-def _compose(terms, t, ctx, x, checked: int = -1) -> np.ndarray:
+def _compose(terms, t, ctx, x, checked: int = -1, args=None) -> np.ndarray:
     """sum psi(t, ctx, x @ k_in) @ k_out over the ``terms``, a None map
     skipped as the identity; the argument of term ``checked`` must be
-    finite (MonoseeError naming the entry)."""
+    finite (MonoseeError naming the entry).  A list ``args`` receives
+    each term's argument, in order."""
     out = None
     for k, term in enumerate(terms):
         z = x if term.k_in is None else x @ term.k_in
+        if args is not None:
+            args.append(z)
         if k == checked:
             _require_finite(z, "projected drift")
         value = term.psi(t, ctx, z)
@@ -212,13 +219,14 @@ def _compose(terms, t, ctx, x, checked: int = -1) -> np.ndarray:
     return out
 
 
-def _compose_jacobian(terms, t, ctx, x) -> np.ndarray:
+def _compose_jacobian(terms, t, ctx, x, args=None) -> np.ndarray:
     """sum (k_out^T * psi'(t, ctx, x @ k_in)) @ k_in^T over the (k_in,
-    psi', k_out^T, k_in^T) ``terms``, a None map read as the identity."""
+    psi', k_out^T, k_in^T) ``terms``, a None map read as the identity, or
+    at the terms' arguments ``args`` at x as ``_compose`` lists them."""
     out = None
-    for k_in, psi_prime, out_t, in_t in terms:
-        slopes = np.asarray(psi_prime(t, ctx, x if k_in is None else x @ k_in),
-                            dtype=float)
+    for k, (k_in, psi_prime, out_t, in_t) in enumerate(terms):
+        z = args[k] if args is not None else x if k_in is None else x @ k_in
+        slopes = np.asarray(psi_prime(t, ctx, z), dtype=float)
         value = (np.eye(slopes.shape[-1]) if out_t is None else out_t) \
             * slopes[..., np.newaxis, :]
         if in_t is not None:

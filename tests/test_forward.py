@@ -13,6 +13,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import monosee.forward
 import monosee.resolvent
 from monosee.analysis import convergence_order, sup_h_distance
 from monosee.errors import ConfigError, MonoseeError, NonconvergenceError
@@ -99,12 +100,16 @@ def test_galerkin_pm_direct_summation_oracle():
 
 
 def test_galerkin_sigma_truncates_noise_modes():
+    # a constant diffusion is projected once, when the system is built:
+    # every call returns that matrix, bit for bit P @ matrix truncated
     tr = DiscreteTriple(12, REACTION_DIFFUSION)
     drift = _rd_zero_drift(tr)
-    diff = ConstantDiffusion(tr, np.ones((12, 5)))
-    sys = GalerkinSystem(drift, diff, 3, tr)
+    matrix = np.random.default_rng(4).normal(size=(12, 5))
+    sys = GalerkinSystem(drift, ConstantDiffusion(tr, matrix), 3, tr)
     sig = sys.sigma(0.0, EMPTY_CONTEXT, np.zeros(3))
     assert sig.shape == (3, 3)  # min(n, diffusion modes)
+    assert np.array_equal(sig, (sys.projector @ matrix)[..., :3])
+    assert sys.sigma(0.5, EMPTY_CONTEXT, np.ones((4, 3))) is sig
 
 
 def _rd_zero_drift(tr):
@@ -414,9 +419,71 @@ def test_forward_step_evaluates_each_operator_once_per_quantity(monkeypatch):
                   np.zeros(12), counts=counts)
     [iterations], [halvings] = counts.iterations, counts.halvings
     assert halvings > 0
-    assert diffusion_calls["eval"] == noise.n_steps
+    assert diffusion_calls["eval"] == 0  # constant: projected once, up front
     assert drift_calls["phi"] == noise.n_steps + iterations + halvings
     assert drift_calls["phi_prime"] == iterations
+
+
+def test_forward_step_reads_each_random_coefficient_once(monkeypatch):
+    # eq_1_2's flux, reaction, their derivatives and its multiplicative
+    # sigma all read one |w_t| coefficient: once per step, at the step's
+    # left index, through the batch context's memo
+    ops = build_operator_set("eq_1_2", 16, p=3.0)
+    batch = sample_batch(seed=5, t_final=0.25, n_steps=20, n_modes=1,
+                         replicas=8)
+    reads, diffusion_calls = [], Counter()
+    scalar = BatchContext.scalar
+    monkeypatch.setattr(BatchContext, "scalar", lambda self, t: (
+        reads.append(self.index), scalar(self, t))[1])
+    _counted(monkeypatch, diffusion_calls, ops.diffusion, "eval")
+    counts = NewtonCounts(8)
+    solve_forward(SolverConfig(n_modes_galerkin=8), ops.drift, ops.diffusion,
+                  batch, ops.triple.basis_function(1), counts=counts)
+    assert np.all(counts.iterations > 0)
+    assert reads == list(range(batch.n_steps))
+    assert diffusion_calls["eval"] == batch.n_steps
+
+
+def test_the_jacobian_reuses_the_arguments_of_the_evaluated_stack_only(
+        monkeypatch):
+    # reused or recomputed, the Jacobian is bit for bit the one formed
+    # afresh; the last evaluation's arguments serve that stack only
+    ops = build_operator_set("eq_1_2", 16, p=3.0)
+    system = GalerkinSystem(ops.drift, ops.diffusion, 6, ops.triple)
+    ctx = BatchContext(sample_batch(seed=3, t_final=0.25, n_steps=8,
+                                    n_modes=1, replicas=4))
+    ctx.index = 5
+    compose = monosee.forward._compose_jacobian
+    calls = []
+
+    def recorded(terms, t, ctx, x, args=None):
+        last, evaluated = system._evaluated
+        got = compose(terms, t, ctx, x, args)
+        calls.append((x is last, args is not None,
+                      np.array_equal(got, compose(terms, t, ctx, x.copy())),
+                      np.array_equal(got, compose(terms, t, ctx, x,
+                                                  evaluated))))
+        return got
+
+    monkeypatch.setattr(monosee.forward, "_compose_jacobian", recorded)
+    drift, _ = system.bind(ctx)
+    rng = np.random.default_rng(7)
+    x = 100.0 * rng.normal(size=(4, 6))
+    counts = NewtonCounts(4)
+    # row 3 halves once and the others accept their first trial; the
+    # line search ends on row 3's accepted trial, the stack it evaluated
+    _, _, unsolved = monosee.resolvent._resolvent_general(
+        drift, 0.2, 0.5, x, 1e-10, 50, guess=0.01 * rng.normal(size=(4, 6)),
+        counts=counts)
+    assert unsolved is None and list(counts.halvings) == [0, 0, 0, 1]
+    assert calls == [(True, True, True, True)] * counts.iterations.max()
+    # a stack mixing the rows of two, as a line search leaves it when a
+    # row stalls, is not the evaluated one: its arguments are formed anew
+    trial = 0.5 * x
+    system.b(0.2, ctx, trial)
+    mixed = np.where(np.array([[False], [False], [False], [True]]), x, trial)
+    drift.jacobian(0.2, mixed)
+    assert calls[-1] == (False, False, True, False)
 
 
 # ---------------------------------------------------------------------------

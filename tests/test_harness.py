@@ -251,6 +251,8 @@ def test_validate_bihari_builds_the_modulus(problem, fragment):
 @pytest.mark.parametrize("key, value, fragment", [
     ("resolvent_tol", 0.0, "resolvent_tol must be positive"),
     ("resolvent_max_iter", 0, "resolvent_max_iter must be >= 1"),
+    # recorded once, as not finite, and not again by SolverConfig
+    ("resolvent_tol", math.nan, "resolvent_tol must be finite"),
 ])
 def test_validate_demo_builds_the_solver_config(tmp_path, capsys, demo, key,
                                                 value, fragment):
@@ -592,18 +594,26 @@ def test_experiments_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("preset, want", [
+BLAS_PRESETS = [
     ({}, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
           "MKL_NUM_THREADS": "1"}),
     ({"OPENBLAS_NUM_THREADS": "2"}, {"OPENBLAS_NUM_THREADS": "2",
                                      "OMP_NUM_THREADS": None,
-                                     "MKL_NUM_THREADS": None})])
-def test_cli_pins_one_blas_thread_unless_one_is_set(tmp_path, preset, want):
-    root = Path(__file__).parents[1]
+                                     "MKL_NUM_THREADS": None})]
+
+
+def _blas_env(root, preset, want):
     env = {key: value for key, value in os.environ.items()
            if key not in want}
     env.update(preset, PYTHONPATH=os.pathsep.join(
         filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    return env
+
+
+@pytest.mark.parametrize("preset, want", BLAS_PRESETS)
+def test_cli_pins_one_blas_thread_unless_one_is_set(tmp_path, preset, want):
+    root = Path(__file__).parents[1]
+    env = _blas_env(root, preset, want)
     subprocess.run([sys.executable, "-m", "monosee.cli", "run",
                     str(root / "configs" / "bihari_table.ini"), "--set",
                     f"output.directory={tmp_path / 'out'}"],
@@ -614,6 +624,20 @@ def test_cli_pins_one_blas_thread_unless_one_is_set(tmp_path, preset, want):
     assert "blas_threads" not in manifest["solver_stats"]
     assert not any("THREADS" in path.read_text()
                    for path in (tmp_path / "out").glob("*.csv"))
+
+
+@pytest.mark.parametrize("preset, want", BLAS_PRESETS)
+def test_run_digests_pins_one_blas_thread_unless_one_is_set(tmp_path, preset,
+                                                            want):
+    root = Path(__file__).parents[1]
+    subprocess.run([sys.executable, str(root / "tools" / "run_digests.py"),
+                    str(root / "src"), str(tmp_path), "volterra_consistency"],
+                   capture_output=True, text=True, check=True,
+                   env=_blas_env(root, preset, want))
+    for run in ("default", "1001", "17017", "31031"):
+        manifest = json.loads((tmp_path / "volterra_consistency" / run
+                               / "manifest.json").read_text())
+        assert manifest["blas_threads"] == want
 
 
 def test_run_digests_repeats_for_a_named_experiment(tmp_path):

@@ -17,7 +17,8 @@ from monosee.config import ExperimentConfig
 from monosee.errors import ConfigError, MonoseeError
 from monosee.experiments import run_experiment
 from monosee.functional import _AugmentedDrift, _FrozenDiffusion
-from monosee.noise import EMPTY_CONTEXT, NoiseContext, sample_path
+from monosee.noise import (EMPTY_CONTEXT, BatchContext, NoiseContext,
+                           sample_batch, sample_path)
 from monosee.operators import (ConstantDiffusion, HypothesisBundle,
                                MultiplicativeDiffusion, PhiDrift,
                                PorousMediumDrift, ReactionDiffusionDrift,
@@ -613,6 +614,31 @@ def test_profiles_must_accept_arrays_of_times():
                               n_samples=4)
     assert report.n_samples == 4
     assert vectorised.integrability_report(EMPTY_CONTEXT, 1.0, n=8).ok
+
+
+def test_a_batch_context_serves_a_coefficient_once_per_step():
+    # the stepper's frozen view keeps each |w_t| profile's value for the
+    # step at ``index`` and forgets it when the index moves; a
+    # NoiseContext reads a column of times afresh each call
+    batch = sample_batch(11, 1.0, 4, 1, replicas=3)
+    ctx = BatchContext(batch)
+    coef, twice = abs_scalar_profile(), abs_scalar_profile(2.0)
+    ctx.index = 1
+    first = coef(0.25, ctx)
+    assert coef(0.5, ctx) is first  # the time is not consulted
+    assert np.array_equal(first[:, 0], np.abs(batch.scalar_paths[:, 1]))
+    assert np.array_equal(twice(0.5, ctx), 2.0 * first)
+    ctx.index = 2
+    second = coef(0.5, ctx)
+    assert np.array_equal(second[:, 0], np.abs(batch.scalar_paths[:, 2]))
+    assert not np.array_equal(first, second)
+    path = batch.path(1)
+    plain = NoiseContext(path)
+    for rows in ([1, 3, 2], [4, 0, 0]):
+        column = path.times[rows][:, None]
+        assert np.array_equal(coef(column, plain)[:, 0],
+                              np.abs(path.scalar_path[rows]))
+    assert not hasattr(plain, "memo")
 
 
 # the report's probe grid (64 steps on [0, 1]) and the two amplitude

@@ -17,6 +17,11 @@ that compute the same numbers print the same lines:
     diff a.txt b.txt
 
 A run that raises is still digested: its manifest records the error.
+BLAS runs on one thread, as ``monosee`` on the command line runs it,
+unless the caller set one of ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``
+or ``MKL_NUM_THREADS``: a multi-threaded BLAS may sum in another order,
+so two trees compared at different thread counts need not print the same
+lines.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -68,7 +74,12 @@ def main(argv=None) -> int:
                         help="experiments to run (default: all registered)")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(Path(args.src).resolve()))
-    from monosee.config import ExperimentConfig, apply_overrides
+    from monosee.config import (BLAS_THREAD_VARS, ExperimentConfig,
+                                apply_overrides)
+    # monosee.config loads no numpy; the count only takes effect before
+    # numpy (with monosee.experiments) loads
+    if not set(BLAS_THREAD_VARS) & set(os.environ):
+        os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
     from monosee.experiments import EXPERIMENTS, run_experiment
 
     unknown = sorted(set(args.experiments) - set(EXPERIMENTS))
