@@ -32,9 +32,9 @@ because j := J_eps(y) then solves j - (eps+s)*A(t,j) = x.  With s = eps =
 dt the step is the average of the identity and J_{2dt}.
 
 Drivers that depend on z (or on x) are handled by freezing that argument
-at the previous iterate and re-solving: ``picard_in_z`` iterates on the
-z argument alone, ``picard_in_x`` adds an outer loop on the x argument
-with the zero process as starting point.
+at the previous iterate and re-solving, in one nested loop: an outer loop
+on the x argument, from the zero process, around an inner one on z.
+``picard_in_x`` runs it, ``picard_in_z`` runs its one outer pass.
 """
 
 from __future__ import annotations
@@ -290,9 +290,8 @@ class PolynomialBasis:
         return design
 
 
-def polynomial_basis(n_vars: int, degree: int = 2,
-                     prefix: str = "w") -> PolynomialBasis:
-    """All monomials of total degree <= degree in n_vars variables.
+def polynomial_basis(n_vars: int, degree: int = 2) -> PolynomialBasis:
+    """All monomials of total degree <= degree in n_vars variables w1, w2, ...
 
     Terms are ordered by total degree, then by variable (earlier variables
     first), so degree 2 in two variables reads 1, w1, w2, w1^2, w1*w2,
@@ -312,9 +311,9 @@ def polynomial_basis(n_vars: int, degree: int = 2,
         parts = []
         for v, k in enumerate(e):
             if k == 1:
-                parts.append(f"{prefix}{v + 1}")
+                parts.append(f"w{v + 1}")
             elif k > 1:
-                parts.append(f"{prefix}{v + 1}^{k}")
+                parts.append(f"w{v + 1}^{k}")
         names.append("*".join(parts) if parts else "1")
     return PolynomialBasis(exponents=tuple(idx), names=tuple(names))
 
@@ -871,53 +870,90 @@ def solve_bsde_autonomous_C(problem: BsdeProblem, batch: NoiseBatch,
     return _unscale_solution(sol, gamma)
 
 
-def _picard_z_core(reduced: BsdeProblem, batch: NoiseBatch, basis,
-                   regression: _Regression, x_frozen: np.ndarray,
-                   max_iter: int, tol: float, resolvent_tol: float,
-                   resolvent_max_iter: int, counts: BackwardCounts):
-    """Iterate on the z argument with the x argument held at x_frozen.
+# the resolvent solves of every Picard sweep
+_PICARD_RESOLVENT_TOL = 1e-10
+_PICARD_RESOLVENT_MAX_ITER = 100
 
-    Starts from the zero Z process.  After a sweep with a driver that
-    declares ``z_dependent=False``, or whose refreshed values match the ones
-    just used bit for bit, the fixed point is exact: a zero residual is
-    recorded without paying another sweep.
+
+def _picard_loop(problem: BsdeProblem, batch: NoiseBatch, basis,
+                 max_iter: int, tol: float, inner_max_iter: int,
+                 inner_tol: float,
+                 counts: Optional[BackwardCounts]) -> BsdeSolution:
+    """Outer fixed point in x around an inner fixed point in z.
+
+    Each outer pass freezes the driver's x argument at the previous X
+    iterate (the zero process to start) and iterates on z from the zero
+    Z process until successive Z iterates are closer than ``inner_tol``
+    (:func:`z_path_distance`).  After a sweep with a driver that declares
+    ``z_dependent=False``, or whose refreshed values match the ones just
+    used bit for bit, the inner fixed point is exact: a zero residual is
+    recorded without paying another sweep.  The outer residual is the
+    grid supremum over time of the mean-square distance between
+    successive X iterates; a driver that declares ``x_dependent=False``
+    stops after one outer pass.  The solution records the outer
+    residuals as ``picard_residuals`` and each pass's inner ones as
+    ``inner_picard_residuals``.
     """
-    z_prev = np.zeros(x_frozen.shape + (reduced.n_modes,))
-    c_cur = _driver_matrix(reduced.driver, batch.times, x_frozen, z_prev,
-                           counts)
-    history = []
+    counts = BackwardCounts() if counts is None else counts
+    reduced, gamma, basis, regression = _prepare(problem, batch, basis,
+                                                  counts)
+    driver, n = reduced.driver, batch.n_steps
+    x_prev = np.zeros((batch.n_replicas, n + 1, reduced.dim))
+    outer_history = []
+    inner_histories = []
     for _ in range(max_iter):
-        sol = _backward_sweep(reduced, batch, basis, regression, c_cur,
-                              resolvent_tol, resolvent_max_iter, counts)
-        history.append(z_path_distance(sol.z_paths, z_prev, batch.dt))
-        z_prev = sol.z_paths
-        if history[-1] < tol:
-            return sol, history
-        if not reduced.driver.z_dependent or np.array_equal(c_cur, c_next := (
-                _driver_matrix(reduced.driver, batch.times, x_frozen, z_prev,
-                               counts))):
-            history.append(0.0)
-            return sol, history
-        c_cur = c_next
+        x_frozen = x_prev[:, :n]
+        z_prev = np.zeros(x_frozen.shape + (reduced.n_modes,))
+        c_cur = _driver_matrix(driver, batch.times, x_frozen, z_prev, counts)
+        inner = []
+        for _ in range(inner_max_iter):
+            sol = _backward_sweep(reduced, batch, basis, regression, c_cur,
+                                  _PICARD_RESOLVENT_TOL,
+                                  _PICARD_RESOLVENT_MAX_ITER, counts)
+            inner.append(z_path_distance(sol.z_paths, z_prev, batch.dt))
+            z_prev = sol.z_paths
+            if inner[-1] < inner_tol:
+                break
+            if not driver.z_dependent or np.array_equal(c_cur, c_next := (
+                    _driver_matrix(driver, batch.times, x_frozen, z_prev,
+                                   counts))):
+                inner.append(0.0)
+                break
+            c_cur = c_next
+        else:
+            raise NonconvergenceError(
+                f"z-iteration did not reach tol={inner_tol:g} within "
+                f"{inner_max_iter} sweeps (last residual {inner[-1]:.3e})",
+                residuals=inner)
+        gap = float(np.max(np.mean(
+            np.sum((sol.x_paths - x_prev) ** 2, axis=2), axis=0)))
+        outer_history.append(gap)
+        inner_histories.append(tuple(inner))
+        x_prev = sol.x_paths
+        if gap < tol or not driver.x_dependent:
+            sol = replace(sol, picard_residuals=tuple(outer_history),
+                          inner_picard_residuals=tuple(inner_histories))
+            return _unscale_solution(sol, gamma)
     raise NonconvergenceError(
-        f"z-iteration did not reach tol={tol:g} within {max_iter} sweeps "
-        f"(last residual {history[-1]:.3e})", residuals=history)
+        f"x-iteration did not reach tol={tol:g} within {max_iter} outer "
+        f"sweeps (last residual {outer_history[-1]:.3e})",
+        residuals=outer_history)
 
 
 def picard_in_z(problem: BsdeProblem, batch: NoiseBatch,
                 basis: Optional[PolynomialBasis] = None, max_iter: int = 25,
-                tol: float = 1e-8, resolvent_tol: float = 1e-10,
-                resolvent_max_iter: int = 100,
+                tol: float = 1e-8,
                 counts: Optional[BackwardCounts] = None) -> BsdeSolution:
     """Fixed point in z for a driver C(t, z) with no x dependence.
 
-    Each sweep re-solves the backward recursion with the driver frozen at
-    the previous Z iterate; convergence is declared when successive Z
-    iterates are closer than tol in the mean-square space-time norm of
-    :func:`z_path_distance`.  The residual history (one entry per sweep)
-    is recorded on the solution; its successive ratios are the geometric
-    -decay diagnostic, with factor about 1/2 expected at desk scale.
-    Every sweep reuses the regression designs factored once up front;
+    The one outer pass of :func:`picard_in_x`'s loop: each sweep re-solves
+    the backward recursion with the driver frozen at the previous Z
+    iterate, until successive Z iterates are closer than tol in the
+    mean-square space-time norm of :func:`z_path_distance`.  The z
+    residual history (one entry per sweep) is the solution's
+    ``picard_residuals``; its successive ratios are the geometric-decay
+    diagnostic, with factor about 1/2 expected at desk scale.  Every
+    sweep reuses the regression designs factored once up front;
     ``counts`` (a :class:`BackwardCounts`) accumulates the solve's work.
     """
     if problem.driver.x_dependent:
@@ -927,66 +963,30 @@ def picard_in_z(problem: BsdeProblem, batch: NoiseBatch,
             f"(use picard_in_x)")
     if max_iter < 1:
         raise ConfigError(f"max_iter must be >= 1, got {max_iter!r}")
-    counts = BackwardCounts() if counts is None else counts
-    reduced, gamma, basis, regression = _prepare(problem, batch, basis,
-                                                  counts)
-    x_frozen = np.zeros((batch.n_replicas, batch.n_steps, reduced.dim))
-    sol, history = _picard_z_core(reduced, batch, basis, regression,
-                                  x_frozen, max_iter, tol, resolvent_tol,
-                                  resolvent_max_iter, counts)
-    sol = replace(sol, picard_residuals=tuple(history))
-    return _unscale_solution(sol, gamma)
+    sol = _picard_loop(problem, batch, basis, 1, tol, max_iter, tol, counts)
+    return replace(sol, picard_residuals=sol.inner_picard_residuals[0],
+                   inner_picard_residuals=())
 
 
 def picard_in_x(problem: BsdeProblem, batch: NoiseBatch,
                 basis: Optional[PolynomialBasis] = None, max_iter: int = 30,
                 tol: float = 1e-8, inner_max_iter: int = 25,
                 inner_tol: Optional[float] = None,
-                resolvent_tol: float = 1e-10,
-                resolvent_max_iter: int = 100,
                 counts: Optional[BackwardCounts] = None) -> BsdeSolution:
-    """Outer fixed point in x, inner fixed point in z.
+    """Outer fixed point in x, inner fixed point in z (:func:`_picard_loop`).
 
-    The x argument of the driver is frozen at the previous outer iterate
-    (zero process to start); each outer sweep solves the z-only problem
-    by :func:`_picard_z_core`.  The outer residual is the grid supremum
-    over time of the mean-square distance between successive X iterates
-    (a squared quantity; tol compares against it directly).  A driver
-    declared independent of x converges after the single outer pass by
-    construction; the recorded outer residual is then the distance from
-    the zero initialization.  All sweeps, inner and outer, reuse the
-    regression designs factored once up front; ``counts`` (a
+    The outer residual is a squared quantity; tol compares against it
+    directly.  For a driver declared independent of x it is the distance
+    of the one outer pass from the zero initialization.  All sweeps reuse
+    the regression designs factored once up front; ``counts`` (a
     :class:`BackwardCounts`) accumulates the solve's work.
     """
-    inner_tol = tol if inner_tol is None else inner_tol
     for name, limit in (("max_iter", max_iter),
                         ("inner_max_iter", inner_max_iter)):
         if limit < 1:
             raise ConfigError(f"{name} must be >= 1, got {limit!r}")
-    counts = BackwardCounts() if counts is None else counts
-    reduced, gamma, basis, regression = _prepare(problem, batch, basis,
-                                                  counts)
-    n = batch.n_steps
-    x_prev = np.zeros((batch.n_replicas, n + 1, reduced.dim))
-    outer_history = []
-    inner_histories = []
-    for _ in range(max_iter):
-        sol, inner = _picard_z_core(reduced, batch, basis, regression,
-                                    x_prev[:, :n], inner_max_iter, inner_tol,
-                                    resolvent_tol, resolvent_max_iter, counts)
-        gap = float(np.max(np.mean(
-            np.sum((sol.x_paths - x_prev) ** 2, axis=2), axis=0)))
-        outer_history.append(gap)
-        inner_histories.append(tuple(inner))
-        x_prev = sol.x_paths
-        if gap < tol or not problem.driver.x_dependent:
-            sol = replace(sol, picard_residuals=tuple(outer_history),
-                          inner_picard_residuals=tuple(inner_histories))
-            return _unscale_solution(sol, gamma)
-    raise NonconvergenceError(
-        f"x-iteration did not reach tol={tol:g} within {max_iter} outer "
-        f"sweeps (last residual {outer_history[-1]:.3e})",
-        residuals=outer_history)
+    return _picard_loop(problem, batch, basis, max_iter, tol, inner_max_iter,
+                        tol if inner_tol is None else inner_tol, counts)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,6 @@ SCHEMA = {
         "u0_scale": float,
         "kappa": float,         # delay / driver coupling strength
         "lag_steps": int,       # memory horizon in units of dt
-        "kernel": str,          # two-time kernel id
         "rho_kind": str,        # linear | rho_k
         "rho_k": int,
         "rho_c0": float,

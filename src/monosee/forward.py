@@ -50,13 +50,16 @@ from .operators import (ConstantDiffusion, DriftTerm, HypothesisBundle,
                         _compose, _compose_jacobian, _grid_eval,
                         _grid_jacobian, constant_profile, profile_on_grid)
 from .reporting import csv_text
-from .resolvent import MonotoneMap, NewtonCounts, _resolvent_general, resolvent
+# ``resolvent`` is unused here; it stays bound because the benchmark
+# tracer's self-test expects to wrap it in this module
+from .resolvent import (MonotoneMap, NewtonCounts, _resolvent_general,
+                        resolvent)
 from .triple import POROUS_MEDIUM, DiscreteTriple, _float_or_array
 
 __all__ = [
     "SolverConfig", "SolutionPath", "GalerkinSystem", "ImplicitStep",
     "step_implicit",
-    "solve_forward", "solve_diagonal_batch",
+    "solve_forward",
     "RescaledProblem", "rescale_problem",
     "AprioriReport", "apriori_norms", "trajectory_csv",
 ]
@@ -371,36 +374,6 @@ def solve_forward(cfg: SolverConfig, drift, diffusion, noise, x0,
         energy_residual=residual[r], q1=triple.q1, q2=triple.q2, n_modes=n,
         triple=triple) for r in range(n_rep)]
     return paths[0] if single else paths
-
-
-def solve_diagonal_batch(f, g, noise: NoisePath, y0, f_prime=None,
-                         tol: float = 1e-12, max_iter: int = 200):
-    """Drift-implicit solve of independent scalar equations, all at once.
-
-    Each noise column drives one replica of du = f(t, u) dt + g(t, u) dw;
-    f and g act elementwise on the replica vector.  Returns (times,
-    states) with states of shape (n_steps + 1, n_replicas).  Useful for
-    Monte-Carlo studies where spawning one solver per replica would
-    dominate the runtime.
-    """
-    inc = noise.increments
-    times = noise.times
-    dt = noise.dt
-    n_rep = inc.shape[1]
-    y = (np.full(n_rep, float(y0)) if np.isscalar(y0)
-         else np.asarray(y0, dtype=float).copy())
-    if y.shape != (n_rep,):
-        raise ConfigError(f"y0 has shape {y.shape}, expected ({n_rep},)")
-    out = np.empty((len(times), n_rep))
-    out[0] = y
-    drift_map = MonotoneMap(eval=f, jacobian=f_prime, diagonal=True,
-                            name="batch scalar drift")
-    for k in range(inc.shape[0]):
-        r = y + g(float(times[k]), y) * inc[k]
-        y = resolvent(drift_map, float(times[k + 1]), dt, r, tol=tol,
-                      max_iter=max_iter)
-        out[k + 1] = y
-    return times, out
 
 
 # ---------------------------------------------------------------------------

@@ -684,18 +684,22 @@ class ContractionReport:
                 f"(slack {self.slack:g}, {self.n_transitions} transitions)")
 
 
+# the largest fitted c0 a domination report accepts
+_C0_CAP = 1e4
+
+
 def bihari_domination_report(residual_profiles: Sequence[np.ndarray],
                              times, lambda8, rho: ModulusSpec,
-                             slack: float = 1.2,
-                             c0_cap: float = 1e4) -> ContractionReport:
+                             slack: float = 1.2) -> ContractionReport:
     """Check successive squared-difference profiles against the recursion
     g_next(t) <= c0 * int_0^t lambda8(s) rho(g(s)) ds.
 
     One constant is fitted across all transitions (the recursion asserts
     a single c0 works for every sweep); the report is red when no finite
-    constant fits, when the fit exceeds ``c0_cap``, or when a profile
-    pierces the comparison envelope with base point sup of the first
-    difference by more than ``slack``.
+    constant fits, when the fit exceeds ``_C0_CAP`` (recorded as the
+    report's ``c0_cap``), or when a profile pierces the comparison
+    envelope with base point sup of the first difference by more than
+    ``slack``.
     """
     times = np.asarray(times, dtype=float)
     if np.ndim(lambda8) and np.shape(lambda8) != times.shape:
@@ -708,7 +712,7 @@ def bihari_domination_report(residual_profiles: Sequence[np.ndarray],
     notes: list = []
     n_trans = max(len(profiles) - 1, 0)
     report = partial(ContractionReport, n_transitions=n_trans, slack=slack,
-                     c0_cap=c0_cap, notes=notes)
+                     c0_cap=_C0_CAP, notes=notes)
     if n_trans == 0 or float(np.max(profiles[0])) == 0.0:
         notes.append("fewer than two nonzero profiles; domination check "
                      "is vacuous")
@@ -748,7 +752,7 @@ def bihari_domination_report(residual_profiles: Sequence[np.ndarray],
                      "only the envelope check is informative")
     return report(fitted_c0=fitted_c0, transition_ratios=ratios,
                   max_envelope_ratio=max_env,
-                  ok=fitted_c0 <= c0_cap and max_env <= slack)
+                  ok=fitted_c0 <= _C0_CAP and max_env <= slack)
 
 
 # ---------------------------------------------------------------------------

@@ -443,19 +443,20 @@ def state_sampler(triple: DiscreteTriple, t_final: float = 1.0,
     return SampleStream(sample)
 
 
-def pair_sampler(triple: DiscreteTriple, t_final: float = 1.0,
-                 amp_range=(1e-3, 1e3), times=None) -> SampleStream:
+def pair_sampler(triple: DiscreteTriple, amp_range=(1e-3, 1e3),
+                 times=None) -> SampleStream:
     """Random (t, u, v) triplets for the two-point checks.
 
-    One sample draws (t, u) from ``state_sampler``, then a second state
-    whose time is discarded, as v, then the coin ``rng.random()``: below
+    One sample draws (t, u) from ``state_sampler`` (at its default
+    ``t_final`` without a grid), then a second state whose time is
+    discarded, as v, then the coin ``rng.random()``: below
     0.1, v is replaced by a copy of u.  This is the stream the
     ``rng.uniform()`` coin drew.  The arguments are checked as
     ``state_sampler`` checks them.  The coin makes this a stream of its
     own: a :class:`~monosee.reporting.SampleStream` whose drawn pairs are
     shared, as ``state_sampler``'s states are, by every check given it.
     """
-    single = state_sampler(triple, t_final, amp_range, times=times)
+    single = state_sampler(triple, amp_range=amp_range, times=times)
 
     def sample(rng):
         t, u = single(rng)

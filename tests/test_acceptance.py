@@ -22,8 +22,7 @@ from monosee.bsde import (BsdeDriver, BsdeProblem, picard_in_x, picard_in_z,
                           zero_driver)
 from monosee.config import ExperimentConfig
 from monosee.experiments import EXPERIMENTS, run_experiment
-from monosee.forward import (SolverConfig, solve_diagonal_batch,
-                             solve_forward)
+from monosee.forward import SolverConfig, solve_forward, step_implicit
 from monosee.functional import (FunctionalCoefficients, Segment, SegmentPath,
                                 VolterraCoefficients, bihari_domination_report,
                                 lambda8_profile, picard_solve_functional,
@@ -60,10 +59,18 @@ def test_criterion_01_linear_moment_oracle(capsys):
     budget, t0 = 30.0, time.perf_counter()
     a, b = -1.0, 0.5
     noise = sample_path(seed=101, t_final=1.0, n_steps=1000, n_modes=10_000)
-    _, states = solve_diagonal_batch(
-        lambda t, y: a * y, lambda t, y: b * y, noise, 1.0,
-        f_prime=lambda t, y: a * np.ones_like(y))
-    u_sq = states[-1] ** 2
+    # each noise column drives one replica: an (R, 1) stack of scalar states
+    drift = MonotoneMap(eval=lambda t, u: a * u,
+                        jacobian=lambda t, u: np.full(u.shape + (1,), a),
+                        name="a u")
+    cfg = SolverConfig(n_modes_galerkin=1, resolvent_tol=1e-12,
+                       resolvent_max_iter=200)
+    u = np.ones((noise.n_modes, 1))
+    for k in range(noise.n_steps):
+        u = step_implicit(u, float(noise.times[k]), noise.dt,
+                          noise.increments[k][:, None], drift,
+                          lambda t, u: b * u[..., None], cfg).y
+    u_sq = u[:, 0] ** 2
     mean = float(np.mean(u_sq))
     se = float(np.std(u_sq, ddof=1) / math.sqrt(u_sq.size))
     target = math.exp(2.0 * a + b ** 2)

@@ -18,8 +18,7 @@ import monosee.resolvent
 from monosee.analysis import convergence_order, sup_h_distance
 from monosee.errors import ConfigError, MonoseeError, NonconvergenceError
 from monosee.forward import (AprioriReport, GalerkinSystem, SolverConfig,
-                             apriori_norms, rescale_problem,
-                             solve_diagonal_batch, solve_forward,
+                             apriori_norms, rescale_problem, solve_forward,
                              step_implicit, trajectory_csv)
 from monosee.noise import EMPTY_CONTEXT, BatchContext, NoiseBatch, \
     NoiseContext, refine_path, sample_batch, sample_path, zero_path
@@ -521,15 +520,49 @@ def test_solve_forward_heat_exponential_refinement():
     assert 1.7 <= errors[1] / errors[2] <= 2.3
 
 
+def _scalar_replicas(f, g, noise, u0, f_prime=None):
+    """Each noise column drives one replica of du = f(u) dt + g(u) dw: the
+    replicas are an (R, 1) stack stepped by ``step_implicit`` (resolvent
+    tolerance 1e-12, 200 Newton iterations).  f, f_prime and g act
+    elementwise; returns the states, shaped (n_steps + 1, R)."""
+    jacobian = None if f_prime is None else (
+        lambda t, u: f_prime(u)[..., None])
+    drift = MonotoneMap(eval=lambda t, u: f(u), jacobian=jacobian,
+                        name="scalar drift")
+    cfg = SolverConfig(n_modes_galerkin=1, resolvent_tol=1e-12,
+                       resolvent_max_iter=200)
+    states = np.empty((noise.n_steps + 1, noise.n_modes))
+    states[0] = u0
+    u = states[0][:, None]
+    for k in range(noise.n_steps):
+        u = step_implicit(u, float(noise.times[k]), noise.dt,
+                          noise.increments[k][:, None], drift,
+                          lambda t, u: g(u)[..., None], cfg).y
+        states[k + 1] = u[:, 0]
+    return states
+
+
+def test_step_implicit_scalar_stack_matches_the_closed_form_step():
+    """du = a u dt + b u dw on an (R, 1) stack: each step is the implicit
+    Euler step (u + b u dW) / (1 - a dt) up to rounding."""
+    a, b_coef = -1.0, 0.5
+    noise = sample_path(seed=7, t_final=0.25, n_steps=16, n_modes=50)
+    states = _scalar_replicas(lambda u: a * u, lambda u: b_coef * u, noise,
+                              1.0, f_prime=lambda u: np.full_like(u, a))
+    exact = np.empty_like(states)
+    exact[0] = 1.0
+    for k, dw in enumerate(noise.increments):
+        exact[k + 1] = (exact[k] + b_coef * exact[k] * dw) \
+            / (1.0 - a * noise.dt)
+    assert np.max(np.abs(states - exact) / np.abs(exact)) <= 1e-14
+
+
 def test_solve_forward_second_moment_linear_see():
     """du = a u dt + b u dw: E|u(1)|^2 = e^{2a + b^2} (moment ODE oracle)."""
     a, b_coef, n_rep = -1.0, 0.5, 3000
     noise = sample_path(seed=9, t_final=1.0, n_steps=1000, n_modes=n_rep)
-    _, states = solve_diagonal_batch(
-        f=lambda t, u: a * u,
-        g=lambda t, u: b_coef * u,
-        noise=noise, y0=1.0,
-        f_prime=lambda t, u: np.full_like(u, a))
+    states = _scalar_replicas(lambda u: a * u, lambda u: b_coef * u, noise,
+                              1.0, f_prime=lambda u: np.full_like(u, a))
     sq = states[-1] ** 2
     mean = float(np.mean(sq))
     se = float(np.std(sq, ddof=1)) / math.sqrt(n_rep)
@@ -537,12 +570,9 @@ def test_solve_forward_second_moment_linear_see():
     assert abs(mean - exact) <= 3.0 * se + 0.002
 
 
-def test_solve_diagonal_batch_zero_drift_additive():
+def test_step_implicit_zero_drift_additive_stack():
     noise = sample_path(seed=5, t_final=1.0, n_steps=64, n_modes=40)
-    _, states = solve_diagonal_batch(
-        f=lambda t, u: np.zeros_like(u),
-        g=lambda t, u: np.ones_like(u),
-        noise=noise, y0=0.25)
+    states = _scalar_replicas(np.zeros_like, np.ones_like, noise, 0.25)
     exact = 0.25 + np.vstack([np.zeros(40), np.cumsum(noise.increments, axis=0)])
     assert np.allclose(states, exact, rtol=0, atol=1e-13)
 

@@ -103,6 +103,7 @@ def test_apply_overrides_rejects_malformed(item):
 
 @pytest.mark.parametrize("section, key, raw", [
     ("problem", "plutonium", "9"),       # unknown key
+    ("problem", "kernel", "exponential"),  # a key with one value, retired
     ("wormholes", "x", "1"),             # unknown section
     ("numerics", "t_final", "soon"),     # unparsable float
     ("monte_carlo", "replicas", "3.5"),  # fractional int
@@ -307,7 +308,6 @@ REJECTED = [
     # a linear bound e^t_final past BOUND_CAP = 1e300 (t_final > 690.78)
     ("bihari_table", "numerics.t_final=691"),
     ("bihari_table", "numerics.t_final=800"),
-    ("volterra_consistency", "problem.kernel=gaussian"),
     # a negative seed keys no noise substream (every seeded experiment)
     ("porous_medium_demo", "monte_carlo.seed=-4"),
     ("reaction_diffusion_demo", "monte_carlo.seed=-4"),
@@ -329,7 +329,8 @@ ACCEPTED = [
     ("bihari_table", ("problem.rho_kind=rho_k", "problem.rho_k=1")),
     ("bihari_table", ("problem.rho_kind=rho_k", "problem.rho_k=2")),
     ("bihari_table", ("problem.rho_kind=rho_k", "problem.rho_k=3")),
-    ("volterra_consistency", ("problem.kernel=exponential",)),
+    # the one two-time kernel, which no key selects
+    ("volterra_consistency", ()),
     # the smallest backward runs validate lets through
     ("bsde_linear_validation", ("monte_carlo.replicas=3",
                                 "numerics.n_steps=3")),

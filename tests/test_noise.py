@@ -237,6 +237,14 @@ def _fresh_philox_rows(seed, replicas, n_steps, n_modes, dt,
 @example(seed=2**32 + 5, replica0=2**32 - 3, n_rows=6, purpose=1,
          level=2**32)
 @example(seed=2**128 - 1, replica0=2**40 - 1, n_rows=1, purpose=1, level=3)
+# seeds past the 4-word pool, whose extra words mix in one at a time, on
+# replicas below and across 2**32
+@example(seed=2**128, replica0=0, n_rows=4, purpose=0, level=0)
+@example(seed=2**128, replica0=2**32 - 2, n_rows=4, purpose=0, level=0)
+@example(seed=3**90, replica0=0, n_rows=4, purpose=0, level=0)
+@example(seed=3**90, replica0=2**32 - 2, n_rows=4, purpose=0, level=0)
+@example(seed=2**200 - 1, replica0=0, n_rows=4, purpose=0, level=0)
+@example(seed=2**200 - 1, replica0=2**32 - 2, n_rows=4, purpose=0, level=0)
 def test_substream_keys_equal_seed_sequence(seed, replica0, n_rows, purpose,
                                             level):
     # if a NumPy release changes SeedSequence's mix, this fails loudly

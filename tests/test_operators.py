@@ -687,7 +687,9 @@ def test_samplers_draw_the_choice_and_uniform_stream(seed, grid, amp_range):
 ])
 def test_samplers_reject_what_the_draws_rejected(kw, match):
     tr = DiscreteTriple(4, POROUS_MEDIUM, q1=3, q2=3)
-    for make in (state_sampler, pair_sampler):
+    # pair_sampler takes no t_final: it draws at state_sampler's default
+    makers = [state_sampler] + ([] if "t_final" in kw else [pair_sampler])
+    for make in makers:
         with pytest.raises(ConfigError, match=match):
             make(tr, **kw)
     # at t_final = 0 every time drawn is 0, as uniform(0, 0) drew it

@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 from monosee.errors import ConfigError, NonconvergenceError
 from monosee.forward import SolverConfig, step_implicit
 from monosee.reporting import SampleStream
-from monosee.resolvent import (MonotoneMap, NewtonCounts, check_dissipativity,
-                               check_yosida_properties, resolvent)
+from monosee.resolvent import (MonotoneMap, NewtonCounts, _newton_steps,
+                               check_dissipativity, check_yosida_properties,
+                               resolvent)
 
 import oracles
 from oracles import assert_same_report
@@ -666,6 +667,20 @@ def test_singular_linear_resolvent_falls_back_to_newton_failure():
     with pytest.raises(NonconvergenceError, match="damped Newton stalled"):
         resolvent(MonotoneMap.linear(2.0 * np.eye(2)), 0.0, 0.5,
                   np.array([1.0, 2.0]))
+
+
+def test_newton_steps_fall_back_row_by_row_on_a_singular_row():
+    """One singular matrix in a stack: the other rows still get their
+    solved step, and the singular row takes s = g."""
+    M = np.array([[[2.0, 1.0], [0.5, 3.0]],
+                  [[1.0, 2.0], [2.0, 4.0]],
+                  [[4.0, -1.0], [1.0, 1.0]]])
+    g = np.array([[1.0, -2.0], [0.5, 0.25], [3.0, 1.0]])
+    s = _newton_steps(M, g)
+    for row in (0, 2):
+        assert np.array_equal(s[row], np.linalg.solve(M[row], g[row]))
+        assert np.allclose(M[row] @ s[row], g[row], rtol=1e-15, atol=0)
+    assert np.array_equal(s[1], g[1])
 
 
 @pytest.mark.parametrize("kwargs, fragment", [
