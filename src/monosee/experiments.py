@@ -309,7 +309,7 @@ def _demo(s: Settings, set_name: str, label: str):
         h_sq = np.stack([path.h_norm_sq for path in paths])
         energy_sup = max(float(np.max(np.abs(np.cumsum(path.energy_residual))))
                          for path in paths)
-        first, noise0 = paths[0], batch.path(0)
+        first, noise0 = paths[0], batch.row(0)
         outcome.solver_stats = _forward_stats(counts, replicas * n_steps)
 
         times = first.times
@@ -367,7 +367,7 @@ def _galerkin_convergence(s):
         u0 = ops.triple.basis_function(1)
         counts = NewtonCounts(1)
         paths = {n: solve_forward(cfg, ops.drift, ops.diffusion, noise, u0,
-                                  counts=counts)
+                                  counts=counts)[0]
                  for n, cfg in configs.items()}
 
         outcome = ExperimentOutcome()
@@ -420,8 +420,8 @@ def _timestep_convergence(s):
         errors = []
         for n_steps in steps:
             noise = zero_path(t_final, n_steps, 1)
-            path = solve_forward(cfg, ops.drift, ops.diffusion, noise, e1,
-                                 counts=counts)
+            [path] = solve_forward(cfg, ops.drift, ops.diffusion, noise,
+                                   e1, counts=counts)
             exact = np.exp(-mu1 * path.times)[:, None] * e1
             err = float(np.max(tr.h_norm(path.states - exact)))
             errors.append(err)

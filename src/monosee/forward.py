@@ -18,12 +18,12 @@ the trial's term arguments; an all-linear drift is solved in closed
 form.  Its energy-identity ledger entry reuses the step's explicit
 target r and the drift at the accepted iterate: no operator evaluation.
 
-A replica ensemble is one (R, n) stack of coefficient vectors, one row per
-noise replica, and each step is one damped-Newton solve over the stack
-with per-replica targets, convergence masks and line searches; a single
-noise path is the batch of one.  The module also houses the lambda0
-gauge ``rescale_problem`` (solve its transformed operators, multiply back
-by its gamma), the per-step energy-identity ledger, and the a-priori norm
+The noise is a NoiseBatch of R rows (a single path is the batch of one),
+solved as one (R, n) stack of coefficient vectors: each step is one
+damped-Newton solve over the stack with per-row targets, convergence
+masks and line searches.  The module also houses the lambda0 gauge
+``rescale_problem`` (solve its transformed operators, multiply back by
+its gamma), the per-step energy-identity ledger, and the a-priori norm
 budget check.
 
 Coordinate facts used throughout: the basis is H-orthonormal, so the
@@ -44,8 +44,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import ConfigError, MonoseeError, NonconvergenceError
-from .noise import (EMPTY_CONTEXT, BatchContext, NoiseBatch, NoiseContext,
-                    NoisePath)
+from .noise import EMPTY_CONTEXT, BatchContext, NoiseContext
 from .operators import (ConstantDiffusion, DriftTerm, HypothesisBundle,
                         _compose, _compose_jacobian, _grid_eval,
                         _grid_jacobian, constant_profile, profile_on_grid)
@@ -284,32 +283,31 @@ def _step_defect(y, r, b_y, dt: float) -> np.ndarray:
 
 def solve_forward(cfg: SolverConfig, drift, diffusion, noise, x0,
                   counts: Optional[NewtonCounts] = None):
-    """Integrate the projected equation along a NoisePath or a NoiseBatch.
+    """Integrate the projected equation along every row of a NoiseBatch.
 
-    A NoiseBatch of R replicas gives R SolutionPaths, stepped together:
-    each step is one damped-Newton solve over the (R, n) stack with a
-    per-replica target, convergence mask and line search, so a replica
-    follows the iterates it would follow alone (up to the rounding of the
-    stacked matrix products).  A NoisePath is the batch of one and gives
-    one SolutionPath.  A failed step raises NonconvergenceError naming the
-    step and, in a batch, the replica, with that replica's history; its
-    ``failures`` list every failed replica (numbered from ``replica0``).
-    ``counts`` (one entry per replica) accumulates the Newton work.
+    Returns a list of SolutionPaths, one per row, stepped together: each
+    step is one damped-Newton solve over the (R, n) stack with a per-row
+    target, convergence mask and line search, so a row follows the
+    iterates it would follow alone (up to the rounding of the stacked
+    matrix products).  A failed step raises NonconvergenceError naming
+    the step and the row, with that row's history; its ``failures`` list
+    every failed row.  ``counts`` (one entry per row) accumulates the
+    Newton work.
 
-    ``x0`` holds grid values: one state (n_grid,) that starts every
-    replica, or an (R, n_grid) stack with one start per row.  A stack on
-    a NoisePath makes the path a batch of R read-only broadcast rows, so
-    R solves that share one noise path run as one stack, give R
-    SolutionPaths, and a failed row is named by its start index; on a
-    NoiseBatch, R must be its replica count.  Starts are projected onto
+    ``x0`` holds grid values: one state (n_grid,) that starts every row,
+    or an (R, n_grid) stack with one start per row.  On a batch of R > 1
+    rows, R must be its row count, and a failed row is named by its
+    replica, ``replica0 + r``.  On a batch of one row, R starts share
+    that row's noise as one stack, and a failed row is named by its start
+    index; a single start there names no row.  Starts are projected onto
     the first n modes.  Every step is one drift-implicit Euler step
     (``step_implicit``) of the grid's step dt, solved at times[k] + dt,
     whose ledger entry reuses the step's r and b(y).  The noise must
     carry the system's ``n_noise`` modes at least (ConfigError
-    otherwise); extra modes go unused.
-    The operators are stepped as given: to remove lambda0 from the
-    hypothesis bundle, solve ``rescale_problem``'s transformed operators
-    and multiply the trajectory by its ``gamma``.
+    otherwise); extra modes go unused.  The operators are stepped as
+    given: to remove lambda0 from the hypothesis bundle, solve
+    ``rescale_problem``'s transformed operators and multiply the
+    trajectory by its ``gamma``.
 
     Deterministic for fixed (noise, config): no RNG is consulted.
     """
@@ -320,38 +318,36 @@ def solve_forward(cfg: SolverConfig, drift, diffusion, noise, x0,
         raise ConfigError(f"initial state has shape {x0v.shape}, expected "
                           f"({triple.n_grid},) or a stack (R, "
                           f"{triple.n_grid}) with R >= 1")
-    single = isinstance(noise, NoisePath) and x0v.ndim == 1
-    if isinstance(noise, NoisePath):
-        batch = NoiseBatch.from_path(noise, 1 if single else len(x0v))
-    elif x0v.ndim == 2 and len(x0v) != noise.n_replicas:
-        raise ConfigError(f"{len(x0v)} starts for a noise batch of "
-                          f"{noise.n_replicas} replicas")
-    else:
-        batch = noise
+    rows = noise.n_replicas
+    if x0v.ndim == 2 and rows not in (1, len(x0v)):
+        raise ConfigError(f"{len(x0v)} starts for a noise batch of {rows} "
+                          f"replicas")
+    n_rep = len(x0v) if x0v.ndim == 2 else rows
+    single = x0v.ndim == rows == 1  # one start on one path: names no row
+    offset = noise.replica0 if rows > 1 else 0
     n = cfg.n_modes_galerkin
     if n > triple.n_grid:
         raise ConfigError(f"n_modes_galerkin={n} exceeds grid size "
                           f"{triple.n_grid}")
-    dt = batch.dt
+    dt = noise.dt
     system = GalerkinSystem(drift, diffusion, n, triple)
-    if batch.n_modes < system.n_noise:
-        raise ConfigError(f"noise carries {batch.n_modes} modes, but the "
+    if noise.n_modes < system.n_noise:
+        raise ConfigError(f"noise carries {noise.n_modes} modes, but the "
                           f"projected diffusion has {system.n_noise} "
                           f"noise columns")
-    times, n_steps = batch.times, batch.n_steps
+    times, n_steps = noise.times, noise.n_steps
 
-    n_rep = batch.n_replicas
     coeffs = np.empty((n_rep, n_steps + 1, n))
     # row by row, so a start projects as it does alone
     coeffs[:, 0] = [triple.coefficients(x, n) for x in np.atleast_2d(x0v)]
     residual = np.empty((n_rep, n_steps))
-    ctx = BatchContext(batch)
+    ctx = BatchContext(noise)
     drift_map, sigma = system.bind(ctx)
     for k in range(n_steps):
         ctx.index = k
         t0 = float(times[k])
         xk = coeffs[:, k]
-        dw = batch.increments[:, k]
+        dw = noise.increments[:, k]
         try:
             step = step_implicit(xk, t0, dt, dw, drift_map, sigma, cfg,
                                  guess=xk, counts=counts)
@@ -359,8 +355,7 @@ def solve_forward(cfg: SolverConfig, drift, diffusion, noise, x0,
             for e in err.failures or [err]:
                 e.args = (f"forward solve failed at step {k} (t = {t0:g}): "
                           f"{e.args[0]}",)
-                e.replica = None if single else e.replica + (
-                    batch.replica0 if batch is noise else 0)
+                e.replica = None if single else e.replica + offset
             raise
         residual[:, k] = _step_defect(step.y, step.r, step.b_y, dt)
         coeffs[:, k + 1] = step.y
@@ -373,7 +368,7 @@ def solve_forward(cfg: SolverConfig, drift, diffusion, noise, x0,
         h_norm_sq=h_sq[r], x1_norm=x1[r], x2_norm=x2[r],
         energy_residual=residual[r], q1=triple.q1, q2=triple.q2, n_modes=n,
         triple=triple) for r in range(n_rep)]
-    return paths[0] if single else paths
+    return paths
 
 
 # ---------------------------------------------------------------------------
@@ -386,13 +381,13 @@ def _gamma_factory(lambda0) -> Callable:
     With noise in the context the integral is the left-endpoint rule on
     the noise grid (lambda0 may read the scalar path, which is only
     defined at grid times; the left rule also keeps the value adapted),
-    tabulated once per noise object, one row per replica read through its
-    own NoiseContext (a NoisePath is the batch of one).  A BatchContext
-    gets an (R, 1) column at one time; a NoiseContext a float for one
-    time, an array for an array of times.  Without noise the profile is
-    deterministic and a trapezoid rule on a fine fixed grid applies.
+    tabulated once per noise batch, each row read through its own
+    NoiseContext.  A BatchContext gets an (R, 1) column at one time; a
+    NoiseContext a float for one time, an array for an array of times.
+    Without noise the profile is deterministic and a trapezoid rule on a
+    fine fixed grid applies.
     """
-    cache: list = [None]  # (noise, vals, cum) of the last noise object
+    cache: list = [None]  # (noise, vals, cum) of the last noise batch
 
     def gamma(t, ctx):
         t = np.asarray(t, dtype=float)
@@ -403,11 +398,11 @@ def _gamma_factory(lambda0) -> Callable:
             integral = np.trapezoid(profile_on_grid(lambda0, grid, ctx), grid, axis=-1)
         else:
             if cache[0] is None or cache[0][0] is not noise:
-                paths = [noise] if isinstance(noise, NoisePath) \
-                    else [noise.path(r) for r in range(noise.n_replicas)]
-                vals = np.stack([profile_on_grid(lambda0, p.times, NoiseContext(p))
-                                 for p in paths], axis=-1)  # (N+1, R)
-                cum = np.concatenate([np.zeros((1, len(paths))), np.cumsum(
+                vals = np.stack([profile_on_grid(lambda0, noise.times,
+                                                 NoiseContext(noise.row(r)))
+                                 for r in range(noise.n_replicas)],
+                                axis=-1)  # (N+1, R)
+                cum = np.concatenate([np.zeros_like(vals[:1]), np.cumsum(
                     vals[:-1] * np.diff(noise.times)[:, None], axis=0)])
                 cache[0] = (noise, vals, cum)
             _, vals, cum = cache[0]

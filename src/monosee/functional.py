@@ -25,7 +25,7 @@ from .analysis import (ModulusSpec, _rate, bihari_bound, linear_modulus,
 from .errors import ConfigError, MonoseeError, NonconvergenceError
 from .forward import (SolverConfig, SolutionPath, _trajectory_table,
                       solve_forward)
-from .noise import EMPTY_CONTEXT, NoisePath
+from .noise import EMPTY_CONTEXT, NoiseBatch, _one_row
 from .operators import DriftTerm, _grid_eval, _grid_jacobian, profile_on_grid
 from .reporting import (ViolationReport, _record, _require_amp_range,
                         _require_t_final, _sampled_check, csv_text)
@@ -350,7 +350,7 @@ def _check_noise_columns(mats: np.ndarray, n_modes: int, who: str) -> None:
 
 
 def _frozen_terms(coeffs: FunctionalCoefficients, path: SegmentPath,
-                  noise: NoisePath):
+                  noise: NoiseBatch):
     """Tabulate the functional forcing and diffusion along one iterate.
 
     Returns (g_rows, d_rows): g_rows[k] is the frozen drift addition at
@@ -361,6 +361,8 @@ def _frozen_terms(coeffs: FunctionalCoefficients, path: SegmentPath,
     once per grid time t_k on the windows at the sources s_j < t_k;
     nothing is recomputed inside the inner solver.
     """
+    _one_row(noise, "the memory terms")
+    increments = noise.increments[0]
     times = path.times
     n_pts = len(times)
     width = path.width
@@ -382,7 +384,7 @@ def _frozen_terms(coeffs: FunctionalCoefficients, path: SegmentPath,
                 mats = _stacked(coeffs.d2, "d2", past, sources, factor=True)
                 _check_noise_columns(mats, noise.n_modes, "d2")
                 g_rows[k] += np.einsum("jwm,jm->w", mats,
-                                       noise.increments[:k, :mats.shape[-1]])
+                                       increments[:k, :mats.shape[-1]])
     if coeffs.d1 is None:
         return g_rows, np.zeros((n_pts, width, 1))
     d_rows = _stacked(coeffs.d1, "d1", (times,), windows, factor=True)
@@ -487,7 +489,7 @@ class FunctionalPicardResult:
 
 
 def picard_solve_functional(drift, coeffs: FunctionalCoefficients,
-                            noise: NoisePath, past: Segment,
+                            noise: NoiseBatch, past: Segment,
                             cfg: SolverConfig, max_iter: int = 30,
                             tol: float = 1e-8,
                             first_iterate=None) -> FunctionalPicardResult:
@@ -520,25 +522,26 @@ def picard_solve_functional(drift, coeffs: FunctionalCoefficients,
 
 
 def picard_solve_functional_stack(drift, coeffs: FunctionalCoefficients,
-                                  noise: NoisePath, past: Segment,
+                                  noise: NoiseBatch, past: Segment,
                                   cfg: SolverConfig, first_iterates,
                                   max_iter: int = 30,
                                   tol: float = 1e-8) -> list:
     """Frozen-forcing iteration from several first iterates at once.
 
-    One FunctionalPicardResult per entry of ``first_iterates`` (each
-    None for the constant extension of the seam, or trajectory rows, as
-    ``first_iterate`` of :func:`picard_solve_functional`), all on one
-    past and one noise path.  Each sweep tabulates the frozen terms of
-    every active row, one row at a time, and makes one forward solve over
-    the rows that still need one (``solve_forward`` on an (R, n_grid)
-    stack of seams).  A row leaves the stack once it converges or takes
-    the exact-fixed-point exit, so each row takes the sweeps, and gets
-    the result, it would get alone (up to the rounding of the stacked
-    products).  A row that does not converge within ``max_iter`` sweeps,
-    or whose inner solve fails, raises the NonconvergenceError it raises
-    alone, with ``replica`` its index in ``first_iterates``; ``failures``
-    lists every row that failed at that sweep.
+    One FunctionalPicardResult per entry of ``first_iterates`` (each None
+    for the constant extension of the seam, or trajectory rows, as
+    ``first_iterate`` of :func:`picard_solve_functional`), all on one past
+    and one noise path, a batch of one row (ConfigError for more rows).
+    Each sweep tabulates the frozen terms of every active row, one row at
+    a time, and makes one forward solve over the rows that still need one
+    (``solve_forward`` on an (R, n_grid) stack of seams).  A row leaves
+    the stack once it converges or takes the exact-fixed-point exit, so
+    each row takes the sweeps, and gets the result, it would get alone (up
+    to the rounding of the stacked products).  A row that does not
+    converge within ``max_iter`` sweeps, or whose inner solve fails,
+    raises the NonconvergenceError it raises alone, with ``replica`` its
+    index in ``first_iterates``; ``failures`` lists every row that failed
+    at that sweep.
     """
     triple = drift.triple
     if past.values.ndim != 2:
@@ -952,7 +955,7 @@ def check_volterra_partials(v: VolterraCoefficients, sampler,
 
 
 def volterra_direct_eval(v: VolterraCoefficients, path: SegmentPath,
-                         noise: NoisePath) -> np.ndarray:
+                         noise: NoiseBatch) -> np.ndarray:
     """The direct two-time sums at every grid time t_k of ``path``, an
     (n_pts, width) table: row k is sum_j drift_kernel(t_k, s_j,
     segment_j) dt + sum_j diffusion_kernel(t_k, s_j, segment_j) dW_j over
@@ -968,7 +971,7 @@ def volterra_direct_eval(v: VolterraCoefficients, path: SegmentPath,
 
 
 def volterra_consistency(v: VolterraCoefficients, path: SegmentPath,
-                         noise: NoisePath) -> float:
+                         noise: NoiseBatch) -> float:
     """Sup over the grid of the H-distance between the direct two-time
     sums and their diagonal-plus-partial rewriting, both under the
     left-point rule on the same fixed path and noise.
@@ -982,7 +985,7 @@ def volterra_consistency(v: VolterraCoefficients, path: SegmentPath,
     """
     direct = volterra_direct_eval(v, path, noise)
     g_rows, d_rows = _frozen_terms(volterra_to_functional(v), path, noise)
-    inc = noise.increments[:len(d_rows) - 1, :d_rows.shape[2], None]
+    inc = noise.increments[0, :len(d_rows) - 1, :d_rows.shape[2], None]
     zero = np.zeros((1, path.width))
     acc = np.cumsum(np.concatenate([zero, noise.dt * g_rows[:-1]]), axis=0)
     stoch = np.cumsum(np.concatenate([zero, (d_rows[:-1] @ inc)[..., 0]]),

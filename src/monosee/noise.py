@@ -6,9 +6,9 @@ are reproducible regardless of execution order.  The Philox key of a
 substream is the key ``np.random.SeedSequence(entropy=seed,
 spawn_key=(replica, purpose, level))`` gives a fresh Philox; the keys of a
 whole replica range are computed at once, by the same 32-bit hash run
-over arrays.  A NoiseBatch stacks the replica substreams of one seed; it
-is how a replica ensemble reaches the batched forward solver and the
-backward regression solvers.  The first mode doubles as the scalar
+over arrays.  A NoiseBatch stacks the replica substreams of one seed, and
+a single path is the batch of one row; it is how noise reaches the
+forward, backward and memory solvers.  The first mode doubles as the scalar
 driving Brownian motion w_t used by random coefficients.
 """
 
@@ -138,44 +138,6 @@ def _substream_keys(seed, replica0, n_rows: int, purpose: int,
     return keys
 
 
-@dataclass
-class NoisePath:
-    """Increments of a truncated cylindrical Wiener process on a uniform grid."""
-
-    seed: int
-    replica: int
-    level: int
-    times: np.ndarray          # length N+1, t_0 = 0
-    increments: np.ndarray     # N x n_modes
-    scalar_path: np.ndarray    # length N+1, cumulative mode-1 path, w(0) = 0
-
-    @property
-    def n_steps(self) -> int:
-        return self.increments.shape[0]
-
-    @property
-    def n_modes(self) -> int:
-        return self.increments.shape[1]
-
-    @property
-    def t_final(self) -> float:
-        return float(self.times[-1])
-
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
-
-    def scalar_at(self, t):
-        """w_t at grid times (nearest index, with tolerance), shaped like t;
-        a time off the grid raises MonoseeError naming it."""
-        t = np.asarray(t, dtype=float)
-        idx = np.clip(np.rint(t / self.dt).astype(int), 0, self.n_steps)
-        off = np.abs(self.times[idx] - t) > 1e-9 * np.maximum(1.0, np.abs(t)) + 1e-12
-        if off.any():
-            raise MonoseeError(f"time {t[off][0]} is not on the noise grid")
-        return _float_or_array(self.scalar_path[idx])
-
-
 def _scalar_from_increments(increments: np.ndarray) -> np.ndarray:
     """Cumulative mode-1 paths, w(0) = 0, along the step axis."""
     lead = increments.shape[:-2]
@@ -188,8 +150,9 @@ class NoiseBatch:
     """Replicas ``replica0 .. replica0 + R - 1`` of one seed, stacked.
 
     Row r of ``increments`` (R x N x n_modes) and ``scalar_paths``
-    (R x (N+1)) holds what ``path(r)`` holds as a NoisePath; all rows
-    share the grid ``times``.  The forward solver steps every row at once;
+    (R x (N+1), the cumulative mode-1 paths, w(0) = 0) is replica
+    ``replica0 + r``; all rows share the grid ``times``.  A single path
+    is the batch of one row.  The forward solver steps every row at once;
     the backward solvers regress across the rows.
     """
 
@@ -199,18 +162,6 @@ class NoiseBatch:
     times: np.ndarray          # length N+1, t_0 = 0
     increments: np.ndarray     # R x N x n_modes
     scalar_paths: np.ndarray   # R x (N+1)
-
-    @classmethod
-    def from_path(cls, path: NoisePath, rows: int = 1) -> "NoiseBatch":
-        """The batch of ``rows`` rows, each holding ``path``: read-only
-        broadcast views, not copies.  With more than one row, ``path(r)``
-        labels row r replica ``path.replica + r``, a row index, not a
-        substream."""
-        return cls(path.seed, path.replica, path.level, path.times,
-                   np.broadcast_to(path.increments,
-                                   (rows,) + path.increments.shape),
-                   np.broadcast_to(path.scalar_path,
-                                   (rows,) + path.scalar_path.shape))
 
     @property
     def n_replicas(self) -> int:
@@ -232,10 +183,29 @@ class NoiseBatch:
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
 
-    def path(self, r: int) -> NoisePath:
-        """Row r as a NoisePath (views, not copies)."""
-        return NoisePath(self.seed, self.replica0 + r, self.level, self.times,
-                         self.increments[r], self.scalar_paths[r])
+    def row(self, r: int) -> "NoiseBatch":
+        """Row r as a batch of one row (views, not copies)."""
+        return NoiseBatch(self.seed, self.replica0 + r, self.level,
+                          self.times, self.increments[r:r + 1],
+                          self.scalar_paths[r:r + 1])
+
+    def scalar_at(self, t):
+        """w_t of a one-row batch at grid times (nearest index, with
+        tolerance), shaped like t; a time off the grid raises
+        MonoseeError naming it."""
+        t = np.asarray(t, dtype=float)
+        idx = np.clip(np.rint(t / self.dt).astype(int), 0, self.n_steps)
+        off = np.abs(self.times[idx] - t) > 1e-9 * np.maximum(1.0, np.abs(t)) + 1e-12
+        if off.any():
+            raise MonoseeError(f"time {t[off][0]} is not on the noise grid")
+        return _float_or_array(self.scalar_paths[0, idx])
+
+
+def _one_row(noise: NoiseBatch, who: str) -> None:
+    """ConfigError unless ``noise`` is a single path: a batch of one row."""
+    if noise.n_replicas != 1:
+        raise ConfigError(f"{who} reads a single noise path, got a batch of "
+                          f"{noise.n_replicas} rows")
 
 
 def _grid(t_final: float, n_steps: int, n_modes: int) -> np.ndarray:
@@ -247,41 +217,46 @@ def _grid(t_final: float, n_steps: int, n_modes: int) -> np.ndarray:
     return np.linspace(0.0, float(t_final), int(n_steps) + 1)
 
 
-def _base_increments(seed: int, replica0: int, n_rows: int,
-                     times: np.ndarray, n_modes: int) -> np.ndarray:
-    """Base increments of replicas ``replica0 .. replica0 + n_rows - 1``,
-    (n_rows, N, n_modes).
+def _keyed_normals(keys: np.ndarray, shape: tuple, scale) -> np.ndarray:
+    """``scale`` times the standard normals of ``shape`` that a fresh
+    ``Philox(key=key)`` draws, per key: (len(keys),) + shape.
 
-    The Philox keys of the whole range are computed at once and equal the
-    keys the rows' (seed, replica) SeedSequences give a fresh Philox.  One
-    Philox generator serves all rows: before each row it is re-keyed, at
-    counter 0, so every row draws exactly its substream's fresh stream.
+    One Philox generator serves all keys: before each row it is re-keyed,
+    at counter 0, so every row draws exactly its fresh stream.
     """
-    keys = _substream_keys(seed, replica0, n_rows, _PURPOSE_BASE, 0)
     bit_generator = np.random.Philox(key=0)
     gen = np.random.Generator(bit_generator)
     state = bit_generator.state  # counter 0, empty buffer: a fresh start
-    out = np.empty((n_rows, len(times) - 1, int(n_modes)))
+    out = np.empty((len(keys),) + shape)
     for row, key in zip(out, keys):
         state["state"]["key"] = key
         bit_generator.state = state
         gen.standard_normal(out=row)
-    out *= np.sqrt(times[1] - times[0])
+    out *= scale
     return out
 
 
+def _sample(seed, replica0: int, n_rows: int, t_final: float, n_steps: int,
+            n_modes: int) -> NoiseBatch:
+    """Replicas ``replica0 .. replica0 + n_rows - 1`` of ``seed``, each
+    its (seed, replica) substream, keyed for the whole range at once."""
+    times = _grid(t_final, n_steps, n_modes)
+    seed, replica0 = _natural(seed, "seed"), _natural(replica0, "replica")
+    keys = _substream_keys(seed, replica0, n_rows, _PURPOSE_BASE, 0)
+    increments = _keyed_normals(keys, (len(times) - 1, int(n_modes)),
+                                np.sqrt(times[1] - times[0]))
+    return NoiseBatch(seed, replica0, 0, times, increments,
+                      _scalar_from_increments(increments))
+
+
 def sample_path(seed: int, t_final: float, n_steps: int, n_modes: int,
-                replica: int = 0) -> NoisePath:
-    """Sample a fresh path on the uniform grid {0, dt, ..., T}.
+                replica: int = 0) -> NoiseBatch:
+    """Sample a fresh one-row batch on the uniform grid {0, dt, ..., T}.
 
     Deterministic in (seed, replica); distinct replicas use disjoint
     substreams of the same seed.  Both must be non-negative integers.
     """
-    times = _grid(t_final, n_steps, n_modes)
-    seed, replica = _natural(seed, "seed"), _natural(replica, "replica")
-    increments = _base_increments(seed, replica, 1, times, n_modes)[0]
-    return NoisePath(seed, replica, 0, times, increments,
-                     _scalar_from_increments(increments))
+    return _sample(seed, replica, 1, t_final, n_steps, n_modes)
 
 
 def sample_batch(seed: int, t_final: float, n_steps: int, n_modes: int,
@@ -294,23 +269,20 @@ def sample_batch(seed: int, t_final: float, n_steps: int, n_modes: int,
     replicas = _natural(replicas, "replicas")
     if replicas < 1:
         raise ConfigError("replicas must be at least 1")
+    return _sample(seed, 0, replicas, t_final, n_steps, n_modes)
+
+
+def zero_path(t_final: float, n_steps: int, n_modes: int = 1) -> NoiseBatch:
+    """One all-zero row on a uniform grid: the deterministic driver."""
     times = _grid(t_final, n_steps, n_modes)
-    seed = _natural(seed, "seed")
-    increments = _base_increments(seed, 0, replicas, times, n_modes)
-    return NoiseBatch(seed, 0, 0, times, increments,
-                      _scalar_from_increments(increments))
+    return NoiseBatch(seed=0, replica0=0, level=0, times=times,
+                      increments=np.zeros((1, n_steps, n_modes)),
+                      scalar_paths=np.zeros((1, n_steps + 1)))
 
 
-def zero_path(t_final: float, n_steps: int, n_modes: int = 1) -> NoisePath:
-    """All-zero increments on a uniform grid: the deterministic driver."""
-    times = _grid(t_final, n_steps, n_modes)
-    return NoisePath(seed=0, replica=0, level=0, times=times,
-                     increments=np.zeros((n_steps, n_modes)),
-                     scalar_path=np.zeros(n_steps + 1))
-
-
-def refine_path(path: NoisePath) -> NoisePath:
-    """Halve the grid step, filling midpoints by a Brownian bridge.
+def refine_path(noise: NoiseBatch) -> NoiseBatch:
+    """Halve the grid step of every row, filling midpoints by a Brownian
+    bridge drawn from the row's own (seed, replica, level + 1) substream.
 
     Conditioned on a coarse increment D over dt, the first half-step is
     N(D/2, dt/4); the second half is D minus the first, so pairwise sums
@@ -318,14 +290,12 @@ def refine_path(path: NoisePath) -> NoisePath:
     catastrophically cancel, and to within one ulp of the half-increment
     scale when they do.
     """
-    n, m = path.increments.shape
-    dt = path.dt
-    key = _substream_keys(path.seed, path.replica, 1, _PURPOSE_BRIDGE,
-                          path.level + 1)[0]
-    gen = np.random.Generator(np.random.Philox(key=key))
-    z = gen.standard_normal((n, m))
-    target = path.increments
-    first = target / 2.0 + 0.5 * np.sqrt(dt) * z
+    rows, n, m = noise.increments.shape
+    keys = _substream_keys(noise.seed, noise.replica0, rows, _PURPOSE_BRIDGE,
+                           noise.level + 1)
+    target = noise.increments
+    first = target / 2.0 + _keyed_normals(keys, (n, m),
+                                          0.5 * np.sqrt(noise.dt))
     # Align the pair so first + second reproduces the coarse increment to the
     # last bit wherever float64 permits; the reprojection sweep clears most
     # one-ulp defects without touching the bridge law.  When both halves dwarf
@@ -335,19 +305,21 @@ def refine_path(path: NoisePath) -> NoisePath:
     second = target - first
     first = target - second
     second = target - first
-    fine = np.empty((2 * n, m))
-    fine[0::2] = first
-    fine[1::2] = second
-    times = np.linspace(0.0, path.t_final, 2 * n + 1)
-    return NoisePath(path.seed, path.replica, path.level + 1, times, fine,
-                     _scalar_from_increments(fine))
+    fine = np.empty((rows, 2 * n, m))
+    fine[:, 0::2] = first
+    fine[:, 1::2] = second
+    times = np.linspace(0.0, noise.t_final, 2 * n + 1)
+    return NoiseBatch(noise.seed, noise.replica0, noise.level + 1, times,
+                      fine, _scalar_from_increments(fine))
 
 
 class NoiseContext:
     """Lookup view handed to random coefficients: w at grid times of one
-    path (0 everywhere without a path)."""
+    path, a batch of one row (0 everywhere without a path)."""
 
-    def __init__(self, path: NoisePath | None):
+    def __init__(self, path: NoiseBatch | None):
+        if path is not None:
+            _one_row(path, "NoiseContext")
         self.path = path
 
     def scalar(self, t):

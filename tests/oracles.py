@@ -36,7 +36,7 @@ from monosee.errors import ConfigError, NonconvergenceError
 from monosee.forward import (GalerkinSystem, _noise_term, _RescaledDrift,
                              _step_defect)
 from monosee.functional import Segment, _AugmentedDrift, segment_distance
-from monosee.noise import EMPTY_CONTEXT, BatchContext, NoiseBatch
+from monosee.noise import EMPTY_CONTEXT, BatchContext
 from monosee.operators import PhiDrift, ReactionDiffusionDrift
 from monosee.reporting import Violation, ViolationReport
 from monosee.resolvent import NewtonCounts, resolvent
@@ -183,15 +183,14 @@ def energy_residual(path, drift, diffusion, noise):
     it reproduces the stored ledger bit for bit.
     """
     system = GalerkinSystem(drift, diffusion, path.n_modes, path.triple)
-    batch = NoiseBatch.from_path(noise)
-    ctx = BatchContext(batch)
-    dt = batch.dt
+    ctx = BatchContext(noise)
+    dt = noise.dt
     out = np.empty(path.n_steps)
     for k in range(path.n_steps):
         ctx.index = k
-        t0 = float(batch.times[k])
+        t0 = float(noise.times[k])
         x, y = path.coeffs[None, k], path.coeffs[None, k + 1]
-        r = x + _noise_term(system.sigma(t0, ctx, x), batch.increments[:, k])
+        r = x + _noise_term(system.sigma(t0, ctx, x), noise.increments[:, k])
         [out[k]] = _step_defect(y, r, system.b(t0 + dt, ctx, y), dt)
     return out
 
@@ -685,7 +684,7 @@ def frozen_terms(coeffs, path, noise):
                                   np.zeros(width))
         if coeffs.d2 is not None:
             g_rows[k] += sum(
-                (_against_increments(mat, noise.increments[j], "d2")
+                (_against_increments(mat, noise.increments[0, j], "d2")
                  for j, mat in enumerate(_per_sample(
                      coeffs.d2, past, segs[:k], "d2", factor=True))),
                 np.zeros(width))

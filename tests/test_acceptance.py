@@ -68,7 +68,7 @@ def test_criterion_01_linear_moment_oracle(capsys):
     u = np.ones((noise.n_modes, 1))
     for k in range(noise.n_steps):
         u = step_implicit(u, float(noise.times[k]), noise.dt,
-                          noise.increments[k][:, None], drift,
+                          noise.increments[0, k][:, None], drift,
                           lambda t, u: b * u[..., None], cfg).y
     u_sq = u[:, 0] ** 2
     mean = float(np.mean(u_sq))
@@ -96,9 +96,9 @@ def test_criterion_02_deterministic_convergence_order(capsys):
     errors = []
     for dt in (4e-3, 2e-3, 1e-3):
         n_steps = round(t_final / dt)
-        path = solve_forward(SolverConfig(n_modes_galerkin=8), ops.drift,
-                             ops.diffusion, zero_path(t_final, n_steps, 1),
-                             e1)
+        [path] = solve_forward(SolverConfig(n_modes_galerkin=8), ops.drift,
+                               ops.diffusion, zero_path(t_final, n_steps, 1),
+                               e1)
         errors.append(max(
             tr.h_norm(path.states[k] - math.exp(-mu1 * path.times[k]) * e1)
             for k in range(n_steps + 1)))
@@ -121,7 +121,7 @@ def test_criterion_03_galerkin_nesting(capsys):
     noise = sample_path(seed=7, t_final=0.1, n_steps=100, n_modes=1)
     u0 = ops.triple.basis_function(1)
     paths = {n: solve_forward(SolverConfig(n_modes_galerkin=n), ops.drift,
-                              ops.diffusion, noise, u0)
+                              ops.diffusion, noise, u0)[0]
              for n in (8, 16, 32, 64)}
     distances = []
     for n in (8, 16, 32):
@@ -152,8 +152,8 @@ def test_criterion_04_energy_identity_residual(capsys):
     noise = sample_path(seed=14, t_final=0.5, n_steps=125, n_modes=1)
     totals, dts = [], []
     for _ in range(3):
-        path = solve_forward(SolverConfig(n_modes_galerkin=8), ops.drift,
-                             diff, noise, x0)
+        [path] = solve_forward(SolverConfig(n_modes_galerkin=8), ops.drift,
+                               diff, noise, x0)
         totals.append(abs(float(np.sum(path.energy_residual))))
         dts.append(noise.dt)
         noise = refine_path(noise)

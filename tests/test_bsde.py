@@ -472,7 +472,7 @@ def test_terminal_fit_out_of_sample():
     sol = solve_bsde_autonomous_C(problem, train)
     assert sol.terminal_residual > 1e-3  # cos is genuinely outside the span
     fresh = [sample_path(14, 1.0, 8, 1, replica=5000 + r) for r in range(2000)]
-    w_end = np.array([[p.scalar_path[-1]] for p in fresh])
+    w_end = np.array([[p.scalar_paths[0, -1]] for p in fresh])
     predicted = sol.x_at(sol.n_steps, w_end)[:, 0]
     actual = np.cos(w_end[:, 0])
     out_res = float(np.sqrt(np.mean((predicted - actual) ** 2)))
@@ -516,9 +516,9 @@ def test_regression_states_equal_per_path_cumulative_noise():
     states = _state_values(batch)
     assert states.shape == (17, 25, 3)
     for r in range(batch.n_replicas):
-        path = batch.path(r)
+        path = batch.row(r)
         alone = np.vstack([np.zeros((1, path.n_modes)),
-                           np.cumsum(path.increments, axis=0)])
+                           np.cumsum(path.increments[0], axis=0)])
         assert np.array_equal(states[:, r], alone)
 
 

@@ -159,7 +159,7 @@ def test_galerkin_composition_matches_the_grid_drift(name):
     batch_ctx = BatchContext(noise)
     batch_ctx.index = 5
     rng = np.random.default_rng(11)
-    cases = [(NoiseContext(noise.path(2)), 2.0 * rng.normal(size=n)),
+    cases = [(NoiseContext(noise.row(2)), 2.0 * rng.normal(size=n)),
              (batch_ctx, 2.0 * rng.normal(size=(4, n)))]
     for ctx, x in cases:
         b, _ = sys.bind(ctx)
@@ -210,7 +210,7 @@ def test_grid_form_matches_the_hand_written_drift(name):
     drift, _ = _composed_drift(name, 16)
     noise = sample_batch(seed=3, t_final=0.25, n_steps=8, n_modes=1,
                          replicas=4)
-    ctx = NoiseContext(noise.path(2))
+    ctx = NoiseContext(noise.row(2))
     rng = np.random.default_rng(19)
     amp = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), (500, 1)))
     u = amp * rng.standard_normal((500, 16))
@@ -303,9 +303,9 @@ def test_solve_forward_differences_a_drift_without_psi_prime(monkeypatch):
         x0 = np.sin(np.pi * bare.triple.nodes)
         diffusion = ConstantDiffusion(bare.triple, np.zeros((12, 1)))
         differenced.clear()
-        got = solve_forward(cfg, bare, diffusion, noise, x0)
+        [got] = solve_forward(cfg, bare, diffusion, noise, x0)
         assert differenced and all(differenced)
-        want = solve_forward(cfg, analytic, diffusion, noise, x0)
+        [want] = solve_forward(cfg, analytic, diffusion, noise, x0)
         assert np.allclose(got.coeffs, want.coeffs, rtol=1e-8, atol=1e-10)
 
 
@@ -378,14 +378,14 @@ def test_step_returns_its_target_and_the_drift_at_the_new_state():
     ops = build_operator_set("eq_1_2", 12, p=3.0)
     noise = sample_path(seed=3, t_final=0.25, n_steps=10, n_modes=1)
     sys = GalerkinSystem(ops.drift, ops.diffusion, 6, ops.triple)
-    ctx = BatchContext(NoiseBatch.from_path(noise))
+    ctx = BatchContext(noise)
     b, sigma = sys.bind(ctx)
     cfg = SolverConfig(n_modes_galerkin=6)
     x = ops.triple.coefficients(np.sin(np.pi * ops.triple.nodes), 6)[None]
     for k in range(noise.n_steps):
         ctx.index = k
         t = float(noise.times[k])
-        dW = noise.increments[None, k]
+        dW = noise.increments[:, k]
         step = step_implicit(x, t, noise.dt, dW, b, sigma, cfg, guess=x)
         assert np.array_equal(step.r, x + sys.sigma(t, ctx, x) @ dW[0])
         assert np.array_equal(step.b_y, sys.b(t + noise.dt, ctx, step.y))
@@ -495,7 +495,7 @@ def test_solve_forward_constant_path_for_zero_operators():
     diff = ConstantDiffusion(tr, np.zeros((12, 1)))
     x0 = np.sin(np.pi * tr.nodes)
     cfg = SolverConfig(n_modes_galerkin=12)
-    path = solve_forward(cfg, drift, diff, zero_path(1.0, 20), x0)
+    [path] = solve_forward(cfg, drift, diff, zero_path(1.0, 20), x0)
     assert np.allclose(path.states, path.states[0][None, :], atol=1e-14)
     assert np.array_equal(path.energy_residual, np.zeros(20))
     # full mode count keeps the initial state exactly (up to projection fp)
@@ -511,8 +511,8 @@ def test_solve_forward_heat_exponential_refinement():
     errors = []
     for n_steps in (125, 250, 500):
         cfg = SolverConfig(n_modes_galerkin=8)
-        path = solve_forward(cfg, ops.drift, ops.diffusion,
-                             zero_path(t_final, n_steps), x0)
+        [path] = solve_forward(cfg, ops.drift, ops.diffusion,
+                               zero_path(t_final, n_steps), x0)
         exact = np.exp(-mu1 * path.times)
         errors.append(float(np.max(np.abs(path.coeffs[:, 0] - exact))))
         assert np.allclose(path.coeffs[:, 1:], 0.0, atol=1e-12)
@@ -536,7 +536,7 @@ def _scalar_replicas(f, g, noise, u0, f_prime=None):
     u = states[0][:, None]
     for k in range(noise.n_steps):
         u = step_implicit(u, float(noise.times[k]), noise.dt,
-                          noise.increments[k][:, None], drift,
+                          noise.increments[0, k][:, None], drift,
                           lambda t, u: g(u)[..., None], cfg).y
         states[k + 1] = u[:, 0]
     return states
@@ -551,7 +551,7 @@ def test_step_implicit_scalar_stack_matches_the_closed_form_step():
                               1.0, f_prime=lambda u: np.full_like(u, a))
     exact = np.empty_like(states)
     exact[0] = 1.0
-    for k, dw in enumerate(noise.increments):
+    for k, dw in enumerate(noise.increments[0]):
         exact[k + 1] = (exact[k] + b_coef * exact[k] * dw) \
             / (1.0 - a * noise.dt)
     assert np.max(np.abs(states - exact) / np.abs(exact)) <= 1e-14
@@ -573,7 +573,8 @@ def test_solve_forward_second_moment_linear_see():
 def test_step_implicit_zero_drift_additive_stack():
     noise = sample_path(seed=5, t_final=1.0, n_steps=64, n_modes=40)
     states = _scalar_replicas(np.zeros_like, np.ones_like, noise, 0.25)
-    exact = 0.25 + np.vstack([np.zeros(40), np.cumsum(noise.increments, axis=0)])
+    exact = 0.25 + np.vstack([np.zeros(40),
+                              np.cumsum(noise.increments[0], axis=0)])
     assert np.allclose(states, exact, rtol=0, atol=1e-13)
 
 
@@ -601,7 +602,7 @@ def test_solve_forward_propagates_nonconvergence_with_step_index():
         solve_forward(cfg, ops.drift, ops.diffusion, batch, zero)
     assert err.value.replica == 2
     with pytest.raises(NonconvergenceError) as alone:
-        solve_forward(cfg, ops.drift, ops.diffusion, batch.path(2), zero)
+        solve_forward(cfg, ops.drift, ops.diffusion, batch.row(2), zero)
     assert alone.value.replica is None
     assert len(err.value.residuals) == len(alone.value.residuals) >= 1
     assert np.allclose(err.value.residuals, alone.value.residuals,
@@ -613,7 +614,7 @@ def test_solve_forward_propagates_nonconvergence_with_step_index():
             f"replica {failure.replica}: forward solve failed at step 0 ")
         with pytest.raises(NonconvergenceError) as alone:
             solve_forward(cfg, ops.drift, ops.diffusion,
-                          batch.path(failure.replica), zero)
+                          batch.row(failure.replica), zero)
         assert len(failure.residuals) == len(alone.value.residuals)
         assert np.allclose(failure.residuals, alone.value.residuals,
                            rtol=1e-12, atol=0)
@@ -635,7 +636,7 @@ def _pathwise_starts(triple):
 
 @pytest.mark.parametrize("name", ["porous_medium", "eq_1_2"])
 def test_starts_on_one_path_solve_as_one_stack(name):
-    # R starts on one NoisePath: one solve whose rows match R single
+    # R starts on one noise path: one solve whose rows match R single
     # solves to rounding, with the same Newton work row by row
     ops = build_operator_set(name, 16)
     cfg = SolverConfig(n_modes_galerkin=8)
@@ -647,8 +648,8 @@ def test_starts_on_one_path_solve_as_one_stack(name):
     assert isinstance(paths, list) and len(paths) == len(starts)
     for r, (x0, path) in enumerate(zip(starts, paths)):
         alone_counts = NewtonCounts(1)
-        alone = solve_forward(cfg, ops.drift, ops.diffusion, noise, x0,
-                              counts=alone_counts)
+        [alone] = solve_forward(cfg, ops.drift, ops.diffusion, noise, x0,
+                                counts=alone_counts)
         # a start projects as it does alone, so row 0 is bit for bit
         assert np.array_equal(path.coeffs[0], alone.coeffs[0])
         assert np.max(np.abs(path.coeffs - alone.coeffs)) <= 1e-15
@@ -678,13 +679,13 @@ def test_a_start_stack_needs_one_row_per_replica():
     starts = [u0, 2.0 * u0, -u0]
     paths = solve_forward(cfg, ops.drift, ops.diffusion, batch, starts)
     for r, path in enumerate(paths):
-        alone = solve_forward(cfg, ops.drift, ops.diffusion, batch.path(r),
-                              starts[r])
+        [alone] = solve_forward(cfg, ops.drift, ops.diffusion, batch.row(r),
+                                starts[r])
         assert np.max(np.abs(path.coeffs - alone.coeffs)) <= 1e-15
     # a stack of one is still a stack: a list of one path
     [one] = solve_forward(cfg, ops.drift, ops.diffusion, noise, [u0])
     assert np.array_equal(one.coeffs[0], solve_forward(
-        cfg, ops.drift, ops.diffusion, noise, u0).coeffs[0])
+        cfg, ops.drift, ops.diffusion, noise, u0)[0].coeffs[0])
 
 
 def test_a_failing_start_is_named_by_its_index():
@@ -711,6 +712,31 @@ def test_a_failing_start_is_named_by_its_index():
         assert failure.args == alone.value.args
         assert np.allclose(failure.residuals, alone.value.residuals,
                            rtol=1e-12, atol=0)
+
+
+def test_one_start_on_one_row_is_a_list_of_one_naming_no_replica():
+    # a single start on a batch of one row names no replica; a stack of
+    # one start there names its index, 0, whatever the row's replica
+    ops = build_operator_set("porous_medium", 12, p=3.0)
+    cfg = SolverConfig(n_modes_galerkin=6, resolvent_max_iter=1,
+                       resolvent_tol=1e-14)
+    noise = sample_path(seed=3, t_final=1.0, n_steps=10, n_modes=1,
+                        replica=4)
+    paths = solve_forward(SolverConfig(n_modes_galerkin=6), ops.drift,
+                          ops.diffusion, noise, ops.triple.basis_function(1))
+    assert isinstance(paths, list) and len(paths) == 1
+    big = 50.0 * np.sin(np.pi * ops.triple.nodes)
+    with pytest.raises(NonconvergenceError,
+                       match=r"^forward solve failed at step 0 ") as alone:
+        solve_forward(cfg, ops.drift, ops.diffusion, noise, big)
+    assert alone.value.replica is None
+    with pytest.raises(NonconvergenceError,
+                       match=r"^replica 0: forward solve failed at step 0 ") \
+            as stacked:
+        solve_forward(cfg, ops.drift, ops.diffusion, noise, [big])
+    assert stacked.value.replica == 0
+    assert [f.replica for f in stacked.value.failures] == [0]
+    assert stacked.value.args == alone.value.args
 
 
 def test_solve_forward_rejects_noise_with_too_few_modes():
@@ -755,8 +781,7 @@ def test_batch_agrees_with_batches_of_one(name, rescaled):
     assert len(paths) == 8
     for r, path in enumerate(paths):
         one = NewtonCounts(1)
-        [alone] = solve_forward(cfg, drift, diffusion,
-                                NoiseBatch.from_path(batch.path(r)), u0,
+        [alone] = solve_forward(cfg, drift, diffusion, batch.row(r), u0,
                                 counts=one)
         for name in ("coeffs", "energy_residual", "h_norm_sq", "x1_norm",
                      "x2_norm"):
@@ -785,7 +810,7 @@ def test_galerkin_nesting_discrepancy_decreases():
     paths = {}
     for n in (4, 8, 16, 32):
         cfg = SolverConfig(n_modes_galerkin=n)
-        paths[n] = solve_forward(cfg, ops.drift, diff, noise, x0)
+        [paths[n]] = solve_forward(cfg, ops.drift, diff, noise, x0)
     gaps = []
     for n in (4, 8, 16):
         gaps.append(sup_h_distance(paths[n].coeffs,
@@ -807,7 +832,7 @@ def test_pathwise_uniqueness_insensitive_to_resolvent_guess():
     worst = 0.0
     for k in range(noise.n_steps):
         t = float(noise.times[k])
-        dW = noise.increments[k]
+        dW = noise.increments[0, k]
         x_a = step_implicit(x_a, t, noise.dt, dW, b, sigma, cfg,
                             guess=x_a).y
         x_b = step_implicit(x_b, t, noise.dt, dW, b, sigma, cfg,
@@ -824,8 +849,8 @@ def test_energy_residual_zero_for_zero_operators():
     tr = DiscreteTriple(10, "porous_medium", q1=3.0, q2=3.0)
     drift = _zero_phi_drift(tr)
     diff = ConstantDiffusion(tr, np.zeros((10, 1)))
-    path = solve_forward(SolverConfig(n_modes_galerkin=10), drift, diff,
-                         zero_path(1.0, 16), np.cos(tr.nodes))
+    [path] = solve_forward(SolverConfig(n_modes_galerkin=10), drift, diff,
+                           zero_path(1.0, 16), np.cos(tr.nodes))
     assert np.array_equal(path.energy_residual, np.zeros(16))
 
 
@@ -835,8 +860,8 @@ def test_energy_residual_zero_drift_with_noise_is_fp_zero():
     drift = _zero_phi_drift(tr)
     diff = ConstantDiffusion(tr, np.ones((10, 2)))
     noise = sample_path(seed=12, t_final=1.0, n_steps=32, n_modes=2)
-    path = solve_forward(SolverConfig(n_modes_galerkin=10), drift, diff,
-                         noise, np.cos(tr.nodes))
+    [path] = solve_forward(SolverConfig(n_modes_galerkin=10), drift, diff,
+                           noise, np.cos(tr.nodes))
     scale = max(1.0, float(np.max(path.h_norm_sq)))
     assert np.max(np.abs(path.energy_residual)) <= 1e-13 * scale
 
@@ -847,9 +872,9 @@ def test_energy_residual_equals_minus_dt_sq_drift_norm():
     noise = sample_path(seed=6, t_final=0.5, n_steps=40, n_modes=1)
     cfg = SolverConfig(n_modes_galerkin=8, resolvent_tol=1e-12)
     x0 = np.sin(np.pi * ops.triple.nodes)
-    path = solve_forward(cfg, ops.drift, ops.diffusion, noise, x0)
+    [path] = solve_forward(cfg, ops.drift, ops.diffusion, noise, x0)
     sys = GalerkinSystem(ops.drift, ops.diffusion, 8, ops.triple)
-    ctx = BatchContext(NoiseBatch.from_path(noise))
+    ctx = BatchContext(noise)
     dt = noise.dt
     for k in range(path.n_steps):
         ctx.index = k
@@ -862,8 +887,8 @@ def test_energy_residual_equals_minus_dt_sq_drift_norm():
 
 def _assert_recompute_matches_ledger(ops, drift, noise):
     cfg = SolverConfig(n_modes_galerkin=6)
-    path = solve_forward(cfg, drift, ops.diffusion, noise,
-                         0.5 * np.sin(np.pi * ops.triple.nodes))
+    [path] = solve_forward(cfg, drift, ops.diffusion, noise,
+                           0.5 * np.sin(np.pi * ops.triple.nodes))
     recomputed = oracles.energy_residual(path, drift, ops.diffusion, noise)
     assert np.array_equal(recomputed, path.energy_residual)
 
@@ -893,7 +918,7 @@ def test_energy_cumulative_defect_halves_with_dt():
     totals = []
     for _ in range(3):
         cfg = SolverConfig(n_modes_galerkin=8)
-        path = solve_forward(cfg, ops.drift, diff, noise, x0)
+        [path] = solve_forward(cfg, ops.drift, diff, noise, x0)
         totals.append(abs(float(np.sum(path.energy_residual))))
         noise = refine_path(noise)
     assert 1.6 <= totals[0] / totals[1] <= 2.4
@@ -948,12 +973,12 @@ def test_rescale_gamma_in_a_batch_context_is_one_row_per_replica():
         column = gamma(t, ctx)
         assert column.shape == (4, 1)
         for r in range(4):
-            assert column[r, 0] == gamma(t, NoiseContext(batch.path(r)))
+            assert column[r, 0] == gamma(t, NoiseContext(batch.row(r)))
     assert len(set(gamma(0.5, ctx)[:, 0])) == 4  # the rows read their own w
     ramp = gamma(batch.times, ctx)
     assert ramp.shape == (4, 17)
     assert np.array_equal(ramp[2], gamma(batch.times,
-                                         NoiseContext(batch.path(2))))
+                                         NoiseContext(batch.row(2))))
 
 
 def test_rescaled_hs_norm_one_formula_for_states_and_stacks():
@@ -1004,8 +1029,8 @@ def test_rescale_solve_and_untransform_consistent_first_order():
     cfg = SolverConfig(n_modes_galerkin=8)
     errors, steps = [], []
     for _ in range(3):
-        direct = solve_forward(cfg, ops.drift, diff, noise, x0)
-        tilde = solve_forward(cfg, scaled.drift, scaled.diffusion, noise, x0)
+        [direct] = solve_forward(cfg, ops.drift, diff, noise, x0)
+        [tilde] = solve_forward(cfg, scaled.drift, scaled.diffusion, noise, x0)
         gam = scaled.gamma(noise.times, NoiseContext(noise))[:, None]
         errors.append(sup_h_distance(direct.coeffs, tilde.coeffs * gam))
         steps.append(noise.dt)
@@ -1022,8 +1047,8 @@ def test_apriori_zero_solution_zero_budget():
     tr = DiscreteTriple(10, "porous_medium", q1=3.0, q2=3.0)
     drift = _zero_phi_drift(tr)
     diff = ConstantDiffusion(tr, np.zeros((10, 1)))
-    path = solve_forward(SolverConfig(n_modes_galerkin=10), drift, diff,
-                         zero_path(1.0, 10), np.zeros(10))
+    [path] = solve_forward(SolverConfig(n_modes_galerkin=10), drift, diff,
+                           zero_path(1.0, 10), np.zeros(10))
     bundle = build_operator_set("porous_medium", 10, p=3.0).bundle
     bundle = dataclasses.replace(bundle, lambda3=constant_profile(0.0),
                                  xi=constant_profile(0.0))
@@ -1036,8 +1061,8 @@ def test_apriori_zero_solution_zero_budget():
 def test_apriori_heat_within_budget_with_margin():
     ops = build_operator_set("heat", 16)
     x0 = ops.triple.basis_function(1)
-    path = solve_forward(SolverConfig(n_modes_galerkin=8), ops.drift,
-                         ops.diffusion, zero_path(1.0, 200), x0)
+    [path] = solve_forward(SolverConfig(n_modes_galerkin=8), ops.drift,
+                           ops.diffusion, zero_path(1.0, 200), x0)
     report = apriori_norms(path, ops.bundle)
     assert report.ok, report.summary()
     assert report.sup_h_sq == pytest.approx(1.0, rel=1e-10)
@@ -1051,8 +1076,8 @@ def test_apriori_flags_underdeclared_budget():
     ops = build_operator_set("heat", 16)
     diff = ConstantDiffusion(ops.triple, np.ones((16, 1)))  # real noise input
     noise = sample_path(seed=2, t_final=1.0, n_steps=100, n_modes=1)
-    path = solve_forward(SolverConfig(n_modes_galerkin=8), ops.drift, diff,
-                         noise, np.zeros(16))
+    [path] = solve_forward(SolverConfig(n_modes_galerkin=8), ops.drift, diff,
+                           noise, np.zeros(16))
     # X0 = 0 and the bundle claims xi = 0, so the budget is exactly zero
     # although the diffusion pumps energy in: the ledger must flag it
     report = apriori_norms(path, ops.bundle)
@@ -1069,8 +1094,8 @@ def test_solution_path_invariants_and_csv():
     ops = build_operator_set("eq_1_1", 12, p=3.0)
     noise = sample_path(seed=19, t_final=0.5, n_steps=20, n_modes=1)
     cfg = SolverConfig(n_modes_galerkin=5)
-    path = solve_forward(cfg, ops.drift, ops.diffusion, noise,
-                         0.3 * np.sin(np.pi * ops.triple.nodes))
+    [path] = solve_forward(cfg, ops.drift, ops.diffusion, noise,
+                           0.3 * np.sin(np.pi * ops.triple.nodes))
     assert path.span_residual() < 1e-10
     assert np.all(path.h_norm_sq >= 0)
     assert np.all(path.x1_norm >= 0) and np.all(path.x2_norm >= 0)
@@ -1085,10 +1110,10 @@ def test_solution_path_invariants_and_csv():
     assert np.allclose(row[1:6], path.coeffs[2], rtol=0, atol=0)
 
     # rerunning the same configuration reproduces the file byte for byte
-    path2 = solve_forward(cfg, ops.drift, ops.diffusion,
-                          sample_path(seed=19, t_final=0.5, n_steps=20,
-                                      n_modes=1),
-                          0.3 * np.sin(np.pi * ops.triple.nodes))
+    [path2] = solve_forward(cfg, ops.drift, ops.diffusion,
+                            sample_path(seed=19, t_final=0.5, n_steps=20,
+                                        n_modes=1),
+                            0.3 * np.sin(np.pi * ops.triple.nodes))
     assert trajectory_csv(path2) == text
 
 

@@ -21,7 +21,7 @@ from monosee.functional import (
     picard_solve_functional_stack, segment_distance,
     segment_sampler, volterra_consistency, volterra_direct_eval,
     volterra_to_functional)
-from monosee.noise import refine_path, sample_path, zero_path
+from monosee.noise import refine_path, sample_batch, sample_path, zero_path
 from monosee.operators import (ConstantDiffusion, HypothesisBundle,
                                ReactionDiffusionDrift, constant_profile)
 from monosee.triple import DiscreteTriple
@@ -249,8 +249,8 @@ def test_memory_independent_terms_converge_in_one_solve():
                                   max_iter=10, tol=1e-12)
     assert res.n_iterations == 2
     assert res.residuals[-1] == 0.0
-    direct = solve_forward(cfg, drift, ConstantDiffusion(tr, d1col), noise,
-                           res.path.values[0])
+    [direct] = solve_forward(cfg, drift, ConstantDiffusion(tr, d1col), noise,
+                             res.path.values[0])
     assert np.array_equal(res.forward_path.states, direct.states)
     # row 0 is pinned to the seam row; every step agrees bitwise
     assert np.array_equal(res.path.values[1:], direct.states[1:])
@@ -390,7 +390,7 @@ def test_delay_equation_matches_direct_stepping_oracle():
             lag = np.array([np.interp(t_lag, past.theta,
                                       hist_c[:, j]) for j in range(2)])
         y[k + 1] = (y[k] + dt * kappa * lag
-                    + proj_d1 * noise.increments[k, 0]) / (1.0 + mu * dt)
+                    + proj_d1 * noise.increments[0, k, 0]) / (1.0 + mu * dt)
     solved = np.stack([tr.coefficients(r, 2) for r in res.path.values])
     assert np.max(np.abs(solved - y)) <= 1e-10
 
@@ -428,6 +428,22 @@ def test_solver_input_validation():
     with pytest.raises(ConfigError, match="first_iterate"):
         picard_solve_functional(drift, coeffs, noise, past, cfg,
                                 first_iterate=np.zeros((3, 2)))
+
+
+def test_memory_solvers_read_one_noise_row():
+    # a batch of several rows is not one path: no solver reads its row 0
+    _, drift, _, past, coeffs, cfg, _ = _delay_setup()
+    rows = sample_batch(seed=77, t_final=1.0, n_steps=32, n_modes=1,
+                        replicas=2)
+    with pytest.raises(ConfigError, match="batch of 2 rows"):
+        picard_solve_functional(drift, coeffs, rows, past, cfg)
+    with pytest.raises(ConfigError, match="batch of 2 rows"):
+        picard_solve_functional_stack(drift, coeffs, rows, past, cfg,
+                                      [None, None])
+    path = _analytic_path(32, _rd_triple())
+    for solve in (volterra_direct_eval, volterra_consistency):
+        with pytest.raises(ConfigError, match="batch of 2 rows"):
+            solve(_exp_kernel_pair(), path, rows)
 
 
 def test_nonconvergence_raises_and_keeps_residuals():

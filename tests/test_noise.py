@@ -10,7 +10,6 @@ from monosee.noise import (
     BatchContext,
     NoiseBatch,
     NoiseContext,
-    NoisePath,
     _substream_keys,
     refine_path,
     sample_batch,
@@ -22,11 +21,11 @@ from monosee.noise import (
 def test_shapes_grid_and_scalar_path():
     p = sample_path(seed=123, t_final=2.0, n_steps=8, n_modes=3)
     assert p.times.shape == (9,)
-    assert p.increments.shape == (8, 3)
-    assert p.scalar_path.shape == (9,)
+    assert p.increments.shape == (1, 8, 3)
+    assert p.scalar_paths.shape == (1, 9)
     assert p.times[0] == 0.0 and p.times[-1] == 2.0
-    assert p.scalar_path[0] == 0.0
-    assert np.allclose(np.diff(p.scalar_path), p.increments[:, 0])
+    assert p.scalar_paths[0, 0] == 0.0
+    assert np.allclose(np.diff(p.scalar_paths[0]), p.increments[0, :, 0])
 
 
 def test_determinism_same_seed():
@@ -78,7 +77,7 @@ def test_cross_mode_correlation_statistic():
     # modes are independent; empirical correlation of iid pairs is ~N(0, 1/R)
     R = 100_000
     p = sample_path(99, 1.0, R, 2)
-    x, y = p.increments[:, 0], p.increments[:, 1]
+    x, y = p.increments[0, :, 0], p.increments[0, :, 1]
     corr = np.corrcoef(x, y)[0, 1]
     assert abs(corr) < 3.0 / np.sqrt(R)
 
@@ -93,15 +92,16 @@ def test_refine_pairwise_sums_exact():
     f = refine_path(p)
     assert f.n_steps == 64
     assert f.dt == pytest.approx(p.dt / 2)
-    a, b = f.increments[0::2], f.increments[1::2]
-    defect = (a + b) - p.increments
+    a, b = f.increments[0, 0::2], f.increments[0, 1::2]
+    defect = (a + b) - p.increments[0]
     scale = np.maximum(np.abs(a), np.abs(b))
     assert np.all(np.abs(defect) <= 2 * eps * scale)
     assert np.mean(defect == 0.0) > 0.8  # frozen seed, deterministic fraction
 
     ff = refine_path(f)
-    sums4 = ff.increments[0::4] + ff.increments[1::4] + ff.increments[2::4] + ff.increments[3::4]
-    assert np.allclose(sums4, p.increments, rtol=0, atol=1e-15)
+    fine = ff.increments[0]
+    sums4 = fine[0::4] + fine[1::4] + fine[2::4] + fine[3::4]
+    assert np.allclose(sums4, p.increments[0], rtol=0, atol=1e-15)
 
 
 def test_refine_deterministic_and_level_dependent():
@@ -112,7 +112,7 @@ def test_refine_deterministic_and_level_dependent():
     # second refinement level uses a different substream than the first
     ff = refine_path(f1)
     assert ff.level == 2
-    assert not np.array_equal(ff.increments[:16], f1.increments[:16])
+    assert not np.array_equal(ff.increments[0, :16], f1.increments[0, :16])
 
 
 def test_bridge_midpoint_conditional_variance():
@@ -121,7 +121,7 @@ def test_bridge_midpoint_conditional_variance():
     R = 100_000
     p = sample_path(31, 1.0, 1, R)
     f = refine_path(p)
-    centered = f.increments[0] - p.increments[0] / 2.0
+    centered = f.increments[0, 0] - p.increments[0, 0] / 2.0
     dt = p.dt
     s2 = np.var(centered, ddof=1)
     se = (dt / 4.0) * np.sqrt(2.0 / (R - 1))
@@ -132,10 +132,10 @@ def test_noise_context_frozen_lookup():
     p = sample_path(11, 1.0, 4, 1)
     ctx = NoiseContext(p)
     assert ctx.scalar(0.0) == 0.0
-    assert ctx.scalar(0.5) == pytest.approx(p.scalar_path[2])
-    frozen = BatchContext(NoiseBatch.from_path(p))
+    assert ctx.scalar(0.5) == pytest.approx(p.scalar_paths[0, 2])
+    frozen = BatchContext(p)
     frozen.index = 1
-    assert frozen.scalar(0.75)[0, 0] == pytest.approx(p.scalar_path[1])
+    assert frozen.scalar(0.75)[0, 0] == pytest.approx(p.scalar_paths[0, 1])
     with pytest.raises(MonoseeError, match="0.33"):
         ctx.scalar(0.33)  # off-grid
 
@@ -146,16 +146,17 @@ def test_noise_context_array_lookup():
     times = p.times[[3, 0, 8, 3]].reshape(2, 2)
     values = ctx.scalar(times)
     assert values.shape == (2, 2)
-    assert np.array_equal(values, p.scalar_path[[3, 0, 8, 3]].reshape(2, 2))
+    assert np.array_equal(values,
+                          p.scalar_paths[0, [3, 0, 8, 3]].reshape(2, 2))
     assert np.array_equal(ctx.scalar(p.times),
                           [ctx.scalar(float(t)) for t in p.times])
     with pytest.raises(MonoseeError, match="0.33"):
         ctx.scalar(np.array([0.25, 0.33, 0.5]))  # one entry off the grid
     # the stepper's frozen view answers with one broadcastable column,
     # the empty context with one float
-    frozen = BatchContext(NoiseBatch.from_path(p))
+    frozen = BatchContext(p)
     frozen.index = 2
-    assert np.array_equal(frozen.scalar(times), [[p.scalar_path[2]]])
+    assert np.array_equal(frozen.scalar(times), [[p.scalar_paths[0, 2]]])
     assert NoiseContext(None).scalar(times) == 0.0
 
 
@@ -167,12 +168,12 @@ def test_sample_batch_rows_bit_identical_to_sample_path():
     assert (batch.n_replicas, batch.n_steps) == (5, 20)
     for r in range(5):
         single = sample_path(77, 0.5, 20, 2, replica=r)
-        assert np.array_equal(batch.times, single.times)
-        assert np.array_equal(batch.increments[r], single.increments)
-        assert np.array_equal(batch.scalar_paths[r], single.scalar_path)
-        row = batch.path(r)
-        assert (row.seed, row.replica, row.level) == (77, r, 0)
-        assert np.array_equal(row.increments, single.increments)
+        row = batch.row(r)
+        assert (single.seed, single.replica0, single.level) == (77, r, 0)
+        assert (row.seed, row.replica0, row.level) == (77, r, 0)
+        for name in ("times", "increments", "scalar_paths"):
+            assert np.array_equal(getattr(row, name), getattr(single, name))
+        assert np.shares_memory(row.increments, batch.increments)
     with pytest.raises(ConfigError):
         sample_batch(77, 0.5, 20, 2, replicas=0)
 
@@ -192,18 +193,10 @@ def test_sample_batch_rows_are_fresh_philox_substreams():
 
 def test_batch_of_one_and_batch_context():
     p = refine_path(sample_path(11, 1.0, 4, 1, replica=3))
-    batch = NoiseBatch.from_path(p)
-    assert batch.n_replicas == 1 and batch.dt == p.dt
-    back = batch.path(0)
-    assert (back.seed, back.replica, back.level) == (11, 3, 1)
+    assert p.n_replicas == 1 and p.dt == 0.125
+    back = p.row(0)
+    assert (back.seed, back.replica0, back.level) == (11, 3, 1)
     assert np.array_equal(back.increments, p.increments)
-    # R rows of one path are read-only views of it, not copies
-    rows = NoiseBatch.from_path(p, 3)
-    assert rows.n_replicas == 3
-    for stack, row in ((rows.increments, p.increments),
-                       (rows.scalar_paths, p.scalar_path)):
-        assert np.shares_memory(stack, row) and not stack.flags.writeable
-        assert all(np.array_equal(r, row) for r in stack)
 
     many = sample_batch(11, 1.0, 4, 1, replicas=3)
     ctx = BatchContext(many)
@@ -267,9 +260,9 @@ def test_sample_batch_4000_rows_bit_identical_to_fresh_philox(seed):
 
 def test_two_word_replica_is_a_fresh_philox_substream():
     p = sample_path(5, 1.0, 16, 3, replica=2**32 + 7)
-    assert p.replica == 2**32 + 7
+    assert p.replica0 == 2**32 + 7
     assert np.array_equal(
-        p.increments[None],
+        p.increments,
         _fresh_philox_rows(5, [2**32 + 7], 16, 3, p.dt))
 
 
@@ -279,9 +272,9 @@ def test_bridge_draws_its_fresh_philox_substream():
     coarse = refine_path(sample_path(2**70 + 3, 1.0, 4, 2, replica=6))
     fine = refine_path(coarse)
     z = _fresh_philox_rows(2**70 + 3, [6], 8, 2, 1.0, purpose=1, level=2)[0]
-    target = coarse.increments
+    target = coarse.increments[0]
     first = target / 2.0 + 0.5 * np.sqrt(coarse.dt) * z
-    assert np.array_equal(fine.increments[0::2], target - (target - first))
+    assert np.array_equal(fine.increments[0, 0::2], target - (target - first))
 
 
 @pytest.mark.parametrize("call", [
@@ -294,11 +287,29 @@ def test_bridge_draws_its_fresh_philox_substream():
     lambda: sample_batch(2.5, 1.0, 4, 1, replicas=3),
     lambda: sample_batch(1, 1.0, 4, 1, replicas=2.5),
     lambda: sample_batch(1, 1.0, 4, 1, replicas=-1),
-    lambda: refine_path(NoisePath(-3, 0, 0, np.linspace(0.0, 1.0, 3),
-                                  np.zeros((2, 1)), np.zeros(3))),
-    lambda: refine_path(NoisePath(3, -1, 0, np.linspace(0.0, 1.0, 3),
-                                  np.zeros((2, 1)), np.zeros(3))),
+    lambda: refine_path(NoiseBatch(-3, 0, 0, np.linspace(0.0, 1.0, 3),
+                                   np.zeros((1, 2, 1)), np.zeros((1, 3)))),
+    lambda: refine_path(NoiseBatch(3, -1, 0, np.linspace(0.0, 1.0, 3),
+                                   np.zeros((1, 2, 1)), np.zeros((1, 3)))),
 ])
 def test_keys_need_non_negative_integer_seed_and_replica(call):
     with pytest.raises(ConfigError, match="non-negative integer|2\\*\\*64"):
         call()
+
+
+def test_refine_batch_rows_equal_rows_refined_alone():
+    # every row is bridged from its own (seed, replica, level + 1) key
+    coarse = refine_path(sample_batch(2**70 + 3, 1.0, 4, 2, replicas=3))
+    fine = refine_path(coarse)
+    for r in range(3):
+        alone = refine_path(coarse.row(r))
+        row = fine.row(r)
+        assert (row.seed, row.replica0, row.level) == \
+            (alone.seed, alone.replica0, alone.level) == (2**70 + 3, r, 2)
+        for name in ("times", "increments", "scalar_paths"):
+            assert np.array_equal(getattr(row, name), getattr(alone, name))
+
+
+def test_noise_context_reads_one_row():
+    with pytest.raises(ConfigError, match="batch of 3 rows"):
+        NoiseContext(sample_batch(11, 1.0, 4, 1, replicas=3))

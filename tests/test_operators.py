@@ -632,12 +632,12 @@ def test_a_batch_context_serves_a_coefficient_once_per_step():
     second = coef(0.5, ctx)
     assert np.array_equal(second[:, 0], np.abs(batch.scalar_paths[:, 2]))
     assert not np.array_equal(first, second)
-    path = batch.path(1)
+    path = batch.row(1)
     plain = NoiseContext(path)
     for rows in ([1, 3, 2], [4, 0, 0]):
         column = path.times[rows][:, None]
         assert np.array_equal(coef(column, plain)[:, 0],
-                              np.abs(path.scalar_path[rows]))
+                              np.abs(path.scalar_paths[0, rows]))
     assert not hasattr(plain, "memo")
 
 
