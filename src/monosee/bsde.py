@@ -652,11 +652,9 @@ def _check_batch(problem: BsdeProblem, batch: NoiseBatch) -> None:
 
 
 def _state_values(batch: NoiseBatch) -> np.ndarray:
-    """Markovian regression states W(t_k), time first: (N+1, R, modes)."""
-    states = np.empty((batch.n_steps + 1, batch.n_replicas, batch.n_modes))
-    states[0] = 0.0
-    np.cumsum(batch.increments.transpose(1, 0, 2), axis=0, out=states[1:])
-    return states
+    """Markovian regression states W(t_k), time first: (N+1, R, modes), a
+    view of the batch's cumulative paths, not a copy."""
+    return batch.paths.transpose(1, 0, 2)
 
 
 @dataclass(frozen=True)
@@ -808,9 +806,9 @@ def _prepare(problem: BsdeProblem, batch: NoiseBatch, basis,
     """Shared validation: reduce the shift, build the basis and factor the
     regression design of every grid time, once for the whole solve.
 
-    Returns (reduced problem, gamma, basis, :class:`_Regression`).  The
-    one array of size R kept is the (N+1, R, modes) state stack, built in
-    that layout from the increments; the designs are built and handed to
+    Returns (reduced problem, gamma, basis, :class:`_Regression`).  It
+    keeps no array of size R: the (N+1, R, modes) states are a view of
+    the batch's paths, and the designs are built and handed to
     :func:`_factor` one block of ``_BLOCK`` grid times at a time, and live
     only that long.
     """
@@ -848,8 +846,11 @@ def solve_bsde_autonomous_C(problem: BsdeProblem, batch: NoiseBatch,
     The recursion conditions each X(t_{k+1}) on the t_k state by a
     least-squares fit, adds dt times the (deterministic-in-state) forcing,
     and applies the implicit regularized drift step; Z(t_k) comes from the
-    martingale-increment regression fit of X(t_{k+1})*dW_k/dt.  ``counts``
-    (a :class:`BackwardCounts`) accumulates the solve's work.
+    martingale-increment regression fit of X(t_{k+1})*dW_k/dt.  The
+    driver is evaluated once, on one row of zero states, and every path
+    shares that row: ``driver_values`` is a read-only (R, N, dim) view of
+    it.  ``counts`` (a :class:`BackwardCounts`) accumulates the solve's
+    work.
     """
     if problem.driver.x_dependent or problem.driver.z_dependent:
         raise ConfigError(
@@ -860,11 +861,13 @@ def solve_bsde_autonomous_C(problem: BsdeProblem, batch: NoiseBatch,
     counts = BackwardCounts() if counts is None else counts
     reduced, gamma, basis, regression = _prepare(problem, batch, basis,
                                                   counts)
-    lead = (batch.n_replicas, batch.n_steps, reduced.dim)
-    # read-only zero views: the driver reads neither argument
-    c_values = _driver_matrix(
+    lead = (1, batch.n_steps, reduced.dim)
+    # one row of read-only zero views: the driver reads neither argument,
+    # so every path shares the row's values
+    c_row = _driver_matrix(
         reduced.driver, batch.times, np.broadcast_to(0.0, lead),
         np.broadcast_to(0.0, lead + (reduced.n_modes,)), counts)
+    c_values = np.broadcast_to(c_row, (batch.n_replicas,) + lead[1:])
     sol = _backward_sweep(reduced, batch, basis, regression, c_values,
                           resolvent_tol, resolvent_max_iter, counts)
     return _unscale_solution(sol, gamma)

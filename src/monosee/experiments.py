@@ -402,13 +402,17 @@ def _galerkin_convergence(s):
 def _timestep_convergence(s):
     n_grid = s.get("problem", "n_grid", 16)
     t_final = s.positive("numerics", "t_final", 0.2)
-    dts = (4e-3, 2e-3, 1e-3)
     ops = s.build("problem", build_operator_set, "heat", n_grid, n_modes=1)
     if s.problems:  # the step counts below need the values above
         return None
-    steps = [int(round(t_final / dt)) for dt in dts]
-    s.check(min(steps) >= 1, f"numerics.t_final = {t_final:g} is shorter "
-                             f"than the coarsest step dt = {dts[0]:g}")
+    # n, 2n and 4n steps of about 4e-3, 2e-3 and 1e-3; each solve is
+    # labelled and fitted with the step it used, t_final / steps
+    n = max(1, round(t_final / 4e-3))
+    steps = [n, 2 * n, 4 * n]
+    dts = [t_final / k for k in steps]
+    s.check(dts[-1] >= sys.float_info.min,
+            f"numerics.t_final = {t_final:g} is too short for {steps[-1]} "
+            f"steps")
     cfg = SolverConfig(n_modes_galerkin=min(n_grid, 8))
 
     def run(out_dir):

@@ -138,22 +138,27 @@ def _substream_keys(seed, replica0, n_rows: int, purpose: int,
     return keys
 
 
-def _scalar_from_increments(increments: np.ndarray) -> np.ndarray:
-    """Cumulative mode-1 paths, w(0) = 0, along the step axis."""
-    lead = increments.shape[:-2]
-    return np.concatenate([np.zeros(lead + (1,)),
-                           np.cumsum(increments[..., 0], axis=-1)], axis=-1)
+def _cumulative(increments: np.ndarray) -> np.ndarray:
+    """The cumulative paths W(t_k) of (R, N, modes) increments, W(0) = 0:
+    (R, N+1, modes)."""
+    rows, n, m = increments.shape
+    paths = np.empty((rows, n + 1, m))
+    paths[:, 0] = 0.0
+    np.cumsum(increments, axis=1, out=paths[:, 1:])
+    return paths
 
 
 @dataclass
 class NoiseBatch:
     """Replicas ``replica0 .. replica0 + R - 1`` of one seed, stacked.
 
-    Row r of ``increments`` (R x N x n_modes) and ``scalar_paths``
-    (R x (N+1), the cumulative mode-1 paths, w(0) = 0) is replica
+    Row r of ``increments`` (R x N x n_modes) and ``paths`` (R x (N+1) x
+    n_modes, the cumulative paths W(t_k), W(0) = 0) is replica
     ``replica0 + r``; all rows share the grid ``times``.  A single path
-    is the batch of one row.  The forward solver steps every row at once;
-    the backward solvers regress across the rows.
+    is the batch of one row.  ``paths`` is the one copy of W(t_k): the
+    scalar driving motion w_t is its first mode, and the backward solvers
+    read their regression states off it.  The forward solver steps every
+    row at once; the backward solvers regress across the rows.
     """
 
     seed: int
@@ -161,7 +166,7 @@ class NoiseBatch:
     level: int
     times: np.ndarray          # length N+1, t_0 = 0
     increments: np.ndarray     # R x N x n_modes
-    scalar_paths: np.ndarray   # R x (N+1)
+    paths: np.ndarray          # R x (N+1) x n_modes
 
     @property
     def n_replicas(self) -> int:
@@ -183,11 +188,16 @@ class NoiseBatch:
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
 
+    @property
+    def scalar_paths(self) -> np.ndarray:
+        """The cumulative mode-1 paths, w(0) = 0: an (R, N+1) view."""
+        return self.paths[..., 0]
+
     def row(self, r: int) -> "NoiseBatch":
         """Row r as a batch of one row (views, not copies)."""
         return NoiseBatch(self.seed, self.replica0 + r, self.level,
                           self.times, self.increments[r:r + 1],
-                          self.scalar_paths[r:r + 1])
+                          self.paths[r:r + 1])
 
     def scalar_at(self, t):
         """w_t of a one-row batch at grid times (nearest index, with
@@ -198,7 +208,7 @@ class NoiseBatch:
         off = np.abs(self.times[idx] - t) > 1e-9 * np.maximum(1.0, np.abs(t)) + 1e-12
         if off.any():
             raise MonoseeError(f"time {t[off][0]} is not on the noise grid")
-        return _float_or_array(self.scalar_paths[0, idx])
+        return _float_or_array(self.paths[0, idx, 0])
 
 
 def _one_row(noise: NoiseBatch, who: str) -> None:
@@ -222,14 +232,19 @@ def _keyed_normals(keys: np.ndarray, shape: tuple, scale) -> np.ndarray:
     ``Philox(key=key)`` draws, per key: (len(keys),) + shape.
 
     One Philox generator serves all keys: before each row it is re-keyed,
-    at counter 0, so every row draws exactly its fresh stream.
+    at counter 0 with an empty buffer, so every row draws exactly its
+    fresh stream.  The state is a dict of plain ints and lists, which the
+    setter reads without the NumPy round trip of the ``state`` getter's
+    arrays.
     """
     bit_generator = np.random.Philox(key=0)
     gen = np.random.Generator(bit_generator)
-    state = bit_generator.state  # counter 0, empty buffer: a fresh start
+    fresh = {"counter": [0, 0, 0, 0], "key": None}
+    state = {"bit_generator": "Philox", "state": fresh, "buffer": [0] * 4,
+             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     out = np.empty((len(keys),) + shape)
-    for row, key in zip(out, keys):
-        state["state"]["key"] = key
+    for row, key in zip(out, keys.tolist()):
+        fresh["key"] = key
         bit_generator.state = state
         gen.standard_normal(out=row)
     out *= scale
@@ -246,7 +261,7 @@ def _sample(seed, replica0: int, n_rows: int, t_final: float, n_steps: int,
     increments = _keyed_normals(keys, (len(times) - 1, int(n_modes)),
                                 np.sqrt(times[1] - times[0]))
     return NoiseBatch(seed, replica0, 0, times, increments,
-                      _scalar_from_increments(increments))
+                      _cumulative(increments))
 
 
 def sample_path(seed: int, t_final: float, n_steps: int, n_modes: int,
@@ -277,7 +292,7 @@ def zero_path(t_final: float, n_steps: int, n_modes: int = 1) -> NoiseBatch:
     times = _grid(t_final, n_steps, n_modes)
     return NoiseBatch(seed=0, replica0=0, level=0, times=times,
                       increments=np.zeros((1, n_steps, n_modes)),
-                      scalar_paths=np.zeros((1, n_steps + 1)))
+                      paths=np.zeros((1, n_steps + 1, n_modes)))
 
 
 def refine_path(noise: NoiseBatch) -> NoiseBatch:
@@ -310,7 +325,7 @@ def refine_path(noise: NoiseBatch) -> NoiseBatch:
     fine[:, 1::2] = second
     times = np.linspace(0.0, noise.t_final, 2 * n + 1)
     return NoiseBatch(noise.seed, noise.replica0, noise.level + 1, times,
-                      fine, _scalar_from_increments(fine))
+                      fine, _cumulative(fine))
 
 
 class NoiseContext:
@@ -353,7 +368,7 @@ class BatchContext:
         self._index, self.memo = k, {}
 
     def scalar(self, t: float) -> np.ndarray:
-        return self.batch.scalar_paths[:, self.index, None]
+        return self.batch.paths[:, self.index, :1]
 
 
 EMPTY_CONTEXT = NoiseContext(None)

@@ -20,12 +20,18 @@ class Violation:
     detail: dict = field(default_factory=dict)
 
 
+# the detail of a sample that :func:`_sampled_check` could not evaluate
+NOT_EVALUATED = {"outcome": "not evaluated"}
+
+
 @dataclass
 class ViolationReport:
     """Outcome of a sampled inequality check.
 
     ``excess`` in each violation is the amount by which the left-hand side
     exceeded the right-hand side; the check passed iff ``violations`` is empty.
+    A sample the check could not evaluate is a violation too, with a NaN
+    excess and the detail ``NOT_EVALUATED``.
     """
 
     name: str
@@ -44,13 +50,20 @@ class ViolationReport:
 
     @property
     def max_excess(self) -> float:
-        if not self.violations:
-            return 0.0
-        return max(v.excess for v in self.violations)
+        """The largest excess of the evaluated violations (0.0 if none)."""
+        return max((v.excess for v in self.violations
+                    if v.detail != NOT_EVALUATED), default=0.0)
 
     def summary(self) -> str:
-        state = "ok" if self.ok else f"{self.n_violations} violations (max excess {self.max_excess:.3e})"
-        return f"{self.name}: {self.n_samples} samples, {state}"
+        unevaluated = sum(v.detail == NOT_EVALUATED for v in self.violations)
+        flagged = self.n_violations - unevaluated
+        parts = []
+        if flagged:
+            parts.append(f"{flagged} violations "
+                         f"(max excess {self.max_excess:.3e})")
+        if unevaluated:
+            parts.append(f"{unevaluated} not evaluated")
+        return f"{self.name}: {self.n_samples} samples, {', '.join(parts) or 'ok'}"
 
 
 def _entry(value, row: int):
@@ -173,9 +186,13 @@ def _sampled_check(name: str, n_samples: int, tol: float, seed: int, draw,
     other seed, and every check with a ``tail`` draw a fresh, unshared
     stream.  ``evaluate`` gets one column per entry (a read-only float
     stack, or a list of segments) and returns :func:`_record`'s groups,
-    one per inequality.  ``tail(rng, report)`` is a later stage of its
-    own, handed the generator where a per-sample loop over the samples
-    leaves it.
+    one per inequality.  A sample that no group flags but whose excess is
+    not finite in some group (an overflow: inf - inf is NaN, and no
+    comparison with NaN is true) was not evaluated, and is recorded as a
+    violation with the detail ``NOT_EVALUATED``; a scalar excess is the
+    value a group declares for the samples it flags, and is not read.
+    ``tail(rng, report)`` is a later stage of its own, handed the
+    generator where a per-sample loop over the samples leaves it.
     """
     shared = isinstance(draw, SampleStream) and tail is None \
         and isinstance(seed, (int, np.integer))
@@ -184,7 +201,17 @@ def _sampled_check(name: str, n_samples: int, tol: float, seed: int, draw,
     report = ViolationReport(name=name, n_samples=n_samples, tol=tol)
     if samples:
         columns = _columns(samples)
-        _record(report, columns[0], evaluate(*columns))
+        shape = np.shape(columns[0])
+        groups = evaluate(*columns)
+        unevaluated = np.zeros(shape, dtype=bool)
+        for excess, _, _ in groups:
+            if np.ndim(excess):
+                unevaluated |= ~np.isfinite(np.broadcast_to(excess, shape))
+        if unevaluated.any():
+            for _, flags, _ in groups:
+                unevaluated &= ~np.broadcast_to(flags, shape)
+            groups = [*groups, (np.nan, unevaluated, NOT_EVALUATED)]
+        _record(report, columns[0], groups)
     if tail is not None:
         tail(rng, report)
     return report

@@ -593,8 +593,8 @@ def test_solve_forward_propagates_nonconvergence_with_step_index():
     times = np.linspace(0.0, 1.0, 11)
     increments = np.zeros((4, 10, 1))
     increments[2:] = 0.1
-    scalar = np.zeros((4, 11))
-    batch = NoiseBatch(0, 0, 0, times, increments, scalar)
+    paths = np.zeros((4, 11, 1))
+    batch = NoiseBatch(0, 0, 0, times, increments, paths)
     zero = np.zeros(12)
     with pytest.raises(NonconvergenceError,
                        match=r"^replica 2: forward solve failed at step 0 ") \
@@ -623,7 +623,7 @@ def test_solve_forward_propagates_nonconvergence_with_step_index():
     with pytest.raises(NonconvergenceError, match=r"^replica 7: ") as err:
         solve_forward(cfg, ops.drift, ops.diffusion, shifted, zero)
     assert [f.replica for f in err.value.failures] == [7, 8]
-    calm =NoiseBatch(0, 0, 0, times, increments[:2], scalar[:2])
+    calm = NoiseBatch(0, 0, 0, times, increments[:2], paths[:2])
     assert len(solve_forward(cfg, ops.drift, ops.diffusion, calm, zero)) == 2
 
 

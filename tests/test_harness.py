@@ -285,7 +285,8 @@ REJECTED = [
     ("pathwise_uniqueness", "problem.n_grid=1"),
     ("timestep_convergence", "problem.n_grid=1"),
     ("hypothesis_report", "problem.n_grid=1"),
-    ("timestep_convergence", "numerics.t_final=0.001"),
+    # a finest step t_final / 4 that underflows to 0
+    ("timestep_convergence", "numerics.t_final=5e-324"),
     ("volterra_consistency", "numerics.n_steps=1"),
     ("volterra_consistency", "numerics.n_steps=2"),
     # a memory window of 1.5 steps: the past would lie off the step grid
@@ -345,6 +346,8 @@ ACCEPTED = [
     ("volterra_consistency", ("numerics.n_steps=8",)),
     # the smallest forward tolerance validate lets through, 4 epsilons
     ("reaction_diffusion_demo", ("numerics.resolvent_tol=8.9e-16",)),
+    # shorter than one step of 4e-3: solves of 1, 2 and 4 steps
+    ("timestep_convergence", ("numerics.t_final=0.001",)),
 ]
 
 
@@ -942,6 +945,25 @@ def test_timestep_convergence_assertions(tmp_path):
     assert result.passed
     ratios = result.outcome.summary["ratios"]
     assert all(1.7 <= r <= 2.3 for r in ratios)
+
+
+@pytest.mark.parametrize("t_final, steps", [(0.21, (52, 104, 208)),
+                                            (0.0026314, (1, 2, 4))])
+def test_timestep_convergence_labels_the_steps_it_used(tmp_path, t_final,
+                                                       steps):
+    """The solves take n, 2n and 4n steps, n = max(1, round(t_final /
+    4e-3)), and every written dt is the step t_final / n_i its solve
+    used, so no two solves are the same solve."""
+    result = run_experiment(_config("timestep_convergence", tmp_path,
+                                    numerics={"t_final": t_final}))
+    rows = (result.out_dir / "timestep_errors.csv").read_bytes().decode(
+        "utf-8").rstrip("\r\n").split("\r\n")
+    assert rows[0] == "dt,sup_h_error"
+    assert [float(row.split(",")[0]) for row in rows[1:]] == \
+        [t_final / n for n in steps]
+    assert result.outcome.solver_stats["forward_steps"] == sum(steps)
+    errors = result.outcome.summary["errors"]
+    assert len(set(errors)) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -277,6 +277,28 @@ def test_bridge_draws_its_fresh_philox_substream():
     assert np.array_equal(fine.increments[0, 0::2], target - (target - first))
 
 
+@pytest.mark.parametrize("n_steps, n_modes", [(3, 1), (5, 2)])
+def test_rekeyed_rows_equal_fresh_philox_after_a_partly_used_buffer(
+        n_steps, n_modes):
+    # an odd number of normals per row leaves Philox's 4-word buffer partly
+    # used; every row must still draw what a fresh Philox(key=k) draws
+    seed, replicas = 2**70 + 3, 5
+    batch = sample_batch(seed, 1.0, n_steps, n_modes, replicas)
+    fine = refine_path(batch)
+
+    def fresh(r, purpose, level):
+        [key] = _substream_keys(seed, r, 1, purpose, level)
+        return np.random.Generator(np.random.Philox(key=key)) \
+            .standard_normal((n_steps, n_modes))
+
+    for r in range(replicas):
+        target = batch.increments[r]
+        assert np.array_equal(target, fresh(r, 0, 0) * np.sqrt(batch.dt))
+        first = target / 2.0 + fresh(r, 1, 1) * (0.5 * np.sqrt(batch.dt))
+        assert np.array_equal(fine.increments[r, 0::2],
+                              target - (target - first))
+
+
 @pytest.mark.parametrize("call", [
     lambda: sample_path(3.5, 1.0, 4, 1),
     lambda: sample_path(-1, 1.0, 4, 1),
@@ -288,9 +310,9 @@ def test_bridge_draws_its_fresh_philox_substream():
     lambda: sample_batch(1, 1.0, 4, 1, replicas=2.5),
     lambda: sample_batch(1, 1.0, 4, 1, replicas=-1),
     lambda: refine_path(NoiseBatch(-3, 0, 0, np.linspace(0.0, 1.0, 3),
-                                   np.zeros((1, 2, 1)), np.zeros((1, 3)))),
+                                   np.zeros((1, 2, 1)), np.zeros((1, 3, 1)))),
     lambda: refine_path(NoiseBatch(3, -1, 0, np.linspace(0.0, 1.0, 3),
-                                   np.zeros((1, 2, 1)), np.zeros((1, 3)))),
+                                   np.zeros((1, 2, 1)), np.zeros((1, 3, 1)))),
 ])
 def test_keys_need_non_negative_integer_seed_and_replica(call):
     with pytest.raises(ConfigError, match="non-negative integer|2\\*\\*64"):

@@ -12,6 +12,7 @@ import pytest
 
 import monosee.experiments
 import monosee.operators
+import monosee.reporting
 import oracles
 from monosee.config import ExperimentConfig
 from monosee.errors import ConfigError, MonoseeError
@@ -27,7 +28,8 @@ from monosee.operators import (ConstantDiffusion, HypothesisBundle,
                                check_hemicontinuity, check_monotonicity,
                                constant_profile, drift_parts, pair_sampler,
                                state_sampler)
-from monosee.reporting import GroupedStream, Violation, _sampled_check
+from monosee.reporting import (NOT_EVALUATED, GroupedStream, Violation,
+                               _sampled_check)
 from monosee.triple import POROUS_MEDIUM, REACTION_DIFFUSION, DiscreteTriple
 from oracles import assert_same_report
 
@@ -841,3 +843,50 @@ def test_hypothesis_report_draws_each_state_once_per_run(monkeypatch,
             output={"directory": str(tmp_path / str(run))}))
         counts.append(len(calls))
     assert counts == [2600, 2600]
+
+
+def test_a_sample_with_a_non_finite_excess_is_not_evaluated():
+    """A row that no group flags but whose excess is NaN or infinite is a
+    violation of its own, not a pass; a scalar excess (the value a group
+    declares for the rows it flags) is not read."""
+    excess = np.array([0.0, np.nan, -np.inf, np.inf, 1.0])
+
+    def evaluate(t, u):
+        return [(np.inf, np.zeros(5, dtype=bool), {}),
+                (excess, np.array([False, False, False, True, True]),
+                 {"u": u})]
+
+    report = _sampled_check("plant", 5, 0.0, 3,
+                            lambda rng: (float(rng.uniform()), 1.0), evaluate)
+    assert not report.ok
+    assert [(v.index, v.detail) for v in report.violations] == [
+        (1, NOT_EVALUATED), (2, NOT_EVALUATED), (3, {"u": 1.0}),
+        (4, {"u": 1.0})]
+    assert report.max_excess == np.inf
+    assert report.summary() == ("plant: 5 samples, 2 violations (max excess "
+                                "inf), 2 not evaluated")
+
+
+def test_hypothesis_report_reads_no_unevaluated_sample_as_ok(monkeypatch,
+                                                             tmp_path):
+    """At p = 100 the built-in drifts overflow on some samples, so their
+    excess is not finite; no check that met such a sample reads ok."""
+    held = []
+    record = monosee.reporting._record
+
+    def spy(report, t, groups, index=None):
+        if any(np.ndim(excess) and not np.isfinite(excess).all()
+               for excess, _, _ in groups):
+            held.append(report)
+        return record(report, t, groups, index)
+
+    monkeypatch.setattr(monosee.reporting, "_record", spy)
+    with np.errstate(all="ignore"):
+        result = run_experiment(ExperimentConfig(
+            experiment="hypothesis_report", problem={"p": 100},
+            output={"directory": str(tmp_path)}))
+    assert len(held) >= 8  # both families, all four checks
+    verdicts = {a.detail: a.passed for a in result.outcome.assertions}
+    for report in held:
+        assert not report.ok and not report.summary().endswith("ok")
+        assert verdicts[report.summary()] is False
