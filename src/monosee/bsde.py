@@ -283,10 +283,22 @@ class PolynomialBasis:
             raise ConfigError(
                 f"basis expects {self.n_vars} state variables, got "
                 f"{states.shape[-1]}")
+        # each needed power of each variable once: x itself, x*x, and pow
+        # from the cube on; a term is the product of its variables' powers
+        # in variable order (x**0 == 1 contributes nothing), written into a
+        # fresh C-contiguous (..., terms) array
+        needed = {(v, k) for e in self.exponents for v, k in enumerate(e) if k}
+        powers = {}
+        for v, k in needed:
+            x = states[..., v]
+            powers[v, k] = x if k == 1 else x * x if k == 2 else x ** float(k)
         design = np.empty(states.shape[:-1] + (self.n_terms,))
         for j, e in enumerate(self.exponents):
-            np.prod(states ** np.asarray(e, dtype=float), axis=-1,
-                    out=design[..., j])
+            column = design[..., j]
+            factors = [powers[v, k] for v, k in enumerate(e) if k]
+            column[...] = factors[0] if factors else 1.0
+            for factor in factors[1:]:
+                column *= factor
         return design
 
 
@@ -370,8 +382,15 @@ def _factor(designs: np.ndarray, names, times=None):
     solved = []
     for active, idx in groups.items():
         if active:
-            _, s, vt = np.linalg.svd(np.linalg.qr(
-                columns[np.ix_(idx, active)].transpose(0, 2, 1), mode="r"))
+            # a run of times on every column in order is a slice of
+            # ``columns`` already: QR reads the view, not a gathered copy
+            consecutive = idx[-1] - idx[0] == len(idx) - 1
+            if consecutive and active == tuple(range(n_cols)):
+                block = columns[idx[0]:idx[-1] + 1]
+            else:
+                block = columns[np.ix_(idx, active)]
+            _, s, vt = np.linalg.svd(np.linalg.qr(block.transpose(0, 2, 1),
+                                                  mode="r"))
             cutoff = np.finfo(float).eps * max(n_rows, len(active)) * s[:, :1]
             n_active[idx] = len(active)
             ranks[idx] = np.count_nonzero(s > cutoff, axis=1)

@@ -74,6 +74,11 @@ GALERKIN_MODE_COUNTS = (8, 16, 32, 64)
 # grid index before the horizon, where Z is defined
 BSDE_PROBE_TIMES = (0.25, 0.5, 0.75)
 
+# the shortest horizon timestep_convergence accepts: below about 2e-8 the
+# errors of a sound scheme sink to rounding level and the halving ratios
+# leave [1.7, 2.3] (n_grid 4, 16 and 64 alike); the floor keeps 50x margin
+TIMESTEP_T_FINAL_FLOOR = 1e-6
+
 
 # ---------------------------------------------------------------------------
 # artifact plumbing
@@ -402,6 +407,10 @@ def _galerkin_convergence(s):
 def _timestep_convergence(s):
     n_grid = s.get("problem", "n_grid", 16)
     t_final = s.positive("numerics", "t_final", 0.2)
+    s.check(not t_final < TIMESTEP_T_FINAL_FLOOR,
+            f"numerics.t_final = {t_final:g} is below "
+            f"{TIMESTEP_T_FINAL_FLOOR:g}: the step errors would sink to "
+            f"rounding level")
     ops = s.build("problem", build_operator_set, "heat", n_grid, n_modes=1)
     if s.problems:  # the step counts below need the values above
         return None

@@ -202,7 +202,9 @@ def _sampled_check(name: str, n_samples: int, tol: float, seed: int, draw,
     if samples:
         columns = _columns(samples)
         shape = np.shape(columns[0])
-        groups = evaluate(*columns)
+        # an overflow leaves a non-finite excess, read as not evaluated below
+        with np.errstate(over="ignore", invalid="ignore"):
+            groups = evaluate(*columns)
         unevaluated = np.zeros(shape, dtype=bool)
         for excess, _, _ in groups:
             if np.ndim(excess):

@@ -11,8 +11,9 @@ Each checker oracle draws and evaluates one sample at a time, in the
 order the stacked checker draws them, and appends its violations as it
 goes; it is the checker written the plain way.  ``assert_same_report``
 compares a stacked report with its oracle's.  The backward oracles are
-the regression sweep with three full fits per step and the driver
-matrix with one driver call per grid time; they take the arguments of
+the regression design as a product of array powers (``design``), the
+regression sweep with three full fits per step and the driver matrix
+with one driver call per grid time; the last two take the arguments of
 ``monosee.bsde._backward_sweep`` and ``_driver_matrix`` and stand in
 for them; ``martingale_residuals`` fits one grid time at a time.  The
 memory oracles build the window at one grid time by searching and
@@ -348,6 +349,18 @@ def driver_growth(driver, sampler, n_samples=500, seed=0, tol=1e-10):
 
 # ---------------------------------------------------------------------------
 # backward regression sweep
+
+
+def design(basis, states):
+    """``PolynomialBasis.design`` as the product over the variables of
+    ``states ** exponents``, one term at a time: the (..., terms) design of
+    a (..., variables) stack."""
+    states = np.atleast_2d(np.asarray(states, dtype=float))
+    out = np.empty(states.shape[:-1] + (basis.n_terms,))
+    for j, e in enumerate(basis.exponents):
+        np.prod(states ** np.asarray(e, dtype=float), axis=-1,
+                out=out[..., j])
+    return out
 
 
 def driver_matrix(driver, times, x_frozen, z_frozen, counts):

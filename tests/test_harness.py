@@ -21,9 +21,10 @@ from monosee.cli import main
 from monosee.config import (ExperimentConfig, apply_overrides, load_config,
                             parse_config)
 from monosee.analysis import rho_k_modulus, zero_limit_check
-from monosee.experiments import (EXPERIMENTS, ExperimentEntry,
-                                 resolve_output_dir, run_experiment,
-                                 svg_series, validate_experiment, write_csv)
+from monosee.experiments import (EXPERIMENTS, TIMESTEP_T_FINAL_FLOOR,
+                                 ExperimentEntry, resolve_output_dir,
+                                 run_experiment, svg_series,
+                                 validate_experiment, write_csv)
 
 GOOD = """
 [experiment]
@@ -285,7 +286,9 @@ REJECTED = [
     ("pathwise_uniqueness", "problem.n_grid=1"),
     ("timestep_convergence", "problem.n_grid=1"),
     ("hypothesis_report", "problem.n_grid=1"),
-    # a finest step t_final / 4 that underflows to 0
+    # horizons below the floor: errors at rounding level, whose halving
+    # ratios fail a sound scheme, down to a finest step that underflows
+    ("timestep_convergence", "numerics.t_final=1e-8"),
     ("timestep_convergence", "numerics.t_final=5e-324"),
     ("volterra_consistency", "numerics.n_steps=1"),
     ("volterra_consistency", "numerics.n_steps=2"),
@@ -945,6 +948,21 @@ def test_timestep_convergence_assertions(tmp_path):
     assert result.passed
     ratios = result.outcome.summary["ratios"]
     assert all(1.7 <= r <= 2.3 for r in ratios)
+
+
+def test_timestep_convergence_passes_at_its_t_final_floor(tmp_path):
+    """The shortest horizon validate accepts still resolves the step
+    error: every halving ratio lies in [1.7, 2.3], and validate names
+    the floor for a horizon below it."""
+    result = run_experiment(_config("timestep_convergence", tmp_path,
+                                    numerics={"t_final":
+                                              TIMESTEP_T_FINAL_FLOOR}))
+    assert result.passed
+    assert all(1.7 <= r <= 2.3 for r in result.outcome.summary["ratios"])
+    problems = validate_experiment(ExperimentConfig(
+        experiment="timestep_convergence", numerics={"t_final": 1e-8}))
+    assert problems == ["numerics.t_final = 1e-08 is below 1e-06: the step "
+                        "errors would sink to rounding level"]
 
 
 @pytest.mark.parametrize("t_final, steps", [(0.21, (52, 104, 208)),

@@ -37,7 +37,9 @@ SEEDS = (None, 1001, 17017, 31031)
 MANIFEST_FIELDS = ("summary", "assertions", "solver_stats", "error")
 
 # (label, experiment, overrides): every registered experiment at its
-# default config, and the Bihari table at each iterated-log modulus.
+# default config, the Bihari table at each iterated-log modulus, and the
+# linear backward validation on a degree-4 basis, whose designs take pow
+# for the exponents from 3 on.
 # tools/reach.py makes the same runs, so every function it counts as
 # reached is one whose numbers these digests check.
 RUNS = [(name, name, ()) for name in (
@@ -46,7 +48,9 @@ RUNS = [(name, name, ()) for name in (
     "bsde_linear_validation", "bsde_picard_demo", "functional_delay_demo",
     "volterra_consistency", "bihari_table")] + [
     (f"bihari_table.rho_k{k}", "bihari_table",
-     ("problem.rho_kind=rho_k", f"problem.rho_k={k}")) for k in (1, 2, 3)]
+     ("problem.rho_kind=rho_k", f"problem.rho_k={k}")) for k in (1, 2, 3)] + [
+    ("bsde_linear_validation.degree4", "bsde_linear_validation",
+     ("numerics.basis_degree=4",))]
 
 
 def _sha(data: bytes) -> str:
