@@ -21,10 +21,8 @@ target r and the drift at the accepted iterate: no operator evaluation.
 The noise is a NoiseBatch of R rows (a single path is the batch of one),
 solved as one (R, n) stack of coefficient vectors: each step is one
 damped-Newton solve over the stack with per-row targets, convergence
-masks and line searches.  The module also houses the lambda0 gauge
-``rescale_problem`` (solve its transformed operators, multiply back by
-its gamma), the per-step energy-identity ledger, and the a-priori norm
-budget check.
+masks and line searches.  The module also houses the per-step
+energy-identity ledger and the a-priori norm budget check.
 
 Coordinate facts used throughout: the basis is H-orthonormal, so the
 squared H-norm of a state is the Euclidean square of its coefficient
@@ -39,27 +37,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import ConfigError, MonoseeError, NonconvergenceError
-from .noise import EMPTY_CONTEXT, BatchContext, NoiseContext
-from .operators import (ConstantDiffusion, DriftTerm, HypothesisBundle,
-                        _compose, _compose_jacobian, _grid_eval,
-                        _grid_jacobian, constant_profile, profile_on_grid)
+from .noise import EMPTY_CONTEXT, BatchContext
+from .operators import (ConstantDiffusion, HypothesisBundle, _compose,
+                        _compose_jacobian, profile_on_grid)
 from .reporting import csv_text
 # ``resolvent`` is unused here; it stays bound because the benchmark
 # tracer's self-test expects to wrap it in this module
 from .resolvent import (MonotoneMap, NewtonCounts, _resolvent_general,
                         resolvent)
-from .triple import POROUS_MEDIUM, DiscreteTriple, _float_or_array
+from .triple import POROUS_MEDIUM, DiscreteTriple
 
 __all__ = [
     "SolverConfig", "SolutionPath", "GalerkinSystem", "ImplicitStep",
     "step_implicit",
     "solve_forward",
-    "RescaledProblem", "rescale_problem",
     "AprioriReport", "apriori_norms", "trajectory_csv",
 ]
 
@@ -304,10 +300,7 @@ def solve_forward(cfg: SolverConfig, drift, diffusion, noise, x0,
     (``step_implicit``) of the grid's step dt, solved at times[k] + dt,
     whose ledger entry reuses the step's r and b(y).  The noise must
     carry the system's ``n_noise`` modes at least (ConfigError
-    otherwise); extra modes go unused.  The operators are stepped as
-    given: to remove lambda0 from the hypothesis bundle, solve
-    ``rescale_problem``'s transformed operators and multiply the
-    trajectory by its ``gamma``.
+    otherwise); extra modes go unused.
 
     Deterministic for fixed (noise, config): no RNG is consulted.
     """
@@ -372,181 +365,6 @@ def solve_forward(cfg: SolverConfig, drift, diffusion, noise, x0,
 
 
 # ---------------------------------------------------------------------------
-# lambda0 rescaling
-
-
-def _gamma_factory(lambda0) -> Callable:
-    """gamma(t, ctx) = exp(0.5 * integral of lambda0 over [0, t]).
-
-    With noise in the context the integral is the left-endpoint rule on
-    the noise grid (lambda0 may read the scalar path, which is only
-    defined at grid times; the left rule also keeps the value adapted),
-    tabulated once per noise batch, each row read through its own
-    NoiseContext.  A BatchContext gets an (R, 1) column at one time; a
-    NoiseContext a float for one time, an array for an array of times.
-    Without noise the profile is deterministic and a trapezoid rule on a
-    fine fixed grid applies.
-    """
-    cache: list = [None]  # (noise, vals, cum) of the last noise batch
-
-    def gamma(t, ctx):
-        t = np.asarray(t, dtype=float)
-        in_batch = isinstance(ctx, BatchContext)
-        noise = ctx.batch if in_batch else getattr(ctx, "path", None)
-        if noise is None:
-            grid = np.linspace(0.0, np.maximum(t, 0.0), 257, axis=-1)
-            integral = np.trapezoid(profile_on_grid(lambda0, grid, ctx), grid, axis=-1)
-        else:
-            if cache[0] is None or cache[0][0] is not noise:
-                vals = np.stack([profile_on_grid(lambda0, noise.times,
-                                                 NoiseContext(noise.row(r)))
-                                 for r in range(noise.n_replicas)],
-                                axis=-1)  # (N+1, R)
-                cum = np.concatenate([np.zeros_like(vals[:1]), np.cumsum(
-                    vals[:-1] * np.diff(noise.times)[:, None], axis=0)])
-                cache[0] = (noise, vals, cum)
-            _, vals, cum = cache[0]
-            j = np.clip(np.searchsorted(noise.times, t, side="right") - 1,
-                        0, noise.n_steps)
-            rows = np.moveaxis(np.where(  # (R,) + t.shape
-                t[..., None] >= noise.t_final, cum[-1],
-                cum[j] + vals[j] * (t - noise.times[j])[..., None]), -1, 0)
-            if not in_batch:
-                integral = rows[0]
-            else:  # an (R, 1) column at one time
-                integral = rows if t.ndim else rows[:, None]
-        return _float_or_array(np.exp(0.5 * np.where(t > 0.0, integral, 0.0)))
-
-    return gamma
-
-
-class _RescaledDrift:
-    """gamma^{-1} A(t, gamma x) minus half the lambda0 damping.
-
-    The terms are the base drift's, each psi as gamma^{-1} psi(gamma z)
-    and its psi' read at gamma z, plus the damping -lambda0 x / 2 (what
-    the transformed state's differential demands) as identity terms, one
-    per part the base declares, each carrying an even share, so per-part
-    bounds stay valid.
-    """
-
-    eval = _grid_eval
-    jacobian = _grid_jacobian
-
-    def __init__(self, base, lambda0, gamma):
-        self.base = base
-        self.lambda0 = lambda0
-        self.gamma = gamma
-        self.triple = base.triple
-
-    def terms(self):
-        gamma, lambda0 = self.gamma, self.lambda0
-        base_terms = self.base.terms()
-        parts = sorted({term.part for term in base_terms})
-        share = 0.5 / len(parts)
-
-        def rescaled(term):
-            psi, psi_prime = term.psi, term.psi_prime
-
-            def scaled(t, ctx, z):
-                g = gamma(t, ctx)
-                return psi(t, ctx, g * z) / g
-
-            def scaled_prime(t, ctx, z):
-                return psi_prime(t, ctx, gamma(t, ctx) * z)
-
-            return term._replace(psi=scaled, psi_prime=None
-                                 if psi_prime is None else scaled_prime)
-
-        def damping(t, ctx, z):
-            return -share * np.asarray(lambda0(t, ctx), dtype=float) * z
-
-        def damping_prime(t, ctx, z):
-            return np.broadcast_to(
-                -share * np.asarray(lambda0(t, ctx), dtype=float), np.shape(z))
-
-        return (*map(rescaled, base_terms),
-                *(DriftTerm(None, damping, damping_prime, None, part=part)
-                  for part in parts))
-
-
-class _RescaledDiffusion:
-    """gamma^{-1} B(t, gamma x)."""
-
-    def __init__(self, base, gamma):
-        self.base = base
-        self.gamma = gamma
-
-    @property
-    def n_modes(self) -> int:
-        return self.base.n_modes
-
-    def eval(self, t, ctx, u) -> np.ndarray:
-        g = np.asarray(self.gamma(t, ctx))  # like t; (R, 1) in a BatchContext
-        scaled = None if u is None else g * np.asarray(u, dtype=float)
-        return self.base.eval(t, ctx, scaled) / g[..., None]
-
-
-class RescaledProblem(NamedTuple):
-    drift: object
-    diffusion: object
-    bundle: HypothesisBundle
-    gamma: Callable
-
-
-def rescale_problem(drift, diffusion, bundle: HypothesisBundle,
-                    c0: float = 1.0) -> RescaledProblem:
-    """Remove lambda0 from the hypothesis bundle by an exponential gauge.
-
-    With gamma(t) = exp(0.5 int_0^t lambda0), the transformed operators
-    A~(t, x) = gamma^{-1} A(t, gamma x) - lambda0 x / 2 and
-    B~(t, x) = gamma^{-1} B(t, gamma x) satisfy the same inequalities with
-
-        lambda0~ = 0,
-        lambda_i~ = lambda_i * gamma^(q_i - 2),
-        lambda3~ = lambda3 + lambda0,
-        eta_i~  = eta_i + c0 * lambda_i^((q_i - 1)/q_i),
-        c_Ai~   = c_Ai + c0,
-
-    where ``c0`` is a caller-certified comparison constant absorbing the
-    X_i* versus X_i norm gap of the damping term (combined with the
-    lambda0 <= c1 min(lambda1, lambda2) domination).  xi is unchanged
-    (gamma >= 1 only shrinks it).  If lambda0 vanishes identically, the
-    transform is the identity.
-    """
-    if c0 <= 0:
-        raise ConfigError(f"c0 must be positive, got {c0}")
-    lam0 = bundle.lambda0
-    gamma = _gamma_factory(lam0)
-    q1, q2 = bundle.q1, bundle.q2
-
-    def lam1_t(t, ctx):
-        return bundle.lambda1(t, ctx) * gamma(t, ctx) ** (q1 - 2.0)
-
-    def lam2_t(t, ctx):
-        return bundle.lambda2(t, ctx) * gamma(t, ctx) ** (q2 - 2.0)
-
-    def lam3_t(t, ctx):
-        return bundle.lambda3(t, ctx) + lam0(t, ctx)
-
-    def eta1_t(t, ctx):
-        return bundle.eta1(t, ctx) + c0 * bundle.lambda1(t, ctx) ** ((q1 - 1.0) / q1)
-
-    def eta2_t(t, ctx):
-        return bundle.eta2(t, ctx) + c0 * bundle.lambda2(t, ctx) ** ((q2 - 1.0) / q2)
-
-    new_bundle = HypothesisBundle(
-        lambda0=constant_profile(0.0),
-        lambda1=lam1_t, lambda2=lam2_t, lambda3=lam3_t,
-        xi=bundle.xi, eta1=eta1_t, eta2=eta2_t,
-        q1=q1, q2=q2,
-        c_a1=bundle.c_a1 + c0, c_a2=bundle.c_a2 + c0, c1=bundle.c1)
-    return RescaledProblem(_RescaledDrift(drift, lam0, gamma),
-                           _RescaledDiffusion(diffusion, gamma),
-                           new_bundle, gamma)
-
-
-# ---------------------------------------------------------------------------
 # a-priori budget
 
 
@@ -593,8 +411,12 @@ def apriori_norms(path: SolutionPath, bundle: HypothesisBundle,
     """Compare the trajectory's norm ledger against its Gronwall budget.
 
     The integrals run over the whole path, so theta is the final time and
-    m the full accumulated quadratic rate int lambda3.  Left-endpoint
-    quadrature throughout, matching the ledger's own convention.
+    m the full accumulated quadratic rate int lambda3.  Step k charges
+    what its energy inequality holds: it solves for X_{k+1} with the
+    drift at X_{k+1} and the coefficients at t_k (the diffusion is
+    explicit, at X_k), so coercivity applies at X_{k+1} and pairs
+    lambda_i(t_k) with |X_{k+1}|_{X_i}^{q_i} and lambda3(t_k) with
+    |X_{k+1}|_H^2.  The rates xi, eta_i and m are left-endpoint sums.
     """
     times = np.asarray(path.times, dtype=float)
     dts = np.diff(times)
@@ -608,9 +430,9 @@ def apriori_norms(path: SolutionPath, bundle: HypothesisBundle,
     m_val = float(np.sum(lam3[:-1] * dts))
 
     sup_h_sq = float(np.max(path.h_norm_sq))
-    w1 = float(np.sum(lam1[:-1] * path.x1_norm[:-1] ** path.q1 * dts))
-    w2 = float(np.sum(lam2[:-1] * path.x2_norm[:-1] ** path.q2 * dts))
-    diss = float(np.sum(lam3[:-1] * path.h_norm_sq[:-1] * dts))
+    w1 = float(np.sum(lam1[:-1] * path.x1_norm[1:] ** path.q1 * dts))
+    w2 = float(np.sum(lam2[:-1] * path.x2_norm[1:] ** path.q2 * dts))
+    diss = float(np.sum(lam3[:-1] * path.h_norm_sq[1:] * dts))
 
     qp1 = path.q1 / (path.q1 - 1.0)
     qp2 = path.q2 / (path.q2 - 1.0)

@@ -34,8 +34,7 @@ from monosee.analysis import rho_eval
 from monosee.bsde import (BsdeSolution, _factor, _fit, _terminal_values,
                           regularized_implicit_step)
 from monosee.errors import ConfigError, NonconvergenceError
-from monosee.forward import (GalerkinSystem, _noise_term, _RescaledDrift,
-                             _step_defect)
+from monosee.forward import GalerkinSystem, _noise_term, _step_defect
 from monosee.functional import Segment, _AugmentedDrift, segment_distance
 from monosee.noise import EMPTY_CONTEXT, BatchContext
 from monosee.operators import PhiDrift, ReactionDiffusionDrift
@@ -106,14 +105,8 @@ def pair_sampler(triple, t_final=1.0, amp_range=(1e-3, 1e3), times=None):
 
 # ---------------------------------------------------------------------------
 # drifts written on the grid by hand: L phi(u) for the porous family,
-# np.diff(a(grad_h u)) / h - b(u) for reaction-diffusion, a rescaled drift
-# as gamma^-1 A(gamma u) - lambda0 u / 2 and an augmented one as A(u) plus
-# its forcing row, with their Jacobians and their parts
-
-
-def _gauge(drift, t, ctx):
-    return (drift.gamma(t, ctx),
-            np.asarray(drift.lambda0(t, ctx), dtype=float))
+# np.diff(a(grad_h u)) / h - b(u) for reaction-diffusion and an augmented
+# drift as A(u) plus its forcing row, with their Jacobians and their parts
 
 
 def drift_eval(drift, t, ctx, u):
@@ -124,27 +117,18 @@ def drift_eval(drift, t, ctx, u):
         flux = np.asarray(drift.a(t, ctx, drift.triple.grad(u)), dtype=float)
         return np.diff(flux, axis=-1) / drift.triple.h \
             - np.asarray(drift.b(t, ctx, u), dtype=float)
-    if isinstance(drift, _RescaledDrift):
-        g, lam0 = _gauge(drift, t, ctx)
-        return drift_eval(drift.base, t, ctx, g * u) / g - 0.5 * lam0 * u
     return drift_eval(drift.base, t, ctx, u) + drift._rows.at(t)
 
 
 def drift_parts(drift, t, ctx, u):
     """[(i, A_i(u))]: the divergence and reaction parts of a
-    reaction-diffusion drift, the whole drift otherwise; a rescaled drift
-    spreads its damping evenly over the base's parts, an augmented one
-    adds its row to part 1."""
+    reaction-diffusion drift, the whole drift otherwise; an augmented
+    drift adds its row to part 1."""
     u = np.asarray(u, dtype=float)
     if isinstance(drift, ReactionDiffusionDrift):
         flux = np.asarray(drift.a(t, ctx, drift.triple.grad(u)), dtype=float)
         return [(1, np.diff(flux, axis=-1) / drift.triple.h),
                 (2, -np.asarray(drift.b(t, ctx, u), dtype=float))]
-    if isinstance(drift, _RescaledDrift):
-        g, lam0 = _gauge(drift, t, ctx)
-        base = drift_parts(drift.base, t, ctx, g * u)
-        share = 0.5 * lam0 / len(base)
-        return [(i, f / g - share * u) for i, f in base]
     if isinstance(drift, _AugmentedDrift):
         (_, first), *rest = drift_parts(drift.base, t, ctx, u)
         return [(1, first + drift._rows.at(t)), *rest]
@@ -163,10 +147,6 @@ def drift_jacobian(drift, t, ctx, u):
         bp = np.asarray(drift.b_prime(t, ctx, u), dtype=float)
         return -(grad * ap[..., np.newaxis, :]) @ grad.T \
             - bp[..., np.newaxis] * np.eye(len(grad))
-    if isinstance(drift, _RescaledDrift):
-        g, lam0 = _gauge(drift, t, ctx)
-        return drift_jacobian(drift.base, t, ctx, g * u) \
-            - 0.5 * lam0[..., np.newaxis] * np.eye(u.shape[-1])
     return drift_jacobian(drift.base, t, ctx, u)
 
 
@@ -177,9 +157,8 @@ def drift_jacobian(drift, t, ctx, u):
 def energy_residual(path, drift, diffusion, noise):
     """Recompute the per-step energy-identity defect from a stored path.
 
-    Expects the operators the trajectory was actually stepped with; for a
-    rescaled solve that means the transformed ones.  Re-evaluates r =
-    x + sigma(t_k, x) dW and b(t_k + dt, y) at the stored states, the
+    Expects the operators the trajectory was stepped with.  Re-evaluates
+    r = x + sigma(t_k, x) dW and b(t_k + dt, y) at the stored states, the
     times solve_forward steps at, and applies the same ledger formula, so
     it reproduces the stored ledger bit for bit.
     """

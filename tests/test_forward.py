@@ -15,19 +15,17 @@ import pytest
 
 import monosee.forward
 import monosee.resolvent
-from monosee.analysis import convergence_order, sup_h_distance
+from monosee.analysis import sup_h_distance
 from monosee.errors import ConfigError, MonoseeError, NonconvergenceError
 from monosee.forward import (AprioriReport, GalerkinSystem, SolverConfig,
-                             apriori_norms, rescale_problem, solve_forward,
-                             step_implicit, trajectory_csv)
+                             apriori_norms, solve_forward, step_implicit,
+                             trajectory_csv)
 from monosee.noise import EMPTY_CONTEXT, BatchContext, NoiseBatch, \
     NoiseContext, refine_path, sample_batch, sample_path, zero_path
 from monosee.operators import (ConstantDiffusion, PhiDrift,
                                PorousMediumDrift, ReactionDiffusionDrift,
-                               build_operator_set,
-                               check_coercivity, check_monotonicity,
-                               constant_profile, drift_parts, pair_sampler,
-                               state_sampler)
+                               build_operator_set, constant_profile,
+                               drift_parts)
 from monosee.functional import _AugmentedDrift, _FrozenDiffusion
 from monosee.resolvent import MonotoneMap, NewtonCounts
 from monosee.triple import DiscreteTriple, REACTION_DIFFUSION
@@ -128,14 +126,11 @@ def _composed_drift(name, n_grid):
         return (PhiDrift(tr, lambda t, ctx, r: r ** 3 + r,
                          phi_prime=lambda t, ctx, r: 3.0 * r ** 2 + 1.0),
                 ConstantDiffusion(tr, np.zeros((n_grid, 1))))
-    if name == "augmented":
-        ops = build_operator_set("eq_1_2", n_grid, p=3.0)
-        rows = np.random.default_rng(5).normal(size=(9, n_grid))
-        return (_AugmentedDrift(ops.drift, np.linspace(0.0, 0.25, 9), rows),
-                ops.diffusion)
-    ops = build_operator_set("eq_1_2", n_grid, p=3.0)  # random lambda0
-    rescaled = rescale_problem(ops.drift, ops.diffusion, ops.bundle)
-    return rescaled.drift, rescaled.diffusion
+    assert name == "augmented"
+    ops = build_operator_set("eq_1_2", n_grid, p=3.0)
+    rows = np.random.default_rng(5).normal(size=(9, n_grid))
+    return (_AugmentedDrift(ops.drift, np.linspace(0.0, 0.25, 9), rows),
+            ops.diffusion)
 
 
 def _assert_rows_close(got, want, rtol):
@@ -146,7 +141,7 @@ def _assert_rows_close(got, want, rtol):
 
 @pytest.mark.parametrize("name", ["heat", "porous_medium",
                                   "reaction_diffusion", "eq_1_1", "eq_1_2",
-                                  "phi", "augmented", "rescaled"])
+                                  "phi", "augmented"])
 def test_galerkin_composition_matches_the_grid_drift(name):
     # the mode-space composition of the drift's terms against lifting to
     # the grid, the grid-space eval and jacobian, and projecting back
@@ -201,12 +196,11 @@ def _assert_rows_match(got, want, exact):
 
 @pytest.mark.parametrize("name", ["heat", "porous_medium",
                                   "reaction_diffusion", "eq_1_1", "eq_1_2",
-                                  "phi", "augmented", "rescaled"])
+                                  "phi", "augmented"])
 def test_grid_form_matches_the_hand_written_drift(name):
     # the grid eval, parts and Jacobian composed from the drift's terms
     # against the formulas written on the grid by hand: the porous family
-    # and the Jacobians bit for bit, the rest to rounding; the rescaled
-    # drift's damping arrives as one term per part, so its Jacobian too
+    # and the Jacobians bit for bit, the rest to rounding
     drift, _ = _composed_drift(name, 16)
     noise = sample_batch(seed=3, t_final=0.25, n_steps=8, n_modes=1,
                          replicas=4)
@@ -226,13 +220,12 @@ def test_grid_form_matches_the_hand_written_drift(name):
         for (_, got_part), (_, want_part) in zip(got, want):
             _assert_rows_match(got_part, want_part, porous)
         _assert_rows_match(drift.jacobian(t, ctx, u),
-                           oracles.drift_jacobian(drift, t, ctx, u),
-                           name != "rescaled")
+                           oracles.drift_jacobian(drift, t, ctx, u), True)
 
 
 @pytest.mark.parametrize("name", ["heat", "porous_medium",
                                   "reaction_diffusion", "eq_1_1", "eq_1_2",
-                                  "phi", "augmented", "rescaled"])
+                                  "phi", "augmented"])
 def test_grid_form_names_a_non_finite_state_entry(name):
     # checked on the node values before any term, also where the first
     # term's argument is not the state (the reaction-diffusion gradient)
@@ -262,7 +255,14 @@ def test_frozen_rows_name_an_off_grid_time_in_a_column(off):
         with pytest.raises(MonoseeError,
                            match=rf"off the grid \(t = {off:g}\)"):
             evaluate(t, EMPTY_CONTEXT, np.ones((3, 16)))
-    assert diffusion.eval(t[:2], EMPTY_CONTEXT, None).shape == (2, 16, 2)
+    # at a column of grid times the HS norm is one per time, the same
+    # with or without a state, and the same as at each time alone
+    alone = [drift.triple.hs_norm_sq(diffusion.eval(s, EMPTY_CONTEXT, None))
+             for s in t[:2, 0]]
+    for state in (None, np.ones((2, 16))):
+        cols = diffusion.eval(t[:2], EMPTY_CONTEXT, state)
+        assert cols.shape == (2, 16, 2)
+        assert np.array_equal(drift.triple.hs_norm_sq(cols), alone)
 
 
 def _no_prime_drifts(n_grid):
@@ -762,16 +762,10 @@ def test_solve_forward_rejects_noise_with_too_few_modes():
 # replica batches
 
 
-@pytest.mark.parametrize("name,rescaled", [
-    pytest.param("eq_1_1", False, id="eq_1_1"),
-    pytest.param("eq_1_2", False, id="eq_1_2"),
-    # the lambda0 gauge reads each replica's own noise row
-    pytest.param("eq_1_2", True, id="eq_1_2-rescaled")])
-def test_batch_agrees_with_batches_of_one(name, rescaled):
+@pytest.mark.parametrize("name", ["eq_1_1", "eq_1_2"])
+def test_batch_agrees_with_batches_of_one(name):
     ops = build_operator_set(name, 16, p=3.0)
     drift, diffusion = ops.drift, ops.diffusion
-    if rescaled:
-        drift, diffusion, _, _ = rescale_problem(drift, diffusion, ops.bundle)
     cfg = SolverConfig(n_modes_galerkin=8)
     u0 = ops.triple.basis_function(1)
     batch = sample_batch(seed=41, t_final=0.25, n_steps=50, n_modes=1,
@@ -923,120 +917,6 @@ def test_energy_cumulative_defect_halves_with_dt():
         noise = refine_path(noise)
     assert 1.6 <= totals[0] / totals[1] <= 2.4
     assert 1.6 <= totals[1] / totals[2] <= 2.4
-
-
-# ---------------------------------------------------------------------------
-# rescaling
-
-
-def test_rescale_identity_when_lambda0_vanishes():
-    ops = build_operator_set("porous_medium", 12, p=3.0)
-    scaled = rescale_problem(ops.drift, ops.diffusion, ops.bundle)
-    rng = np.random.default_rng(3)
-    u = rng.normal(size=12) * 2.0
-    assert scaled.gamma(0.7, EMPTY_CONTEXT) == 1.0
-    assert np.array_equal(scaled.drift.eval(0.7, EMPTY_CONTEXT, u),
-                          ops.drift.eval(0.7, EMPTY_CONTEXT, u))
-    assert np.array_equal(scaled.diffusion.eval(0.7, EMPTY_CONTEXT, u),
-                          ops.diffusion.eval(0.7, EMPTY_CONTEXT, u))
-    assert scaled.bundle.lambda1(0.7, EMPTY_CONTEXT) == pytest.approx(
-        ops.bundle.lambda1(0.7, EMPTY_CONTEXT))
-
-
-def test_rescale_gamma_closed_form_constant_rate():
-    ops = build_operator_set("porous_medium", 8, p=3.0)
-    bundle = dataclasses.replace(ops.bundle, lambda0=constant_profile(0.8))
-    scaled = rescale_problem(ops.drift, ops.diffusion, bundle)
-    # deterministic context: quadrature on a fixed fine grid
-    assert scaled.gamma(1.0, EMPTY_CONTEXT) == pytest.approx(
-        math.exp(0.4), rel=1e-12)
-    # path context: left-rule on the grid, exact for a constant rate
-    noise = sample_path(seed=4, t_final=1.0, n_steps=64, n_modes=1)
-    ctx = NoiseContext(noise)
-    assert scaled.gamma(0.5, ctx) == pytest.approx(math.exp(0.2), rel=1e-12)
-    # transformed rates: lambda_i gamma^{q_i - 2}, lambda3 + lambda0
-    g = math.exp(0.4)
-    assert scaled.bundle.lambda1(1.0, EMPTY_CONTEXT) == pytest.approx(
-        ops.bundle.lambda1(1.0, EMPTY_CONTEXT) * g ** (ops.bundle.q1 - 2.0))
-    assert scaled.bundle.lambda3(1.0, EMPTY_CONTEXT) == pytest.approx(
-        ops.bundle.lambda3(1.0, EMPTY_CONTEXT) + 0.8)
-    assert scaled.bundle.lambda0(1.0, EMPTY_CONTEXT) == 0.0
-
-
-def test_rescale_gamma_in_a_batch_context_is_one_row_per_replica():
-    ops = build_operator_set("eq_1_2", 8, p=3.0)
-    gamma = rescale_problem(ops.drift, ops.diffusion, ops.bundle).gamma
-    batch = sample_batch(seed=9, t_final=0.5, n_steps=16, n_modes=1,
-                         replicas=4)
-    ctx = BatchContext(batch)
-    for t in (*batch.times, *(batch.times[:-1] + 0.3 * batch.dt), 0.7):
-        column = gamma(t, ctx)
-        assert column.shape == (4, 1)
-        for r in range(4):
-            assert column[r, 0] == gamma(t, NoiseContext(batch.row(r)))
-    assert len(set(gamma(0.5, ctx)[:, 0])) == 4  # the rows read their own w
-    ramp = gamma(batch.times, ctx)
-    assert ramp.shape == (4, 17)
-    assert np.array_equal(ramp[2], gamma(batch.times,
-                                         NoiseContext(batch.row(2))))
-
-
-def test_rescaled_hs_norm_one_formula_for_states_and_stacks():
-    # B / gamma for a state-independent B: the same value with or without
-    # u, and an (S,) result for an (S, 1) column of times either way
-    ops = build_operator_set("porous_medium", 8, p=3.0)
-    bundle = dataclasses.replace(ops.bundle, lambda0=constant_profile(0.8))
-    scaled = rescale_problem(ops.drift, ops.diffusion, bundle)
-    t = np.array([[0.25], [0.5], [1.0]])
-    u = np.random.default_rng(5).normal(size=(3, 8))
-    hs_norm_sq = lambda diff, s, state: ops.triple.hs_norm_sq(
-        diff.eval(s, EMPTY_CONTEXT, state))
-    expect = [hs_norm_sq(ops.diffusion, s, None)
-              / scaled.gamma(s, EMPTY_CONTEXT) ** 2 for s in t[:, 0]]
-    for state in (None, u):
-        got = hs_norm_sq(scaled.diffusion, t, state)
-        assert got.shape == (3,)
-        assert np.allclose(got, expect, rtol=1e-13, atol=0)
-    assert hs_norm_sq(scaled.diffusion, 1.0, None) == pytest.approx(
-        expect[-1], rel=1e-13)
-
-
-def test_rescale_transformed_operators_pass_checks_with_zero_lambda0():
-    """The whole point of the transform: hypotheses hold with lambda0 = 0."""
-    ops = build_operator_set("eq_1_2", 20, p=3.0)
-    noise = sample_path(seed=11, t_final=1.0, n_steps=64, n_modes=1)
-    ctx = NoiseContext(noise)
-    scaled = rescale_problem(ops.drift, ops.diffusion, ops.bundle)
-    pairs = pair_sampler(ops.triple, times=noise.times)
-    singles = state_sampler(ops.triple, times=noise.times)
-    mono = check_monotonicity(scaled.drift, scaled.diffusion, scaled.bundle,
-                              pairs, n_samples=150, seed=7, ctx=ctx)
-    assert mono.ok, mono.summary()
-    coer = check_coercivity(scaled.drift, scaled.diffusion, scaled.bundle,
-                            singles, n_samples=150, seed=7, ctx=ctx)
-    assert coer.ok, coer.summary()
-
-
-def test_rescale_solve_and_untransform_consistent_first_order():
-    """Solving the transformed equation and multiplying back by gamma
-    reproduces the direct solve to O(dt) on one fixed noise path."""
-    ops = build_operator_set("porous_medium", 16, p=3.0)
-    bundle = dataclasses.replace(ops.bundle, lambda0=constant_profile(0.5))
-    diff = ConstantDiffusion(ops.triple, 0.4 * np.ones((16, 1)))
-    x0 = np.sin(np.pi * ops.triple.nodes)
-    noise = sample_path(seed=31, t_final=0.4, n_steps=40, n_modes=1)
-    scaled = rescale_problem(ops.drift, diff, bundle)
-    cfg = SolverConfig(n_modes_galerkin=8)
-    errors, steps = [], []
-    for _ in range(3):
-        [direct] = solve_forward(cfg, ops.drift, diff, noise, x0)
-        [tilde] = solve_forward(cfg, scaled.drift, scaled.diffusion, noise, x0)
-        gam = scaled.gamma(noise.times, NoiseContext(noise))[:, None]
-        errors.append(sup_h_distance(direct.coeffs, tilde.coeffs * gam))
-        steps.append(noise.dt)
-        noise = refine_path(noise)
-    assert errors[1] < errors[0] and errors[2] < errors[1]
-    assert convergence_order(errors, steps) > 0.75
 
 
 # ---------------------------------------------------------------------------

@@ -385,6 +385,22 @@ def test_validated_configs_run_to_a_verdict(tmp_path, capsys, experiment,
     assert manifest["error"] is None
 
 
+@pytest.mark.parametrize("settings", [
+    ("problem.p=8",), ("problem.p=10",), ("problem.p=20",),
+    ("problem.n_grid=32", "numerics.n_steps=3")])
+def test_porous_medium_demo_ledger_holds_where_it_validates(
+        tmp_path, capsys, settings):
+    # step k charges lambda_i(t_k) |X_{k+1}|^{q_i}, at the state it solves
+    # for; charged at X_k, these runs validated and then exceeded the
+    # a-priori budget
+    validated, ran, manifest = _validate_then_run(
+        tmp_path, capsys, "porous_medium_demo", settings)
+    assert (validated, ran) == (0, 0)
+    verdicts = {a["name"]: a for a in manifest["assertions"]}
+    assert verdicts["apriori_within_budget"]["passed"], \
+        verdicts["apriori_within_budget"]["detail"]
+
+
 SMALL_INT = st.integers(-3, 70)
 SMALL_FLOAT = st.floats(-1.0, 2.0)
 

@@ -17,7 +17,7 @@ It then prints each function of ``SRC_DIR/monosee`` that never started
 (a ``def``; lambdas are left out), one per line, sorted by module and
 line:
 
-    monosee.forward:rescale_problem 50
+    monosee.bsde:apriori_bound_check 53
 
 with its line count (from its first decorator or ``def`` to its last
 line), and last ``total: N functions, M lines``.  A function nested

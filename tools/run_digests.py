@@ -50,7 +50,8 @@ RUNS = [(name, name, ()) for name in (
     (f"bihari_table.rho_k{k}", "bihari_table",
      ("problem.rho_kind=rho_k", f"problem.rho_k={k}")) for k in (1, 2, 3)] + [
     ("bsde_linear_validation.degree4", "bsde_linear_validation",
-     ("numerics.basis_degree=4",))]
+     ("numerics.basis_degree=4",)),
+    ("porous_medium_demo.p8", "porous_medium_demo", ("problem.p=8",))]
 
 
 def _sha(data: bytes) -> str:
