@@ -966,6 +966,68 @@ def test_apriori_flags_underdeclared_budget():
     assert "EXCEEDS" in report.summary()
 
 
+@pytest.mark.parametrize("name", ["heat", "porous_medium",
+                                  "reaction_diffusion", "eq_1_1", "eq_1_2"])
+def test_apriori_ledger_is_the_step_by_step_sum(name):
+    # step k is charged at its rates' left end t_k and at the state X_{k+1}
+    # it solves for; the rates xi, eta_i and m stay left-endpoint sums
+    ops = build_operator_set(name, 12, p=3.0)
+    noise = sample_path(seed=5, t_final=0.5, n_steps=20, n_modes=1)
+    ctx = NoiseContext(noise)
+    [path] = solve_forward(SolverConfig(n_modes_galerkin=6), ops.drift,
+                           ops.diffusion, noise,
+                           2.0 * ops.triple.basis_function(1))
+    report = apriori_norms(path, ops.bundle, ctx=ctx)
+    b = ops.bundle
+
+    def rate(profile, k):
+        return float(profile(float(path.times[k]), ctx))
+
+    w1 = w2 = diss = m = base = 0.0
+    for k in range(path.n_steps):
+        dt = path.times[k + 1] - path.times[k]
+        w1 += rate(b.lambda1, k) * path.x1_norm[k + 1] ** path.q1 * dt
+        w2 += rate(b.lambda2, k) * path.x2_norm[k + 1] ** path.q2 * dt
+        diss += rate(b.lambda3, k) * path.h_norm_sq[k + 1] * dt
+        m += rate(b.lambda3, k) * dt
+        base += (rate(b.xi, k) + rate(b.eta1, k) ** (b.q1 / (b.q1 - 1.0))
+                 + rate(b.eta2, k) ** (b.q2 / (b.q2 - 1.0))) * dt
+    base += path.h_norm_sq[0]
+    assert w1 > 0.0 and w2 > 0.0
+    assert report.weighted_x1 == pytest.approx(w1, rel=1e-12)
+    assert report.weighted_x2 == pytest.approx(w2, rel=1e-12)
+    assert report.dissipation == pytest.approx(diss, rel=1e-12, abs=1e-300)
+    assert report.m == pytest.approx(m, rel=1e-12, abs=1e-300)
+    assert report.base == pytest.approx(base, rel=1e-12)
+    assert report.budget == pytest.approx(3.0 * math.exp(m) * base,
+                                          rel=1e-12)
+    assert report.sup_h_sq == float(np.max(path.h_norm_sq))
+
+
+@pytest.mark.parametrize("name, p", [("heat", 2.0), ("porous_medium", 3.0),
+                                     ("porous_medium", 8.0),
+                                     ("reaction_diffusion", 4.0)])
+def test_each_deterministic_step_obeys_coercivity_at_the_solved_state(
+        name, p):
+    # with no noise, step k gives |X_{k+1}|^2 - |X_k|^2
+    # <= 2 dt [X_{k+1}, A_k(X_{k+1})], and coercivity at u = X_{k+1}
+    # bounds that by dt (lambda3 |X_{k+1}|^2 + xi - lambda1 |X_{k+1}|^q1
+    # - lambda2 |X_{k+1}|^q2): the inequality the ledger sums
+    ops = build_operator_set(name, 16, p=p)
+    [path] = solve_forward(SolverConfig(n_modes_galerkin=8), ops.drift,
+                           ops.diffusion, zero_path(0.5, 25),
+                           3.0 * ops.triple.basis_function(1))
+    b = ops.bundle
+    t, dt = path.times[:-1], np.diff(path.times)
+    h, x1, x2 = path.h_norm_sq, path.x1_norm, path.x2_norm
+    charged = h[1:] + dt * (b.lambda1(t, EMPTY_CONTEXT) * x1[1:] ** path.q1
+                            + b.lambda2(t, EMPTY_CONTEXT) * x2[1:] ** path.q2)
+    allowed = h[:-1] + dt * (b.lambda3(t, EMPTY_CONTEXT) * h[1:]
+                             + b.xi(t, EMPTY_CONTEXT))
+    assert np.all(charged <= allowed * (1.0 + 1e-9)), \
+        (charged - allowed).max()
+
+
 # ---------------------------------------------------------------------------
 # solution-path plumbing
 
