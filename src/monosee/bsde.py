@@ -471,9 +471,6 @@ class BsdeSolution:
     ``x_fit_stderr[k]`` is the Monte-Carlo error scale of the conditional
     expectation regression feeding X(t_k) (at the terminal index: of the
     terminal fit); ``z_fit_stderr[k]`` the same for the Z regression.
-    ``conditional_fit[r, k]`` keeps the fitted E[X(t_{k+1}) | t_k-state]
-    and ``driver_values[r, k]`` the forcing used at t_k, so diagnostics
-    can replay each step exactly.
     """
 
     times: np.ndarray
@@ -481,8 +478,6 @@ class BsdeSolution:
     z_coeffs: np.ndarray
     x_paths: np.ndarray = field(repr=False)
     z_paths: np.ndarray = field(repr=False)
-    conditional_fit: np.ndarray = field(repr=False)
-    driver_values: np.ndarray = field(repr=False)
     basis: PolynomialBasis = field(repr=False)
     x_fit_stderr: np.ndarray = field(repr=False)
     z_fit_stderr: np.ndarray = field(repr=False)
@@ -647,8 +642,6 @@ def _unscale_solution(sol: BsdeSolution, gamma) -> BsdeSolution:
         z_coeffs=sol.z_coeffs / g[:n, None, None, None],
         x_paths=sol.x_paths / g[None, :, None],
         z_paths=sol.z_paths / g[None, :n, None, None],
-        conditional_fit=sol.conditional_fit / g[None, 1:, None],
-        driver_values=sol.driver_values / g[None, :n, None],
         x_fit_stderr=sol.x_fit_stderr / g,
         z_fit_stderr=sol.z_fit_stderr / g[:n],
         terminal_residual=sol.terminal_residual / g[-1],
@@ -747,7 +740,6 @@ def _backward_sweep(problem: BsdeProblem, batch: NoiseBatch,
 
     x_paths = np.empty((r_count, n + 1, d))
     z_paths = np.empty((r_count, n, d, m))
-    cond = np.empty((r_count, n, d))
     x_coeffs = np.empty((n + 1, terms, d))
     z_coeffs = np.empty((n, terms, d, m))
     x_stderr = np.empty(n + 1)
@@ -792,7 +784,6 @@ def _backward_sweep(problem: BsdeProblem, batch: NoiseBatch,
                 problem.drift, float(times[k + 1]), dt,
                 cond_block[i] + forcing[i], tol=resolvent_tol,
                 max_iter=resolvent_max_iter, counts=newton)
-        cond[:, low:top] = cond_block.transpose(1, 0, 2)
         n_active = regression.n_active[low:top]
         after = x_block[1:]
         np.matmul(factors[low:top], u.transpose(0, 2, 1) @ x_t[low:top],
@@ -814,7 +805,6 @@ def _backward_sweep(problem: BsdeProblem, batch: NoiseBatch,
 
     return BsdeSolution(times=times.copy(), x_coeffs=x_coeffs,
                         z_coeffs=z_coeffs, x_paths=x_paths, z_paths=z_paths,
-                        conditional_fit=cond, driver_values=c_values,
                         basis=basis, x_fit_stderr=x_stderr,
                         z_fit_stderr=z_stderr,
                         terminal_residual=terminal_residual)
@@ -866,8 +856,8 @@ def solve_bsde_autonomous_C(problem: BsdeProblem, batch: NoiseBatch,
     least-squares fit, adds dt times the (deterministic-in-state) forcing,
     and applies the implicit regularized drift step; Z(t_k) comes from the
     martingale-increment regression fit of X(t_{k+1})*dW_k/dt.  The
-    driver is evaluated once, on one row of zero states, and every path
-    shares that row: ``driver_values`` is a read-only (R, N, dim) view of
+    driver is evaluated once, on one row of read-only zero states, and
+    every path shares that row through a read-only (R, N, dim) view of
     it.  ``counts`` (a :class:`BackwardCounts`) accumulates the solve's
     work.
     """
@@ -906,10 +896,11 @@ def _picard_loop(problem: BsdeProblem, batch: NoiseBatch, basis,
     Each outer pass freezes the driver's x argument at the previous X
     iterate (the zero process to start) and iterates on z from the zero
     Z process until successive Z iterates are closer than ``inner_tol``
-    (:func:`z_path_distance`).  After a sweep with a driver that declares
-    ``z_dependent=False``, or whose refreshed values match the ones just
-    used bit for bit, the inner fixed point is exact: a zero residual is
-    recorded without paying another sweep.  The outer residual is the
+    (:func:`z_path_distance`); both zero processes are read-only views.
+    After a sweep with a driver that declares ``z_dependent=False``, or
+    whose refreshed values match the ones just used bit for bit, the
+    inner fixed point is exact: a zero residual is recorded without
+    paying another sweep.  The outer residual is the
     grid supremum over time of the mean-square distance between
     successive X iterates; a driver that declares ``x_dependent=False``
     stops after one outer pass.  The solution records the outer
@@ -920,12 +911,12 @@ def _picard_loop(problem: BsdeProblem, batch: NoiseBatch, basis,
     reduced, gamma, basis, regression = _prepare(problem, batch, basis,
                                                   counts)
     driver, n = reduced.driver, batch.n_steps
-    x_prev = np.zeros((batch.n_replicas, n + 1, reduced.dim))
+    x_prev = np.broadcast_to(0.0, (batch.n_replicas, n + 1, reduced.dim))
     outer_history = []
     inner_histories = []
     for _ in range(max_iter):
         x_frozen = x_prev[:, :n]
-        z_prev = np.zeros(x_frozen.shape + (reduced.n_modes,))
+        z_prev = np.broadcast_to(0.0, x_frozen.shape + (reduced.n_modes,))
         c_cur = _driver_matrix(driver, batch.times, x_frozen, z_prev, counts)
         inner = []
         for _ in range(inner_max_iter):
@@ -1024,30 +1015,33 @@ def martingale_residuals(solution: BsdeSolution, problem: BsdeProblem,
 
         X(t_{k+1}) - X(t_k) + dt*(A_eps + C) - Z(t_k) dW_k
 
-    collapses to X(t_{k+1}) - conditional_fit_k - Z(t_k) dW_k.  Its
-    projection onto the basis at t_k estimates the conditional mean; the
-    returned entry k is the rms of that projection over paths.  The fit
-    part of X(t_{k+1}) vanishes by least-squares orthogonality, so what
-    remains measures only the sampling error of the Z regression
-    direction.  For problems solved through the lambda0 reduction the
-    identity holds in reduced coordinates and the unscaled record makes
-    this an O(dt)-accurate diagnostic rather than an exact one.  The
-    designs are factored as a solve factors them (:func:`_prepare`), and
-    fitted one block of ``_BLOCK`` grid times at a time.
+    collapses to X(t_{k+1}) - (its fit at t_k) - Z(t_k) dW_k.  Its
+    projection onto the basis at t_k estimates the conditional mean, and
+    the fit part projects to zero by least-squares orthogonality (also
+    after the lambda0 unscaling, which divides both by gamma(t_{k+1})).
+    So entry k is the rms over paths of the projection of Z(t_k) dW_k,
+    the sampling error of the Z regression direction.  The designs are
+    factored as a solve factors them (:func:`_prepare`), and fitted one
+    block of ``_BLOCK`` grid times at a time.  ``batch`` must be the
+    solve's: another grid or replica count raises ConfigError, but a
+    batch of another seed on the same grid cannot be detected.
     """
+    if batch.n_replicas != len(solution.x_paths) \
+            or not np.array_equal(batch.times, solution.times):
+        raise ConfigError(
+            f"martingale_residuals needs the solve's batch: got "
+            f"{batch.n_replicas} replicas over {batch.n_steps} steps, the "
+            f"solution has {len(solution.x_paths)} over {solution.n_steps}")
     _, _, basis, regression = _prepare(problem, batch, solution.basis,
                                        BackwardCounts())
     states, factors = regression.states, regression.factors
     n = solution.n_steps
-    x_t = solution.x_paths.transpose(1, 0, 2)
     out = np.empty(n)
     for low in range(0, n, _BLOCK):
         top = min(low + _BLOCK, n)
         u = basis.design(states[low:top]) @ factors[low:top]
-        noise = np.einsum("rkdm,rkm->krd", solution.z_paths[:, low:top],
-                          batch.increments[:, low:top])
-        targets = x_t[low + 1:top + 1] \
-            - solution.conditional_fit[:, low:top].transpose(1, 0, 2) - noise
+        targets = np.einsum("rkdm,rkm->krd", solution.z_paths[:, low:top],
+                            batch.increments[:, low:top])
         _, fitted = _fit(u, factors[low:top], targets)
         out[low:top] = np.sqrt(np.mean(np.sum(fitted ** 2, axis=2), axis=1))
     return out

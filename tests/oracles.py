@@ -372,7 +372,6 @@ def backward_sweep(problem, batch, basis, regression, c_values,
 
     x_paths = np.empty((r_count, n + 1, d))
     z_paths = np.empty((r_count, n, d, m))
-    cond = np.empty((r_count, n, d))
     x_coeffs = np.empty((n + 1, basis.n_terms, d))
     z_coeffs = np.empty((n, basis.n_terms, d, m))
     x_stderr = np.empty(n + 1)
@@ -399,9 +398,7 @@ def backward_sweep(problem, batch, basis, regression, c_values,
     terminal_residual = float(np.sqrt(np.mean((x_paths[:, n] - fitted) ** 2)))
 
     for k in range(n - 1, -1, -1):
-        _, fit_cond, se_cond = fit(k, x_paths[:, k + 1])
-        cond[:, k] = fit_cond
-        x_stderr[k] = se_cond
+        _, fit_cond, x_stderr[k] = fit(k, x_paths[:, k + 1])
         x_paths[:, k] = regularized_implicit_step(
             problem.drift, float(times[k + 1]), dt,
             fit_cond + dt * c_values[:, k], tol=resolvent_tol,
@@ -417,17 +414,15 @@ def backward_sweep(problem, batch, basis, regression, c_values,
 
     return BsdeSolution(times=times.copy(), x_coeffs=x_coeffs,
                         z_coeffs=z_coeffs, x_paths=x_paths, z_paths=z_paths,
-                        conditional_fit=cond, driver_values=c_values,
                         basis=basis, x_fit_stderr=x_stderr,
                         z_fit_stderr=z_stderr,
                         terminal_residual=terminal_residual)
 
 
 def martingale_residuals(solution, problem, batch):
-    """``monosee.bsde.martingale_residuals`` one grid time at a time: the
-    compensated increment X(t_{k+1}) - conditional fit - Z(t_k) dW_k
-    projected on a design built here and factored alone by ``_factor``,
-    its rms over paths per step."""
+    """``monosee.bsde.martingale_residuals`` one grid time at a time:
+    Z(t_k) dW_k projected on a design built here and factored alone by
+    ``_factor``, its rms over paths per step."""
     incs = batch.increments
     states = np.concatenate([np.zeros((batch.n_replicas, 1, batch.n_modes)),
                              np.cumsum(incs, axis=1)], axis=1)
@@ -438,9 +433,7 @@ def martingale_residuals(solution, problem, batch):
                             (float(batch.times[k]),))
         noise_term = np.einsum("rdm,rm->rd", solution.z_paths[:, k],
                                incs[:, k])
-        target = (solution.x_paths[:, k + 1] - solution.conditional_fit[:, k]
-                  - noise_term)
-        _, fitted = _fit(design @ factor, factor, target[None])
+        _, fitted = _fit(design @ factor, factor, noise_term[None])
         out[k] = float(np.sqrt(np.mean(np.sum(fitted[0] ** 2, axis=1))))
     return out
 

@@ -34,7 +34,7 @@ from monosee.bsde import (BackwardCounts, BsdeAprioriReport, BsdeDriver,
                           z_path_distance, zero_driver)
 from monosee.errors import (ConfigError, NonconvergenceError,
                             RegressionError)
-from monosee.noise import NoiseBatch, sample_batch, sample_path
+from monosee.noise import NoiseBatch, refine_path, sample_batch, sample_path
 from monosee.resolvent import MonotoneMap, NewtonCounts, resolvent
 
 import oracles
@@ -83,6 +83,17 @@ def _linear_z_driver(kappa: float) -> BsdeDriver:
     return BsdeDriver(eval=lambda t, x, z: kappa * np.asarray(z)[..., 0],
                       c1=kappa ** 2, c2=abs(kappa), x_dependent=False,
                       name="linear z driver")
+
+
+def _modulus_x_driver() -> BsdeDriver:
+    """|C(x)| = sqrt(rho_1(|x|^2)), bsde_picard_demo's concave-modulus
+    coupling in x."""
+    rho = rho_k_modulus(1)
+    return BsdeDriver(
+        eval=lambda t, x, z: (np.sqrt(rho_eval(np.asarray(x, float) ** 2, rho))
+                              * np.sign(np.asarray(x, float))),
+        rho=rho, c1=4.0, c2=2.0, z_dependent=False,
+        name="modulus driver")
 
 
 # ---------------------------------------------------------------------------
@@ -466,10 +477,11 @@ def test_constant_terminal_zero_operators():
 
 def test_autonomous_driver_reads_read_only_zero_stacks():
     """A driver independent of x and z is evaluated once, on one row of
-    non-writeable zero stacks of shapes (1, N, d) and (1, N, d, m); every
-    path shares that row through a read-only (R, N, d) ``driver_values``
-    view.  zero_driver answers a writeable stack of zeros of the x
-    shape."""
+    non-writeable zero stacks of shapes (1, N, d) and (1, N, d, m), and
+    zero_driver answers a writeable stack of zeros of the x shape.  The
+    Picard loop hands its driver non-writeable zero stacks of shapes
+    (R, N, d) and (R, N, d, m) on the first call, and a non-writeable
+    zero z stack on the first call of every later outer pass."""
     seen = []
 
     def record(t, x, z):
@@ -489,21 +501,34 @@ def test_autonomous_driver_reads_read_only_zero_stacks():
     values = zero_driver().eval(0.5, x, z)
     assert values.shape == x.shape and values.flags.writeable
     assert np.all(values == 0.0)
-    assert sol.driver_values.shape == (50, 8, 1)
-    assert not sol.driver_values.flags.writeable
-    assert np.all(sol.driver_values == 0.0)
     reference = solve_bsde_autonomous_C(
         replace(problem, driver=zero_driver()),
         _batch(21, 1.0, 8, 50, n_modes=2))
     assert np.array_equal(sol.x_paths, reference.x_paths)
 
+    seen.clear()
+    coupled = replace(driver, x_dependent=True, z_dependent=True)
+    sol = picard_in_x(replace(problem, driver=coupled),
+                      _batch(21, 1.0, 8, 50, n_modes=2))
+    # pass one calls the driver at the zero stacks and at its Z; pass two
+    # at the first X with the zero Z, then repeats pass one bit for bit
+    assert len(sol.picard_residuals) == 2 and len(seen) == 4
+    (x, z), (x_next, z_next) = seen[0], seen[2]
+    assert x.shape == (50, 8, 1) and z.shape == (50, 8, 1, 2)
+    assert not x.flags.writeable and not z.flags.writeable
+    assert np.all(x == 0.0) and np.all(z == 0.0)
+    assert x_next.flags.writeable and np.array_equal(x_next,
+                                                     sol.x_paths[:, :8])
+    assert z_next.shape == (50, 8, 1, 2) and not z_next.flags.writeable
+    assert np.all(z_next == 0.0)
 
-def test_autonomous_solve_peaks_under_seven_path_arrays():
+
+def test_autonomous_solve_peaks_under_six_path_arrays():
     """bsde_linear_validation's solve, 4,000 paths x 64 steps, from the
-    noise draw on: traced allocations peak at no more than 7 float64
-    arrays of R x (N+1) (6.4 measured; 8.4 while the regression states
-    were a second cumulative sum and the state-free driver one row per
-    path)."""
+    noise draw on: traced allocations peak at no more than 6 float64
+    arrays of R x (N+1) (5.4 measured; 6.4 while the sweep kept a record
+    of its conditional fits, 8.4 while the regression states were a
+    second cumulative sum and the state-free driver one row per path)."""
     r_count, n = 4000, 64
     problem = _problem(MonotoneMap.linear(-1.0, diagonal=True), zero_driver(),
                        _wiener_terminal)
@@ -519,7 +544,36 @@ def test_autonomous_solve_peaks_under_seven_path_arrays():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 7 * 8 * r_count * (n + 1)
+    assert peak <= 6 * 8 * r_count * (n + 1)
+
+
+@pytest.mark.parametrize("solver, driver, arrays", [
+    (lambda p, b: picard_in_x(p, b, max_iter=20, tol=1e-7),
+     _modulus_x_driver(), 9),
+    (picard_in_z, _linear_z_driver(0.4), 7),
+], ids=["picard_in_x", "picard_in_z"])
+def test_picard_solves_peak_under_a_few_path_arrays(solver, driver, arrays):
+    """bsde_picard_demo's two solves, 4,000 paths x 64 steps, on a batch
+    drawn beforehand: traced allocations peak at no more than 9 (x, 8.2
+    measured) and 7 (z, 6.4 measured) float64 arrays of R x (N+1), 10.3
+    each while the loop allocated its zero X and Z stacks and every sweep
+    a record of its conditional fits."""
+    r_count, n = 4000, 64
+    problem = _problem(MonotoneMap.linear(-1.0, diagonal=True), driver,
+                       _wiener_terminal)
+    batch = sample_batch(31, 1.0, n, 1, r_count)
+
+    def solve():
+        return solver(problem, batch)
+
+    solve()  # first-call allocations (imports, caches) are not the solve's
+    tracemalloc.start()
+    try:
+        solve()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= arrays * 8 * r_count * (n + 1)
 
 
 def test_linear_drift_deterministic_terminal_recurrence():
@@ -921,6 +975,51 @@ def test_martingale_residuals_match_the_per_time_oracle(dims, lambda0):
         np.max(np.abs(got - want) / want)
 
 
+@pytest.mark.parametrize("lambda0", [0.0, 0.8])
+@pytest.mark.parametrize("dims", [(1, 1), (2, 2)])
+def test_martingale_residuals_equal_the_replayed_compensated_increment(
+        dims, lambda0):
+    """The compensated increment X(t_{k+1}) - E[X(t_{k+1}) | t_k-state]
+    - Z(t_k) dW_k, its conditional expectation refitted here per grid time
+    by ``lstsq``, projects as Z(t_k) dW_k alone: least-squares
+    orthogonality removes the fit part, also after the lambda0 unscaling.
+    Agreement to 1e-12 of each entry's size."""
+    problem, batch, basis = _oracle_case(picard_in_x, dims, lambda0=lambda0,
+                                         n_steps=13)
+    sol = picard_in_x(problem, batch, basis=basis)
+    got = martingale_residuals(sol, problem, batch)
+    want = np.empty(sol.n_steps)
+    for k in range(sol.n_steps):
+        design = sol.basis.design(batch.paths[:, k])
+
+        def project(targets):
+            coeffs, *_ = np.linalg.lstsq(design, targets, rcond=None)
+            return design @ coeffs
+
+        x_next = sol.x_paths[:, k + 1]
+        replay = x_next - project(x_next) - np.einsum(
+            "rdm,rm->rd", sol.z_paths[:, k], batch.increments[:, k])
+        want[k] = np.sqrt(np.mean(np.sum(project(replay) ** 2, axis=1)))
+    assert np.all(want > 0.0)
+    assert np.all(np.abs(got - want) <= 1e-12 * want), \
+        np.max(np.abs(got - want) / want)
+
+
+def test_martingale_residuals_need_the_solves_batch():
+    """A batch on another grid (the solve's batch refined) or with fewer
+    replicas is refused; a batch of another seed on the same grid is not
+    detectable."""
+    problem = _problem(_linear_drift(-1.0), zero_driver(), _wiener_terminal)
+    batch = _batch(31, 1.0, 16, 300)
+    sol = solve_bsde_autonomous_C(problem, batch)
+    with pytest.raises(ConfigError, match="300 replicas over 32 steps"):
+        martingale_residuals(sol, problem, refine_path(batch))
+    with pytest.raises(ConfigError, match="200 replicas over 16 steps"):
+        martingale_residuals(sol, problem, _batch(31, 1.0, 16, 200))
+    assert martingale_residuals(sol, problem, _batch(32, 1.0, 16, 300)).shape \
+        == (16,)
+
+
 def test_driver_matrix_is_one_stacked_call_equal_to_the_per_time_oracle():
     rng = np.random.default_rng(5)
     times = np.linspace(0.0, 1.0, 9)
@@ -1025,13 +1124,8 @@ def test_picard_x_linear_x_driver_matches_closed_form():
 
 def test_picard_x_rho_modulus_toy_converges_quickly():
     """Driver |C(x)| = sqrt(rho_1(|x|^2)): convergent despite no Lipschitz x."""
-    rho = rho_k_modulus(1)
-    driver = BsdeDriver(
-        eval=lambda t, x, z: (np.sqrt(rho_eval(np.asarray(x, float) ** 2, rho))
-                              * np.sign(np.asarray(x, float))),
-        rho=rho, c1=4.0, c2=2.0, z_dependent=False,
-        name="modulus driver")
-    problem = _problem(_linear_drift(-1.0), driver, _wiener_terminal)
+    problem = _problem(_linear_drift(-1.0), _modulus_x_driver(),
+                       _wiener_terminal)
     sol = picard_in_x(problem, _batch(29, 1.0, 32, 200), tol=1e-9,
                       max_iter=20)
     assert len(sol.picard_residuals) <= 20
@@ -1146,8 +1240,9 @@ def test_non_diagonal_drift_solves_each_replica_row():
 
     Each row of X(t_k), taken back to the shift-reduced coordinates the
     sweep works in, must match regularized_implicit_step applied to that
-    row's own right-hand side (conditional fit plus dt times the driver)
-    within the two solves' tolerances.
+    row's own right-hand side (the conditional fit of X(t_{k+1}), refitted
+    here by ``lstsq``, plus dt times the reduced constant driver
+    gamma(t_k) * 0.3) within the two solves' tolerances.
     """
     tol = 1e-10
     driver = BsdeDriver(eval=lambda t, x, z: np.full(np.shape(x), 0.3),
@@ -1158,8 +1253,8 @@ def test_non_diagonal_drift_solves_each_replica_row():
         drift=_coupled_drift(), driver=driver,
         terminal=lambda batch: np.sin(batch.increments.sum(axis=1)),
         t_final=1.0, n_modes=2, dim=2, lambda0=1.0)
-    sol = solve_bsde_autonomous_C(problem, _batch(41, 1.0, 8, 300, n_modes=2),
-                                  resolvent_tol=tol)
+    batch = _batch(41, 1.0, 8, 300, n_modes=2)
+    sol = solve_bsde_autonomous_C(problem, batch, resolvent_tol=tol)
     assert sol.x_paths.shape == (300, 9, 2)
     reduced, gamma = reduce_lambda0(problem)
     # the reduced Jacobian acts on a stack, one (2, 2) block per row
@@ -1171,8 +1266,10 @@ def test_non_diagonal_drift_solves_each_replica_row():
     g = np.array([gamma(t) for t in sol.times])
     dt = sol.dt
     for k in (0, 4, 7):
-        rhs = (sol.conditional_fit[:, k] * g[k + 1]
-               + dt * sol.driver_values[:, k] * g[k])
+        design = sol.basis.design(batch.paths[:, k])
+        x_next = sol.x_paths[:, k + 1] * g[k + 1]
+        coeffs, *_ = np.linalg.lstsq(design, x_next, rcond=None)
+        rhs = design @ coeffs + dt * 0.3 * g[k]
         x_reduced = sol.x_paths[:, k] * g[k]
         for r in range(0, 300, 37):
             alone = regularized_implicit_step(reduced.drift, sol.times[k + 1],
